@@ -17,6 +17,7 @@ trigonometric moments and the monic recursion in coefficient space.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -239,9 +240,17 @@ class DiscreteMeasure:
         return cls(n, w, domain)
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1];
+    cached, since the toolkit asks for a handful of orders many times."""
+    t, w = npleg.leggauss(n)
+    return _freeze(t), _freeze(w)
+
+
 def _gl_nodes(lo: float, hi: float, n: int):
     """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
-    t, w = npleg.leggauss(n)
+    t, w = _leggauss(n)
     half = 0.5 * (hi - lo)
     return lo + half * (t + 1.0), half * w
 

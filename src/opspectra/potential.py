@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 from scipy.optimize import brentq
 
+from .measures import _gl_nodes, _leggauss
 from .spectra import EmpiricalMeasure
 
 
@@ -104,15 +104,19 @@ def _fold_gl(n: int):
     """Gauss-Legendre rule on (0, pi/2) for the folded substitution
     integral (1/pi) int_0^pi f(cos phi) d phi
     = (1/pi) int_0^{pi/2} [f(cos phi) + f(-cos phi)] d phi."""
-    t, w = npleg.leggauss(n)
+    t, w = _leggauss(n)
     quarter = math.pi / 4.0
     return quarter * (t + 1.0) + 0.0, w * quarter / math.pi
 
 
-def _gl(lo: float, hi: float, n: int):
-    t, w = npleg.leggauss(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (t + 1.0), half * w
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k by repeated multiplication, which is odd-symmetric in x
+    exactly (array ``**`` need not be: numpy's vectorized float power can
+    give (-x)**3 != -(x**3) in the last bit)."""
+    out = np.ones_like(x)
+    for _ in range(k):
+        out = out * x
+    return out
 
 
 class EquilibriumMeasure:
@@ -200,14 +204,14 @@ class EquilibriumMeasure:
             h = 0.5 * (self.hi - self.lo)
             phi, w = _fold_gl(self.order)
             t = h * np.cos(phi)
-            vals = w * ((c + t) ** k + (c - t) ** k)
+            vals = w * (_power(c + t, k) + _power(c - t, k))
             return math.fsum(vals.tolist())
         if self.tag == "arc":
             # int z^k d rho = int T_k(x/2) d nu over the pullback
             # interval; conjugation symmetry kills the imaginary part.
             c = 0.5 * (self._lo + self._hi)
             h = 0.5 * (self._hi - self._lo)
-            phi, w = _gl(0.0, math.pi, self.order)
+            phi, w = _gl_nodes(0.0, math.pi, self.order)
             x = c + h * np.cos(phi)
             vals = (w / math.pi) * np.cos(k * np.arccos(np.clip(x / 2.0, -1.0, 1.0)))
             return complex(math.fsum(vals.tolist()), 0.0)
@@ -231,7 +235,7 @@ class EquilibriumMeasure:
         lc = self.disc.leading
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         n = self.order + (self.order % 2)
-        phi, w = _gl(0.0, math.pi, n)
+        phi, w = _gl_nodes(0.0, math.pi, n)
         x = mid + half * np.cos(phi)
         s = np.full_like(x, lc * lc)
         for e in others:

@@ -3,9 +3,12 @@
 Three matrix shapes: symmetric tridiagonal truncations of scalar
 recurrence data, Hermitian block-tridiagonal truncations, and unitary
 five-diagonal truncations of circle recurrence data.  Only eigenvalues
-are ever needed downstream, so the tridiagonal path uses bisection on
-Sturm sign counts (no vectors, embarrassingly parallel across
-eigenvalue indices) with a QL route available as a cross-check.
+are ever needed downstream.  The tridiagonal path takes them from
+LAPACK's root-free QL iteration and certifies them with one vectorized
+Sturm-count sweep (Sylvester inertia), falling back to Sturm bisection
+for any value the sweep cannot certify.  The unitary path solves a
+Hermitian Cayley transform of the matrix and checks every eigenpair
+residual.
 """
 
 from __future__ import annotations
@@ -138,10 +141,12 @@ def truncate(params: JacobiParams, N: int) -> TridiagonalMatrix:
 _SAFMIN = np.finfo(float).tiny
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, xs: np.ndarray,
-                  pivmin: float) -> np.ndarray:
-    """Number of eigenvalues below each shift in xs, via the signs of the
-    LDL^T pivots q_k = d_k - x - e_{k-1}^2 / q_{k-1}."""
+def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of T below each shift in xs, via the signs
+    of the LDL^T pivots q_k = d_k - x - e_{k-1}^2 / q_{k-1}."""
+    d = T.diag
+    e2 = T.offdiag ** 2
+    pivmin = _SAFMIN * float(np.max(e2, initial=1.0))
     counts = np.zeros(len(xs), dtype=np.int64)
     q = d[0] - xs
     counts += q < 0.0
@@ -154,52 +159,75 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, xs: np.ndarray,
     return counts
 
 
+def _sturm_certificate(T: TridiagonalMatrix, vals: np.ndarray) -> np.ndarray:
+    """Indices of the ascending eigenvalue list ``vals`` that one Sturm
+    sweep fails to certify.
+
+    The shifts are a point below the Gershgorin interval, the N-1
+    midpoints of consecutive values and a point above it.  By Sylvester's
+    law of inertia, a count of j below shift j and of j+1 below shift
+    j+1 puts exactly one eigenvalue, the j-th, in the bracket between
+    them, so vals[j] is within that bracket's width of it.  Value j is
+    certified when both counts hold and it lies strictly inside its
+    bracket (a tie with a neighbour puts a shift on the value itself).
+    """
+    gl, gu = T.gershgorin()
+    pad = 1e-13 * max(abs(gl), abs(gu))
+    xs = np.concatenate([[gl - pad], 0.5 * (vals[:-1] + vals[1:]), [gu + pad]])
+    ok = _sturm_counts(T, xs) == np.arange(T.n + 1)
+    inside = (xs[:-1] < vals) & (vals < xs[1:])
+    return np.flatnonzero(~(ok[:-1] & ok[1:] & inside))
+
+
+def _bisect(T: TridiagonalMatrix, idx: np.ndarray, maxiter: int) -> np.ndarray:
+    """Eigenvalues number ``idx`` (ascending, 0-based) by Sturm-count
+    bisection from the Gershgorin interval, each refined to 1e-13
+    relative to the Gershgorin bound."""
+    gl, gu = T.gershgorin()
+    tol = 1e-13 * max(abs(gl), abs(gu))
+    lo = np.full(len(idx), gl)
+    hi = np.full(len(idx), gu)
+    need = idx + 1  # eigenvalue i has count >= i+1 above it
+    for _ in range(maxiter):
+        mid = 0.5 * (lo + hi)
+        above = _sturm_counts(T, mid) >= need
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        if float(np.max(hi - lo)) <= tol:
+            return 0.5 * (lo + hi)
+    raise NoConvergence(
+        f"bisection stalled: residual interval {float(np.max(hi - lo))}"
+    )
+
+
 def eig_sym_tridiag(T: TridiagonalMatrix, method: str = "bisect",
                     maxiter: int = 200) -> np.ndarray:
     """All eigenvalues of T, ascending.
 
-    method "bisect": Sturm-count bisection, every eigenvalue bracketed
-    independently and refined to 1e-13 relative to the Gershgorin bound.
-    method "ql": the classic tridiagonal QL iteration (LAPACK sterf),
-    kept as an independent cross-check path.
+    Both methods compute the values with LAPACK's root-free QL/QR
+    iteration (``sterf``).  method "bisect" (the default) then certifies
+    them with one vectorized Sturm-count sweep: exactly one eigenvalue
+    between consecutive midpoints, none outside the Gershgorin bounds.
+    Only the values the sweep cannot certify are recomputed by
+    Sturm-count bisection (at most ``maxiter`` sweeps), so a valid input
+    never fails.  method "ql" returns the uncertified ``sterf`` values,
+    for callers that check themselves (the trace identity of
+    trace_square).
 
     Positive off-diagonals force simple eigenvalues; numerically
     coincident ones trigger a DuplicateEigenvalues warning.
     """
+    if method not in ("bisect", "ql"):
+        raise ValueError(f"unknown method {method!r}")
     n = T.n
     if n == 1:
         return np.array([float(T.diag[0])])
-    if method == "ql":
-        vals = sla.eigvalsh_tridiagonal(T.diag, T.offdiag, lapack_driver="sterf")
-        vals = np.sort(vals)
-    elif method == "bisect":
-        d = T.diag
-        e2 = T.offdiag ** 2
-        gl, gu = T.gershgorin()
-        bound = max(abs(gl), abs(gu))
-        if bound == 0.0:
-            return np.zeros(n)
-        tol = 1e-13 * bound
-        pivmin = _SAFMIN * max(1.0, float(e2.max()))
-        lo = np.full(n, gl)
-        hi = np.full(n, gu)
-        need = np.arange(1, n + 1)  # eigenvalue i has count >= i+1 above it
-        for _ in range(maxiter):
-            mid = 0.5 * (lo + hi)
-            c = _sturm_counts(d, e2, mid, pivmin)
-            above = c >= need
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-            if float(np.max(hi - lo)) <= tol:
-                break
-        else:
-            raise NoConvergence(
-                f"bisection stalled: residual interval {float(np.max(hi - lo))}"
-            )
-        vals = 0.5 * (lo + hi)
-        vals = np.sort(vals)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    vals = sla.eigvalsh_tridiagonal(T.diag, T.offdiag, lapack_driver="sterf")
+    if method == "bisect":
+        bad = _sturm_certificate(T, vals)
+        if len(bad):
+            vals[bad] = _bisect(T, bad, maxiter)
+            vals = np.sort(vals)
     gaps = np.diff(vals)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if len(gaps) and float(gaps.min()) < 1e-12 * scale:
@@ -308,29 +336,73 @@ def cmv(params: VerblunskyParams, N: int, boundary=None) -> CmvMatrix:
     return out
 
 
+_RESIDUAL_BLOCK = 64
+
+
 def eig_unitary(C: CmvMatrix) -> EmpiricalMeasure:
     """Eigenvalue angles of a unitary matrix, sorted in (-pi, pi].
 
+    Solves the Hermitian Cayley transform H = i(I - U)(I + U)^{-1} of
+    U = conj(w) C with ``eigh``; an eigenvalue t of H is the angle
+    arg w + 2 arctan t of C, with the same eigenvector.  The pole -w sits
+    mid-way across the widest gap of the angles +-arccos of the
+    eigenvalues of (C + C^*)/2, a set that contains every eigenangle of
+    the normal matrix C; so the pole is at least pi/(2N) from the
+    spectrum and I + U is well conditioned.
+
     Checks the unitarity invariant on entry, and on exit that every
-    eigenvalue is unimodular to 1e-9 and every residual ||Cv - zv|| is
-    below 1e-9.
+    residual ||Cv - zv|| is below 1e-9.  No modulus check is needed: the
+    angles come from the real eigenvalues of a Hermitian matrix, so every
+    z = e^{i theta} is on the circle by construction.
     """
     defect = C.unitarity_defect()
     if defect > 1e-10:
         raise NotUnitary(defect)
-    vals, vecs = sla.eig(C.mat)
-    moduli = np.abs(vals)
-    if float(np.max(np.abs(moduli - 1.0))) > 1e-9:
-        raise NoConvergence(
-            f"eigenvalue modulus off the circle by {np.max(np.abs(moduli - 1.0))}"
-        )
-    resid = C.mat @ vecs - vecs * vals
-    worst = float(np.max(np.abs(resid)))
+    c = C.mat
+    n = C.n
+    diag = np.diag_indices(n)
+    herm = c.conj().T
+    herm += c
+    herm *= 0.5
+    cosines = np.clip(sla.eigvalsh(herm, overwrite_a=True, check_finite=False),
+                      -1.0, 1.0)
+    del herm
+    arcs = np.arccos(cosines)
+    ring = np.sort(np.concatenate([-arcs, arcs]))
+    gaps = np.diff(np.concatenate([ring, [ring[0] + 2.0 * math.pi]]))
+    k = int(np.argmax(gaps))
+    shift = ring[k] + 0.5 * gaps[k] - math.pi  # arg w, pole at -w
+    plus = c * complex(math.cos(shift), -math.sin(shift))
+    minus = -plus
+    plus[diag] += 1.0
+    minus[diag] += 1.0
+    # LAPACK is column-major, so factor and solve the transposed system
+    # (I + U)^T Y = (I - U)^T in place on the row-major arrays.  As
+    # (I + U)^{-1} commutes with I - U, iY is H^T = conj(H), whose
+    # eigenvectors are the conjugates of those of H.
+    lu = sla.lu_factor(plus.T, overwrite_a=True, check_finite=False)
+    hc = sla.lu_solve(lu, minus.T, overwrite_b=True, check_finite=False)
+    del plus, minus, lu
+    hc *= 1j
+    hc += hc.conj().T
+    hc *= 0.5
+    # MRRR needs O(N) workspace where divide and conquer needs O(N^2)
+    lam, vecs = sla.eigh(hc, overwrite_a=True, check_finite=False,
+                         driver="evr")
+    del hc
+    angles = shift + 2.0 * np.arctan(lam)
+    angles = np.remainder(angles + math.pi, 2.0 * math.pi) - math.pi
+    # the remainder lies in [-pi, pi); -pi is the same point as pi
+    angles[angles <= -math.pi] += 2.0 * math.pi
+    z = np.exp(1j * angles)
+    worst = 0.0
+    for s in range(0, n, _RESIDUAL_BLOCK):
+        v = vecs[:, s:s + _RESIDUAL_BLOCK].conj()
+        resid = c @ v
+        resid -= v * z[s:s + _RESIDUAL_BLOCK]
+        worst = max(worst, float(np.max(np.abs(resid))))
     if worst > 1e-9:
         raise NoConvergence(f"eigenpair residual {worst}")
-    angles = np.angle(vals)
-    # np.angle returns (-pi, pi]; -pi can appear from rounding, fold it
-    angles[angles <= -math.pi] += 2.0 * math.pi
     return EmpiricalMeasure(angles, "circle")
 
 

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 from opspectra.measures import (BreakdownAtStep, CircleMeasureSpec,
                                 DensityNegative, DensityPart, DiscreteMeasure,
                                 LineMeasureSpec, MomentIllConditioned,
-                                discretize, gauss_rule, jacobi_from_measure,
-                                trig_moments, verblunsky_from_measure,
+                                _leggauss, discretize, gauss_rule,
+                                jacobi_from_measure, trig_moments,
+                                verblunsky_from_measure,
                                 verblunsky_from_moments)
 from opspectra.sequences import VerblunskyParams
 from opspectra.spectra import cmv
@@ -137,3 +139,12 @@ def test_atom_on_circle_shifts_moments():
     # half uniform (no moments) plus half an atom at angle 0
     assert c[1] == pytest.approx(0.5, abs=1e-12)
     assert c[2] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_gauss_legendre_rules_are_cached_read_only_and_exact():
+    for n in (12, 64):
+        t, w = _leggauss(n)
+        t0, w0 = npleg.leggauss(n)
+        assert np.array_equal(t, t0) and np.array_equal(w, w0)
+        assert not t.flags.writeable and not w.flags.writeable
+        assert _leggauss(n)[0] is t

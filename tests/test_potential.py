@@ -22,6 +22,13 @@ def test_interval_moments_match_central_binomials():
     assert eq_moment(em, 6) == pytest.approx(20.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("interval", [(-2.0, 2.0), (-0.75, 0.75)])
+def test_odd_moments_of_symmetric_intervals_cancel_exactly(interval):
+    em = equilibrium_measure(interval)
+    for k in (1, 3, 5, 7):
+        assert eq_moment(em, k) == 0.0
+
+
 def test_shifted_interval_moment_against_quadrature():
     em = equilibrium_measure((0.0, 1.0))
     oracle, err = quad(

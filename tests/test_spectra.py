@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
 
+from opspectra import spectra
 from opspectra.sequences import (BlockJacobiParams, JacobiParams,
                                  VerblunskyParams)
-from opspectra.spectra import (EmpiricalMeasure, block_dense,
+from opspectra.spectra import (CmvMatrix, DuplicateEigenvalues,
+                               EmpiricalMeasure, NotUnitary,
+                               TridiagonalMatrix, block_dense,
                                block_trace_square, cmv, eig_block,
                                eig_sym_tridiag, eig_unitary, trace_square,
                                truncate, zero_counting)
@@ -47,6 +51,60 @@ def test_bisect_and_ql_match_dense_oracle(n, seed):
     for method in ("bisect", "ql"):
         w = eig_sym_tridiag(T, method)
         assert np.max(np.abs(np.sort(w) - oracle)) < 1e-10 * scale
+
+
+def _twin_blocks(coupling):
+    """Two copies of one 5-site block joined by a weak link: every
+    eigenvalue of the block splits into a pair less than `coupling`
+    apart."""
+    d = np.array([0.3, -0.4, 1.1, 0.2, -0.9])
+    e = np.array([1.0, 0.7, 1.3, 0.8])
+    return TridiagonalMatrix(np.concatenate([d, d]),
+                             np.concatenate([e, [coupling], e]))
+
+
+def test_sturm_certificate_rejects_wrong_lists_near_a_planted_pair():
+    T = _twin_blocks(1e-6)
+    vals = eig_sym_tridiag(T)
+    oracle = np.linalg.eigvalsh(T.dense())
+    assert np.max(np.abs(vals - oracle)) < 1e-12
+    gaps = np.diff(vals)
+    j = int(np.argmin(gaps))
+    assert 1e-12 < gaps[j] < 1e-6  # the planted near-duplicate pair
+    assert len(spectra._sturm_certificate(T, vals)) == 0
+    collapsed = vals.copy()
+    collapsed[j + 1] = collapsed[j]
+    bad = spectra._sturm_certificate(T, collapsed)
+    assert list(bad) == [j, j + 1]
+    # both values of the pair below its lower member: one bracket empty,
+    # the next one holding two eigenvalues
+    perturbed = vals.copy()
+    perturbed[j:j + 2] = vals[j] - np.array([0.2, 0.1]) * gaps[j]
+    bad = spectra._sturm_certificate(T, perturbed)
+    assert list(bad) == [j, j + 1]
+
+
+def test_failed_brackets_are_refined_by_bisection(monkeypatch):
+    T = _twin_blocks(1e-6)
+    oracle = np.linalg.eigvalsh(T.dense())
+    j = int(np.argmin(np.diff(oracle)))
+    wrong = oracle.copy()
+    wrong[j + 1] = wrong[j]
+    wrong[0] -= 0.5
+    monkeypatch.setattr(spectra.sla, "eigvalsh_tridiagonal",
+                        lambda *args, **kw: wrong.copy())
+    with pytest.warns(DuplicateEigenvalues):
+        assert np.array_equal(eig_sym_tridiag(T, "ql"), wrong)
+    fixed = eig_sym_tridiag(T)
+    assert np.max(np.abs(fixed - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("method", ["bisect", "ql"])
+def test_coincident_eigenvalues_warn(method):
+    T = _twin_blocks(1e-20)
+    with pytest.warns(DuplicateEigenvalues):
+        w = eig_sym_tridiag(T, method)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(T.dense()))) < 1e-12
 
 
 def test_trace_square_two_routes_agree():
@@ -112,6 +170,27 @@ def test_cmv_eigenvalues_match_polynomial_zeros(N, seed):
     mine = mine[np.argsort(np.angle(mine))]
     oracle = oracle[np.argsort(np.angle(oracle))]
     assert np.max(np.abs(mine - oracle)) < 1e-8
+
+
+@given(st.integers(1, 64), st.floats(0.05, 0.95), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_cmv_eigenvalues_match_dense_oracle(N, radius, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.0, radius, size=N) \
+        * np.exp(1j * rng.uniform(-math.pi, math.pi, size=N))
+    C = cmv(VerblunskyParams(raw), N)
+    th = eig_unitary(C).points
+    assert np.all((th > -math.pi) & (th <= math.pi))
+    mine = np.exp(1j * th)
+    oracle = sla.eigvals(C.mat)
+    dist = np.abs(mine[:, None] - oracle[None, :])
+    assert np.max(dist.min(axis=1)) < 1e-11
+    assert np.max(dist.min(axis=0)) < 1e-11
+
+
+def test_eig_unitary_rejects_a_non_unitary_matrix():
+    with pytest.raises(NotUnitary):
+        eig_unitary(CmvMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0))
 
 
 def test_cmv_zero_coefficients_give_uniform_angles():
