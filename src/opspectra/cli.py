@@ -7,7 +7,9 @@ Commands
     any scenario-specific CSV artifacts, plus one ``plot_<label>.svg``
     per statistic when ``emit_svg = true``) into the output directory,
     print one PASS/FAIL line per threshold, and exit 0 on pass, 1 on a
-    threshold failure, 2 on a usage or config error.
+    threshold failure, 2 on a usage or config error or unusable input
+    (such as a periodic pattern with a closed gap), with one ``error:``
+    line.
 
 ``opspectra list-scenarios``
     Print the available scenario ids with one-line descriptions.
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from . import scenarios
+from .periodic import GapClosed
 from .scenarios import BadOption, ScenarioResult, UnknownScenario
 
 OUTDIR_ENV = "OPSPECTRA_OUTDIR"
@@ -235,7 +238,7 @@ def _cmd_run(path: str) -> int:
         return 2
     try:
         report = run_scenario(cfg)
-    except (BadOption, UnknownScenario) as exc:
+    except (BadOption, UnknownScenario, GapClosed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ScenarioFailed as exc:

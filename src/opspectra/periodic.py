@@ -11,15 +11,19 @@ storage, so the bandwidth (and hence the block structure) is tracked
 exactly and no dense intermediate ever exists.
 
 The isospectral torus of a band set with all gaps open is parametrized
-by p - 1 angles.  p = 1 is a point and p = 2 has a closed form (the
-coefficient constraints leave a circle's worth of generators); p = 3
-runs a Newton continuation on the discriminant coefficients plus two
-divisor-position conditions.  Distance from a coefficient sequence to
-the torus is a grid minimum refined by golden-section descent.
+by p - 1 angles through Dirichlet data, for every period: angle j
+places one Dirichlet point in gap j and picks its sheet, and an
+explicit map (p - 1 Stieltjes steps plus the top coefficients of the
+discriminant) turns those data into the generator (Teschl, *Jacobi
+Operators and Completely Integrable Nonlinear Lattices*, ch. 7-8).
+Distance from a coefficient sequence to the torus is a minimum over a
+grid of angles refined by a pattern search along the axes and the
+diagonals.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -29,7 +33,8 @@ from numpy.polynomial import polynomial as npp
 
 from .potential import FiniteGapSet
 from .sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
-                        UnitaryChain, _freeze, validate_blocks)
+                        UnitaryChain, _freeze, sup_deviation,
+                        validate_blocks)
 
 
 class ComplexRoots(ValueError):
@@ -41,20 +46,8 @@ class GapClosed(ValueError):
     """Torus construction asked for a band set with a closed gap."""
 
 
-class ContinuationDiverged(ArithmeticError):
-    """Newton continuation failed to reach coefficient tolerance."""
-
-    def __init__(self, residual: float):
-        super().__init__(f"continuation stalled at residual {residual}")
-        self.residual = residual
-
-
 class BandwidthExceeded(ValueError):
     """Input sequence too short for the requested number of blocks."""
-
-
-class DimensionTooLarge(ValueError):
-    """Torus-distance search supports period <= 3 only."""
 
 
 class NotType3(ArithmeticError):
@@ -101,21 +94,26 @@ class Discriminant:
     coefficient equal to the reciprocal off-diagonal product of its
     generator.
 
-    ``t21`` carries the lower-left polynomial entry of the transfer
-    product (degree p - 1); its roots are the one-per-gap divisor
-    points used by the torus parametrization.  ``source`` remembers the
-    generator when the discriminant was built from one.
+    ``t21`` and ``t22`` carry the lower row of the transfer product
+    (degrees p - 1 and p - 2): the roots of ``t21`` are the generator's
+    one-per-gap Dirichlet points and the sign of T_11 - T_22 there is
+    its sheet, which anchors theta = 0 of the torus map at the
+    generator.  ``source`` remembers the generator when the
+    discriminant was built from one.
     """
 
     coeffs: np.ndarray
     t21: Optional[np.ndarray] = None
     source: Optional[PeriodicJacobi] = None
+    t22: Optional[np.ndarray] = None
 
     def __post_init__(self):
         c = _freeze(np.asarray(self.coeffs, dtype=float))
         object.__setattr__(self, "coeffs", c)
-        if self.t21 is not None:
-            object.__setattr__(self, "t21", _freeze(np.asarray(self.t21, dtype=float)))
+        for name in ("t21", "t22"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _freeze(
+                    np.asarray(getattr(self, name), dtype=float)))
         if len(c) < 2 or c[-1] <= 0.0:
             raise ValueError("discriminant needs degree >= 1 and a positive "
                              "leading coefficient")
@@ -196,7 +194,9 @@ def discriminant(J0: PeriodicJacobi) -> Discriminant:
         raise ArithmeticError("transfer product lost the leading coefficient")
     t21 = np.zeros(p)
     t21[: len(T[1][0])] = T[1][0]
-    return Discriminant(coeffs, t21=t21, source=J0)
+    t22 = np.zeros(max(p - 1, 1))
+    t22[: len(T[1][1])] = T[1][1]
+    return Discriminant(coeffs, t21=t21, t22=t22, source=J0)
 
 
 def bands(disc: Discriminant) -> FiniteGapSet:
@@ -454,208 +454,100 @@ class TorusPoint:
             raise ValueError(f"discriminant mismatch {diff} for torus point")
 
 
-class _P2Family:
-    """Closed-form one-parameter family of period-2 generators with a
-    fixed discriminant.
+class _DirichletMap:
+    """Explicit map from angles to the generators sharing dref's
+    discriminant, through Dirichlet data.
 
-    Matching (x^2 - S x + Q')/P forces a_1 a_2 = P, b_1 + b_2 = S and
-    b_1 b_2 - a_1^2 - a_2^2 = Q'.  With t = a_1^2, realness of the b's
-    confines t to [t_-, t_+] around the fixed product; sweeping
-    t = mid + half cos(phi) and flipping the b-assignment with the sign
-    of sin(phi) closes the family into a circle.  phi = phi0 (the anchor
-    phase) reproduces the source generator.
+    Angle j puts the Dirichlet point mu_j = m_j + h_j cos(theta_j) in gap
+    j (midpoint m_j, half-width h_j) on the sheet sigma_j =
+    sign(sin theta_j).  The transfer product T over one period has
+    T_21(mu_j) = 0, so T_11 T_22 = 1 there and T_11 = (D + sigma_j
+    sqrt(D^2 - 4)) / 2 at D = D(mu_j).  The mu_j are the eigenvalues of
+    the (p - 1)-site truncation and -T_22(mu_j) / prod_{k != j}(mu_j -
+    mu_k) are its spectral weights (positive), so p - 1 Stieltjes steps
+    give b_1..b_{p-1} and a_1..a_{p-2}.  The leading coefficient of T_22
+    is -a_p^2 / prod(a), and the top two coefficients of D fix prod(a)
+    and sum(b), which gives a_p, a_{p-1} and b_p.
+
+    The angles are shifted so that theta = 0 is the source generator when
+    dref carries its T_21 and T_22.
     """
 
     def __init__(self, dref: Discriminant):
-        c = dref.coeffs
-        if len(c) != 3:
-            raise ValueError("period-2 family needs a degree-2 discriminant")
-        self.P = 1.0 / c[2]
-        self.S = -c[1] * self.P
-        self.Q = c[0] * self.P
-        R = (self.S ** 2 - 4.0 * self.Q) / 4.0
-        disc = R * R - 4.0 * self.P ** 2
-        if R <= 2.0 * self.P * (1.0 + 1e-12) or disc <= 0.0:
-            raise GapClosed("period-2 torus degenerates: gap closed")
-        root = math.sqrt(disc)
-        self.t_lo = (R - root) / 2.0
-        self.t_hi = (R + root) / 2.0
-        self.mid = 0.5 * (self.t_lo + self.t_hi)
-        self.half = 0.5 * (self.t_hi - self.t_lo)
-        self.R = R
-        if dref.source is not None and dref.source.p == 2:
-            a1, _ = dref.source.a
-            b1, b2 = dref.source.b
-            t0 = min(max(a1 * a1, self.t_lo), self.t_hi)
-            base = math.acos(min(1.0, max(-1.0, (t0 - self.mid) / self.half)))
-            self.phi0 = base if b1 >= b2 else -base
-        else:
-            self.phi0 = 0.0
-
-    def pattern(self, theta: float):
-        phi = self.phi0 + theta
-        t = self.mid + self.half * math.cos(phi)
-        t = min(max(t, self.t_lo), self.t_hi)
-        a1 = math.sqrt(t)
-        a2 = self.P / a1
-        d = max(self.S ** 2 - 4.0 * (self.Q + t + self.P ** 2 / t), 0.0)
-        s = 1.0 if math.sin(phi) >= 0.0 else -1.0
-        b1 = 0.5 * self.S + 0.5 * s * math.sqrt(d)
-        return a1, a2, b1, self.S - b1
-
-    def pattern_vec(self, thetas: np.ndarray):
-        phi = self.phi0 + np.asarray(thetas, dtype=float)
-        t = np.clip(self.mid + self.half * np.cos(phi), self.t_lo, self.t_hi)
-        a1 = np.sqrt(t)
-        a2 = self.P / a1
-        d = np.maximum(self.S ** 2 - 4.0 * (self.Q + t + self.P ** 2 / t), 0.0)
-        s = np.where(np.sin(phi) >= 0.0, 1.0, -1.0)
-        b1 = 0.5 * self.S + 0.5 * s * np.sqrt(d)
-        return a1, a2, b1, self.S - b1
-
-
-def _p3_residual(v: np.ndarray, cref: np.ndarray, targets):
-    if np.min(v[:3]) <= 0.0:
-        return None
-    D = discriminant(PeriodicJacobi(tuple(v[:3]), tuple(v[3:])))
-    r = np.empty(6)
-    r[:4] = D.coeffs - cref
-    r[4] = npp.polyval(targets[0], D.t21)
-    r[5] = npp.polyval(targets[1], D.t21)
-    return r
-
-
-def _p3_newton(v0: np.ndarray, cref: np.ndarray, targets,
-               tol: float = 1e-11, maxiter: int = 60) -> np.ndarray:
-    v = v0.copy()
-    r = _p3_residual(v, cref, targets)
-    if r is None:
-        raise ContinuationDiverged(math.inf)
-    for _ in range(maxiter):
-        rn = float(np.max(np.abs(r)))
-        if rn <= tol:
-            return v
-        jac = np.empty((6, 6))
-        for i in range(6):
-            h = 1e-7 * max(1.0, abs(v[i]))
-            vp = v.copy()
-            vp[i] += h
-            rp = _p3_residual(vp, cref, targets)
-            if rp is None:
-                vp[i] -= 2.0 * h
-                rp = _p3_residual(vp, cref, targets)
-                if rp is None:
-                    raise ContinuationDiverged(rn)
-                jac[:, i] = (r - rp) / h
-            else:
-                jac[:, i] = (rp - r) / h
-        try:
-            dv = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            raise ContinuationDiverged(rn) from None
-        lam = 1.0
-        for _ in range(12):
-            vn = v + lam * dv
-            rtry = _p3_residual(vn, cref, targets)
-            if rtry is not None and float(np.max(np.abs(rtry))) < rn:
-                v, r = vn, rtry
-                break
-            lam *= 0.5
-        else:
-            raise ContinuationDiverged(rn)
-    rn = float(np.max(np.abs(r)))
-    if rn <= tol:
-        return v
-    raise ContinuationDiverged(rn)
-
-
-class _P3Family:
-    """Newton-continued two-parameter family for period 3.
-
-    Coordinates theta = (theta_1, theta_2) steer the two divisor points
-    across their gaps through targets m_j + h_j (1 - 1e-6) cos(theta_j +
-    phase_j); the six unknowns (a_1..a_3, b_1..b_3) solve the four
-    coefficient-matching equations plus the two divisor conditions.
-    """
-
-    EPS = 1e-6
-
-    def __init__(self, dref: Discriminant):
-        if dref.source is None or dref.t21 is None:
-            raise ValueError("period-3 torus needs a discriminant built from "
-                             "its generator")
+        self.p = p = dref.p
+        self.coeffs = dref.coeffs
+        self.prod_a = 1.0 / dref.leading
+        self.sum_b = -float(dref.coeffs[-2]) / dref.leading
+        self.shift = np.zeros(p - 1)
+        if p == 1:
+            return
         fgs = dref.bands()
-        if fgs.n_bands < 3:
-            raise GapClosed("period-3 torus needs both gaps open")
-        gaps = [(fgs.bands[j][1], fgs.bands[j + 1][0]) for j in range(2)]
-        self.mg = [0.5 * (lo + hi) for lo, hi in gaps]
-        self.hg = [0.5 * (hi - lo) for lo, hi in gaps]
-        g0 = np.sort(np.real(npp.polyroots(dref.t21)))
-        self.phase = []
-        for j in range(2):
-            c = (g0[j] - self.mg[j]) / (self.hg[j] * (1.0 - self.EPS))
-            self.phase.append(math.acos(min(1.0, max(-1.0, c))))
-        self.cref = dref.coeffs
-        self.v_ref = np.array(dref.source.a + dref.source.b)
+        if fgs.n_bands < p:
+            raise GapClosed(f"period-{p} torus needs {p} bands (every gap "
+                            f"open), found {fgs.n_bands}")
+        lo = np.array([band[1] for band in fgs.bands[:-1]])
+        hi = np.array([band[0] for band in fgs.bands[1:]])
+        self.mid = 0.5 * (lo + hi)
+        self.half = 0.5 * (hi - lo)
+        if dref.t21 is not None and dref.t22 is not None:
+            mu = np.sort(npp.polyroots(dref.t21).real)
+            split = dref.value(mu) - 2.0 * npp.polyval(mu, dref.t22)
+            cos = np.clip((mu - self.mid) / self.half, -1.0, 1.0)
+            self.shift = np.where(split >= 0.0, 1.0, -1.0) * np.arccos(cos)
 
-    def targets(self, theta1: float, theta2: float):
-        th = (theta1, theta2)
-        return [self.mg[j] + self.hg[j] * (1.0 - self.EPS)
-                * math.cos(th[j] + self.phase[j]) for j in range(2)]
-
-    def solve(self, theta1: float, theta2: float,
-              warm: Optional[np.ndarray] = None) -> np.ndarray:
-        if warm is not None:
-            try:
-                return _p3_newton(warm, self.cref,
-                                  self.targets(theta1, theta2))
-            except ContinuationDiverged:
-                pass
-        v = self.v_ref.copy()
-        span = max(abs(theta1), abs(theta2), 1e-9)
-        steps = max(4, int(math.ceil(span / 0.2)))
-        for s in np.linspace(1.0 / steps, 1.0, steps):
-            v = _p3_newton(v, self.cref,
-                           self.targets(theta1 * s, theta2 * s))
-        return v
+    def __call__(self, theta: np.ndarray):
+        """Patterns (a, b), each of shape (n, p), at an (n, p - 1) array
+        of angles."""
+        p = self.p
+        n = len(theta)
+        a = np.empty((n, p))
+        b = np.empty((n, p))
+        if p == 1:
+            a[:] = self.prod_a
+            b[:] = self.sum_b
+            return a, b
+        th = theta + self.shift
+        mu = self.mid + self.half * np.cos(th)
+        D = npp.polyval(mu, self.coeffs)
+        # the root of z^2 - D z + 1 away from 0, free of cancellation
+        root = np.sqrt(np.maximum(D * D - 4.0, 0.0))
+        outer = 0.5 * (D + np.copysign(root, D))
+        t22 = np.where((np.sin(th) >= 0.0) == (D >= 0.0), 1.0 / outer, outer)
+        diffs = mu[:, :, None] - mu[:, None, :]
+        j = np.arange(p - 1)
+        diffs[:, j, j] = 1.0
+        w = -t22 / np.prod(diffs, axis=2)
+        norm = np.sum(w, axis=1)
+        a[:, p - 1] = np.sqrt(self.prod_a * norm)
+        prev, cur, a2 = np.zeros_like(mu), np.ones_like(mu), 0.0
+        for k in range(p - 1):
+            b[:, k] = np.sum(w * mu * cur * cur, axis=1) / norm
+            if k == p - 2:
+                break
+            prev, cur = cur, (mu - b[:, k, None]) * cur - a2 * prev
+            nxt = np.sum(w * cur * cur, axis=1)
+            a2 = (nxt / norm)[:, None]
+            a[:, k] = np.sqrt(a2[:, 0])
+            norm = nxt
+        a[:, p - 2] = self.prod_a / (a[:, p - 1] * np.prod(a[:, :p - 2], axis=1))
+        b[:, p - 1] = self.sum_b - np.sum(b[:, :p - 1], axis=1)
+        return a, b
 
 
 def torus_point(dref: Discriminant, theta) -> TorusPoint:
     """Member of the isospectral family of dref at angle coordinates
-    theta (length p - 1); theta = 0 is the generator itself.
-
-    Requires all gaps open (GapClosed otherwise); periods above 3 are
-    not parametrized here.
+    theta (length p - 1), through the Dirichlet-data map; theta = 0 is
+    the generator itself.  Every period is covered; all gaps must be open
+    (GapClosed otherwise).
     """
     theta = tuple(np.atleast_1d(np.asarray(theta, dtype=float)).tolist())
     p = dref.p
-    if len(theta) != max(p - 1, 0):
+    if len(theta) != p - 1:
         raise ValueError(f"period {p} needs {p - 1} torus coordinates")
     if all(t == 0.0 for t in theta) and dref.source is not None:
         return TorusPoint(dref.source, theta, dref)
-    if p == 1:
-        jac = PeriodicJacobi((1.0 / dref.leading,),
-                             (-float(dref.coeffs[0]) / dref.leading,))
-        return TorusPoint(jac, theta, dref)
-    if p == 2:
-        fam = _P2Family(dref)
-        a1, a2, b1, b2 = fam.pattern(theta[0])
-        return TorusPoint(PeriodicJacobi((a1, a2), (b1, b2)), theta, dref)
-    if p == 3:
-        fam = _p3_family_cached(dref)
-        v = fam.solve(theta[0], theta[1])
-        return TorusPoint(PeriodicJacobi(tuple(v[:3]), tuple(v[3:])),
-                          theta, dref)
-    raise DimensionTooLarge(f"torus parametrization implemented for p <= 3, "
-                            f"got {p}")
-
-
-def _p3_family_cached(dref: Discriminant) -> _P3Family:
-    fam = getattr(dref, "_p3_family", None)
-    if fam is None:
-        fam = _P3Family(dref)
-        object.__setattr__(dref, "_p3_family", fam)
-    return fam
+    a, b = _DirichletMap(dref)(np.array(theta).reshape(1, p - 1))
+    return TorusPoint(PeriodicJacobi(tuple(a[0]), tuple(b[0])), theta, dref)
 
 
 # -- distance to the torus ---------------------------------------------
@@ -667,160 +559,116 @@ def dm_weights(bound: float) -> np.ndarray:
     return np.exp(-np.arange(K + 1, dtype=float))
 
 
-def _deviation_bound(J: JacobiParams, upto: int) -> float:
+def _deviation_bound(J: JacobiParams, probe: int) -> float:
+    """Bound on |a_n - 1| + |b_n|: the declared one, else the sup over
+    the first ``probe`` sites (all of them for a shorter finite J)."""
     if J.declared_bound is not None:
         return float(J.declared_bound)
-    from .sequences import sup_deviation
-    return sup_deviation(J, upto)
+    if J.is_finite:
+        return sup_deviation(J, min(probe, len(J._a)))
+    return sup_deviation(J, probe)
 
 
 def d_to_torus(J: JacobiParams, m: int, dref: Discriminant,
                grid_points: int = 64, refine_step: float = 1e-7) -> float:
     """Distance at offset m from J to the isospectral family of dref:
     the exponentially weighted coefficient distance minimized over the
-    family.  Grid minimum over 64^{p-1} angle samples, refined by
-    golden-section (coordinate-wise for p = 3) until the bracket is
-    below ``refine_step``; the result is an upper bound on the true
-    infimum and no worse than the best grid sample."""
+    family.  Minimum over the grid of grid_points^{p-1} angles of the
+    Dirichlet-data map, refined by a pattern search: from the best grid
+    sample, try a step along every direction in {-1, 0, 1}^{p-1} (the
+    axes and the diagonals; the objective has kinks that stall pure
+    axis moves), keep any improvement, and halve the step when none
+    helps, from the grid spacing down to ``refine_step``.  The result is
+    an upper bound on the true infimum and no worse than the best grid
+    sample; it can stop in a local minimum."""
     return float(d_to_torus_batch(J, np.array([m]), dref, grid_points,
                                   refine_step)[0])
 
 
-def _window_mats(J: JacobiParams, ms: np.ndarray, K: int):
+def _aligned_windows(J: JacobiParams, ms: np.ndarray, w: np.ndarray, p: int):
+    """Coefficients of J and distance weights on whole periods: row i
+    covers the L sites from the first site of m_i's period on, L a
+    multiple of p; the weight of site m_i + k is w[k] and every other
+    weight is 0."""
+    K = len(w) - 1
+    L = p * -(-(K + p) // p)
+    r = (ms - 1) % p
     hi = int(ms.max()) + K
-    a = J.a_window(hi)
-    b = J.b_window(hi)
-    aw = np.lib.stride_tricks.sliding_window_view(a, K + 1)
-    bw = np.lib.stride_tricks.sliding_window_view(b, K + 1)
-    return aw[ms - 1], bw[ms - 1]
+    # rows reach past site hi only where their weight is 0
+    pad = np.zeros(L - K)
+    A, B = (np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([seq, pad]), L)[ms - r - 1]
+        for seq in (J.a_window(hi), J.b_window(hi)))
+    wz = np.concatenate([np.zeros(p - 1), w, np.zeros(L)])
+    W = np.lib.stride_tricks.sliding_window_view(wz, L)[p - 1 - r]
+    return A, B, W
+
+
+def _weighted_dist(A, B, W, a, b, work) -> np.ndarray:
+    """Weighted distance of each aligned row to the periodic extension
+    of pattern (a, b) (one pattern, or one per row).  ``work`` is a
+    reused (2, >= rows, L) buffer: fresh temporaries of this size would
+    each cost page faults."""
+    reps = A.shape[1] // a.shape[-1]
+    x, y = work[0, :len(A)], work[1, :len(A)]
+    np.abs(np.subtract(A, np.tile(a, reps), out=x), out=x)
+    np.abs(np.subtract(B, np.tile(b, reps), out=y), out=y)
+    return np.einsum("ij,ij->i", W, np.add(x, y, out=x))
 
 
 def d_to_torus_batch(J: JacobiParams, ms: np.ndarray, dref: Discriminant,
                      grid_points: int = 64,
                      refine_step: float = 1e-7) -> np.ndarray:
-    """Vectorized d_to_torus over a set of offsets (see d_to_torus)."""
+    """Vectorized d_to_torus over a set of offsets (see d_to_torus).
+
+    The grid goes through the map once; each grid generator is compared
+    with every offset at once, and the refinement moves all offsets
+    together.
+    """
     ms = np.asarray(ms, dtype=int)
     if np.any(ms < 1):
         raise ValueError("offsets are 1-based")
     p = dref.p
-    if p > 3:
-        raise DimensionTooLarge(f"torus distance implemented for p <= 3, got {p}")
+    family = _DirichletMap(dref)
     if dref.source is not None:
         ref_dev = (max(abs(x - 1.0) for x in dref.source.a)
                    + max(abs(x) for x in dref.source.b))
     else:
         ref_dev = abs(dref.cap - 1.0)
     bound = 2.0 * (_deviation_bound(J, int(ms.max())) + ref_dev + 2.0)
-    w = dm_weights(bound)
-    K = len(w) - 1
-    aw, bw = _window_mats(J, ms, K)
+    A, B, W = _aligned_windows(J, ms, dm_weights(bound), p)
+    work = np.empty((2,) + A.shape)
 
-    if p == 1:
-        pt = torus_point(dref, ())
-        a0, b0 = pt.jacobi.a[0], pt.jacobi.b[0]
-        return (np.abs(aw - a0) @ w) + (np.abs(bw - b0) @ w)
+    span = 2.0 * math.pi / grid_points
+    pts = list(itertools.product(range(grid_points), repeat=p - 1))
+    grid = span * np.array(pts, dtype=float).reshape(len(pts), p - 1)
+    ga, gb = family(grid)
+    best = np.full(len(ms), np.inf)
+    best_g = np.zeros(len(ms), dtype=int)
+    for g in range(len(grid)):
+        vals = _weighted_dist(A, B, W, ga[g], gb[g], work)
+        better = vals < best
+        best = np.where(better, vals, best)
+        best_g = np.where(better, g, best_g)
 
-    if p == 2:
-        fam = _P2Family(dref)
-        offs = (ms - 1) % 2
-        idx = (offs[:, None] + np.arange(K + 1)[None, :]) % 2
-
-        def dist_at(thetas: np.ndarray) -> np.ndarray:
-            a1, a2, b1, b2 = fam.pattern_vec(thetas)
-            pa = np.stack([a1, a2], axis=1)
-            pb = np.stack([b1, b2], axis=1)
-            ta = np.take_along_axis(pa, idx, axis=1)
-            tb = np.take_along_axis(pb, idx, axis=1)
-            return (np.abs(aw - ta) @ w) + (np.abs(bw - tb) @ w)
-
-        grid = 2.0 * math.pi * np.arange(grid_points) / grid_points
-        best_val = np.full(len(ms), np.inf)
-        best_th = np.zeros(len(ms))
-        for g in grid:
-            vals = dist_at(np.full(len(ms), g))
-            better = vals < best_val
-            best_val = np.where(better, vals, best_val)
-            best_th = np.where(better, g, best_th)
-        span = 2.0 * math.pi / grid_points
-        lo = best_th - span
-        hi = best_th + span
-        inv = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - inv * (hi - lo)
-        x2 = lo + inv * (hi - lo)
-        f1 = dist_at(x1)
-        f2 = dist_at(x2)
-        best_val = np.minimum(best_val, np.minimum(f1, f2))
-        while float(np.max(hi - lo)) > refine_step:
-            left = f1 < f2
-            hi = np.where(left, x2, hi)
-            lo = np.where(left, lo, x1)
-            x1n = hi - inv * (hi - lo)
-            x2n = lo + inv * (hi - lo)
-            fe = dist_at(np.where(left, x1n, x2n))
-            x1, x2, f1, f2 = (np.where(left, x1n, x2),
-                              np.where(left, x1, x2n),
-                              np.where(left, fe, f2),
-                              np.where(left, f1, fe))
-            best_val = np.minimum(best_val, fe)
-        return best_val
-
-    # p == 3: scalar search per offset over a cached solved grid
-    fam = _p3_family_cached(dref)
-    table = _p3_grid_cached(dref, fam, grid_points)
-    out = np.empty(len(ms))
-    for i, m in enumerate(ms):
-        off = (int(m) - 1) % 3
-        sel = (off + np.arange(K + 1)) % 3
-
-        def dist_of(v: np.ndarray) -> float:
-            ta = v[:3][sel]
-            tb = v[3:][sel]
-            return float(np.abs(aw[i] - ta) @ w + np.abs(bw[i] - tb) @ w)
-
-        best = math.inf
-        best_j = 0
-        for jdx, (_, v) in enumerate(table):
-            val = dist_of(v)
-            if val < best:
-                best, best_j = val, jdx
-        th = np.array(table[best_j][0])
-        step = 2.0 * math.pi / grid_points
-        warm = table[best_j][1].copy()
-        while step > refine_step:
-            moved = False
-            for c in range(2):
-                for sgn in (1.0, -1.0):
-                    cand = th.copy()
-                    cand[c] += sgn * step
-                    try:
-                        v = fam.solve(cand[0], cand[1], warm=warm)
-                    except ContinuationDiverged:
-                        continue
-                    val = dist_of(v)
-                    if val < best:
-                        best, th, warm, moved = val, cand, v, True
-            if not moved:
-                step *= 0.5
-        out[i] = best
-    return out
-
-
-def _p3_grid_cached(dref: Discriminant, fam: _P3Family, grid_points: int):
-    cache = getattr(dref, "_p3_grid", None)
-    if cache is not None and cache[0] == grid_points:
-        return cache[1]
-    step = 2.0 * math.pi / grid_points
-    table = []
-    warm = None
-    for i in range(grid_points):
-        rng = range(grid_points) if i % 2 == 0 else range(grid_points - 1, -1, -1)
-        for j in rng:
-            th = (i * step, j * step)
-            try:
-                v = fam.solve(th[0], th[1], warm=warm)
-            except ContinuationDiverged:
-                continue
-            warm = v
-            table.append((th, v))
-    object.__setattr__(dref, "_p3_grid", (grid_points, table))
-    return table
+    moves = [np.array(d, dtype=float) for d in
+             itertools.product((-1, 0, 1), repeat=p - 1) if any(d)]
+    theta, step = grid[best_g], np.full(len(ms), span)
+    live = np.arange(len(ms))
+    while True:
+        keep = step > refine_step
+        if not keep.all():
+            live, theta, step, A, B, W = (x[keep] for x in
+                                          (live, theta, step, A, B, W))
+        if not len(live):
+            break
+        moved = np.zeros(len(live), dtype=bool)
+        for d in moves:
+            cand = theta + step[:, None] * d
+            vals = _weighted_dist(A, B, W, *family(cand), work)
+            better = vals < best[live]
+            theta[better] = cand[better]
+            best[live[better]] = vals[better]
+            moved |= better
+        step[~moved] *= 0.5
+    return best

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import periodic as _periodic
 from .sequences import (BlockJacobiParams, JacobiParams, VerblunskyParams,
-                        WrongType, _freeze, sup_deviation)
+                        WrongType)
 
 #: default geometric ladder of window lengths for limit-style claims
 DEFAULT_LADDER = tuple(2 ** k for k in range(5, 14))
@@ -61,11 +61,13 @@ class StatSeries:
         kept = [v for n, v in zip(self.Ns, self.values) if n >= burn_in]
         return all(kept[i + 1] <= kept[i] + slack for i in range(len(kept) - 1))
 
+    def csv_rows(self) -> list:
+        """The ``label,N,value`` lines of this series, without header."""
+        return [f"{self.label},{n},{repr(v)}"
+                for n, v in zip(self.Ns, self.values)]
+
     def to_csv(self) -> str:
-        lines = ["label,N,value"]
-        lines += [f"{self.label},{n},{repr(v)}"
-                  for n, v in zip(self.Ns, self.values)]
-        return "\n".join(lines) + "\n"
+        return "\n".join(["label,N,value"] + self.csv_rows()) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "StatSeries":
@@ -235,16 +237,15 @@ def cn_stat_matrix(Jb: BlockJacobiParams, Ns=DEFAULT_LADDER):
             "type form of the block average needs a type-1 or type-3 "
             f"representative, got tag {Jb.type_tag!r}"
         )
-    ell = Jb.block_size
-    eye = np.eye(ell)
-    A = Jb.a_blocks(n)
-    B = Jb.b_blocks(n)
-    hs = lambda M: float(np.sqrt(np.sum(np.abs(M) ** 2)))
-    t_terms = np.array([hs(A[i] - eye) + hs(B[i]) for i in range(n)])
-    i_terms = np.array([hs(A[i].conj().T @ A[i] - eye) + hs(B[i])
-                        for i in range(n)])
-    return (StatSeries("cn_matrix_type", Ns, _prefix_means(t_terms, Ns)),
-            StatSeries("cn_matrix_invariant", Ns, _prefix_means(i_terms, Ns)))
+    eye = np.eye(Jb.block_size)
+    terms = np.array([_hs(A - eye) + _hs(B)
+                      for A, B in zip(Jb.a_blocks(n), Jb.b_blocks(n))])
+    return (StatSeries("cn_matrix_type", Ns, _prefix_means(terms, Ns)),
+            cn_stat_matrix_invariant(Jb, Ns))
+
+
+def _hs(M: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(np.abs(M) ** 2)))
 
 
 def cn_stat_matrix_invariant(Jb: BlockJacobiParams,
@@ -252,10 +253,8 @@ def cn_stat_matrix_invariant(Jb: BlockJacobiParams,
     """The invariant form alone, valid for any tag."""
     Ns = _check_ladder(Ns)
     n = Ns[-1]
-    ell = Jb.block_size
-    eye = np.eye(ell)
-    hs = lambda M: float(np.sqrt(np.sum(np.abs(M) ** 2)))
-    terms = np.array([hs(A.conj().T @ A - eye) + hs(B)
+    eye = np.eye(Jb.block_size)
+    terms = np.array([_hs(A.conj().T @ A - eye) + _hs(B)
                       for A, B in zip(Jb.a_blocks(n), Jb.b_blocks(n))])
     return StatSeries("cn_matrix_invariant", Ns, _prefix_means(terms, Ns))
 
@@ -307,18 +306,6 @@ def arc_stats(alpha: VerblunskyParams, a: float, k: int,
             StatSeries("arc_block", Ns, _prefix_means(block_terms, Ns)))
 
 
-def arc_block_min_grid(window: np.ndarray, a: float,
-                       grid: int = 4096) -> float:
-    """Brute-force counterpart of the arc block inner minimum: minimize
-    sum |alpha_l - a e^{i theta}|^2 over a theta grid.  Testing hook for
-    the closed form; the grid minimum can only overshoot."""
-    window = np.asarray(window, dtype=complex)
-    thetas = 2.0 * math.pi * np.arange(grid) / grid
-    vals = [float(np.sum(np.abs(window - a * np.exp(1j * t)) ** 2))
-            for t in thetas]
-    return min(vals)
-
-
 # -- torus distances ---------------------------------------------------
 
 
@@ -333,7 +320,8 @@ def d_m(J: JacobiParams, Jt: JacobiParams, m: int) -> float:
     if m < 1:
         raise ValueError("site index is 1-based")
     probe = m + 64
-    bound = 2.0 * (2.0 + _bound_of(J, probe) + _bound_of(Jt, probe))
+    bound = 2.0 * (2.0 + _periodic._deviation_bound(J, probe)
+                   + _periodic._deviation_bound(Jt, probe))
     w = _periodic.dm_weights(bound)
     K = len(w) - 1
     hi = m + K
@@ -342,22 +330,16 @@ def d_m(J: JacobiParams, Jt: JacobiParams, m: int) -> float:
     return float(terms @ w)
 
 
-def _bound_of(J: JacobiParams, probe: int) -> float:
-    if J.declared_bound is not None:
-        return float(J.declared_bound)
-    if J.is_finite:
-        return sup_deviation(J, min(probe, len(J._a)))
-    return sup_deviation(J, probe)
-
-
 def cn_stat_torus(J: JacobiParams, torus, Ns=DEFAULT_LADDER,
                   label: str = "cn_torus", grid_points: int = 64,
                   refine_step: float = 1e-7) -> StatSeries:
     """Cesaro average (1/N) sum_{m=1..N} of the distance from J at
     offset m to the isospectral family of the discriminant ``torus``.
 
-    All offsets up to the last window are optimized in one vectorized
-    batch; optimizer failures (possible for period 3) propagate.
+    Every period is supported (all gaps open, GapClosed otherwise).  All
+    offsets up to the last window are searched in one vectorized batch
+    over the same grid of torus angles; see periodic.d_to_torus for the
+    search and its guarantees.
     """
     Ns = _check_ladder(Ns)
     n = Ns[-1]

@@ -81,8 +81,7 @@ class ScenarioResult:
     def stats_csv(self) -> str:
         lines = ["label,N,value"]
         for s in self.series:
-            lines += [f"{s.label},{n},{repr(v)}"
-                      for n, v in zip(s.Ns, s.values)]
+            lines += s.csv_rows()
         return "\n".join(lines) + "\n"
 
 
@@ -112,6 +111,8 @@ def _get_ladder(options, key, default: Tuple[int, ...]) -> Tuple[int, ...]:
         raise BadOption(f"{key}: {exc}") from None
     if not Ns or any(Ns[i] >= Ns[i + 1] for i in range(len(Ns) - 1)):
         raise BadOption(f"{key}: ladder must be strictly increasing")
+    if Ns[0] < 1:
+        raise BadOption(f"{key}: window lengths must be positive")
     return Ns
 
 
@@ -407,11 +408,12 @@ def _run_thm4_2(options: Dict[str, str], seed: int) -> ScenarioResult:
 
 def _pattern_from(options: Dict[str, str]) -> P.PeriodicJacobi:
     raw = _get(options, "input.pattern", "1,0.5,0,0")
-    vals = [float(t) for t in raw.split(",")]
-    if len(vals) % 2 != 0:
-        raise BadOption("input.pattern needs a_1..a_p,b_1..b_p")
-    p = len(vals) // 2
-    return P.PeriodicJacobi(tuple(vals[:p]), tuple(vals[p:]))
+    try:  # a_1..a_p,b_1..b_p; PeriodicJacobi rejects odd lengths
+        vals = [float(t) for t in raw.split(",")]
+        p = len(vals) // 2
+        return P.PeriodicJacobi(tuple(vals[:p]), tuple(vals[p:]))
+    except ValueError as exc:
+        raise BadOption(f"input.pattern: {exc}") from None
 
 
 def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[Callable[[int], float]] = None,

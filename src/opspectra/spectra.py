@@ -303,6 +303,8 @@ def cmv(params: VerblunskyParams, N: int, boundary=None) -> CmvMatrix:
     alpha = np.array(params.alpha_window(N), dtype=complex)
     if boundary is None:
         tail = alpha[N - 1]
+        if 0.0 < abs(tail) < _SAFMIN:
+            tail = tail * 2.0 ** 600  # exact; keeps 1 / |tail| finite
         boundary = tail / abs(tail) if abs(tail) > 0 else 1.0 + 0.0j
     boundary = complex(boundary)
     if abs(abs(boundary) - 1.0) > 1e-12:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opspectra.periodic import (ComplexRoots, Discriminant, GapClosed,
-                                PeriodicJacobi, bands, d_to_torus,
-                                d_to_torus_batch, delta_of_J, discriminant,
-                                dm_weights, normalize_type1, normalize_type3,
-                                torus_point)
+                                PeriodicJacobi, _DirichletMap, bands,
+                                d_to_torus, d_to_torus_batch, delta_of_J,
+                                discriminant, dm_weights, normalize_type1,
+                                normalize_type3, torus_point)
+from opspectra.regularity import d_m
 from opspectra.sequences import BlockJacobiParams, JacobiParams, validate_blocks
 
 
@@ -278,3 +280,85 @@ def test_batch_distances_agree_with_single_calls():
     batch = d_to_torus_batch(J, ms, disc)
     singles = np.array([d_to_torus(J, int(m), disc) for m in ms])
     assert np.max(np.abs(batch - singles)) < 1e-9
+
+
+# -- the Dirichlet-data map for every period ---------------------------
+
+P2 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
+P3 = PeriodicJacobi((1.0, 0.6, 0.8), (0.1, -0.2, 0.0))
+P4 = PeriodicJacobi((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3))
+
+
+@pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
+def test_torus_map_keeps_the_discriminant_and_anchors_the_source(J0):
+    disc = discriminant(J0)
+    family = _DirichletMap(disc)
+    a0, b0 = family(np.zeros((1, J0.p - 1)))
+    assert np.max(np.abs(a0[0] - J0.a)) < 1e-12
+    assert np.max(np.abs(b0[0] - J0.b)) < 1e-12
+    rng = np.random.default_rng(J0.p)
+    a, b = family(rng.uniform(0.0, 2.0 * math.pi, (200, J0.p - 1)))
+    for ai, bi in zip(a, b):
+        back = discriminant(PeriodicJacobi(tuple(ai), tuple(bi)))
+        assert np.max(np.abs(back.coeffs - disc.coeffs)) < 1e-9
+
+
+def _p2_closed_form(disc, t, sheet):
+    """Period-2 generator with a_1^2 = t matching disc: a_1 a_2 = P,
+    b_1 + b_2 = S and b_1 b_2 - a_1^2 - a_2^2 = Q fix everything but the
+    b-assignment, chosen by ``sheet``."""
+    P = 1.0 / disc.coeffs[2]
+    S = -disc.coeffs[1] * P
+    Q = disc.coeffs[0] * P
+    a1 = math.sqrt(t)
+    d = max(S * S - 4.0 * (Q + t + P * P / t), 0.0)
+    b1 = 0.5 * S + 0.5 * sheet * math.sqrt(d)
+    return np.array([a1, P / a1]), np.array([b1, S - b1])
+
+
+def test_period_two_map_sweeps_the_closed_form_family():
+    disc = discriminant(P2)
+    P = 1.0 / disc.coeffs[2]
+    S = -disc.coeffs[1] * P
+    R = (S * S - 4.0 * disc.coeffs[0] * P) / 4.0
+    root = math.sqrt(R * R - 4.0 * P * P)
+    t_lo, t_hi = (R - root) / 2.0, (R + root) / 2.0
+    a, b = _DirichletMap(disc)(2.0 * math.pi * np.arange(64)[:, None] / 64)
+    t = a[:, 0] ** 2
+    assert t.min() >= t_lo - 1e-12 and t.max() <= t_hi + 1e-12
+    for ai, bi, ti in zip(a, b, t):
+        gap = min(max(np.max(np.abs(ai - ca)), np.max(np.abs(bi - cb)))
+                  for ca, cb in (_p2_closed_form(disc, ti, s)
+                                 for s in (1.0, -1.0)))
+        assert gap < 1e-9
+    # the sweep covers the whole family: both ends of [t_lo, t_hi]
+    assert t.min() - t_lo < 0.01 * (t_hi - t_lo)
+    assert t_hi - t.max() < 0.01 * (t_hi - t_lo)
+
+
+def test_period_three_map_is_single_valued_and_refining_the_grid_helps():
+    disc = discriminant(P3)
+    family = _DirichletMap(disc)
+    idx = np.array(list(itertools.product(range(12), repeat=2)), dtype=float)
+    a12, b12 = family(2.0 * math.pi / 12 * idx)
+    a24, b24 = family(2.0 * math.pi / 24 * (2.0 * idx))
+    assert np.max(np.abs(a12 - a24)) < 1e-12
+    assert np.max(np.abs(b12 - b24)) < 1e-12
+
+    J = _periodic_params(P3, lambda n: 0.5 / n, bound_extra=0.5)
+    m = 2
+    grid_best = [d_to_torus(J, m, disc, G, refine_step=math.inf)
+                 for G in (12, 24, 48)]
+    assert grid_best[1] <= grid_best[0] and grid_best[2] <= grid_best[1]
+    to_reference = d_m(J, _periodic_params(P3), m)
+    for G, best in zip((12, 24, 48), grid_best):
+        d = d_to_torus(J, m, disc, G)
+        assert d <= best
+        assert d <= to_reference + 1e-12
+
+
+def test_period_three_torus_point_is_found_at_every_offset():
+    disc = discriminant(P3)
+    J = _periodic_params(torus_point(disc, (0.9, -0.6)).jacobi)
+    d = d_to_torus_batch(J, np.arange(1, 7), disc, grid_points=24)
+    assert np.max(d) <= 1e-5

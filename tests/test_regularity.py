@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from opspectra.periodic import (PeriodicJacobi, delta_of_J, discriminant,
                                 dm_weights)
 from opspectra.regularity import (DEFAULT_LADDER, StatSeries, arc_stats,
-                                  arc_block_min_grid, cn_sq_stat_oprl,
+                                  cn_sq_stat_oprl,
                                   cn_stat_matrix, cn_stat_matrix_invariant,
                                   cn_stat_oprl, cn_stat_opuc, cn_stat_torus,
                                   cn_stat_windowed, d_m, lemma21_stats,
@@ -115,6 +115,18 @@ def test_arc_stats_vanish_exactly_on_the_constant_family():
     assert s1.values == (0.0, 0.0)
     assert s2.values == (0.0, 0.0)
     assert s3.values == (0.0, 0.0)
+
+
+def arc_block_min_grid(window: np.ndarray, a: float,
+                       grid: int = 4096) -> float:
+    """Brute-force counterpart of the arc block inner minimum: minimize
+    sum |alpha_l - a e^{i theta}|^2 over a theta grid; the grid minimum
+    can only overshoot the closed form."""
+    window = np.asarray(window, dtype=complex)
+    thetas = 2.0 * math.pi * np.arange(grid) / grid
+    vals = [float(np.sum(np.abs(window - a * np.exp(1j * t)) ** 2))
+            for t in thetas]
+    return min(vals)
 
 
 def test_arc_block_closed_form_against_grid_minimum():

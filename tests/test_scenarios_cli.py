@@ -6,7 +6,8 @@ import pytest
 from opspectra import cli, scenarios
 from opspectra.cli import (ConfigParse, ScenarioConfig, ScenarioFailed,
                            parse_config_text, run_scenario)
-from opspectra.scenarios import BadOption, UnknownScenario
+from opspectra.regularity import StatSeries
+from opspectra.scenarios import BadOption, ScenarioResult, UnknownScenario
 
 ALL_IDS = ("thm1_1", "prop2_2", "thm3_1", "thm4_1", "thm4_2", "thm6_1",
            "mnt_illustration", "conjecture5_1_explore")
@@ -177,3 +178,41 @@ def test_mnt_scenario_has_no_thresholds_but_reports(tmp_path):
     assert any("illustration" in line for line in report.lines)
     labels = {s.label for s in report.result.series}
     assert "b_window_max" in labels
+
+
+def test_stats_csv_is_the_series_csv_rows_under_one_header():
+    series = [StatSeries("x", (1, 2), (0.5, 0.25)),
+              StatSeries("y", (4,), (1.0 / 3.0,))]
+    res = ScenarioResult("demo", series=series)
+    body = "".join(s.to_csv().split("\n", 1)[1] for s in series)
+    assert res.stats_csv() == "label,N,value\n" + body
+
+
+@pytest.mark.parametrize("scenario,line", [
+    ("thm6_1", "input.pattern = 1,1,0,0"),      # closed gap
+    ("thm6_1", "input.pattern = 1,x,0,0"),      # not a number
+    ("thm4_1", "Ns = 0,5"),                     # empty window
+], ids=["closed_gap", "non_numeric_pattern", "zero_window"])
+def test_cli_unusable_input_exits_2_with_one_error_line(
+        tmp_path, capsys, monkeypatch, scenario, line):
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"scenario = {scenario}\noutdir = {tmp_path / 'out'}\n"
+                   f"{line}\n")
+    assert cli.main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_runs_a_period_four_pattern(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("scenario = conjecture5_1_explore\n"
+                   f"outdir = {tmp_path / 'out'}\n"
+                   "input.pattern = 1,0.6,0.8,1.2,0.1,-0.2,0,0.3\n")
+    assert cli.main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    samples = (tmp_path / "out" / "torus_samples.csv").read_text()
+    assert samples.splitlines()[0].startswith("theta_1,theta_2,theta_3,a_1")

@@ -246,3 +246,18 @@ def test_eig_block_matches_dense_oracle():
     w = eig_block(Jb, 6)
     oracle = np.sort(np.linalg.eigvalsh(block_dense(Jb, 6)))
     assert np.max(np.abs(np.sort(w) - oracle)) < 1e-10
+
+
+@pytest.mark.parametrize("tail", [1e-320, -1e-320j, 3e-310 - 4e-310j, 5e-324])
+def test_cmv_subnormal_tail_gives_its_phase(tail):
+    V = VerblunskyParams(np.array([0.3, -0.2j, tail]))
+    C = cmv(V, 3)
+    scaled = np.complex128(tail) * 2.0 ** 600  # exact, far from underflow
+    assert C.boundary == scaled / abs(scaled)
+    assert abs(abs(C.boundary) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("tail", [0.3 + 0.4j, -0.7, 1e-300j, 2.5e-308])
+def test_cmv_normal_tail_phase_is_unchanged(tail):
+    V = VerblunskyParams(np.array([0.3, -0.2j, tail]))
+    assert cmv(V, 3).boundary == np.complex128(tail) / abs(np.complex128(tail))
