@@ -76,16 +76,11 @@ class PeriodicJacobi:
     def p(self) -> int:
         return len(self.a)
 
-    def windows(self, n: int, offset: int = 0):
-        """One-sided arrays (a_1..a_n, b_1..b_n) of the periodic
-        extension, starting ``offset`` sites into the pattern."""
-        idx = (offset + np.arange(n)) % self.p
-        return np.array(self.a)[idx], np.array(self.b)[idx]
-
-    def as_jacobi(self, n: int) -> JacobiParams:
-        a, b = self.windows(n)
-        dev = max(abs(x - 1.0) for x in self.a) + max(abs(x) for x in self.b)
-        return JacobiParams(a[: n - 1], b, bound=dev)
+    @property
+    def deviation_bound(self) -> float:
+        """max|a_k - 1| + max|b_k|, a bound on |a_n - 1| + |b_n| over the
+        periodic extension."""
+        return max(abs(x - 1.0) for x in self.a) + max(abs(x) for x in self.b)
 
 
 @dataclass(frozen=True)
@@ -631,8 +626,7 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray, dref: Discriminant,
     p = dref.p
     family = _DirichletMap(dref)
     if dref.source is not None:
-        ref_dev = (max(abs(x - 1.0) for x in dref.source.a)
-                   + max(abs(x) for x in dref.source.b))
+        ref_dev = dref.source.deviation_bound
     else:
         ref_dev = abs(dref.cap - 1.0)
     bound = 2.0 * (_deviation_bound(J, int(ms.max())) + ref_dev + 2.0)

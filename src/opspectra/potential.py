@@ -70,9 +70,6 @@ class FiniteGapSet:
     def n_bands(self) -> int:
         return len(self.bands)
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return any(lo - tol <= x <= hi + tol for lo, hi in self.bands)
-
     def close_to(self, other: "FiniteGapSet", tol: float = 1e-9) -> bool:
         if self.n_bands != other.n_bands:
             return False
@@ -95,9 +92,6 @@ class CircleArcSet:
     def gap_angle(self) -> float:
         """Half-width of the missing angular sector around theta = 0."""
         return 2.0 * math.asin(self.a)
-
-    def contains_angle(self, theta: float, tol: float = 0.0) -> bool:
-        return abs(theta) >= self.gap_angle - tol
 
 
 def _fold_gl(n: int):

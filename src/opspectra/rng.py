@@ -43,6 +43,3 @@ class SplitMix64:
             u1 = self.uniform()
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def complex_normal(self) -> complex:
-        return complex(self.normal(), self.normal()) / math.sqrt(2.0)

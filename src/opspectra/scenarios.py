@@ -85,46 +85,55 @@ class ScenarioResult:
         return "\n".join(lines) + "\n"
 
 
-def _get(options: Dict[str, str], key: str, default: str) -> str:
-    return options.get(key, default)
+def _num(cast, lo=-math.inf, hi=math.inf, closed=False):
+    """Parser of a finite cast(text) in (lo, hi), or in [lo, hi] if closed."""
+    def parse(text: str):
+        x = cast(text)
+        if not (math.isfinite(x) and (lo <= x <= hi if closed else lo < x < hi)):
+            left, right = "[]" if closed else "()"
+            raise ValueError(f"{x!r} is not in {left}{lo!r}, {hi!r}{right}")
+        return x
+    return parse
 
 
-def _get_float(options, key, default) -> float:
-    try:
-        return float(_get(options, key, repr(default)))
-    except ValueError as exc:
-        raise BadOption(f"{key}: {exc}") from None
+_real = _num(float)
+_threshold = _num(float, 0.0)
 
 
-def _get_int(options, key, default) -> int:
-    try:
-        return int(_get(options, key, str(default)))
-    except ValueError as exc:
-        raise BadOption(f"{key}: {exc}") from None
+def _ladder(text: str) -> Tuple[int, ...]:
+    return R._check_ladder(int(t) for t in text.split(",") if t.strip())
 
 
-def _get_ladder(options, key, default: Tuple[int, ...]) -> Tuple[int, ...]:
-    raw = _get(options, key, ",".join(str(n) for n in default))
-    try:
-        Ns = tuple(int(t.strip()) for t in raw.split(",") if t.strip())
-    except ValueError as exc:
-        raise BadOption(f"{key}: {exc}") from None
-    if not Ns or any(Ns[i] >= Ns[i + 1] for i in range(len(Ns) - 1)):
-        raise BadOption(f"{key}: ladder must be strictly increasing")
-    if Ns[0] < 1:
-        raise BadOption(f"{key}: window lengths must be positive")
-    return Ns
+def _pattern(text: str) -> P.PeriodicJacobi:
+    """a_1..a_p,b_1..b_p; PeriodicJacobi rejects odd lengths."""
+    vals = [_real(t) for t in text.split(",")]
+    p = len(vals) // 2
+    return P.PeriodicJacobi(tuple(vals[:p]), tuple(vals[p:]))
 
 
-def _threshold(options, name, default) -> float:
-    return _get_float(options, f"threshold.{name}", default)
+#: (parser of the config text, default config text or None if the runner
+#: picks it, one-line doc)
+Option = Tuple[Callable[[str], object], Optional[str], str]
+
+_PATTERN: Option = (_pattern, "1,0.5,0,0", "generator a_1..a_p,b_1..b_p")
+
+#: scenario id -> (runner, one-line description, option table)
+_SCENARIOS: Dict[str, tuple] = {}
+
+
+def _scenario(sid: str, doc: str, table: Dict[str, Option]):
+    """Register the decorated runner as scenario ``sid``."""
+    def register(runner):
+        _SCENARIOS[sid] = (runner, doc, table)
+        return runner
+    return register
 
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def sparse_bump_jacobi(value: float = 0.5) -> JacobiParams:
+def sparse_bump_jacobi(value: float) -> JacobiParams:
     """a_n = value at n = 2, 4, 8, ... (powers of two above 1), else 1;
     b = 0.  A classic regular-but-not-Nevai coefficient sequence."""
     dev = abs(value - 1.0)
@@ -133,7 +142,7 @@ def sparse_bump_jacobi(value: float = 0.5) -> JacobiParams:
         lambda n: 0.0, bound=dev)
 
 
-def sparse_bump_verblunsky(value: float = 0.5) -> VerblunskyParams:
+def sparse_bump_verblunsky(value: float) -> VerblunskyParams:
     """alpha_j = value at j = 1, 2, 4, 8, ... (powers of two), else 0."""
     return VerblunskyParams.from_function(
         lambda j: value if _is_pow2(j) else 0.0)
@@ -151,10 +160,19 @@ def _seeded_jacobi(rng: SplitMix64, n: int, a_amp: float = 0.4,
 # ---------------------------------------------------------------------
 
 
-def _run_thm1_1(options: Dict[str, str], seed: int) -> ScenarioResult:
+@_scenario("thm1_1", "scalar regularity: measure ladder and sparse bumps", {
+    "legendre.Ns": (_ladder, "4,8,16,32,60", "windows of the flat measure"),
+    "threshold.legendre_cn_last": (_threshold, "0.02", "its last average"),
+    "input.bump_value": (_num(float, 0.0), "0.5", "a_n at n = 2, 4, 8, ..."),
+    "bumps.Ns": (_ladder, "32,64,128,256,512,1024,2048,4096,8192", "windows"),
+    "bumps.norm_check_N": (_num(int, 0), "1024", "size of the norm check"),
+    "threshold.bumps_root_dev": (_threshold, "0.01", "|last root test - 1|"),
+    "threshold.bumps_cn_last": (_threshold, "0.01", "last Cesaro average"),
+})
+def _run_thm1_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("thm1_1")
     # part 1: flat measure on [-2, 2] through the moment ladder
-    lad1 = _get_ladder(options, "legendre.Ns", (4, 8, 16, 32, 60))
+    lad1 = o["legendre.Ns"]
     n_coef = lad1[-1] + 1
     dm = M.discretize(M.LineMeasureSpec.legendre_flat())
     J1 = M.jacobi_from_measure(dm, n_coef)
@@ -162,26 +180,24 @@ def _run_thm1_1(options: Dict[str, str], seed: int) -> ScenarioResult:
     res.series.append(cn1)
     res.jacobi_inputs.append(("legendre", J1, lad1))
     res.checks.append(Check("legendre_cn_last", cn1.last,
-                            _threshold(options, "legendre_cn_last", 0.02)))
+                            o["threshold.legendre_cn_last"]))
     res.checks.append(Check("legendre_cn_decreasing",
                             0.0 if cn1.decreasing() else 1.0, 0.5))
 
     # part 2: sparse off-diagonal bumps
-    bump = _get_float(options, "input.bump_value", 0.5)
-    lad2 = _get_ladder(options, "bumps.Ns", R.DEFAULT_LADDER)
-    J2 = sparse_bump_jacobi(bump)
+    lad2 = o["bumps.Ns"]
+    J2 = sparse_bump_jacobi(o["input.bump_value"])
     cn2 = R.cn_stat_oprl(J2, lad2, label="cn_bumps")
     rt2 = R.root_test(J2, lad2, label="root_bumps")
     res.series += [cn2, rt2]
     res.jacobi_inputs.append(("sparse_bumps", J2, lad2))
-    norm_n = _get_int(options, "bumps.norm_check_N", 1024)
-    w = S.eig_sym_tridiag(S.truncate(J2, norm_n))
+    w = S.eig_sym_tridiag(S.truncate(J2, o["bumps.norm_check_N"]))
     res.checks.append(Check("bumps_norm", float(np.max(np.abs(w))),
                             2.0 + 1e-9))
     res.checks.append(Check("bumps_root_last", abs(rt2.last - 1.0),
-                            _threshold(options, "bumps_root_dev", 0.01)))
+                            o["threshold.bumps_root_dev"]))
     res.checks.append(Check("bumps_cn_last", cn2.last,
-                            _threshold(options, "bumps_cn_last", 0.01)))
+                            o["threshold.bumps_cn_last"]))
     return res
 
 
@@ -190,9 +206,17 @@ def _run_thm1_1(options: Dict[str, str], seed: int) -> ScenarioResult:
 # ---------------------------------------------------------------------
 
 
-def _run_prop2_2(options: Dict[str, str], seed: int) -> ScenarioResult:
+@_scenario("prop2_2", "zero counting vs arcsine law; trace identities", {
+    "Ns": (_ladder, "400,800", "truncation sizes of the zero counting"),
+    "threshold.w1_first": (_threshold, "0.02", "W1 to arcsine at the first N"),
+    "trace.Ns": (_ladder, "32,64,128,256,512", "windows of the trace"),
+    "identity.count": (_num(int, 0), "50", "random trace identity inputs"),
+    "identity.N": (_num(int, 0), "200", "their truncation size"),
+    "threshold.trace_identity": (_threshold, "1e-8", "worst mismatch"),
+})
+def _run_prop2_2(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("prop2_2")
-    Ns = _get_ladder(options, "Ns", (400, 800))
+    Ns = o["Ns"]
     ref = pot.equilibrium_measure((-2.0, 2.0))
     w1_vals = []
     zeros_csv = None
@@ -205,11 +229,10 @@ def _run_prop2_2(options: Dict[str, str], seed: int) -> ScenarioResult:
     xs_dens = ref.density_samples(200)
     res.extras["density.csv"] = "x,density\n" + "\n".join(
         f"{repr(float(x))},{repr(float(d))}" for x, d in xs_dens) + "\n"
-    res.checks.append(Check("w1_first", w1_vals[0],
-                            _threshold(options, "w1_first", 0.02)))
+    res.checks.append(Check("w1_first", w1_vals[0], o["threshold.w1_first"]))
     res.checks.append(Check("w1_shrinks", w1_vals[-1], w1_vals[0], "lt"))
 
-    lad = _get_ladder(options, "trace.Ns", (32, 64, 128, 256, 512))
+    lad = o["trace.Ns"]
     Jf = JacobiParams.free()
     ts = R.trace_stat(Jf, lad, label="trace_free")
     res.series.append(ts)
@@ -217,8 +240,7 @@ def _run_prop2_2(options: Dict[str, str], seed: int) -> ScenarioResult:
     worst_gap = max(abs(v - 2.0) - 2.5 / n for n, v in zip(ts.Ns, ts.values))
     res.checks.append(Check("trace_near_2", worst_gap, 0.0))
 
-    count = _get_int(options, "identity.count", 50)
-    n_id = _get_int(options, "identity.N", 200)
+    count, n_id = o["identity.count"], o["identity.N"]
     worst = 0.0
     for s in range(count):
         rng = SplitMix64(seed * 1000 + s)
@@ -230,7 +252,7 @@ def _run_prop2_2(options: Dict[str, str], seed: int) -> ScenarioResult:
                                       (n_id // 2, n_id - 1)))
     res.series.append(R.StatSeries("trace_identity_worst", (n_id,), (worst,)))
     res.checks.append(Check("trace_identity", worst,
-                            _threshold(options, "trace_identity", 1e-8)))
+                            o["threshold.trace_identity"]))
     return res
 
 
@@ -267,9 +289,15 @@ def _random_chain(rng: SplitMix64, ell: int, count: int) -> UnitaryChain:
     return UnitaryChain(tuple(_freeze(u) for u in us))
 
 
-def _run_thm3_1(options: Dict[str, str], seed: int) -> ScenarioResult:
+@_scenario("thm3_1", "block normal forms and the invariant average", {
+    "inputs.count": (_num(int, 0), "20", "random block Jacobi inputs"),
+    "threshold.spectra_preserved": (_threshold, "1e-10", "eigenvalue shift"),
+    "threshold.det_preserved": (_threshold, "1e-12", "|det A_n| shift"),
+    "threshold.invariant_form": (_threshold, "1e-12", "invariant avg shift"),
+})
+def _run_thm3_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("thm3_1")
-    count = _get_int(options, "inputs.count", 20)
+    count = o["inputs.count"]
     worst_spec = worst_det = worst_inv = 0.0
     hadamard_ok = True
     rep_series = None
@@ -312,12 +340,12 @@ def _run_thm3_1(options: Dict[str, str], seed: int) -> ScenarioResult:
     res.series.append(R.StatSeries("invariant_form_shift", (count,),
                                    (worst_inv,)))
     res.checks.append(Check("spectra_preserved", worst_spec,
-                            _threshold(options, "spectra_preserved", 1e-10)))
+                            o["threshold.spectra_preserved"]))
     res.checks.append(Check("det_preserved", worst_det,
-                            _threshold(options, "det_preserved", 1e-12)))
+                            o["threshold.det_preserved"]))
     res.checks.append(Check("hadamard", 0.0 if hadamard_ok else 1.0, 0.5))
     res.checks.append(Check("invariant_form", worst_inv,
-                            _threshold(options, "invariant_form", 1e-12)))
+                            o["threshold.invariant_form"]))
     return res
 
 
@@ -326,19 +354,24 @@ def _run_thm3_1(options: Dict[str, str], seed: int) -> ScenarioResult:
 # ---------------------------------------------------------------------
 
 
-def _run_thm4_1(options: Dict[str, str], seed: int) -> ScenarioResult:
+@_scenario("thm4_1", "circle sparse bumps: root test and deviation average", {
+    "input.bump_value": (_num(float, -1.0, 1.0), "0.5",
+                         "alpha_j at j = 1, 2, 4, 8, ..."),
+    "Ns": (_ladder, "32,64,128,256,512,1024,2048,4096", "windows"),
+    "threshold.root_dev": (_threshold, "0.005", "|last root test - 1|"),
+    "threshold.cn_last": (_threshold, "0.005", "last Cesaro average"),
+})
+def _run_thm4_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("thm4_1")
-    bump = _get_float(options, "input.bump_value", 0.5)
-    lad = _get_ladder(options, "Ns", (32, 64, 128, 256, 512, 1024, 2048, 4096))
-    V = sparse_bump_verblunsky(bump)
+    lad = o["Ns"]
+    V = sparse_bump_verblunsky(o["input.bump_value"])
     rt = R.root_test(V, lad, label="root_opuc")
     cn = R.cn_stat_opuc(V, lad, label="cn_opuc")
     res.series += [rt, cn]
     res.verblunsky_inputs.append(("sparse_alpha", V, lad))
     res.checks.append(Check("root_last_dev", abs(rt.last - 1.0),
-                            _threshold(options, "root_dev", 0.005)))
-    res.checks.append(Check("cn_last", cn.last,
-                            _threshold(options, "cn_last", 0.005)))
+                            o["threshold.root_dev"]))
+    res.checks.append(Check("cn_last", cn.last, o["threshold.cn_last"]))
     return res
 
 
@@ -347,12 +380,24 @@ def _run_thm4_1(options: Dict[str, str], seed: int) -> ScenarioResult:
 # ---------------------------------------------------------------------
 
 
-def _run_thm4_2(options: Dict[str, str], seed: int) -> ScenarioResult:
+@_scenario("thm4_2",
+           "circular arc: torus point, truncation angles, perturbations", {
+    "arc.a": (_num(float, 0.0, 1.0), "0.5", "arc parameter: alpha_j = a"),
+    "arc.k": (_num(int, 0), "3", "block length of the block statistic"),
+    "cmv.N": (_num(int, 0), "256", "CMV truncation size"),
+    "Ns": (_ladder, "32,64,128,256,512,1024,2000", "windows"),
+    "arc.phase": (_real, repr(math.pi / 3.0), "chi in alpha_j = a e^(i chi)"),
+    "threshold.moment_dev": (_threshold, "0.05", "|first CMV moment + a^2|"),
+    "perturb.theta0": (_real, "0.7", "alpha_j = a e^(i theta0) + 1/(j + 2)"),
+    "threshold.pert_last": (_threshold, "0.01", "perturbed stats at last N"),
+})
+def _run_thm4_2(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("thm4_2")
-    a = _get_float(options, "arc.a", 0.5)
-    kblk = _get_int(options, "arc.k", 3)
-    cmv_n = _get_int(options, "cmv.N", 256)
-    lad = _get_ladder(options, "Ns", (32, 64, 128, 256, 512, 1024, 2000))
+    a, kblk, cmv_n, lad = o["arc.a"], o["arc.k"], o["cmv.N"], o["Ns"]
+    theta0 = o["perturb.theta0"]
+    phase = complex(math.cos(theta0), math.sin(theta0))
+    if abs(a * phase + 0.5) >= 1.0:  # the largest |alpha_j|, at j = 0
+        raise BadOption("arc.a, perturb.theta0: |alpha_0| would reach 1")
 
     Vc = VerblunskyParams.from_function(lambda j: complex(a))
     s1, s2, s3 = R.arc_stats(Vc, a, kblk, lad)
@@ -363,7 +408,7 @@ def _run_thm4_2(options: Dict[str, str], seed: int) -> ScenarioResult:
     res.checks.append(Check("const_stats_zero", worst_const, 1e-15))
 
     # any constant phase sits on the same isospectral family
-    chi = _get_float(options, "arc.phase", math.pi / 3.0)
+    chi = o["arc.phase"]
     rot = complex(math.cos(chi), math.sin(chi))
     Vf = VerblunskyParams.from_function(lambda j: a * rot)
     f1, f2, f3 = R.arc_stats(Vf, a, kblk, lad)
@@ -384,10 +429,8 @@ def _run_thm4_2(options: Dict[str, str], seed: int) -> ScenarioResult:
     res.series.append(R.StatSeries("cmv_first_moment_re", (cmv_n,),
                                    (moment.real,)))
     res.checks.append(Check("cmv_first_moment", abs(moment - target),
-                            _threshold(options, "moment_dev", 0.05)))
+                            o["threshold.moment_dev"]))
 
-    theta0 = _get_float(options, "perturb.theta0", 0.7)
-    phase = complex(math.cos(theta0), math.sin(theta0))
     Vp = VerblunskyParams.from_function(lambda j: a * phase + 1.0 / (j + 2.0))
     p1, p2, p3 = R.arc_stats(Vp, a, kblk, lad)
     for s, nm in ((p1, "pert_modulus"), (p2, "pert_step"), (p3, "pert_block")):
@@ -395,7 +438,7 @@ def _run_thm4_2(options: Dict[str, str], seed: int) -> ScenarioResult:
     res.verblunsky_inputs.append(("perturbed_alpha", Vp, lad))
     worst_last = max(p1.last, p2.last, p3.last)
     res.checks.append(Check("pert_stats_last", worst_last,
-                            _threshold(options, "pert_last", 0.01)))
+                            o["threshold.pert_last"]))
     mono = all(s.decreasing() for s in (p1, p2, p3))
     res.checks.append(Check("pert_stats_decreasing", 0.0 if mono else 1.0, 0.5))
     return res
@@ -406,20 +449,9 @@ def _run_thm4_2(options: Dict[str, str], seed: int) -> ScenarioResult:
 # ---------------------------------------------------------------------
 
 
-def _pattern_from(options: Dict[str, str]) -> P.PeriodicJacobi:
-    raw = _get(options, "input.pattern", "1,0.5,0,0")
-    try:  # a_1..a_p,b_1..b_p; PeriodicJacobi rejects odd lengths
-        vals = [float(t) for t in raw.split(",")]
-        p = len(vals) // 2
-        return P.PeriodicJacobi(tuple(vals[:p]), tuple(vals[p:]))
-    except ValueError as exc:
-        raise BadOption(f"input.pattern: {exc}") from None
-
-
 def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[Callable[[int], float]] = None,
                         bound_extra: float = 0.0) -> JacobiParams:
-    dev = (max(abs(x - 1.0) for x in J0.a) + max(abs(x) for x in J0.b)
-           + bound_extra)
+    dev = J0.deviation_bound + bound_extra
     shift = db if db is not None else (lambda n: 0.0)
     return JacobiParams.from_functions(
         lambda n: J0.a[(n - 1) % J0.p],
@@ -427,15 +459,27 @@ def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[Callable[[int], float
         bound=dev)
 
 
-def _run_thm6_1(options: Dict[str, str], seed: int) -> ScenarioResult:
+@_scenario("thm6_1", "periodic block map and torus-distance averages", {
+    "input.pattern": _PATTERN,
+    "blockmap.K": (_num(int, 1), "64", "blocks of the block map"),
+    "threshold.interior_norm": (_threshold, "1e-10", "interior blocks"),
+    "defect.site": (_num(int, 0), "21", "site n of a one-site shift of b_n"),
+    "defect.size": (_real, "0.3", "size of that shift"),
+    "torus.Ns": (_ladder, "32,64,128,256,512,1024,2000", "windows"),
+    "threshold.torus_last": (_threshold, "0.06", "harmonic shift, last N"),
+    "torus.burn_in": (_num(int, -1), "64", "N below it: no decrease check"),
+    "torus.theta": (_real, "1.3", "every angle of the torus point"),
+    "threshold.torus_point": (_threshold, "1e-7", "torus point, every N"),
+})
+def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("thm6_1")
-    J0 = _pattern_from(options)
+    J0 = o["input.pattern"]
     p = J0.p
     disc = P.discriminant(J0)
     res.extras["discriminant.csv"] = disc.to_csv()
 
     # block map on the exactly periodic sequence
-    K = _get_int(options, "blockmap.K", 64)
+    K = o["blockmap.K"]
     Jper = _periodic_as_params(J0)
     blocks = P.delta_of_J(J0, Jper, K)
     eye = np.eye(p)
@@ -446,57 +490,48 @@ def _run_thm6_1(options: Dict[str, str], seed: int) -> ScenarioResult:
     res.series.append(R.StatSeries("blockmap_interior_B", (K,), (worst_B,)))
     res.series.append(R.StatSeries("blockmap_interior_A", (K,), (worst_A,)))
     res.checks.append(Check("interior_B_norm", worst_B,
-                            _threshold(options, "interior_norm", 1e-10)))
+                            o["threshold.interior_norm"]))
     res.checks.append(Check("interior_A_norm", worst_A,
-                            _threshold(options, "interior_norm", 1e-10)))
+                            o["threshold.interior_norm"]))
     upper = max(float(np.max(np.abs(np.triu(a, k=1)))) for a in blocks.A)
     res.checks.append(Check("type3_structure", upper, 1e-12))
 
-    site = _get_int(options, "defect.site", 21)
-    eps = _get_float(options, "defect.size", 0.3)
+    site, eps = o["defect.site"], o["defect.size"]
     Jdef = _periodic_as_params(J0, lambda n: eps if n == site else 0.0,
                                bound_extra=eps)
     blocks_d = P.delta_of_J(J0, Jdef, K)
     lo_blk = max(0, (site - 1 - p) // p - 1)
     hi_blk = (site - 1 + p) // p + 1
-    far = 0.0
-    near = 0.0
-    for k in range(K + 1):
-        d = float(np.max(np.abs(blocks_d.B[k] - blocks.B[k])))
-        if lo_blk <= k <= hi_blk:
-            near = max(near, d)
-        else:
-            far = max(far, d)
-    for k in range(K):
-        d = float(np.max(np.abs(blocks_d.A[k] - blocks.A[k])))
-        if lo_blk <= k <= hi_blk:
-            near = max(near, d)
-        else:
-            far = max(far, d)
+    near = far = 0.0
+    for new, old in ((blocks_d.B, blocks.B), (blocks_d.A, blocks.A)):
+        for k, (x, y) in enumerate(zip(new, old)):
+            d = float(np.max(np.abs(x - y)))
+            if lo_blk <= k <= hi_blk:
+                near = max(near, d)
+            else:
+                far = max(far, d)
     res.checks.append(Check("locality_far_blocks", far, 1e-12))
     res.checks.append(Check("locality_defect_visible", near, eps / 2.0, "ge"))
 
     # torus-distance averages
-    lad = _get_ladder(options, "torus.Ns", (32, 64, 128, 256, 512, 1024, 2000))
+    lad = o["torus.Ns"]
     Jh = _periodic_as_params(J0, lambda n: 1.0 / n, bound_extra=1.0)
     cn_h = R.cn_stat_torus(Jh, disc, lad, label="cn_torus_harmonic")
     res.series.append(cn_h)
     res.jacobi_inputs.append(("harmonic_shift", Jh, lad))
     res.checks.append(Check("torus_harmonic_last", cn_h.last,
-                            _threshold(options, "torus_last", 0.06)))
-    burn = _get_int(options, "torus.burn_in", 64)
+                            o["threshold.torus_last"]))
+    burn = o["torus.burn_in"]
     res.checks.append(Check("torus_harmonic_decreasing",
                             0.0 if cn_h.decreasing(burn_in=burn) else 1.0, 0.5))
 
-    theta = _get_float(options, "torus.theta", 1.3)
-    pt = P.torus_point(disc, (theta,) * (p - 1))
+    pt = P.torus_point(disc, (o["torus.theta"],) * (p - 1))
     Jt = _periodic_as_params(pt.jacobi)
     cn_t = R.cn_stat_torus(Jt, disc, lad, label="cn_torus_point")
     res.series.append(cn_t)
     res.jacobi_inputs.append(("torus_point", Jt, lad))
-    res.checks.append(Check("torus_point_flat",
-                            max(cn_t.values),
-                            _threshold(options, "torus_point", 1e-7)))
+    res.checks.append(Check("torus_point_flat", max(cn_t.values),
+                            o["threshold.torus_point"]))
     return res
 
 
@@ -505,10 +540,16 @@ def _run_thm6_1(options: Dict[str, str], seed: int) -> ScenarioResult:
 # ---------------------------------------------------------------------
 
 
-def _run_mnt(options: Dict[str, str], seed: int) -> ScenarioResult:
+@_scenario("mnt_illustration",
+           "shrinking diagonal for [-2,2] measures (no thresholds)", {
+    # the window from start 40 needs 52 coefficients
+    "coefficients": (_num(int, 51), "80", "recurrence coefficients"),
+    "input.tilt": (_num(float, -1.0, 1.0, closed=True), "0.5",
+                   "density 1 + tilt x / 2 on [-2, 2]"),
+})
+def _run_mnt(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("mnt_illustration")
-    n_coef = _get_int(options, "coefficients", 80)
-    tilt = _get_float(options, "input.tilt", 0.5)
+    n_coef, tilt = o["coefficients"], o["input.tilt"]
     xs = np.linspace(-2.0, 2.0, 401)
     vals = 1.0 + tilt * xs / 2.0
     spec = M.LineMeasureSpec(
@@ -518,9 +559,7 @@ def _run_mnt(options: Dict[str, str], seed: int) -> ScenarioResult:
     res.jacobi_inputs.append(("tilted_flat", J, lad))
     res.series.append(R.cn_stat_oprl(J, lad, label="cn_tilted"))
     b = np.abs(J.b_window(n_coef))
-    halves = []
-    for n in lad:
-        halves.append(float(np.max(b[n // 2:n])))
+    halves = [float(np.max(b[n // 2:n])) for n in lad]
     res.series.append(R.StatSeries("b_window_max", lad, tuple(halves)))
     starts = np.array([1, 5, 10, 20, 40])
     win = R.cn_stat_windowed(J, starts, max(2, (n_coef - 1) // 4))
@@ -534,35 +573,37 @@ def _run_mnt(options: Dict[str, str], seed: int) -> ScenarioResult:
 # ---------------------------------------------------------------------
 
 
-def _run_conjecture(options: Dict[str, str], seed: int) -> ScenarioResult:
+@_scenario("conjecture5_1_explore", "finite-gap torus averages, exploratory", {
+    "input.pattern": _PATTERN,
+    "Ns": (_ladder, None, "windows; unset, they follow the period"),
+    "decay.amp": (_real, "0.5", "b_n shift amp / n^power"),
+    "decay.power": (_real, "1.0", "its power"),
+    "bumps.amp": (_real, "0.4", "b_n shift at n = 2, 4, 8, ..."),
+    "torus.samples": (_num(int, 0), "8", "rows of torus_samples.csv"),
+})
+def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("conjecture5_1_explore")
-    J0 = _pattern_from(options)
+    J0 = o["input.pattern"]
     p = J0.p
     disc = P.discriminant(J0)
     res.extras["discriminant.csv"] = disc.to_csv()
     if p == 2:
-        lad = _get_ladder(options, "Ns", (32, 64, 128, 256, 512))
-        grid_points, refine = 64, 1e-7
+        lad, grid_points, refine = (32, 64, 128, 256, 512), 64, 1e-7
     else:
-        lad = _get_ladder(options, "Ns", (8, 16, 32))
-        grid_points, refine = 12, 1e-3
+        lad, grid_points, refine = (8, 16, 32), 12, 1e-3
+    lad = o["Ns"] or lad
 
-    amp = _get_float(options, "decay.amp", 0.5)
-    power = _get_float(options, "decay.power", 1.0)
+    amp, power, bump = o["decay.amp"], o["decay.power"], o["bumps.amp"]
     Jd = _periodic_as_params(J0, lambda n: amp / n ** power, bound_extra=amp)
-    cn_d = R.cn_stat_torus(Jd, disc, lad, label="cn_torus_decay",
-                           grid_points=grid_points, refine_step=refine)
-    res.series.append(cn_d)
-    res.jacobi_inputs.append(("decaying_shift", Jd, lad))
-
-    bump = _get_float(options, "bumps.amp", 0.4)
     Jb = _periodic_as_params(
         J0, lambda n: bump if (n > 1 and _is_pow2(n)) else 0.0,
         bound_extra=bump)
-    cn_b = R.cn_stat_torus(Jb, disc, lad, label="cn_torus_bumps",
-                           grid_points=grid_points, refine_step=refine)
-    res.series.append(cn_b)
-    res.jacobi_inputs.append(("sparse_shift", Jb, lad))
+    for name, J, label in (("decaying_shift", Jd, "cn_torus_decay"),
+                           ("sparse_shift", Jb, "cn_torus_bumps")):
+        res.series.append(R.cn_stat_torus(J, disc, lad, label=label,
+                                          grid_points=grid_points,
+                                          refine_step=refine))
+        res.jacobi_inputs.append((name, J, lad))
 
     rt = R.root_test(Jd, lad, label="root_decay")
     cap = pot.capacity(disc.bands())
@@ -570,7 +611,7 @@ def _run_conjecture(options: Dict[str, str], seed: int) -> ScenarioResult:
     res.series.append(R.StatSeries("root_over_capacity", lad,
                                    tuple(v / cap for v in rt.values)))
 
-    n_samp = _get_int(options, "torus.samples", 8)
+    n_samp = o["torus.samples"]
     rows = []
     header = (",".join(f"theta_{i+1}" for i in range(p - 1))
               + "," + ",".join(f"a_{i+1}" for i in range(p))
@@ -585,63 +626,47 @@ def _run_conjecture(options: Dict[str, str], seed: int) -> ScenarioResult:
     return res
 
 
-_RUNNERS: Dict[str, Tuple[Callable[[Dict[str, str], int], ScenarioResult], str]] = {
-    "thm1_1": (_run_thm1_1,
-               "scalar regularity: measure ladder and sparse bumps"),
-    "prop2_2": (_run_prop2_2,
-                "zero counting vs arcsine law; trace identities"),
-    "thm3_1": (_run_thm3_1,
-               "block normal forms and the invariant average"),
-    "thm4_1": (_run_thm4_1,
-               "circle sparse bumps: root test and deviation average"),
-    "thm4_2": (_run_thm4_2,
-               "circular arc: torus point, truncation angles, perturbations"),
-    "thm6_1": (_run_thm6_1,
-               "periodic block map and torus-distance averages"),
-    "mnt_illustration": (_run_mnt,
-                         "shrinking diagonal for [-2,2] measures (no "
-                         "thresholds)"),
-    "conjecture5_1_explore": (_run_conjecture,
-                              "finite-gap torus averages, exploratory"),
-}
+def _entry(scenario: str):
+    if scenario not in _SCENARIOS:
+        raise UnknownScenario(f"unknown scenario: {scenario}")
+    return _SCENARIOS[scenario]
 
 
 def scenario_ids() -> Tuple[str, ...]:
-    return tuple(_RUNNERS)
+    return tuple(_SCENARIOS)
 
 
 def describe(scenario: str) -> str:
-    if scenario not in _RUNNERS:
-        raise UnknownScenario(scenario)
-    return _RUNNERS[scenario][1]
+    return _entry(scenario)[1]
+
+
+def parse_options(scenario: str, raw: Dict[str, str]) -> Dict[str, object]:
+    """The scenario's options from their config text, every default
+    filled in.  An unknown key, or a value its parser rejects, raises
+    BadOption naming the key."""
+    table = _entry(scenario)[2]
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise BadOption(f"{', '.join(unknown)}: not an option of {scenario}")
+    out = {}
+    for key, (parse, default, _) in table.items():
+        text = raw.get(key, default)
+        try:
+            out[key] = None if text is None else parse(text)
+        except ValueError as exc:
+            raise BadOption(f"{key}: {exc}") from None
+    return out
 
 
 def run(scenario: str, options: Dict[str, str], seed: int = 1) -> ScenarioResult:
     """Execute one scenario with the given flat options."""
-    if scenario not in _RUNNERS:
-        raise UnknownScenario(scenario)
-    return _RUNNERS[scenario][0](options, seed)
-
-
-_DEFAULT_EXTRA = {
-    "thm1_1": ["input.bump_value = 0.5"],
-    "prop2_2": ["Ns = 400,800", "identity.count = 50", "identity.N = 200"],
-    "thm3_1": ["inputs.count = 20"],
-    "thm4_1": ["input.bump_value = 0.5"],
-    "thm4_2": ["arc.a = 0.5", "arc.k = 3", "cmv.N = 256",
-               "perturb.theta0 = 0.7"],
-    "thm6_1": ["input.pattern = 1,0.5,0,0", "blockmap.K = 64",
-               "defect.site = 21", "torus.theta = 1.3"],
-    "mnt_illustration": ["coefficients = 80", "input.tilt = 0.5"],
-    "conjecture5_1_explore": ["input.pattern = 1,0.5,0,0",
-                              "decay.amp = 0.5", "bumps.amp = 0.4"],
-}
+    return _entry(scenario)[0](parse_options(scenario, options), seed)
 
 
 def default_config(scenario: str) -> str:
-    """Config text that reproduces the scenario's default run."""
-    if scenario not in _RUNNERS:
-        raise UnknownScenario(scenario)
+    """Config text that reproduces the scenario's default run: every
+    option at its default, with its doc; an option whose default the
+    runner picks is commented out."""
     lines = [
         f"# {scenario}: {describe(scenario)}",
         f"scenario = {scenario}",
@@ -649,5 +674,7 @@ def default_config(scenario: str) -> str:
         "emit_svg = false",
         "# outdir = ./out",
     ]
-    lines += _DEFAULT_EXTRA.get(scenario, [])
+    for key, (_, default, doc) in _entry(scenario)[2].items():
+        line = f"{key} = {default}" if default is not None else f"# {key} ="
+        lines.append(f"{line}  # {doc}")
     return "\n".join(lines) + "\n"

@@ -179,16 +179,16 @@ def _sturm_certificate(T: TridiagonalMatrix, vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(ok[:-1] & ok[1:] & inside))
 
 
-def _bisect(T: TridiagonalMatrix, idx: np.ndarray, maxiter: int) -> np.ndarray:
+def _bisect(T: TridiagonalMatrix, idx: np.ndarray) -> np.ndarray:
     """Eigenvalues number ``idx`` (ascending, 0-based) by Sturm-count
     bisection from the Gershgorin interval, each refined to 1e-13
-    relative to the Gershgorin bound."""
+    relative to the Gershgorin bound in at most 200 sweeps."""
     gl, gu = T.gershgorin()
     tol = 1e-13 * max(abs(gl), abs(gu))
     lo = np.full(len(idx), gl)
     hi = np.full(len(idx), gu)
     need = idx + 1  # eigenvalue i has count >= i+1 above it
-    for _ in range(maxiter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         above = _sturm_counts(T, mid) >= need
         hi = np.where(above, mid, hi)
@@ -200,8 +200,7 @@ def _bisect(T: TridiagonalMatrix, idx: np.ndarray, maxiter: int) -> np.ndarray:
     )
 
 
-def eig_sym_tridiag(T: TridiagonalMatrix, method: str = "bisect",
-                    maxiter: int = 200) -> np.ndarray:
+def eig_sym_tridiag(T: TridiagonalMatrix, method: str = "bisect") -> np.ndarray:
     """All eigenvalues of T, ascending.
 
     Both methods compute the values with LAPACK's root-free QL/QR
@@ -209,7 +208,7 @@ def eig_sym_tridiag(T: TridiagonalMatrix, method: str = "bisect",
     them with one vectorized Sturm-count sweep: exactly one eigenvalue
     between consecutive midpoints, none outside the Gershgorin bounds.
     Only the values the sweep cannot certify are recomputed by
-    Sturm-count bisection (at most ``maxiter`` sweeps), so a valid input
+    Sturm-count bisection (at most 200 sweeps), so a valid input
     never fails.  method "ql" returns the uncertified ``sterf`` values,
     for callers that check themselves (the trace identity of
     trace_square).
@@ -226,7 +225,7 @@ def eig_sym_tridiag(T: TridiagonalMatrix, method: str = "bisect",
     if method == "bisect":
         bad = _sturm_certificate(T, vals)
         if len(bad):
-            vals[bad] = _bisect(T, bad, maxiter)
+            vals[bad] = _bisect(T, bad)
             vals = np.sort(vals)
     gaps = np.diff(vals)
     scale = max(1.0, float(np.max(np.abs(vals))))
@@ -238,10 +237,9 @@ def eig_sym_tridiag(T: TridiagonalMatrix, method: str = "bisect",
     return vals
 
 
-def zero_counting(params: JacobiParams, N: int,
-                  method: str = "bisect") -> EmpiricalMeasure:
+def zero_counting(params: JacobiParams, N: int) -> EmpiricalMeasure:
     """Normalized counting measure of the N-truncation eigenvalues."""
-    return EmpiricalMeasure(eig_sym_tridiag(truncate(params, N), method), "line")
+    return EmpiricalMeasure(eig_sym_tridiag(truncate(params, N)), "line")
 
 
 def trace_square(params: JacobiParams, N: int, method: str = "bisect"):

@@ -1,4 +1,8 @@
+import importlib.util
 import os
+import pathlib
+import re
+import sys
 import xml.dom.minidom
 
 import pytest
@@ -192,7 +196,26 @@ def test_stats_csv_is_the_series_csv_rows_under_one_header():
     ("thm6_1", "input.pattern = 1,1,0,0"),      # closed gap
     ("thm6_1", "input.pattern = 1,x,0,0"),      # not a number
     ("thm4_1", "Ns = 0,5"),                     # empty window
-], ids=["closed_gap", "non_numeric_pattern", "zero_window"])
+    ("thm4_2", "arc.a = 1.5"),
+    ("thm4_2", "arc.k = 0"),
+    ("thm4_2", "cmv.N = 0"),
+    ("thm4_2", "arc.phase = inf"),
+    ("thm4_2", "arc.a = 0.9"),                  # |alpha_0| >= 1
+    ("thm3_1", "inputs.count = 0"),
+    ("mnt_illustration", "coefficients = 51"),
+    ("mnt_illustration", "input.tilt = 3"),
+    ("thm4_1", "input.bump_value = 1.5"),
+    ("thm6_1", "blockmap.K = 0"),
+    ("thm6_1", "torus.theta = inf"),
+    ("thm6_1", "input.pattern = 1,inf,0,0"),
+    ("thm1_1", "bumps.norm_check_N = 0"),
+    ("thm4_1", "threshold.cn_last = inf"),      # would switch the check off
+    ("thm4_1", "threshold.cn_lst = 1e-7"),      # unknown key
+], ids=["closed_gap", "non_numeric_pattern", "zero_window", "arc_a",
+        "arc_k", "cmv_N", "arc_phase_inf", "perturbed_alpha_0",
+        "inputs_count", "mnt_coefficients", "mnt_tilt", "circle_bump",
+        "blockmap_K", "torus_theta_inf", "pattern_inf", "norm_check_N",
+        "threshold_inf", "unknown_key"])
 def test_cli_unusable_input_exits_2_with_one_error_line(
         tmp_path, capsys, monkeypatch, scenario, line):
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
@@ -204,6 +227,41 @@ def test_cli_unusable_input_exits_2_with_one_error_line(
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_default_config_lists_every_option_and_reruns_the_default(
+        sid, tmp_path, capsys, monkeypatch):
+    text = scenarios.default_config(sid)
+    keys = [m.group(1) for m in map(re.compile(r"(?:# )?([\w.]+) =").match,
+                                    text.splitlines()) if m]
+    declared = list(scenarios.parse_options(sid, {}))
+    assert keys == ["scenario", "seed", "emit_svg", "outdir"] + declared
+    assert all("  # " in line for line in text.splitlines()[5:])
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "out"))
+    assert cli.main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "out" / "stats.csv").read_bytes() \
+        == scenarios.run(sid, {}, 1).stats_csv().encode()
+
+
+def test_every_benchmark_config_parses(tmp_path, monkeypatch):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    ops = [op for w in workloads.WORKLOADS.values() for op in w.ops]
+    assert ops
+    for op in ops:
+        cfg = ScenarioConfig.from_mapping(parse_config_text(
+            op.config_text(1, str(tmp_path / op.op_id))))
+        assert set(cfg.options) == {k for k, _ in op.options}
+        scenarios.parse_options(op.scenario, cfg.options)
 
 
 def test_cli_runs_a_period_four_pattern(tmp_path, capsys, monkeypatch):
