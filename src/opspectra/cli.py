@@ -7,9 +7,10 @@ Commands
     any scenario-specific CSV artifacts, plus one ``plot_<label>.svg``
     per statistic when ``emit_svg = true``) into the output directory,
     print one PASS/FAIL line per threshold, and exit 0 on pass, 1 on a
-    threshold failure, 2 on a usage or config error, an unknown key or
+    threshold failure, 2 on a usage or config error, an unknown key,
     unusable input (a value outside its option's range, a periodic
-    pattern with a closed gap), with one ``error:`` line.
+    pattern with a closed gap) or an output directory that cannot be
+    written, with one ``error:`` line.
 
 ``opspectra list-scenarios``
     Print the available scenario ids with one-line descriptions.
@@ -195,6 +196,8 @@ def run_scenario(cfg: ScenarioConfig) -> ExitReport:
 
     Returns the report on success; raises ScenarioFailed (report
     attached, artifacts already written) when a threshold is violated.
+    The scenario runs before the output directory is made, so a bad
+    option writes nothing; OSError from the writes propagates.
     """
     outdir = os.environ.get(OUTDIR_ENV) or cfg.outdir \
         or os.path.join("opspectra_out", cfg.scenario)
@@ -228,7 +231,7 @@ def _cmd_run(path: str) -> int:
         return 2
     try:
         report = run_scenario(cfg)
-    except (BadOption, GapClosed) as exc:
+    except (BadOption, GapClosed, OSError) as exc:  # OSError: outdir, writes
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ScenarioFailed as exc:

@@ -20,8 +20,8 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -351,8 +351,7 @@ def _dot(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     return math.fsum((w * u * v).tolist())
 
 
-def jacobi_from_measure(m: DiscreteMeasure, N: int,
-                        breakdown_rtol: float = 1e-13) -> JacobiParams:
+def jacobi_from_measure(m: DiscreteMeasure, N: int) -> JacobiParams:
     """First N recurrence rows of the orthonormal polynomials of m.
 
     Returns b_1..b_N and a_1..a_{N-1} (the data of the N-point
@@ -362,9 +361,9 @@ def jacobi_from_measure(m: DiscreteMeasure, N: int,
     product; sums are compensated, which keeps coefficient error near
     1e-12 out to N ~ 60 on smooth densities.
 
-    Raises BreakdownAtStep(n) when the candidate a_n^2 falls below
-    ``breakdown_rtol`` times max(1, max|node|^2): the measure cannot
-    support an n-th orthonormal polynomial.
+    Raises BreakdownAtStep(n) when the candidate a_n^2 falls below 1e-13
+    times max(1, max|node|^2): the measure cannot support an n-th
+    orthonormal polynomial.
     """
     if m.domain != "line":
         raise ValueError("jacobi_from_measure needs a line measure")
@@ -387,7 +386,7 @@ def jacobi_from_measure(m: DiscreteMeasure, N: int,
         q = xp - bn * p_cur - a_prev * p_prev
         q -= _dot(w, q, p_cur) * p_cur + _dot(w, q, p_prev) * p_prev
         norm2 = _dot(w, q, q)
-        if norm2 <= breakdown_rtol * scale:
+        if norm2 <= 1e-13 * scale:
             raise BreakdownAtStep(n + 1, norm2)
         an = math.sqrt(norm2)
         a_list.append(an)
@@ -410,12 +409,12 @@ def gauss_rule(params: JacobiParams, N: int) -> DiscreteMeasure:
     return DiscreteMeasure(vals, w / w.sum(), "line")
 
 
-def trig_moments(spec: CircleMeasureSpec, K: int,
-                 points_per_interval: int = 400) -> np.ndarray:
+def trig_moments(spec: CircleMeasureSpec, K: int) -> np.ndarray:
     """c_0..c_K with c_k = integral of e^{-i k theta} d mu.
 
     Uniform parts use the closed-form interval integral; tabulated parts
-    and atoms go through the discretization.
+    and atoms go through the discretization, with 400 points per
+    interval.
     """
     c = np.zeros(K + 1, dtype=complex)
     for part in spec.parts:
@@ -428,7 +427,7 @@ def trig_moments(spec: CircleMeasureSpec, K: int,
         else:
             sub = CircleMeasureSpec([DensityPart(part.lo, part.hi, part.kind,
                                                  1.0, part.data)])
-            d = discretize(sub, points_per_interval)
+            d = discretize(sub, 400)
             for k in range(K + 1):
                 c[k] += part.weight * d.trig_moment(k)
     for th, mass in spec.atoms:
@@ -436,8 +435,7 @@ def trig_moments(spec: CircleMeasureSpec, K: int,
     return c
 
 
-def verblunsky_from_moments(c: np.ndarray, N: int,
-                            det_threshold: float = 1e-13) -> VerblunskyParams:
+def verblunsky_from_moments(c: np.ndarray, N: int) -> VerblunskyParams:
     """Recurrence coefficients from trigonometric moments c_0..c_N.
 
     Runs the monic recursion Phi_{n+1}(z) = z Phi_n(z) + alpha_n
@@ -448,8 +446,8 @@ def verblunsky_from_moments(c: np.ndarray, N: int,
     Phi_{n+1} orthogonal to 1, with both inner products taken against
     the moment functional.  The running squared norm of Phi_n equals the
     ratio of consecutive Toeplitz determinants, so positivity of the
-    moment problem is monitored for free; when it drops below
-    ``det_threshold`` the recursion stops with MomentIllConditioned.
+    moment problem is monitored for free; when it drops to 1e-13 the
+    recursion stops with MomentIllConditioned.
     """
     c = np.asarray(c, dtype=complex)
     if len(c) < N + 1:
@@ -474,7 +472,7 @@ def verblunsky_from_moments(c: np.ndarray, N: int,
     alphas = []
     for n in range(N):
         norm2 = pair(phi, phi)
-        if norm2.real <= det_threshold or abs(norm2.imag) > 1e-9 * abs(norm2):
+        if norm2.real <= 1e-13 or abs(norm2.imag) > 1e-9 * abs(norm2):
             raise MomentIllConditioned(n, float(norm2.real))
         star = np.conj(phi[::-1])
         zphi = np.concatenate([[0.0], phi])
@@ -488,9 +486,8 @@ def verblunsky_from_moments(c: np.ndarray, N: int,
     return VerblunskyParams(np.array(alphas, dtype=complex))
 
 
-def verblunsky_from_measure(spec: CircleMeasureSpec, N: int,
-                            points_per_interval: int = 400) -> VerblunskyParams:
+def verblunsky_from_measure(spec: CircleMeasureSpec, N: int) -> VerblunskyParams:
     """First N recurrence coefficients of a circle measure, via its
     trigonometric moments."""
-    c = trig_moments(spec, N, points_per_interval)
+    c = trig_moments(spec, N)
     return verblunsky_from_moments(c, N)

@@ -295,7 +295,7 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
         raise ValueError("K >= 1 required")
     p = J0.p
     n_sites = (K + 2) * p + p
-    if J.is_finite and not J.available(n_sites - 1, n_sites):
+    if J.is_finite and len(J) < n_sites:
         raise BandwidthExceeded(
             f"need {n_sites} sites for K={K} blocks of size {p}"
         )
@@ -559,9 +559,7 @@ def _deviation_bound(J: JacobiParams, probe: int) -> float:
     the first ``probe`` sites (all of them for a shorter finite J)."""
     if J.declared_bound is not None:
         return float(J.declared_bound)
-    if J.is_finite:
-        return sup_deviation(J, min(probe, len(J._a)))
-    return sup_deviation(J, probe)
+    return sup_deviation(J, min(probe, len(J)))
 
 
 def d_to_torus(J: JacobiParams, m: int, dref: Discriminant,

@@ -26,13 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .measures import _gl_nodes, _leggauss
 from .spectra import EmpiricalMeasure
+
+#: Gauss-Legendre nodes of the equilibrium-measure quadratures (even)
+_ORDER = 64
 
 
 class BandMismatch(ValueError):
@@ -70,10 +73,11 @@ class FiniteGapSet:
     def n_bands(self) -> int:
         return len(self.bands)
 
-    def close_to(self, other: "FiniteGapSet", tol: float = 1e-9) -> bool:
+    def close_to(self, other: "FiniteGapSet") -> bool:
+        """Same band count, every endpoint within 1e-9."""
         if self.n_bands != other.n_bands:
             return False
-        return all(abs(a - c) <= tol and abs(b - d) <= tol
+        return all(abs(a - c) <= 1e-9 and abs(b - d) <= 1e-9
                    for (a, b), (c, d) in zip(self.bands, other.bands))
 
 
@@ -122,9 +126,8 @@ class EquilibriumMeasure:
     complex, quantiles are angles).
     """
 
-    def __init__(self, tag: str, payload, order: int = 64):
+    def __init__(self, tag: str, payload):
         self.tag = tag
-        self.order = order
         if tag == "interval":
             self.lo, self.hi = payload
             self.domain = "line"
@@ -167,9 +170,9 @@ class EquilibriumMeasure:
             self.disc.p * math.pi * np.sqrt(4.0 - d * d)
         )
 
-    def density_samples(self, n: int = 200) -> np.ndarray:
-        """(x, density) rows sampled strictly inside the support; for
-        arcs the first column is the angle."""
+    def density_samples(self) -> np.ndarray:
+        """About 200 (x, density) rows sampled strictly inside the
+        support; for arcs the first column is the angle."""
         rows = []
         if self.tag == "interval":
             spans = [(self.lo, self.hi)]
@@ -180,7 +183,7 @@ class EquilibriumMeasure:
             spans = [(-math.pi, -g), (g, math.pi)]
         for lo, hi in spans:
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            phi = np.linspace(0.0, math.pi, n // len(spans) + 2)[1:-1]
+            phi = np.linspace(0.0, math.pi, 200 // len(spans) + 2)[1:-1]
             x = mid + half * np.cos(phi)[::-1]
             rows.append(np.column_stack([x, self.density(x)]))
         return np.vstack(rows)
@@ -196,7 +199,7 @@ class EquilibriumMeasure:
         if self.tag == "interval":
             c = 0.5 * (self.lo + self.hi)
             h = 0.5 * (self.hi - self.lo)
-            phi, w = _fold_gl(self.order)
+            phi, w = _fold_gl(_ORDER)
             t = h * np.cos(phi)
             vals = w * (_power(c + t, k) + _power(c - t, k))
             return math.fsum(vals.tolist())
@@ -205,7 +208,7 @@ class EquilibriumMeasure:
             # interval; conjugation symmetry kills the imaginary part.
             c = 0.5 * (self._lo + self._hi)
             h = 0.5 * (self._hi - self._lo)
-            phi, w = _gl_nodes(0.0, math.pi, self.order)
+            phi, w = _gl_nodes(0.0, math.pi, _ORDER)
             x = c + h * np.cos(phi)
             vals = (w / math.pi) * np.cos(k * np.arccos(np.clip(x / 2.0, -1.0, 1.0)))
             return complex(math.fsum(vals.tolist()), 0.0)
@@ -221,15 +224,14 @@ class EquilibriumMeasure:
         Writes 4 - D(x)^2 = (x - lo)(hi - x) S(x) with S positive on the
         band (a product over the other band edges), so the substituted
         integrand |D'| / (p pi sqrt(S)) has no endpoint singularity.
-        An even node count keeps nodes off possible interior zeros of S
-        (which are removable but evaluate 0/0).
+        An even node count (_ORDER) keeps nodes off possible interior
+        zeros of S (which are removable but evaluate 0/0).
         """
         edges = [e for band in self.set.bands for e in band]
         others = [e for e in edges if e not in (lo, hi)]
         lc = self.disc.leading
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        n = self.order + (self.order % 2)
-        phi, w = _gl_nodes(0.0, math.pi, n)
+        phi, w = _gl_nodes(0.0, math.pi, _ORDER)
         x = mid + half * np.cos(phi)
         s = np.full_like(x, lc * lc)
         for e in others:
@@ -296,7 +298,7 @@ class EquilibriumMeasure:
         return out
 
 
-def equilibrium_measure(target, discriminant=None, order: int = 64) -> EquilibriumMeasure:
+def equilibrium_measure(target, discriminant=None) -> EquilibriumMeasure:
     """Equilibrium measure of an interval, an arc, or a periodic band set.
 
     ``target`` may be an (lo, hi) pair, a one-band FiniteGapSet (both
@@ -306,25 +308,25 @@ def equilibrium_measure(target, discriminant=None, order: int = 64) -> Equilibri
     1e-9, else BandMismatch.
     """
     if isinstance(target, CircleArcSet):
-        return EquilibriumMeasure("arc", target, order)
+        return EquilibriumMeasure("arc", target)
     if isinstance(target, tuple) and len(target) == 2 and np.isscalar(target[0]):
         lo, hi = float(target[0]), float(target[1])
         if not lo < hi:
             raise ValueError("empty interval")
-        return EquilibriumMeasure("interval", (lo, hi), order)
+        return EquilibriumMeasure("interval", (lo, hi))
     if isinstance(target, FiniteGapSet):
         if discriminant is None:
             if target.n_bands == 1:
-                return EquilibriumMeasure("interval", target.bands[0], order)
+                return EquilibriumMeasure("interval", target.bands[0])
             raise Unsupported(
                 "multi-band sets need the discriminant of a periodic generator"
             )
         own = discriminant.bands()
-        if not target.close_to(own, 1e-9):
+        if not target.close_to(own):
             raise BandMismatch(
                 f"discriminant bands {own.bands} vs requested {target.bands}"
             )
-        return EquilibriumMeasure("periodic", (target, discriminant), order)
+        return EquilibriumMeasure("periodic", (target, discriminant))
     raise TypeError("unrecognized target for equilibrium_measure")
 
 

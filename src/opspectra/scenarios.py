@@ -24,8 +24,9 @@ from . import potential as pot
 from . import regularity as R
 from . import spectra as S
 from .rng import SplitMix64
-from .sequences import (BlockJacobiParams, JacobiParams, UnitaryChain,
-                        VerblunskyParams, _freeze, validate_blocks)
+from .sequences import (BlockJacobiParams, IndexFn, JacobiParams,
+                        UnitaryChain, VerblunskyParams, _freeze,
+                        validate_blocks)
 
 
 class UnknownScenario(ValueError):
@@ -129,8 +130,9 @@ def _scenario(sid: str, doc: str, table: Dict[str, Option]):
     return register
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _is_pow2(n: np.ndarray) -> np.ndarray:
+    """Elementwise: is the integer n a power of two (1, 2, 4, ...)?"""
+    return (n >= 1) & ((n & (n - 1)) == 0)
 
 
 def sparse_bump_jacobi(value: float) -> JacobiParams:
@@ -138,18 +140,18 @@ def sparse_bump_jacobi(value: float) -> JacobiParams:
     b = 0.  A classic regular-but-not-Nevai coefficient sequence."""
     dev = abs(value - 1.0)
     return JacobiParams.from_functions(
-        lambda n: value if (n > 1 and _is_pow2(n)) else 1.0,
+        lambda n: np.where((n > 1) & _is_pow2(n), value, 1.0),
         lambda n: 0.0, bound=dev)
 
 
 def sparse_bump_verblunsky(value: float) -> VerblunskyParams:
     """alpha_j = value at j = 1, 2, 4, 8, ... (powers of two), else 0."""
     return VerblunskyParams.from_function(
-        lambda j: value if _is_pow2(j) else 0.0)
+        lambda j: np.where(_is_pow2(j), value, 0.0))
 
 
-def _seeded_jacobi(rng: SplitMix64, n: int, a_amp: float = 0.4,
-                   b_amp: float = 0.8) -> JacobiParams:
+def _seeded_jacobi(rng: SplitMix64, n: int) -> JacobiParams:
+    a_amp, b_amp = 0.4, 0.8
     a = 1.0 + a_amp * (rng.uniforms(n) - 0.5)
     b = b_amp * (rng.uniforms(n) - 0.5)
     return JacobiParams(a[: n - 1], b, bound=a_amp / 2 + b_amp / 2)
@@ -174,7 +176,7 @@ def _run_thm1_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     # part 1: flat measure on [-2, 2] through the moment ladder
     lad1 = o["legendre.Ns"]
     n_coef = lad1[-1] + 1
-    dm = M.discretize(M.LineMeasureSpec.legendre_flat())
+    dm = M.discretize(M.LineMeasureSpec.legendre_flat(), max(200, n_coef))
     J1 = M.jacobi_from_measure(dm, n_coef)
     cn1 = R.cn_stat_oprl(J1, lad1, label="cn_legendre")
     res.series.append(cn1)
@@ -226,7 +228,7 @@ def _run_prop2_2(o: Dict[str, object], seed: int) -> ScenarioResult:
         zeros_csv = emp.to_csv()
     res.series.append(R.StatSeries("w1_free", Ns, tuple(w1_vals)))
     res.extras["zeros.csv"] = zeros_csv
-    xs_dens = ref.density_samples(200)
+    xs_dens = ref.density_samples()
     res.extras["density.csv"] = "x,density\n" + "\n".join(
         f"{repr(float(x))},{repr(float(d))}" for x, d in xs_dens) + "\n"
     res.checks.append(Check("w1_first", w1_vals[0], o["threshold.w1_first"]))
@@ -449,13 +451,16 @@ def _run_thm4_2(o: Dict[str, object], seed: int) -> ScenarioResult:
 # ---------------------------------------------------------------------
 
 
-def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[Callable[[int], float]] = None,
+def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[IndexFn] = None,
                         bound_extra: float = 0.0) -> JacobiParams:
+    """The periodic J0 as unbounded Jacobi parameters, with the
+    index-array function ``db`` (default 0) added to its b_n."""
     dev = J0.deviation_bound + bound_extra
+    a, b = np.array(J0.a), np.array(J0.b)
     shift = db if db is not None else (lambda n: 0.0)
     return JacobiParams.from_functions(
-        lambda n: J0.a[(n - 1) % J0.p],
-        lambda n: J0.b[(n - 1) % J0.p] + shift(n),
+        lambda n: a[(n - 1) % J0.p],
+        lambda n: b[(n - 1) % J0.p] + shift(n),
         bound=dev)
 
 
@@ -497,7 +502,7 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res.checks.append(Check("type3_structure", upper, 1e-12))
 
     site, eps = o["defect.site"], o["defect.size"]
-    Jdef = _periodic_as_params(J0, lambda n: eps if n == site else 0.0,
+    Jdef = _periodic_as_params(J0, lambda n: np.where(n == site, eps, 0.0),
                                bound_extra=eps)
     blocks_d = P.delta_of_J(J0, Jdef, K)
     lo_blk = max(0, (site - 1 - p) // p - 1)
@@ -596,7 +601,7 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     amp, power, bump = o["decay.amp"], o["decay.power"], o["bumps.amp"]
     Jd = _periodic_as_params(J0, lambda n: amp / n ** power, bound_extra=amp)
     Jb = _periodic_as_params(
-        J0, lambda n: bump if (n > 1 and _is_pow2(n)) else 0.0,
+        J0, lambda n: np.where((n > 1) & _is_pow2(n), bump, 0.0),
         bound_extra=bump)
     for name, J, label in (("decaying_shift", Jd, "cn_torus_decay"),
                            ("sparse_shift", Jb, "cn_torus_bumps")):

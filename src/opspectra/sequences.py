@@ -9,10 +9,12 @@ Three families of coefficient data appear throughout the toolkit:
 * block Jacobi parameters ``{A_j, B_j}`` of square complex blocks with
   ``A_j`` nonsingular and ``B_j`` Hermitian.
 
-Sequences are either finite arrays or pure index->value generators with
-a declared deviation bound; every downstream statistic asks for an
-explicit window length, so generator-backed sequences are never
-materialized beyond the largest window requested.
+Sequences are either finite arrays or unbounded ones given by index-array
+functions: called on an integer array of indices, such a function returns
+the values there (a scalar is broadcast).  Unbounded Jacobi parameters
+carry a declared deviation bound.  Every downstream statistic asks for an
+explicit window length, so an unbounded sequence is never materialized
+beyond the largest window requested.  Every window is read-only.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
+
+#: an index-array function: integer indices -> values there, or a scalar
+IndexFn = Callable[[np.ndarray], object]
 
 
 class NonPositiveA(ValueError):
@@ -53,44 +58,83 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Store:
+    """The values of one coefficient sequence from index ``first`` on, as
+    a frozen array.  An unbounded sequence also keeps ``extend``, an
+    index-array function called on the next indices; the array grows by
+    doubling.  ``check(values, index)``, with ``index`` that of
+    ``values[0]``, vets the initial values and every extension."""
+
+    def __init__(self, values: np.ndarray, first: int,
+                 extend: Optional[IndexFn] = None,
+                 check: Optional[Callable[[np.ndarray, int], None]] = None):
+        if check is not None:
+            check(values, first)
+        self.values = _freeze(np.array(values))
+        self.first = first
+        self.extend = extend
+        self.check = check
+
+    def __len__(self) -> int:
+        if self.extend is not None:
+            raise TypeError("generator-backed sequence has no length")
+        return len(self.values)
+
+    def head(self, n: int) -> np.ndarray:
+        """The first n values, or all of a shorter finite sequence."""
+        have = len(self.values)
+        if n > have and self.extend is not None:
+            idx = np.arange(self.first + have, self.first + max(n, 2 * have, 64))
+            new = np.broadcast_to(
+                np.asarray(self.extend(idx), dtype=self.values.dtype), idx.shape)
+            if self.check is not None:
+                self.check(new, self.first + have)
+            self.values = _freeze(np.concatenate([self.values, new]))
+        return self.values[:n]
+
+    def window(self, n: int, name: str) -> np.ndarray:
+        """Exactly the first n values; ValueError past a finite end."""
+        if n < 0:
+            raise ValueError("window length must be >= 0")
+        out = self.head(n)
+        if len(out) < n:
+            raise ValueError(f"requested {name}_{self.first}..{name}_"
+                             f"{self.first + n - 1}, have {len(out)}")
+        return out
+
+
 class JacobiParams:
     """Jacobi parameters a_1, a_2, ... (> 0) and b_1, b_2, ...
 
-    Backed either by finite arrays or by index functions ``a_fn(n)``,
-    ``b_fn(n)`` (n >= 1) with a declared deviation bound.  Windows are
-    cached so repeated statistics over a ladder of N's stay cheap.
+    Backed either by finite arrays or by index-array functions of n >= 1
+    with a declared deviation bound.  Generated values are kept, so
+    repeated statistics over a ladder of N's stay cheap.
     """
 
     def __init__(self, a, b, bound: Optional[float] = None):
-        a = _freeze(np.asarray(a, dtype=float))
-        b = _freeze(np.asarray(b, dtype=float))
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
         if a.ndim != 1 or b.ndim != 1:
             raise ValueError("a and b must be one-dimensional")
         if len(b) == 0:
             raise ValueError("empty coefficient sequences")
         if len(a) not in (len(b), len(b) - 1):
             raise ValueError("need len(a) == len(b) or len(b) - 1")
-        self._a = a
-        self._b = b
-        self._a_fn = None
-        self._b_fn = None
+        self._a = _Store(a, 1)
+        self._b = _Store(b, 1)
         self.declared_bound = bound
 
     @classmethod
-    def from_functions(cls, a_fn: Callable[[int], float],
-                       b_fn: Callable[[int], float],
+    def from_functions(cls, a_fn: IndexFn, b_fn: IndexFn,
                        bound: float) -> "JacobiParams":
-        """Unbounded sequence from 1-based index functions with a declared
+        """Unbounded sequence from index-array functions: each is called
+        on an integer array of 1-based indices n and returns a_n (b_n)
+        there, or one scalar for all of them.  ``bound`` is a declared
         bound on |a_n - 1| + |b_n|."""
         self = cls.__new__(cls)
-        self._a = None
-        self._b = None
-        self._a_fn = a_fn
-        self._b_fn = b_fn
+        self._a = _Store(np.empty(0), 1, a_fn)
+        self._b = _Store(np.empty(0), 1, b_fn)
         self.declared_bound = float(bound)
-        self._cache_n = 0
-        self._cache_a = np.empty(0)
-        self._cache_b = np.empty(0)
         return self
 
     @classmethod
@@ -102,61 +146,30 @@ class JacobiParams:
 
     @property
     def is_finite(self) -> bool:
-        return self._a_fn is None
+        return self._b.extend is None
 
     def __len__(self) -> int:
-        if not self.is_finite:
-            raise TypeError("generator-backed sequence has no length")
+        """The number of sites N (b_1..b_N) of a finite sequence."""
         return len(self._b)
 
-    def available(self, want_a: int, want_b: int) -> bool:
-        if not self.is_finite:
-            return True
-        return len(self._a) >= want_a and len(self._b) >= want_b
-
-    def _fill_cache(self, n: int) -> None:
-        if n <= self._cache_n:
-            return
-        m = max(n, 2 * self._cache_n, 64)
-        ks = range(self._cache_n + 1, m + 1)
-        new_a = np.array([self._a_fn(k) for k in ks], dtype=float)
-        new_b = np.array([self._b_fn(k) for k in ks], dtype=float)
-        self._cache_a = np.concatenate([self._cache_a, new_a])
-        self._cache_b = np.concatenate([self._cache_b, new_b])
-        self._cache_n = m
-
     def a_window(self, n: int) -> np.ndarray:
-        """a_1..a_n as an array."""
-        if n < 0:
-            raise ValueError("window length must be >= 0")
-        if self.is_finite:
-            if n > len(self._a):
-                raise ValueError(f"requested a_1..a_{n}, have {len(self._a)}")
-            return self._a[:n]
-        self._fill_cache(n)
-        return self._cache_a[:n]
+        """a_1..a_n as a read-only array."""
+        return self._a.window(n, "a")
 
     def b_window(self, n: int) -> np.ndarray:
-        """b_1..b_n as an array."""
-        if n < 0:
-            raise ValueError("window length must be >= 0")
-        if self.is_finite:
-            if n > len(self._b):
-                raise ValueError(f"requested b_1..b_{n}, have {len(self._b)}")
-            return self._b[:n]
-        self._fill_cache(n)
-        return self._cache_b[:n]
+        """b_1..b_n as a read-only array."""
+        return self._b.window(n, "b")
 
     def to_csv(self) -> str:
-        """CSV with header ``n,a,b``; a blank a-field when a_N is absent."""
-        if not self.is_finite:
-            raise TypeError("serialize a finite window, not a generator")
+        """CSV with header ``n,a,b``; a blank a-field when a_N is absent.
+        TypeError for a generator-backed sequence."""
+        a, b = self._a.values, self._b.values
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["n", "a", "b"])
-        for i in range(len(self._b)):
-            a_val = repr(float(self._a[i])) if i < len(self._a) else ""
-            w.writerow([i + 1, a_val, repr(float(self._b[i]))])
+        for i in range(len(self)):
+            a_val = repr(float(a[i])) if i < len(a) else ""
+            w.writerow([i + 1, a_val, repr(float(b[i]))])
         return buf.getvalue()
 
     @classmethod
@@ -169,28 +182,33 @@ class JacobiParams:
         return cls(np.array(a), np.array(b))
 
 
-def validate_jacobi(params: JacobiParams, bound: Optional[float] = None,
-                    probe: int = 1024) -> JacobiParams:
+def _site_deviations(params: JacobiParams, n: int) -> np.ndarray:
+    """|a_k - 1| + |b_k| for k = 1..n; just |b_N| where a finite a stops
+    at N - 1."""
+    a = params._a.head(n)
+    dev = np.abs(params.b_window(n))
+    dev[: len(a)] += np.abs(a - 1.0)
+    return dev
+
+
+def validate_jacobi(params: JacobiParams,
+                    bound: Optional[float] = None) -> JacobiParams:
     """Check positivity of the a's and (optionally) a deviation bound.
 
     Finite sequences are checked in full; generator-backed ones over the
-    first ``probe`` indices.  On success the checked params are returned
+    first 1024 indices.  On success the checked params are returned
     and ``params.sup_deviation_checked`` records the windowed sup of
     |a_n - 1| + |b_n|.
     """
-    n = probe if not params.is_finite else len(params._a)
-    a = params.a_window(n)
-    b = params.b_window(min(n + 1, probe) if not params.is_finite else len(params._b))
-    bad = np.nonzero(a <= 0.0)[0]
-    if len(bad):
-        i = int(bad[0])
+    n = len(params) if params.is_finite else 1024
+    a = params._a.head(n)
+    if np.any(a <= 0.0):
+        i = int(np.argmax(a <= 0.0))
         raise NonPositiveA(i + 1, float(a[i]))
-    dev = np.abs(a - 1.0) + np.abs(b[: len(a)])
-    extra = np.abs(b[len(a):])  # b_N when a stops at N-1
-    sup = float(max(dev.max(initial=0.0), extra.max(initial=0.0)))
+    dev = _site_deviations(params, n)
+    sup = float(dev.max())
     if bound is not None and sup > bound:
-        idx = int(np.argmax(dev)) + 1
-        raise UnboundedDeviation(idx, sup, bound)
+        raise UnboundedDeviation(int(np.argmax(dev)) + 1, sup, bound)
     params.sup_deviation_checked = sup
     return params
 
@@ -202,15 +220,7 @@ def sup_deviation(params: JacobiParams, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    a = params.a_window(n) if params.available(n, n) or not params.is_finite \
-        else params.a_window(len(params._a))
-    b = params.b_window(n)
-    m = min(len(a), n)
-    dev = np.abs(a[:m] - 1.0) + np.abs(b[:m])
-    sup = float(dev.max(initial=0.0))
-    if m < n:  # trailing b-sites with no paired a (finite a of length N-1)
-        sup = max(sup, float(np.abs(b[m:n]).max(initial=0.0)))
-    return sup
+    return float(_site_deviations(params, n).max())
 
 
 def rayleigh_cesaro(params: JacobiParams, n: int) -> float:
@@ -227,6 +237,13 @@ def rayleigh_cesaro(params: JacobiParams, n: int) -> float:
     return (math.fsum(b) + 2.0 * math.fsum(a)) / n
 
 
+def _check_alpha(alpha: np.ndarray, first: int) -> None:
+    mod = np.abs(alpha)
+    if np.any(mod >= 1.0):
+        j = int(np.argmax(mod >= 1.0))
+        raise ValueError(f"|alpha_{first + j}| = {mod[j]} must be < 1")
+
+
 class VerblunskyParams:
     """Verblunsky coefficients alpha_0, alpha_1, ... with |alpha_j| < 1.
 
@@ -237,63 +254,38 @@ class VerblunskyParams:
         alpha = np.asarray(alpha, dtype=complex)
         if alpha.ndim != 1:
             raise ValueError("alpha must be one-dimensional")
-        mod = np.abs(alpha)
-        if np.any(mod >= 1.0):
-            j = int(np.nonzero(mod >= 1.0)[0][0])
-            raise ValueError(f"|alpha_{j}| = {mod[j]} must be < 1")
-        self._alpha = _freeze(alpha)
-        self._alpha_fn = None
+        self._alpha = _Store(alpha, 0, check=_check_alpha)
 
     @classmethod
-    def from_function(cls, alpha_fn: Callable[[int], complex]) -> "VerblunskyParams":
-        """Unbounded sequence from a 0-based index function."""
+    def from_function(cls, alpha_fn: IndexFn) -> "VerblunskyParams":
+        """Unbounded sequence from an index-array function: called on an
+        integer array of 0-based indices j, it returns alpha_j there, or
+        one scalar for all of them.  Each new value is checked for
+        |alpha_j| < 1."""
         self = cls.__new__(cls)
-        self._alpha = None
-        self._alpha_fn = alpha_fn
-        self._cache_n = 0
-        self._cache = np.empty(0, dtype=complex)
+        self._alpha = _Store(np.empty(0, dtype=complex), 0, alpha_fn,
+                             _check_alpha)
         return self
 
-    @property
-    def is_finite(self) -> bool:
-        return self._alpha_fn is None
-
     def __len__(self) -> int:
-        if not self.is_finite:
-            raise TypeError("generator-backed sequence has no length")
         return len(self._alpha)
 
     def alpha_window(self, n: int) -> np.ndarray:
-        """alpha_0..alpha_{n-1}."""
-        if self.is_finite:
-            if n > len(self._alpha):
-                raise ValueError(f"requested {n} coefficients, have {len(self._alpha)}")
-            return self._alpha[:n]
-        if n > self._cache_n:
-            m = max(n, 2 * self._cache_n, 64)
-            new = np.array([self._alpha_fn(j) for j in range(self._cache_n, m)],
-                           dtype=complex)
-            mod = np.abs(new)
-            if np.any(mod >= 1.0):
-                j = self._cache_n + int(np.nonzero(mod >= 1.0)[0][0])
-                raise ValueError(f"|alpha_{j}| >= 1 from generator")
-            self._cache = np.concatenate([self._cache, new])
-            self._cache_n = m
-        return self._cache[:n]
+        """alpha_0..alpha_{n-1} as a read-only array."""
+        return self._alpha.window(n, "alpha")
 
     def rho_window(self, n: int) -> np.ndarray:
-        """rho_0..rho_{n-1} with rho_j^2 + |alpha_j|^2 = 1."""
+        """rho_0..rho_{n-1} with rho_j^2 + |alpha_j|^2 = 1, read-only."""
         a = self.alpha_window(n)
-        return np.sqrt(1.0 - np.abs(a) ** 2)
+        return _freeze(np.sqrt(1.0 - np.abs(a) ** 2))
 
     def to_csv(self) -> str:
-        """CSV with header ``j,re_alpha,im_alpha``, j from 0."""
-        if not self.is_finite:
-            raise TypeError("serialize a finite window, not a generator")
+        """CSV with header ``j,re_alpha,im_alpha``, j from 0.  TypeError
+        for a generator-backed sequence."""
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["j", "re_alpha", "im_alpha"])
-        for j, al in enumerate(self._alpha):
+        for j, al in enumerate(self.alpha_window(len(self))):
             w.writerow([j, repr(float(al.real)), repr(float(al.imag))])
         return buf.getvalue()
 
@@ -380,17 +372,15 @@ class BlockJacobiParams:
         return cls(block_size=ell, A=a, B=b, type_tag=type_tag)
 
 
-def validate_blocks(params: BlockJacobiParams,
-                    singular_rtol: float = 1e-12,
-                    hermitian_tol: float = 1e-12,
-                    type_tol: float = 1e-10) -> BlockJacobiParams:
+def validate_blocks(params: BlockJacobiParams) -> BlockJacobiParams:
     """Check block shapes, nonsingularity of the A's, Hermiticity of the
     B's, and the declared type tag.
 
-    The nonsingularity threshold is ``singular_rtol`` times the spectral
-    norm of the block (configurable; the theory only demands
-    nonsingular).
+    The nonsingularity threshold is 1e-12 times the spectral norm of the
+    block (the theory only demands nonsingular); Hermiticity is checked
+    to 1e-12 and the type structure to 1e-10, relative to the block.
     """
+    singular_rtol, hermitian_tol, type_tol = 1e-12, 1e-12, 1e-10
     ell = params.block_size
     if len(params.A) not in (len(params.B), len(params.B) - 1):
         raise ValueError("need len(A) == len(B) or len(B) - 1")

@@ -216,7 +216,7 @@ def test_ac10_block_map_of_the_periodic_generator():
 
     site, eps = 21, 0.3
     Jdef = scenarios._periodic_as_params(
-        J0, db=lambda n: eps if n == site else 0.0, bound_extra=eps)
+        J0, db=lambda n: np.where(n == site, eps, 0.0), bound_extra=eps)
     defect = delta_of_J(J0, Jdef, K)
     lo_blk, hi_blk = (site - 3) // 2 - 1, (site + 1) // 2 + 1
     far = near = 0.0

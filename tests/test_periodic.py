@@ -109,16 +109,17 @@ def _periodic_params(J0, db=None, bound_extra=0.0):
     dev = max(abs(x - 1.0) for x in J0.a) + max(abs(x) for x in J0.b) \
         + bound_extra
     shift = db if db is not None else (lambda n: 0.0)
+    a, b = np.array(J0.a), np.array(J0.b)
     return JacobiParams.from_functions(
-        lambda n: J0.a[(n - 1) % J0.p],
-        lambda n: J0.b[(n - 1) % J0.p] + shift(n), bound=dev)
+        lambda n: a[(n - 1) % J0.p],
+        lambda n: b[(n - 1) % J0.p] + shift(n), bound=dev)
 
 
 def test_block_map_matches_dense_matrix_polynomial():
     J0 = PeriodicJacobi((1.2, 0.8), (0.1, -0.3))
     disc = discriminant(J0)
     K = 6
-    J = _periodic_params(J0, lambda n: 0.05 * math.sin(1.3 * n),
+    J = _periodic_params(J0, lambda n: 0.05 * np.sin(1.3 * n),
                          bound_extra=0.05)
     blocks = delta_of_J(J0, J, K)
     p = J0.p

@@ -172,7 +172,7 @@ def test_type_form_requires_a_typed_representative():
 def test_exponential_distance_basics():
     J0 = JacobiParams.free()
     J1 = JacobiParams.from_functions(lambda n: 1.0,
-                                     lambda n: 0.5 if n == 3 else 0.0,
+                                     lambda n: np.where(n == 3, 0.5, 0.0),
                                      bound=0.5)
     assert d_m(J0, J0, 5) == 0.0
     assert d_m(J0, J1, 1) == pytest.approx(0.5 * math.exp(-2.0), abs=1e-15)
@@ -184,7 +184,7 @@ def test_exponential_distance_basics():
 def test_exponential_distance_truncation_is_stable():
     # doubling the truncated tail changes nothing at 1e-12
     J = JacobiParams.from_functions(lambda n: 1.0 + 0.3 / n,
-                                    lambda n: 0.2 * math.cos(n), bound=0.7)
+                                    lambda n: 0.2 * np.cos(n), bound=0.7)
     Jt = JacobiParams.free()
     m = 2
     d = d_m(J, Jt, m)
@@ -200,8 +200,9 @@ def test_exponential_distance_truncation_is_stable():
 def test_torus_average_vanishes_on_the_generator():
     J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
     disc = discriminant(J0)
-    J = JacobiParams.from_functions(lambda n: J0.a[(n - 1) % 2],
-                                    lambda n: J0.b[(n - 1) % 2], bound=1.0)
+    J = JacobiParams.from_functions(lambda n: np.array(J0.a)[(n - 1) % 2],
+                                    lambda n: np.array(J0.b)[(n - 1) % 2],
+                                    bound=1.0)
     s = cn_stat_torus(J, disc, (8, 32), grid_points=32)
     assert max(s.values) < 1e-6
 
@@ -212,7 +213,7 @@ def test_block_map_root_test_approaches_one():
     # decaying perturbation of the generator
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
     J = JacobiParams.from_functions(
-        lambda n: J0.a[(n - 1) % 2],
+        lambda n: np.array(J0.a)[(n - 1) % 2],
         lambda n: 0.4 / n, bound=1.0)
     blocks = delta_of_J(J0, J, 512)
     rt = root_test(blocks, (64, 256, 512))

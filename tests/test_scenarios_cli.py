@@ -230,6 +230,29 @@ def test_cli_unusable_input_exits_2_with_one_error_line(
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_unwritable_outdir_exits_2_with_one_error_line(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    (tmp_path / "file").write_text("")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"scenario = thm4_1\noutdir = {tmp_path / 'file' / 'out'}\n")
+    assert cli.main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_legendre_ladder_past_200_coefficients_runs(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"scenario = thm1_1\noutdir = {tmp_path / 'out'}\n"
+                   "legendre.Ns = 4,200\n")
+    assert cli.main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("sid", ALL_IDS)
 def test_default_config_lists_every_option_and_reruns_the_default(
         sid, tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from opspectra.sequences import (BlockJacobiParams, JacobiParams,
                                  UnitaryChain, VerblunskyParams, WrongType,
                                  rayleigh_cesaro, sup_deviation,
                                  validate_blocks, validate_jacobi)
+from opspectra.scenarios import sparse_bump_jacobi, sparse_bump_verblunsky
 
 
 def test_finite_jacobi_windows_are_one_indexed():
@@ -38,6 +39,48 @@ def test_free_case_has_unit_a_zero_b():
     assert np.all(J.a_window(50) == 1.0)
     assert np.all(J.b_window(50) == 0.0)
     assert sup_deviation(J, 50) == 0.0
+
+
+def test_every_window_is_read_only():
+    # a write into a generated window must not reach the stored values
+    J = JacobiParams.free()
+    V = VerblunskyParams.from_function(lambda j: 0.25)
+    windows = [J.a_window(10), J.b_window(10), V.alpha_window(10),
+               V.rho_window(10), JacobiParams([1.0], [0.0, 0.0]).a_window(1),
+               VerblunskyParams([0.5]).alpha_window(1)]
+    for w in windows:
+        with pytest.raises(ValueError):
+            w[0] = 5.0
+    assert J.a_window(3)[0] == 1.0
+    assert V.alpha_window(3)[0] == 0.25
+
+
+def test_sparse_bump_jacobi_bumps_exactly_at_powers_of_two_above_one():
+    n_sites = 2 ** 12
+    a = sparse_bump_jacobi(0.5).a_window(n_sites)
+    b = sparse_bump_jacobi(0.5).b_window(n_sites)
+    bumps = [2 ** k for k in range(1, 13)]  # n = 2, 4, ..., 4096
+    expected = np.ones(n_sites)
+    expected[np.array(bumps) - 1] = 0.5
+    assert np.array_equal(a, expected)
+    assert a[0] == 1.0  # n = 1 is a power of two but carries no bump
+    assert np.array_equal(b, np.zeros(n_sites))
+
+
+def test_sparse_bump_verblunsky_bumps_exactly_at_powers_of_two():
+    n_sites = 2 ** 12
+    alpha = sparse_bump_verblunsky(0.5).alpha_window(n_sites)
+    expected = np.zeros(n_sites, dtype=complex)
+    expected[[2 ** k for k in range(12)]] = 0.5  # j = 1, 2, 4, ..., 2048
+    assert np.array_equal(alpha, expected)
+    assert alpha[0] == 0.0
+
+
+def test_verblunsky_generator_leaving_the_disc_names_the_index():
+    V = VerblunskyParams.from_function(lambda j: np.where(j >= 100, 1.0, 0.5))
+    assert np.all(V.alpha_window(50) == 0.5)  # stores j = 0..63
+    with pytest.raises(ValueError, match=r"alpha_100\b"):
+        V.alpha_window(200)
 
 
 def test_jacobi_csv_round_trip():
