@@ -16,9 +16,7 @@ trigonometric moments and the monic recursion in coefficient space.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -221,23 +219,6 @@ class DiscreteMeasure:
         vals = self.weights * np.exp(-1j * k * self.nodes)
         return complex(math.fsum(vals.real.tolist()),
                        math.fsum(vals.imag.tolist()))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["node", "weight"])
-        for x, m in zip(self.nodes, self.weights):
-            w.writerow([repr(float(x)), repr(float(m))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, domain: str = "line") -> "DiscreteMeasure":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["node", "weight"]:
-            raise ValueError("expected header node,weight")
-        n = np.array([float(r[0]) for r in rows[1:]])
-        w = np.array([float(r[1]) for r in rows[1:]])
-        return cls(n, w, domain)
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,9 +16,11 @@ places one Dirichlet point in gap j and picks its sheet, and an
 explicit map (p - 1 Stieltjes steps plus the top coefficients of the
 discriminant) turns those data into the generator (Teschl, *Jacobi
 Operators and Completely Integrable Nonlinear Lattices*, ch. 7-8).
-Distance from a coefficient sequence to the torus is a minimum over a
-grid of angles refined by a pattern search along the axes and the
-diagonals.
+The same map run backward reads the angles off any one-period window.
+Distance from a coefficient sequence to the torus starts from the best
+of a fixed coarse grid of angles and the inverse-map angles of the
+sequence's own windows, then refines it by a pattern search along the
+axes and the diagonals.
 """
 
 from __future__ import annotations
@@ -87,28 +89,17 @@ class PeriodicJacobi:
 class Discriminant:
     """Degree-p polynomial (ascending coefficients) with positive leading
     coefficient equal to the reciprocal off-diagonal product of its
-    generator.
-
-    ``t21`` and ``t22`` carry the lower row of the transfer product
-    (degrees p - 1 and p - 2): the roots of ``t21`` are the generator's
-    one-per-gap Dirichlet points and the sign of T_11 - T_22 there is
-    its sheet, which anchors theta = 0 of the torus map at the
     generator.  ``source`` remembers the generator when the
-    discriminant was built from one.
+    discriminant was built from one; it anchors theta = 0 of the torus
+    map.
     """
 
     coeffs: np.ndarray
-    t21: Optional[np.ndarray] = None
     source: Optional[PeriodicJacobi] = None
-    t22: Optional[np.ndarray] = None
 
     def __post_init__(self):
         c = _freeze(np.asarray(self.coeffs, dtype=float))
         object.__setattr__(self, "coeffs", c)
-        for name in ("t21", "t22"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _freeze(
-                    np.asarray(getattr(self, name), dtype=float)))
         if len(c) < 2 or c[-1] <= 0.0:
             raise ValueError("discriminant needs degree >= 1 and a positive "
                              "leading coefficient")
@@ -139,16 +130,6 @@ class Discriminant:
         lines = ["k,coeff"]
         lines += [f"{k},{repr(float(v))}" for k, v in enumerate(self.coeffs)]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Discriminant":
-        rows = [r.split(",") for r in text.strip().splitlines()]
-        if rows[0] != ["k", "coeff"]:
-            raise ValueError("expected header k,coeff")
-        coeffs = np.zeros(len(rows) - 1)
-        for k, v in rows[1:]:
-            coeffs[int(k)] = float(v)
-        return cls(coeffs)
 
 
 def _poly_mat_mul(x, y):
@@ -187,11 +168,7 @@ def discriminant(J0: PeriodicJacobi) -> Discriminant:
         lead /= x
     if abs(coeffs[-1] - lead) > 1e-12 * lead:
         raise ArithmeticError("transfer product lost the leading coefficient")
-    t21 = np.zeros(p)
-    t21[: len(T[1][0])] = T[1][0]
-    t22 = np.zeros(max(p - 1, 1))
-    t22[: len(T[1][1])] = T[1][1]
-    return Discriminant(coeffs, t21=t21, t22=t22, source=J0)
+    return Discriminant(coeffs, source=J0)
 
 
 def bands(disc: Discriminant) -> FiniteGapSet:
@@ -451,7 +428,7 @@ class TorusPoint:
 
 class _DirichletMap:
     """Explicit map from angles to the generators sharing dref's
-    discriminant, through Dirichlet data.
+    discriminant, through Dirichlet data, and its inverse.
 
     Angle j puts the Dirichlet point mu_j = m_j + h_j cos(theta_j) in gap
     j (midpoint m_j, half-width h_j) on the sheet sigma_j =
@@ -464,8 +441,8 @@ class _DirichletMap:
     is -a_p^2 / prod(a), and the top two coefficients of D fix prod(a)
     and sum(b), which gives a_p, a_{p-1} and b_p.
 
-    The angles are shifted so that theta = 0 is the source generator when
-    dref carries its T_21 and T_22.
+    The angles are shifted so that theta = 0 is dref's source generator
+    when it has one.
     """
 
     def __init__(self, dref: Discriminant):
@@ -484,11 +461,39 @@ class _DirichletMap:
         hi = np.array([band[0] for band in fgs.bands[1:]])
         self.mid = 0.5 * (lo + hi)
         self.half = 0.5 * (hi - lo)
-        if dref.t21 is not None and dref.t22 is not None:
-            mu = np.sort(npp.polyroots(dref.t21).real)
-            split = dref.value(mu) - 2.0 * npp.polyval(mu, dref.t22)
-            cos = np.clip((mu - self.mid) / self.half, -1.0, 1.0)
-            self.shift = np.where(split >= 0.0, 1.0, -1.0) * np.arccos(cos)
+        if dref.source is not None:
+            src = dref.source
+            self.shift = self.angles(np.array([src.a]), np.array([src.b]))[0]
+
+    def angles(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Angles, an (n, p - 1) array, of the one-period windows (a, b),
+        each of shape (n, p) and in period phase: the inverse of the map
+        on the family.  The map's steps run backward: the mu_j and the
+        first eigenvector components v_j of the (p - 1)-site truncation
+        give T_22(mu_j) = -(a_p^2 / prod(a)) v_j^2 prod_{k != j}(mu_j -
+        mu_k), the sheet is + exactly when (|T_22| <= 1) == (D(mu_j) >=
+        0), and theta_j = +-arccos((mu_j - m_j) / h_j) minus the shift.
+
+        A window off the family gets the member with its Dirichlet
+        points (each clipped into its gap) and its sheets.  Near a gap
+        edge the angle is ill-conditioned in mu_j: an error e in mu_j
+        moves theta_j by about e / (h_j |sin theta_j|)."""
+        p = self.p
+        if p == 1:
+            return np.zeros((len(a), 0))
+        j = np.arange(p - 1)
+        trunc = np.zeros((len(a), p - 1, p - 1))
+        trunc[:, j, j] = b[:, :p - 1]
+        trunc[:, j[1:], j[:-1]] = a[:, :p - 2]
+        mu, vec = np.linalg.eigh(trunc)
+        diffs = mu[:, :, None] - mu[:, None, :]
+        diffs[:, j, j] = 1.0
+        scale = a[:, p - 1] ** 2 / np.prod(a, axis=1)
+        t22 = -scale[:, None] * vec[:, 0, :] ** 2 * np.prod(diffs, axis=2)
+        D = npp.polyval(mu, self.coeffs)
+        sheet = np.where((np.abs(t22) <= 1.0) == (D >= 0.0), 1.0, -1.0)
+        cos = np.clip((mu - self.mid) / self.half, -1.0, 1.0)
+        return sheet * np.arccos(cos) - self.shift
 
     def __call__(self, theta: np.ndarray):
         """Patterns (a, b), each of shape (n, p), at an (n, p - 1) array
@@ -547,6 +552,11 @@ def torus_point(dref: Discriminant, theta) -> TorusPoint:
 
 # -- distance to the torus ---------------------------------------------
 
+#: grid starts per torus coordinate, and the step that ends the search
+_GRID_POINTS = 8
+_FINAL_STEP = 1e-7
+
+
 def dm_weights(bound: float) -> np.ndarray:
     """Geometric weights e^{-k}, k = 0..K, with K chosen so the dropped
     tail of a series with terms bounded by ``bound`` stays below 1e-15."""
@@ -562,20 +572,21 @@ def _deviation_bound(J: JacobiParams, probe: int) -> float:
     return sup_deviation(J, min(probe, len(J)))
 
 
-def d_to_torus(J: JacobiParams, m: int, dref: Discriminant,
-               grid_points: int = 64, refine_step: float = 1e-7) -> float:
+def d_to_torus(J: JacobiParams, m: int, dref: Discriminant) -> float:
     """Distance at offset m from J to the isospectral family of dref:
     the exponentially weighted coefficient distance minimized over the
-    family.  Minimum over the grid of grid_points^{p-1} angles of the
-    Dirichlet-data map, refined by a pattern search: from the best grid
-    sample, try a step along every direction in {-1, 0, 1}^{p-1} (the
-    axes and the diagonals; the objective has kinks that stall pure
-    axis moves), keep any improvement, and halve the step when none
-    helps, from the grid spacing down to ``refine_step``.  The result is
-    an upper bound on the true infimum and no worse than the best grid
-    sample; it can stop in a local minimum."""
-    return float(d_to_torus_batch(J, np.array([m]), dref, grid_points,
-                                  refine_step)[0])
+    family.  The search starts from the best of two kinds of starts: a
+    fixed grid of 8 angles per coordinate, and the inverse-map angles
+    of J's p one-period windows from site m on.  A pattern search then
+    refines it: try a step along every direction in {-1, 0, 1}^{p-1}
+    (the axes and the diagonals; the objective has kinks that stall
+    pure axis moves), keep any improvement, and halve the step when
+    none helps, from the grid spacing down to 1e-7.  The result is an
+    upper bound on the true infimum and no worse than the best start;
+    it can stop in a local minimum.  On the family it is exact up to
+    rounding, since a window of a family member maps back to its own
+    angles."""
+    return float(d_to_torus_batch(J, np.array([m]), dref)[0])
 
 
 def _aligned_windows(J: JacobiParams, ms: np.ndarray, w: np.ndarray, p: int):
@@ -609,13 +620,29 @@ def _weighted_dist(A, B, W, a, b, work) -> np.ndarray:
     return np.einsum("ij,ij->i", W, np.add(x, y, out=x))
 
 
-def d_to_torus_batch(J: JacobiParams, ms: np.ndarray, dref: Discriminant,
-                     grid_points: int = 64,
-                     refine_step: float = 1e-7) -> np.ndarray:
+def _window_starts(family: _DirichletMap, A, B, ms: np.ndarray):
+    """Inverse-map angles of the p one-period windows at sites m + s ..
+    m + s + p - 1, s = 0..p - 1, of each aligned row, read into period
+    phase; none at p = 1."""
+    p = family.p
+    if p == 1:
+        return
+    r = (ms - 1) % p
+    q = np.arange(p)
+    for s in range(p):
+        c = (r + s)[:, None]
+        cols = c + (q - c) % p
+        yield family.angles(np.take_along_axis(A, cols, axis=1),
+                            np.take_along_axis(B, cols, axis=1))
+
+
+def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
+                     dref: Discriminant) -> np.ndarray:
     """Vectorized d_to_torus over a set of offsets (see d_to_torus).
 
-    The grid goes through the map once; each grid generator is compared
-    with every offset at once, and the refinement moves all offsets
+    The grid goes through the map once and each grid generator is
+    compared with every offset at once; each offset's window starts
+    are compared with its own row, and the refinement moves all offsets
     together.
     """
     ms = np.asarray(ms, dtype=int)
@@ -631,24 +658,29 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray, dref: Discriminant,
     A, B, W = _aligned_windows(J, ms, dm_weights(bound), p)
     work = np.empty((2,) + A.shape)
 
-    span = 2.0 * math.pi / grid_points
-    pts = list(itertools.product(range(grid_points), repeat=p - 1))
+    span = 2.0 * math.pi / _GRID_POINTS
+    pts = list(itertools.product(range(_GRID_POINTS), repeat=p - 1))
     grid = span * np.array(pts, dtype=float).reshape(len(pts), p - 1)
     ga, gb = family(grid)
     best = np.full(len(ms), np.inf)
-    best_g = np.zeros(len(ms), dtype=int)
+    theta = np.zeros((len(ms), p - 1))
     for g in range(len(grid)):
         vals = _weighted_dist(A, B, W, ga[g], gb[g], work)
         better = vals < best
-        best = np.where(better, vals, best)
-        best_g = np.where(better, g, best_g)
+        best[better] = vals[better]
+        theta[better] = grid[g]
+    for start in _window_starts(family, A, B, ms):
+        vals = _weighted_dist(A, B, W, *family(start), work)
+        better = vals < best
+        best[better] = vals[better]
+        theta[better] = start[better]
 
     moves = [np.array(d, dtype=float) for d in
              itertools.product((-1, 0, 1), repeat=p - 1) if any(d)]
-    theta, step = grid[best_g], np.full(len(ms), span)
+    step = np.full(len(ms), span)
     live = np.arange(len(ms))
     while True:
-        keep = step > refine_step
+        keep = step > _FINAL_STEP
         if not keep.all():
             live, theta, step, A, B, W = (x[keep] for x in
                                           (live, theta, step, A, B, W))

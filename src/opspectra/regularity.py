@@ -69,15 +69,6 @@ class StatSeries:
     def to_csv(self) -> str:
         return "\n".join(["label,N,value"] + self.csv_rows()) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "StatSeries":
-        rows = [r.split(",") for r in text.strip().splitlines()]
-        if rows[0] != ["label", "N", "value"]:
-            raise ValueError("expected header label,N,value")
-        label = rows[1][0] if len(rows) > 1 else ""
-        return cls(label, tuple(int(r[1]) for r in rows[1:]),
-                   tuple(float(r[2]) for r in rows[1:]))
-
 
 def _check_ladder(Ns) -> Tuple[int, ...]:
     Ns = tuple(int(n) for n in Ns)
@@ -331,19 +322,16 @@ def d_m(J: JacobiParams, Jt: JacobiParams, m: int) -> float:
 
 
 def cn_stat_torus(J: JacobiParams, torus, Ns=DEFAULT_LADDER,
-                  label: str = "cn_torus", grid_points: int = 64,
-                  refine_step: float = 1e-7) -> StatSeries:
+                  label: str = "cn_torus") -> StatSeries:
     """Cesaro average (1/N) sum_{m=1..N} of the distance from J at
     offset m to the isospectral family of the discriminant ``torus``.
 
     Every period is supported (all gaps open, GapClosed otherwise).  All
-    offsets up to the last window are searched in one vectorized batch
-    over the same grid of torus angles; see periodic.d_to_torus for the
-    search and its guarantees.
+    offsets up to the last window are searched in one vectorized batch;
+    see periodic.d_to_torus for the search, its starts and its
+    guarantees.
     """
     Ns = _check_ladder(Ns)
     n = Ns[-1]
-    ds = _periodic.d_to_torus_batch(J, np.arange(1, n + 1), torus,
-                                    grid_points=grid_points,
-                                    refine_step=refine_step)
+    ds = _periodic.d_to_torus_batch(J, np.arange(1, n + 1), torus)
     return StatSeries(label, Ns, _prefix_means(ds, Ns))

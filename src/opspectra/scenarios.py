@@ -112,9 +112,8 @@ def _pattern(text: str) -> P.PeriodicJacobi:
     return P.PeriodicJacobi(tuple(vals[:p]), tuple(vals[p:]))
 
 
-#: (parser of the config text, default config text or None if the runner
-#: picks it, one-line doc)
-Option = Tuple[Callable[[str], object], Optional[str], str]
+#: (parser of the config text, default config text, one-line doc)
+Option = Tuple[Callable[[str], object], str, str]
 
 _PATTERN: Option = (_pattern, "1,0.5,0,0", "generator a_1..a_p,b_1..b_p")
 
@@ -580,7 +579,7 @@ def _run_mnt(o: Dict[str, object], seed: int) -> ScenarioResult:
 
 @_scenario("conjecture5_1_explore", "finite-gap torus averages, exploratory", {
     "input.pattern": _PATTERN,
-    "Ns": (_ladder, None, "windows; unset, they follow the period"),
+    "Ns": (_ladder, "32,64,128,256,512", "windows"),
     "decay.amp": (_real, "0.5", "b_n shift amp / n^power"),
     "decay.power": (_real, "1.0", "its power"),
     "bumps.amp": (_real, "0.4", "b_n shift at n = 2, 4, 8, ..."),
@@ -592,11 +591,7 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     p = J0.p
     disc = P.discriminant(J0)
     res.extras["discriminant.csv"] = disc.to_csv()
-    if p == 2:
-        lad, grid_points, refine = (32, 64, 128, 256, 512), 64, 1e-7
-    else:
-        lad, grid_points, refine = (8, 16, 32), 12, 1e-3
-    lad = o["Ns"] or lad
+    lad = o["Ns"]
 
     amp, power, bump = o["decay.amp"], o["decay.power"], o["bumps.amp"]
     Jd = _periodic_as_params(J0, lambda n: amp / n ** power, bound_extra=amp)
@@ -605,9 +600,7 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
         bound_extra=bump)
     for name, J, label in (("decaying_shift", Jd, "cn_torus_decay"),
                            ("sparse_shift", Jb, "cn_torus_bumps")):
-        res.series.append(R.cn_stat_torus(J, disc, lad, label=label,
-                                          grid_points=grid_points,
-                                          refine_step=refine))
+        res.series.append(R.cn_stat_torus(J, disc, lad, label=label))
         res.jacobi_inputs.append((name, J, lad))
 
     rt = R.root_test(Jd, lad, label="root_decay")
@@ -657,7 +650,7 @@ def parse_options(scenario: str, raw: Dict[str, str]) -> Dict[str, object]:
     for key, (parse, default, _) in table.items():
         text = raw.get(key, default)
         try:
-            out[key] = None if text is None else parse(text)
+            out[key] = parse(text)
         except ValueError as exc:
             raise BadOption(f"{key}: {exc}") from None
     return out
@@ -670,8 +663,7 @@ def run(scenario: str, options: Dict[str, str], seed: int = 1) -> ScenarioResult
 
 def default_config(scenario: str) -> str:
     """Config text that reproduces the scenario's default run: every
-    option at its default, with its doc; an option whose default the
-    runner picks is commented out."""
+    option at its default, with its doc."""
     lines = [
         f"# {scenario}: {describe(scenario)}",
         f"scenario = {scenario}",
@@ -680,6 +672,5 @@ def default_config(scenario: str) -> str:
         "# outdir = ./out",
     ]
     for key, (_, default, doc) in _entry(scenario)[2].items():
-        line = f"{key} = {default}" if default is not None else f"# {key} ="
-        lines.append(f"{line}  # {doc}")
+        lines.append(f"{key} = {default}  # {doc}")
     return "\n".join(lines) + "\n"

@@ -19,8 +19,6 @@ beyond the largest window requested.  Every window is read-only.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -160,27 +158,6 @@ class JacobiParams:
         """b_1..b_n as a read-only array."""
         return self._b.window(n, "b")
 
-    def to_csv(self) -> str:
-        """CSV with header ``n,a,b``; a blank a-field when a_N is absent.
-        TypeError for a generator-backed sequence."""
-        a, b = self._a.values, self._b.values
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "a", "b"])
-        for i in range(len(self)):
-            a_val = repr(float(a[i])) if i < len(a) else ""
-            w.writerow([i + 1, a_val, repr(float(b[i]))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "JacobiParams":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["n", "a", "b"]:
-            raise ValueError("expected header n,a,b")
-        a = [float(r[1]) for r in rows[1:] if r[1] != ""]
-        b = [float(r[2]) for r in rows[1:]]
-        return cls(np.array(a), np.array(b))
-
 
 def _site_deviations(params: JacobiParams, n: int) -> np.ndarray:
     """|a_k - 1| + |b_k| for k = 1..n; just |b_N| where a finite a stops
@@ -279,24 +256,6 @@ class VerblunskyParams:
         a = self.alpha_window(n)
         return _freeze(np.sqrt(1.0 - np.abs(a) ** 2))
 
-    def to_csv(self) -> str:
-        """CSV with header ``j,re_alpha,im_alpha``, j from 0.  TypeError
-        for a generator-backed sequence."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["j", "re_alpha", "im_alpha"])
-        for j, al in enumerate(self.alpha_window(len(self))):
-            w.writerow([j, repr(float(al.real)), repr(float(al.imag))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "VerblunskyParams":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["j", "re_alpha", "im_alpha"]:
-            raise ValueError("expected header j,re_alpha,im_alpha")
-        alpha = [complex(float(r[1]), float(r[2])) for r in rows[1:]]
-        return cls(np.array(alpha, dtype=complex))
-
 
 class SingularBlock(ValueError):
     """An off-diagonal block failed the nonsingularity threshold."""
@@ -336,40 +295,6 @@ class BlockJacobiParams:
         if n > len(self.B):
             raise ValueError(f"requested {n} B-blocks, have {len(self.B)}")
         return list(self.B[:n])
-
-    def to_csv(self) -> str:
-        """CSV ``k,kind(A|B),i,j,re,im``: 1-based block index k, 0-based
-        row-major entry indices."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k", "kind", "i", "j", "re", "im"])
-        ell = self.block_size
-        for k, blk in enumerate(self.B, start=1):
-            for i in range(ell):
-                for j in range(ell):
-                    z = complex(blk[i, j])
-                    w.writerow([k, "B", i, j, repr(z.real), repr(z.imag)])
-        for k, blk in enumerate(self.A, start=1):
-            for i in range(ell):
-                for j in range(ell):
-                    z = complex(blk[i, j])
-                    w.writerow([k, "A", i, j, repr(z.real), repr(z.imag)])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, type_tag: str = "general") -> "BlockJacobiParams":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["k", "kind", "i", "j", "re", "im"]:
-            raise ValueError("expected header k,kind,i,j,re,im")
-        ell = 1 + max(int(r[2]) for r in rows[1:])
-        data = {"A": {}, "B": {}}
-        for r in rows[1:]:
-            k, kind, i, j = int(r[0]), r[1], int(r[2]), int(r[3])
-            blk = data[kind].setdefault(k, np.zeros((ell, ell), dtype=complex))
-            blk[i, j] = complex(float(r[4]), float(r[5]))
-        a = tuple(_freeze(data["A"][k]) for k in sorted(data["A"]))
-        b = tuple(_freeze(data["B"][k]) for k in sorted(data["B"]))
-        return cls(block_size=ell, A=a, B=b, type_tag=type_tag)
 
 
 def validate_blocks(params: BlockJacobiParams) -> BlockJacobiParams:

@@ -103,10 +103,6 @@ class EmpiricalMeasure:
     def __len__(self) -> int:
         return len(self.points)
 
-    def mean_power(self, k: int) -> float:
-        """(1/N) sum x^k for line samples."""
-        return math.fsum((self.points ** k).tolist()) / len(self.points)
-
     def mean_phase(self) -> complex:
         """(1/N) sum e^{i theta} for circle samples."""
         z = np.exp(1j * self.points)
@@ -120,13 +116,6 @@ class EmpiricalMeasure:
         for i, x in enumerate(self.points):
             w.writerow([i, repr(float(x))])
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, domain: str = "line") -> "EmpiricalMeasure":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["index", "point"]:
-            raise ValueError("expected header index,point")
-        return cls(np.array([float(r[1]) for r in rows[1:]]), domain)
 
 
 def truncate(params: JacobiParams, N: int) -> TridiagonalMatrix:

@@ -22,13 +22,6 @@ def test_discrete_measure_normalizes_and_merges():
     assert dm.moment(0) == pytest.approx(1.0)
 
 
-def test_discrete_measure_csv_round_trip():
-    dm = DiscreteMeasure([-1.5, 0.25, 2.0], [0.2, 0.3, 0.5])
-    back = DiscreteMeasure.from_csv(dm.to_csv())
-    assert np.array_equal(back.nodes, dm.nodes)
-    assert np.array_equal(back.weights, dm.weights)
-
-
 def test_flat_measure_moments():
     # oracle: (1/4) int_{-2}^{2} x^k dx = 2^k/(k+1) for even k, 0 odd
     dm = discretize(LineMeasureSpec.legendre_flat())

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opspectra.periodic import (ComplexRoots, Discriminant, GapClosed,
-                                PeriodicJacobi, _DirichletMap, bands,
-                                d_to_torus, d_to_torus_batch, delta_of_J,
-                                discriminant, dm_weights, normalize_type1,
-                                normalize_type3, torus_point)
+from opspectra.periodic import (_GRID_POINTS, ComplexRoots, Discriminant,
+                                GapClosed, PeriodicJacobi, _DirichletMap,
+                                bands, d_to_torus, d_to_torus_batch,
+                                delta_of_J, discriminant, dm_weights,
+                                normalize_type1, normalize_type3, torus_point)
 from opspectra.regularity import d_m
 from opspectra.sequences import BlockJacobiParams, JacobiParams, validate_blocks
 
@@ -43,12 +43,6 @@ def test_discriminant_matches_numeric_transfer_product():
             step = np.array([[(x - J0.b[n]) / an, -prev / an], [1.0, 0.0]])
             T = step @ T
         assert disc.value(x) == pytest.approx(T[0, 0] + T[1, 1], abs=1e-10)
-
-
-def test_discriminant_csv_round_trip():
-    disc = discriminant(PeriodicJacobi((1.0, 0.5), (0.1, -0.1)))
-    back = Discriminant.from_csv(disc.to_csv())
-    assert back.coeffs == pytest.approx(disc.coeffs, abs=0.0)
 
 
 def _twisted_edges(J0):
@@ -337,7 +331,41 @@ def test_period_two_map_sweeps_the_closed_form_family():
     assert t_hi - t.max() < 0.01 * (t_hi - t_lo)
 
 
-def test_period_three_map_is_single_valued_and_refining_the_grid_helps():
+@pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
+def test_inverse_map_gives_the_coefficients_back(J0):
+    family = _DirichletMap(discriminant(J0))
+    rng = np.random.default_rng(J0.p)
+    theta = rng.uniform(0.0, 2.0 * math.pi, (200, J0.p - 1))
+    # and angles 1e-2 .. 1e-8 from both gap edges of the first coordinate
+    near = 10.0 ** -np.arange(2, 9)
+    near = np.concatenate([near, -near])
+    edge = np.ones((2 * len(near), J0.p - 1))
+    edge[:, 0] = np.concatenate([near, near + math.pi])
+    theta = np.concatenate([theta, edge - family.shift])
+    a, b = family(theta)
+    a2, b2 = family(family.angles(a, b))
+    err = np.maximum(np.max(np.abs(a2 - a), axis=1),
+                     np.max(np.abs(b2 - b), axis=1))
+    # the angle is ill-conditioned in the Dirichlet point near a gap edge
+    sin = np.min(np.abs(np.sin(theta + family.shift)), axis=1)
+    assert np.all(err <= np.where(sin >= 1e-2, 1e-12, 1e-14 / sin))
+
+
+def _search_starts(family, J, m):
+    """The search's starts at offset m: the grid, and the inverse-map
+    angles of the windows at sites m + s .. m + s + p - 1 read into
+    period phase."""
+    p = family.p
+    grid = 2.0 * math.pi / _GRID_POINTS * np.array(
+        list(itertools.product(range(_GRID_POINTS), repeat=p - 1)),
+        dtype=float)
+    a, b = J.a_window(m + 2 * p), J.b_window(m + 2 * p)
+    phase = [[n - 1 + (q - n + 1) % p for q in range(p)]
+             for n in range(m, m + p)]
+    return np.concatenate([grid, family.angles(a[phase], b[phase])])
+
+
+def test_the_map_is_single_valued_and_the_search_beats_its_starts():
     disc = discriminant(P3)
     family = _DirichletMap(disc)
     idx = np.array(list(itertools.product(range(12), repeat=2)), dtype=float)
@@ -346,20 +374,33 @@ def test_period_three_map_is_single_valued_and_refining_the_grid_helps():
     assert np.max(np.abs(a12 - a24)) < 1e-12
     assert np.max(np.abs(b12 - b24)) < 1e-12
 
-    J = _periodic_params(P3, lambda n: 0.5 / n, bound_extra=0.5)
-    m = 2
-    grid_best = [d_to_torus(J, m, disc, G, refine_step=math.inf)
-                 for G in (12, 24, 48)]
-    assert grid_best[1] <= grid_best[0] and grid_best[2] <= grid_best[1]
-    to_reference = d_m(J, _periodic_params(P3), m)
-    for G, best in zip((12, 24, 48), grid_best):
-        d = d_to_torus(J, m, disc, G)
-        assert d <= best
-        assert d <= to_reference + 1e-12
+    for J0 in (P2, P3):
+        disc = discriminant(J0)
+        family = _DirichletMap(disc)
+        J = _periodic_params(J0, lambda n: 0.5 / n, bound_extra=0.5)
+        for m in range(1, 7):
+            a, b = family(_search_starts(family, J, m))
+            best_start = min(
+                d_m(J, _periodic_params(PeriodicJacobi(tuple(x), tuple(y))), m)
+                for x, y in zip(a, b))
+            d = d_to_torus(J, m, disc)
+            assert d <= best_start + 1e-12
+            assert d <= d_m(J, _periodic_params(J0), m) + 1e-12
+    # a 64 x 64 grid with the same pattern search reaches 0.15962122898648104
+    assert d_to_torus(_periodic_params(P3, lambda n: 0.5 / n, bound_extra=0.5),
+                      2, discriminant(P3)) <= 0.15962122898648104 + 1e-12
 
 
 def test_period_three_torus_point_is_found_at_every_offset():
     disc = discriminant(P3)
     J = _periodic_params(torus_point(disc, (0.9, -0.6)).jacobi)
-    d = d_to_torus_batch(J, np.arange(1, 7), disc, grid_points=24)
-    assert np.max(d) <= 1e-5
+    d = d_to_torus_batch(J, np.arange(1, 201), disc)
+    assert np.max(d) <= 1e-12
+
+
+@pytest.mark.parametrize("J0", [P2, P4], ids=["p2", "p4"])
+def test_period_two_and_four_torus_points_are_found_at_every_offset(J0):
+    disc = discriminant(J0)
+    J = _periodic_params(torus_point(disc, (1.3,) * (J0.p - 1)).jacobi)
+    d = d_to_torus_batch(J, np.arange(1, 201), disc)
+    assert np.max(d) <= 1e-12

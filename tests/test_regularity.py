@@ -21,10 +21,8 @@ def test_default_ladder_is_powers_of_two():
     assert DEFAULT_LADDER == tuple(2 ** k for k in range(5, 14))
 
 
-def test_stat_series_csv_round_trip_and_monotonicity():
+def test_stat_series_monotonicity():
     s = StatSeries("x", (2, 4, 8), (0.5, 0.25, 0.125))
-    back = StatSeries.from_csv(s.to_csv())
-    assert back.label == "x" and back.Ns == s.Ns and back.values == s.values
     assert s.decreasing()
     bump = StatSeries("x", (2, 4, 8), (0.5, 0.6, 0.125))
     assert not bump.decreasing()
@@ -203,8 +201,8 @@ def test_torus_average_vanishes_on_the_generator():
     J = JacobiParams.from_functions(lambda n: np.array(J0.a)[(n - 1) % 2],
                                     lambda n: np.array(J0.b)[(n - 1) % 2],
                                     bound=1.0)
-    s = cn_stat_torus(J, disc, (8, 32), grid_points=32)
-    assert max(s.values) < 1e-6
+    s = cn_stat_torus(J, disc, (8, 32))
+    assert max(s.values) < 1e-12
 
 
 def test_block_map_root_test_approaches_one():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 import pathlib
@@ -297,3 +298,23 @@ def test_cli_runs_a_period_four_pattern(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     samples = (tmp_path / "out" / "torus_samples.csv").read_text()
     assert samples.splitlines()[0].startswith("theta_1,theta_2,theta_3,a_1")
+
+
+@pytest.mark.parametrize("sid, extra, sha", [
+    ("thm6_1", "",
+     "81c996e352789d7705d3d8a7f38c313b0083f7dd40b2f0cd625b4c68a6d33e0a"),
+    ("conjecture5_1_explore", "Ns = 8,16,32\n",
+     "0ef0ab43411f3b741a965c014ec65d1e945da3f297a0fd665e00285b82a7ccd5"),
+])
+def test_cli_runs_a_period_one_pattern(sid, extra, sha, tmp_path, capsys,
+                                       monkeypatch):
+    # a period-1 torus is one point with no angles to search; its
+    # stats.csv is pinned byte for byte
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"scenario = {sid}\noutdir = {tmp_path / 'out'}\n"
+                   f"input.pattern = 1,0\n{extra}")
+    assert cli.main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    stats = (tmp_path / "out" / "stats.csv").read_bytes()
+    assert hashlib.sha256(stats).hexdigest() == sha

@@ -83,13 +83,6 @@ def test_verblunsky_generator_leaving_the_disc_names_the_index():
         V.alpha_window(200)
 
 
-def test_jacobi_csv_round_trip():
-    J = JacobiParams([0.5, 1.25], [0.1, -0.2, 0.3])
-    back = JacobiParams.from_csv(J.to_csv())
-    assert np.array_equal(back.a_window(2), J.a_window(2))
-    assert np.array_equal(back.b_window(3), J.b_window(3))
-
-
 def test_validate_jacobi_flags_bad_entries():
     with pytest.raises(NonPositiveA):
         validate_jacobi(JacobiParams([1.0, -0.5], [0.0, 0.0, 0.0]))
@@ -128,24 +121,11 @@ def test_verblunsky_rho_and_windows():
         VerblunskyParams([1.5])  # outside the unit disc
 
 
-def test_verblunsky_csv_round_trip():
-    V = VerblunskyParams([0.25, -0.125 + 0.5j])
-    back = VerblunskyParams.from_csv(V.to_csv())
-    assert np.array_equal(back.alpha_window(2), V.alpha_window(2))
-
-
 def _sample_blocks():
     A = (np.array([[1.0, 0.0], [0.3, 0.8]], dtype=complex),)
     B = (np.array([[0.2, 0.1j], [-0.1j, -0.4]], dtype=complex),
          np.zeros((2, 2), dtype=complex))
     return BlockJacobiParams(2, A, B, "general")
-
-
-def test_block_csv_round_trip():
-    Jb = _sample_blocks()
-    back = BlockJacobiParams.from_csv(Jb.to_csv())
-    assert all(np.array_equal(x, y) for x, y in zip(back.A, Jb.A))
-    assert all(np.array_equal(x, y) for x, y in zip(back.B, Jb.B))
 
 
 def test_validate_blocks_rejects_singular_and_wrong_type():

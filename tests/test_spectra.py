@@ -123,14 +123,6 @@ def test_zero_counting_is_a_probability_measure_on_the_line():
     assert np.all(np.abs(emp.points) <= 2.0 + 1e-12)
 
 
-def test_empirical_measure_moments_and_csv():
-    emp = EmpiricalMeasure(np.array([1.0, -1.0, 3.0]), "line")
-    assert emp.mean_power(1) == pytest.approx(1.0)
-    assert emp.mean_power(2) == pytest.approx(11.0 / 3.0)
-    back = EmpiricalMeasure.from_csv(emp.to_csv(), "line")
-    assert np.array_equal(back.points, emp.points)
-
-
 def test_circle_measure_phase_moment():
     th = np.array([0.0, math.pi / 2.0, -math.pi / 2.0])
     emp = EmpiricalMeasure(th, "circle")
