@@ -223,7 +223,7 @@ def run_scenario(cfg: ScenarioConfig) -> ExitReport:
 def _cmd_run(path: str) -> int:
     try:
         cfg = ScenarioConfig.from_mapping(load_config(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except (ConfigParse, UnknownScenario, BadOption) as exc:

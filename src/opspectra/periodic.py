@@ -3,12 +3,14 @@ block map, type-1/type-3 normalization, and the isospectral torus.
 
 The discriminant of a period-p generator is the trace of its one-period
 transfer-matrix product, computed in exact polynomial-coefficient
-arithmetic.  Evaluating that degree-p polynomial on a one-sided
+arithmetic.  The band edges, where the discriminant is +-2, are the
+eigenvalues of the generator's periodic and antiperiodic p x p matrices
+(Floquet theory).  Evaluating the discriminant on a one-sided
 tridiagonal matrix produces a block-tridiagonal matrix with p x p
 blocks whose off-diagonal blocks are lower triangular with positive
-diagonal; the evaluation here runs Horner directly on banded diagonal
-storage, so the bandwidth (and hence the block structure) is tracked
-exactly and no dense intermediate ever exists.
+diagonal; the evaluation is a sparse matrix polynomial, so the
+bandwidth (and hence the block structure) is exact and no dense
+intermediate ever exists.
 
 The isospectral torus of a band set with all gaps open is parametrized
 by p - 1 angles through Dirichlet data, for every period: angle j
@@ -28,20 +30,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial import polynomial as npp
 
 from .potential import FiniteGapSet
 from .sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
                         UnitaryChain, _freeze, sup_deviation,
                         validate_blocks)
-
-
-class ComplexRoots(ValueError):
-    """Band-edge polynomial has genuinely nonreal roots: the coefficients
-    do not come from a valid periodic generator."""
 
 
 class GapClosed(ValueError):
@@ -89,13 +87,12 @@ class PeriodicJacobi:
 class Discriminant:
     """Degree-p polynomial (ascending coefficients) with positive leading
     coefficient equal to the reciprocal off-diagonal product of its
-    generator.  ``source`` remembers the generator when the
-    discriminant was built from one; it anchors theta = 0 of the torus
-    map.
+    generator ``source``.  The generator gives the band edges and
+    anchors theta = 0 of the torus map.
     """
 
     coeffs: np.ndarray
-    source: Optional[PeriodicJacobi] = None
+    source: PeriodicJacobi
 
     def __post_init__(self):
         c = _freeze(np.asarray(self.coeffs, dtype=float))
@@ -111,11 +108,6 @@ class Discriminant:
     @property
     def leading(self) -> float:
         return float(self.coeffs[-1])
-
-    @property
-    def cap(self) -> float:
-        """Geometric mean of the generator off-diagonals."""
-        return float(self.leading ** (-1.0 / self.p))
 
     def value(self, x):
         return npp.polyval(x, self.coeffs)
@@ -175,30 +167,20 @@ def bands(disc: Discriminant) -> FiniteGapSet:
     """Band set: closure of the preimage of [-2, 2] under the
     discriminant.
 
-    Edges are the roots of D(x) -+ 2 via companion matrices.  A closed
-    gap shows up as a (numerically split) double root; roots whose small
-    imaginary part comes from that splitting are accepted through a
-    residual check, while genuinely complex roots raise ComplexRoots.
-    Touching proto-bands are merged.
+    The 2p edges, where D = +-2, are the eigenvalues of the generator's
+    periodic and antiperiodic matrices: the p x p tridiagonal block with
+    +a_p or -a_p added at its two corners (on the off-diagonal at p = 2,
+    twice on the diagonal at p = 1).  A closed gap is a double
+    eigenvalue of one of them; touching proto-bands are merged.
     """
+    J0 = disc.source
+    m = np.diag(J0.b) + np.diag(J0.a[:-1], 1) + np.diag(J0.a[:-1], -1)
     edges = []
-    cscale = float(np.max(np.abs(disc.coeffs))) + 2.0
-    for sign in (-2.0, 2.0):
-        shifted = disc.coeffs.copy()
-        shifted[0] -= sign
-        roots = npp.polyroots(shifted)
-        for r in roots:
-            x = float(np.real(r))
-            im = abs(float(np.imag(r)))
-            scale = max(1.0, abs(x))
-            if im > 1e-9 * scale:
-                resid = abs(float(disc.value(x)) - sign)
-                if resid > 1e-7 * cscale or im > 1e-5 * scale:
-                    raise ComplexRoots(
-                        f"root {r} of discriminant {'-' if sign > 0 else '+'} 2 "
-                        "is not real"
-                    )
-            edges.append(x)
+    for sign in (1.0, -1.0):
+        twisted = m.copy()
+        twisted[0, -1] += sign * J0.a[-1]
+        twisted[-1, 0] += sign * J0.a[-1]
+        edges.extend(np.linalg.eigvalsh(twisted).tolist())
     edges.sort()
     proto = [(edges[2 * i], edges[2 * i + 1]) for i in range(len(edges) // 2)]
     span = max(1.0, abs(edges[0]), abs(edges[-1]))
@@ -208,52 +190,7 @@ def bands(disc: Discriminant) -> FiniteGapSet:
             merged[-1][1] = hi
         else:
             merged.append([lo, hi])
-    if disc.source is not None:
-        pattern = tuple(disc.source.a)
-    else:
-        pattern = (disc.cap,) * disc.p
-    return FiniteGapSet(tuple((lo, hi) for lo, hi in merged), period_a=pattern)
-
-
-# -- polynomial of a tridiagonal matrix on banded storage ---------------
-
-
-def _band_mul_tridiag(R: dict, w: int, a: np.ndarray, b: np.ndarray,
-                      n: int) -> dict:
-    """One Horner step: symmetric banded R (diagonals 0..w) times the
-    tridiagonal matrix with diagonal b and off-diagonal a."""
-    out = {}
-    for dp in range(w + 2):
-        m = n - dp
-        if m <= 0:
-            continue
-        j = np.arange(dp, n)
-        acc = np.zeros(m)
-        if dp <= w:
-            acc += R[dp][:m] * b[j]
-        if dp >= 1 and dp - 1 <= w:
-            acc += R[dp - 1][:m] * a[j - 1]
-        elif dp == 0 and w >= 1:
-            acc[1:] += R[1][: m - 1] * a[: m - 1]
-        if dp + 1 <= w:
-            acc[: m - 1] += R[dp + 1][: m - 1] * a[j[: m - 1]]
-        out[dp] = acc
-    return out
-
-
-def _poly_of_tridiag(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     n: int):
-    """Banded evaluation of a polynomial (ascending coeffs) of the
-    tridiagonal matrix with diagonal b[0..n-1], off-diagonal a[0..n-2].
-    Returns (diagonals dict, bandwidth); entry (i, i+d) = diags[d][i]."""
-    deg = len(coeffs) - 1
-    R = {0: np.full(n, float(coeffs[deg]))}
-    w = 0
-    for k in range(deg - 1, -1, -1):
-        R = _band_mul_tridiag(R, w, a, b, n)
-        w += 1
-        R[0] = R[0] + coeffs[k]
-    return R, w
+    return FiniteGapSet(tuple((lo, hi) for lo, hi in merged), period_a=J0.a)
 
 
 def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams:
@@ -261,12 +198,15 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
     cut the result into p x p blocks: K + 1 diagonal blocks and K
     off-diagonal blocks.
 
-    The result bandwidth equals p exactly, so the off-diagonal blocks
-    are lower triangular by construction with diagonal entries that are
-    ratios of p-fold products of J's off-diagonals to the period
-    product.  The returned parameters carry the type3 tag after
-    verification; failure of that structure is an implementation bug and
-    raises NotType3.
+    The evaluation is Horner's rule on sparse matrices, R <- R T + c I,
+    and one scatter of the result's upper-triangle entries cuts every
+    block (the diagonal blocks are mirrored from it, so they are exactly
+    symmetric).  The result bandwidth equals p exactly, so the
+    off-diagonal blocks are lower triangular by construction with
+    diagonal entries that are ratios of p-fold products of J's
+    off-diagonals to the period product.  The returned parameters carry
+    the type3 tag after verification; failure of that structure is an
+    implementation bug and raises NotType3.
     """
     if K < 1:
         raise ValueError("K >= 1 required")
@@ -276,28 +216,24 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
         raise BandwidthExceeded(
             f"need {n_sites} sites for K={K} blocks of size {p}"
         )
-    b_arr = J.b_window(n_sites)
     a_arr = J.a_window(n_sites - 1)
-    disc = discriminant(J0)
-    R, w = _poly_of_tridiag(disc.coeffs, a_arr, b_arr, n_sites)
-    B_blocks = []
-    for k in range(K + 1):
-        base = k * p
-        blk = np.zeros((p, p))
-        for r in range(p):
-            for s in range(r, p):
-                blk[r, s] = R[s - r][base + r]
-                blk[s, r] = blk[r, s]
-        B_blocks.append(_freeze(blk.astype(complex)))
-    A_blocks = []
-    for k in range(K):
-        base = k * p
-        blk = np.zeros((p, p))
-        for r in range(p):
-            for s in range(0, r + 1):
-                d = p + s - r
-                blk[r, s] = R[d][base + r]
-        A_blocks.append(_freeze(blk.astype(complex)))
+    T = sp.diags_array([a_arr, J.b_window(n_sites), a_arr], offsets=(-1, 0, 1),
+                       format="csr")
+    eye = sp.eye_array(n_sites, format="csr")
+    coeffs = discriminant(J0).coeffs
+    R = coeffs[-1] * eye
+    for c in coeffs[-2::-1]:
+        R = R @ T + c * eye
+    R = R.tocoo()
+    upper = R.col >= R.row
+    i, j, v = R.row[upper], R.col[upper], R.data[upper]
+    k, d = i // p, j // p - i // p
+    keep = k + d <= K
+    cut = np.zeros((K + 1, 2, p, p))
+    cut[k[keep], d[keep], i[keep] % p, j[keep] % p] = v[keep]
+    B = cut[:, 0] + np.triu(cut[:, 0], 1).transpose(0, 2, 1)
+    B_blocks = [_freeze(blk) for blk in B.astype(complex)]
+    A_blocks = [_freeze(blk) for blk in cut[:K, 1].astype(complex)]
     out = BlockJacobiParams(block_size=p, A=tuple(A_blocks),
                             B=tuple(B_blocks), type_tag="type3")
     try:
@@ -441,8 +377,7 @@ class _DirichletMap:
     is -a_p^2 / prod(a), and the top two coefficients of D fix prod(a)
     and sum(b), which gives a_p, a_{p-1} and b_p.
 
-    The angles are shifted so that theta = 0 is dref's source generator
-    when it has one.
+    The angles are shifted so that theta = 0 is dref's source generator.
     """
 
     def __init__(self, dref: Discriminant):
@@ -461,9 +396,8 @@ class _DirichletMap:
         hi = np.array([band[0] for band in fgs.bands[1:]])
         self.mid = 0.5 * (lo + hi)
         self.half = 0.5 * (hi - lo)
-        if dref.source is not None:
-            src = dref.source
-            self.shift = self.angles(np.array([src.a]), np.array([src.b]))[0]
+        src = dref.source
+        self.shift = self.angles(np.array([src.a]), np.array([src.b]))[0]
 
     def angles(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Angles, an (n, p - 1) array, of the one-period windows (a, b),
@@ -544,7 +478,7 @@ def torus_point(dref: Discriminant, theta) -> TorusPoint:
     p = dref.p
     if len(theta) != p - 1:
         raise ValueError(f"period {p} needs {p - 1} torus coordinates")
-    if all(t == 0.0 for t in theta) and dref.source is not None:
+    if all(t == 0.0 for t in theta):
         return TorusPoint(dref.source, theta, dref)
     a, b = _DirichletMap(dref)(np.array(theta).reshape(1, p - 1))
     return TorusPoint(PeriodicJacobi(tuple(a[0]), tuple(b[0])), theta, dref)
@@ -650,11 +584,8 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
         raise ValueError("offsets are 1-based")
     p = dref.p
     family = _DirichletMap(dref)
-    if dref.source is not None:
-        ref_dev = dref.source.deviation_bound
-    else:
-        ref_dev = abs(dref.cap - 1.0)
-    bound = 2.0 * (_deviation_bound(J, int(ms.max())) + ref_dev + 2.0)
+    bound = 2.0 * (_deviation_bound(J, int(ms.max()))
+                   + dref.source.deviation_bound + 2.0)
     A, B, W = _aligned_windows(J, ms, dm_weights(bound), p)
     work = np.empty((2,) + A.shape)
 

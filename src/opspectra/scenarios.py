@@ -467,7 +467,7 @@ def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[IndexFn] = None,
     "input.pattern": _PATTERN,
     "blockmap.K": (_num(int, 1), "64", "blocks of the block map"),
     "threshold.interior_norm": (_threshold, "1e-10", "interior blocks"),
-    "defect.site": (_num(int, 0), "21", "site n of a one-site shift of b_n"),
+    "defect.site": (_num(int, 0), "21", "site n <= (K + 1) p of a b_n shift"),
     "defect.size": (_real, "0.3", "size of that shift"),
     "torus.Ns": (_ladder, "32,64,128,256,512,1024,2000", "windows"),
     "threshold.torus_last": (_threshold, "0.06", "harmonic shift, last N"),
@@ -479,11 +479,14 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("thm6_1")
     J0 = o["input.pattern"]
     p = J0.p
+    K, site, eps = o["blockmap.K"], o["defect.site"], o["defect.size"]
+    if site > (K + 1) * p:
+        raise BadOption(f"defect.site: {site} is past the {(K + 1) * p} "
+                        "sites of the K + 1 diagonal blocks of the block map")
     disc = P.discriminant(J0)
     res.extras["discriminant.csv"] = disc.to_csv()
 
     # block map on the exactly periodic sequence
-    K = o["blockmap.K"]
     Jper = _periodic_as_params(J0)
     blocks = P.delta_of_J(J0, Jper, K)
     eye = np.eye(p)
@@ -500,7 +503,6 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     upper = max(float(np.max(np.abs(np.triu(a, k=1)))) for a in blocks.A)
     res.checks.append(Check("type3_structure", upper, 1e-12))
 
-    site, eps = o["defect.site"], o["defect.size"]
     Jdef = _periodic_as_params(J0, lambda n: np.where(n == site, eps, 0.0),
                                bound_extra=eps)
     blocks_d = P.delta_of_J(J0, Jdef, K)
@@ -547,7 +549,8 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
 @_scenario("mnt_illustration",
            "shrinking diagonal for [-2,2] measures (no thresholds)", {
     # the window from start 40 needs 52 coefficients
-    "coefficients": (_num(int, 51), "80", "recurrence coefficients"),
+    "coefficients": (_num(int, 51), "80",
+                     "recurrence coefficients, at most the node count"),
     "input.tilt": (_num(float, -1.0, 1.0, closed=True), "0.5",
                    "density 1 + tilt x / 2 on [-2, 2]"),
 })
@@ -558,7 +561,11 @@ def _run_mnt(o: Dict[str, object], seed: int) -> ScenarioResult:
     vals = 1.0 + tilt * xs / 2.0
     spec = M.LineMeasureSpec(
         [M.DensityPart(-2.0, 2.0, "tabulated", 1.0, (xs, vals))])
-    J = M.jacobi_from_measure(M.discretize(spec), n_coef)
+    dm = M.discretize(spec)
+    if n_coef > len(dm):
+        raise BadOption(f"coefficients: {n_coef} is more than the {len(dm)} "
+                        "nodes of the discretized measure")
+    J = M.jacobi_from_measure(dm, n_coef)
     lad = tuple(n for n in (5, 10, 20, 40, n_coef - 1) if n < n_coef)
     res.jacobi_inputs.append(("tilted_flat", J, lad))
     res.series.append(R.cn_stat_oprl(J, lad, label="cn_tilted"))

@@ -1,16 +1,18 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opspectra.periodic import (_GRID_POINTS, ComplexRoots, Discriminant,
-                                GapClosed, PeriodicJacobi, _DirichletMap,
-                                bands, d_to_torus, d_to_torus_batch,
-                                delta_of_J, discriminant, dm_weights,
-                                normalize_type1, normalize_type3, torus_point)
+from opspectra.periodic import (_GRID_POINTS, GapClosed, PeriodicJacobi,
+                                _DirichletMap, bands, d_to_torus,
+                                d_to_torus_batch, delta_of_J, discriminant,
+                                dm_weights, normalize_type1, normalize_type3,
+                                torus_point)
+from opspectra.potential import capacity
 from opspectra.regularity import d_m
 from opspectra.sequences import BlockJacobiParams, JacobiParams, validate_blocks
 
@@ -19,7 +21,7 @@ def test_period_one_discriminant_is_linear():
     disc = discriminant(PeriodicJacobi((2.0,), (0.5,)))
     # (x - b) / a
     assert disc.coeffs == pytest.approx((-0.25, 0.5))
-    assert disc.cap == pytest.approx(2.0)
+    assert capacity(bands(disc)) == pytest.approx(2.0)
 
 
 def test_period_two_discriminant_closed_form():
@@ -45,43 +47,48 @@ def test_discriminant_matches_numeric_transfer_product():
         assert disc.value(x) == pytest.approx(T[0, 0] + T[1, 1], abs=1e-10)
 
 
-def _twisted_edges(J0):
-    """Band edges as eigenvalues of the theta = 0 and theta = pi
-    twisted one-period blocks."""
-    p = J0.p
-    out = []
-    for sgn in (1.0, -1.0):
-        m = np.zeros((p, p))
-        for i in range(p):
-            m[i, i] = J0.b[i]
-        for i in range(p - 1):
-            m[i, i + 1] = m[i + 1, i] = J0.a[i]
-        if p == 1:
-            m[0, 0] += 2.0 * sgn * J0.a[0]
-        elif p == 2:
-            m[0, 1] += sgn * J0.a[1]
-            m[1, 0] += sgn * J0.a[1]
-        else:
-            m[0, p - 1] += sgn * J0.a[p - 1]
-            m[p - 1, 0] += sgn * J0.a[p - 1]
-        out.extend(np.linalg.eigvalsh(m).tolist())
-    return np.sort(np.array(out))
+def _exact_discriminant(J0, x):
+    """D(x) as the trace of the one-period transfer product in exact
+    rational arithmetic."""
+    a = [Fraction(v) for v in J0.a]
+    x = Fraction(x)
+    T = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    for n in range(J0.p):
+        step = (((x - Fraction(J0.b[n])) / a[n], -a[n - 1] / a[n]),
+                (Fraction(1), Fraction(0)))
+        T = tuple(tuple(step[i][0] * T[0][j] + step[i][1] * T[1][j]
+                        for j in range(2)) for i in range(2))
+    return T[0][0] + T[1][1]
 
 
-@pytest.mark.parametrize("pattern", [
-    ((2.0,), (0.3,)),
-    ((1.0, 0.5), (0.0, 0.0)),
-    ((1.0, 0.5), (0.2, -0.3)),
-    ((1.1, 0.7, 0.9), (0.2, 0.0, -0.4)),
-])
-def test_bands_match_twisted_block_eigenvalues(pattern):
-    J0 = PeriodicJacobi(*pattern)
+def _random_pattern(p):
+    rng = np.random.default_rng(p)
+    return PeriodicJacobi(tuple(rng.uniform(0.7, 1.3, p)),
+                          tuple(rng.uniform(-0.3, 0.3, p)))
+
+
+FIXED = [((2.0,), (0.3,)), ((1.0, 0.5), (0.0, 0.0)),
+         ((1.0, 0.5), (0.2, -0.3)), ((1.1, 0.7, 0.9), (0.2, 0.0, -0.4))]
+RANDOM_PERIODS = (1, 2, 3, 4, 8, 16, 32)
+
+
+@pytest.mark.parametrize(
+    "J0", [PeriodicJacobi(*pattern) for pattern in FIXED]
+    + [_random_pattern(p) for p in RANDOM_PERIODS],
+    ids=[f"pattern{i}" for i in range(len(FIXED))]
+    + [f"p{p}" for p in RANDOM_PERIODS])
+def test_band_edges_are_bracketed_by_the_exact_discriminant(J0):
+    # every gap of these patterns is open, and D - 2 or D + 2 changes
+    # sign within 1e-12 (relative) of each edge
     fg = bands(discriminant(J0))
-    edges = np.sort(np.array([e for band in fg.bands for e in band]))
-    oracle = _twisted_edges(J0)
-    assert len(edges) == len(oracle)
-    assert np.max(np.abs(edges - oracle)) < 1e-8
-    assert fg.period_a == pytest.approx(J0.a)
+    assert fg.n_bands == J0.p
+    assert fg.period_a == J0.a
+    for e in (x for band in fg.bands for x in band):
+        level = 2 if _exact_discriminant(J0, e) > 0 else -2
+        delta = 1e-12 * max(1.0, abs(e))
+        lo = _exact_discriminant(J0, e - delta) - level
+        hi = _exact_discriminant(J0, e + delta) - level
+        assert lo * hi < 0, e
 
 
 def test_free_pattern_merges_to_single_band():
@@ -90,10 +97,16 @@ def test_free_pattern_merges_to_single_band():
     assert fg.bands[0] == pytest.approx((-2.0, 2.0), abs=1e-9)
 
 
-def test_hand_built_discriminant_with_complex_roots_rejected():
-    disc = Discriminant((1.0, 0.0, 1.0))  # x^2 + 1; x^2 + 3 has no real roots
-    with pytest.raises(ComplexRoots):
-        bands(disc)
+@pytest.mark.parametrize("a, b, n_bands", [
+    ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 1),
+    ((0.932,) * 3, (0.188,) * 3, 1),
+    ((1.0, 0.5, 1.0, 0.5), (0.1, -0.2, 0.1, -0.2), 2),
+], ids=["free", "constant", "repeated"])
+def test_closed_gaps_merge_their_bands(a, b, n_bands):
+    # a constant pattern read as period 3 has one band, and a period-2
+    # pattern read as period 4 has the two bands of period 2
+    fg = bands(discriminant(PeriodicJacobi(a, b)))
+    assert fg.n_bands == n_bands
 
 
 # -- block map of a periodic generator ---------------------------------
@@ -110,32 +123,33 @@ def _periodic_params(J0, db=None, bound_extra=0.0):
 
 
 def test_block_map_matches_dense_matrix_polynomial():
-    J0 = PeriodicJacobi((1.2, 0.8), (0.1, -0.3))
-    disc = discriminant(J0)
-    K = 6
-    J = _periodic_params(J0, lambda n: 0.05 * np.sin(1.3 * n),
-                         bound_extra=0.05)
-    blocks = delta_of_J(J0, J, K)
-    p = J0.p
-    n_sites = (K + 2) * p + p
-    a = J.a_window(n_sites - 1)
-    b = J.b_window(n_sites)
-    dense = np.diag(b) + np.diag(a, 1) + np.diag(a, -1)
-    # oracle: Horner-free evaluation through explicit matrix powers
-    S = np.zeros_like(dense)
-    P = np.eye(n_sites)
-    for c in disc.coeffs:
-        S += c * P
-        P = P @ dense
-    for k in range(K + 1):
-        sl = slice(k * p, (k + 1) * p)
-        assert np.max(np.abs(blocks.B[k] - S[sl, sl])) < 1e-10
-    for k in range(K):
-        sl = slice(k * p, (k + 1) * p)
-        sr = slice((k + 1) * p, (k + 2) * p)
-        oracle_A = np.tril(S[sl, sr])  # bandwidth kills the upper part
-        assert np.max(np.abs(np.triu(S[sl, sr], k=1))) < 1e-10
-        assert np.max(np.abs(blocks.A[k] - oracle_A)) < 1e-10
+    for J0 in (PeriodicJacobi((1.2, 0.8), (0.1, -0.3)),
+               PeriodicJacobi((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3))):
+        disc = discriminant(J0)
+        K = 6
+        J = _periodic_params(J0, lambda n: 0.05 * np.sin(1.3 * n),
+                             bound_extra=0.05)
+        blocks = delta_of_J(J0, J, K)
+        p = J0.p
+        n_sites = (K + 2) * p + p
+        a = J.a_window(n_sites - 1)
+        b = J.b_window(n_sites)
+        dense = np.diag(b) + np.diag(a, 1) + np.diag(a, -1)
+        # oracle: Horner-free evaluation through explicit matrix powers
+        S = np.zeros_like(dense)
+        P = np.eye(n_sites)
+        for c in disc.coeffs:
+            S += c * P
+            P = P @ dense
+        for k in range(K + 1):
+            sl = slice(k * p, (k + 1) * p)
+            assert np.max(np.abs(blocks.B[k] - S[sl, sl])) < 1e-10
+        for k in range(K):
+            sl = slice(k * p, (k + 1) * p)
+            sr = slice((k + 1) * p, (k + 2) * p)
+            oracle_A = np.tril(S[sl, sr])  # bandwidth kills the upper part
+            assert np.max(np.abs(np.triu(S[sl, sr], k=1))) < 1e-10
+            assert np.max(np.abs(blocks.A[k] - oracle_A)) < 1e-10
 
 
 def test_block_map_of_generator_is_magic():

@@ -195,6 +195,7 @@ def test_stats_csv_is_the_series_csv_rows_under_one_header():
 
 @pytest.mark.parametrize("scenario,line", [
     ("thm6_1", "input.pattern = 1,1,0,0"),      # closed gap
+    ("thm6_1", "input.pattern = 0.932,0.932,0.932,0.188,0.188,0.188"),
     ("thm6_1", "input.pattern = 1,x,0,0"),      # not a number
     ("thm4_1", "Ns = 0,5"),                     # empty window
     ("thm4_2", "arc.a = 1.5"),
@@ -204,19 +205,22 @@ def test_stats_csv_is_the_series_csv_rows_under_one_header():
     ("thm4_2", "arc.a = 0.9"),                  # |alpha_0| >= 1
     ("thm3_1", "inputs.count = 0"),
     ("mnt_illustration", "coefficients = 51"),
+    ("mnt_illustration", "coefficients = 4801"),  # past the 4800 nodes
     ("mnt_illustration", "input.tilt = 3"),
     ("thm4_1", "input.bump_value = 1.5"),
     ("thm6_1", "blockmap.K = 0"),
+    ("thm6_1", "defect.site = 131"),            # past (K + 1) p = 130
     ("thm6_1", "torus.theta = inf"),
     ("thm6_1", "input.pattern = 1,inf,0,0"),
     ("thm1_1", "bumps.norm_check_N = 0"),
     ("thm4_1", "threshold.cn_last = inf"),      # would switch the check off
     ("thm4_1", "threshold.cn_lst = 1e-7"),      # unknown key
-], ids=["closed_gap", "non_numeric_pattern", "zero_window", "arc_a",
-        "arc_k", "cmv_N", "arc_phase_inf", "perturbed_alpha_0",
-        "inputs_count", "mnt_coefficients", "mnt_tilt", "circle_bump",
-        "blockmap_K", "torus_theta_inf", "pattern_inf", "norm_check_N",
-        "threshold_inf", "unknown_key"])
+], ids=["closed_gap", "constant_pattern", "non_numeric_pattern",
+        "zero_window", "arc_a", "arc_k", "cmv_N", "arc_phase_inf",
+        "perturbed_alpha_0", "inputs_count", "mnt_coefficients",
+        "mnt_coefficients_past_nodes", "mnt_tilt", "circle_bump",
+        "blockmap_K", "defect_site_past_blocks", "torus_theta_inf",
+        "pattern_inf", "norm_check_N", "threshold_inf", "unknown_key"])
 def test_cli_unusable_input_exits_2_with_one_error_line(
         tmp_path, capsys, monkeypatch, scenario, line):
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
@@ -229,6 +233,17 @@ def test_cli_unusable_input_exits_2_with_one_error_line(
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_that_is_not_utf8_exits_2_with_one_error_line(
+        tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"scenario = thm4_1\n# caf\xe9\n")
+    assert cli.main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read config: ")
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_unwritable_outdir_exits_2_with_one_error_line(
