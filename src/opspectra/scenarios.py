@@ -99,6 +99,9 @@ def _num(cast, lo=-math.inf, hi=math.inf, closed=False):
 
 _real = _num(float)
 _threshold = _num(float, 0.0)
+# a b_n shift, kept well below the sizes where thm6_1's block map loses
+# its type-3 shape (about 1e3 at period 4) and the torus weights overflow
+_shift = _num(float, -10.0, 10.0, closed=True)
 
 
 def _ladder(text: str) -> Tuple[int, ...]:
@@ -468,7 +471,7 @@ def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[IndexFn] = None,
     "blockmap.K": (_num(int, 1), "64", "blocks of the block map"),
     "threshold.interior_norm": (_threshold, "1e-10", "interior blocks"),
     "defect.site": (_num(int, 0), "21", "site n <= (K + 1) p of a b_n shift"),
-    "defect.size": (_real, "0.3", "size of that shift"),
+    "defect.size": (_shift, "0.3", "size of that shift, |size| <= 10"),
     "torus.Ns": (_ladder, "32,64,128,256,512,1024,2000", "windows"),
     "threshold.torus_last": (_threshold, "0.06", "harmonic shift, last N"),
     "torus.burn_in": (_num(int, -1), "64", "N below it: no decrease check"),
@@ -504,7 +507,7 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res.checks.append(Check("type3_structure", upper, 1e-12))
 
     Jdef = _periodic_as_params(J0, lambda n: np.where(n == site, eps, 0.0),
-                               bound_extra=eps)
+                               bound_extra=abs(eps))
     blocks_d = P.delta_of_J(J0, Jdef, K)
     lo_blk = max(0, (site - 1 - p) // p - 1)
     hi_blk = (site - 1 + p) // p + 1
@@ -517,7 +520,8 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
             else:
                 far = max(far, d)
     res.checks.append(Check("locality_far_blocks", far, 1e-12))
-    res.checks.append(Check("locality_defect_visible", near, eps / 2.0, "ge"))
+    res.checks.append(Check("locality_defect_visible", near, abs(eps) / 2.0,
+                            "ge"))
 
     # torus-distance averages
     lad = o["torus.Ns"]
@@ -587,9 +591,10 @@ def _run_mnt(o: Dict[str, object], seed: int) -> ScenarioResult:
 @_scenario("conjecture5_1_explore", "finite-gap torus averages, exploratory", {
     "input.pattern": _PATTERN,
     "Ns": (_ladder, "32,64,128,256,512", "windows"),
-    "decay.amp": (_real, "0.5", "b_n shift amp / n^power"),
-    "decay.power": (_real, "1.0", "its power"),
-    "bumps.amp": (_real, "0.4", "b_n shift at n = 2, 4, 8, ..."),
+    "decay.amp": (_shift, "0.5", "b_n shift amp / n^power, |amp| <= 10"),
+    "decay.power": (_num(float, 0.0, math.inf, closed=True), "1.0",
+                    "its power, >= 0"),
+    "bumps.amp": (_shift, "0.4", "b_n shift at n = 2, 4, 8, ..., |amp| <= 10"),
     "torus.samples": (_num(int, 0), "8", "rows of torus_samples.csv"),
 })
 def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
@@ -601,10 +606,11 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     lad = o["Ns"]
 
     amp, power, bump = o["decay.amp"], o["decay.power"], o["bumps.amp"]
-    Jd = _periodic_as_params(J0, lambda n: amp / n ** power, bound_extra=amp)
+    Jd = _periodic_as_params(J0, lambda n: amp / n ** power,
+                             bound_extra=abs(amp))
     Jb = _periodic_as_params(
         J0, lambda n: np.where((n > 1) & _is_pow2(n), bump, 0.0),
-        bound_extra=bump)
+        bound_extra=abs(bump))
     for name, J, label in (("decaying_shift", Jd, "cn_torus_decay"),
                            ("sparse_shift", Jb, "cn_torus_bumps")):
         res.series.append(R.cn_stat_torus(J, disc, lad, label=label))

@@ -2,25 +2,26 @@
 
 Three matrix shapes: symmetric tridiagonal truncations of scalar
 recurrence data, Hermitian block-tridiagonal truncations, and unitary
-five-diagonal truncations of circle recurrence data.  Only eigenvalues
-are ever needed downstream.  The tridiagonal path takes them from
-LAPACK's root-free QL iteration and certifies them with one vectorized
-Sturm-count sweep (Sylvester inertia), falling back to Sturm bisection
-for any value the sweep cannot certify.  The unitary path solves a
-Hermitian Cayley transform of the matrix and checks every eigenpair
-residual.
+five-diagonal (CMV) truncations of circle recurrence data.  Only
+eigenvalues are ever needed downstream.  The tridiagonal and the unitary
+path share one route: LAPACK gives candidate values, one vectorized
+count sweep at their midpoints keeps every candidate whose bracket holds
+exactly one eigenvalue, and bisection on the count runs only inside the
+brackets that hold more.  The line counts with Sturm sequences
+(Sylvester inertia) and takes its candidates from root-free QL; the
+circle counts with the phase of a Blaschke product and takes its
+candidates from the banded Hermitian parts of the CMV matrix.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+from scipy import sparse
 
 from .sequences import BlockJacobiParams, JacobiParams, VerblunskyParams, _freeze
 
@@ -31,14 +32,6 @@ class NoConvergence(ArithmeticError):
 
     def __init__(self, detail: str):
         super().__init__(detail)
-
-
-class NotUnitary(ValueError):
-    """Matrix handed to a unitary eigensolver fails the unitarity check."""
-
-    def __init__(self, defect: float):
-        super().__init__(f"unitarity defect {defect} exceeds tolerance")
-        self.defect = defect
 
 
 class DuplicateEigenvalues(UserWarning):
@@ -110,12 +103,8 @@ class EmpiricalMeasure:
                        math.fsum(z.imag.tolist())) / len(self.points)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["index", "point"])
-        for i, x in enumerate(self.points):
-            w.writerow([i, repr(float(x))])
-        return buf.getvalue()
+        return "".join(["index,point\n"] + [
+            f"{i},{repr(float(x))}\n" for i, x in enumerate(self.points)])
 
 
 def truncate(params: JacobiParams, N: int) -> TridiagonalMatrix:
@@ -148,44 +137,45 @@ def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _sturm_certificate(T: TridiagonalMatrix, vals: np.ndarray) -> np.ndarray:
-    """Indices of the ascending eigenvalue list ``vals`` that one Sturm
-    sweep fails to certify.
+def _certified(count, cand: np.ndarray, lo: float, hi: float, n: int,
+               tol: float) -> np.ndarray:
+    """The n eigenvalues in (lo, hi], ascending, from candidate values.
 
-    The shifts are a point below the Gershgorin interval, the N-1
-    midpoints of consecutive values and a point above it.  By Sylvester's
-    law of inertia, a count of j below shift j and of j+1 below shift
-    j+1 puts exactly one eigenvalue, the j-th, in the bracket between
-    them, so vals[j] is within that bracket's width of it.  Value j is
-    certified when both counts hold and it lies strictly inside its
-    bracket (a tie with a neighbour puts a shift on the value itself).
+    ``count(xs)`` is the number of eigenvalues between lo and each shift
+    x.  One sweep counts at the midpoints of the distinct sorted
+    candidates; the counts at lo and hi are 0 and n.  A bracket between
+    consecutive shifts whose count rises by exactly 1 holds one
+    eigenvalue, and its candidate is within the bracket's width of it.
+    The counts are made nondecreasing by a running max: rounding can only
+    dip a count at a shift within rounding distance of an eigenvalue.
+    Inside a bracket whose count rises by more than 1, every eigenvalue
+    it holds is bisected on the count to width ``tol``, in at most 200
+    sweeps.
     """
-    gl, gu = T.gershgorin()
-    pad = 1e-13 * max(abs(gl), abs(gu))
-    xs = np.concatenate([[gl - pad], 0.5 * (vals[:-1] + vals[1:]), [gu + pad]])
-    ok = _sturm_counts(T, xs) == np.arange(T.n + 1)
-    inside = (xs[:-1] < vals) & (vals < xs[1:])
-    return np.flatnonzero(~(ok[:-1] & ok[1:] & inside))
-
-
-def _bisect(T: TridiagonalMatrix, idx: np.ndarray) -> np.ndarray:
-    """Eigenvalues number ``idx`` (ascending, 0-based) by Sturm-count
-    bisection from the Gershgorin interval, each refined to 1e-13
-    relative to the Gershgorin bound in at most 200 sweeps."""
-    gl, gu = T.gershgorin()
-    tol = 1e-13 * max(abs(gl), abs(gu))
-    lo = np.full(len(idx), gl)
-    hi = np.full(len(idx), gu)
-    need = idx + 1  # eigenvalue i has count >= i+1 above it
+    cand = np.unique(cand)
+    mids = 0.5 * (cand[:-1] + cand[1:])
+    k = np.maximum.accumulate(np.concatenate([[0], count(mids), [n]]))
+    edges = np.concatenate([[lo], mids, [hi]])
+    rise = np.diff(k)
+    out = np.empty(n)
+    one = rise == 1
+    out[k[:-1][one]] = cand[one]
+    many = np.flatnonzero(rise > 1)
+    if len(many) == 0:
+        return out
+    idx = np.concatenate([np.arange(k[i], k[i + 1]) for i in many])
+    brk = np.repeat(many, rise[many])
+    left, right = edges[brk], edges[brk + 1]
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        above = _sturm_counts(T, mid) >= need
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if float(np.max(hi - lo)) <= tol:
-            return 0.5 * (lo + hi)
+        if float(np.max(right - left)) <= tol:
+            out[idx] = 0.5 * (left + right)
+            return out
+        mid = 0.5 * (left + right)
+        above = count(mid) > idx  # eigenvalue idx lies below mid
+        right = np.where(above, mid, right)
+        left = np.where(above, left, mid)
     raise NoConvergence(
-        f"bisection stalled: residual interval {float(np.max(hi - lo))}"
+        f"bisection stalled: residual interval {float(np.max(right - left))}"
     )
 
 
@@ -194,11 +184,11 @@ def eig_sym_tridiag(T: TridiagonalMatrix, method: str = "bisect") -> np.ndarray:
 
     Both methods compute the values with LAPACK's root-free QL/QR
     iteration (``sterf``).  method "bisect" (the default) then certifies
-    them with one vectorized Sturm-count sweep: exactly one eigenvalue
-    between consecutive midpoints, none outside the Gershgorin bounds.
-    Only the values the sweep cannot certify are recomputed by
-    Sturm-count bisection (at most 200 sweeps), so a valid input
-    never fails.  method "ql" returns the uncertified ``sterf`` values,
+    them with one vectorized Sturm-count sweep at their midpoints
+    (``_certified``): a value is kept when its bracket holds exactly one
+    eigenvalue, and only brackets that hold more are refined by
+    Sturm-count bisection (at most 200 sweeps), to 1e-13 relative to the
+    Gershgorin bound.  method "ql" returns the uncertified ``sterf`` values,
     for callers that check themselves (the trace identity of
     trace_square).
 
@@ -212,10 +202,10 @@ def eig_sym_tridiag(T: TridiagonalMatrix, method: str = "bisect") -> np.ndarray:
         return np.array([float(T.diag[0])])
     vals = sla.eigvalsh_tridiagonal(T.diag, T.offdiag, lapack_driver="sterf")
     if method == "bisect":
-        bad = _sturm_certificate(T, vals)
-        if len(bad):
-            vals[bad] = _bisect(T, bad)
-            vals = np.sort(vals)
+        gl, gu = T.gershgorin()
+        pad = 1e-13 * max(abs(gl), abs(gu))
+        vals = _certified(lambda xs: _sturm_counts(T, xs), vals, gl - pad,
+                          gu + pad, n, pad)
     gaps = np.diff(vals)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if len(gaps) and float(gaps.min()) < 1e-12 * scale:
@@ -249,37 +239,61 @@ def trace_square(params: JacobiParams, N: int, method: str = "bisect"):
 
 class CmvMatrix:
     """Unitary five-diagonal truncation built from circle recurrence
-    coefficients.
+    coefficients alpha_0..alpha_{N-2} and a boundary phase beta.
 
-    The matrix is the product of two block-diagonal unitaries: one made
-    of the 2x2 rotors [[-a_j, rho_j], [rho_j, conj(a_j)]] at even j, one
+    The matrix is the product L M of two block-diagonal unitaries: L made
+    of the 2x2 rotors [[-a_j, rho_j], [rho_j, conj(a_j)]] at even j, M
     with a leading 1 and the rotors at odd j.  The rotor signs follow
     the recursion Phi_{n+1} = z Phi_n + alpha_n Phi_n^* used by the
     moment machinery, under which the constant sequence alpha_j = a > 0
     is the gap-around-1 arc measure with nothing in the gap.  The rotor
     that would straddle the truncation boundary degenerates to the
-    single entry -beta with a unimodular boundary phase beta standing in
-    for the N-th coefficient; eigenvalues are then the zeros of
-    z Phi_{N-1} + beta Phi_{N-1}^*.
+    single entry -beta; eigenvalues are then the zeros of
+    z Phi_{N-1} + beta Phi_{N-1}^*.  Every |alpha_j| < 1 and |beta| = 1
+    are checked, so the matrix is unitary by construction.  ``mat`` is
+    the sparse product; ``dense()`` is for oracles.
 
-    By default beta = alpha_{N-1}/|alpha_{N-1}| (beta = 1 when that
-    coefficient vanishes), which for constant positive coefficient
-    sequences parks the boundary-controlled zero inside the essential
-    arc instead of mid-gap; any fixed unimodular choice is legitimate,
-    and this one is pinned down by the spectrum-location tests.
+    ``cmv`` picks beta = alpha_{N-1}/|alpha_{N-1}| by default (beta = 1
+    when that coefficient vanishes), which for constant positive
+    coefficient sequences parks the boundary-controlled zero inside the
+    essential arc instead of mid-gap; any fixed unimodular choice is
+    legitimate, and this one is pinned down by the spectrum-location
+    tests.
     """
 
-    def __init__(self, mat: np.ndarray, boundary: complex):
-        self.mat = _freeze(np.asarray(mat, dtype=complex))
-        self.boundary = complex(boundary)
+    def __init__(self, alpha, boundary: complex):
+        alpha = _freeze(np.array(alpha, dtype=complex))
+        boundary = complex(boundary)
+        if alpha.ndim != 1 or not np.all(np.abs(alpha) < 1.0):
+            raise ValueError("need a 1-d sequence with every |alpha_j| < 1")
+        if abs(abs(boundary) - 1.0) > 1e-12:
+            raise ValueError("boundary phase must be unimodular")
+        self.alpha = alpha
+        self.boundary = boundary
+        eff = np.append(alpha, boundary)
+        rho = np.sqrt(1.0 - np.abs(alpha) ** 2)
+        self.mat = self._factor(eff, rho, 0) @ self._factor(eff, rho, 1)
+
+    @staticmethod
+    def _factor(eff: np.ndarray, rho: np.ndarray, start: int):
+        """The tridiagonal factor with rotors at j = start, start + 2, ...
+        and a leading 1 when start = 1."""
+        n = len(eff)
+        d = np.ones(n, dtype=complex)
+        off = np.zeros(n - 1)
+        j = np.arange(start, n, 2)
+        d[j] = -eff[j]
+        j = j[j < n - 1]
+        d[j + 1] = np.conj(eff[j])
+        off[j] = rho[j]
+        return sparse.diags([off, d, off], [-1, 0, 1], format="csr")
 
     @property
     def n(self) -> int:
-        return self.mat.shape[0]
+        return len(self.alpha) + 1
 
-    def unitarity_defect(self) -> float:
-        c = self.mat
-        return float(np.max(np.abs(c.conj().T @ c - np.eye(self.n))))
+    def dense(self) -> np.ndarray:
+        return self.mat.toarray()
 
 
 def cmv(params: VerblunskyParams, N: int, boundary=None) -> CmvMatrix:
@@ -287,111 +301,78 @@ def cmv(params: VerblunskyParams, N: int, boundary=None) -> CmvMatrix:
     plus a boundary phase (see CmvMatrix docstring for the default)."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    alpha = np.array(params.alpha_window(N), dtype=complex)
+    alpha = np.asarray(params.alpha_window(N), dtype=complex)
     if boundary is None:
         tail = alpha[N - 1]
         if 0.0 < abs(tail) < _SAFMIN:
             tail = tail * 2.0 ** 600  # exact; keeps 1 / |tail| finite
         boundary = tail / abs(tail) if abs(tail) > 0 else 1.0 + 0.0j
-    boundary = complex(boundary)
-    if abs(abs(boundary) - 1.0) > 1e-12:
-        raise ValueError("boundary phase must be unimodular")
-    eff = alpha.copy()
-    eff[N - 1] = boundary
-    rho = np.zeros(N)
-    rho[: N - 1] = np.sqrt(1.0 - np.abs(alpha[: N - 1]) ** 2)
-
-    def factor(start: int) -> np.ndarray:
-        f = np.zeros((N, N), dtype=complex)
-        for i in range(start):
-            f[i, i] = 1.0
-        j = start
-        while j < N:
-            if j + 1 < N:
-                f[j, j] = -eff[j]
-                f[j, j + 1] = rho[j]
-                f[j + 1, j] = rho[j]
-                f[j + 1, j + 1] = np.conj(eff[j])
-            else:
-                f[j, j] = -eff[j]
-            j += 2
-        return f
-
-    mat = factor(0) @ factor(1)
-    out = CmvMatrix(mat, boundary)
-    defect = out.unitarity_defect()
-    if defect > 1e-12:
-        raise NotUnitary(defect)
-    return out
+    return CmvMatrix(alpha[:N - 1], boundary)
 
 
-_RESIDUAL_BLOCK = 64
+def _phase_counts(C: CmvMatrix, cut: float, xs: np.ndarray) -> np.ndarray:
+    """Number of eigenangles of C in (cut, x] for each x in xs, with
+    cut < x <= cut + 2 pi.
+
+    b = z Phi_{N-1} / Phi_{N-1}^* is a Blaschke product of degree N, built
+    by b <- z (b + alpha_n) / (1 + conj(alpha_n) b) from b = z, and the
+    eigenangles are where it crosses -beta.  On the circle that step adds
+    x + 2 arg(1 + alpha_n conj(b)) to arg b, a principal value because
+    |alpha_n| < 1, so the sum is the continuous, increasing phase, and
+    floor((phase - arg(-beta)) / 2 pi) jumps by one at each eigenangle
+    (Simon, OPUC Part 1, 2005; Cantero-Moral-Velazquez, 2003).
+    """
+    x = np.concatenate([[cut], xs])
+    z = np.exp(1j * x)
+    b = z.copy()
+    phase = C.n * x
+    for a in C.alpha:
+        w = 1.0 + a * b.conj()
+        phase += 2.0 * np.angle(w)
+        b *= z * (w / w.conj())
+    # phase - arg(-beta) = 2 pi turns + psi: the rounding of the long sum
+    # only ever picks the integer, and psi is read off b itself
+    psi = np.angle(b * -np.conj(C.boundary))
+    turns = np.round((phase - np.angle(-C.boundary) - psi) / (2.0 * math.pi))
+    k = turns - (psi < 0.0)
+    return (k[1:] - k[0]).astype(np.int64)
 
 
 def eig_unitary(C: CmvMatrix) -> EmpiricalMeasure:
-    """Eigenvalue angles of a unitary matrix, sorted in (-pi, pi].
+    """Eigenvalue angles of a unitary CMV matrix, sorted in (-pi, pi].
 
-    Solves the Hermitian Cayley transform H = i(I - U)(I + U)^{-1} of
-    U = conj(w) C with ``eigh``; an eigenvalue t of H is the angle
-    arg w + 2 arctan t of C, with the same eigenvector.  The pole -w sits
-    mid-way across the widest gap of the angles +-arccos of the
-    eigenvalues of (C + C^*)/2, a set that contains every eigenangle of
-    the normal matrix C; so the pole is at least pi/(2N) from the
-    spectrum and I + U is well conditioned.
-
-    Checks the unitarity invariant on entry, and on exit that every
-    residual ||Cv - zv|| is below 1e-9.  No modulus check is needed: the
-    angles come from the real eigenvalues of a Hermitian matrix, so every
-    z = e^{i theta} is on the circle by construction.
+    C is normal, so the eigenvalues of its Hermitian parts (C + C^*)/2
+    and (C - C^*)/2i, both of bandwidth 2, are the cosines and the sines
+    of its eigenangles.  The candidates +-arccos c, arcsin s and
+    pi - arcsin s give every angle one well-conditioned candidate, near
+    0 and pi too.  ``_certified`` picks the angles among them with the
+    phase count of ``_phase_counts``, started mid-way across the widest
+    gap between candidates, and bisects any bracket that holds more than
+    one angle to 1e-13.  The angles are real, so every e^{i theta} is on
+    the circle by construction.
     """
-    defect = C.unitarity_defect()
-    if defect > 1e-10:
-        raise NotUnitary(defect)
     c = C.mat
-    n = C.n
-    diag = np.diag_indices(n)
-    herm = c.conj().T
-    herm += c
-    herm *= 0.5
-    cosines = np.clip(sla.eigvalsh(herm, overwrite_a=True, check_finite=False),
-                      -1.0, 1.0)
-    del herm
-    arcs = np.arccos(cosines)
-    ring = np.sort(np.concatenate([-arcs, arcs]))
-    gaps = np.diff(np.concatenate([ring, [ring[0] + 2.0 * math.pi]]))
+    ch = c.conj().T
+    kd = min(2, C.n - 1)  # a band wider than the matrix gives 0 at N = 1
+    parts = []
+    for h in (0.5 * (c + ch), -0.5j * (c - ch)):
+        band = np.zeros((kd + 1, C.n), dtype=complex)
+        for k in range(kd + 1):
+            band[kd - k, k:] = h.diagonal(k)
+        parts.append(np.clip(sla.eigvals_banded(band, check_finite=False),
+                             -1.0, 1.0))
+    cos_arc, sin_arc = np.arccos(parts[0]), np.arcsin(parts[1])
+    cand = np.concatenate([cos_arc, -cos_arc, sin_arc, math.pi - sin_arc])
+    ring = np.sort(np.remainder(cand, 2.0 * math.pi))
+    gaps = np.diff(np.append(ring, ring[0] + 2.0 * math.pi))
     k = int(np.argmax(gaps))
-    shift = ring[k] + 0.5 * gaps[k] - math.pi  # arg w, pole at -w
-    plus = c * complex(math.cos(shift), -math.sin(shift))
-    minus = -plus
-    plus[diag] += 1.0
-    minus[diag] += 1.0
-    # LAPACK is column-major, so factor and solve the transposed system
-    # (I + U)^T Y = (I - U)^T in place on the row-major arrays.  As
-    # (I + U)^{-1} commutes with I - U, iY is H^T = conj(H), whose
-    # eigenvectors are the conjugates of those of H.
-    lu = sla.lu_factor(plus.T, overwrite_a=True, check_finite=False)
-    hc = sla.lu_solve(lu, minus.T, overwrite_b=True, check_finite=False)
-    del plus, minus, lu
-    hc *= 1j
-    hc += hc.conj().T
-    hc *= 0.5
-    # MRRR needs O(N) workspace where divide and conquer needs O(N^2)
-    lam, vecs = sla.eigh(hc, overwrite_a=True, check_finite=False,
-                         driver="evr")
-    del hc
-    angles = shift + 2.0 * np.arctan(lam)
+    cut = ring[k] + 0.5 * gaps[k]
+    cand = cut + np.remainder(cand - cut, 2.0 * math.pi)
+    angles = _certified(lambda xs: _phase_counts(C, cut, xs), cand, cut,
+                        cut + 2.0 * math.pi, C.n, 1e-13)
     angles = np.remainder(angles + math.pi, 2.0 * math.pi) - math.pi
     # the remainder lies in [-pi, pi); -pi is the same point as pi
     angles[angles <= -math.pi] += 2.0 * math.pi
-    z = np.exp(1j * angles)
-    worst = 0.0
-    for s in range(0, n, _RESIDUAL_BLOCK):
-        v = vecs[:, s:s + _RESIDUAL_BLOCK].conj()
-        resid = c @ v
-        resid -= v * z[s:s + _RESIDUAL_BLOCK]
-        worst = max(worst, float(np.max(np.abs(resid))))
-    if worst > 1e-9:
-        raise NoConvergence(f"eigenpair residual {worst}")
     return EmpiricalMeasure(angles, "circle")
 
 

@@ -106,7 +106,7 @@ def test_moment_route_round_trips_through_cmv():
     raw = np.array([0.4, -0.2 + 0.3j, 0.1j, 0.25, -0.3])
     V = VerblunskyParams(np.concatenate([raw, np.zeros(40)]))
     n = 30
-    C = cmv(V, n).mat
+    C = cmv(V, n).dense()
     e0 = np.zeros(n, dtype=complex)
     e0[0] = 1.0
     moms = [1.0 + 0.0j]

@@ -8,11 +8,12 @@ import xml.dom.minidom
 
 import pytest
 
-from opspectra import cli, scenarios
+from opspectra import cli, periodic, scenarios
 from opspectra.cli import (ConfigParse, ScenarioConfig, ScenarioFailed,
                            parse_config_text, run_scenario)
 from opspectra.regularity import StatSeries
 from opspectra.scenarios import BadOption, ScenarioResult, UnknownScenario
+from opspectra.sequences import sup_deviation
 
 ALL_IDS = ("thm1_1", "prop2_2", "thm3_1", "thm4_1", "thm4_2", "thm6_1",
            "mnt_illustration", "conjecture5_1_explore")
@@ -215,12 +216,16 @@ def test_stats_csv_is_the_series_csv_rows_under_one_header():
     ("thm1_1", "bumps.norm_check_N = 0"),
     ("thm4_1", "threshold.cn_last = inf"),      # would switch the check off
     ("thm4_1", "threshold.cn_lst = 1e-7"),      # unknown key
+    ("thm6_1", "defect.size = 1e6"),            # |shift| <= 10
+    ("conjecture5_1_explore", "bumps.amp = 1e295"),
+    ("conjecture5_1_explore", "decay.power = -1"),  # shift would grow
 ], ids=["closed_gap", "constant_pattern", "non_numeric_pattern",
         "zero_window", "arc_a", "arc_k", "cmv_N", "arc_phase_inf",
         "perturbed_alpha_0", "inputs_count", "mnt_coefficients",
         "mnt_coefficients_past_nodes", "mnt_tilt", "circle_bump",
         "blockmap_K", "defect_site_past_blocks", "torus_theta_inf",
-        "pattern_inf", "norm_check_N", "threshold_inf", "unknown_key"])
+        "pattern_inf", "norm_check_N", "threshold_inf", "unknown_key",
+        "defect_size", "bumps_amp", "decay_power"])
 def test_cli_unusable_input_exits_2_with_one_error_line(
         tmp_path, capsys, monkeypatch, scenario, line):
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
@@ -233,6 +238,22 @@ def test_cli_unusable_input_exits_2_with_one_error_line(
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_shifts_keep_the_declared_deviation_bounds(monkeypatch):
+    # the declared bound sets the truncation of the torus weights, so it
+    # must hold for shifts of either sign
+    shifted = []
+    real = periodic.delta_of_J
+    monkeypatch.setattr(periodic, "delta_of_J",
+                        lambda J0, J, K: shifted.append(J) or real(J0, J, K))
+    scenarios.run("thm6_1", {"defect.size": "-0.3", "torus.Ns": "32"})
+    res = scenarios.run("conjecture5_1_explore",
+                        {"decay.amp": "-0.5", "bumps.amp": "-0.4"})
+    inputs = [J for _, J, _ in res.jacobi_inputs] + shifted[1:]
+    assert len(inputs) == 3
+    for J in inputs:
+        assert sup_deviation(J, 4096) <= J.declared_bound
 
 
 def test_cli_config_that_is_not_utf8_exits_2_with_one_error_line(

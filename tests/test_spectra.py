@@ -10,8 +10,8 @@ from opspectra import spectra
 from opspectra.sequences import (BlockJacobiParams, JacobiParams,
                                  VerblunskyParams)
 from opspectra.spectra import (CmvMatrix, DuplicateEigenvalues,
-                               EmpiricalMeasure, NotUnitary,
-                               TridiagonalMatrix, block_dense,
+                               EmpiricalMeasure, TridiagonalMatrix,
+                               block_dense,
                                block_trace_square, cmv, eig_block,
                                eig_sym_tridiag, eig_unitary, trace_square,
                                truncate, zero_counting)
@@ -63,7 +63,13 @@ def _twin_blocks(coupling):
                              np.concatenate([e, [coupling], e]))
 
 
-def test_sturm_certificate_rejects_wrong_lists_near_a_planted_pair():
+def _sturm_certified(T, vals):
+    gl, gu = T.gershgorin()
+    return spectra._certified(lambda xs: spectra._sturm_counts(T, xs), vals,
+                              gl - 1.0, gu + 1.0, T.n, 1e-14)
+
+
+def test_certified_repairs_wrong_lists_near_a_planted_pair():
     T = _twin_blocks(1e-6)
     vals = eig_sym_tridiag(T)
     oracle = np.linalg.eigvalsh(T.dense())
@@ -71,17 +77,15 @@ def test_sturm_certificate_rejects_wrong_lists_near_a_planted_pair():
     gaps = np.diff(vals)
     j = int(np.argmin(gaps))
     assert 1e-12 < gaps[j] < 1e-6  # the planted near-duplicate pair
-    assert len(spectra._sturm_certificate(T, vals)) == 0
+    assert np.array_equal(_sturm_certified(T, vals), vals)
     collapsed = vals.copy()
     collapsed[j + 1] = collapsed[j]
-    bad = spectra._sturm_certificate(T, collapsed)
-    assert list(bad) == [j, j + 1]
+    assert np.max(np.abs(_sturm_certified(T, collapsed) - oracle)) < 1e-12
     # both values of the pair below its lower member: one bracket empty,
     # the next one holding two eigenvalues
     perturbed = vals.copy()
     perturbed[j:j + 2] = vals[j] - np.array([0.2, 0.1]) * gaps[j]
-    bad = spectra._sturm_certificate(T, perturbed)
-    assert list(bad) == [j, j + 1]
+    assert np.max(np.abs(_sturm_certified(T, perturbed) - oracle)) < 1e-12
 
 
 def test_failed_brackets_are_refined_by_bisection(monkeypatch):
@@ -155,7 +159,8 @@ def test_cmv_eigenvalues_match_polynomial_zeros(N, seed):
     V = VerblunskyParams(raw)
     beta = 1.0 + 0.0j
     C = cmv(V, N, boundary=beta)
-    assert C.unitarity_defect() < 1e-12
+    D = C.dense()
+    assert np.max(np.abs(D.conj().T @ D - np.eye(N))) < 1e-12
     mine = np.exp(1j * eig_unitary(C).points)
     oracle = _para_zeros(raw, N, beta)
     # match as multisets
@@ -174,22 +179,98 @@ def test_cmv_eigenvalues_match_dense_oracle(N, radius, seed):
     th = eig_unitary(C).points
     assert np.all((th > -math.pi) & (th <= math.pi))
     mine = np.exp(1j * th)
-    oracle = sla.eigvals(C.mat)
+    oracle = sla.eigvals(C.dense())
     dist = np.abs(mine[:, None] - oracle[None, :])
     assert np.max(dist.min(axis=1)) < 1e-11
     assert np.max(dist.min(axis=0)) < 1e-11
 
 
-def test_eig_unitary_rejects_a_non_unitary_matrix():
-    with pytest.raises(NotUnitary):
-        eig_unitary(CmvMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0))
+def test_cmv_matrix_rejects_coefficients_off_the_disk_and_off_the_circle():
+    for alpha, beta in [([0.5, 1.0], 1.0), ([0.3j, -0.6 - 0.8j], 1.0),
+                        ([0.5], 1.1), ([0.5], 0.0), ([0.5], 1j * (1 - 1e-9))]:
+        with pytest.raises(ValueError):
+            CmvMatrix(np.array(alpha), beta)
 
 
 def test_cmv_zero_coefficients_give_uniform_angles():
-    V = VerblunskyParams(np.zeros(64, dtype=complex))
-    th = np.sort(eig_unitary(cmv(V, 32)).points)
-    gaps = np.diff(np.concatenate([th, [th[0] + 2.0 * math.pi]]))
-    assert np.max(np.abs(gaps - 2.0 * math.pi / 32)) < 1e-10
+    for N, beta in [(32, 1.0), (2048, 1.0), (2048, np.exp(0.3j))]:
+        V = VerblunskyParams(np.zeros(N, dtype=complex))
+        th = eig_unitary(cmv(V, N, boundary=beta)).points
+        # oracle: the N roots of z^N = -beta, exactly spaced
+        exact = np.exp(1j * (np.angle(-beta) + 2.0 * math.pi * np.arange(N))
+                       / N)
+        dist = np.abs(np.exp(1j * th)[:, None] - exact[None, :])
+        assert np.max(dist.min(axis=1)) < 1e-12
+        assert np.max(dist.min(axis=0)) < 1e-12
+
+
+def _alternating(N, beta):
+    return CmvMatrix(0.5 * (-1.0) ** np.arange(N - 1), beta)
+
+
+def test_eigenangle_at_pi_matches_dense_oracle():
+    C = _alternating(27, 1.0)
+    oracle = sla.eigvals(C.dense())
+    assert np.min(np.abs(oracle + 1.0)) < 1e-14  # an eigenvalue at -1
+    mine = np.exp(1j * eig_unitary(C).points)
+    dist = np.abs(mine[:, None] - oracle[None, :])
+    assert np.max(dist.min(axis=1)) < 1e-12
+    assert np.max(dist.min(axis=0)) < 1e-12
+
+
+def _random_cmv(seed, N, radius=0.9):
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.0, radius, N - 1) \
+        * np.exp(1j * rng.uniform(-math.pi, math.pi, N - 1))
+    return CmvMatrix(alpha, np.exp(1j * rng.uniform(-math.pi, math.pi)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_phase_counts_match_dense_oracle(seed):
+    C = _random_cmv(seed, 40)
+    rng = np.random.default_rng(100 + seed)
+    cut = rng.uniform(-math.pi, math.pi)
+    xs = cut + rng.uniform(0.0, 2.0 * math.pi, 500)
+    lifted = np.remainder(np.angle(sla.eigvals(C.dense())) - cut, 2.0 * math.pi)
+    expect = np.sum(lifted[None, :] <= (xs - cut)[:, None], axis=1)
+    assert np.array_equal(spectra._phase_counts(C, cut, xs), expect)
+
+
+def test_certified_repairs_wrong_angle_lists():
+    C = _random_cmv(7, 30)
+    ring = np.sort(np.angle(sla.eigvals(C.dense())))
+    gaps = np.diff(np.append(ring, ring[0] + 2.0 * math.pi))
+    k = int(np.argmax(gaps))
+    cut = ring[k] + 0.5 * gaps[k]
+    oracle = np.sort(cut + np.remainder(ring - cut, 2.0 * math.pi))
+
+    def certified(cand):
+        return spectra._certified(
+            lambda xs: spectra._phase_counts(C, cut, xs), cand, cut,
+            cut + 2.0 * math.pi, C.n, 1e-14)
+
+    assert np.array_equal(certified(oracle), oracle)
+    j = 10
+    # angle j moved onto its neighbour, into that neighbour's bracket
+    moved = oracle.copy()
+    moved[j] = oracle[j + 1]
+    assert np.max(np.abs(certified(moved) - oracle)) < 1e-12
+    below = oracle.copy()
+    below[j:j + 2] = oracle[j] - np.array([0.2, 0.1]) * (oracle[j + 1]
+                                                          - oracle[j])
+    assert np.max(np.abs(certified(below) - oracle)) < 1e-12
+
+
+def test_eig_unitary_bisects_when_the_band_solver_is_wrong(monkeypatch):
+    C = _random_cmv(3, 50)
+    oracle = sla.eigvals(C.dense())
+    # every cosine and sine 0: four candidates, every bracket crowded
+    monkeypatch.setattr(spectra.sla, "eigvals_banded",
+                        lambda band, **kw: np.zeros(band.shape[1]))
+    mine = np.exp(1j * eig_unitary(C).points)
+    dist = np.abs(mine[:, None] - oracle[None, :])
+    assert np.max(dist.min(axis=1)) < 1e-12
+    assert np.max(dist.min(axis=0)) < 1e-12
 
 
 def test_cmv_default_boundary_follows_last_coefficient():
