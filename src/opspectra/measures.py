@@ -81,10 +81,9 @@ class DensityPart:
 
 
 def _check_parts(parts, kinds, lo_min, hi_max):
-    if any(p.kind not in kinds for p in parts):
-        bad = next(p.kind for p in parts if p.kind not in kinds)
-        raise ValueError(f"unknown density kind {bad!r}")
     for p in parts:
+        if p.kind not in kinds:
+            raise ValueError(f"unknown density kind {p.kind!r}")
         if not (lo_min - 1e-12 <= p.lo < p.hi <= hi_max + 1e-12):
             raise ValueError(f"interval [{p.lo},{p.hi}] out of range or empty")
         if p.weight <= 0:
@@ -93,6 +92,18 @@ def _check_parts(parts, kinds, lo_min, hi_max):
     for (l1, h1), (l2, h2) in zip(spans, spans[1:]):
         if l2 < h1 - 1e-12:
             raise ValueError(f"intervals [{l1},{h1}] and [{l2},{h2}] overlap")
+
+
+def _normalized(parts, atoms):
+    """The parts and the (location, mass) atoms, scaled to total mass 1."""
+    if any(mass <= 0 for _, mass in atoms):
+        raise ValueError("atom masses must be positive")
+    total = sum(p.weight for p in parts) + sum(m for _, m in atoms)
+    if total <= 0:
+        raise ValueError("measure must have positive total mass")
+    return (tuple(DensityPart(p.lo, p.hi, p.kind, p.weight / total, p.data)
+                  for p in parts),
+            tuple((float(x), m / total) for x, m in atoms))
 
 
 class LineMeasureSpec:
@@ -121,15 +132,7 @@ class LineMeasureSpec:
         for p in parts:
             if p.kind in ("chebyshev-t", "chebyshev-u") and (p.lo, p.hi) != (-2.0, 2.0):
                 raise ValueError(f"{p.kind} preset lives on [-2,2]")
-        if any(mass <= 0 for _, mass in atoms):
-            raise ValueError("atom masses must be positive")
-        total = sum(p.weight for p in parts) + sum(m for _, m in atoms)
-        if total <= 0:
-            raise ValueError("measure must have positive total mass")
-        self.parts = tuple(
-            DensityPart(p.lo, p.hi, p.kind, p.weight / total, p.data) for p in parts
-        )
-        self.atoms = tuple((float(x), m / total) for x, m in atoms)
+        self.parts, self.atoms = _normalized(parts, atoms)
 
     @classmethod
     def chebyshev_t(cls) -> "LineMeasureSpec":
@@ -156,18 +159,9 @@ class CircleMeasureSpec:
                  atoms: Sequence[Tuple[float, float]] = ()):
         parts = tuple(parts)
         _check_parts(parts, _CIRCLE_KINDS, -math.pi, math.pi)
-        if any(mass <= 0 for _, mass in atoms):
-            raise ValueError("atom masses must be positive")
-        for th, _ in atoms:
-            if not -math.pi <= th <= math.pi:
-                raise ValueError("atom angle outside [-pi, pi]")
-        total = sum(p.weight for p in parts) + sum(m for _, m in atoms)
-        if total <= 0:
-            raise ValueError("measure must have positive total mass")
-        self.parts = tuple(
-            DensityPart(p.lo, p.hi, p.kind, p.weight / total, p.data) for p in parts
-        )
-        self.atoms = tuple((float(th), m / total) for th, m in atoms)
+        if any(not -math.pi <= th <= math.pi for th, _ in atoms):
+            raise ValueError("atom angle outside [-pi, pi]")
+        self.parts, self.atoms = _normalized(parts, atoms)
 
     @classmethod
     def uniform(cls) -> "CircleMeasureSpec":

@@ -38,7 +38,7 @@ from numpy.polynomial import polynomial as npp
 
 from .potential import FiniteGapSet
 from .sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
-                        UnitaryChain, _freeze, sup_deviation,
+                        UnitaryChain, _freeze, _herm, sup_deviation,
                         validate_blocks)
 
 
@@ -232,10 +232,7 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
     cut = np.zeros((K + 1, 2, p, p))
     cut[k[keep], d[keep], i[keep] % p, j[keep] % p] = v[keep]
     B = cut[:, 0] + np.triu(cut[:, 0], 1).transpose(0, 2, 1)
-    B_blocks = [_freeze(blk) for blk in B.astype(complex)]
-    A_blocks = [_freeze(blk) for blk in cut[:K, 1].astype(complex)]
-    out = BlockJacobiParams(block_size=p, A=tuple(A_blocks),
-                            B=tuple(B_blocks), type_tag="type3")
+    out = BlockJacobiParams(p, cut[:K, 1], B, "type3")
     try:
         validate_blocks(out)
     except (ValueError, TypeError) as exc:
@@ -246,31 +243,42 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
 # -- equivalence-class representatives ---------------------------------
 
 
-def _phase_diag(d: np.ndarray) -> np.ndarray:
-    out = np.ones_like(d)
-    nz = np.abs(d) > 0.0
-    out[nz] = d[nz] / np.abs(d[nz])
-    return out
+def _normal_form(Jb: BlockJacobiParams, tag: str, exact, step, snap):
+    """The chain u_1 = I, u_{j+1} = step(u_j^* A_j, A_j, j), padded with
+    identities, and the input transformed by it, its A stack ``snap``-ped;
+    ``exact`` input comes back retagged, with the identity chain."""
+    ell, n = Jb.block_size, max(len(Jb.B), len(Jb.A) + 1)
+    u = [np.eye(ell, dtype=complex)]
+    if exact(Jb.A):
+        return BlockJacobiParams(ell, Jb.A, Jb.B, tag), UnitaryChain(u * n)
+    for j, A in enumerate(Jb.A, start=1):
+        u.append(step(u[-1].conj().T @ A, A, j))
+    chain = UnitaryChain(u + u[:1] * (n - len(u)))
+    out = chain.apply(Jb)
+    return validate_blocks(BlockJacobiParams(ell, snap(out.A), out.B, tag)), chain
 
 
-def _exactly_type3(M: np.ndarray) -> bool:
-    d = np.diagonal(M)
-    return (not np.any(np.triu(M, k=1)) and not np.any(d.imag)
+def _exactly_type3(A: np.ndarray) -> bool:
+    d = np.diagonal(A, axis1=1, axis2=2)
+    return (not np.any(np.triu(A, k=1)) and not np.any(d.imag)
             and bool(np.all(d.real > 0.0)))
 
 
-def _exactly_type1(M: np.ndarray) -> bool:
-    if not np.array_equal(M, M.conj().T):
-        return False
-    return bool(np.linalg.eigvalsh(M)[0] > 0.0)
+def _qr_step(M: np.ndarray, A: np.ndarray, j: int) -> np.ndarray:
+    q, r = np.linalg.qr(M.conj().T)
+    rd = np.diagonal(r)
+    if np.any(np.abs(rd) <= 1e-12 * max(1.0, float(np.max(np.abs(A))))):
+        raise SingularBlock(j, float(np.min(np.abs(rd))), 0.0)
+    return q @ np.diag(rd / np.abs(rd))
 
 
-def _identity_chain(params: BlockJacobiParams, tag: str):
-    ell = params.block_size
-    eye = _freeze(np.eye(ell, dtype=complex))
-    chain = UnitaryChain((eye,) * max(len(params.B), len(params.A) + 1))
-    out = BlockJacobiParams(ell, params.A, params.B, tag)
-    return out, chain
+def _snap_type3(A: np.ndarray) -> np.ndarray:
+    # snap the roundoff dust off the structural zeros so the result is
+    # exactly in form (idempotent under re-normalization)
+    A = np.tril(A)
+    i = np.arange(A.shape[1])
+    A[:, i, i] = A[:, i, i].real
+    return A
 
 
 def normalize_type3(Jb: BlockJacobiParams):
@@ -283,31 +291,32 @@ def normalize_type3(Jb: BlockJacobiParams):
     that is already exactly in form comes back unchanged with the
     identity chain.
     """
-    if all(_exactly_type3(A) for A in Jb.A):
-        return _identity_chain(Jb, "type3")
-    ell = Jb.block_size
-    u = [np.eye(ell, dtype=complex)]
-    for j, A in enumerate(Jb.A, start=1):
-        M = u[-1].conj().T @ A
-        q, r = np.linalg.qr(M.conj().T)
-        rd = np.diagonal(r).copy()
-        if np.any(np.abs(rd) <= 1e-12 * max(1.0, float(np.max(np.abs(A))))):
-            raise SingularBlock(j, float(np.min(np.abs(rd))), 0.0)
-        u.append(q @ np.diag(_phase_diag(rd)))
-    while len(u) < len(Jb.B):
-        u.append(np.eye(ell, dtype=complex))
-    chain = UnitaryChain(tuple(_freeze(m) for m in u))
-    out = chain.apply(Jb, type_tag="type3")
-    # snap the roundoff dust off the structural zeros so the result is
-    # exactly in form (idempotent under re-normalization)
-    A = []
-    for blk in out.A:
-        blk = np.tril(blk)
-        np.fill_diagonal(blk, np.diagonal(blk).real)
-        A.append(_freeze(blk))
-    out = BlockJacobiParams(out.block_size, tuple(A), out.B, "type3")
-    validate_blocks(out)
-    return out, chain
+    return _normal_form(Jb, "type3", _exactly_type3, _qr_step, _snap_type3)
+
+
+def _exactly_type1(A: np.ndarray) -> bool:
+    return (np.array_equal(A, _herm(A))
+            and bool(np.all(np.linalg.eigvalsh(A)[:, 0] > 0.0)))
+
+
+def _polar_step(M: np.ndarray, A: np.ndarray, j: int) -> np.ndarray:
+    uu, s, vh = np.linalg.svd(M)
+    if s[-1] <= 1e-12 * max(s[0], 1.0):
+        raise SingularBlock(j, float(s[-1]), float(1e-12 * s[0]))
+    return (uu @ vh).conj().T
+
+
+def _snap_type1(A: np.ndarray) -> np.ndarray:
+    # make the polar factors exactly Hermitian; check det A <= prod diag A
+    A = (A + _herm(A)) / 2.0
+    det = np.linalg.det(A).real
+    diag_prod = np.prod(np.diagonal(A, axis1=1, axis2=2).real, axis=1)
+    bad = det > diag_prod + 1e-12
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ArithmeticError(f"determinant bound violated on block {j + 1}: "
+                              f"{det[j]} > {diag_prod[j]}")
+    return A
 
 
 def normalize_type1(Jb: BlockJacobiParams):
@@ -315,32 +324,7 @@ def normalize_type1(Jb: BlockJacobiParams):
     definite (polar factors), plus the realizing chain.  Each output
     block is checked against the determinant-versus-diagonal-product
     inequality for positive definite matrices."""
-    if all(_exactly_type1(A) for A in Jb.A):
-        return _identity_chain(Jb, "type1")
-    ell = Jb.block_size
-    u = [np.eye(ell, dtype=complex)]
-    for j, A in enumerate(Jb.A, start=1):
-        M = u[-1].conj().T @ A
-        uu, s, vh = np.linalg.svd(M)
-        if s[-1] <= 1e-12 * max(s[0], 1.0):
-            raise SingularBlock(j, float(s[-1]), float(1e-12 * s[0]))
-        u.append((uu @ vh).conj().T)
-    while len(u) < len(Jb.B):
-        u.append(np.eye(ell, dtype=complex))
-    chain = UnitaryChain(tuple(_freeze(m) for m in u))
-    out = chain.apply(Jb, type_tag="type1")
-    # make the polar factors exactly Hermitian
-    A = tuple(_freeze((blk + blk.conj().T) / 2.0) for blk in out.A)
-    out = BlockJacobiParams(out.block_size, A, out.B, "type1")
-    validate_blocks(out)
-    for j, A in enumerate(out.A, start=1):
-        det = float(np.linalg.det(A).real)
-        diag_prod = float(np.prod(np.diagonal(A).real))
-        if det > diag_prod + 1e-12:
-            raise ArithmeticError(
-                f"determinant bound violated on block {j}: {det} > {diag_prod}"
-            )
-    return out, chain
+    return _normal_form(Jb, "type1", _exactly_type1, _polar_step, _snap_type1)
 
 
 # -- isospectral torus -------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import periodic as _periodic
 from .sequences import (BlockJacobiParams, JacobiParams, VerblunskyParams,
-                        WrongType)
+                        WrongType, _herm)
 
 #: default geometric ladder of window lengths for limit-style claims
 DEFAULT_LADDER = tuple(2 ** k for k in range(5, 14))
@@ -37,16 +37,10 @@ class StatSeries:
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        Ns = tuple(int(n) for n in self.Ns)
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "Ns", Ns)
-        object.__setattr__(self, "values", vals)
-        if len(Ns) != len(vals):
+        object.__setattr__(self, "Ns", _check_ladder(self.Ns))
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if len(self.Ns) != len(self.values):
             raise ValueError("Ns and values must align")
-        if len(Ns) == 0 or Ns[0] < 1:
-            raise ValueError("need at least one window of length >= 1")
-        if any(Ns[i] >= Ns[i + 1] for i in range(len(Ns) - 1)):
-            raise ValueError("window lengths must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.Ns)
@@ -110,9 +104,7 @@ def root_test(seq, Ns=DEFAULT_LADDER, label: str = "root_test") -> StatSeries:
             raise ValueError("rho must be positive (|alpha| < 1)")
         logs = np.log(rho)
     elif isinstance(seq, BlockJacobiParams):
-        blocks = seq.a_blocks(n_max)
-        ell = seq.block_size
-        logs = np.array([np.linalg.slogdet(blk)[1] / ell for blk in blocks])
+        logs = np.linalg.slogdet(seq.a_blocks(n_max))[1] / seq.block_size
     else:
         raise TypeError(f"unsupported sequence type {type(seq).__name__}")
     means = _prefix_means(logs, Ns)
@@ -191,24 +183,17 @@ def trace_stat(J, Ns=DEFAULT_LADDER, label: str = "trace_stat") -> StatSeries:
     Ns = _check_ladder(Ns)
     n = Ns[-1]
     if isinstance(J, JacobiParams):
-        a2 = J.a_window(n - 1) ** 2 if n > 1 else np.empty(0)
-        b2 = J.b_window(n) ** 2
-        csa = np.concatenate([[0.0], np.cumsum(a2, dtype=np.longdouble)])
-        csb = np.cumsum(b2, dtype=np.longdouble)
-        vals = tuple(float((2.0 * csa[N - 1] + csb[N - 1]) / N) for N in Ns)
-        return StatSeries(label, Ns, vals)
-    if isinstance(J, BlockJacobiParams):
-        ell = J.block_size
-        ta = np.array([float(np.sum(np.abs(blk) ** 2))
-                       for blk in J.a_blocks(n - 1)]) if n > 1 else np.empty(0)
-        tb = np.array([float(np.real(np.trace(blk @ blk)))
-                       for blk in J.b_blocks(n)])
-        csa = np.concatenate([[0.0], np.cumsum(ta, dtype=np.longdouble)])
-        csb = np.cumsum(tb, dtype=np.longdouble)
-        vals = tuple(float((2.0 * csa[N - 1] + csb[N - 1]) / (N * ell))
-                     for N in Ns)
-        return StatSeries(label, Ns, vals)
-    raise TypeError(f"unsupported sequence type {type(J).__name__}")
+        ell, ta, tb = 1, J.a_window(n - 1) ** 2, J.b_window(n) ** 2
+    elif isinstance(J, BlockJacobiParams):
+        B = J.b_blocks(n)
+        ell, ta = J.block_size, _hs2(J.a_blocks(n - 1))
+        tb = np.trace(B @ B, axis1=1, axis2=2).real
+    else:
+        raise TypeError(f"unsupported sequence type {type(J).__name__}")
+    csa = np.concatenate([[0.0], np.cumsum(ta, dtype=np.longdouble)])
+    csb = np.cumsum(tb, dtype=np.longdouble)
+    return StatSeries(label, Ns, tuple(
+        float((2.0 * csa[N - 1] + csb[N - 1]) / (N * ell)) for N in Ns))
 
 
 def cn_stat_matrix(Jb: BlockJacobiParams, Ns=DEFAULT_LADDER):
@@ -228,15 +213,15 @@ def cn_stat_matrix(Jb: BlockJacobiParams, Ns=DEFAULT_LADDER):
             "type form of the block average needs a type-1 or type-3 "
             f"representative, got tag {Jb.type_tag!r}"
         )
-    eye = np.eye(Jb.block_size)
-    terms = np.array([_hs(A - eye) + _hs(B)
-                      for A, B in zip(Jb.a_blocks(n), Jb.b_blocks(n))])
+    A, B = Jb.a_blocks(n), Jb.b_blocks(n)
+    terms = np.sqrt(_hs2(A - np.eye(Jb.block_size))) + np.sqrt(_hs2(B))
     return (StatSeries("cn_matrix_type", Ns, _prefix_means(terms, Ns)),
             cn_stat_matrix_invariant(Jb, Ns))
 
 
-def _hs(M: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(M) ** 2)))
+def _hs2(M: np.ndarray) -> np.ndarray:
+    """Squared Hilbert-Schmidt norm of every block of a stack."""
+    return np.sum(np.abs(M) ** 2, axis=(1, 2))
 
 
 def cn_stat_matrix_invariant(Jb: BlockJacobiParams,
@@ -244,9 +229,8 @@ def cn_stat_matrix_invariant(Jb: BlockJacobiParams,
     """The invariant form alone, valid for any tag."""
     Ns = _check_ladder(Ns)
     n = Ns[-1]
-    eye = np.eye(Jb.block_size)
-    terms = np.array([_hs(A.conj().T @ A - eye) + _hs(B)
-                      for A, B in zip(Jb.a_blocks(n), Jb.b_blocks(n))])
+    A, B = Jb.a_blocks(n), Jb.b_blocks(n)
+    terms = np.sqrt(_hs2(_herm(A) @ A - np.eye(Jb.block_size))) + np.sqrt(_hs2(B))
     return StatSeries("cn_matrix_invariant", Ns, _prefix_means(terms, Ns))
 
 

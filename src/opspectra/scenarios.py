@@ -13,6 +13,7 @@ every scenario.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -25,7 +26,7 @@ from . import regularity as R
 from . import spectra as S
 from .rng import SplitMix64
 from .sequences import (BlockJacobiParams, IndexFn, JacobiParams,
-                        UnitaryChain, VerblunskyParams, _freeze,
+                        UnitaryChain, VerblunskyParams, _herm,
                         validate_blocks)
 
 
@@ -35,6 +36,11 @@ class UnknownScenario(ValueError):
 
 class BadOption(ValueError):
     """A config option failed to parse or is out of range."""
+
+
+#: relation name -> (test, symbol)
+_RELATIONS = {"le": (operator.le, "<="), "ge": (operator.ge, ">="),
+              "lt": (operator.lt, "<")}
 
 
 @dataclass
@@ -49,18 +55,12 @@ class Check:
 
     @property
     def passed(self) -> bool:
-        if self.relation == "le":
-            return self.value <= self.bound
-        if self.relation == "ge":
-            return self.value >= self.bound
-        if self.relation == "lt":
-            return self.value < self.bound
-        raise ValueError(f"unknown relation {self.relation!r}")
+        return _RELATIONS[self.relation][0](self.value, self.bound)
 
     def line(self) -> str:
-        op = {"le": "<=", "ge": ">=", "lt": "<"}[self.relation]
         tag = "PASS" if self.passed else "FAIL"
-        return f"{tag} {self.name}: {self.value:.6g} {op} {self.bound:.6g}"
+        return (f"{tag} {self.name}: {self.value:.6g} "
+                f"{_RELATIONS[self.relation][1]} {self.bound:.6g}")
 
 
 @dataclass
@@ -266,31 +266,21 @@ def _run_prop2_2(o: Dict[str, object], seed: int) -> ScenarioResult:
 
 
 def _random_blocks(rng: SplitMix64, ell: int, K: int) -> BlockJacobiParams:
-    def cmat(scale):
-        m = np.array([[complex(rng.normal(), rng.normal())
-                       for _ in range(ell)] for _ in range(ell)])
-        return scale * m
-
-    A = []
-    B = []
-    for _ in range(K):
-        B_ = cmat(0.4)
-        B.append(_freeze((B_ + B_.conj().T) / 2.0))
-    for _ in range(K - 1):
-        A.append(_freeze(np.eye(ell, dtype=complex) + cmat(0.35)))
-    out = BlockJacobiParams(ell, tuple(A), tuple(B), "general")
-    return validate_blocks(out)
+    """K Hermitian B's, then K - 1 A's near I, from one complex normal each."""
+    z = rng.normals(2 * (2 * K - 1) * ell * ell).view(complex).reshape(-1, ell, ell)
+    B = 0.4 * z[:K]
+    B = (B + _herm(B)) / 2.0
+    A = np.eye(ell, dtype=complex) + 0.35 * z[K:]
+    return validate_blocks(BlockJacobiParams(ell, A, B, "general"))
 
 
 def _random_chain(rng: SplitMix64, ell: int, count: int) -> UnitaryChain:
-    us = [np.eye(ell, dtype=complex)]
-    for _ in range(count - 1):
-        g = np.array([[complex(rng.normal(), rng.normal())
-                       for _ in range(ell)] for _ in range(ell)])
-        q, r = np.linalg.qr(g)
-        q = q @ np.diag(np.diagonal(r) / np.abs(np.diagonal(r)))
-        us.append(q)
-    return UnitaryChain(tuple(_freeze(u) for u in us))
+    """u_1 = I, then phase-fixed Q factors of complex normal matrices."""
+    g = rng.normals(2 * (count - 1) * ell * ell).view(complex)
+    q, r = np.linalg.qr(g.reshape(count - 1, ell, ell))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q = q @ (np.eye(ell) * (d / np.abs(d))[:, None, :])
+    return UnitaryChain(np.concatenate([np.eye(ell)[None], q]))
 
 
 @_scenario("thm3_1", "block normal forms and the invariant average", {
@@ -313,19 +303,16 @@ def _run_thm3_1(o: Dict[str, object], seed: int) -> ScenarioResult:
         w0 = S.eig_block(Jb, len(Jb.B))
         t3, _ = P.normalize_type3(Jb)
         t1, _ = P.normalize_type1(Jb)
+        dx = np.linalg.det(Jb.A)
         for t in (t3, t1):
             wt = S.eig_block(t, len(t.B))
             worst_spec = max(worst_spec, float(np.max(np.abs(wt - w0))))
-        for X, Y in ((Jb, t3), (Jb, t1)):
-            for Ax, Ay in zip(X.A, Y.A):
-                worst_det = max(worst_det,
-                                abs(abs(np.linalg.det(Ax))
-                                    - abs(np.linalg.det(Ay))))
-        for Ablk in t1.A:
-            det = float(np.linalg.det(Ablk).real)
-            diag = float(np.prod(np.diagonal(Ablk).real))
-            if det > diag + 1e-12:
-                hadamard_ok = False
+            dy = np.linalg.det(t.A)  # |det| as hypot: bit-equal to abs()
+            shift = np.abs(np.hypot(dx.real, dx.imag) - np.hypot(dy.real, dy.imag))
+            worst_det = max(worst_det, float(np.max(shift)))
+        det = np.linalg.det(t1.A).real
+        diag = np.prod(np.diagonal(t1.A, axis1=1, axis2=2).real, axis=1)
+        hadamard_ok = hadamard_ok and not np.any(det > diag + 1e-12)
         lad = tuple(sorted({max(1, len(Jb.B) // 4), max(2, len(Jb.B) // 2),
                             len(Jb.B) - 1}))
         inv_a = R.cn_stat_matrix_invariant(Jb, lad)
@@ -337,12 +324,10 @@ def _run_thm3_1(o: Dict[str, object], seed: int) -> ScenarioResult:
             tf, iv = R.cn_stat_matrix(t3, lad)
             rep_series = [tf, iv]
     res.series += rep_series
-    res.series.append(R.StatSeries("spec_preserved_worst", (count,),
-                                   (worst_spec,)))
-    res.series.append(R.StatSeries("det_preserved_worst", (count,),
-                                   (worst_det,)))
-    res.series.append(R.StatSeries("invariant_form_shift", (count,),
-                                   (worst_inv,)))
+    for label, worst in (("spec_preserved_worst", worst_spec),
+                         ("det_preserved_worst", worst_det),
+                         ("invariant_form_shift", worst_inv)):
+        res.series.append(R.StatSeries(label, (count,), (worst,)))
     res.checks.append(Check("spectra_preserved", worst_spec,
                             o["threshold.spectra_preserved"]))
     res.checks.append(Check("det_preserved", worst_det,
@@ -492,18 +477,15 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     # block map on the exactly periodic sequence
     Jper = _periodic_as_params(J0)
     blocks = P.delta_of_J(J0, Jper, K)
-    eye = np.eye(p)
-    worst_B = max(float(np.sqrt(np.sum(np.abs(b) ** 2)))
-                  for b in blocks.B[1:])
-    worst_A = max(float(np.sqrt(np.sum(np.abs(a - eye) ** 2)))
-                  for a in blocks.A[1:])
+    worst_B = float(np.sqrt(np.max(R._hs2(blocks.B[1:]))))
+    worst_A = float(np.sqrt(np.max(R._hs2(blocks.A[1:] - np.eye(p)))))
     res.series.append(R.StatSeries("blockmap_interior_B", (K,), (worst_B,)))
     res.series.append(R.StatSeries("blockmap_interior_A", (K,), (worst_A,)))
     res.checks.append(Check("interior_B_norm", worst_B,
                             o["threshold.interior_norm"]))
     res.checks.append(Check("interior_A_norm", worst_A,
                             o["threshold.interior_norm"]))
-    upper = max(float(np.max(np.abs(np.triu(a, k=1)))) for a in blocks.A)
+    upper = float(np.max(np.abs(np.triu(blocks.A, k=1))))
     res.checks.append(Check("type3_structure", upper, 1e-12))
 
     Jdef = _periodic_as_params(J0, lambda n: np.where(n == site, eps, 0.0),
@@ -511,14 +493,11 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     blocks_d = P.delta_of_J(J0, Jdef, K)
     lo_blk = max(0, (site - 1 - p) // p - 1)
     hi_blk = (site - 1 + p) // p + 1
-    near = far = 0.0
-    for new, old in ((blocks_d.B, blocks.B), (blocks_d.A, blocks.A)):
-        for k, (x, y) in enumerate(zip(new, old)):
-            d = float(np.max(np.abs(x - y)))
-            if lo_blk <= k <= hi_blk:
-                near = max(near, d)
-            else:
-                far = max(far, d)
+    d = np.concatenate([np.abs(blocks_d.B - blocks.B).max(axis=(1, 2)),
+                        np.abs(blocks_d.A - blocks.A).max(axis=(1, 2))])
+    k = np.concatenate([np.arange(K + 1), np.arange(K)])
+    at = (lo_blk <= k) & (k <= hi_blk)
+    near, far = (float(np.max(d[m], initial=0.0)) for m in (at, ~at))
     res.checks.append(Check("locality_far_blocks", far, 1e-12))
     res.checks.append(Check("locality_defect_visible", near, abs(eps) / 2.0,
                             "ge"))

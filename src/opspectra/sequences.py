@@ -271,95 +271,130 @@ class WrongType(TypeError):
     """Operation requires a type-1 or type-3 tagged block sequence."""
 
 
-@dataclass(frozen=True)
+#: the type tags, with what an A block of a wrongly tagged sequence is not
+_TYPE_TAGS = {"general": "", "type1": "is not positive definite",
+              "type3": "is not lower triangular with positive diagonal"}
+
+
+def _stack(obj, name: str, ell: int) -> None:
+    """Replace field ``name`` of the frozen dataclass ``obj`` by a
+    read-only complex copy of its blocks as an (n, ell, ell) array."""
+    arr = np.array(getattr(obj, name), dtype=complex)
+    if arr.size == 0:
+        arr = arr.reshape(0, ell, ell)
+    if arr.ndim != 3 or arr.shape[1:] != (ell, ell):
+        raise ValueError(f"{name} has shape {arr.shape}, expected (n, {ell}, {ell})")
+    object.__setattr__(obj, name, _freeze(arr))
+
+
+def _herm(M: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every block of a stack."""
+    return M.conj().swapaxes(-1, -2)
+
+
+@dataclass(frozen=True, eq=False)
 class BlockJacobiParams:
     """Block Jacobi parameters: off-diagonal blocks A_j, diagonal blocks B_j.
 
-    ``A`` has one block fewer than ``B`` or the same count; blocks are
-    ell x ell.  ``type_tag`` is one of "general", "type1" (each A_j
-    positive definite), "type3" (each A_j lower triangular with positive
+    ``A`` and ``B`` are read-only complex (n, ell, ell) arrays, copied on
+    construction from any stack of ell x ell blocks, such as a tuple of
+    arrays.  ``A`` has one block fewer than ``B`` or the same count (it
+    may be empty).  ``type_tag`` is "general", "type1" (each A_j positive
+    definite) or "type3" (each A_j lower triangular with positive
     diagonal).  Validation happens in :func:`validate_blocks`.
     """
 
     block_size: int
-    A: tuple
-    B: tuple
+    A: np.ndarray
+    B: np.ndarray
     type_tag: str = "general"
 
-    def a_blocks(self, n: int) -> list:
+    def __post_init__(self):
+        for name in ("A", "B"):
+            _stack(self, name, self.block_size)
+
+    def a_blocks(self, n: int) -> np.ndarray:
+        """A_1..A_n as a read-only (n, ell, ell) array."""
         if n > len(self.A):
             raise ValueError(f"requested {n} A-blocks, have {len(self.A)}")
-        return list(self.A[:n])
+        return self.A[:n]
 
-    def b_blocks(self, n: int) -> list:
+    def b_blocks(self, n: int) -> np.ndarray:
+        """B_1..B_n as a read-only (n, ell, ell) array."""
         if n > len(self.B):
             raise ValueError(f"requested {n} B-blocks, have {len(self.B)}")
-        return list(self.B[:n])
+        return self.B[:n]
 
 
 def validate_blocks(params: BlockJacobiParams) -> BlockJacobiParams:
-    """Check block shapes, nonsingularity of the A's, Hermiticity of the
-    B's, and the declared type tag.
+    """Check the type tag, finiteness of every entry, nonsingularity of
+    the A's, Hermiticity of the B's, and the declared type structure;
+    an error names the first failing block.
 
     The nonsingularity threshold is 1e-12 times the spectral norm of the
     block (the theory only demands nonsingular); Hermiticity is checked
     to 1e-12 and the type structure to 1e-10, relative to the block.
     """
     singular_rtol, hermitian_tol, type_tol = 1e-12, 1e-12, 1e-10
-    ell = params.block_size
-    if len(params.A) not in (len(params.B), len(params.B) - 1):
+    A, B, tag = params.A, params.B, params.type_tag
+    if tag not in _TYPE_TAGS:
+        raise ValueError(f"unknown type tag {tag!r}, expected one of {tuple(_TYPE_TAGS)}")
+    if len(A) not in (len(B), len(B) - 1):
         raise ValueError("need len(A) == len(B) or len(B) - 1")
-    for k, blk in enumerate(params.B, start=1):
-        if blk.shape != (ell, ell):
-            raise ValueError(f"B_{k} has shape {blk.shape}, expected ({ell},{ell})")
-        if np.max(np.abs(blk - blk.conj().T)) > hermitian_tol * max(1.0, np.max(np.abs(blk))):
-            raise ValueError(f"B_{k} is not Hermitian to tolerance")
-    for k, blk in enumerate(params.A, start=1):
-        if blk.shape != (ell, ell):
-            raise ValueError(f"A_{k} has shape {blk.shape}, expected ({ell},{ell})")
-        s = np.linalg.svd(blk, compute_uv=False)
-        if s[-1] <= singular_rtol * s[0]:
-            raise SingularBlock(k, float(s[-1]), float(singular_rtol * s[0]))
-        if params.type_tag == "type1":
-            h = np.max(np.abs(blk - blk.conj().T))
-            w = np.linalg.eigvalsh((blk + blk.conj().T) / 2.0)
-            if h > type_tol * s[0] or w[0] <= 0.0:
-                raise WrongType(f"A_{k} is not positive definite (type1 tag)")
-        elif params.type_tag == "type3":
-            upper = np.triu(blk, k=1)
-            if np.max(np.abs(upper)) > type_tol * max(1.0, s[0]):
-                raise WrongType(f"A_{k} has upper-triangular mass (type3 tag)")
-            d = np.diagonal(blk)
-            if np.max(np.abs(d.imag)) > type_tol or np.min(d.real) <= 0.0:
-                raise WrongType(f"A_{k} diagonal not strictly positive (type3 tag)")
+    for name, X in (("B", B), ("A", A)):
+        bad = ~np.isfinite(X).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"{name}_{int(np.argmax(bad)) + 1} has a non-finite entry")
+    scale = np.maximum(1.0, np.abs(B).max(axis=(1, 2)))
+    bad = np.abs(B - _herm(B)).max(axis=(1, 2)) > hermitian_tol * scale
+    if bad.any():
+        raise ValueError(f"B_{int(np.argmax(bad)) + 1} is not Hermitian to tolerance")
+    s = np.linalg.svd(A, compute_uv=False)
+    singular = s[:, -1] <= singular_rtol * s[:, 0]
+    wrong = np.zeros(len(A), dtype=bool)
+    if tag == "type1":
+        wrong = ((np.abs(A - _herm(A)).max(axis=(1, 2)) > type_tol * s[:, 0])
+                 | (np.linalg.eigvalsh((A + _herm(A)) / 2.0)[:, 0] <= 0.0))
+    elif tag == "type3":
+        d = np.diagonal(A, axis1=1, axis2=2)
+        upper = np.abs(np.triu(A, 1)).max(axis=(1, 2))
+        wrong = ((upper > type_tol * np.maximum(1.0, s[:, 0]))
+                 | (np.abs(d.imag).max(axis=1) > type_tol) | (d.real.min(axis=1) <= 0.0))
+    if np.any(singular | wrong):
+        k = int(np.argmax(singular | wrong))
+        if singular[k]:
+            raise SingularBlock(k + 1, float(s[k, -1]), float(singular_rtol * s[k, 0]))
+        raise WrongType(f"A_{k + 1} {_TYPE_TAGS[tag]} ({tag} tag)")
     return params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryChain:
     """Unitaries u_1 = I, u_2, u_3, ... realizing a block-parameter
-    equivalence: B~_j = u_j^* B_j u_j, A~_j = u_j^* A_j u_{j+1}."""
+    equivalence: B~_j = u_j^* B_j u_j, A~_j = u_j^* A_j u_{j+1}.  ``u``
+    is a read-only complex (n, ell, ell) array, copied on construction."""
 
-    u: tuple
+    u: np.ndarray
 
     def __post_init__(self):
-        ell = self.u[0].shape[0]
-        if np.max(np.abs(self.u[0] - np.eye(ell))) != 0.0:
+        _stack(self, "u", len(self.u[0]))
+        u, eye = self.u, np.eye(len(self.u[0]))
+        if np.max(np.abs(u[0] - eye)) != 0.0:
             raise ValueError("u_1 must be the identity exactly")
-        for k, m in enumerate(self.u, start=1):
-            if np.max(np.abs(m.conj().T @ m - np.eye(ell))) > 1e-12:
-                raise ValueError(f"u_{k} is not unitary to tolerance")
+        bad = np.abs(_herm(u) @ u - eye).max(axis=(1, 2)) > 1e-12
+        if bad.any():
+            raise ValueError(f"u_{int(np.argmax(bad)) + 1} is not unitary to tolerance")
 
     def apply(self, params: BlockJacobiParams, type_tag: str = "general") -> BlockJacobiParams:
         """Transform block parameters by this chain (needs one unitary per
         B block plus a trailing one for the last A block)."""
-        if len(self.u) < max(len(params.B), len(params.A) + 1):
+        nA, nB = len(params.A), len(params.B)
+        if len(self.u) < max(nB, nA + 1):
             raise ValueError("chain shorter than block sequence")
-        B = tuple(_freeze(self.u[j].conj().T @ params.B[j] @ self.u[j])
-                  for j in range(len(params.B)))
-        A = tuple(_freeze(self.u[j].conj().T @ params.A[j] @ self.u[j + 1])
-                  for j in range(len(params.A)))
-        return BlockJacobiParams(params.block_size, A, B, type_tag)
+        uh = _herm(self.u)
+        return BlockJacobiParams(params.block_size,
+                                 uh[:nA] @ params.A @ self.u[1:nA + 1],
+                                 uh[:nB] @ params.B @ self.u[:nB], type_tag)
 
     def inverse(self) -> "UnitaryChain":
-        return UnitaryChain(tuple(_freeze(m.conj().T) for m in self.u))
+        return UnitaryChain(_herm(self.u))

@@ -23,7 +23,8 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import sparse
 
-from .sequences import BlockJacobiParams, JacobiParams, VerblunskyParams, _freeze
+from .sequences import (BlockJacobiParams, JacobiParams, VerblunskyParams,
+                        _freeze, _herm)
 
 
 class NoConvergence(ArithmeticError):
@@ -378,16 +379,13 @@ def eig_unitary(C: CmvMatrix) -> EmpiricalMeasure:
 
 def block_dense(params: BlockJacobiParams, K: int) -> np.ndarray:
     """Dense Hermitian K-block truncation."""
-    ell = params.block_size
-    B = params.b_blocks(K)
-    A = params.a_blocks(K - 1) if K > 1 else []
-    m = np.zeros((K * ell, K * ell), dtype=complex)
-    for k in range(K):
-        m[k * ell:(k + 1) * ell, k * ell:(k + 1) * ell] = B[k]
-    for k in range(K - 1):
-        m[k * ell:(k + 1) * ell, (k + 1) * ell:(k + 2) * ell] = A[k]
-        m[(k + 1) * ell:(k + 2) * ell, k * ell:(k + 1) * ell] = A[k].conj().T
-    return m
+    ell, k = params.block_size, np.arange(K)
+    m = np.zeros((K, ell, K, ell), dtype=complex)
+    m[k, :, k, :] = params.b_blocks(K)
+    A = params.a_blocks(max(K - 1, 0))
+    m[k[:-1], :, k[1:], :] = A
+    m[k[1:], :, k[:-1], :] = _herm(A)
+    return m.reshape(K * ell, K * ell)
 
 
 def eig_block(params: BlockJacobiParams, K: int) -> np.ndarray:
@@ -403,12 +401,12 @@ def block_trace_square(params: BlockJacobiParams, K: int):
     """Mean squared eigenvalue of the K-block truncation, both ways:
     (1/(K ell))[sum Tr B_k^2 + 2 sum Tr A_k^dag A_k] versus the
     eigenvalue sum."""
-    ell = params.block_size
-    B = params.b_blocks(K)
-    A = params.a_blocks(K - 1) if K > 1 else []
-    s = sum(float(np.trace(b @ b).real) for b in B)
-    s += 2.0 * sum(float(np.trace(a.conj().T @ a).real) for a in A)
-    via_formula = s / (K * ell)
+    if K < 1:
+        raise ValueError("K >= 1 required")
+    ell, B, A = params.block_size, params.b_blocks(K), params.a_blocks(K - 1)
+    s = np.trace(B @ B, axis1=1, axis2=2).real.sum()
+    s += 2.0 * np.sum(np.abs(A) ** 2)
+    via_formula = float(s) / (K * ell)
     eigs = eig_block(params, K)
     via_eigs = float(np.sum(eigs ** 2)) / (K * ell)
     return via_formula, via_eigs

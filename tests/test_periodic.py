@@ -195,7 +195,7 @@ def test_normal_forms_preserve_data_and_have_structure(ell, K, seed):
     for t, c in ((t3, c3), (t1, c1)):
         redone = c.apply(Jb, t.type_tag)
         worst = max(max(np.max(np.abs(x - y)) for x, y in zip(redone.A, t.A))
-                    if t.A else 0.0,
+                    if len(t.A) else 0.0,
                     max(np.max(np.abs(x - y)) for x, y in zip(redone.B, t.B)))
         assert worst < 1e-12
 

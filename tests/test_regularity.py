@@ -159,6 +159,44 @@ def test_matrix_stats_on_hand_built_blocks():
     assert cn_stat_matrix_invariant(Jb, (1, 2)).values == iv.values
 
 
+def _prefix_means_of(terms, Ns):
+    cs = np.cumsum(np.array(terms), dtype=np.longdouble)
+    return tuple(float(cs[n - 1] / n) for n in Ns)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_block_stats_equal_their_per_block_loops(ell):
+    # the stacked statistics against the per-block loops they replace,
+    # to the last bit
+    rng = np.random.default_rng(ell)
+    K, Ns = 40, (3, 17, 39)
+    z = rng.standard_normal((2 * K, ell, ell)) \
+        + 1j * rng.standard_normal((2 * K, ell, ell))
+    A = np.tril(np.eye(ell) + 0.3 * z[:K - 1])
+    A[:, range(ell), range(ell)] = np.abs(A[:, range(ell), range(ell)])
+    B = (z[K:] + z[K:].conj().transpose(0, 2, 1)) / 2
+    Jb = BlockJacobiParams(ell, A, B, "type3")
+    eye = np.eye(ell)
+
+    def hs(M):
+        return float(np.sqrt(np.sum(np.abs(M) ** 2)))
+
+    tf, iv = cn_stat_matrix(Jb, Ns)
+    assert tf.values == _prefix_means_of(
+        [hs(a - eye) + hs(b) for a, b in zip(A, B)], Ns)
+    assert iv.values == _prefix_means_of(
+        [hs(a.conj().T @ a - eye) + hs(b) for a, b in zip(A, B)], Ns)
+    logs = [np.linalg.slogdet(a)[1] / ell for a in A]
+    assert root_test(Jb, Ns).values == tuple(
+        math.exp(v) for v in _prefix_means_of(logs, Ns))
+    ta = np.concatenate([[0.0], np.cumsum(
+        [float(np.sum(np.abs(a) ** 2)) for a in A], dtype=np.longdouble)])
+    tb = np.cumsum([float(np.trace(b @ b).real) for b in B],
+                   dtype=np.longdouble)
+    assert trace_stat(Jb, Ns).values == tuple(
+        float((2.0 * ta[n - 1] + tb[n - 1]) / (n * ell)) for n in Ns)
+
+
 def test_type_form_requires_a_typed_representative():
     eye = np.eye(2, dtype=complex)
     Jb = BlockJacobiParams(2, (eye,), (0.1 * eye, 0.1 * eye), "general")

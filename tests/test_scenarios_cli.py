@@ -354,3 +354,38 @@ def test_cli_runs_a_period_one_pattern(sid, extra, sha, tmp_path, capsys,
     capsys.readouterr()
     stats = (tmp_path / "out" / "stats.csv").read_bytes()
     assert hashlib.sha256(stats).hexdigest() == sha
+
+
+#: SHA-256 of each default stats.csv, by (scenario, seed)
+DEFAULT_STATS_SHA256 = {
+    ("thm1_1", 1):
+        "fc0549236e1dcb947a1ecb174563af2cd412dc4463e1380a85795fb35cdd793b",
+    ("prop2_2", 1):
+        "ed507a762c0b24a7906b5ec6ced1725fb06f58c233045689b553467779cb0ef7",
+    ("thm3_1", 1):
+        "118bf7a131ba31af3ac77b3403a1aed6c8b285d27041470113e1622d58d1781b",
+    # seed 2 moves if |det A| is taken with np.abs instead of abs()
+    ("thm3_1", 2):
+        "99357c3fb242eb37973a5e7075dd54a4ca8ca7dc436462fb94f049351dca5431",
+    ("thm4_1", 1):
+        "7614c1f0e91c328449eedaeaf7e80f2c6bed87d1d04ee2d9dafc333bdc790ab3",
+    ("thm4_2", 1):
+        "498221a0ca173f6f382bd579b4df1887a9b51ed76b7fb325dce636a6b96a80e5",
+    ("thm6_1", 1):
+        "54b38d23cf71dcd9db9cca7f29b8e13fd8566e9cbd09bb622ee27d9a814318c3",
+    ("mnt_illustration", 1):
+        "de4cf0d744dd0399bcacda4a82074442718fda99f7e9206271275b9c16ab0d23",
+    ("conjecture5_1_explore", 1):
+        "a26f9ead0baf807c3f482e4d877f8c47668de2251c85fa9fdf6d23ce118db201",
+}
+
+
+def test_pins_cover_every_scenario():
+    assert {sid for sid, _ in DEFAULT_STATS_SHA256} == set(ALL_IDS)
+
+
+@pytest.mark.parametrize("sid, seed", sorted(DEFAULT_STATS_SHA256))
+def test_default_stats_csv_is_pinned_byte_for_byte(sid, seed, tmp_path):
+    run_scenario(ScenarioConfig(sid, seed=seed, outdir=str(tmp_path)))
+    stats = (tmp_path / "stats.csv").read_bytes()
+    assert hashlib.sha256(stats).hexdigest() == DEFAULT_STATS_SHA256[sid, seed]

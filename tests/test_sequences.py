@@ -141,7 +141,7 @@ def test_validate_blocks_rejects_singular_and_wrong_type():
         validate_blocks(upper)
     not_herm = BlockJacobiParams(2, Jb.A,
                                  (np.array([[0.0, 1.0], [0.0, 0.0]],
-                                           dtype=complex),) + Jb.B[1:],
+                                           dtype=complex), Jb.B[1]),
                                  "general")
     with pytest.raises(ValueError):
         validate_blocks(not_herm)
@@ -180,3 +180,86 @@ def test_chain_requires_exact_identity_head():
     with pytest.raises(ValueError):
         UnitaryChain((almost_off,))
     UnitaryChain((almost,))
+
+
+def test_validate_blocks_rejects_an_unknown_type_tag():
+    Jb = _sample_blocks()
+    typo = BlockJacobiParams(2, Jb.A, Jb.B, "typo3")
+    with pytest.raises(ValueError, match="typo3"):
+        validate_blocks(typo)
+
+
+@pytest.mark.parametrize("name, k, value", [
+    ("B", 1, np.nan), ("A", 1, np.nan), ("B", 2, np.inf),
+    ("A", 2, complex(0.0, -np.inf)),
+])
+def test_validate_blocks_rejects_non_finite_blocks(name, k, value):
+    eye = np.eye(2, dtype=complex)
+    blocks = {"A": [eye, eye], "B": [eye, eye, eye]}
+    blocks[name][k - 1] = np.full((2, 2), value)
+    Jb = BlockJacobiParams(2, blocks["A"], blocks["B"])
+    with pytest.raises(ValueError, match=rf"^{name}_{k} has a non-finite") \
+            as info:
+        validate_blocks(Jb)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def test_validate_blocks_names_the_first_failing_block():
+    eye = np.eye(2, dtype=complex)
+    upper = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+    sing = np.zeros((2, 2), dtype=complex)
+    B = [0.1 * eye] * 4
+    with pytest.raises(SingularBlock) as info:
+        validate_blocks(BlockJacobiParams(2, [eye, sing, upper], B, "type3"))
+    assert info.value.index == 2
+    with pytest.raises(WrongType, match=r"^A_2 "):
+        validate_blocks(BlockJacobiParams(2, [eye, upper, sing], B, "type3"))
+    not_pd = np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(WrongType, match=r"^A_3 "):
+        validate_blocks(BlockJacobiParams(2, [eye, eye, not_pd], B, "type1"))
+    herm = [0.1 * eye, 0.1 * eye, upper, upper]
+    with pytest.raises(ValueError, match=r"^B_3 is not Hermitian"):
+        validate_blocks(BlockJacobiParams(2, [eye] * 3, herm))
+
+
+def test_block_params_and_chain_copy_their_input_and_are_read_only():
+    m = np.eye(2, dtype=complex)
+    stack = np.stack([m, m])
+    Jb = BlockJacobiParams(2, (m,), stack, "general")
+    chain = UnitaryChain(stack)
+    m[0, 0] = 5.0
+    stack[1, 0, 0] = 7.0
+    assert Jb.A[0, 0, 0] == 1.0 and Jb.B[1, 0, 0] == 1.0
+    assert chain.u[1, 0, 0] == 1.0
+    assert Jb.A.shape == (1, 2, 2) and Jb.B.dtype == complex
+    for arr in (Jb.A, Jb.B, chain.u, Jb.a_blocks(1), Jb.b_blocks(2)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 2.0
+    # array fields: equality is identity, so == never has to ask an array
+    # for its truth value, and both are hashable
+    assert Jb == Jb and Jb != BlockJacobiParams(2, Jb.A, Jb.B, "general")
+    assert len({Jb, chain}) == 2
+
+
+def test_block_params_take_an_empty_A_and_reject_wrong_shapes():
+    Jb = BlockJacobiParams(3, (), (np.eye(3),), "type3")
+    assert Jb.A.shape == (0, 3, 3)
+    validate_blocks(Jb)
+    with pytest.raises(ValueError, match=r"shape \(2, 2, 2\)"):
+        BlockJacobiParams(3, (), (np.eye(2), np.eye(2)))
+    with pytest.raises(ValueError):
+        UnitaryChain(np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("ell, nA, nB", [(1, 4, 5), (2, 5, 5), (3, 3, 4)])
+def test_chain_apply_equals_its_per_block_loop(ell, nA, nB):
+    rng = np.random.default_rng(ell + nA)
+    z = rng.standard_normal((nA + nB, ell, ell)) \
+        + 1j * rng.standard_normal((nA + nB, ell, ell))
+    Jb = BlockJacobiParams(ell, z[:nA], z[nA:])
+    u = _random_chain(rng, ell, nA + 1 if nA == nB else nB).u
+    out = UnitaryChain(u).apply(Jb)
+    assert np.array_equal(out.B, [u[j].conj().T @ Jb.B[j] @ u[j]
+                                  for j in range(nB)])
+    assert np.array_equal(out.A, [u[j].conj().T @ Jb.A[j] @ u[j + 1]
+                                  for j in range(nA)])

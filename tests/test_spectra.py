@@ -303,6 +303,28 @@ def test_block_dense_layout():
     assert np.max(np.abs(m - m.conj().T)) == 0.0
 
 
+@pytest.mark.parametrize("ell, K", [(1, 1), (1, 4), (2, 2), (3, 5)])
+def test_block_dense_places_every_block(ell, K):
+    rng = np.random.default_rng(ell * 10 + K)
+    Jb = _sample_block_params(rng, ell, K + 1)
+    m = block_dense(Jb, K)
+    oracle = np.zeros((K * ell, K * ell), dtype=complex)
+    for k in range(K):
+        s = slice(k * ell, (k + 1) * ell)
+        oracle[s, s] = Jb.B[k]
+        if k + 1 < K:
+            t = slice((k + 1) * ell, (k + 2) * ell)
+            oracle[s, t] = Jb.A[k]
+            oracle[t, s] = Jb.A[k].conj().T
+    assert np.array_equal(m, oracle)
+
+
+def test_block_trace_square_needs_a_block():
+    Jb = _sample_block_params(np.random.default_rng(1), 2, 3)
+    with pytest.raises(ValueError, match="K >= 1 required"):
+        block_trace_square(Jb, 0)
+
+
 def test_block_trace_square_routes_agree():
     rng = np.random.default_rng(9)
     Jb = _sample_block_params(rng, 3, 5)
