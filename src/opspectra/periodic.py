@@ -307,23 +307,15 @@ def _polar_step(M: np.ndarray, A: np.ndarray, j: int) -> np.ndarray:
 
 
 def _snap_type1(A: np.ndarray) -> np.ndarray:
-    # make the polar factors exactly Hermitian; check det A <= prod diag A
-    A = (A + _herm(A)) / 2.0
-    det = np.linalg.det(A).real
-    diag_prod = np.prod(np.diagonal(A, axis1=1, axis2=2).real, axis=1)
-    bad = det > diag_prod + 1e-12
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise ArithmeticError(f"determinant bound violated on block {j + 1}: "
-                              f"{det[j]} > {diag_prod[j]}")
-    return A
+    # make the polar factors exactly Hermitian
+    return (A + _herm(A)) / 2.0
 
 
 def normalize_type1(Jb: BlockJacobiParams):
-    """Equivalent parameter set whose off-diagonal blocks are positive
-    definite (polar factors), plus the realizing chain.  Each output
-    block is checked against the determinant-versus-diagonal-product
-    inequality for positive definite matrices."""
+    """Equivalent parameter set whose off-diagonal blocks are exactly
+    Hermitian and positive definite (polar factors), plus the realizing
+    chain.  Being positive definite, each output block satisfies
+    Hadamard's inequality det A_j <= prod diag A_j (up to rounding)."""
     return _normal_form(Jb, "type1", _exactly_type1, _polar_step, _snap_type1)
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,12 +10,149 @@ from numpy.polynomial import legendre as npleg
 from opspectra.measures import (BreakdownAtStep, CircleMeasureSpec,
                                 DensityNegative, DensityPart, DiscreteMeasure,
                                 LineMeasureSpec, MomentIllConditioned,
-                                _leggauss, discretize, gauss_rule,
+                                _gl_nodes, _leggauss, _tabulated_rule,
+                                discretize, gauss_rule,
                                 jacobi_from_measure, trig_moments,
                                 verblunsky_from_measure,
                                 verblunsky_from_moments)
 from opspectra.sequences import VerblunskyParams
 from opspectra.spectra import cmv
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def _stieltjes_fsum(m: DiscreteMeasure, N: int):
+    """Oracle: the Stieltjes loop on p_n itself, every inner product a
+    compensated ``math.fsum`` over a Python list; returns (a, b)."""
+    x, w = m.nodes, m.weights
+    if len(x) < N:
+        raise BreakdownAtStep(len(x) + 1, 0.0)
+
+    def dot(u, v):
+        return math.fsum((w * u * v).tolist())
+
+    scale = max(1.0, float(np.max(np.abs(x))) ** 2)
+    p_prev = np.zeros_like(x)
+    p_cur = np.full_like(x, 1.0 / math.sqrt(math.fsum(w.tolist())))
+    a, b = [], []
+    for n in range(1, N + 1):
+        xp = x * p_cur
+        b.append(dot(xp, p_cur))
+        if n == N:
+            break
+        q = xp - b[-1] * p_cur - (a[-1] if a else 0.0) * p_prev
+        q -= dot(q, p_cur) * p_cur + dot(q, p_prev) * p_prev
+        norm2 = dot(q, q)
+        if norm2 <= 1e-13 * scale:
+            raise BreakdownAtStep(n + 1, norm2)
+        a.append(math.sqrt(norm2))
+        p_prev, p_cur = p_cur, q / a[-1]
+    return np.array(a), np.array(b)
+
+
+def _tilted_flat():
+    # mnt_illustration's default input: 400 tabulated segments, 4800 nodes
+    xs = np.linspace(-2.0, 2.0, 401)
+    return discretize(LineMeasureSpec(
+        [DensityPart(-2.0, 2.0, "tabulated", 1.0, (xs, 1.0 + 0.25 * xs))]))
+
+
+def _two_parts_and_an_atom():
+    return discretize(LineMeasureSpec(
+        [DensityPart(-2.0, 1.0, "legendre-flat", 2.0),
+         DensityPart(1.0, 2.0, "legendre-flat", 1.0)],
+        atoms=[(0.5, 0.25)]))
+
+
+ORACLE_CASES = {
+    "flat": (lambda: discretize(LineMeasureSpec.legendre_flat(), 200), 61),
+    "tilted": (_tilted_flat, 100),
+    "chebyshev_t": (lambda: discretize(LineMeasureSpec.chebyshev_t()), 100),
+    "chebyshev_u": (lambda: discretize(LineMeasureSpec.chebyshev_u()), 100),
+    "parts_and_atom": (_two_parts_and_an_atom, 100),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_stieltjes_agrees_with_the_compensated_oracle(case):
+    build, N = ORACLE_CASES[case]
+    dm = build()
+    J = jacobi_from_measure(dm, N)
+    a, b = _stieltjes_fsum(dm, N)
+    assert np.max(np.abs(J.a_window(N - 1) - a)) <= 1e-14
+    assert np.max(np.abs(J.b_window(N) - b)) <= 1e-14
+
+
+@pytest.mark.parametrize("nodes, weights, N", [
+    ([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3], 4),              # fewer nodes than N
+    ([-1.0, 0.0, 1.0, 1.0 + 1e-9], [0.3, 0.3, 0.2, 0.2], 4),
+    (np.r_[np.linspace(-2.0, 0.0, 6), 1.0 + 1e-7 * np.arange(5)], np.ones(11), 11),
+])
+def test_stieltjes_breaks_down_at_the_oracle_step(nodes, weights, N):
+    dm = DiscreteMeasure(nodes, weights)
+    with pytest.raises(BreakdownAtStep) as want:
+        _stieltjes_fsum(dm, N)
+    with pytest.raises(BreakdownAtStep) as got:
+        jacobi_from_measure(dm, N)
+    assert got.value.step == want.value.step
+
+
+def test_stieltjes_matches_exact_legendre_at_N_1000():
+    N = 1000
+    J = jacobi_from_measure(discretize(LineMeasureSpec.legendre_flat(), N), N)
+    n = np.arange(1, N)
+    assert np.max(np.abs(J.a_window(N - 1)
+                         - 2.0 * n / np.sqrt(4.0 * n * n - 1.0))) <= 1e-12
+    assert np.max(np.abs(J.b_window(N))) <= 1e-12
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from opspectra.measures import DiscreteMeasure, jacobi_from_measure
+x = np.linspace(-2.0, 2.0, 20011)
+J = jacobi_from_measure(DiscreteMeasure(x, 1.0 + 0.3 * x + np.sin(5.0 * x) ** 2), 50)
+print(hashlib.sha256(J.a_window(49).tobytes() + J.b_window(50).tobytes()).hexdigest())
+"""
+
+
+def test_stieltjes_does_not_depend_on_the_blas_thread_count():
+    # a BLAS dot splits long vectors across threads and rounds
+    # differently with their count; the pairwise sums must not
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def _tabulated_loop(xs, vals, order):
+    # the per-segment construction the broadcast rule replaced
+    nodes, weights = [], []
+    for i in range(len(xs) - 1):
+        t, w = _gl_nodes(xs[i], xs[i + 1], order)
+        nodes.append(t)
+        weights.append(w * np.interp(t, xs, vals))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("xs, vals, order", [
+    (np.linspace(-2.0, 2.0, 401), 1.0 + 0.25 * np.linspace(-2.0, 2.0, 401), 12),
+    (np.linspace(-math.pi, math.pi, 2001),
+     1.0 + np.cos(np.linspace(-math.pi, math.pi, 2001)), 12),
+    (np.array([-1.0, -0.3, 0.1, 0.15, 2.0]), np.array([0.0, 2.0, 1.0, 0.5, 3.0]), 5),
+])
+def test_tabulated_rule_equals_its_per_segment_loop(xs, vals, order):
+    nodes, weights = _tabulated_rule(xs, vals, order)
+    want_nodes, want_weights = _tabulated_loop(xs, vals, order)
+    assert np.array_equal(nodes, want_nodes)
+    assert np.array_equal(weights, want_weights)
 
 
 def test_discrete_measure_normalizes_and_merges():
@@ -53,11 +193,7 @@ def test_flat_measure_recurrence_closed_form():
 
 
 def test_gauss_rule_reproduces_moments():
-    spec = LineMeasureSpec(
-        [DensityPart(-2.0, 1.0, "legendre-flat", 2.0),
-         DensityPart(1.0, 2.0, "legendre-flat", 1.0)],
-        atoms=[(0.5, 0.25)])
-    dm = discretize(spec)
+    dm = _two_parts_and_an_atom()
     J = jacobi_from_measure(dm, 12)
     rule = gauss_rule(J, 12)
     for k in range(8):

@@ -177,6 +177,22 @@ def _random_general_blocks(rng, ell, K):
     return BlockJacobiParams(ell, A, B, "general")
 
 
+@given(st.integers(1, 4), st.integers(2, 8), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_type1_blocks_are_hermitian_positive_definite_and_obey_hadamard(
+        ell, K, seed):
+    # the normalize_type1 docstring: each A_j is exactly Hermitian and
+    # positive definite, so det A_j <= prod diag A_j up to rounding
+    t1, _ = normalize_type1(_random_general_blocks(np.random.default_rng(seed),
+                                                   ell, K))
+    A = t1.A
+    assert np.array_equal(A, A.conj().swapaxes(1, 2))
+    assert np.all(np.linalg.eigvalsh(A)[:, 0] > 0.0)
+    det = np.linalg.det(A).real
+    diag = np.prod(np.diagonal(A, axis1=1, axis2=2).real, axis=1)
+    assert np.all(det <= diag + 1e-12)
+
+
 @given(st.integers(1, 3), st.integers(2, 6), st.integers(0, 2**32))
 @settings(max_examples=20, deadline=None)
 def test_normal_forms_preserve_data_and_have_structure(ell, K, seed):

@@ -6,6 +6,7 @@ import re
 import sys
 import xml.dom.minidom
 
+import numpy as np
 import pytest
 
 from opspectra import cli, periodic, scenarios
@@ -13,7 +14,7 @@ from opspectra.cli import (ConfigParse, ScenarioConfig, ScenarioFailed,
                            parse_config_text, run_scenario)
 from opspectra.regularity import StatSeries
 from opspectra.scenarios import BadOption, ScenarioResult, UnknownScenario
-from opspectra.sequences import sup_deviation
+from opspectra.sequences import BlockJacobiParams, sup_deviation
 
 ALL_IDS = ("thm1_1", "prop2_2", "thm3_1", "thm4_1", "thm4_2", "thm6_1",
            "mnt_illustration", "conjecture5_1_explore")
@@ -256,6 +257,31 @@ def test_negative_shifts_keep_the_declared_deviation_bounds(monkeypatch):
         assert sup_deviation(J, 4096) <= J.declared_bound
 
 
+def test_thm3_1_reports_a_hadamard_violation_as_a_fail_line(
+        tmp_path, capsys, monkeypatch):
+    # a type-1 block with det A > prod diag A fails the scenario's own
+    # check with a FAIL line, not with a traceback from the normal form
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    real = periodic.normalize_type1
+
+    def violating(Jb):
+        t1, chain = real(Jb)
+        ell = t1.block_size
+        skew = np.zeros((ell, ell))
+        skew[0, -1] += 5.0     # adds about 5^2 to det A when ell >= 2
+        skew[-1, 0] -= 5.0
+        return BlockJacobiParams(ell, t1.A + skew, t1.B, "general"), chain
+
+    monkeypatch.setattr(periodic, "normalize_type1", violating)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"scenario = thm3_1\noutdir = {tmp_path / 'out'}\n"
+                   "inputs.count = 4\n")
+    assert cli.main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL hadamard: " in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cli_config_that_is_not_utf8_exits_2_with_one_error_line(
         tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
@@ -359,7 +385,7 @@ def test_cli_runs_a_period_one_pattern(sid, extra, sha, tmp_path, capsys,
 #: SHA-256 of each default stats.csv, by (scenario, seed)
 DEFAULT_STATS_SHA256 = {
     ("thm1_1", 1):
-        "fc0549236e1dcb947a1ecb174563af2cd412dc4463e1380a85795fb35cdd793b",
+        "31837ae58f681d96360d3543c44c374086ba2338d3f2dbb52bc99593d7996009",
     ("prop2_2", 1):
         "ed507a762c0b24a7906b5ec6ced1725fb06f58c233045689b553467779cb0ef7",
     ("thm3_1", 1):
@@ -374,7 +400,7 @@ DEFAULT_STATS_SHA256 = {
     ("thm6_1", 1):
         "54b38d23cf71dcd9db9cca7f29b8e13fd8566e9cbd09bb622ee27d9a814318c3",
     ("mnt_illustration", 1):
-        "de4cf0d744dd0399bcacda4a82074442718fda99f7e9206271275b9c16ab0d23",
+        "d69138e478f4935ba9afa4d2011b3b9e76d23bcf20fc80ca683dab7415f2fd77",
     ("conjecture5_1_explore", 1):
         "a26f9ead0baf807c3f482e4d877f8c47668de2251c85fa9fdf6d23ce118db201",
 }
