@@ -19,7 +19,7 @@ from .periodic import (Discriminant, PeriodicJacobi, TorusPoint, bands,
                        dm_weights, normalize_type1, normalize_type3,
                        torus_point)
 from .potential import (CircleArcSet, EquilibriumMeasure, FiniteGapSet,
-                        capacity, eq_moment, equilibrium_measure, w1_distance)
+                        capacity, equilibrium_measure, w1_distance)
 from .regularity import (DEFAULT_LADDER, StatSeries, arc_stats, cn_stat_matrix,
                          cn_stat_matrix_invariant, cn_stat_oprl, cn_stat_opuc,
                          cn_stat_torus, cn_stat_windowed, cn_sq_stat_oprl, d_m,
@@ -46,7 +46,7 @@ __all__ = [
     "cn_stat_oprl", "cn_stat_opuc", "cn_stat_torus", "cn_stat_windowed",
     "d_m", "d_to_torus", "d_to_torus_batch", "delta_of_J", "discretize",
     "discriminant", "dm_weights", "eig_block", "eig_sym_tridiag",
-    "eig_unitary", "eq_moment", "equilibrium_measure", "gauss_rule",
+    "eig_unitary", "equilibrium_measure", "gauss_rule",
     "jacobi_from_measure", "lemma21_stats", "normalize_type1",
     "normalize_type3", "rayleigh_cesaro", "root_test", "sup_deviation",
     "torus_point", "trace_square", "trace_stat", "trig_moments", "truncate",

@@ -82,6 +82,22 @@ class PeriodicJacobi:
         periodic extension."""
         return max(abs(x - 1.0) for x in self.a) + max(abs(x) for x in self.b)
 
+    def floquet(self, z) -> np.ndarray:
+        """One-period Floquet matrices, an (n, p, p) stack for the n
+        values of z: b on the diagonal, a on the off-diagonals, z a_p in
+        the lower-left corner and conj(z) a_p in the upper-right (both on
+        the diagonal at p = 1).  The stack has the dtype of z.  On
+        |z| = 1 the matrix is Hermitian and its eigenvalues are the x
+        with D(x) = z + 1/z: z = 1 gives the periodic matrix, z = -1 the
+        antiperiodic one."""
+        z = np.atleast_1d(np.asarray(z))
+        m = np.empty((len(z), self.p, self.p), dtype=np.result_type(z, float))
+        m[:] = (np.diag(self.b) + np.diag(self.a[:-1], 1)
+                + np.diag(self.a[:-1], -1))
+        m[:, 0, -1] += np.conj(z) * self.a[-1]
+        m[:, -1, 0] += z * self.a[-1]
+        return m
+
 
 @dataclass(frozen=True)
 class Discriminant:
@@ -168,20 +184,13 @@ def bands(disc: Discriminant) -> FiniteGapSet:
     discriminant.
 
     The 2p edges, where D = +-2, are the eigenvalues of the generator's
-    periodic and antiperiodic matrices: the p x p tridiagonal block with
-    +a_p or -a_p added at its two corners (on the off-diagonal at p = 2,
-    twice on the diagonal at p = 1).  A closed gap is a double
-    eigenvalue of one of them; touching proto-bands are merged.
+    Floquet matrices at z = 1 and z = -1 (periodic and antiperiodic).  A
+    closed gap is a double eigenvalue of one of them; touching
+    proto-bands are merged.
     """
     J0 = disc.source
-    m = np.diag(J0.b) + np.diag(J0.a[:-1], 1) + np.diag(J0.a[:-1], -1)
-    edges = []
-    for sign in (1.0, -1.0):
-        twisted = m.copy()
-        twisted[0, -1] += sign * J0.a[-1]
-        twisted[-1, 0] += sign * J0.a[-1]
-        edges.extend(np.linalg.eigvalsh(twisted).tolist())
-    edges.sort()
+    edges = np.linalg.eigvalsh(J0.floquet([1.0, -1.0]))
+    edges = np.sort(edges, axis=None).tolist()
     proto = [(edges[2 * i], edges[2 * i + 1]) for i in range(len(edges) // 2)]
     span = max(1.0, abs(edges[0]), abs(edges[-1]))
     merged = [list(proto[0])]

@@ -11,9 +11,20 @@ Three supported geometries:
 * band sets of a periodic recurrence, where the density is
   |D'(x)| / (p pi sqrt(4 - D(x)^2)) for the degree-p discriminant D.
 
-None of the densities is ever integrated against its inverse-square-root
-endpoint singularities directly: every band is reparametrized by
-x = mid + half * cos(phi), which turns the quadrature into a smooth one.
+The periodic equilibrium measure is the density of states of the
+generator: the mean over kappa of the eigenvalue counting measure of its
+one-period Floquet matrix J(e^{i kappa}), divided by p.  Each band j
+carries the j-th eigenvalue, monotone in kappa on [0, pi], so band j
+holds mass 1/p and its quantiles are eigenvalues at one kappa each;
+closed gaps need no special case.
+
+No density is ever integrated against its inverse-square-root endpoint
+singularities.  Every moment is an equal-weight mean over equispaced
+midpoint angles in (0, pi) of a cosine polynomial: (c + h cos phi)^k on
+an interval (folded, so odd moments of a symmetric interval cancel
+exactly), T_k(x / 2) at x = c + h cos phi on the arc, and tr J(kappa)^k
+/ p on a band set.  Each has degree at most k, and the mean of _ANGLES
+midpoints is exact below degree 2 _ANGLES.
 
 Capacity of the arc: the value sqrt(1 - a^2) used here is the one
 consistent with the root test, since the constant-coefficient model of
@@ -29,13 +40,13 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .measures import _gl_nodes, _leggauss
 from .spectra import EmpiricalMeasure
 
-#: Gauss-Legendre nodes of the equilibrium-measure quadratures (even)
-_ORDER = 64
+#: midpoint angles in (0, pi) of every moment rule (even, so the
+#: interval rule folds them in pairs); exact for every k <= 8
+_ANGLES = 8
+_PHI = (np.arange(_ANGLES) + 0.5) * (math.pi / _ANGLES)
 
 
 class BandMismatch(ValueError):
@@ -98,15 +109,6 @@ class CircleArcSet:
         return 2.0 * math.asin(self.a)
 
 
-def _fold_gl(n: int):
-    """Gauss-Legendre rule on (0, pi/2) for the folded substitution
-    integral (1/pi) int_0^pi f(cos phi) d phi
-    = (1/pi) int_0^{pi/2} [f(cos phi) + f(-cos phi)] d phi."""
-    t, w = _leggauss(n)
-    quarter = math.pi / 4.0
-    return quarter * (t + 1.0) + 0.0, w * quarter / math.pi
-
-
 def _power(x: np.ndarray, k: int) -> np.ndarray:
     """x**k by repeated multiplication, which is odd-symmetric in x
     exactly (array ``**`` need not be: numpy's vectorized float power can
@@ -140,17 +142,6 @@ class EquilibriumMeasure:
         elif tag == "periodic":
             self.set, self.disc = payload
             self.domain = "line"
-            if self.set.n_bands != self.disc.p:
-                raise Unsupported(
-                    "periodic equilibrium form needs all gaps open "
-                    f"({self.set.n_bands} bands for period {self.disc.p})"
-                )
-            masses = self.band_masses()
-            total = math.fsum(masses)
-            if abs(total - 1.0) > 1e-10:
-                raise ArithmeticError(
-                    f"pullback mass {total} not 1; inconsistent discriminant"
-                )
         else:
             raise ValueError(f"unknown tag {tag!r}")
 
@@ -192,63 +183,34 @@ class EquilibriumMeasure:
 
     def moment(self, k: int):
         """k-th power moment; complex (trigonometric, int z^k) on the
-        circle.  Odd moments of symmetric line geometries cancel
-        pairwise to an exact 0.0."""
+        circle.  Odd moments of a symmetric interval cancel pairwise to
+        an exact 0.0."""
         if not 0 <= k <= 8:
             raise ValueError("moments implemented for 0 <= k <= 8")
         if self.tag == "interval":
             c = 0.5 * (self.lo + self.hi)
-            h = 0.5 * (self.hi - self.lo)
-            phi, w = _fold_gl(_ORDER)
-            t = h * np.cos(phi)
-            vals = w * (_power(c + t, k) + _power(c - t, k))
-            return math.fsum(vals.tolist())
+            t = 0.5 * (self.hi - self.lo) * np.cos(_PHI[:_ANGLES // 2])
+            vals = _power(c + t, k) + _power(c - t, k)
+            return math.fsum(vals.tolist()) / _ANGLES
         if self.tag == "arc":
             # int z^k d rho = int T_k(x/2) d nu over the pullback
             # interval; conjugation symmetry kills the imaginary part.
             c = 0.5 * (self._lo + self._hi)
             h = 0.5 * (self._hi - self._lo)
-            phi, w = _gl_nodes(0.0, math.pi, _ORDER)
-            x = c + h * np.cos(phi)
-            vals = (w / math.pi) * np.cos(k * np.arccos(np.clip(x / 2.0, -1.0, 1.0)))
-            return complex(math.fsum(vals.tolist()), 0.0)
-        total = []
-        for lo, hi in self.set.bands:
-            x, w = self._band_rule(lo, hi)
-            total.extend((w * x ** k).tolist())
-        return math.fsum(total)
+            x = c + h * np.cos(_PHI)
+            vals = np.cos(k * np.arccos(np.clip(x / 2.0, -1.0, 1.0)))
+            return complex(math.fsum(vals.tolist()) / _ANGLES, 0.0)
+        lam = self._floquet_eigs(_PHI)
+        return math.fsum(_power(lam, k).ravel().tolist()) / (_ANGLES * self.disc.p)
 
-    def _band_rule(self, lo: float, hi: float):
-        """Smooth quadrature for one band of a periodic set.
-
-        Writes 4 - D(x)^2 = (x - lo)(hi - x) S(x) with S positive on the
-        band (a product over the other band edges), so the substituted
-        integrand |D'| / (p pi sqrt(S)) has no endpoint singularity.
-        An even node count (_ORDER) keeps nodes off possible interior
-        zeros of S (which are removable but evaluate 0/0).
-        """
-        edges = [e for band in self.set.bands for e in band]
-        others = [e for e in edges if e not in (lo, hi)]
-        lc = self.disc.leading
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        phi, w = _gl_nodes(0.0, math.pi, _ORDER)
-        x = mid + half * np.cos(phi)
-        s = np.full_like(x, lc * lc)
-        for e in others:
-            s = s * (x - e)
-        dens = np.abs(self.disc.derivative(x)) / (self.disc.p * math.pi * np.sqrt(s))
-        return x, w * dens
-
-    def band_masses(self) -> list:
-        """Quadrature mass of each band (periodic tag only); the theory
-        says each equals 1/p."""
-        if self.tag != "periodic":
-            raise Unsupported("band masses defined for periodic sets")
-        out = []
-        for lo, hi in self.set.bands:
-            _, w = self._band_rule(lo, hi)
-            out.append(math.fsum(w.tolist()))
-        return out
+    def _floquet_eigs(self, kappa: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of J(e^{i kappa}), one row per kappa.
+        The matrices are built in slices of at most 2^20 entries (16 MB),
+        since a stack of all 10 N levels of w1_distance grows as p^2."""
+        J0 = self.disc.source
+        parts = max(1, -(-len(kappa) * J0.p ** 2 // 2 ** 20))
+        return np.concatenate([np.linalg.eigvalsh(J0.floquet(np.exp(1j * k)))
+                               for k in np.array_split(kappa, parts)])
 
     # -- quantiles ---------------------------------------------------
 
@@ -274,84 +236,75 @@ class EquilibriumMeasure:
             xq = c - h * np.cos(math.pi * (2.0 * us[~left] - 1.0))
             out[~left] = 2.0 * math.pi - np.arccos(np.clip(xq / 2.0, -1.0, 1.0))
             return out
-        return self._periodic_quantiles(us)
-
-    def _periodic_quantiles(self, us: np.ndarray) -> np.ndarray:
-        """Invert arcsin(D(x)/2) band by band; D is strictly monotone on
-        each band, so a bracketed root find per level suffices."""
+        # band j carries the j-th Floquet eigenvalue, which falls from
+        # kappa = 0 to pi when p - 1 - j is even and rises otherwise
         p = self.disc.p
-        out = np.empty_like(us)
-        rising = [self.disc.value(hi) > 0.0 for lo, hi in self.set.bands]
-        for i, u in enumerate(us.ravel()):
-            j = min(int(u * p), p - 1)
-            v = min(max(u * p - j, 1e-12), 1.0 - 1e-12)
-            lo, hi = self.set.bands[j]
-            target = -2.0 * math.cos(math.pi * v)
-            if not rising[j]:
-                target = -target
-            f = lambda x: self.disc.value(x) - target
-            flo, fhi = f(lo), f(hi)
-            if flo == 0.0 or flo * fhi > 0.0:
-                out.flat[i] = lo if abs(flo) < abs(fhi) else hi
-            else:
-                out.flat[i] = brentq(f, lo, hi, xtol=1e-13)
-        return out
+        j = np.clip(np.floor(us * p), 0, p - 1).astype(int)
+        v = us * p - j
+        kappa = math.pi * np.where((p - 1 - j) % 2 == 0, 1.0 - v, v)
+        lam = self._floquet_eigs(kappa.ravel())
+        return lam[np.arange(lam.shape[0]), j.ravel()].reshape(us.shape)
+
+
+def _parse(target):
+    """Sort a target into ("arc", CircleArcSet), ("bands", FiniteGapSet)
+    or ("interval", (lo, hi)); an (lo, hi) pair needs finite lo < hi,
+    else ValueError."""
+    if isinstance(target, CircleArcSet):
+        return "arc", target
+    if isinstance(target, FiniteGapSet):
+        return "bands", target
+    if isinstance(target, tuple) and len(target) == 2 and np.isscalar(target[0]):
+        lo, hi = float(target[0]), float(target[1])
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"interval ({lo}, {hi}) is empty, reversed or "
+                             "not finite")
+        return "interval", (lo, hi)
+    raise TypeError(f"unrecognized target {target!r}")
 
 
 def equilibrium_measure(target, discriminant=None) -> EquilibriumMeasure:
     """Equilibrium measure of an interval, an arc, or a periodic band set.
 
     ``target`` may be an (lo, hi) pair, a one-band FiniteGapSet (both
-    give the arcsine law), a CircleArcSet, or a multi-band FiniteGapSet
-    together with the discriminant of its periodic generator.  The band
-    set computed from the discriminant must agree with ``target`` to
-    1e-9, else BandMismatch.
+    give the arcsine law), a CircleArcSet, or a FiniteGapSet together
+    with the discriminant of its periodic generator.  The band set
+    computed from the discriminant must agree with ``target`` to 1e-9,
+    else BandMismatch.
     """
-    if isinstance(target, CircleArcSet):
-        return EquilibriumMeasure("arc", target)
-    if isinstance(target, tuple) and len(target) == 2 and np.isscalar(target[0]):
-        lo, hi = float(target[0]), float(target[1])
-        if not lo < hi:
-            raise ValueError("empty interval")
-        return EquilibriumMeasure("interval", (lo, hi))
-    if isinstance(target, FiniteGapSet):
-        if discriminant is None:
-            if target.n_bands == 1:
-                return EquilibriumMeasure("interval", target.bands[0])
+    kind, target = _parse(target)
+    if kind == "bands":
+        if discriminant is not None:
+            own = discriminant.bands()
+            if not target.close_to(own):
+                raise BandMismatch(
+                    f"discriminant bands {own.bands} vs requested {target.bands}"
+                )
+            return EquilibriumMeasure("periodic", (target, discriminant))
+        if target.n_bands > 1:
             raise Unsupported(
                 "multi-band sets need the discriminant of a periodic generator"
             )
-        own = discriminant.bands()
-        if not target.close_to(own):
-            raise BandMismatch(
-                f"discriminant bands {own.bands} vs requested {target.bands}"
-            )
-        return EquilibriumMeasure("periodic", (target, discriminant))
-    raise TypeError("unrecognized target for equilibrium_measure")
+        kind, target = _parse(target.bands[0])
+    return EquilibriumMeasure(kind, target)
 
 
 def capacity(target) -> float:
     """Logarithmic capacity: (hi-lo)/4 for an interval, sqrt(1-a^2) for
     the arc with gap parameter a, geometric mean of the generator's
     off-diagonal pattern for a periodic band set."""
-    if isinstance(target, CircleArcSet):
+    kind, target = _parse(target)
+    if kind == "arc":
         return math.sqrt(1.0 - target.a ** 2)
-    if isinstance(target, tuple) and len(target) == 2 and np.isscalar(target[0]):
-        return (float(target[1]) - float(target[0])) / 4.0
-    if isinstance(target, FiniteGapSet):
+    if kind == "bands":
         if target.period_a is not None:
             logs = [math.log(a) for a in target.period_a]
             return math.exp(math.fsum(logs) / len(logs))
-        if target.n_bands == 1:
-            lo, hi = target.bands[0]
-            return (hi - lo) / 4.0
-        raise Unsupported("capacity of a band set needs its periodic generator")
-    raise TypeError("unrecognized target for capacity")
-
-
-def eq_moment(m: EquilibriumMeasure, k: int):
-    """k-th moment of an equilibrium measure (complex on the circle)."""
-    return m.moment(k)
+        if target.n_bands > 1:
+            raise Unsupported("capacity of a band set needs its periodic generator")
+        kind, target = _parse(target.bands[0])
+    lo, hi = target
+    return (hi - lo) / 4.0
 
 
 def w1_distance(emp: EmpiricalMeasure, ref: EquilibriumMeasure) -> float:

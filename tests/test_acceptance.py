@@ -17,7 +17,7 @@ from opspectra.measures import (LineMeasureSpec, discretize,
                                 jacobi_from_measure)
 from opspectra.periodic import (PeriodicJacobi, delta_of_J, discriminant,
                                 normalize_type1, normalize_type3, torus_point)
-from opspectra.potential import equilibrium_measure, eq_moment, w1_distance
+from opspectra.potential import equilibrium_measure, w1_distance
 from opspectra.regularity import (arc_stats, cn_stat_matrix_invariant,
                                   cn_stat_oprl, cn_stat_opuc, cn_sq_stat_oprl,
                                   cn_stat_torus, lemma21_stats, root_test)
@@ -66,9 +66,9 @@ def test_ac01_trace_identity_on_seeded_inputs():
 
 def test_ac02_equilibrium_moments_of_the_reference_interval():
     em = equilibrium_measure((-2.0, 2.0))
-    m2 = eq_moment(em, 2)
-    m4 = eq_moment(em, 4)
-    odd = max(abs(eq_moment(em, 1)), abs(eq_moment(em, 3)))
+    m2 = em.moment(2)
+    m4 = em.moment(4)
+    odd = max(abs(em.moment(1)), abs(em.moment(3)))
     ok = abs(m2 - 2.0) <= 1e-10 and odd == 0.0 and abs(m4 - 6.0) <= 1e-9
     _verdict("AC02 equilibrium moments", ok,
              f"m2 err {abs(m2 - 2.0):.2e} <= 1e-10, odd {odd}, "

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +15,12 @@ from opspectra.periodic import (_GRID_POINTS, GapClosed, PeriodicJacobi,
                                 d_to_torus_batch, delta_of_J, discriminant,
                                 dm_weights, normalize_type1, normalize_type3,
                                 torus_point)
-from opspectra.potential import capacity
+from opspectra.potential import capacity, equilibrium_measure
 from opspectra.regularity import d_m
 from opspectra.sequences import BlockJacobiParams, JacobiParams, validate_blocks
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def test_period_one_discriminant_is_linear():
@@ -107,6 +113,112 @@ def test_closed_gaps_merge_their_bands(a, b, n_bands):
     # pattern read as period 4 has the two bands of period 2
     fg = bands(discriminant(PeriodicJacobi(a, b)))
     assert fg.n_bands == n_bands
+
+
+# -- equilibrium measure of a band set ---------------------------------
+
+
+def _bisect_exact(J0, lo, hi, target):
+    """Float bisection for D(x) = target on [lo, hi], with every sign
+    taken from the exact discriminant."""
+    target = Fraction(target)
+    rising = _exact_discriminant(J0, lo) < target
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if (_exact_discriminant(J0, mid) < target) == rising:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("p", (1, 2, 3, 4, 8))
+def test_equilibrium_quantiles_match_a_bisection_of_the_exact_discriminant(p):
+    # band j holds mass 1/p, spread as arccos(D(x) / D(lo_j)) / pi from
+    # its lower edge lo_j, so level j/p + v/p solves D = D(lo_j) cos(pi v)
+    J0 = _random_pattern(p)
+    disc = discriminant(J0)
+    fg = bands(disc)
+    us = (np.arange(6 * p) + 0.5) / (6 * p)
+    q = equilibrium_measure(fg, disc).quantiles(us)
+    for u, x in zip(us, q):
+        j = int(u * p)
+        lo, hi = fg.bands[j]
+        sign = 1.0 if _exact_discriminant(J0, lo) > 0 else -1.0
+        target = 2.0 * sign * math.cos(math.pi * (u * p - j))
+        assert abs(x - _bisect_exact(J0, lo, hi, target)) <= 1e-13, u
+
+
+def _exact_moments(J0, kmax=8):
+    """(1/p) tr J^k over one period, k = 0..kmax, read off the diagonal
+    of J^k on the middle period of a Fraction truncation with kmax
+    padding sites on each side (no closed path of length kmax from the
+    middle period reaches an end)."""
+    p = J0.p
+    n = p + 2 * kmax
+    a = [Fraction(J0.a[i % p]) for i in range(n - 1)]
+    b = [Fraction(J0.b[i % p]) for i in range(n)]
+    sums = [Fraction(0)] * (kmax + 1)
+    for s in range(kmax, kmax + p):
+        v = [Fraction(int(i == s)) for i in range(n)]
+        for k in range(kmax + 1):
+            sums[k] += v[s]
+            v = [b[i] * v[i] + (a[i - 1] * v[i - 1] if i > 0 else 0)
+                 + (a[i] * v[i + 1] if i < n - 1 else 0) for i in range(n)]
+    return [x / p for x in sums]
+
+
+CLOSED_GAP = ((1.0, 0.5, 1.0, 0.5), (0.1, -0.2, 0.1, -0.2))
+
+
+@pytest.mark.parametrize("J0", [_random_pattern(p) for p in (2, 3, 5)]
+                         + [PeriodicJacobi(*CLOSED_GAP)],
+                         ids=["p2", "p3", "p5", "closed_gap"])
+def test_equilibrium_moments_match_exact_traces(J0):
+    disc = discriminant(J0)
+    em = equilibrium_measure(bands(disc), disc)
+    for k, exact in enumerate(_exact_moments(J0)):
+        assert em.moment(k) == pytest.approx(
+            float(exact), rel=1e-13, abs=1e-13), k
+
+
+def test_closed_gap_pattern_has_the_equilibrium_measure_of_its_period():
+    # read at period 4, the pattern has a closed gap inside each of its
+    # two bands; its measure is still the period-2 one
+    us = (np.arange(2000) + 0.5) / 2000
+    q = {}
+    for a, b in (CLOSED_GAP, (CLOSED_GAP[0][:2], CLOSED_GAP[1][:2])):
+        disc = discriminant(PeriodicJacobi(a, b))
+        q[len(a)] = equilibrium_measure(bands(disc), disc).quantiles(us)
+    assert np.all(np.diff(q[4]) >= 0.0)
+    assert np.max(np.abs(q[4] - q[2])) <= 1e-12
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from opspectra.periodic import PeriodicJacobi, discriminant
+from opspectra.potential import equilibrium_measure
+disc = discriminant(PeriodicJacobi((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3)))
+em = equilibrium_measure(disc.bands(), disc)
+q = em.quantiles((np.arange(20000) + 0.5) / 20000)
+m = np.array([em.moment(k) for k in range(9)])
+print(hashlib.sha256(q.tobytes() + m.tobytes()).hexdigest())
+"""
+
+
+def test_equilibrium_measure_does_not_depend_on_the_blas_thread_count():
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 # -- block map of a periodic generator ---------------------------------

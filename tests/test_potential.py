@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from opspectra.periodic import PeriodicJacobi, discriminant
 from opspectra.potential import (CircleArcSet, FiniteGapSet, capacity,
-                                 eq_moment, equilibrium_measure, w1_distance)
+                                 equilibrium_measure, w1_distance)
 from opspectra.sequences import JacobiParams
 from opspectra.spectra import EmpiricalMeasure, zero_counting
 
@@ -14,19 +14,19 @@ from opspectra.spectra import EmpiricalMeasure, zero_counting
 def test_interval_moments_match_central_binomials():
     # arcsine law on [-2,2]: int x^{2m} = C(2m, m); odd moments 0
     em = equilibrium_measure((-2.0, 2.0))
-    assert eq_moment(em, 0) == pytest.approx(1.0, abs=1e-12)
-    assert eq_moment(em, 1) == 0.0
-    assert eq_moment(em, 2) == pytest.approx(2.0, abs=1e-12)
-    assert eq_moment(em, 3) == 0.0
-    assert eq_moment(em, 4) == pytest.approx(6.0, abs=1e-11)
-    assert eq_moment(em, 6) == pytest.approx(20.0, abs=1e-10)
+    assert em.moment(0) == pytest.approx(1.0, abs=1e-12)
+    assert em.moment(1) == 0.0
+    assert em.moment(2) == pytest.approx(2.0, abs=1e-12)
+    assert em.moment(3) == 0.0
+    assert em.moment(4) == pytest.approx(6.0, abs=1e-11)
+    assert em.moment(6) == pytest.approx(20.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("interval", [(-2.0, 2.0), (-0.75, 0.75)])
 def test_odd_moments_of_symmetric_intervals_cancel_exactly(interval):
     em = equilibrium_measure(interval)
     for k in (1, 3, 5, 7):
-        assert eq_moment(em, k) == 0.0
+        assert em.moment(k) == 0.0
 
 
 def test_shifted_interval_moment_against_quadrature():
@@ -35,7 +35,7 @@ def test_shifted_interval_moment_against_quadrature():
         lambda x: x * x / (math.pi * math.sqrt((x - 0.0) * (1.0 - x))),
         0.0, 1.0)
     assert err < 1e-8
-    assert eq_moment(em, 2) == pytest.approx(oracle, abs=1e-8)
+    assert em.moment(2) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_interval_capacity_scales_with_length():
@@ -55,8 +55,8 @@ def test_arc_equilibrium_first_moment():
     # int z d rho over the arc equals -a^2 (gap pushes mass oppositely)
     a = 0.5
     em = equilibrium_measure(CircleArcSet(a))
-    assert eq_moment(em, 0) == pytest.approx(1.0, abs=1e-10)
-    m1 = eq_moment(em, 1)
+    assert em.moment(0) == pytest.approx(1.0, abs=1e-10)
+    m1 = em.moment(1)
     assert m1.imag == 0.0
     assert m1.real == pytest.approx(-a * a, abs=1e-10)
 
@@ -76,15 +76,43 @@ def test_arc_density_integrates_against_quadrature():
         / (2.0 * math.pi * math.sqrt(math.sin(mid / 2.0) ** 2 - a * a)))
 
 
-def test_periodic_band_masses_are_equal():
-    J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
-    disc = discriminant(J0)
-    bands = disc.bands()
-    em = equilibrium_measure(bands, disc)
-    masses = em.band_masses()
-    assert len(masses) == 2
-    assert masses == pytest.approx([0.5, 0.5], abs=1e-10)
-    assert capacity(bands) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+@pytest.mark.parametrize("a, b", [
+    ((1.0, 0.5), (0.0, 0.0)),
+    ((1.1, 0.7, 0.9), (0.2, 0.0, -0.4)),
+    ((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3)),
+], ids=["p2", "p3", "p4"])
+def test_periodic_quantiles_at_levels_j_over_p_land_on_band_edges(a, b):
+    # every band holds mass 1/p, so the levels 0, 1/p, ..., 1 fall on
+    # band edges
+    disc = discriminant(PeriodicJacobi(a, b))
+    fg = disc.bands()
+    p = disc.p
+    em = equilibrium_measure(fg, disc)
+    q = em.quantiles(np.arange(p + 1) / p)
+    edges = np.array([e for band in fg.bands for e in band])
+    assert q[0] == pytest.approx(edges[0], abs=1e-13)
+    assert q[-1] == pytest.approx(edges[-1], abs=1e-13)
+    for x in q:
+        assert np.min(np.abs(edges - x)) <= 1e-13
+
+
+def test_periodic_quantiles_do_not_depend_on_the_slicing():
+    # at p = 32 the 3000 levels are solved in three slices; each level
+    # alone must give the same bits
+    rng = np.random.default_rng(32)
+    disc = discriminant(PeriodicJacobi(tuple(rng.uniform(0.7, 1.3, 32)),
+                                       tuple(rng.uniform(-0.3, 0.3, 32))))
+    em = equilibrium_measure(disc.bands(), disc)
+    us = (np.arange(3000) + 0.5) / 3000
+    q = em.quantiles(us)
+    assert np.all(np.diff(q) >= 0.0)
+    for i in range(0, 3000, 97):
+        assert em.quantiles(us[i:i + 1])[0] == q[i]
+
+
+def test_periodic_capacity_is_the_geometric_mean_of_a():
+    disc = discriminant(PeriodicJacobi((1.0, 0.5), (0.0, 0.0)))
+    assert capacity(disc.bands()) == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
 def test_periodic_second_moment_against_quadrature():
@@ -102,7 +130,7 @@ def test_periodic_second_moment_against_quadrature():
                         points=[lo, hi], limit=400)
         assert err < 1e-9
         total += val
-    assert eq_moment(em, 2) == pytest.approx(total, abs=1e-9)
+    assert em.moment(2) == pytest.approx(total, abs=1e-9)
 
 
 def test_w1_point_mass_against_mean_distance():
@@ -125,3 +153,12 @@ def test_w1_arc_quantile_sample_is_close():
     th = np.where(lifted > math.pi, lifted - 2.0 * math.pi, lifted)
     emp = EmpiricalMeasure(th, "circle")
     assert w1_distance(emp, em) < 0.02
+
+
+@pytest.mark.parametrize("target", [(2.0, -2.0), (1.0, 1.0), (0.0, math.inf),
+                                    (-math.inf, 2.0), (0.0, math.nan)])
+def test_bad_intervals_are_rejected_by_both_entry_points(target):
+    with pytest.raises(ValueError):
+        capacity(target)
+    with pytest.raises(ValueError):
+        equilibrium_measure(target)

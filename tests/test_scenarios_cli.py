@@ -3,6 +3,7 @@ import importlib.util
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import xml.dom.minidom
 
@@ -415,3 +416,15 @@ def test_default_stats_csv_is_pinned_byte_for_byte(sid, seed, tmp_path):
     run_scenario(ScenarioConfig(sid, seed=seed, outdir=str(tmp_path)))
     stats = (tmp_path / "stats.csv").read_bytes()
     assert hashlib.sha256(stats).hexdigest() == DEFAULT_STATS_SHA256[sid, seed]
+
+
+def test_importing_the_cli_leaves_scipy_optimize_out():
+    # no scenario needs a root finder, so no process should pay for one
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, opspectra.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
