@@ -22,7 +22,9 @@ The same map run backward reads the angles off any one-period window.
 Distance from a coefficient sequence to the torus starts from the best
 of a fixed coarse grid of angles and the inverse-map angles of the
 sequence's own windows, then refines it by a pattern search along the
-axes and the diagonals.
+axes and the diagonals.  A batch of offsets searches each distinct
+window once: offsets whose windows (coefficients and weights on whole
+periods) are bitwise equal share one search and its result.
 """
 
 from __future__ import annotations
@@ -98,6 +100,26 @@ class PeriodicJacobi:
         m[:, -1, 0] += z * self.a[-1]
         return m
 
+    def transfer_trace(self, x):
+        """The discriminant D(x) and its derivative D'(x), as the trace
+        of the one-period transfer product (see discriminant) and of its
+        x-derivative, carried step by step through the product for every
+        x at once.  Unlike the monomial coefficients this keeps D
+        accurate at large p."""
+        x = np.asarray(x, dtype=float)
+        one, zero = np.ones_like(x), np.zeros_like(x)
+        t11, t12, t21, t22 = one, zero, zero, one
+        d11, d12, d21, d22 = zero, zero, zero, zero
+        a_prev = self.a[-1]
+        for an, bn in zip(self.a, self.b):
+            s, c = (x - bn) / an, a_prev / an
+            # (S T)' = S' T + S T' with S' = [[1 / a_n, 0], [0, 0]]
+            d11, d12, d21, d22 = (t11 / an + s * d11 - c * d21,
+                                  t12 / an + s * d12 - c * d22, d11, d12)
+            t11, t12, t21, t22 = s * t11 - c * t21, s * t12 - c * t22, t11, t12
+            a_prev = an
+        return t11 + t22, d11 + d22
+
 
 @dataclass(frozen=True)
 class Discriminant:
@@ -127,9 +149,6 @@ class Discriminant:
 
     def value(self, x):
         return npp.polyval(x, self.coeffs)
-
-    def derivative(self, x):
-        return npp.polyval(x, npp.polyder(self.coeffs))
 
     def bands(self) -> FiniteGapSet:
         return bands(self)
@@ -539,6 +558,35 @@ def _weighted_dist(A, B, W, a, b, work) -> np.ndarray:
     return np.einsum("ij,ij->i", W, np.add(x, y, out=x))
 
 
+def _row_keys(A, B, W) -> np.ndarray:
+    """A uint64 key of each aligned row: the wrapping dot product of the
+    bits of its A, B and W (their uint64 views) with fixed odd
+    multipliers.  Bitwise equal rows get equal keys; unequal rows may
+    collide, so a key only proposes a group."""
+    L = A.shape[1]
+    mult = (np.arange(1, 6 * L, 2, dtype=np.uint64)
+            * np.uint64(0x9E3779B97F4A7C15)).reshape(3, L)
+    return (A.view(np.uint64) @ mult[0] + B.view(np.uint64) @ mult[1]
+            + W.view(np.uint64) @ mult[2])
+
+
+def _distinct_rows(A, B, W):
+    """Indices of one representative per distinct aligned row, in row
+    order, and each row's position among them.  Rows sharing a key are
+    checked bit for bit against the first row with that key; a row that
+    differs from it stays its own representative."""
+    _, first, group = np.unique(_row_keys(A, B, W), return_index=True,
+                                return_inverse=True)
+    rep = first[group]
+    shared = np.flatnonzero(rep != np.arange(len(rep)))
+    differ = np.zeros(len(shared), dtype=bool)
+    for X in (A, B, W):
+        bits = X.view(np.uint64)
+        differ |= np.any(bits[shared] != bits[rep[shared]], axis=1)
+    rep[shared[differ]] = shared[differ]
+    return np.unique(rep, return_inverse=True)
+
+
 def _window_starts(family: _DirichletMap, A, B, ms: np.ndarray):
     """Inverse-map angles of the p one-period windows at sites m + s ..
     m + s + p - 1, s = 0..p - 1, of each aligned row, read into period
@@ -559,9 +607,16 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
                      dref: Discriminant) -> np.ndarray:
     """Vectorized d_to_torus over a set of offsets (see d_to_torus).
 
-    The grid goes through the map once and each grid generator is
-    compared with every offset at once; each offset's window starts
-    are compared with its own row, and the refinement moves all offsets
+    Offsets whose aligned rows (the coefficients and weights from the
+    start of the offset's period on, see _aligned_windows) are bitwise
+    equal share one search, since the search reads nothing but the row
+    and the offset's period phase, which the weights fix: each distinct
+    row is searched once and its distance goes to every offset that has
+    it.  An input of period p has p distinct rows and a sparse one few,
+    so a long batch of them costs about as much as its distinct rows.  The
+    grid goes through the map once and each grid generator is compared
+    with every distinct row at once; each row's window starts are
+    compared with the row itself, and the refinement moves all rows
     together.
     """
     ms = np.asarray(ms, dtype=int)
@@ -572,6 +627,10 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     bound = 2.0 * (_deviation_bound(J, int(ms.max()))
                    + dref.source.deviation_bound + 2.0)
     A, B, W = _aligned_windows(J, ms, dm_weights(bound), p)
+    # rebound here, so no full-size copy outlives the compaction
+    rows, share = _distinct_rows(A, B, W)
+    if len(rows) < len(ms):
+        A, B, W, ms = A[rows], B[rows], W[rows], ms[rows]
     work = np.empty((2,) + A.shape)
 
     span = 2.0 * math.pi / _GRID_POINTS
@@ -611,4 +670,4 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
             best[live[better]] = vals[better]
             moved |= better
         step[~moved] *= 0.5
-    return best
+    return best[share]

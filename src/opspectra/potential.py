@@ -9,7 +9,8 @@ Three supported geometries:
   handled by pulling the arcsine law of the interval [-2, 2 - 4a^2]
   back through x = 2 cos theta onto each half of the arc;
 * band sets of a periodic recurrence, where the density is
-  |D'(x)| / (p pi sqrt(4 - D(x)^2)) for the degree-p discriminant D.
+  |D'(x)| / (p pi sqrt(4 - D(x)^2)) for the degree-p discriminant D,
+  with D and D' read off the one-period transfer product at x.
 
 The periodic equilibrium measure is the density of states of the
 generator: the mean over kappa of the eigenvalue counting measure of its
@@ -156,10 +157,8 @@ class EquilibriumMeasure:
             a = self.arc.a
             s = np.sin(np.abs(x) / 2.0)
             return s / (2.0 * math.pi * np.sqrt(s * s - a * a))
-        d = self.disc.value(x)
-        return np.abs(self.disc.derivative(x)) / (
-            self.disc.p * math.pi * np.sqrt(4.0 - d * d)
-        )
+        d, slope = self.disc.source.transfer_trace(x)
+        return np.abs(slope) / (self.disc.p * math.pi * np.sqrt(4.0 - d * d))
 
     def density_samples(self) -> np.ndarray:
         """About 200 (x, density) rows sampled strictly inside the

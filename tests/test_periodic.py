@@ -3,13 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npp
 
+from opspectra import periodic
 from opspectra.periodic import (_GRID_POINTS, GapClosed, PeriodicJacobi,
                                 _DirichletMap, bands, d_to_torus,
                                 d_to_torus_batch, delta_of_J, discriminant,
@@ -17,6 +20,7 @@ from opspectra.periodic import (_GRID_POINTS, GapClosed, PeriodicJacobi,
                                 torus_point)
 from opspectra.potential import capacity, equilibrium_measure
 from opspectra.regularity import d_m
+from opspectra.scenarios import _is_pow2, _periodic_as_params
 from opspectra.sequences import BlockJacobiParams, JacobiParams, validate_blocks
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -413,10 +417,77 @@ def test_batch_distances_agree_with_single_calls():
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.1))
     disc = discriminant(J0)
     J = _periodic_params(J0, lambda n: 0.2 / n, bound_extra=0.2)
-    ms = np.array([1, 2, 5, 9])
+    ms = np.array([1, 2, 5, 9, 40, 41])
     batch = d_to_torus_batch(J, ms, disc)
     singles = np.array([d_to_torus(J, int(m), disc) for m in ms])
-    assert np.max(np.abs(batch - singles)) < 1e-9
+    assert np.array_equal(batch, singles)
+
+
+# the torus inputs of thm6_1 and conjecture5_1_explore at the default
+# pattern; the first two repeat a few windows at every offset
+DEFAULT = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
+SCENARIO_INPUTS = {
+    "torus_point": lambda disc: _periodic_as_params(
+        torus_point(disc, (1.3,)).jacobi),
+    "sparse_bumps": lambda disc: _periodic_as_params(
+        DEFAULT, lambda n: np.where((n > 1) & _is_pow2(n), 0.4, 0.0),
+        bound_extra=0.4),
+    "harmonic": lambda disc: _periodic_as_params(
+        DEFAULT, lambda n: 1.0 / n, bound_extra=1.0),
+}
+
+
+@pytest.mark.parametrize("name, n, distinct",
+                         [("torus_point", 300, 2), ("sparse_bumps", 600, 70)])
+def test_offsets_sharing_a_window_get_the_single_call_distance(
+        name, n, distinct, monkeypatch):
+    disc = discriminant(DEFAULT)
+    J = SCENARIO_INPUTS[name](disc)
+    ms = np.arange(1, n + 1)
+    searched = []
+    real = periodic._distinct_rows
+
+    def spy(A, B, W):
+        rows, share = real(A, B, W)
+        searched.append(len(rows))
+        return rows, share
+
+    monkeypatch.setattr(periodic, "_distinct_rows", spy)
+    batch = d_to_torus_batch(J, ms, disc)
+    assert searched == [distinct]
+    singles = np.array([d_to_torus(J, int(m), disc) for m in ms])
+    assert np.array_equal(batch, singles)
+
+
+@pytest.mark.parametrize("name", ["torus_point", "sparse_bumps"])
+def test_colliding_row_keys_leave_the_distances_unchanged(name, monkeypatch):
+    disc = discriminant(DEFAULT)
+    J = SCENARIO_INPUTS[name](disc)
+    ms = np.arange(1, 201)
+    expected = d_to_torus_batch(J, ms, disc)
+    # one key for every row: only the bitwise check can tell rows apart
+    monkeypatch.setattr(periodic, "_row_keys",
+                        lambda A, B, W: np.zeros(len(A), dtype=np.uint64))
+    assert np.array_equal(d_to_torus_batch(J, ms, disc), expected)
+
+
+def test_batch_search_memory_stays_near_one_copy_of_the_rows():
+    # every offset of the harmonic input has its own window, so nothing
+    # is shared; a dedup that copies all rows at once (np.unique with
+    # axis=0) or keeps the full-size rows alive beside compacted ones
+    # crosses the bound, which sits 0.6 MiB above the search's own 8.9
+    disc = discriminant(DEFAULT)
+    J = SCENARIO_INPUTS["harmonic"](disc)
+    ms = np.arange(1, 4097)
+    J.a_window(2 * len(ms))   # grow the stored sequences before tracing
+    J.b_window(2 * len(ms))
+    tracemalloc.start()
+    try:
+        d_to_torus_batch(J, ms, disc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * 2 ** 20
 
 
 # -- the Dirichlet-data map for every period ---------------------------
@@ -424,6 +495,16 @@ def test_batch_distances_agree_with_single_calls():
 P2 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
 P3 = PeriodicJacobi((1.0, 0.6, 0.8), (0.1, -0.2, 0.0))
 P4 = PeriodicJacobi((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3))
+
+
+@pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
+def test_transfer_trace_is_the_discriminant_and_its_derivative(J0):
+    disc = discriminant(J0)
+    x = np.linspace(-3.0, 3.0, 61)
+    D, slope = J0.transfer_trace(x)
+    assert np.allclose(D, disc.value(x), rtol=1e-12, atol=1e-12)
+    assert np.allclose(slope, npp.polyval(x, npp.polyder(disc.coeffs)),
+                       rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])

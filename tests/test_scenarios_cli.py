@@ -188,6 +188,39 @@ def test_mnt_scenario_has_no_thresholds_but_reports(tmp_path):
     assert "b_window_max" in labels
 
 
+def _tilted_flat_recurrence(tilt, n, nodes):
+    """b_1..b_n and a_1..a_{n-1} of the density 1 + tilt x / 2 on
+    [-2, 2]: Gauss-Legendre in theta, x = 2 cos theta (a smooth
+    integrand), then Lanczos with full reorthogonalization."""
+    t, g = np.polynomial.legendre.leggauss(nodes)
+    theta = 0.5 * np.pi * (t + 1.0)
+    x = 2.0 * np.cos(theta)
+    w = g * np.sin(theta) * (1.0 + tilt * x / 2.0)
+    Q = np.zeros((n, nodes))
+    q = np.sqrt(w / np.sum(w))
+    a, b = np.zeros(n), np.zeros(n)
+    for k in range(n):
+        Q[k] = q
+        v = x * q
+        b[k] = q @ v
+        for _ in range(2):
+            v -= (Q[:k + 1] @ v) @ Q[:k + 1]
+        a[k] = np.linalg.norm(v)
+        q = v / a[k]
+    return a[:-1], b
+
+
+def test_mnt_coefficients_at_the_cap_match_the_continuous_measure():
+    # 600 nodes agree with 2400 to 4e-15 on these n; mnt's 4800-node
+    # discretization first leaves them by 1e-12 at a_127
+    a, b = _tilted_flat_recurrence(0.5, 126, 600)
+    res = scenarios.run("mnt_illustration", {"coefficients": "126"})
+    J = res.jacobi_inputs[0][1]
+    assert len(J) == 126
+    assert np.max(np.abs(J.a_window(125) - a)) <= 1e-12
+    assert np.max(np.abs(J.b_window(126) - b)) <= 1e-12
+
+
 def test_stats_csv_is_the_series_csv_rows_under_one_header():
     series = [StatSeries("x", (1, 2), (0.5, 0.25)),
               StatSeries("y", (4,), (1.0 / 3.0,))]
@@ -209,6 +242,7 @@ def test_stats_csv_is_the_series_csv_rows_under_one_header():
     ("thm3_1", "inputs.count = 0"),
     ("mnt_illustration", "coefficients = 51"),
     ("mnt_illustration", "coefficients = 4801"),  # past the 4800 nodes
+    ("mnt_illustration", "coefficients = 127"),   # past the 1e-12 cap
     ("mnt_illustration", "input.tilt = 3"),
     ("thm4_1", "input.bump_value = 1.5"),
     ("thm6_1", "blockmap.K = 0"),
@@ -224,7 +258,8 @@ def test_stats_csv_is_the_series_csv_rows_under_one_header():
 ], ids=["closed_gap", "constant_pattern", "non_numeric_pattern",
         "zero_window", "arc_a", "arc_k", "cmv_N", "arc_phase_inf",
         "perturbed_alpha_0", "inputs_count", "mnt_coefficients",
-        "mnt_coefficients_past_nodes", "mnt_tilt", "circle_bump",
+        "mnt_coefficients_past_nodes", "mnt_coefficients_past_cap",
+        "mnt_tilt", "circle_bump",
         "blockmap_K", "defect_site_past_blocks", "torus_theta_inf",
         "pattern_inf", "norm_check_N", "threshold_inf", "unknown_key",
         "defect_size", "bumps_amp", "decay_power"])
