@@ -14,10 +14,9 @@ from .measures import (CircleMeasureSpec, DensityPart, DiscreteMeasure,
                        LineMeasureSpec, discretize, gauss_rule,
                        jacobi_from_measure, trig_moments,
                        verblunsky_from_measure, verblunsky_from_moments)
-from .periodic import (Discriminant, PeriodicJacobi, TorusPoint, bands,
-                       d_to_torus, d_to_torus_batch, delta_of_J, discriminant,
-                       dm_weights, normalize_type1, normalize_type3,
-                       torus_point)
+from .periodic import (PeriodicJacobi, TorusPoint, bands, d_to_torus,
+                       d_to_torus_batch, delta_of_J, discriminant, dm_weights,
+                       normalize_type1, normalize_type3, torus_point)
 from .potential import (CircleArcSet, EquilibriumMeasure, FiniteGapSet,
                         capacity, equilibrium_measure, w1_distance)
 from .regularity import (DEFAULT_LADDER, StatSeries, arc_stats, cn_stat_matrix,
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockJacobiParams", "CircleArcSet", "CircleMeasureSpec", "CmvMatrix",
-    "DEFAULT_LADDER", "DensityPart", "DiscreteMeasure", "Discriminant",
+    "DEFAULT_LADDER", "DensityPart", "DiscreteMeasure",
     "EmpiricalMeasure", "EquilibriumMeasure", "FiniteGapSet", "JacobiParams",
     "LineMeasureSpec", "PeriodicJacobi", "SplitMix64", "StatSeries",
     "TorusPoint", "TridiagonalMatrix", "UnitaryChain", "VerblunskyParams",

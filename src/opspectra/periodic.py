@@ -1,47 +1,48 @@
-"""Periodic recurrence data: discriminants, band sets, the polynomial
-block map, type-1/type-3 normalization, and the isospectral torus.
+"""Periodic recurrence data: discriminants, band sets, the block map,
+type-1/type-3 normalization, and the isospectral torus.
 
-The discriminant of a period-p generator is the trace of its one-period
-transfer-matrix product, computed in exact polynomial-coefficient
-arithmetic.  The band edges, where the discriminant is +-2, are the
-eigenvalues of the generator's periodic and antiperiodic p x p matrices
-(Floquet theory).  Evaluating the discriminant on a one-sided
+The discriminant D of a period-p generator is the trace of its
+one-period transfer-matrix product, evaluated by running the transfer
+recursion step by step for every x at once; this keeps D accurate at
+large p, where monomial coefficients do not.  The band edges, where D is
++-2, are the eigenvalues of the generator's periodic and antiperiodic
+p x p matrices (Floquet theory).  Evaluating D on a one-sided
 tridiagonal matrix produces a block-tridiagonal matrix with p x p
 blocks whose off-diagonal blocks are lower triangular with positive
-diagonal; the evaluation is a sparse matrix polynomial, so the
-bandwidth (and hence the block structure) is exact and no dense
+diagonal; the evaluation is the same recursion run on sparse matrices,
+so the bandwidth (and hence the block structure) is exact and no dense
 intermediate ever exists.
 
 The isospectral torus of a band set with all gaps open is parametrized
 by p - 1 angles through Dirichlet data, for every period: angle j
 places one Dirichlet point in gap j and picks its sheet, and an
-explicit map (p - 1 Stieltjes steps plus the top coefficients of the
-discriminant) turns those data into the generator (Teschl, *Jacobi
-Operators and Completely Integrable Nonlinear Lattices*, ch. 7-8).
-The same map run backward reads the angles off any one-period window.
-Distance from a coefficient sequence to the torus starts from the best
-of a fixed coarse grid of angles and the inverse-map angles of the
-sequence's own windows, then refines it by a pattern search along the
-axes and the diagonals.  A batch of offsets searches each distinct
-window once: offsets whose windows (coefficients and weights on whole
-periods) are bitwise equal share one search and its result.
+explicit map (p - 1 Stieltjes steps plus the product of the generator's
+a and the sum of its b) turns those data into the generator (Teschl,
+*Jacobi Operators and Completely Integrable Nonlinear Lattices*,
+ch. 7-8).  The same map run backward reads the angles off any
+one-period window.  Distance from a coefficient sequence to the torus
+starts from the best of a fixed coarse grid of angles and the
+inverse-map angles of the sequence's own windows, then refines it by a
+pattern search along the axes and the diagonals.  A batch of offsets
+searches each distinct window once: offsets whose windows (coefficients
+and weights on whole periods) are bitwise equal share one search and
+its result.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.polynomial import polynomial as npp
 
 from .potential import FiniteGapSet
 from .sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
-                        UnitaryChain, _freeze, _herm, sup_deviation,
-                        validate_blocks)
+                        UnitaryChain, _herm, sup_deviation, validate_blocks)
 
 
 class GapClosed(ValueError):
@@ -104,110 +105,68 @@ class PeriodicJacobi:
         """The discriminant D(x) and its derivative D'(x), as the trace
         of the one-period transfer product (see discriminant) and of its
         x-derivative, carried step by step through the product for every
-        x at once.  Unlike the monomial coefficients this keeps D
-        accurate at large p."""
+        x at once."""
         x = np.asarray(x, dtype=float)
-        one, zero = np.ones_like(x), np.zeros_like(x)
-        t11, t12, t21, t22 = one, zero, zero, one
-        d11, d12, d21, d22 = zero, zero, zero, zero
-        a_prev = self.a[-1]
-        for an, bn in zip(self.a, self.b):
-            s, c = (x - bn) / an, a_prev / an
-            # (S T)' = S' T + S T' with S' = [[1 / a_n, 0], [0, 0]]
-            d11, d12, d21, d22 = (t11 / an + s * d11 - c * d21,
-                                  t12 / an + s * d12 - c * d22, d11, d12)
-            t11, t12, t21, t22 = s * t11 - c * t21, s * t12 - c * t22, t11, t12
-            a_prev = an
-        return t11 + t22, d11 + d22
+        t, d = (1.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0)
+        for an, bn, c in _steps(self):
+            s = (x - bn) / an
+            # (S T)' = S T' + S' T with S' = [[1 / a_n, 0], [0, 0]]
+            d11, d12, d21, d22 = _step(d, s, c)
+            d = (d11 + t[0] / an, d12 + t[1] / an, d21, d22)
+            t = _step(t, s, c)
+        return t[0] + t[3], d[0] + d[3]
 
 
-@dataclass(frozen=True)
-class Discriminant:
-    """Degree-p polynomial (ascending coefficients) with positive leading
-    coefficient equal to the reciprocal off-diagonal product of its
-    generator ``source``.  The generator gives the band edges and
-    anchors theta = 0 of the torus map.
-    """
-
-    coeffs: np.ndarray
-    source: PeriodicJacobi
-
-    def __post_init__(self):
-        c = _freeze(np.asarray(self.coeffs, dtype=float))
-        object.__setattr__(self, "coeffs", c)
-        if len(c) < 2 or c[-1] <= 0.0:
-            raise ValueError("discriminant needs degree >= 1 and a positive "
-                             "leading coefficient")
-
-    @property
-    def p(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> float:
-        return float(self.coeffs[-1])
-
-    def value(self, x):
-        return npp.polyval(x, self.coeffs)
-
-    def bands(self) -> FiniteGapSet:
-        return bands(self)
-
-    def to_csv(self) -> str:
-        lines = ["k,coeff"]
-        lines += [f"{k},{repr(float(v))}" for k, v in enumerate(self.coeffs)]
-        return "\n".join(lines) + "\n"
-
-
-def _poly_mat_mul(x, y):
-    """Product of 2x2 matrices with polynomial (ascending-coefficient)
-    entries."""
-    out = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            out[i][j] = npp.polyadd(npp.polymul(x[i][0], y[0][j]),
-                                    npp.polymul(x[i][1], y[1][j]))
-    return out
-
-
-def discriminant(J0: PeriodicJacobi) -> Discriminant:
-    """Trace of the one-period transfer product of J0.
-
-    The n-th one-step matrix is [[(x - b_n)/a_n, -a_{n-1}/a_n], [1, 0]]
-    with a_0 = a_p; the product runs n = 1..p applied left to right, so
-    the result is A_p ... A_1 and its trace is the discriminant.
-    """
-    p = J0.p
-    T = [[np.array([1.0]), np.array([0.0])],
-         [np.array([0.0]), np.array([1.0])]]
+def _steps(J0: PeriodicJacobi):
+    """(a_n, b_n, a_{n-1} / a_n) for n = 1..p, with a_0 = a_p: the n-th
+    one-step transfer matrix is [[(x - b_n) / a_n, -a_{n-1} / a_n],
+    [1, 0]]."""
     a_prev = J0.a[-1]
-    for n in range(p):
-        an, bn = J0.a[n], J0.b[n]
-        step = [[np.array([-bn / an, 1.0 / an]), np.array([-a_prev / an])],
-                [np.array([1.0]), np.array([0.0])]]
-        T = _poly_mat_mul(step, T)
+    for an, bn in zip(J0.a, J0.b):
+        yield an, bn, a_prev / an
         a_prev = an
-    delta = npp.polyadd(T[0][0], T[1][1])
-    coeffs = np.zeros(p + 1)
-    coeffs[: len(delta)] = delta
-    lead = 1.0
-    for x in J0.a:
-        lead /= x
-    if abs(coeffs[-1] - lead) > 1e-12 * lead:
-        raise ArithmeticError("transfer product lost the leading coefficient")
-    return Discriminant(coeffs, source=J0)
 
 
-def bands(disc: Discriminant) -> FiniteGapSet:
+def _step(t, s, c, mul=operator.mul):
+    """S T for the one-step matrix S = [[s, -c], [1, 0]] and T = (t11,
+    t12, t21, t22); ``mul`` multiplies s into an entry (operator.matmul
+    when the entries are matrices)."""
+    t11, t12, t21, t22 = t
+    return mul(s, t11) - c * t21, mul(s, t12) - c * t22, t11, t12
+
+
+def _product_trace(J0: PeriodicJacobi, x, one=1.0, mul=operator.mul):
+    """Trace of the one-period transfer product S_p ... S_1 of J0 at x:
+    numbers (``one`` = 1.0), or a square matrix with ``one`` its
+    identity and ``mul`` operator.matmul.  Every entry is a polynomial
+    in x, so the entries commute either way."""
+    steps = _steps(J0)
+    an, bn, c = next(steps)
+    # S_1 times the identity
+    t = ((x - bn * one) / an, -c * one, one, 0.0 * one)
+    for an, bn, c in steps:
+        t = _step(t, (x - bn * one) / an, c, mul)
+    return t[0] + t[3]
+
+
+def discriminant(J0: PeriodicJacobi, x):
+    """The discriminant D(x) of J0 for every x at once: the trace of the
+    one-period transfer product S_p ... S_1 (see _steps), a polynomial
+    of degree p with leading coefficient 1 / prod(a).  It is carried
+    through the product step by step, never through its monomial
+    coefficients, which lose accuracy at large p."""
+    return _product_trace(J0, np.asarray(x, dtype=float))
+
+
+def bands(J0: PeriodicJacobi) -> FiniteGapSet:
     """Band set: closure of the preimage of [-2, 2] under the
-    discriminant.
+    discriminant of J0.
 
     The 2p edges, where D = +-2, are the eigenvalues of the generator's
     Floquet matrices at z = 1 and z = -1 (periodic and antiperiodic).  A
     closed gap is a double eigenvalue of one of them; touching
     proto-bands are merged.
     """
-    J0 = disc.source
     edges = np.linalg.eigvalsh(J0.floquet([1.0, -1.0]))
     edges = np.sort(edges, axis=None).tolist()
     proto = [(edges[2 * i], edges[2 * i + 1]) for i in range(len(edges) // 2)]
@@ -222,15 +181,16 @@ def bands(disc: Discriminant) -> FiniteGapSet:
 
 
 def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams:
-    """Evaluate the discriminant of J0 on the one-sided matrix of J and
-    cut the result into p x p blocks: K + 1 diagonal blocks and K
+    """Evaluate the discriminant of J0 on the one-sided matrix T of J
+    and cut the result into p x p blocks: K + 1 diagonal blocks and K
     off-diagonal blocks.
 
-    The evaluation is Horner's rule on sparse matrices, R <- R T + c I,
-    and one scatter of the result's upper-triangle entries cuts every
-    block (the diagonal blocks are mirrored from it, so they are exactly
-    symmetric).  The result bandwidth equals p exactly, so the
-    off-diagonal blocks are lower triangular by construction with
+    The evaluation is the transfer product of discriminant run on
+    sparse matrices, with (T - b_n) / a_n multiplied in by matrix
+    products, and one scatter of the result's upper-triangle entries
+    cuts every block (the diagonal blocks are mirrored from it, so they
+    are exactly symmetric).  The result bandwidth equals p exactly, so
+    the off-diagonal blocks are lower triangular by construction with
     diagonal entries that are ratios of p-fold products of J's
     off-diagonals to the period product.  The returned parameters carry
     the type3 tag after verification; failure of that structure is an
@@ -247,12 +207,8 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
     a_arr = J.a_window(n_sites - 1)
     T = sp.diags_array([a_arr, J.b_window(n_sites), a_arr], offsets=(-1, 0, 1),
                        format="csr")
-    eye = sp.eye_array(n_sites, format="csr")
-    coeffs = discriminant(J0).coeffs
-    R = coeffs[-1] * eye
-    for c in coeffs[-2::-1]:
-        R = R @ T + c * eye
-    R = R.tocoo()
+    R = _product_trace(J0, T, sp.eye_array(n_sites, format="csr"),
+                       operator.matmul).tocoo()
     upper = R.col >= R.row
     i, j, v = R.row[upper], R.col[upper], R.data[upper]
     k, d = i // p, j // p - i // p
@@ -352,22 +308,29 @@ def normalize_type1(Jb: BlockJacobiParams):
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """A periodic generator sharing a reference discriminant, tagged with
-    its angle coordinates."""
+    """A periodic generator sharing the discriminant of a reference
+    generator, tagged with its angle coordinates.  The two discriminants,
+    polynomials of degree p, are compared at the p + 1 Chebyshev-Lobatto
+    points of the reference's Gershgorin interval, which holds its
+    bands."""
 
     jacobi: PeriodicJacobi
     theta: Tuple[float, ...]
-    reference: Discriminant
+    reference: PeriodicJacobi
 
     def __post_init__(self):
-        own = discriminant(self.jacobi)
-        diff = float(np.max(np.abs(own.coeffs - self.reference.coeffs)))
-        if diff > 1e-9 * max(1.0, float(np.max(np.abs(self.reference.coeffs)))):
+        ref = self.reference
+        lo, hi = min(ref.b) - 2.0 * max(ref.a), max(ref.b) + 2.0 * max(ref.a)
+        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
+            math.pi * np.arange(ref.p + 1) / ref.p)
+        want = discriminant(ref, x)
+        diff = float(np.max(np.abs(discriminant(self.jacobi, x) - want)))
+        if diff > 1e-9 * max(1.0, float(np.max(np.abs(want)))):
             raise ValueError(f"discriminant mismatch {diff} for torus point")
 
 
 class _DirichletMap:
-    """Explicit map from angles to the generators sharing dref's
+    """Explicit map from angles to the generators sharing J0's
     discriminant, through Dirichlet data, and its inverse.
 
     Angle j puts the Dirichlet point mu_j = m_j + h_j cos(theta_j) in gap
@@ -378,21 +341,22 @@ class _DirichletMap:
     the (p - 1)-site truncation and -T_22(mu_j) / prod_{k != j}(mu_j -
     mu_k) are its spectral weights (positive), so p - 1 Stieltjes steps
     give b_1..b_{p-1} and a_1..a_{p-2}.  The leading coefficient of T_22
-    is -a_p^2 / prod(a), and the top two coefficients of D fix prod(a)
-    and sum(b), which gives a_p, a_{p-1} and b_p.
+    is -a_p^2 / prod(a), and prod(a) and sum(b) are J0's (the top two
+    coefficients of D are 1 / prod(a) and -sum(b) / prod(a)), which gives
+    a_p, a_{p-1} and b_p.
 
-    The angles are shifted so that theta = 0 is dref's source generator.
+    The angles are shifted so that theta = 0 is J0.
     """
 
-    def __init__(self, dref: Discriminant):
-        self.p = p = dref.p
-        self.coeffs = dref.coeffs
-        self.prod_a = 1.0 / dref.leading
-        self.sum_b = -float(dref.coeffs[-2]) / dref.leading
+    def __init__(self, J0: PeriodicJacobi):
+        self.p = p = J0.p
+        self.J0 = J0
+        self.prod_a = math.prod(J0.a)
+        self.sum_b = math.fsum(J0.b)
         self.shift = np.zeros(p - 1)
         if p == 1:
             return
-        fgs = dref.bands()
+        fgs = bands(J0)
         if fgs.n_bands < p:
             raise GapClosed(f"period-{p} torus needs {p} bands (every gap "
                             f"open), found {fgs.n_bands}")
@@ -400,8 +364,7 @@ class _DirichletMap:
         hi = np.array([band[0] for band in fgs.bands[1:]])
         self.mid = 0.5 * (lo + hi)
         self.half = 0.5 * (hi - lo)
-        src = dref.source
-        self.shift = self.angles(np.array([src.a]), np.array([src.b]))[0]
+        self.shift = self.angles(np.array([J0.a]), np.array([J0.b]))[0]
 
     def angles(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Angles, an (n, p - 1) array, of the one-period windows (a, b),
@@ -428,7 +391,7 @@ class _DirichletMap:
         diffs[:, j, j] = 1.0
         scale = a[:, p - 1] ** 2 / np.prod(a, axis=1)
         t22 = -scale[:, None] * vec[:, 0, :] ** 2 * np.prod(diffs, axis=2)
-        D = npp.polyval(mu, self.coeffs)
+        D = discriminant(self.J0, mu)
         sheet = np.where((np.abs(t22) <= 1.0) == (D >= 0.0), 1.0, -1.0)
         cos = np.clip((mu - self.mid) / self.half, -1.0, 1.0)
         return sheet * np.arccos(cos) - self.shift
@@ -446,7 +409,7 @@ class _DirichletMap:
             return a, b
         th = theta + self.shift
         mu = self.mid + self.half * np.cos(th)
-        D = npp.polyval(mu, self.coeffs)
+        D = discriminant(self.J0, mu)
         # the root of z^2 - D z + 1 away from 0, free of cancellation
         root = np.sqrt(np.maximum(D * D - 4.0, 0.0))
         outer = 0.5 * (D + np.copysign(root, D))
@@ -472,20 +435,20 @@ class _DirichletMap:
         return a, b
 
 
-def torus_point(dref: Discriminant, theta) -> TorusPoint:
-    """Member of the isospectral family of dref at angle coordinates
-    theta (length p - 1), through the Dirichlet-data map; theta = 0 is
-    the generator itself.  Every period is covered; all gaps must be open
+def torus_point(J0: PeriodicJacobi, theta) -> TorusPoint:
+    """Member of the isospectral family of the generator J0 at angle
+    coordinates theta (length p - 1), through the Dirichlet-data map;
+    theta = 0 is J0 itself.  Every period is covered; all gaps must be open
     (GapClosed otherwise).
     """
     theta = tuple(np.atleast_1d(np.asarray(theta, dtype=float)).tolist())
-    p = dref.p
+    p = J0.p
     if len(theta) != p - 1:
         raise ValueError(f"period {p} needs {p - 1} torus coordinates")
     if all(t == 0.0 for t in theta):
-        return TorusPoint(dref.source, theta, dref)
-    a, b = _DirichletMap(dref)(np.array(theta).reshape(1, p - 1))
-    return TorusPoint(PeriodicJacobi(tuple(a[0]), tuple(b[0])), theta, dref)
+        return TorusPoint(J0, theta, J0)
+    a, b = _DirichletMap(J0)(np.array(theta).reshape(1, p - 1))
+    return TorusPoint(PeriodicJacobi(tuple(a[0]), tuple(b[0])), theta, J0)
 
 
 # -- distance to the torus ---------------------------------------------
@@ -510,10 +473,10 @@ def _deviation_bound(J: JacobiParams, probe: int) -> float:
     return sup_deviation(J, min(probe, len(J)))
 
 
-def d_to_torus(J: JacobiParams, m: int, dref: Discriminant) -> float:
-    """Distance at offset m from J to the isospectral family of dref:
-    the exponentially weighted coefficient distance minimized over the
-    family.  The search starts from the best of two kinds of starts: a
+def d_to_torus(J: JacobiParams, m: int, J0: PeriodicJacobi) -> float:
+    """Distance at offset m from J to the isospectral family of the
+    generator J0: the exponentially weighted coefficient distance
+    minimized over the family.  The search starts from the best of two kinds of starts: a
     fixed grid of 8 angles per coordinate, and the inverse-map angles
     of J's p one-period windows from site m on.  A pattern search then
     refines it: try a step along every direction in {-1, 0, 1}^{p-1}
@@ -524,7 +487,7 @@ def d_to_torus(J: JacobiParams, m: int, dref: Discriminant) -> float:
     it can stop in a local minimum.  On the family it is exact up to
     rounding, since a window of a family member maps back to its own
     angles."""
-    return float(d_to_torus_batch(J, np.array([m]), dref)[0])
+    return float(d_to_torus_batch(J, np.array([m]), J0)[0])
 
 
 def _aligned_windows(J: JacobiParams, ms: np.ndarray, w: np.ndarray, p: int):
@@ -604,7 +567,7 @@ def _window_starts(family: _DirichletMap, A, B, ms: np.ndarray):
 
 
 def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
-                     dref: Discriminant) -> np.ndarray:
+                     J0: PeriodicJacobi) -> np.ndarray:
     """Vectorized d_to_torus over a set of offsets (see d_to_torus).
 
     Offsets whose aligned rows (the coefficients and weights from the
@@ -622,10 +585,10 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     ms = np.asarray(ms, dtype=int)
     if np.any(ms < 1):
         raise ValueError("offsets are 1-based")
-    p = dref.p
-    family = _DirichletMap(dref)
+    p = J0.p
+    family = _DirichletMap(J0)
     bound = 2.0 * (_deviation_bound(J, int(ms.max()))
-                   + dref.source.deviation_bound + 2.0)
+                   + J0.deviation_bound + 2.0)
     A, B, W = _aligned_windows(J, ms, dm_weights(bound), p)
     # rebound here, so no full-size copy outlives the compaction
     rows, share = _distinct_rows(A, B, W)

@@ -9,8 +9,9 @@ Three supported geometries:
   handled by pulling the arcsine law of the interval [-2, 2 - 4a^2]
   back through x = 2 cos theta onto each half of the arc;
 * band sets of a periodic recurrence, where the density is
-  |D'(x)| / (p pi sqrt(4 - D(x)^2)) for the degree-p discriminant D,
-  with D and D' read off the one-period transfer product at x.
+  |D'(x)| / (p pi sqrt(4 - D(x)^2)) for the discriminant D of the
+  period-p generator, with D and D' carried through the one-period
+  transfer product at x.
 
 The periodic equilibrium measure is the density of states of the
 generator: the mean over kappa of the eigenvalue counting measure of its
@@ -51,7 +52,7 @@ _PHI = (np.arange(_ANGLES) + 0.5) * (math.pi / _ANGLES)
 
 
 class BandMismatch(ValueError):
-    """Discriminant band set disagrees with the requested set."""
+    """The generator's band set disagrees with the requested set."""
 
 
 class Unsupported(ValueError):
@@ -84,6 +85,12 @@ class FiniteGapSet:
     @property
     def n_bands(self) -> int:
         return len(self.bands)
+
+    def to_csv(self) -> str:
+        lines = ["band,lo,hi"]
+        lines += [f"{j},{repr(lo)},{repr(hi)}"
+                  for j, (lo, hi) in enumerate(self.bands, start=1)]
+        return "\n".join(lines) + "\n"
 
     def close_to(self, other: "FiniteGapSet") -> bool:
         """Same band count, every endpoint within 1e-9."""
@@ -141,7 +148,7 @@ class EquilibriumMeasure:
             # arcsine interval the arc pulls back to under x = 2 cos theta
             self._lo, self._hi = -2.0, 2.0 - 4.0 * a * a
         elif tag == "periodic":
-            self.set, self.disc = payload
+            self.set, self.generator = payload
             self.domain = "line"
         else:
             raise ValueError(f"unknown tag {tag!r}")
@@ -157,8 +164,9 @@ class EquilibriumMeasure:
             a = self.arc.a
             s = np.sin(np.abs(x) / 2.0)
             return s / (2.0 * math.pi * np.sqrt(s * s - a * a))
-        d, slope = self.disc.source.transfer_trace(x)
-        return np.abs(slope) / (self.disc.p * math.pi * np.sqrt(4.0 - d * d))
+        d, slope = self.generator.transfer_trace(x)
+        return np.abs(slope) / (self.generator.p * math.pi
+                                * np.sqrt(4.0 - d * d))
 
     def density_samples(self) -> np.ndarray:
         """About 200 (x, density) rows sampled strictly inside the
@@ -200,13 +208,14 @@ class EquilibriumMeasure:
             vals = np.cos(k * np.arccos(np.clip(x / 2.0, -1.0, 1.0)))
             return complex(math.fsum(vals.tolist()) / _ANGLES, 0.0)
         lam = self._floquet_eigs(_PHI)
-        return math.fsum(_power(lam, k).ravel().tolist()) / (_ANGLES * self.disc.p)
+        return (math.fsum(_power(lam, k).ravel().tolist())
+                / (_ANGLES * self.generator.p))
 
     def _floquet_eigs(self, kappa: np.ndarray) -> np.ndarray:
         """Ascending eigenvalues of J(e^{i kappa}), one row per kappa.
         The matrices are built in slices of at most 2^20 entries (16 MB),
         since a stack of all 10 N levels of w1_distance grows as p^2."""
-        J0 = self.disc.source
+        J0 = self.generator
         parts = max(1, -(-len(kappa) * J0.p ** 2 // 2 ** 20))
         return np.concatenate([np.linalg.eigvalsh(J0.floquet(np.exp(1j * k)))
                                for k in np.array_split(kappa, parts)])
@@ -237,7 +246,7 @@ class EquilibriumMeasure:
             return out
         # band j carries the j-th Floquet eigenvalue, which falls from
         # kappa = 0 to pi when p - 1 - j is even and rises otherwise
-        p = self.disc.p
+        p = self.generator.p
         j = np.clip(np.floor(us * p), 0, p - 1).astype(int)
         v = us * p - j
         kappa = math.pi * np.where((p - 1 - j) % 2 == 0, 1.0 - v, v)
@@ -262,28 +271,27 @@ def _parse(target):
     raise TypeError(f"unrecognized target {target!r}")
 
 
-def equilibrium_measure(target, discriminant=None) -> EquilibriumMeasure:
+def equilibrium_measure(target, generator=None) -> EquilibriumMeasure:
     """Equilibrium measure of an interval, an arc, or a periodic band set.
 
     ``target`` may be an (lo, hi) pair, a one-band FiniteGapSet (both
     give the arcsine law), a CircleArcSet, or a FiniteGapSet together
-    with the discriminant of its periodic generator.  The band set
-    computed from the discriminant must agree with ``target`` to 1e-9,
-    else BandMismatch.
+    with its periodic generator (a periodic.PeriodicJacobi).  The band
+    set of the generator must agree with ``target`` to 1e-9, else
+    BandMismatch.
     """
     kind, target = _parse(target)
     if kind == "bands":
-        if discriminant is not None:
-            own = discriminant.bands()
+        if generator is not None:
+            from .periodic import bands     # periodic imports this module
+            own = bands(generator)
             if not target.close_to(own):
                 raise BandMismatch(
-                    f"discriminant bands {own.bands} vs requested {target.bands}"
+                    f"generator bands {own.bands} vs requested {target.bands}"
                 )
-            return EquilibriumMeasure("periodic", (target, discriminant))
+            return EquilibriumMeasure("periodic", (target, generator))
         if target.n_bands > 1:
-            raise Unsupported(
-                "multi-band sets need the discriminant of a periodic generator"
-            )
+            raise Unsupported("multi-band sets need their periodic generator")
         kind, target = _parse(target.bands[0])
     return EquilibriumMeasure(kind, target)
 

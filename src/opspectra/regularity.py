@@ -305,10 +305,10 @@ def d_m(J: JacobiParams, Jt: JacobiParams, m: int) -> float:
     return float(terms @ w)
 
 
-def cn_stat_torus(J: JacobiParams, torus, Ns=DEFAULT_LADDER,
+def cn_stat_torus(J: JacobiParams, J0, Ns=DEFAULT_LADDER,
                   label: str = "cn_torus") -> StatSeries:
     """Cesaro average (1/N) sum_{m=1..N} of the distance from J at
-    offset m to the isospectral family of the discriminant ``torus``.
+    offset m to the isospectral family of the periodic generator J0.
 
     Every period is supported (all gaps open, GapClosed otherwise).  All
     offsets up to the last window are searched in one vectorized batch;
@@ -317,5 +317,5 @@ def cn_stat_torus(J: JacobiParams, torus, Ns=DEFAULT_LADDER,
     """
     Ns = _check_ladder(Ns)
     n = Ns[-1]
-    ds = _periodic.d_to_torus_batch(J, np.arange(1, n + 1), torus)
+    ds = _periodic.d_to_torus_batch(J, np.arange(1, n + 1), J0)
     return StatSeries(label, Ns, _prefix_means(ds, Ns))

@@ -108,17 +108,27 @@ def _ladder(text: str) -> Tuple[int, ...]:
     return R._check_ladder(int(t) for t in text.split(",") if t.strip())
 
 
+#: largest period of an input pattern: the torus search starts from a
+#: grid of 8^(p - 1) angles (2.6e5 at p = 7, 1.3e8 at p = 10)
+_MAX_PERIOD = 6
+
+
 def _pattern(text: str) -> P.PeriodicJacobi:
-    """a_1..a_p,b_1..b_p; PeriodicJacobi rejects odd lengths."""
+    """a_1..a_p,b_1..b_p with p <= _MAX_PERIOD; PeriodicJacobi rejects
+    odd lengths."""
     vals = [_real(t) for t in text.split(",")]
     p = len(vals) // 2
+    if p > _MAX_PERIOD:
+        raise ValueError(f"period {p} is above {_MAX_PERIOD}: the torus "
+                         f"search would start from 8^{p - 1} grid points")
     return P.PeriodicJacobi(tuple(vals[:p]), tuple(vals[p:]))
 
 
 #: (parser of the config text, default config text, one-line doc)
 Option = Tuple[Callable[[str], object], str, str]
 
-_PATTERN: Option = (_pattern, "1,0.5,0,0", "generator a_1..a_p,b_1..b_p")
+_PATTERN: Option = (_pattern, "1,0.5,0,0",
+                    f"generator a_1..a_p,b_1..b_p, p <= {_MAX_PERIOD}")
 
 #: scenario id -> (runner, one-line description, option table)
 _SCENARIOS: Dict[str, tuple] = {}
@@ -471,8 +481,7 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     if site > (K + 1) * p:
         raise BadOption(f"defect.site: {site} is past the {(K + 1) * p} "
                         "sites of the K + 1 diagonal blocks of the block map")
-    disc = P.discriminant(J0)
-    res.extras["discriminant.csv"] = disc.to_csv()
+    res.extras["bands.csv"] = P.bands(J0).to_csv()
 
     # block map on the exactly periodic sequence
     Jper = _periodic_as_params(J0)
@@ -505,7 +514,7 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     # torus-distance averages
     lad = o["torus.Ns"]
     Jh = _periodic_as_params(J0, lambda n: 1.0 / n, bound_extra=1.0)
-    cn_h = R.cn_stat_torus(Jh, disc, lad, label="cn_torus_harmonic")
+    cn_h = R.cn_stat_torus(Jh, J0, lad, label="cn_torus_harmonic")
     res.series.append(cn_h)
     res.jacobi_inputs.append(("harmonic_shift", Jh, lad))
     res.checks.append(Check("torus_harmonic_last", cn_h.last,
@@ -514,9 +523,9 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res.checks.append(Check("torus_harmonic_decreasing",
                             0.0 if cn_h.decreasing(burn_in=burn) else 1.0, 0.5))
 
-    pt = P.torus_point(disc, (o["torus.theta"],) * (p - 1))
+    pt = P.torus_point(J0, (o["torus.theta"],) * (p - 1))
     Jt = _periodic_as_params(pt.jacobi)
-    cn_t = R.cn_stat_torus(Jt, disc, lad, label="cn_torus_point")
+    cn_t = R.cn_stat_torus(Jt, J0, lad, label="cn_torus_point")
     res.series.append(cn_t)
     res.jacobi_inputs.append(("torus_point", Jt, lad))
     res.checks.append(Check("torus_point_flat", max(cn_t.values),
@@ -577,8 +586,8 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("conjecture5_1_explore")
     J0 = o["input.pattern"]
     p = J0.p
-    disc = P.discriminant(J0)
-    res.extras["discriminant.csv"] = disc.to_csv()
+    fgs = P.bands(J0)
+    res.extras["bands.csv"] = fgs.to_csv()
     lad = o["Ns"]
 
     amp, power, bump = o["decay.amp"], o["decay.power"], o["bumps.amp"]
@@ -589,11 +598,11 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
         bound_extra=abs(bump))
     for name, J, label in (("decaying_shift", Jd, "cn_torus_decay"),
                            ("sparse_shift", Jb, "cn_torus_bumps")):
-        res.series.append(R.cn_stat_torus(J, disc, lad, label=label))
+        res.series.append(R.cn_stat_torus(J, J0, lad, label=label))
         res.jacobi_inputs.append((name, J, lad))
 
     rt = R.root_test(Jd, lad, label="root_decay")
-    cap = pot.capacity(disc.bands())
+    cap = pot.capacity(fgs)
     res.series.append(rt)
     res.series.append(R.StatSeries("root_over_capacity", lad,
                                    tuple(v / cap for v in rt.values)))
@@ -605,7 +614,7 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
               + "," + ",".join(f"b_{i+1}" for i in range(p)))
     for i in range(n_samp):
         th = tuple(2.0 * math.pi * i / n_samp for _ in range(p - 1))
-        pt = P.torus_point(disc, th)
+        pt = P.torus_point(J0, th)
         rows.append(",".join([repr(t) for t in th]
                              + [repr(x) for x in pt.jacobi.a]
                              + [repr(x) for x in pt.jacobi.b]))

@@ -15,8 +15,8 @@ from opspectra import cli, scenarios
 from opspectra.cli import ScenarioConfig, run_scenario
 from opspectra.measures import (LineMeasureSpec, discretize,
                                 jacobi_from_measure)
-from opspectra.periodic import (PeriodicJacobi, delta_of_J, discriminant,
-                                normalize_type1, normalize_type3, torus_point)
+from opspectra.periodic import (PeriodicJacobi, delta_of_J, normalize_type1,
+                                normalize_type3, torus_point)
 from opspectra.potential import equilibrium_measure, w1_distance
 from opspectra.regularity import (arc_stats, cn_stat_matrix_invariant,
                                   cn_stat_oprl, cn_stat_opuc, cn_sq_stat_oprl,
@@ -237,14 +237,13 @@ def test_ac10_block_map_of_the_periodic_generator():
 
 def test_ac11_torus_distance_averages():
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
-    disc = discriminant(J0)
     lad = (32, 64, 128, 256, 512, 1024, 2000)
     Jh = scenarios._periodic_as_params(J0, db=lambda n: 1.0 / n,
                                        bound_extra=1.0)
-    cn_h = cn_stat_torus(Jh, disc, lad)
-    pt = torus_point(disc, (1.3,))
+    cn_h = cn_stat_torus(Jh, J0, lad)
+    pt = torus_point(J0, (1.3,))
     Jt = scenarios._periodic_as_params(pt.jacobi)
-    cn_t = cn_stat_torus(Jt, disc, lad)
+    cn_t = cn_stat_torus(Jt, J0, lad)
     ok = (cn_h.last <= 0.06 and cn_h.decreasing(burn_in=64)
           and max(cn_t.values) <= 1e-7)
     _verdict("AC11 torus-distance averages", ok,

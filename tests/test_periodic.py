@@ -27,25 +27,46 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
+def _monomial_coeffs(J0):
+    """Ascending monomial coefficients of D: the one-period transfer
+    product with polynomial entries.  A small-p oracle; at large p the
+    coefficients lose D's accuracy."""
+    T = [[np.array([1.0]), np.array([0.0])],
+         [np.array([0.0]), np.array([1.0])]]
+    a_prev = J0.a[-1]
+    for an, bn in zip(J0.a, J0.b):
+        step = [[np.array([-bn / an, 1.0 / an]), np.array([-a_prev / an])],
+                [np.array([1.0]), np.array([0.0])]]
+        T = [[npp.polyadd(npp.polymul(step[i][0], T[0][j]),
+                          npp.polymul(step[i][1], T[1][j]))
+              for j in range(2)] for i in range(2)]
+        a_prev = an
+    return npp.polyadd(T[0][0], T[1][1])
+
+
+X = np.linspace(-3.0, 3.0, 61)
+
+
 def test_period_one_discriminant_is_linear():
-    disc = discriminant(PeriodicJacobi((2.0,), (0.5,)))
+    J0 = PeriodicJacobi((2.0,), (0.5,))
     # (x - b) / a
-    assert disc.coeffs == pytest.approx((-0.25, 0.5))
-    assert capacity(bands(disc)) == pytest.approx(2.0)
+    assert discriminant(J0, X) == pytest.approx(npp.polyval(X, (-0.25, 0.5)))
+    assert capacity(bands(J0)) == pytest.approx(2.0)
 
 
 def test_period_two_discriminant_closed_form():
     a1, a2, b1, b2 = 1.0, 0.5, 0.2, -0.3
-    disc = discriminant(PeriodicJacobi((a1, a2), (b1, b2)))
+    J0 = PeriodicJacobi((a1, a2), (b1, b2))
     den = a1 * a2
     expect = ((b1 * b2 - a1 * a1 - a2 * a2) / den, -(b1 + b2) / den, 1.0 / den)
-    assert disc.coeffs == pytest.approx(expect, abs=1e-14)
+    assert _monomial_coeffs(J0) == pytest.approx(expect, abs=1e-14)
+    assert discriminant(J0, X) == pytest.approx(npp.polyval(X, expect),
+                                                abs=1e-13)
 
 
 def test_discriminant_matches_numeric_transfer_product():
     # oracle: product of one-step transfer matrices at sample energies
     J0 = PeriodicJacobi((1.1, 0.7, 0.9), (0.2, 0.0, -0.4))
-    disc = discriminant(J0)
     p = J0.p
     for x in (-2.3, -0.5, 0.1, 1.7, 3.0):
         T = np.eye(2)
@@ -54,7 +75,8 @@ def test_discriminant_matches_numeric_transfer_product():
             prev = J0.a[(n - 1) % p]
             step = np.array([[(x - J0.b[n]) / an, -prev / an], [1.0, 0.0]])
             T = step @ T
-        assert disc.value(x) == pytest.approx(T[0, 0] + T[1, 1], abs=1e-10)
+        assert discriminant(J0, x) == pytest.approx(T[0, 0] + T[1, 1],
+                                                    abs=1e-10)
 
 
 def _exact_discriminant(J0, x):
@@ -77,6 +99,18 @@ def _random_pattern(p):
                           tuple(rng.uniform(-0.3, 0.3, p)))
 
 
+@pytest.mark.parametrize("p", (2, 4, 8, 16, 24, 32))
+def test_discriminant_matches_the_exact_transfer_product(p):
+    # relative to max(|D|, 1): D passes near 0 between its extrema.  The
+    # monomial coefficients miss by 2.1e-9 at p = 16 and by 2.8e-2 at
+    # p = 32 here
+    J0 = _random_pattern(p)
+    x = np.linspace(-2.4, 2.4, 50)
+    exact = np.array([float(_exact_discriminant(J0, v)) for v in x])
+    assert np.all(np.abs(discriminant(J0, x) - exact)
+                  <= 1e-12 * np.maximum(np.abs(exact), 1.0))
+
+
 FIXED = [((2.0,), (0.3,)), ((1.0, 0.5), (0.0, 0.0)),
          ((1.0, 0.5), (0.2, -0.3)), ((1.1, 0.7, 0.9), (0.2, 0.0, -0.4))]
 RANDOM_PERIODS = (1, 2, 3, 4, 8, 16, 32)
@@ -90,7 +124,7 @@ RANDOM_PERIODS = (1, 2, 3, 4, 8, 16, 32)
 def test_band_edges_are_bracketed_by_the_exact_discriminant(J0):
     # every gap of these patterns is open, and D - 2 or D + 2 changes
     # sign within 1e-12 (relative) of each edge
-    fg = bands(discriminant(J0))
+    fg = bands(J0)
     assert fg.n_bands == J0.p
     assert fg.period_a == J0.a
     for e in (x for band in fg.bands for x in band):
@@ -102,7 +136,7 @@ def test_band_edges_are_bracketed_by_the_exact_discriminant(J0):
 
 
 def test_free_pattern_merges_to_single_band():
-    fg = bands(discriminant(PeriodicJacobi((1.0, 1.0), (0.0, 0.0))))
+    fg = bands(PeriodicJacobi((1.0, 1.0), (0.0, 0.0)))
     assert fg.n_bands == 1
     assert fg.bands[0] == pytest.approx((-2.0, 2.0), abs=1e-9)
 
@@ -115,7 +149,7 @@ def test_free_pattern_merges_to_single_band():
 def test_closed_gaps_merge_their_bands(a, b, n_bands):
     # a constant pattern read as period 3 has one band, and a period-2
     # pattern read as period 4 has the two bands of period 2
-    fg = bands(discriminant(PeriodicJacobi(a, b)))
+    fg = bands(PeriodicJacobi(a, b))
     assert fg.n_bands == n_bands
 
 
@@ -142,10 +176,9 @@ def test_equilibrium_quantiles_match_a_bisection_of_the_exact_discriminant(p):
     # band j holds mass 1/p, spread as arccos(D(x) / D(lo_j)) / pi from
     # its lower edge lo_j, so level j/p + v/p solves D = D(lo_j) cos(pi v)
     J0 = _random_pattern(p)
-    disc = discriminant(J0)
-    fg = bands(disc)
+    fg = bands(J0)
     us = (np.arange(6 * p) + 0.5) / (6 * p)
-    q = equilibrium_measure(fg, disc).quantiles(us)
+    q = equilibrium_measure(fg, J0).quantiles(us)
     for u, x in zip(us, q):
         j = int(u * p)
         lo, hi = fg.bands[j]
@@ -180,8 +213,7 @@ CLOSED_GAP = ((1.0, 0.5, 1.0, 0.5), (0.1, -0.2, 0.1, -0.2))
                          + [PeriodicJacobi(*CLOSED_GAP)],
                          ids=["p2", "p3", "p5", "closed_gap"])
 def test_equilibrium_moments_match_exact_traces(J0):
-    disc = discriminant(J0)
-    em = equilibrium_measure(bands(disc), disc)
+    em = equilibrium_measure(bands(J0), J0)
     for k, exact in enumerate(_exact_moments(J0)):
         assert em.moment(k) == pytest.approx(
             float(exact), rel=1e-13, abs=1e-13), k
@@ -193,8 +225,8 @@ def test_closed_gap_pattern_has_the_equilibrium_measure_of_its_period():
     us = (np.arange(2000) + 0.5) / 2000
     q = {}
     for a, b in (CLOSED_GAP, (CLOSED_GAP[0][:2], CLOSED_GAP[1][:2])):
-        disc = discriminant(PeriodicJacobi(a, b))
-        q[len(a)] = equilibrium_measure(bands(disc), disc).quantiles(us)
+        J0 = PeriodicJacobi(a, b)
+        q[len(a)] = equilibrium_measure(bands(J0), J0).quantiles(us)
     assert np.all(np.diff(q[4]) >= 0.0)
     assert np.max(np.abs(q[4] - q[2])) <= 1e-12
 
@@ -202,10 +234,10 @@ def test_closed_gap_pattern_has_the_equilibrium_measure_of_its_period():
 _THREADS_SCRIPT = """
 import hashlib
 import numpy as np
-from opspectra.periodic import PeriodicJacobi, discriminant
+from opspectra.periodic import PeriodicJacobi, bands
 from opspectra.potential import equilibrium_measure
-disc = discriminant(PeriodicJacobi((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3)))
-em = equilibrium_measure(disc.bands(), disc)
+J0 = PeriodicJacobi((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3))
+em = equilibrium_measure(bands(J0), J0)
 q = em.quantiles((np.arange(20000) + 0.5) / 20000)
 m = np.array([em.moment(k) for k in range(9)])
 print(hashlib.sha256(q.tobytes() + m.tobytes()).hexdigest())
@@ -241,7 +273,6 @@ def _periodic_params(J0, db=None, bound_extra=0.0):
 def test_block_map_matches_dense_matrix_polynomial():
     for J0 in (PeriodicJacobi((1.2, 0.8), (0.1, -0.3)),
                PeriodicJacobi((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3))):
-        disc = discriminant(J0)
         K = 6
         J = _periodic_params(J0, lambda n: 0.05 * np.sin(1.3 * n),
                              bound_extra=0.05)
@@ -254,7 +285,7 @@ def test_block_map_matches_dense_matrix_polynomial():
         # oracle: Horner-free evaluation through explicit matrix powers
         S = np.zeros_like(dense)
         P = np.eye(n_sites)
-        for c in disc.coeffs:
+        for c in _monomial_coeffs(J0):
             S += c * P
             P = P @ dense
         for k in range(K + 1):
@@ -278,6 +309,17 @@ def test_block_map_of_generator_is_magic():
         assert np.max(np.abs(blocks.A[k] - eye)) < 1e-12
     assert blocks.type_tag == "type3"
     validate_blocks(blocks)
+
+
+@pytest.mark.parametrize("p", (16, 24))
+def test_block_map_of_a_long_generator_keeps_its_interior_blocks(p):
+    # Horner on the monomial coefficients left Frobenius norms up to
+    # 6.0e-10 at p = 16 and 5.2e-7 at p = 24 in these blocks
+    J0 = _random_pattern(p)
+    blocks = delta_of_J(J0, _periodic_params(J0), 16)
+    assert np.max(np.linalg.norm(blocks.B[1:], axis=(1, 2))) <= 1e-10
+    assert np.max(np.linalg.norm(blocks.A[1:] - np.eye(p),
+                                 axis=(1, 2))) <= 1e-10
 
 
 # -- normal forms ------------------------------------------------------
@@ -346,8 +388,7 @@ def test_normalizing_a_normal_form_is_the_identity():
 
 def test_torus_point_theta_zero_returns_reference():
     J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
-    disc = discriminant(J0)
-    pt = torus_point(disc, (0.0,))
+    pt = torus_point(J0, (0.0,))
     assert pt.jacobi.a == J0.a
     assert pt.jacobi.b == J0.b
 
@@ -355,27 +396,25 @@ def test_torus_point_theta_zero_returns_reference():
 @pytest.mark.parametrize("theta", [0.4, 1.5, math.pi, 4.0, 6.0])
 def test_torus_points_share_the_discriminant(theta):
     J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
-    disc = discriminant(J0)
-    pt = torus_point(disc, (theta,))
-    back = discriminant(pt.jacobi)
-    assert np.max(np.abs(np.array(back.coeffs) - disc.coeffs)) < 1e-9
+    pt = torus_point(J0, (theta,))
+    assert pt.reference is J0
+    back = _monomial_coeffs(pt.jacobi)
+    assert np.max(np.abs(back - _monomial_coeffs(J0))) < 1e-9
     # conserved elementary combinations
     assert pt.jacobi.a[0] * pt.jacobi.a[1] == pytest.approx(0.5, abs=1e-10)
     assert sum(pt.jacobi.b) == pytest.approx(-0.1, abs=1e-10)
 
 
 def test_closed_gap_family_is_degenerate():
-    disc = discriminant(PeriodicJacobi((1.0, 1.0), (0.0, 0.0)))
     with pytest.raises(GapClosed):
-        torus_point(disc, (0.7,))
+        torus_point(PeriodicJacobi((1.0, 1.0), (0.0, 0.0)), (0.7,))
 
 
 def test_period_three_torus_point():
     J0 = PeriodicJacobi((1.0, 0.8, 1.1), (0.2, -0.1, 0.3))
-    disc = discriminant(J0)
-    pt = torus_point(disc, (0.9, -0.6))
-    back = discriminant(pt.jacobi)
-    assert np.max(np.abs(np.array(back.coeffs) - disc.coeffs)) < 1e-9
+    pt = torus_point(J0, (0.9, -0.6))
+    back = _monomial_coeffs(pt.jacobi)
+    assert np.max(np.abs(back - _monomial_coeffs(J0))) < 1e-9
 
 
 def test_dm_weights_are_geometric():
@@ -388,18 +427,16 @@ def test_dm_weights_are_geometric():
 
 def test_distance_to_torus_vanishes_on_the_family():
     J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
-    disc = discriminant(J0)
-    pt = torus_point(disc, (1.1,))
+    pt = torus_point(J0, (1.1,))
     J = _periodic_params(pt.jacobi)
     for m in (1, 2, 7):
-        assert d_to_torus(J, m, disc) < 1e-6
+        assert d_to_torus(J, m, J0) < 1e-6
 
 
 def test_distance_is_bounded_by_reference_offset():
     # the minimized distance cannot exceed the weighted distance to any
     # single family member, e.g. the reference itself
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.1))
-    disc = discriminant(J0)
     J = _periodic_params(J0, lambda n: 0.3 / n, bound_extra=0.3)
     w = dm_weights(10.0)
     K = len(w) - 1
@@ -410,16 +447,15 @@ def test_distance_is_bounded_by_reference_offset():
         db = np.abs(J.b_window(hi)[m - 1:]
                     - np.array([J0.b[(n - 1) % 2] for n in range(m, hi + 1)]))
         manual = float((da + db) @ w)
-        assert d_to_torus(J, m, disc) <= manual + 1e-9
+        assert d_to_torus(J, m, J0) <= manual + 1e-9
 
 
 def test_batch_distances_agree_with_single_calls():
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.1))
-    disc = discriminant(J0)
     J = _periodic_params(J0, lambda n: 0.2 / n, bound_extra=0.2)
     ms = np.array([1, 2, 5, 9, 40, 41])
-    batch = d_to_torus_batch(J, ms, disc)
-    singles = np.array([d_to_torus(J, int(m), disc) for m in ms])
+    batch = d_to_torus_batch(J, ms, J0)
+    singles = np.array([d_to_torus(J, int(m), J0) for m in ms])
     assert np.array_equal(batch, singles)
 
 
@@ -427,12 +463,12 @@ def test_batch_distances_agree_with_single_calls():
 # pattern; the first two repeat a few windows at every offset
 DEFAULT = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
 SCENARIO_INPUTS = {
-    "torus_point": lambda disc: _periodic_as_params(
-        torus_point(disc, (1.3,)).jacobi),
-    "sparse_bumps": lambda disc: _periodic_as_params(
+    "torus_point": lambda: _periodic_as_params(
+        torus_point(DEFAULT, (1.3,)).jacobi),
+    "sparse_bumps": lambda: _periodic_as_params(
         DEFAULT, lambda n: np.where((n > 1) & _is_pow2(n), 0.4, 0.0),
         bound_extra=0.4),
-    "harmonic": lambda disc: _periodic_as_params(
+    "harmonic": lambda: _periodic_as_params(
         DEFAULT, lambda n: 1.0 / n, bound_extra=1.0),
 }
 
@@ -441,8 +477,7 @@ SCENARIO_INPUTS = {
                          [("torus_point", 300, 2), ("sparse_bumps", 600, 70)])
 def test_offsets_sharing_a_window_get_the_single_call_distance(
         name, n, distinct, monkeypatch):
-    disc = discriminant(DEFAULT)
-    J = SCENARIO_INPUTS[name](disc)
+    J = SCENARIO_INPUTS[name]()
     ms = np.arange(1, n + 1)
     searched = []
     real = periodic._distinct_rows
@@ -453,22 +488,21 @@ def test_offsets_sharing_a_window_get_the_single_call_distance(
         return rows, share
 
     monkeypatch.setattr(periodic, "_distinct_rows", spy)
-    batch = d_to_torus_batch(J, ms, disc)
+    batch = d_to_torus_batch(J, ms, DEFAULT)
     assert searched == [distinct]
-    singles = np.array([d_to_torus(J, int(m), disc) for m in ms])
+    singles = np.array([d_to_torus(J, int(m), DEFAULT) for m in ms])
     assert np.array_equal(batch, singles)
 
 
 @pytest.mark.parametrize("name", ["torus_point", "sparse_bumps"])
 def test_colliding_row_keys_leave_the_distances_unchanged(name, monkeypatch):
-    disc = discriminant(DEFAULT)
-    J = SCENARIO_INPUTS[name](disc)
+    J = SCENARIO_INPUTS[name]()
     ms = np.arange(1, 201)
-    expected = d_to_torus_batch(J, ms, disc)
+    expected = d_to_torus_batch(J, ms, DEFAULT)
     # one key for every row: only the bitwise check can tell rows apart
     monkeypatch.setattr(periodic, "_row_keys",
                         lambda A, B, W: np.zeros(len(A), dtype=np.uint64))
-    assert np.array_equal(d_to_torus_batch(J, ms, disc), expected)
+    assert np.array_equal(d_to_torus_batch(J, ms, DEFAULT), expected)
 
 
 def test_batch_search_memory_stays_near_one_copy_of_the_rows():
@@ -476,14 +510,13 @@ def test_batch_search_memory_stays_near_one_copy_of_the_rows():
     # is shared; a dedup that copies all rows at once (np.unique with
     # axis=0) or keeps the full-size rows alive beside compacted ones
     # crosses the bound, which sits 0.6 MiB above the search's own 8.9
-    disc = discriminant(DEFAULT)
-    J = SCENARIO_INPUTS["harmonic"](disc)
+    J = SCENARIO_INPUTS["harmonic"]()
     ms = np.arange(1, 4097)
     J.a_window(2 * len(ms))   # grow the stored sequences before tracing
     J.b_window(2 * len(ms))
     tracemalloc.start()
     try:
-        d_to_torus_batch(J, ms, disc)
+        d_to_torus_batch(J, ms, DEFAULT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -499,35 +532,35 @@ P4 = PeriodicJacobi((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3))
 
 @pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
 def test_transfer_trace_is_the_discriminant_and_its_derivative(J0):
-    disc = discriminant(J0)
     x = np.linspace(-3.0, 3.0, 61)
     D, slope = J0.transfer_trace(x)
-    assert np.allclose(D, disc.value(x), rtol=1e-12, atol=1e-12)
-    assert np.allclose(slope, npp.polyval(x, npp.polyder(disc.coeffs)),
+    coeffs = _monomial_coeffs(J0)
+    assert np.array_equal(D, discriminant(J0, x))
+    assert np.allclose(D, npp.polyval(x, coeffs), rtol=1e-12, atol=1e-12)
+    assert np.allclose(slope, npp.polyval(x, npp.polyder(coeffs)),
                        rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
 def test_torus_map_keeps_the_discriminant_and_anchors_the_source(J0):
-    disc = discriminant(J0)
-    family = _DirichletMap(disc)
+    family = _DirichletMap(J0)
     a0, b0 = family(np.zeros((1, J0.p - 1)))
     assert np.max(np.abs(a0[0] - J0.a)) < 1e-12
     assert np.max(np.abs(b0[0] - J0.b)) < 1e-12
     rng = np.random.default_rng(J0.p)
     a, b = family(rng.uniform(0.0, 2.0 * math.pi, (200, J0.p - 1)))
     for ai, bi in zip(a, b):
-        back = discriminant(PeriodicJacobi(tuple(ai), tuple(bi)))
-        assert np.max(np.abs(back.coeffs - disc.coeffs)) < 1e-9
+        back = _monomial_coeffs(PeriodicJacobi(tuple(ai), tuple(bi)))
+        assert np.max(np.abs(back - _monomial_coeffs(J0))) < 1e-9
 
 
-def _p2_closed_form(disc, t, sheet):
-    """Period-2 generator with a_1^2 = t matching disc: a_1 a_2 = P,
-    b_1 + b_2 = S and b_1 b_2 - a_1^2 - a_2^2 = Q fix everything but the
-    b-assignment, chosen by ``sheet``."""
-    P = 1.0 / disc.coeffs[2]
-    S = -disc.coeffs[1] * P
-    Q = disc.coeffs[0] * P
+def _p2_closed_form(coeffs, t, sheet):
+    """Period-2 generator with a_1^2 = t matching the discriminant with
+    monomial ``coeffs``: a_1 a_2 = P, b_1 + b_2 = S and b_1 b_2 - a_1^2 -
+    a_2^2 = Q fix everything but the b-assignment, chosen by ``sheet``."""
+    P = 1.0 / coeffs[2]
+    S = -coeffs[1] * P
+    Q = coeffs[0] * P
     a1 = math.sqrt(t)
     d = max(S * S - 4.0 * (Q + t + P * P / t), 0.0)
     b1 = 0.5 * S + 0.5 * sheet * math.sqrt(d)
@@ -535,18 +568,18 @@ def _p2_closed_form(disc, t, sheet):
 
 
 def test_period_two_map_sweeps_the_closed_form_family():
-    disc = discriminant(P2)
-    P = 1.0 / disc.coeffs[2]
-    S = -disc.coeffs[1] * P
-    R = (S * S - 4.0 * disc.coeffs[0] * P) / 4.0
+    coeffs = _monomial_coeffs(P2)
+    P = 1.0 / coeffs[2]
+    S = -coeffs[1] * P
+    R = (S * S - 4.0 * coeffs[0] * P) / 4.0
     root = math.sqrt(R * R - 4.0 * P * P)
     t_lo, t_hi = (R - root) / 2.0, (R + root) / 2.0
-    a, b = _DirichletMap(disc)(2.0 * math.pi * np.arange(64)[:, None] / 64)
+    a, b = _DirichletMap(P2)(2.0 * math.pi * np.arange(64)[:, None] / 64)
     t = a[:, 0] ** 2
     assert t.min() >= t_lo - 1e-12 and t.max() <= t_hi + 1e-12
     for ai, bi, ti in zip(a, b, t):
         gap = min(max(np.max(np.abs(ai - ca)), np.max(np.abs(bi - cb)))
-                  for ca, cb in (_p2_closed_form(disc, ti, s)
+                  for ca, cb in (_p2_closed_form(coeffs, ti, s)
                                  for s in (1.0, -1.0)))
         assert gap < 1e-9
     # the sweep covers the whole family: both ends of [t_lo, t_hi]
@@ -556,7 +589,7 @@ def test_period_two_map_sweeps_the_closed_form_family():
 
 @pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
 def test_inverse_map_gives_the_coefficients_back(J0):
-    family = _DirichletMap(discriminant(J0))
+    family = _DirichletMap(J0)
     rng = np.random.default_rng(J0.p)
     theta = rng.uniform(0.0, 2.0 * math.pi, (200, J0.p - 1))
     # and angles 1e-2 .. 1e-8 from both gap edges of the first coordinate
@@ -589,8 +622,7 @@ def _search_starts(family, J, m):
 
 
 def test_the_map_is_single_valued_and_the_search_beats_its_starts():
-    disc = discriminant(P3)
-    family = _DirichletMap(disc)
+    family = _DirichletMap(P3)
     idx = np.array(list(itertools.product(range(12), repeat=2)), dtype=float)
     a12, b12 = family(2.0 * math.pi / 12 * idx)
     a24, b24 = family(2.0 * math.pi / 24 * (2.0 * idx))
@@ -598,32 +630,29 @@ def test_the_map_is_single_valued_and_the_search_beats_its_starts():
     assert np.max(np.abs(b12 - b24)) < 1e-12
 
     for J0 in (P2, P3):
-        disc = discriminant(J0)
-        family = _DirichletMap(disc)
+        family = _DirichletMap(J0)
         J = _periodic_params(J0, lambda n: 0.5 / n, bound_extra=0.5)
         for m in range(1, 7):
             a, b = family(_search_starts(family, J, m))
             best_start = min(
                 d_m(J, _periodic_params(PeriodicJacobi(tuple(x), tuple(y))), m)
                 for x, y in zip(a, b))
-            d = d_to_torus(J, m, disc)
+            d = d_to_torus(J, m, J0)
             assert d <= best_start + 1e-12
             assert d <= d_m(J, _periodic_params(J0), m) + 1e-12
     # a 64 x 64 grid with the same pattern search reaches 0.15962122898648104
     assert d_to_torus(_periodic_params(P3, lambda n: 0.5 / n, bound_extra=0.5),
-                      2, discriminant(P3)) <= 0.15962122898648104 + 1e-12
+                      2, P3) <= 0.15962122898648104 + 1e-12
 
 
 def test_period_three_torus_point_is_found_at_every_offset():
-    disc = discriminant(P3)
-    J = _periodic_params(torus_point(disc, (0.9, -0.6)).jacobi)
-    d = d_to_torus_batch(J, np.arange(1, 201), disc)
+    J = _periodic_params(torus_point(P3, (0.9, -0.6)).jacobi)
+    d = d_to_torus_batch(J, np.arange(1, 201), P3)
     assert np.max(d) <= 1e-12
 
 
 @pytest.mark.parametrize("J0", [P2, P4], ids=["p2", "p4"])
 def test_period_two_and_four_torus_points_are_found_at_every_offset(J0):
-    disc = discriminant(J0)
-    J = _periodic_params(torus_point(disc, (1.3,) * (J0.p - 1)).jacobi)
-    d = d_to_torus_batch(J, np.arange(1, 201), disc)
+    J = _periodic_params(torus_point(J0, (1.3,) * (J0.p - 1)).jacobi)
+    d = d_to_torus_batch(J, np.arange(1, 201), J0)
     assert np.max(d) <= 1e-12

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npp
 from scipy.integrate import quad
 
-from opspectra.periodic import PeriodicJacobi, discriminant
+from opspectra.periodic import PeriodicJacobi, bands
 from opspectra.potential import (CircleArcSet, FiniteGapSet, capacity,
                                  equilibrium_measure, w1_distance)
 from opspectra.sequences import JacobiParams
@@ -85,10 +84,10 @@ def test_arc_density_integrates_against_quadrature():
 def test_periodic_quantiles_at_levels_j_over_p_land_on_band_edges(a, b):
     # every band holds mass 1/p, so the levels 0, 1/p, ..., 1 fall on
     # band edges
-    disc = discriminant(PeriodicJacobi(a, b))
-    fg = disc.bands()
-    p = disc.p
-    em = equilibrium_measure(fg, disc)
+    J0 = PeriodicJacobi(a, b)
+    fg = bands(J0)
+    p = J0.p
+    em = equilibrium_measure(fg, J0)
     q = em.quantiles(np.arange(p + 1) / p)
     edges = np.array([e for band in fg.bands for e in band])
     assert q[0] == pytest.approx(edges[0], abs=1e-13)
@@ -101,9 +100,9 @@ def test_periodic_quantiles_do_not_depend_on_the_slicing():
     # at p = 32 the 3000 levels are solved in three slices; each level
     # alone must give the same bits
     rng = np.random.default_rng(32)
-    disc = discriminant(PeriodicJacobi(tuple(rng.uniform(0.7, 1.3, 32)),
-                                       tuple(rng.uniform(-0.3, 0.3, 32))))
-    em = equilibrium_measure(disc.bands(), disc)
+    J0 = PeriodicJacobi(tuple(rng.uniform(0.7, 1.3, 32)),
+                        tuple(rng.uniform(-0.3, 0.3, 32)))
+    em = equilibrium_measure(bands(J0), J0)
     us = (np.arange(3000) + 0.5) / 3000
     q = em.quantiles(us)
     assert np.all(np.diff(q) >= 0.0)
@@ -112,22 +111,22 @@ def test_periodic_quantiles_do_not_depend_on_the_slicing():
 
 
 def test_periodic_capacity_is_the_geometric_mean_of_a():
-    disc = discriminant(PeriodicJacobi((1.0, 0.5), (0.0, 0.0)))
-    assert capacity(disc.bands()) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
+    assert capacity(bands(J0)) == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
 def test_periodic_second_moment_against_quadrature():
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
-    disc = discriminant(J0)
-    em = equilibrium_measure(disc.bands(), disc)
+    em = equilibrium_measure(bands(J0), J0)
 
     def dens(x):
-        d = disc.value(x)
-        slope = npp.polyval(x, npp.polyder(disc.coeffs))
+        # D = (x^2 - a_1^2 - a_2^2) / (a_1 a_2) = 2 x^2 - 2.5
+        d = 2.0 * x * x - 2.5
+        slope = 4.0 * x
         return abs(slope) / (2.0 * math.pi * math.sqrt(4.0 - d * d))
 
     total = 0.0
-    for lo, hi in disc.bands().bands:
+    for lo, hi in bands(J0).bands:
         val, err = quad(lambda x: x * x * dens(x), lo, hi,
                         points=[lo, hi], limit=400)
         assert err < 1e-9
@@ -142,8 +141,7 @@ def test_periodic_density_at_period_32_matches_the_quantile_spacing():
     rng = np.random.default_rng(32)
     J0 = PeriodicJacobi(tuple(rng.uniform(0.7, 1.3, p)),
                         tuple(rng.uniform(-0.3, 0.3, p)))
-    disc = discriminant(J0)
-    em = equilibrium_measure(disc.bands(), disc)
+    em = equilibrium_measure(bands(J0), J0)
     q = em.quantiles((np.arange(n) + 0.5) / n).reshape(p, n // p)
     x = 0.5 * (q[:, 1:] + q[:, :-1])
     dens = em.density(x)

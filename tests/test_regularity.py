@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opspectra.periodic import (PeriodicJacobi, delta_of_J, discriminant,
-                                dm_weights)
+from opspectra.periodic import PeriodicJacobi, delta_of_J, dm_weights
 from opspectra.regularity import (DEFAULT_LADDER, StatSeries, arc_stats,
                                   cn_sq_stat_oprl,
                                   cn_stat_matrix, cn_stat_matrix_invariant,
@@ -235,11 +234,10 @@ def test_exponential_distance_truncation_is_stable():
 
 def test_torus_average_vanishes_on_the_generator():
     J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
-    disc = discriminant(J0)
     J = JacobiParams.from_functions(lambda n: np.array(J0.a)[(n - 1) % 2],
                                     lambda n: np.array(J0.b)[(n - 1) % 2],
                                     bound=1.0)
-    s = cn_stat_torus(J, disc, (8, 32))
+    s = cn_stat_torus(J, J0, (8, 32))
     assert max(s.values) < 1e-12
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import os
@@ -133,8 +134,8 @@ def test_scenario_extra_artifacts(tmp_path):
     run_scenario(cfg2)
     torus = (tmp_path / "out2" / "torus_samples.csv").read_text()
     assert torus.splitlines()[0] == "theta_1,a_1,a_2,b_1,b_2"
-    assert (tmp_path / "out2" / "discriminant.csv").read_text().startswith(
-        "k,coeff\n")
+    assert (tmp_path / "out2" / "bands.csv").read_text().startswith(
+        "band,lo,hi\n")
 
 
 def test_svg_emission_is_well_formed(tmp_path):
@@ -229,6 +230,10 @@ def test_stats_csv_is_the_series_csv_rows_under_one_header():
     assert res.stats_csv() == "label,N,value\n" + body
 
 
+PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
+            "0.1,-0.2,0,0.3,-0.1,0.2,0")
+
+
 @pytest.mark.parametrize("scenario,line", [
     ("thm6_1", "input.pattern = 1,1,0,0"),      # closed gap
     ("thm6_1", "input.pattern = 0.932,0.932,0.932,0.188,0.188,0.188"),
@@ -255,6 +260,8 @@ def test_stats_csv_is_the_series_csv_rows_under_one_header():
     ("thm6_1", "defect.size = 1e6"),            # |shift| <= 10
     ("conjecture5_1_explore", "bumps.amp = 1e295"),
     ("conjecture5_1_explore", "decay.power = -1"),  # shift would grow
+    ("thm6_1", PERIOD_7),                       # 8^6 grid starts
+    ("conjecture5_1_explore", PERIOD_7),
 ], ids=["closed_gap", "constant_pattern", "non_numeric_pattern",
         "zero_window", "arc_a", "arc_k", "cmv_N", "arc_phase_inf",
         "perturbed_alpha_0", "inputs_count", "mnt_coefficients",
@@ -262,7 +269,8 @@ def test_stats_csv_is_the_series_csv_rows_under_one_header():
         "mnt_tilt", "circle_bump",
         "blockmap_K", "defect_site_past_blocks", "torus_theta_inf",
         "pattern_inf", "norm_check_N", "threshold_inf", "unknown_key",
-        "defect_size", "bumps_amp", "decay_power"])
+        "defect_size", "bumps_amp", "decay_power", "thm6_1_period_7",
+        "conjecture_period_7"])
 def test_cli_unusable_input_exits_2_with_one_error_line(
         tmp_path, capsys, monkeypatch, scenario, line):
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
@@ -386,6 +394,26 @@ def test_every_benchmark_config_parses(tmp_path, monkeypatch):
         scenarios.parse_options(op.scenario, cfg.options)
 
 
+def _traced_names():
+    """The functions bench/run.py times by name: the values of its
+    FUNCTION_GROUPS table."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "bench" / "run.py").read_text(encoding="utf-8"))
+    groups = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.AnnAssign)
+                  and node.target.id == "FUNCTION_GROUPS")
+    return sorted(name for names in groups.values() for name in names)
+
+
+@pytest.mark.parametrize("name", _traced_names())
+def test_every_traced_name_resolves_to_a_callable(name):
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"opspectra.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert callable(obj)
+
+
 def test_cli_runs_a_period_four_pattern(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
     cfg = tmp_path / "cfg.txt"
@@ -434,11 +462,11 @@ DEFAULT_STATS_SHA256 = {
     ("thm4_2", 1):
         "498221a0ca173f6f382bd579b4df1887a9b51ed76b7fb325dce636a6b96a80e5",
     ("thm6_1", 1):
-        "54b38d23cf71dcd9db9cca7f29b8e13fd8566e9cbd09bb622ee27d9a814318c3",
+        "bcc56792b60088149ca5de51eb99eb603cb20902dec7c341a8b9d820126f7b90",
     ("mnt_illustration", 1):
         "d69138e478f4935ba9afa4d2011b3b9e76d23bcf20fc80ca683dab7415f2fd77",
     ("conjecture5_1_explore", 1):
-        "a26f9ead0baf807c3f482e4d877f8c47668de2251c85fa9fdf6d23ce118db201",
+        "a6b80731dbe51ad895a0d9918bb06e12f325c75af3b001ab521e6fe7d0fdb424",
 }
 
 
