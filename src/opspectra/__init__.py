@@ -12,8 +12,7 @@ named end-to-end experiments; see ``opspectra list-scenarios``.
 
 from .measures import (CircleMeasureSpec, DensityPart, DiscreteMeasure,
                        LineMeasureSpec, discretize, gauss_rule,
-                       jacobi_from_measure, trig_moments,
-                       verblunsky_from_measure, verblunsky_from_moments)
+                       jacobi_from_measure, verblunsky_from_measure)
 from .periodic import (PeriodicJacobi, TorusPoint, bands, d_to_torus,
                        d_to_torus_batch, delta_of_J, discriminant, dm_weights,
                        normalize_type1, normalize_type3, torus_point)
@@ -48,7 +47,7 @@ __all__ = [
     "eig_unitary", "equilibrium_measure", "gauss_rule",
     "jacobi_from_measure", "lemma21_stats", "normalize_type1",
     "normalize_type3", "rayleigh_cesaro", "root_test", "sup_deviation",
-    "torus_point", "trace_square", "trace_stat", "trig_moments", "truncate",
+    "torus_point", "trace_square", "trace_stat", "truncate",
     "validate_blocks", "validate_jacobi", "verblunsky_from_measure",
-    "verblunsky_from_moments", "w1_distance", "zero_counting",
+    "w1_distance", "zero_counting",
 ]

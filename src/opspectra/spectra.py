@@ -245,14 +245,15 @@ class CmvMatrix:
     The matrix is the product L M of two block-diagonal unitaries: L made
     of the 2x2 rotors [[-a_j, rho_j], [rho_j, conj(a_j)]] at even j, M
     with a leading 1 and the rotors at odd j.  The rotor signs follow
-    the recursion Phi_{n+1} = z Phi_n + alpha_n Phi_n^* used by the
-    moment machinery, under which the constant sequence alpha_j = a > 0
-    is the gap-around-1 arc measure with nothing in the gap.  The rotor
-    that would straddle the truncation boundary degenerates to the
-    single entry -beta; eigenvalues are then the zeros of
-    z Phi_{N-1} + beta Phi_{N-1}^*.  Every |alpha_j| < 1 and |beta| = 1
-    are checked, so the matrix is unitary by construction.  ``mat`` is
-    the sparse product; ``dense()`` is for oracles.
+    the recursion Phi_{n+1} = z Phi_n + alpha_n Phi_n^* used by
+    ``measures.verblunsky_from_measure``, under which the constant
+    sequence alpha_j = a > 0 is the gap-around-1 arc measure with
+    nothing in the gap.  The rotor that would straddle the truncation
+    boundary degenerates to the single entry -beta; eigenvalues are then
+    the zeros of z Phi_{N-1} + beta Phi_{N-1}^*.  Every |alpha_j| < 1
+    and |beta| = 1 are checked, so the matrix is unitary by
+    construction.  ``mat`` is the sparse product; ``dense()`` is for
+    oracles.
 
     ``cmv`` picks beta = alpha_{N-1}/|alpha_{N-1}| by default (beta = 1
     when that coefficient vanishes), which for constant positive

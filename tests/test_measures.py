@@ -5,18 +5,15 @@ import sys
 
 import numpy as np
 import pytest
+from mpmath import mp
 from numpy.polynomial import legendre as npleg
 
 from opspectra.measures import (BreakdownAtStep, CircleMeasureSpec,
                                 DensityNegative, DensityPart, DiscreteMeasure,
-                                LineMeasureSpec, MomentIllConditioned,
-                                _gl_nodes, _leggauss, _tabulated_rule,
-                                discretize, gauss_rule,
-                                jacobi_from_measure, trig_moments,
-                                verblunsky_from_measure,
-                                verblunsky_from_moments)
-from opspectra.sequences import VerblunskyParams
-from opspectra.spectra import cmv
+                                LineMeasureSpec, _gl_nodes, _leggauss,
+                                _tabulated_rule, discretize, gauss_rule,
+                                jacobi_from_measure, verblunsky_from_measure)
+from opspectra.spectra import CmvMatrix
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -110,10 +107,15 @@ def test_stieltjes_matches_exact_legendre_at_N_1000():
 _THREADS_SCRIPT = """
 import hashlib
 import numpy as np
-from opspectra.measures import DiscreteMeasure, jacobi_from_measure
+from opspectra.measures import (DiscreteMeasure, jacobi_from_measure,
+                                verblunsky_from_measure)
 x = np.linspace(-2.0, 2.0, 20011)
 J = jacobi_from_measure(DiscreteMeasure(x, 1.0 + 0.3 * x + np.sin(5.0 * x) ** 2), 50)
-print(hashlib.sha256(J.a_window(49).tobytes() + J.b_window(50).tobytes()).hexdigest())
+th = np.linspace(-np.pi, np.pi, 20011, endpoint=False)
+V = verblunsky_from_measure(DiscreteMeasure(
+    th, 1.0 + 0.3 * np.cos(th) + np.sin(5.0 * th) ** 2, "circle"), 30)
+print(hashlib.sha256(J.a_window(49).tobytes() + J.b_window(50).tobytes()
+                     + V.alpha_window(30).tobytes()).hexdigest())
 """
 
 
@@ -217,57 +219,173 @@ def test_stieltjes_breakdown_on_tiny_support():
         jacobi_from_measure(dm, 4)
 
 
+def _trig_moments(m: DiscreteMeasure, K: int) -> np.ndarray:
+    """c_0..c_K with c_k = integral of e^{-i k theta} dm, each a
+    compensated sum."""
+    vals = m.weights * np.exp(-1j * np.arange(K + 1)[:, None] * m.nodes)
+    return np.array([complex(math.fsum(v.real.tolist()),
+                             math.fsum(v.imag.tolist())) for v in vals])
+
+
+def _verblunsky_from_moments(c: np.ndarray, N: int) -> np.ndarray:
+    """Oracle for measures without a gap: alpha_0..alpha_{N-1} from the
+    moments c_0..c_N by the monic recursion Phi_{n+1} = z Phi_n +
+    alpha_n Phi_n^* in coefficient space, each alpha_n the value making
+    Phi_{n+1} orthogonal to 1 under the moment functional.  The squared
+    norm of Phi_n is the ratio of consecutive Toeplitz determinants;
+    ArithmeticError when it drops to 1e-13 or an |alpha_n| reaches 1.
+    The recursion is exponentially ill-conditioned across a gap."""
+    c = np.asarray(c, dtype=complex)
+    # m[k] = integral of z^k for k = -N..N, stored with offset N
+    m = np.empty(2 * N + 1, dtype=complex)
+    m[N:] = np.conj(c[: N + 1])
+    m[:N] = c[1: N + 1][::-1]
+
+    def pair(pc, qc):
+        # <P, Q> = sum_j sum_k p_j conj(q_k) m[j - k]
+        return sum(pj * np.sum(np.conj(qc) * m[N + j - len(qc) + 1: N + j + 1][::-1])
+                   for j, pj in enumerate(pc))
+
+    phi, one = np.array([1.0 + 0.0j]), np.array([1.0 + 0.0j])
+    alphas = []
+    for n in range(N):
+        norm2 = pair(phi, phi)
+        if norm2.real <= 1e-13 or abs(norm2.imag) > 1e-9 * abs(norm2):
+            raise ArithmeticError(f"moment problem not positive at order {n}")
+        star = np.conj(phi[::-1])
+        zphi = np.concatenate([[0.0], phi])
+        alpha = -pair(zphi, one) / pair(star, one)
+        if abs(alpha) >= 1.0:
+            raise ArithmeticError(f"|alpha_{n}| = {abs(alpha)} >= 1")
+        phi = zphi + alpha * np.concatenate([star, [0.0]])
+        alphas.append(alpha)
+    return np.array(alphas)
+
+
+def _szego_mp(theta, N: int, dps: int) -> np.ndarray:
+    """Oracle: alpha_0..alpha_{N-1} of the equal-weight measure on the
+    angles, by the monic Szego recursion on the nodes at dps digits.
+    A forward recursion on nodes loses digits exponentially across a
+    gap; on the 800-node arc measure below, 250 digits give the same
+    floats as 400 for every n < 300."""
+    with mp.workdps(dps):
+        z = [mp.expj(mp.mpf(float(t))) for t in theta]
+        phi = star = [mp.mpc(1)] * len(z)
+        out = []
+        for _ in range(N):
+            zphi = [zk * p for zk, p in zip(z, phi)]
+            a = -mp.fsum(zphi) / mp.fsum(star)
+            phi, star = ([zp + a * s for zp, s in zip(zphi, star)],
+                         [s + mp.conj(a) * zp for zp, s in zip(zphi, star)])
+            out.append(complex(a))
+    return np.array(out)
+
+
+def _arc_equilibrium(K: int) -> DiscreteMeasure:
+    # the a = 0.5 arc, theta in [pi/3, 5 pi/3]: its equilibrium measure
+    # pushed to x = 2 cos(theta) is the arcsine law of [-2, 1], whose
+    # K-point Gauss-Chebyshev rule is mirrored to the lower half
+    x = -0.5 + 1.5 * np.cos((2 * np.arange(K) + 1) * math.pi / (2 * K))
+    th = np.arccos(x / 2.0)
+    return DiscreteMeasure(np.r_[th, -th], np.ones(2 * K), "circle")
+
+
 def test_uniform_circle_moments_and_coefficients():
-    spec = CircleMeasureSpec.uniform()
-    c = trig_moments(spec, 6)
-    assert c[0] == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(c[1:])) < 1e-14
-    V = verblunsky_from_measure(spec, 8)
-    assert np.max(np.abs(V.alpha_window(8))) < 1e-12
+    dm = discretize(CircleMeasureSpec.uniform())
+    V = verblunsky_from_measure(dm, 100)
+    assert abs(V.alpha_window(1)[0]) < 1e-14   # alpha_0 = -integral of z
+    # the node requirement the docstring states
+    assert np.max(np.abs(V.alpha_window(100))) < 2e-14
+    assert np.max(np.abs(verblunsky_from_measure(dm, 150).alpha_window(150))) > 0.5
+    dm400 = discretize(CircleMeasureSpec.uniform(), 400)
+    assert np.max(np.abs(verblunsky_from_measure(dm400, 150).alpha_window(150))) < 4e-14
 
 
 def test_cosine_weight_has_known_first_moment():
-    # w(theta) = 1 + cos(theta): c_1 = 1/2 exactly; the piecewise-linear
-    # table adds an O(h^2) interpolation error
+    # w(theta) = 1 + cos(theta): integral of z is 1/2 exactly, so
+    # alpha_0 = -1/2; the piecewise-linear table adds an O(h^2) error
     th = np.linspace(-math.pi, math.pi, 2001)
-    spec = CircleMeasureSpec(
+    dm = discretize(CircleMeasureSpec(
         [DensityPart(-math.pi, math.pi, "tabulated", 1.0,
-                     (th, 1.0 + np.cos(th)))])
-    c = trig_moments(spec, 2)
-    assert c[1] == pytest.approx(0.5, abs=1e-4)
+                     (th, 1.0 + np.cos(th)))]))
+    alpha = verblunsky_from_measure(dm, 20).alpha_window(20)
+    assert alpha[0] == pytest.approx(-0.5, abs=1e-4)
+    # no gap, so the moment recursion is a sound oracle at small N
+    assert np.max(np.abs(alpha - _verblunsky_from_moments(
+        _trig_moments(dm, 20), 20))) <= 1e-13
 
 
 def test_moment_route_round_trips_through_cmv():
-    # independent dual route: alpha -> CMV corner moments -> alpha
-    raw = np.array([0.4, -0.2 + 0.3j, 0.1j, 0.25, -0.3])
-    V = VerblunskyParams(np.concatenate([raw, np.zeros(40)]))
-    n = 30
-    C = cmv(V, n).dense()
-    e0 = np.zeros(n, dtype=complex)
+    # the spectral measure of a 51 x 51 unitary CMV matrix at e_0 has
+    # the matrix's 50 coefficients (random, |alpha| < 0.5)
+    rng = np.random.default_rng(0)
+    alpha = 0.5 * np.sqrt(rng.random(50)) * np.exp(2j * math.pi * rng.random(50))
+    C = CmvMatrix(alpha, np.exp(0.7j)).dense()
+    z, vecs = np.linalg.eig(C)
+    dm = DiscreteMeasure(np.angle(z), np.abs(vecs[0]) ** 2, "circle")
+    back = verblunsky_from_measure(dm, 50).alpha_window(50)
+    assert np.max(np.abs(back - alpha)) <= 1e-12
+    # independent dual route: CMV corner moments -> the moment oracle
+    e0 = np.zeros(len(C), dtype=complex)
     e0[0] = 1.0
-    moms = [1.0 + 0.0j]
-    v = e0.copy()
+    moms, v = [1.0 + 0.0j], e0.copy()
     for _ in range(12):
         v = C @ v
         moms.append(complex(np.vdot(e0, v)))
-    back = verblunsky_from_moments(np.conj(np.array(moms)), 8)
-    assert np.max(np.abs(back.alpha_window(8)
-                         - V.alpha_window(8))) < 1e-12
+    oracle = _verblunsky_from_moments(np.conj(np.array(moms)), 12)
+    assert np.max(np.abs(back[:12] - oracle)) <= 1e-12
 
 
 def test_moment_sequence_must_be_positive_definite():
     c = np.array([1.0, 1.2, 0.0, 0.0], dtype=complex)  # |c_1| > c_0
-    with pytest.raises(MomentIllConditioned):
-        verblunsky_from_moments(c, 3)
+    with pytest.raises(ArithmeticError):
+        _verblunsky_from_moments(c, 3)
 
 
 def test_atom_on_circle_shifts_moments():
-    spec = CircleMeasureSpec([DensityPart(-math.pi, math.pi, "uniform", 0.5)],
-                             atoms=[(0.0, 0.5)])
-    c = trig_moments(spec, 3)
-    # half uniform (no moments) plus half an atom at angle 0
-    assert c[1] == pytest.approx(0.5, abs=1e-12)
-    assert c[2] == pytest.approx(0.5, abs=1e-12)
+    # half uniform plus half an atom at z = 1: alpha_0 = -integral of z
+    # = -1/2; uniform plus mass t at 1 has alpha_n = -t/(1 + n t) in
+    # this package's sign, here -1/(n + 2)
+    dm = discretize(CircleMeasureSpec(
+        [DensityPart(-math.pi, math.pi, "uniform", 0.5)], atoms=[(0.0, 0.5)]))
+    alpha = verblunsky_from_measure(dm, 40).alpha_window(40)
+    assert np.max(np.abs(alpha + 1.0 / (np.arange(40) + 2.0))) <= 1e-13
+    assert np.max(np.abs(alpha[:20] - _verblunsky_from_moments(
+        _trig_moments(dm, 20), 20))) <= 1e-13
+
+
+# alpha_n of the 800-node arc measure from a 250-digit Szego recursion
+# (a 400-digit run gives the same floats)
+_ARC_PINNED = {0: 0.24999999999999997, 1: 0.4, 10: 0.49999435500259654,
+               100: 0.4999999999999982, 200: 0.5000000000000008,
+               299: 0.5000000000000094}
+
+
+def test_arnoldi_matches_the_high_precision_recursion_across_the_arc_gap():
+    alpha = verblunsky_from_measure(_arc_equilibrium(400), 300).alpha_window(300)
+    for n, want in _ARC_PINNED.items():
+        assert abs(alpha[n] - want) <= 1e-13, n
+    small = _arc_equilibrium(100)
+    got = verblunsky_from_measure(small, 100).alpha_window(100)
+    assert np.max(np.abs(got - _szego_mp(small.nodes, 100, 250))) <= 1e-13
+
+
+def test_arnoldi_breaks_down_past_the_support():
+    three = DiscreteMeasure([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "circle")
+    verblunsky_from_measure(three, 2)
+    with pytest.raises(BreakdownAtStep) as info:
+        verblunsky_from_measure(three, 3)
+    assert info.value.step == 4
+    # two nodes 1e-9 apart: rho_1^2 ~ 1e-18
+    with pytest.raises(BreakdownAtStep) as info:
+        verblunsky_from_measure(DiscreteMeasure([0.0, 1e-9, 1.0], [1.0] * 3,
+                                                "circle"), 2)
+    assert info.value.step == 3
+    # pi and -pi are one point
+    dm = discretize(CircleMeasureSpec(atoms=[(math.pi, 0.5), (-math.pi, 0.5)]))
+    assert len(dm) == 1 and dm.nodes[0] == -math.pi
+    with pytest.raises(BreakdownAtStep):
+        verblunsky_from_measure(dm, 1)
 
 
 def test_gauss_legendre_rules_are_cached_read_only_and_exact():
