@@ -20,8 +20,8 @@ def main():
     Jb = _random_blocks(rng, ell=3, K=24)
     w0 = eig_block(Jb, len(Jb.B))
 
-    t3, chain3 = normalize_type3(Jb)
-    t1, chain1 = normalize_type1(Jb)
+    [(t3, _)] = normalize_type3([Jb])
+    [(t1, _)] = normalize_type1([Jb])
 
     print("block size 3, 24 diagonal blocks, random bounded data")
     for tag, t in (("type3", t3), ("type1", t1)):

@@ -259,6 +259,10 @@ def _line_part_rule(part: DensityPart, n: int):
 
 
 def _circle_part_rule(part: DensityPart, n: int):
+    if part.kind == "uniform" and part.hi - part.lo >= 2.0 * math.pi - 1e-12:
+        # the whole circle: n equispaced angles integrate every
+        # trigonometric polynomial of degree below n exactly
+        return part.lo + (2.0 * math.pi / n) * np.arange(n), np.full(n, 1.0 / n)
     if part.kind == "uniform":
         th, w = _gl_nodes(part.lo, part.hi, n)
         return th, w / (part.hi - part.lo)
@@ -272,9 +276,12 @@ def discretize(spec, points_per_interval: int = 200) -> DiscreteMeasure:
     """Quadrature discretization of a measure spec.
 
     Each a.c. part becomes a mapped Gauss-Legendre rule carrying the
-    part's share of the mass; atoms pass through verbatim.  Moments of
-    polynomial-density parts are reproduced to near machine precision
-    for orders below twice the point count.
+    part's share of the mass, except a uniform part spanning the whole
+    circle, which gets equispaced angles with equal weights; atoms pass
+    through verbatim.  Moments of polynomial-density parts are
+    reproduced to near machine precision for orders below twice the
+    point count, and the trigonometric moments of the whole-circle part
+    for orders below the point count.
     """
     if points_per_interval < 2:
         raise ValueError("points_per_interval must be >= 2")
@@ -374,8 +381,9 @@ def verblunsky_from_measure(m: DiscreteMeasure, N: int) -> VerblunskyParams:
     on the same nodes to 1e-13 for every n < 300.
 
     The nodes must resolve degree N: ``discretize`` of the uniform
-    measure at 200 points gives |alpha_n| < 2e-14 up to N = 100 but 0.92
-    at N = 150, where 400 points keep it below 4e-14.  A measure on M
+    measure at 200 points (equispaced) gives |alpha_n| < 2e-14 for every
+    n <= 198, while 200 Gauss-Legendre nodes in theta, which cluster at
+    +-pi, give 0.92 at n = 150.  A measure on M
     points has M - 1 coefficients inside the disc; asking for more, or a
     squared norm rho_n^2 = 1 - |alpha_n|^2 below 1e-13, raises
     BreakdownAtStep.

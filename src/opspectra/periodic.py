@@ -13,6 +13,12 @@ diagonal; the evaluation is the same recursion run on sparse matrices,
 so the bandwidth (and hence the block structure) is exact and no dense
 intermediate ever exists.
 
+The type-3 and type-1 normal forms take a list of block parameter sets.
+Each is built block index by block index, one unitary at a time; the
+inputs of one block size share those steps, one stacked QR or SVD per
+block index for all of them, and each input comes out bit for bit as it
+would alone.
+
 The isospectral torus of a band set with all gaps open is parametrized
 by p - 1 angles through Dirichlet data, for every period: angle j
 places one Dirichlet point in gap j and picks its sheet, and an
@@ -227,19 +233,59 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
 # -- equivalence-class representatives ---------------------------------
 
 
-def _normal_form(Jb: BlockJacobiParams, tag: str, exact, step, snap):
-    """The chain u_1 = I, u_{j+1} = step(u_j^* A_j, A_j, j), padded with
-    identities, and the input transformed by it, its A stack ``snap``-ped;
-    ``exact`` input comes back retagged, with the identity chain."""
-    ell, n = Jb.block_size, max(len(Jb.B), len(Jb.A) + 1)
-    u = [np.eye(ell, dtype=complex)]
-    if exact(Jb.A):
-        return BlockJacobiParams(ell, Jb.A, Jb.B, tag), UnitaryChain(u * n)
-    for j, A in enumerate(Jb.A, start=1):
-        u.append(step(u[-1].conj().T @ A, A, j))
-    chain = UnitaryChain(u + u[:1] * (n - len(u)))
-    out = chain.apply(Jb)
-    return validate_blocks(BlockJacobiParams(ell, snap(out.A), out.B, tag)), chain
+def _normal_forms(inputs, tag: str, exact, step, snap):
+    """Each input, in input order, with its chain u_1 = I, u_{j+1} =
+    step(u_j^* A_j, A_j), padded with identities, and the input
+    transformed by it, its A stack ``snap``-ped; ``exact`` input comes
+    back retagged, with the identity chain.
+
+    The other inputs are grouped by block size, their A stacks padded
+    with identity blocks to the group's longest, and each block index j
+    takes one stacked ``step`` for the whole group; a stacked LAPACK call
+    gives each matrix the bits of a call on it alone.  ``step`` returns
+    the next unitaries and, per input, whether the block is singular,
+    its smallest singular value and the threshold.  A singular block is
+    raised at its input's turn, so the error is the one a loop over the
+    inputs would raise first."""
+    inputs = list(inputs)
+    groups, chains, singular = {}, {}, {}
+    for i, Jb in enumerate(inputs):
+        if not exact(Jb.A):
+            groups.setdefault(Jb.block_size, []).append(i)
+    for ell, idx in groups.items():
+        eye = np.eye(ell, dtype=complex)
+        nA = [len(inputs[i].A) for i in idx]
+        A = np.tile(eye, (len(idx), max(nA), 1, 1))
+        for row, i in enumerate(idx):
+            A[row, :nA[row]] = inputs[i].A
+        us = [np.tile(eye, (len(idx), 1, 1))]
+        for j in range(A.shape[1]):
+            u, bad, sigma, threshold = step(_herm(us[-1]) @ A[:, j], A[:, j])
+            for row in np.flatnonzero(bad):
+                if j < nA[row]:
+                    singular.setdefault(idx[row], SingularBlock(
+                        j + 1, float(sigma[row]), float(threshold[row])))
+            us.append(u)
+        us = np.stack(us, axis=1)
+        for row, i in enumerate(idx):
+            n = max(len(inputs[i].B), nA[row] + 1)
+            chains[i] = np.concatenate(
+                [us[row, :nA[row] + 1], np.tile(eye, (n - nA[row] - 1, 1, 1))])
+    out = []
+    for i, Jb in enumerate(inputs):
+        ell = Jb.block_size
+        if i in singular:
+            raise singular[i]
+        if i not in chains:
+            n = max(len(Jb.B), len(Jb.A) + 1)
+            out.append((BlockJacobiParams(ell, Jb.A, Jb.B, tag),
+                        UnitaryChain(np.tile(np.eye(ell), (n, 1, 1)))))
+            continue
+        chain = UnitaryChain(chains[i])
+        moved = chain.apply(Jb)
+        out.append((validate_blocks(BlockJacobiParams(ell, snap(moved.A),
+                                                      moved.B, tag)), chain))
+    return out
 
 
 def _exactly_type3(A: np.ndarray) -> bool:
@@ -248,12 +294,18 @@ def _exactly_type3(A: np.ndarray) -> bool:
             and bool(np.all(d.real > 0.0)))
 
 
-def _qr_step(M: np.ndarray, A: np.ndarray, j: int) -> np.ndarray:
-    q, r = np.linalg.qr(M.conj().T)
-    rd = np.diagonal(r)
-    if np.any(np.abs(rd) <= 1e-12 * max(1.0, float(np.max(np.abs(A))))):
-        raise SingularBlock(j, float(np.min(np.abs(rd))), 0.0)
-    return q @ np.diag(rd / np.abs(rd))
+def _qr_step(M: np.ndarray, A: np.ndarray):
+    q, r = np.linalg.qr(_herm(M))
+    rd = np.diagonal(r, axis1=1, axis2=2)
+    size = np.abs(rd)
+    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    bad = np.any(size <= 1e-12 * scale[:, None], axis=1)
+    # q @ diag(phase) as a matmul: an elementwise scaling can round
+    # differently.  A singular block's row divides by 1, not by its 0.
+    phase = np.zeros_like(q)
+    i = np.arange(q.shape[1])
+    phase[:, i, i] = rd / np.where(bad[:, None], 1.0, size)
+    return q @ phase, bad, size.min(axis=1), np.zeros(len(q))
 
 
 def _snap_type3(A: np.ndarray) -> np.ndarray:
@@ -265,17 +317,19 @@ def _snap_type3(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def normalize_type3(Jb: BlockJacobiParams):
-    """Equivalent parameter set whose off-diagonal blocks are lower
-    triangular with positive diagonal, plus the realizing unitary chain.
+def normalize_type3(inputs):
+    """For each block parameter set in ``inputs``, in order, the pair
+    (equivalent parameters whose off-diagonal blocks are lower
+    triangular with positive diagonal, the realizing unitary chain).
 
     Built left to right: each u_{j+1} is the Q factor (phase-fixed) of
-    the QR factorization of (u_j^* A_j)^*.  Applying the returned chain
-    to the original input reproduces the returned parameters.  Input
-    that is already exactly in form comes back unchanged with the
+    the QR factorization of (u_j^* A_j)^*, one stacked QR per block
+    index j over the inputs of one block size.  Applying the returned
+    chain to the original input reproduces the returned parameters.
+    Input that is already exactly in form comes back unchanged with the
     identity chain.
     """
-    return _normal_form(Jb, "type3", _exactly_type3, _qr_step, _snap_type3)
+    return _normal_forms(inputs, "type3", _exactly_type3, _qr_step, _snap_type3)
 
 
 def _exactly_type1(A: np.ndarray) -> bool:
@@ -283,11 +337,10 @@ def _exactly_type1(A: np.ndarray) -> bool:
             and bool(np.all(np.linalg.eigvalsh(A)[:, 0] > 0.0)))
 
 
-def _polar_step(M: np.ndarray, A: np.ndarray, j: int) -> np.ndarray:
+def _polar_step(M: np.ndarray, A: np.ndarray):
     uu, s, vh = np.linalg.svd(M)
-    if s[-1] <= 1e-12 * max(s[0], 1.0):
-        raise SingularBlock(j, float(s[-1]), float(1e-12 * s[0]))
-    return (uu @ vh).conj().T
+    bad = s[:, -1] <= 1e-12 * np.maximum(s[:, 0], 1.0)
+    return _herm(uu @ vh), bad, s[:, -1], 1e-12 * s[:, 0]
 
 
 def _snap_type1(A: np.ndarray) -> np.ndarray:
@@ -295,12 +348,15 @@ def _snap_type1(A: np.ndarray) -> np.ndarray:
     return (A + _herm(A)) / 2.0
 
 
-def normalize_type1(Jb: BlockJacobiParams):
-    """Equivalent parameter set whose off-diagonal blocks are exactly
-    Hermitian and positive definite (polar factors), plus the realizing
-    chain.  Being positive definite, each output block satisfies
-    Hadamard's inequality det A_j <= prod diag A_j (up to rounding)."""
-    return _normal_form(Jb, "type1", _exactly_type1, _polar_step, _snap_type1)
+def normalize_type1(inputs):
+    """For each block parameter set in ``inputs``, in order, the pair
+    (equivalent parameters whose off-diagonal blocks are exactly
+    Hermitian and positive definite (polar factors), the realizing
+    chain), with one stacked SVD per block index j over the inputs of
+    one block size.  Being positive definite, each output block
+    satisfies Hadamard's inequality det A_j <= prod diag A_j (up to
+    rounding)."""
+    return _normal_forms(inputs, "type1", _exactly_type1, _polar_step, _snap_type1)
 
 
 # -- isospectral torus -------------------------------------------------

@@ -305,14 +305,16 @@ def _run_thm3_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     worst_spec = worst_det = worst_inv = 0.0
     hadamard = -math.inf   # max of det A - prod diag A over type-1 blocks
     rep_series = None
+    rngs, inputs = [], []
     for i in range(count):
         rng = SplitMix64(seed * 777 + i)
         ell = 1 + rng.next_u64() % 3
         K = 8 + rng.next_u64() % 33        # up to 40 blocks
-        Jb = _random_blocks(rng, int(ell), int(K))
+        inputs.append(_random_blocks(rng, int(ell), int(K)))
+        rngs.append(rng)
+    forms = zip(P.normalize_type3(inputs), P.normalize_type1(inputs))
+    for rng, Jb, ((t3, _), (t1, _)) in zip(rngs, inputs, forms):
         w0 = S.eig_block(Jb, len(Jb.B))
-        t3, _ = P.normalize_type3(Jb)
-        t1, _ = P.normalize_type1(Jb)
         dx = np.linalg.det(Jb.A)
         for t in (t3, t1):
             wt = S.eig_block(t, len(t.B))
@@ -326,7 +328,7 @@ def _run_thm3_1(o: Dict[str, object], seed: int) -> ScenarioResult:
         lad = tuple(sorted({max(1, len(Jb.B) // 4), max(2, len(Jb.B) // 2),
                             len(Jb.B) - 1}))
         inv_a = R.cn_stat_matrix_invariant(Jb, lad)
-        chain = _random_chain(rng, int(ell), len(Jb.B) + 1)
+        chain = _random_chain(rng, Jb.block_size, len(Jb.B) + 1)
         inv_b = R.cn_stat_matrix_invariant(chain.apply(Jb), lad)
         worst_inv = max(worst_inv, max(abs(x - y) for x, y
                                        in zip(inv_a.values, inv_b.values)))

@@ -138,8 +138,8 @@ def test_ac07_block_normal_forms_on_seeded_inputs():
         K = 8 + rng.next_u64() % 33
         Jb = _random_blocks(rng, int(ell), int(K))
         w0 = eig_block(Jb, len(Jb.B))
-        t3, _ = normalize_type3(Jb)
-        t1, _ = normalize_type1(Jb)
+        [(t3, _)] = normalize_type3([Jb])
+        [(t1, _)] = normalize_type1([Jb])
         for t in (t3, t1):
             wt = eig_block(t, len(t.B))
             worst_spec = max(worst_spec, float(np.max(np.abs(wt - w0))))

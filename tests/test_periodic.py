@@ -21,7 +21,8 @@ from opspectra.periodic import (_GRID_POINTS, GapClosed, PeriodicJacobi,
 from opspectra.potential import capacity, equilibrium_measure
 from opspectra.regularity import d_m
 from opspectra.scenarios import _is_pow2, _periodic_as_params
-from opspectra.sequences import BlockJacobiParams, JacobiParams, validate_blocks
+from opspectra.sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
+                                validate_blocks)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -325,14 +326,13 @@ def test_block_map_of_a_long_generator_keeps_its_interior_blocks(p):
 # -- normal forms ------------------------------------------------------
 
 
-def _random_general_blocks(rng, ell, K):
-    A = tuple((np.eye(ell) + 0.3 * (rng.standard_normal((ell, ell))
-                                    + 1j * rng.standard_normal((ell, ell))))
-              for _ in range(K - 1))
-    H = [rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell))
-         for _ in range(K)]
-    B = tuple((h + h.conj().T) / 2 for h in H)
-    return BlockJacobiParams(ell, A, B, "general")
+def _blocks(rng, ell, nA, nB):
+    """General block data with nA off-diagonal and nB diagonal blocks."""
+    A = np.eye(ell) + 0.3 * (rng.standard_normal((nA, ell, ell))
+                             + 1j * rng.standard_normal((nA, ell, ell)))
+    H = (rng.standard_normal((nB, ell, ell))
+         + 1j * rng.standard_normal((nB, ell, ell)))
+    return BlockJacobiParams(ell, A, (H + H.conj().swapaxes(1, 2)) / 2)
 
 
 @given(st.integers(1, 4), st.integers(2, 8), st.integers(0, 2**32))
@@ -341,8 +341,8 @@ def test_type1_blocks_are_hermitian_positive_definite_and_obey_hadamard(
         ell, K, seed):
     # the normalize_type1 docstring: each A_j is exactly Hermitian and
     # positive definite, so det A_j <= prod diag A_j up to rounding
-    t1, _ = normalize_type1(_random_general_blocks(np.random.default_rng(seed),
-                                                   ell, K))
+    [(t1, _)] = normalize_type1([_blocks(np.random.default_rng(seed),
+                                         ell, K - 1, K)])
     A = t1.A
     assert np.array_equal(A, A.conj().swapaxes(1, 2))
     assert np.all(np.linalg.eigvalsh(A)[:, 0] > 0.0)
@@ -355,9 +355,9 @@ def test_type1_blocks_are_hermitian_positive_definite_and_obey_hadamard(
 @settings(max_examples=20, deadline=None)
 def test_normal_forms_preserve_data_and_have_structure(ell, K, seed):
     rng = np.random.default_rng(seed)
-    Jb = _random_general_blocks(rng, ell, K)
-    t3, c3 = normalize_type3(Jb)
-    t1, c1 = normalize_type1(Jb)
+    Jb = _blocks(rng, ell, K - 1, K)
+    [(t3, c3)] = normalize_type3([Jb])
+    [(t1, c1)] = normalize_type1([Jb])
     for Ablk in t3.A:
         assert np.max(np.abs(np.triu(Ablk, k=1))) == 0.0
         d = np.diagonal(Ablk)
@@ -376,11 +376,72 @@ def test_normal_forms_preserve_data_and_have_structure(ell, K, seed):
 
 def test_normalizing_a_normal_form_is_the_identity():
     rng = np.random.default_rng(77)
-    Jb = _random_general_blocks(rng, 3, 5)
-    t3, _ = normalize_type3(Jb)
-    again, chain = normalize_type3(t3)
+    Jb = _blocks(rng, 3, 4, 5)
+    [(t3, _)] = normalize_type3([Jb])
+    [(again, chain)] = normalize_type3([t3])
     assert all(np.array_equal(x, y) for x, y in zip(again.A, t3.A))
     assert all(np.array_equal(u, np.eye(3)) for u in chain.u)
+
+
+def _bits(params, chain):
+    return (params.type_tag, params.A.tobytes(), params.B.tobytes(),
+            chain.u.tobytes())
+
+
+@pytest.mark.parametrize("normalize", [normalize_type3, normalize_type1])
+def test_a_list_normalizes_bit_for_bit_as_each_input_alone(normalize):
+    # block sizes 1-4, len(A) = len(B) and len(B) - 1, 2-40 blocks, and
+    # one input already in each form: the stacked steps pad the shorter
+    # inputs of a size group with identity blocks
+    rng = np.random.default_rng(15)
+    inputs = [_blocks(rng, ell, nA, nB) for ell, nA, nB in
+              ((2, 39, 40), (1, 2, 2), (3, 16, 17), (4, 9, 9), (2, 4, 5),
+               (1, 33, 33), (3, 1, 2), (2, 12, 12))]
+    [(t3, _)] = normalize_type3([_blocks(rng, 3, 7, 8)])
+    [(t1, _)] = normalize_type1([_blocks(rng, 2, 6, 6)])
+    inputs[3:3] = [t3, t1]
+    batch = normalize(inputs)
+    assert len(batch) == len(inputs)
+    for Jb, got in zip(inputs, batch):
+        [alone] = normalize([Jb])
+        assert _bits(*got) == _bits(*alone)
+    # the input already in the requested form comes back as it is
+    exact = t3 if normalize is normalize_type3 else t1
+    params, chain = batch[inputs.index(exact)]
+    assert params.A.tobytes() == exact.A.tobytes()
+    assert params.B.tobytes() == exact.B.tobytes()
+    assert np.array_equal(chain.u, np.broadcast_to(np.eye(exact.block_size),
+                                                   chain.u.shape))
+
+
+def test_an_empty_list_normalizes_to_an_empty_list():
+    assert normalize_type3([]) == [] and normalize_type1([]) == []
+
+
+def _singular_at(Jb, js):
+    A = np.array(Jb.A)
+    for j in js:
+        A[j - 1, :, 0] = 0.0
+    return BlockJacobiParams(Jb.block_size, A, Jb.B)
+
+
+@pytest.mark.parametrize("normalize", [normalize_type3, normalize_type1])
+def test_a_list_raises_the_first_inputs_first_singular_block(normalize):
+    # the second input of the size-2 group fails at a lower block index
+    # than the first, and a size-1 input fails at A_1; the error is the
+    # one a loop over the list raises first: the first failing input's
+    # first singular block
+    rng = np.random.default_rng(16)
+    first = _singular_at(_blocks(rng, 2, 9, 10), (7, 4))
+    inputs = [_blocks(rng, 2, 11, 12), first,
+              _singular_at(_blocks(rng, 2, 5, 6), (2,)),
+              _singular_at(_blocks(rng, 1, 3, 4), (1,))]
+    with pytest.raises(SingularBlock) as info:
+        normalize(inputs)
+    with pytest.raises(SingularBlock) as alone:
+        normalize([first])
+    assert info.value.index == 4
+    assert str(info.value) == str(alone.value)
 
 
 # -- isospectral torus -------------------------------------------------

@@ -308,13 +308,16 @@ def test_thm3_1_reports_a_hadamard_violation_as_a_fail_line(
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
     real = periodic.normalize_type1
 
-    def violating(Jb):
-        t1, chain = real(Jb)
-        ell = t1.block_size
-        skew = np.zeros((ell, ell))
-        skew[0, -1] += 5.0     # adds about 5^2 to det A when ell >= 2
-        skew[-1, 0] -= 5.0
-        return BlockJacobiParams(ell, t1.A + skew, t1.B, "general"), chain
+    def violating(inputs):
+        out = []
+        for t1, chain in real(inputs):
+            ell = t1.block_size
+            skew = np.zeros((ell, ell))
+            skew[0, -1] += 5.0     # adds about 5^2 to det A when ell >= 2
+            skew[-1, 0] -= 5.0
+            out.append((BlockJacobiParams(ell, t1.A + skew, t1.B, "general"),
+                        chain))
+        return out
 
     monkeypatch.setattr(periodic, "normalize_type1", violating)
     cfg = tmp_path / "cfg.txt"
@@ -470,6 +473,15 @@ DEFAULT_STATS_SHA256 = {
 }
 
 
+#: SHA-256 of thm3_1's stats.csv at inputs.count = 50, by seed: the
+#: normal forms stack inputs of all three block sizes, padded to the
+#: longest of each size
+THM3_1_COUNT50_STATS_SHA256 = {
+    1: "0bc651eeb020fca62a4f2ebe186c404b0099164a67c177e0f953961c036f5e6f",
+    2: "7285c3bb21721f948dfd1aaff5b39a095baa6a167c38e5c0d2c9a2394b2571f1",
+}
+
+
 def test_pins_cover_every_scenario():
     assert {sid for sid, _ in DEFAULT_STATS_SHA256} == set(ALL_IDS)
 
@@ -479,6 +491,41 @@ def test_default_stats_csv_is_pinned_byte_for_byte(sid, seed, tmp_path):
     run_scenario(ScenarioConfig(sid, seed=seed, outdir=str(tmp_path)))
     stats = (tmp_path / "stats.csv").read_bytes()
     assert hashlib.sha256(stats).hexdigest() == DEFAULT_STATS_SHA256[sid, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(THM3_1_COUNT50_STATS_SHA256))
+def test_thm3_1_stats_csv_at_50_inputs_is_pinned_byte_for_byte(seed, tmp_path):
+    run_scenario(ScenarioConfig("thm3_1", seed=seed, outdir=str(tmp_path),
+                                options={"inputs.count": "50"}))
+    stats = (tmp_path / "stats.csv").read_bytes()
+    assert (hashlib.sha256(stats).hexdigest()
+            == THM3_1_COUNT50_STATS_SHA256[seed])
+
+
+_THM3_1_THREADS_SCRIPT = """
+import hashlib, os, tempfile
+from opspectra.cli import ScenarioConfig, run_scenario
+with tempfile.TemporaryDirectory() as out:
+    run_scenario(ScenarioConfig("thm3_1", seed=1, outdir=out,
+                                options={"inputs.count": "50"}))
+    with open(os.path.join(out, "stats.csv"), "rb") as fh:
+        print(hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+def test_thm3_1_stats_csv_does_not_depend_on_the_blas_thread_count():
+    # the normal forms multiply stacks of small matrices, which a
+    # threaded BLAS could split differently with its thread count
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", _THM3_1_THREADS_SCRIPT],
+                             env=env, capture_output=True, text=True, check=True)
+        digests.append(out.stdout.split()[-1])
+    assert digests[0] == digests[1] == THM3_1_COUNT50_STATS_SHA256[1]
 
 
 def test_importing_the_cli_leaves_scipy_optimize_out():
