@@ -11,25 +11,23 @@ named end-to-end experiments; see ``opspectra list-scenarios``.
 """
 
 from .measures import (CircleMeasureSpec, DensityPart, DiscreteMeasure,
-                       LineMeasureSpec, discretize, gauss_rule,
-                       jacobi_from_measure, verblunsky_from_measure)
-from .periodic import (PeriodicJacobi, TorusPoint, bands, d_to_torus,
-                       d_to_torus_batch, delta_of_J, discriminant, dm_weights,
-                       normalize_type1, normalize_type3, torus_point)
+                       LineMeasureSpec, discretize, jacobi_from_measure,
+                       verblunsky_from_measure)
+from .periodic import (PeriodicJacobi, TorusPoint, bands, d_to_torus_batch,
+                       delta_of_J, discriminant, dm_weights, normalize_type1,
+                       normalize_type3, torus_point)
 from .potential import (CircleArcSet, EquilibriumMeasure, FiniteGapSet,
                         capacity, equilibrium_measure, w1_distance)
 from .regularity import (DEFAULT_LADDER, StatSeries, arc_stats, cn_stat_matrix,
                          cn_stat_matrix_invariant, cn_stat_oprl, cn_stat_opuc,
-                         cn_stat_torus, cn_stat_windowed, cn_sq_stat_oprl, d_m,
+                         cn_stat_torus, cn_stat_windowed, cn_sq_stat_oprl,
                          lemma21_stats, root_test, trace_stat)
 from .rng import SplitMix64
 from .sequences import (BlockJacobiParams, JacobiParams, UnitaryChain,
-                        VerblunskyParams, rayleigh_cesaro, sup_deviation,
-                        validate_blocks, validate_jacobi)
+                        VerblunskyParams, sup_deviation, validate_blocks)
 from .spectra import (CmvMatrix, EmpiricalMeasure, TridiagonalMatrix,
-                      block_dense, block_trace_square, cmv, eig_block,
-                      eig_sym_tridiag, eig_unitary, trace_square, truncate,
-                      zero_counting)
+                      block_dense, cmv, eig_block, eig_sym_tridiag,
+                      eig_unitary, trace_square, truncate, zero_counting)
 
 __version__ = "0.1.0"
 
@@ -39,15 +37,14 @@ __all__ = [
     "EmpiricalMeasure", "EquilibriumMeasure", "FiniteGapSet", "JacobiParams",
     "LineMeasureSpec", "PeriodicJacobi", "SplitMix64", "StatSeries",
     "TorusPoint", "TridiagonalMatrix", "UnitaryChain", "VerblunskyParams",
-    "arc_stats", "bands", "block_dense", "block_trace_square", "capacity",
-    "cmv", "cn_sq_stat_oprl", "cn_stat_matrix", "cn_stat_matrix_invariant",
+    "arc_stats", "bands", "block_dense", "capacity", "cmv",
+    "cn_sq_stat_oprl", "cn_stat_matrix", "cn_stat_matrix_invariant",
     "cn_stat_oprl", "cn_stat_opuc", "cn_stat_torus", "cn_stat_windowed",
-    "d_m", "d_to_torus", "d_to_torus_batch", "delta_of_J", "discretize",
-    "discriminant", "dm_weights", "eig_block", "eig_sym_tridiag",
-    "eig_unitary", "equilibrium_measure", "gauss_rule",
-    "jacobi_from_measure", "lemma21_stats", "normalize_type1",
-    "normalize_type3", "rayleigh_cesaro", "root_test", "sup_deviation",
+    "d_to_torus_batch", "delta_of_J", "discretize", "discriminant",
+    "dm_weights", "eig_block", "eig_sym_tridiag", "eig_unitary",
+    "equilibrium_measure", "jacobi_from_measure", "lemma21_stats",
+    "normalize_type1", "normalize_type3", "root_test", "sup_deviation",
     "torus_point", "trace_square", "trace_stat", "truncate",
-    "validate_blocks", "validate_jacobi", "verblunsky_from_measure",
-    "w1_distance", "zero_counting",
+    "validate_blocks", "verblunsky_from_measure", "w1_distance",
+    "zero_counting",
 ]

@@ -9,7 +9,8 @@ Commands
     print one PASS/FAIL line per threshold, and exit 0 on pass, 1 on a
     threshold failure, 2 on a usage or config error, an unknown key,
     unusable input (a value outside its option's range, a periodic
-    pattern with a closed gap) or an output directory that cannot be
+    pattern with a closed gap or a collapsed band, a block-map shift too
+    large for the pattern) or an output directory that cannot be
     written, with one ``error:`` line.
 
 ``opspectra list-scenarios``
@@ -37,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from . import scenarios
-from .periodic import GapClosed
 from .scenarios import BadOption, ScenarioResult, UnknownScenario
 
 OUTDIR_ENV = "OPSPECTRA_OUTDIR"
@@ -231,7 +231,7 @@ def _cmd_run(path: str) -> int:
         return 2
     try:
         report = run_scenario(cfg)
-    except (BadOption, GapClosed, OSError) as exc:  # OSError: outdir, writes
+    except (BadOption, OSError) as exc:  # OSError: outdir, writes
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ScenarioFailed as exc:

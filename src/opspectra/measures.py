@@ -1,12 +1,12 @@
 """Declarative probability measures on the line and the unit circle, and
 the constructive measure -> recurrence-coefficient procedures.
 
-The line presets that matter here live on [-2, 2]: the arcsine density
-(4 - x^2)^{-1/2}/pi, the semicircle-type density sqrt(4 - x^2)/(2 pi),
-and a flat density.  Endpoint singularities are never integrated head
-on; the x = 2 cos(theta) substitution turns both Chebyshev-type presets
-into smooth integrands in theta, and composite Gauss-Legendre does the
-rest.
+The line density kinds that matter here live on [-2, 2]: the arcsine
+density (4 - x^2)^{-1/2}/pi, the semicircle-type density
+sqrt(4 - x^2)/(2 pi), and a flat density.  Endpoint singularities are
+never integrated head on; the x = 2 cos(theta) substitution turns both
+Chebyshev-type kinds into smooth integrands in theta, and composite
+Gauss-Legendre does the rest.
 
 Recurrence extraction is the Stieltjes procedure on arrays: it carries
 the square-root-weighted values sqrt(w) p_n of the orthonormal
@@ -28,7 +28,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.linalg import eigh_tridiagonal
 
 from .sequences import JacobiParams, VerblunskyParams, _freeze
 
@@ -126,14 +125,6 @@ class LineMeasureSpec:
         self.parts, self.atoms = _normalized(parts, atoms)
 
     @classmethod
-    def chebyshev_t(cls) -> "LineMeasureSpec":
-        return cls([DensityPart(-2.0, 2.0, "chebyshev-t")])
-
-    @classmethod
-    def chebyshev_u(cls) -> "LineMeasureSpec":
-        return cls([DensityPart(-2.0, 2.0, "chebyshev-u")])
-
-    @classmethod
     def legendre_flat(cls, lo: float = -2.0, hi: float = 2.0) -> "LineMeasureSpec":
         return cls([DensityPart(lo, hi, "legendre-flat")])
 
@@ -153,11 +144,6 @@ class CircleMeasureSpec:
         if any(not -math.pi <= th <= math.pi for th, _ in atoms):
             raise ValueError("atom angle outside [-pi, pi]")
         self.parts, self.atoms = _normalized(parts, atoms)
-
-    @classmethod
-    def uniform(cls) -> "CircleMeasureSpec":
-        """Normalized Lebesgue measure d theta / (2 pi)."""
-        return cls([DensityPart(-math.pi, math.pi, "uniform")])
 
 
 class DiscreteMeasure:
@@ -198,10 +184,6 @@ class DiscreteMeasure:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def moment(self, k: int) -> float:
-        """Power moment (line) with compensated summation."""
-        return math.fsum((self.weights * self.nodes ** k).tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,23 +325,6 @@ def jacobi_from_measure(m: DiscreteMeasure, N: int) -> JacobiParams:
         a[n] = math.sqrt(norm2)
         u_prev, u_cur = u_cur, q / a[n]
     return JacobiParams(a, b)
-
-
-def gauss_rule(params: JacobiParams, N: int) -> DiscreteMeasure:
-    """Gauss quadrature of the measure behind the given recurrence data.
-
-    Nodes are the eigenvalues of the N-point truncation, weights the
-    squared first components of the normalized eigenvectors.  Used as
-    the moment-fidelity oracle for round trips through
-    jacobi_from_measure.
-    """
-    b = params.b_window(N)
-    a = params.a_window(N - 1) if N > 1 else np.empty(0)
-    vals, vecs = eigh_tridiagonal(b, a)
-    w = vecs[0, :] ** 2
-    return DiscreteMeasure(vals, w / w.sum(), "line")
-
-
 
 
 def verblunsky_from_measure(m: DiscreteMeasure, N: int) -> VerblunskyParams:

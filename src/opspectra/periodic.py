@@ -166,7 +166,7 @@ def discriminant(J0: PeriodicJacobi, x):
 
 def bands(J0: PeriodicJacobi) -> FiniteGapSet:
     """Band set: closure of the preimage of [-2, 2] under the
-    discriminant of J0.
+    discriminant of J0, carrying J0 as its generator.
 
     The 2p edges, where D = +-2, are the eigenvalues of the generator's
     Floquet matrices at z = 1 and z = -1 (periodic and antiperiodic).  A
@@ -183,7 +183,7 @@ def bands(J0: PeriodicJacobi) -> FiniteGapSet:
             merged[-1][1] = hi
         else:
             merged.append([lo, hi])
-    return FiniteGapSet(tuple((lo, hi) for lo, hi in merged), period_a=J0.a)
+    return FiniteGapSet(tuple((lo, hi) for lo, hi in merged), generator=J0)
 
 
 def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams:
@@ -529,23 +529,6 @@ def _deviation_bound(J: JacobiParams, probe: int) -> float:
     return sup_deviation(J, min(probe, len(J)))
 
 
-def d_to_torus(J: JacobiParams, m: int, J0: PeriodicJacobi) -> float:
-    """Distance at offset m from J to the isospectral family of the
-    generator J0: the exponentially weighted coefficient distance
-    minimized over the family.  The search starts from the best of two kinds of starts: a
-    fixed grid of 8 angles per coordinate, and the inverse-map angles
-    of J's p one-period windows from site m on.  A pattern search then
-    refines it: try a step along every direction in {-1, 0, 1}^{p-1}
-    (the axes and the diagonals; the objective has kinks that stall
-    pure axis moves), keep any improvement, and halve the step when
-    none helps, from the grid spacing down to 1e-7.  The result is an
-    upper bound on the true infimum and no worse than the best start;
-    it can stop in a local minimum.  On the family it is exact up to
-    rounding, since a window of a family member maps back to its own
-    angles."""
-    return float(d_to_torus_batch(J, np.array([m]), J0)[0])
-
-
 def _aligned_windows(J: JacobiParams, ms: np.ndarray, w: np.ndarray, p: int):
     """Coefficients of J and distance weights on whole periods: row i
     covers the L sites from the first site of m_i's period on, L a
@@ -624,7 +607,19 @@ def _window_starts(family: _DirichletMap, A, B, ms: np.ndarray):
 
 def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
                      J0: PeriodicJacobi) -> np.ndarray:
-    """Vectorized d_to_torus over a set of offsets (see d_to_torus).
+    """Distance at each offset m in ``ms`` from J to the isospectral
+    family of the generator J0: the exponentially weighted coefficient
+    distance minimized over the family.  The search starts from the best
+    of two kinds of starts: a fixed grid of 8 angles per coordinate, and
+    the inverse-map angles of J's p one-period windows from site m on.
+    A pattern search then refines it: try a step along every direction
+    in {-1, 0, 1}^{p-1} (the axes and the diagonals; the objective has
+    kinks that stall pure axis moves), keep any improvement, and halve
+    the step when none helps, from the grid spacing down to 1e-7.  The
+    result is an upper bound on the true infimum and no worse than the
+    best start; it can stop in a local minimum.  On the family it is
+    exact up to rounding, since a window of a family member maps back to
+    its own angles.
 
     Offsets whose aligned rows (the coefficients and weights from the
     start of the offset's period on, see _aligned_windows) are bitwise

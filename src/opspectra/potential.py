@@ -8,10 +8,10 @@ Three supported geometries:
 * the circular arc of points e^{i theta} with pi >= |theta| > 2 arcsin(a),
   handled by pulling the arcsine law of the interval [-2, 2 - 4a^2]
   back through x = 2 cos theta onto each half of the arc;
-* band sets of a periodic recurrence, where the density is
-  |D'(x)| / (p pi sqrt(4 - D(x)^2)) for the discriminant D of the
-  period-p generator, with D and D' carried through the one-period
-  transfer product at x.
+* band sets of a periodic recurrence, each carrying its period-p
+  generator, where the density is |D'(x)| / (p pi sqrt(4 - D(x)^2)) for
+  the discriminant D of that generator, with D and D' carried through
+  the one-period transfer product at x.
 
 The periodic equilibrium measure is the density of states of the
 generator: the mean over kappa of the eigenvalue counting measure of its
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -49,10 +49,6 @@ from .spectra import EmpiricalMeasure
 #: interval rule folds them in pairs); exact for every k <= 8
 _ANGLES = 8
 _PHI = (np.arange(_ANGLES) + 0.5) * (math.pi / _ANGLES)
-
-
-class BandMismatch(ValueError):
-    """The generator's band set disagrees with the requested set."""
 
 
 class Unsupported(ValueError):
@@ -67,13 +63,15 @@ class DomainMismatch(TypeError):
 class FiniteGapSet:
     """Union of disjoint closed intervals (bands), strictly ordered.
 
-    ``period_a`` optionally records the off-diagonal pattern of a
-    periodic generator whose essential spectrum this set is; capacity is
-    only defined here when that pattern is known.
+    ``generator`` optionally records the periodic generator (a
+    periodic.PeriodicJacobi, as ``periodic.bands`` attaches it) whose
+    essential spectrum this set is.  The capacity and the equilibrium
+    measure of a set with more than one band are only defined here
+    through it.
     """
 
     bands: Tuple[Tuple[float, float], ...]
-    period_a: Optional[Tuple[float, ...]] = None
+    generator: object = None
 
     def __post_init__(self):
         if len(self.bands) == 0:
@@ -91,13 +89,6 @@ class FiniteGapSet:
         lines += [f"{j},{repr(lo)},{repr(hi)}"
                   for j, (lo, hi) in enumerate(self.bands, start=1)]
         return "\n".join(lines) + "\n"
-
-    def close_to(self, other: "FiniteGapSet") -> bool:
-        """Same band count, every endpoint within 1e-9."""
-        if self.n_bands != other.n_bands:
-            return False
-        return all(abs(a - c) <= 1e-9 and abs(b - d) <= 1e-9
-                   for (a, b), (c, d) in zip(self.bands, other.bands))
 
 
 @dataclass(frozen=True)
@@ -148,7 +139,7 @@ class EquilibriumMeasure:
             # arcsine interval the arc pulls back to under x = 2 cos theta
             self._lo, self._hi = -2.0, 2.0 - 4.0 * a * a
         elif tag == "periodic":
-            self.set, self.generator = payload
+            self.set, self.generator = payload, payload.generator
             self.domain = "line"
         else:
             raise ValueError(f"unknown tag {tag!r}")
@@ -271,25 +262,18 @@ def _parse(target):
     raise TypeError(f"unrecognized target {target!r}")
 
 
-def equilibrium_measure(target, generator=None) -> EquilibriumMeasure:
+def equilibrium_measure(target) -> EquilibriumMeasure:
     """Equilibrium measure of an interval, an arc, or a periodic band set.
 
-    ``target`` may be an (lo, hi) pair, a one-band FiniteGapSet (both
-    give the arcsine law), a CircleArcSet, or a FiniteGapSet together
-    with its periodic generator (a periodic.PeriodicJacobi).  The band
-    set of the generator must agree with ``target`` to 1e-9, else
-    BandMismatch.
+    ``target`` may be an (lo, hi) pair, a CircleArcSet, or a
+    FiniteGapSet.  A band set with a generator gets the generator's
+    density of states; one without gets the arcsine law of its one band,
+    and Unsupported if it has more.
     """
     kind, target = _parse(target)
     if kind == "bands":
-        if generator is not None:
-            from .periodic import bands     # periodic imports this module
-            own = bands(generator)
-            if not target.close_to(own):
-                raise BandMismatch(
-                    f"generator bands {own.bands} vs requested {target.bands}"
-                )
-            return EquilibriumMeasure("periodic", (target, generator))
+        if target.generator is not None:
+            return EquilibriumMeasure("periodic", target)
         if target.n_bands > 1:
             raise Unsupported("multi-band sets need their periodic generator")
         kind, target = _parse(target.bands[0])
@@ -298,14 +282,14 @@ def equilibrium_measure(target, generator=None) -> EquilibriumMeasure:
 
 def capacity(target) -> float:
     """Logarithmic capacity: (hi-lo)/4 for an interval, sqrt(1-a^2) for
-    the arc with gap parameter a, geometric mean of the generator's
-    off-diagonal pattern for a periodic band set."""
+    the arc with gap parameter a, geometric mean of the off-diagonal
+    pattern of a band set's generator."""
     kind, target = _parse(target)
     if kind == "arc":
         return math.sqrt(1.0 - target.a ** 2)
     if kind == "bands":
-        if target.period_a is not None:
-            logs = [math.log(a) for a in target.period_a]
+        if target.generator is not None:
+            logs = [math.log(a) for a in target.generator.a]
             return math.exp(math.fsum(logs) / len(logs))
         if target.n_bands > 1:
             raise Unsupported("capacity of a band set needs its periodic generator")

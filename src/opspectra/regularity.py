@@ -49,11 +49,10 @@ class StatSeries:
     def last(self) -> float:
         return self.values[-1]
 
-    def decreasing(self, burn_in: int = 0, slack: float = 0.0) -> bool:
-        """True when values are nonincreasing (up to slack) once
-        N >= burn_in."""
+    def decreasing(self, burn_in: int = 0) -> bool:
+        """True when values are nonincreasing once N >= burn_in."""
         kept = [v for n, v in zip(self.Ns, self.values) if n >= burn_in]
-        return all(kept[i + 1] <= kept[i] + slack for i in range(len(kept) - 1))
+        return all(kept[i + 1] <= kept[i] for i in range(len(kept) - 1))
 
     def csv_rows(self) -> list:
         """The ``label,N,value`` lines of this series, without header."""
@@ -284,27 +283,6 @@ def arc_stats(alpha: VerblunskyParams, a: float, k: int,
 # -- torus distances ---------------------------------------------------
 
 
-def d_m(J: JacobiParams, Jt: JacobiParams, m: int) -> float:
-    """Exponentially weighted one-sided coefficient distance starting at
-    site m: sum_{k>=0} e^{-k}(|a_{m+k} - a'_{m+k}| + |b_{m+k} - b'_{m+k}|).
-
-    The series is truncated where the geometric tail of the combined
-    deviation bound drops below 1e-15, so doubling the truncation
-    changes nothing at 1e-12 scale.  Symmetric in its arguments.
-    """
-    if m < 1:
-        raise ValueError("site index is 1-based")
-    probe = m + 64
-    bound = 2.0 * (2.0 + _periodic._deviation_bound(J, probe)
-                   + _periodic._deviation_bound(Jt, probe))
-    w = _periodic.dm_weights(bound)
-    K = len(w) - 1
-    hi = m + K
-    terms = (np.abs(J.a_window(hi)[m - 1:] - Jt.a_window(hi)[m - 1:])
-             + np.abs(J.b_window(hi)[m - 1:] - Jt.b_window(hi)[m - 1:]))
-    return float(terms @ w)
-
-
 def cn_stat_torus(J: JacobiParams, J0, Ns=DEFAULT_LADDER,
                   label: str = "cn_torus") -> StatSeries:
     """Cesaro average (1/N) sum_{m=1..N} of the distance from J at
@@ -312,7 +290,7 @@ def cn_stat_torus(J: JacobiParams, J0, Ns=DEFAULT_LADDER,
 
     Every period is supported (all gaps open, GapClosed otherwise).  All
     offsets up to the last window are searched in one vectorized batch;
-    see periodic.d_to_torus for the search, its starts and its
+    see periodic.d_to_torus_batch for the search, its starts and its
     guarantees.
     """
     Ns = _check_ladder(Ns)

@@ -105,7 +105,7 @@ _shift = _num(float, -10.0, 10.0, closed=True)
 
 
 def _ladder(text: str) -> Tuple[int, ...]:
-    return R._check_ladder(int(t) for t in text.split(",") if t.strip())
+    return R._check_ladder(int(t) for t in text.split(","))
 
 
 #: largest period of an input pattern: the torus search starts from a
@@ -113,22 +113,30 @@ def _ladder(text: str) -> Tuple[int, ...]:
 _MAX_PERIOD = 6
 
 
-def _pattern(text: str) -> P.PeriodicJacobi:
-    """a_1..a_p,b_1..b_p with p <= _MAX_PERIOD; PeriodicJacobi rejects
-    odd lengths."""
+def _pattern(text: str) -> pot.FiniteGapSet:
+    """The band set of the generator a_1..a_p,b_1..b_p, which carries
+    the generator.  The period must be at most _MAX_PERIOD and the set
+    must have p bands: a band that collapses to a point at the scale of
+    the pattern (FiniteGapSet rejects it) and a closed gap are unusable
+    input, as is an odd length (PeriodicJacobi rejects it)."""
     vals = [_real(t) for t in text.split(",")]
     p = len(vals) // 2
     if p > _MAX_PERIOD:
         raise ValueError(f"period {p} is above {_MAX_PERIOD}: the torus "
                          f"search would start from 8^{p - 1} grid points")
-    return P.PeriodicJacobi(tuple(vals[:p]), tuple(vals[p:]))
+    fgs = P.bands(P.PeriodicJacobi(tuple(vals[:p]), tuple(vals[p:])))
+    if fgs.n_bands < p:
+        raise ValueError(f"period {p} needs {p} bands (every gap open), "
+                         f"found {fgs.n_bands}")
+    return fgs
 
 
 #: (parser of the config text, default config text, one-line doc)
 Option = Tuple[Callable[[str], object], str, str]
 
 _PATTERN: Option = (_pattern, "1,0.5,0,0",
-                    f"generator a_1..a_p,b_1..b_p, p <= {_MAX_PERIOD}")
+                    f"generator a_1..a_p,b_1..b_p, p <= {_MAX_PERIOD}, "
+                    "every gap open")
 
 #: scenario id -> (runner, one-line description, option table)
 _SCENARIOS: Dict[str, tuple] = {}
@@ -259,7 +267,7 @@ def _run_prop2_2(o: Dict[str, object], seed: int) -> ScenarioResult:
     for s in range(count):
         rng = SplitMix64(seed * 1000 + s)
         Jr = _seeded_jacobi(rng, n_id)
-        f, e = S.trace_square(Jr, n_id, method="ql")
+        f, e = S.trace_square(Jr, n_id)
         worst = max(worst, abs(f - e) / max(1.0, abs(f)))
         if s < 3:
             res.jacobi_inputs.append((f"random_{s}", Jr,
@@ -477,13 +485,13 @@ def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[IndexFn] = None,
 })
 def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("thm6_1")
-    J0 = o["input.pattern"]
-    p = J0.p
+    fgs = o["input.pattern"]
+    J0, p = fgs.generator, fgs.generator.p
     K, site, eps = o["blockmap.K"], o["defect.site"], o["defect.size"]
     if site > (K + 1) * p:
         raise BadOption(f"defect.site: {site} is past the {(K + 1) * p} "
                         "sites of the K + 1 diagonal blocks of the block map")
-    res.extras["bands.csv"] = P.bands(J0).to_csv()
+    res.extras["bands.csv"] = fgs.to_csv()
 
     # block map on the exactly periodic sequence
     Jper = _periodic_as_params(J0)
@@ -501,7 +509,13 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
 
     Jdef = _periodic_as_params(J0, lambda n: np.where(n == site, eps, 0.0),
                                bound_extra=abs(eps))
-    blocks_d = P.delta_of_J(J0, Jdef, K)
+    try:
+        blocks_d = P.delta_of_J(J0, Jdef, K)
+    except P.NotType3 as exc:
+        # the exact periodic map above passed: the shift is too large
+        # for the scale of the pattern
+        raise BadOption(f"defect.size, input.pattern: a shift of {eps} "
+                        f"breaks the block map of this pattern ({exc})") from None
     lo_blk = max(0, (site - 1 - p) // p - 1)
     hi_blk = (site - 1 + p) // p + 1
     d = np.concatenate([np.abs(blocks_d.B - blocks.B).max(axis=(1, 2)),
@@ -586,9 +600,8 @@ def _run_mnt(o: Dict[str, object], seed: int) -> ScenarioResult:
 })
 def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("conjecture5_1_explore")
-    J0 = o["input.pattern"]
-    p = J0.p
-    fgs = P.bands(J0)
+    fgs = o["input.pattern"]
+    J0, p = fgs.generator, fgs.generator.p
     res.extras["bands.csv"] = fgs.to_csv()
     lad = o["Ns"]
 

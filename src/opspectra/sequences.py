@@ -19,7 +19,6 @@ beyond the largest window requested.  Every window is read-only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,27 +26,6 @@ import numpy as np
 
 #: an index-array function: integer indices -> values there, or a scalar
 IndexFn = Callable[[np.ndarray], object]
-
-
-class NonPositiveA(ValueError):
-    """An off-diagonal coefficient a_n <= 0 was found (1-based index stored)."""
-
-    def __init__(self, index: int, value: float):
-        super().__init__(f"a_{index} = {value} must be > 0")
-        self.index = index
-        self.value = value
-
-
-class UnboundedDeviation(ValueError):
-    """sup_n(|a_n - 1| + |b_n|) exceeded a declared bound."""
-
-    def __init__(self, index: int, value: float, bound: float):
-        super().__init__(
-            f"deviation |a-1|+|b| = {value} at n = {index} exceeds bound {bound}"
-        )
-        self.index = index
-        self.value = value
-        self.bound = bound
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -159,59 +137,18 @@ class JacobiParams:
         return self._b.window(n, "b")
 
 
-def _site_deviations(params: JacobiParams, n: int) -> np.ndarray:
-    """|a_k - 1| + |b_k| for k = 1..n; just |b_N| where a finite a stops
-    at N - 1."""
-    a = params._a.head(n)
-    dev = np.abs(params.b_window(n))
-    dev[: len(a)] += np.abs(a - 1.0)
-    return dev
-
-
-def validate_jacobi(params: JacobiParams,
-                    bound: Optional[float] = None) -> JacobiParams:
-    """Check positivity of the a's and (optionally) a deviation bound.
-
-    Finite sequences are checked in full; generator-backed ones over the
-    first 1024 indices.  On success the checked params are returned
-    and ``params.sup_deviation_checked`` records the windowed sup of
-    |a_n - 1| + |b_n|.
-    """
-    n = len(params) if params.is_finite else 1024
-    a = params._a.head(n)
-    if np.any(a <= 0.0):
-        i = int(np.argmax(a <= 0.0))
-        raise NonPositiveA(i + 1, float(a[i]))
-    dev = _site_deviations(params, n)
-    sup = float(dev.max())
-    if bound is not None and sup > bound:
-        raise UnboundedDeviation(int(np.argmax(dev)) + 1, sup, bound)
-    params.sup_deviation_checked = sup
-    return params
-
-
 def sup_deviation(params: JacobiParams, n: int) -> float:
-    """max over the first n sites of |a_k - 1| + |b_k|.
+    """max over the first n sites of |a_k - 1| + |b_k| (just |b_N| where
+    a finite a stops at N - 1).
 
     Monotone nondecreasing in n; zero exactly on a free window.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    return float(_site_deviations(params, n).max())
-
-
-def rayleigh_cesaro(params: JacobiParams, n: int) -> float:
-    """Quadratic form of the tridiagonal matrix on the normalized
-    indicator of the first n sites: (1/n)(sum b_1..b_n + 2 sum a_1..a_{n-1}).
-
-    Always bounded by the operator norm of the n-site truncation, which
-    is how it constrains coefficient averages when the spectrum is known.
-    """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    b = params.b_window(n)
-    a = params.a_window(n - 1) if n > 1 else np.empty(0)
-    return (math.fsum(b) + 2.0 * math.fsum(a)) / n
+    a = params._a.head(n)
+    dev = np.abs(params.b_window(n))
+    dev[: len(a)] += np.abs(a - 1.0)
+    return float(dev.max())
 
 
 def _check_alpha(alpha: np.ndarray, first: int) -> None:
@@ -395,6 +332,3 @@ class UnitaryChain:
         return BlockJacobiParams(params.block_size,
                                  uh[:nA] @ params.A @ self.u[1:nA + 1],
                                  uh[:nB] @ params.B @ self.u[:nB], type_tag)
-
-    def inverse(self) -> "UnitaryChain":
-        return UnitaryChain(_herm(self.u))

@@ -10,7 +10,9 @@ exactly one eigenvalue, and bisection on the count runs only inside the
 brackets that hold more.  The line counts with Sturm sequences
 (Sylvester inertia) and takes its candidates from root-free QL; the
 circle counts with the phase of a Blaschke product and takes its
-candidates from the banded Hermitian parts of the CMV matrix.
+candidates from the banded Hermitian parts of the CMV matrix.  Only
+trace_square takes the QL values uncertified: its coefficient-side
+formula is their check.
 """
 
 from __future__ import annotations
@@ -180,33 +182,27 @@ def _certified(count, cand: np.ndarray, lo: float, hi: float, n: int,
     )
 
 
-def eig_sym_tridiag(T: TridiagonalMatrix, method: str = "bisect") -> np.ndarray:
+def eig_sym_tridiag(T: TridiagonalMatrix) -> np.ndarray:
     """All eigenvalues of T, ascending.
 
-    Both methods compute the values with LAPACK's root-free QL/QR
-    iteration (``sterf``).  method "bisect" (the default) then certifies
-    them with one vectorized Sturm-count sweep at their midpoints
-    (``_certified``): a value is kept when its bracket holds exactly one
-    eigenvalue, and only brackets that hold more are refined by
-    Sturm-count bisection (at most 200 sweeps), to 1e-13 relative to the
-    Gershgorin bound.  method "ql" returns the uncertified ``sterf`` values,
-    for callers that check themselves (the trace identity of
-    trace_square).
+    The values come from LAPACK's root-free QL/QR iteration (``sterf``)
+    and are certified by one vectorized Sturm-count sweep at their
+    midpoints (``_certified``): a value is kept when its bracket holds
+    exactly one eigenvalue, and only brackets that hold more are refined
+    by Sturm-count bisection (at most 200 sweeps), to 1e-13 relative to
+    the Gershgorin bound.
 
     Positive off-diagonals force simple eigenvalues; numerically
     coincident ones trigger a DuplicateEigenvalues warning.
     """
-    if method not in ("bisect", "ql"):
-        raise ValueError(f"unknown method {method!r}")
     n = T.n
     if n == 1:
         return np.array([float(T.diag[0])])
     vals = sla.eigvalsh_tridiagonal(T.diag, T.offdiag, lapack_driver="sterf")
-    if method == "bisect":
-        gl, gu = T.gershgorin()
-        pad = 1e-13 * max(abs(gl), abs(gu))
-        vals = _certified(lambda xs: _sturm_counts(T, xs), vals, gl - pad,
-                          gu + pad, n, pad)
+    gl, gu = T.gershgorin()
+    pad = 1e-13 * max(abs(gl), abs(gu))
+    vals = _certified(lambda xs: _sturm_counts(T, xs), vals, gl - pad,
+                      gu + pad, n, pad)
     gaps = np.diff(vals)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if len(gaps) and float(gaps.min()) < 1e-12 * scale:
@@ -222,18 +218,19 @@ def zero_counting(params: JacobiParams, N: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(eig_sym_tridiag(truncate(params, N)), "line")
 
 
-def trace_square(params: JacobiParams, N: int, method: str = "bisect"):
+def trace_square(params: JacobiParams, N: int):
     """Mean squared eigenvalue of the N-truncation, both ways.
 
     Returns (via_formula, via_eigs): the coefficient-side expression
     (1/N)(sum b^2 + 2 sum a^2) and the spectral side (1/N) sum x_j^2.
-    The two agree to roundoff; keeping both routes is the point.
+    The two agree to roundoff; keeping both routes is the point, so the
+    eigenvalues are LAPACK's uncertified ``sterf`` values and the
+    formula side is their check.
     """
-    b = params.b_window(N)
-    a = params.a_window(N - 1) if N > 1 else np.empty(0)
-    via_formula = (math.fsum((b ** 2).tolist())
-                   + 2.0 * math.fsum((a ** 2).tolist())) / N
-    eigs = eig_sym_tridiag(truncate(params, N), method)
+    T = truncate(params, N)
+    via_formula = (math.fsum((T.diag ** 2).tolist())
+                   + 2.0 * math.fsum((T.offdiag ** 2).tolist())) / N
+    eigs = sla.eigvalsh_tridiagonal(T.diag, T.offdiag, lapack_driver="sterf")
     via_eigs = math.fsum((eigs ** 2).tolist()) / N
     return via_formula, via_eigs
 
@@ -255,12 +252,11 @@ class CmvMatrix:
     construction.  ``mat`` is the sparse product; ``dense()`` is for
     oracles.
 
-    ``cmv`` picks beta = alpha_{N-1}/|alpha_{N-1}| by default (beta = 1
-    when that coefficient vanishes), which for constant positive
-    coefficient sequences parks the boundary-controlled zero inside the
-    essential arc instead of mid-gap; any fixed unimodular choice is
-    legitimate, and this one is pinned down by the spectrum-location
-    tests.
+    ``cmv`` picks beta = alpha_{N-1}/|alpha_{N-1}| (beta = 1 when that
+    coefficient vanishes), which for constant positive coefficient
+    sequences parks the boundary-controlled zero inside the essential
+    arc instead of mid-gap; any fixed unimodular choice is legitimate,
+    and another one is a CmvMatrix built directly.
     """
 
     def __init__(self, alpha, boundary: complex):
@@ -298,17 +294,17 @@ class CmvMatrix:
         return self.mat.toarray()
 
 
-def cmv(params: VerblunskyParams, N: int, boundary=None) -> CmvMatrix:
+def cmv(params: VerblunskyParams, N: int) -> CmvMatrix:
     """Assemble the N x N unitary truncation from alpha_0..alpha_{N-2}
-    plus a boundary phase (see CmvMatrix docstring for the default)."""
+    and the boundary phase of alpha_{N-1} (see the CmvMatrix
+    docstring)."""
     if N < 1:
         raise ValueError("N >= 1 required")
     alpha = np.asarray(params.alpha_window(N), dtype=complex)
-    if boundary is None:
-        tail = alpha[N - 1]
-        if 0.0 < abs(tail) < _SAFMIN:
-            tail = tail * 2.0 ** 600  # exact; keeps 1 / |tail| finite
-        boundary = tail / abs(tail) if abs(tail) > 0 else 1.0 + 0.0j
+    tail = alpha[N - 1]
+    if 0.0 < abs(tail) < _SAFMIN:
+        tail = tail * 2.0 ** 600  # exact; keeps 1 / |tail| finite
+    boundary = tail / abs(tail) if abs(tail) > 0 else 1.0 + 0.0j
     return CmvMatrix(alpha[:N - 1], boundary)
 
 
@@ -391,23 +387,9 @@ def block_dense(params: BlockJacobiParams, K: int) -> np.ndarray:
 
 def eig_block(params: BlockJacobiParams, K: int) -> np.ndarray:
     """All K*ell eigenvalues of the Hermitian block truncation,
-    ascending.  Dense Hermitian solve; the trace identities in
-    block_trace_square are the independent check on it."""
+    ascending, from one dense Hermitian solve.  Its independent check is
+    the block trace identity sum x_j^2 = sum Tr B_k^2 + 2 sum
+    Tr A_k^* A_k, which the test oracles hold it to."""
     if K < 1:
         raise ValueError("K >= 1 required")
     return np.linalg.eigvalsh(block_dense(params, K))
-
-
-def block_trace_square(params: BlockJacobiParams, K: int):
-    """Mean squared eigenvalue of the K-block truncation, both ways:
-    (1/(K ell))[sum Tr B_k^2 + 2 sum Tr A_k^dag A_k] versus the
-    eigenvalue sum."""
-    if K < 1:
-        raise ValueError("K >= 1 required")
-    ell, B, A = params.block_size, params.b_blocks(K), params.a_blocks(K - 1)
-    s = np.trace(B @ B, axis1=1, axis2=2).real.sum()
-    s += 2.0 * np.sum(np.abs(A) ** 2)
-    via_formula = float(s) / (K * ell)
-    eigs = eig_block(params, K)
-    via_eigs = float(np.sum(eigs ** 2)) / (K * ell)
-    return via_formula, via_eigs

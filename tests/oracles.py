@@ -1,0 +1,72 @@
+"""Second routes that the tests hold the library to.
+
+Each function here recomputes something the package computes (or
+consumes) by a different method; no program calls them.
+"""
+
+import math
+
+import numpy as np
+from scipy.linalg import eigh_tridiagonal
+
+from opspectra.measures import DiscreteMeasure
+from opspectra.periodic import _deviation_bound, dm_weights
+from opspectra.sequences import BlockJacobiParams, JacobiParams
+from opspectra.spectra import eig_block
+
+
+def moment(m: DiscreteMeasure, k: int) -> float:
+    """Power moment of a line measure, with compensated summation."""
+    return math.fsum((m.weights * m.nodes ** k).tolist())
+
+
+def gauss_rule(params: JacobiParams, N: int) -> DiscreteMeasure:
+    """Gauss quadrature of the measure behind the given recurrence data.
+
+    Nodes are the eigenvalues of the N-point truncation, weights the
+    squared first components of the normalized eigenvectors: the
+    moment-fidelity oracle for round trips through jacobi_from_measure.
+    """
+    b = params.b_window(N)
+    a = params.a_window(N - 1) if N > 1 else np.empty(0)
+    vals, vecs = eigh_tridiagonal(b, a)
+    w = vecs[0, :] ** 2
+    return DiscreteMeasure(vals, w / w.sum(), "line")
+
+
+def d_m(J: JacobiParams, Jt: JacobiParams, m: int) -> float:
+    """Exponentially weighted one-sided coefficient distance starting at
+    site m: sum_{k>=0} e^{-k}(|a_{m+k} - a'_{m+k}| + |b_{m+k} - b'_{m+k}|).
+
+    The series is truncated where the geometric tail of the combined
+    deviation bound drops below 1e-15, so doubling the truncation
+    changes nothing at 1e-12 scale.  Symmetric in its arguments.  The
+    single-offset twin of the distance periodic.d_to_torus_batch
+    minimizes over a torus.
+    """
+    if m < 1:
+        raise ValueError("site index is 1-based")
+    probe = m + 64
+    bound = 2.0 * (2.0 + _deviation_bound(J, probe)
+                   + _deviation_bound(Jt, probe))
+    w = dm_weights(bound)
+    hi = m + len(w) - 1
+    terms = (np.abs(J.a_window(hi)[m - 1:] - Jt.a_window(hi)[m - 1:])
+             + np.abs(J.b_window(hi)[m - 1:] - Jt.b_window(hi)[m - 1:]))
+    return float(terms @ w)
+
+
+def block_trace_square(params: BlockJacobiParams, K: int):
+    """Mean squared eigenvalue of the K-block truncation, both ways:
+    (1/(K ell))[sum Tr B_k^2 + 2 sum Tr A_k^* A_k] versus the sum over
+    the eigenvalues of spectra.eig_block."""
+    if K < 1:
+        raise ValueError("K >= 1 required")
+    ell, B, A = params.block_size, params.b_blocks(K), params.a_blocks(K - 1)
+    s = np.trace(B @ B, axis1=1, axis2=2).real.sum()
+    s += 2.0 * np.sum(np.abs(A) ** 2)
+    via_formula = float(s) / (K * ell)
+    eigs = eig_block(params, K)
+    via_eigs = float(np.sum(eigs ** 2)) / (K * ell)
+    return via_formula, via_eigs
+

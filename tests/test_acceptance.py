@@ -56,7 +56,7 @@ def test_ac01_trace_identity_on_seeded_inputs():
     for s in range(50):
         rng = SplitMix64(1000 + s)
         J = _seeded_jacobi(rng, 200)
-        f, e = trace_square(J, 200, method="ql")
+        f, e = trace_square(J, 200)
         worst = max(worst, abs(f - e) / max(1.0, abs(f)))
     dt = time.perf_counter() - t0
     _verdict("AC01 trace identity",

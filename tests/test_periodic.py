@@ -14,18 +14,22 @@ from numpy.polynomial import polynomial as npp
 
 from opspectra import periodic
 from opspectra.periodic import (_GRID_POINTS, GapClosed, PeriodicJacobi,
-                                _DirichletMap, bands, d_to_torus,
-                                d_to_torus_batch, delta_of_J, discriminant,
-                                dm_weights, normalize_type1, normalize_type3,
-                                torus_point)
+                                _DirichletMap, bands, d_to_torus_batch,
+                                delta_of_J, discriminant, dm_weights,
+                                normalize_type1, normalize_type3, torus_point)
 from opspectra.potential import capacity, equilibrium_measure
-from opspectra.regularity import d_m
 from opspectra.scenarios import _is_pow2, _periodic_as_params
 from opspectra.sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
                                 validate_blocks)
+from oracles import d_m
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
+
+
+def d_to_torus(J, m, J0):
+    """The torus distance at the one offset m."""
+    return float(d_to_torus_batch(J, np.array([m]), J0)[0])
 
 
 def _monomial_coeffs(J0):
@@ -127,7 +131,7 @@ def test_band_edges_are_bracketed_by_the_exact_discriminant(J0):
     # sign within 1e-12 (relative) of each edge
     fg = bands(J0)
     assert fg.n_bands == J0.p
-    assert fg.period_a == J0.a
+    assert fg.generator == J0
     for e in (x for band in fg.bands for x in band):
         level = 2 if _exact_discriminant(J0, e) > 0 else -2
         delta = 1e-12 * max(1.0, abs(e))
@@ -179,7 +183,7 @@ def test_equilibrium_quantiles_match_a_bisection_of_the_exact_discriminant(p):
     J0 = _random_pattern(p)
     fg = bands(J0)
     us = (np.arange(6 * p) + 0.5) / (6 * p)
-    q = equilibrium_measure(fg, J0).quantiles(us)
+    q = equilibrium_measure(fg).quantiles(us)
     for u, x in zip(us, q):
         j = int(u * p)
         lo, hi = fg.bands[j]
@@ -214,7 +218,7 @@ CLOSED_GAP = ((1.0, 0.5, 1.0, 0.5), (0.1, -0.2, 0.1, -0.2))
                          + [PeriodicJacobi(*CLOSED_GAP)],
                          ids=["p2", "p3", "p5", "closed_gap"])
 def test_equilibrium_moments_match_exact_traces(J0):
-    em = equilibrium_measure(bands(J0), J0)
+    em = equilibrium_measure(bands(J0))
     for k, exact in enumerate(_exact_moments(J0)):
         assert em.moment(k) == pytest.approx(
             float(exact), rel=1e-13, abs=1e-13), k
@@ -227,7 +231,7 @@ def test_closed_gap_pattern_has_the_equilibrium_measure_of_its_period():
     q = {}
     for a, b in (CLOSED_GAP, (CLOSED_GAP[0][:2], CLOSED_GAP[1][:2])):
         J0 = PeriodicJacobi(a, b)
-        q[len(a)] = equilibrium_measure(bands(J0), J0).quantiles(us)
+        q[len(a)] = equilibrium_measure(bands(J0)).quantiles(us)
     assert np.all(np.diff(q[4]) >= 0.0)
     assert np.max(np.abs(q[4] - q[2])) <= 1e-12
 
@@ -238,7 +242,7 @@ import numpy as np
 from opspectra.periodic import PeriodicJacobi, bands
 from opspectra.potential import equilibrium_measure
 J0 = PeriodicJacobi((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3))
-em = equilibrium_measure(bands(J0), J0)
+em = equilibrium_measure(bands(J0))
 q = em.quantiles((np.arange(20000) + 0.5) / 20000)
 m = np.array([em.moment(k) for k in range(9)])
 print(hashlib.sha256(q.tobytes() + m.tobytes()).hexdigest())

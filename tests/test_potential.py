@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from opspectra.periodic import PeriodicJacobi, bands
-from opspectra.potential import (CircleArcSet, FiniteGapSet, capacity,
-                                 equilibrium_measure, w1_distance)
+from opspectra.potential import (CircleArcSet, FiniteGapSet, Unsupported,
+                                 capacity, equilibrium_measure, w1_distance)
 from opspectra.sequences import JacobiParams
 from opspectra.spectra import EmpiricalMeasure, zero_counting
 
@@ -87,7 +87,7 @@ def test_periodic_quantiles_at_levels_j_over_p_land_on_band_edges(a, b):
     J0 = PeriodicJacobi(a, b)
     fg = bands(J0)
     p = J0.p
-    em = equilibrium_measure(fg, J0)
+    em = equilibrium_measure(fg)
     q = em.quantiles(np.arange(p + 1) / p)
     edges = np.array([e for band in fg.bands for e in band])
     assert q[0] == pytest.approx(edges[0], abs=1e-13)
@@ -102,12 +102,23 @@ def test_periodic_quantiles_do_not_depend_on_the_slicing():
     rng = np.random.default_rng(32)
     J0 = PeriodicJacobi(tuple(rng.uniform(0.7, 1.3, 32)),
                         tuple(rng.uniform(-0.3, 0.3, 32)))
-    em = equilibrium_measure(bands(J0), J0)
+    em = equilibrium_measure(bands(J0))
     us = (np.arange(3000) + 0.5) / 3000
     q = em.quantiles(us)
     assert np.all(np.diff(q) >= 0.0)
     for i in range(0, 3000, 97):
         assert em.quantiles(us[i:i + 1])[0] == q[i]
+
+
+def test_a_multi_band_set_without_its_generator_is_unsupported():
+    # the bands of a = (1, 1/2), b = (0, 0), built by hand: nothing
+    # here recovers the generator from the edges
+    fg = FiniteGapSet(bands(PeriodicJacobi((1.0, 0.5), (0.0, 0.0))).bands)
+    assert fg.generator is None and fg.n_bands == 2
+    with pytest.raises(Unsupported):
+        capacity(fg)
+    with pytest.raises(Unsupported):
+        equilibrium_measure(fg)
 
 
 def test_periodic_capacity_is_the_geometric_mean_of_a():
@@ -117,7 +128,7 @@ def test_periodic_capacity_is_the_geometric_mean_of_a():
 
 def test_periodic_second_moment_against_quadrature():
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
-    em = equilibrium_measure(bands(J0), J0)
+    em = equilibrium_measure(bands(J0))
 
     def dens(x):
         # D = (x^2 - a_1^2 - a_2^2) / (a_1 a_2) = 2 x^2 - 2.5
@@ -141,7 +152,7 @@ def test_periodic_density_at_period_32_matches_the_quantile_spacing():
     rng = np.random.default_rng(32)
     J0 = PeriodicJacobi(tuple(rng.uniform(0.7, 1.3, p)),
                         tuple(rng.uniform(-0.3, 0.3, p)))
-    em = equilibrium_measure(bands(J0), J0)
+    em = equilibrium_measure(bands(J0))
     q = em.quantiles((np.arange(n) + 0.5) / n).reshape(p, n // p)
     x = 0.5 * (q[:, 1:] + q[:, :-1])
     dens = em.density(x)

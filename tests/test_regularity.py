@@ -10,10 +10,11 @@ from opspectra.regularity import (DEFAULT_LADDER, StatSeries, arc_stats,
                                   cn_sq_stat_oprl,
                                   cn_stat_matrix, cn_stat_matrix_invariant,
                                   cn_stat_oprl, cn_stat_opuc, cn_stat_torus,
-                                  cn_stat_windowed, d_m, lemma21_stats,
+                                  cn_stat_windowed, lemma21_stats,
                                   root_test, trace_stat)
 from opspectra.sequences import (BlockJacobiParams, JacobiParams,
                                  VerblunskyParams, WrongType, sup_deviation)
+from oracles import d_m
 
 
 def test_default_ladder_is_powers_of_two():
@@ -26,7 +27,8 @@ def test_stat_series_monotonicity():
     bump = StatSeries("x", (2, 4, 8), (0.5, 0.6, 0.125))
     assert not bump.decreasing()
     assert bump.decreasing(burn_in=4)
-    assert bump.decreasing(slack=0.11)
+    # a repeated value does not break the run
+    assert StatSeries("x", (2, 4, 8), (0.5, 0.5, 0.125)).decreasing()
     with pytest.raises(ValueError):
         StatSeries("x", (4, 2), (0.1, 0.2))
 

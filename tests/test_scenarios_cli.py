@@ -262,6 +262,11 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
     ("conjecture5_1_explore", "decay.power = -1"),  # shift would grow
     ("thm6_1", PERIOD_7),                       # 8^6 grid starts
     ("conjecture5_1_explore", PERIOD_7),
+    ("thm6_1", "input.pattern = 1,1e-20,0,0"),  # a band collapses
+    ("conjecture5_1_explore", "input.pattern = 1,0.5,0,1e10"),
+    ("thm6_1", "input.pattern = 1e-8,1,0,0"),   # defect.size 0.3 too large
+    ("thm4_1", "Ns = 32,,64"),                  # empty ladder entry
+    ("thm4_1", "Ns = 32,64,"),
 ], ids=["closed_gap", "constant_pattern", "non_numeric_pattern",
         "zero_window", "arc_a", "arc_k", "cmv_N", "arc_phase_inf",
         "perturbed_alpha_0", "inputs_count", "mnt_coefficients",
@@ -270,7 +275,9 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
         "blockmap_K", "defect_site_past_blocks", "torus_theta_inf",
         "pattern_inf", "norm_check_N", "threshold_inf", "unknown_key",
         "defect_size", "bumps_amp", "decay_power", "thm6_1_period_7",
-        "conjecture_period_7"])
+        "conjecture_period_7", "collapsed_band", "pattern_scale",
+        "defect_size_for_pattern_scale", "ladder_empty_entry",
+        "ladder_trailing_comma"])
 def test_cli_unusable_input_exits_2_with_one_error_line(
         tmp_path, capsys, monkeypatch, scenario, line):
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)

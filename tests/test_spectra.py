@@ -11,10 +11,10 @@ from opspectra.sequences import (BlockJacobiParams, JacobiParams,
                                  VerblunskyParams)
 from opspectra.spectra import (CmvMatrix, DuplicateEigenvalues,
                                EmpiricalMeasure, TridiagonalMatrix,
-                               block_dense,
-                               block_trace_square, cmv, eig_block,
+                               block_dense, cmv, eig_block,
                                eig_sym_tridiag, eig_unitary, trace_square,
                                truncate, zero_counting)
+from oracles import block_trace_square
 
 
 def _dense(T):
@@ -48,8 +48,9 @@ def test_bisect_and_ql_match_dense_oracle(n, seed):
     T = truncate(JacobiParams(a, b), n)
     oracle = np.sort(np.linalg.eigvalsh(_dense(T)))
     scale = max(1.0, float(np.max(np.abs(oracle))))
-    for method in ("bisect", "ql"):
-        w = eig_sym_tridiag(T, method)
+    # the certified values, and the raw sterf values trace_square uses
+    raw = sla.eigvalsh_tridiagonal(T.diag, T.offdiag, lapack_driver="sterf")
+    for w in (eig_sym_tridiag(T), raw):
         assert np.max(np.abs(np.sort(w) - oracle)) < 1e-10 * scale
 
 
@@ -97,17 +98,27 @@ def test_failed_brackets_are_refined_by_bisection(monkeypatch):
     wrong[0] -= 0.5
     monkeypatch.setattr(spectra.sla, "eigvalsh_tridiagonal",
                         lambda *args, **kw: wrong.copy())
-    with pytest.warns(DuplicateEigenvalues):
-        assert np.array_equal(eig_sym_tridiag(T, "ql"), wrong)
+    # trace_square takes the wrong list as it comes, so its formula side
+    # no longer matches; eig_sym_tridiag repairs it
+    J = JacobiParams(T.offdiag, T.diag)
+    f, e = trace_square(J, T.n)
+    assert e == math.fsum((wrong ** 2).tolist()) / T.n
+    assert abs(f - e) > 0.1
     fixed = eig_sym_tridiag(T)
     assert np.max(np.abs(fixed - oracle)) < 1e-12
 
 
-@pytest.mark.parametrize("method", ["bisect", "ql"])
-def test_coincident_eigenvalues_warn(method):
+@pytest.mark.parametrize("route", ["bisect", "ql"])
+def test_coincident_eigenvalues_warn(route):
     T = _twin_blocks(1e-20)
-    with pytest.warns(DuplicateEigenvalues):
-        w = eig_sym_tridiag(T, method)
+    if route == "bisect":
+        with pytest.warns(DuplicateEigenvalues):
+            w = eig_sym_tridiag(T)
+    else:
+        # the raw sterf values trace_square takes, checked by its formula
+        w = sla.eigvalsh_tridiagonal(T.diag, T.offdiag, lapack_driver="sterf")
+        f, e = trace_square(JacobiParams(T.offdiag, T.diag), T.n)
+        assert f == pytest.approx(e, rel=1e-12)
     assert np.max(np.abs(w - np.linalg.eigvalsh(T.dense()))) < 1e-12
 
 
@@ -156,9 +167,8 @@ def test_cmv_eigenvalues_match_polynomial_zeros(N, seed):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-0.6, 0.6, size=2 * N) \
         + 1j * rng.uniform(-0.6, 0.6, size=2 * N)
-    V = VerblunskyParams(raw)
     beta = 1.0 + 0.0j
-    C = cmv(V, N, boundary=beta)
+    C = CmvMatrix(raw[:N - 1], beta)
     D = C.dense()
     assert np.max(np.abs(D.conj().T @ D - np.eye(N))) < 1e-12
     mine = np.exp(1j * eig_unitary(C).points)
@@ -194,8 +204,7 @@ def test_cmv_matrix_rejects_coefficients_off_the_disk_and_off_the_circle():
 
 def test_cmv_zero_coefficients_give_uniform_angles():
     for N, beta in [(32, 1.0), (2048, 1.0), (2048, np.exp(0.3j))]:
-        V = VerblunskyParams(np.zeros(N, dtype=complex))
-        th = eig_unitary(cmv(V, N, boundary=beta)).points
+        th = eig_unitary(CmvMatrix(np.zeros(N - 1), beta)).points
         # oracle: the N roots of z^N = -beta, exactly spaced
         exact = np.exp(1j * (np.angle(-beta) + 2.0 * math.pi * np.arange(N))
                        / N)
