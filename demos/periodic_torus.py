@@ -36,8 +36,8 @@ def main():
     lad = (64, 256, 1024)
     Jh = _periodic_as_params(J0, db=lambda n: 1.0 / n, bound_extra=1.0)
     cn_h = cn_stat_torus(Jh, J0, lad)
-    pt = torus_point(J0, (2.0,))
-    cn_t = cn_stat_torus(_periodic_as_params(pt.jacobi), J0, lad)
+    Jt = torus_point(J0, (2.0,))
+    cn_t = cn_stat_torus(_periodic_as_params(Jt), J0, lad)
     print("  averaged torus distance:")
     for N, h, t in zip(lad, cn_h.values, cn_t.values):
         print(f"    N={N:5d}  b_n += 1/n: {h:.5f}   torus point: {t:.2e}")

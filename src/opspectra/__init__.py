@@ -13,12 +13,12 @@ named end-to-end experiments; see ``opspectra list-scenarios``.
 from .measures import (CircleMeasureSpec, DensityPart, DiscreteMeasure,
                        LineMeasureSpec, discretize, jacobi_from_measure,
                        verblunsky_from_measure)
-from .periodic import (PeriodicJacobi, TorusPoint, bands, d_to_torus_batch,
-                       delta_of_J, discriminant, dm_weights, normalize_type1,
+from .periodic import (PeriodicJacobi, bands, d_to_torus_batch, delta_of_J,
+                       discriminant, dm_weights, normalize_type1,
                        normalize_type3, torus_point)
 from .potential import (CircleArcSet, EquilibriumMeasure, FiniteGapSet,
                         capacity, equilibrium_measure, w1_distance)
-from .regularity import (DEFAULT_LADDER, StatSeries, arc_stats, cn_stat_matrix,
+from .regularity import (StatSeries, arc_stats, cn_stat_matrix,
                          cn_stat_matrix_invariant, cn_stat_oprl, cn_stat_opuc,
                          cn_stat_torus, cn_stat_windowed, cn_sq_stat_oprl,
                          lemma21_stats, root_test, trace_stat)
@@ -33,10 +33,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockJacobiParams", "CircleArcSet", "CircleMeasureSpec", "CmvMatrix",
-    "DEFAULT_LADDER", "DensityPart", "DiscreteMeasure",
+    "DensityPart", "DiscreteMeasure",
     "EmpiricalMeasure", "EquilibriumMeasure", "FiniteGapSet", "JacobiParams",
     "LineMeasureSpec", "PeriodicJacobi", "SplitMix64", "StatSeries",
-    "TorusPoint", "TridiagonalMatrix", "UnitaryChain", "VerblunskyParams",
+    "TridiagonalMatrix", "UnitaryChain", "VerblunskyParams",
     "arc_stats", "bands", "block_dense", "capacity", "cmv",
     "cn_sq_stat_oprl", "cn_stat_matrix", "cn_stat_matrix_invariant",
     "cn_stat_oprl", "cn_stat_opuc", "cn_stat_torus", "cn_stat_windowed",

@@ -21,11 +21,13 @@ Commands
     option the scenario declares, each with a one-line doc.
 
 Config format: one ``key = value`` per line, ``#`` starts a comment.
-Besides ``scenario``, ``seed``, ``outdir`` and ``emit_svg``, a config may
-set only the options its scenario declares (dotted keys one level deep,
-such as ``threshold.cn_last``).  The environment variable
-``OPSPECTRA_OUTDIR``, when set, overrides the ``outdir`` key.  Identical
-config and seed give byte-identical ``stats.csv``.
+Besides ``scenario`` and the run keys ``seed``, ``outdir`` and
+``emit_svg`` (defaults: the fields of ScenarioConfig), a config may set
+only the options its scenario declares (dotted keys one level deep, such
+as ``threshold.cn_last``); ``scenarios.run`` parses them, once per run.
+``run_scenario`` writes the artifacts and returns its report whether or
+not every threshold held.  ``OPSPECTRA_OUTDIR``, when set, overrides
+``outdir``.  Identical config and seed give byte-identical ``stats.csv``.
 """
 
 from __future__ import annotations
@@ -58,15 +60,6 @@ class ConfigParse(ValueError):
         super().__init__(msg)
 
 
-class ScenarioFailed(RuntimeError):
-    """Thresholds were violated; artifacts are still written."""
-
-    def __init__(self, failures: List[str], report: "ExitReport"):
-        self.failures = failures
-        self.report = report
-        super().__init__("violated thresholds: " + ", ".join(failures))
-
-
 def parse_config_text(text: str) -> Dict[str, str]:
     """Flat ``key = value`` lines into a string mapping."""
     out: Dict[str, str] = {}
@@ -89,16 +82,23 @@ def parse_config_text(text: str) -> Dict[str, str]:
     return out
 
 
-def load_config(path: str) -> Dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+def _flag(text: str) -> bool:
+    raw = text.lower()
+    if raw not in ("true", "false", "1", "0", "yes", "no"):
+        raise ValueError(f"cannot parse {raw!r}")
+    return raw in ("true", "1", "yes")
+
+
+#: the run keys a config may set besides ``scenario``, with their parsers
+_RUN_KEYS = {"seed": int, "outdir": str, "emit_svg": _flag}
 
 
 @dataclass
 class ScenarioConfig:
     """Everything one run needs: scenario id, seed, output directory,
-    whether to emit plots, and the flat option mapping (input choices,
-    ladders, thresholds) interpreted by the scenario itself."""
+    whether to emit plots, and the flat option text (input choices,
+    ladders, thresholds) that the scenario parses when it runs.  The
+    field defaults are the run keys' defaults."""
 
     scenario: str
     seed: int = 1
@@ -108,32 +108,45 @@ class ScenarioConfig:
 
     @classmethod
     def from_mapping(cls, mapping: Dict[str, str]) -> "ScenarioConfig":
+        """Check the scenario id (UnknownScenario) and parse the run keys
+        (BadOption); the remaining keys are passed on unparsed."""
         opts = dict(mapping)
         try:
             scenario = opts.pop("scenario")
         except KeyError:
             raise ConfigParse(0, "", "missing key: scenario") from None
-        try:
-            seed = int(opts.pop("seed", "1"))
-        except ValueError as exc:
-            raise BadOption(f"seed: {exc}") from None
-        outdir = opts.pop("outdir", None)
-        raw_svg = opts.pop("emit_svg", "false").lower()
-        if raw_svg not in ("true", "false", "1", "0", "yes", "no"):
-            raise BadOption(f"emit_svg: cannot parse {raw_svg!r}")
-        emit_svg = raw_svg in ("true", "1", "yes")
-        scenarios.parse_options(scenario, opts)
-        return cls(scenario, seed, outdir, emit_svg, opts)
+        scenarios.describe(scenario)    # UnknownScenario
+        run_keys = {}
+        for key, parse in _RUN_KEYS.items():
+            if key in opts:
+                try:
+                    run_keys[key] = parse(opts.pop(key))
+                except ValueError as exc:
+                    raise BadOption(f"{key}: {exc}") from None
+        return cls(scenario, options=opts, **run_keys)
+
+
+def default_config(scenario: str) -> str:
+    """Config text that reproduces the scenario's default run: the run
+    keys at their defaults, then every option at its default, with its
+    doc."""
+    cfg = ScenarioConfig(scenario)
+    lines = [
+        f"# {scenario}: {scenarios.describe(scenario)}",
+        f"scenario = {scenario}",
+        f"seed = {cfg.seed}",
+        f"emit_svg = {str(cfg.emit_svg).lower()}",
+        "# outdir = ./out",
+    ]
+    return "\n".join(lines + scenarios.option_lines(scenario)) + "\n"
 
 
 @dataclass
 class ExitReport:
-    """What a run produced: per-threshold lines, the overall verdict,
-    the output directory, and the raw scenario result."""
+    """What a run produced: per-threshold lines, the output directory,
+    and the scenario result with its verdict."""
 
-    scenario: str
     lines: List[str]
-    passed: bool
     outdir: str
     result: ScenarioResult
 
@@ -192,56 +205,48 @@ def _write_text(path: str, text: str) -> None:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ExitReport:
-    """Execute one configured scenario and write its artifacts.
+    """Execute one configured scenario, write its artifacts, and return
+    the report, whether or not every threshold held.
 
-    Returns the report on success; raises ScenarioFailed (report
-    attached, artifacts already written) when a threshold is violated.
-    The scenario runs before the output directory is made, so a bad
-    option writes nothing; OSError from the writes propagates.
+    The options are parsed and the scenario runs before the output
+    directory is made, so a bad option (BadOption) writes nothing;
+    OSError from the writes propagates.
     """
+    result = scenarios.run(cfg.scenario, cfg.options, cfg.seed)
     outdir = os.environ.get(OUTDIR_ENV) or cfg.outdir \
         or os.path.join("opspectra_out", cfg.scenario)
-    result = scenarios.run(cfg.scenario, cfg.options, cfg.seed)
     os.makedirs(outdir, exist_ok=True)
-    _write_text(os.path.join(outdir, "stats.csv"), result.stats_csv())
-    for name, text in sorted(result.extras.items()):
-        _write_text(os.path.join(outdir, name), text)
+    files = result.artifacts()
     if cfg.emit_svg:
-        for s in result.series:
-            _write_text(os.path.join(outdir, f"plot_{s.label}.svg"),
-                        svg_polyline(s.label, s.Ns, s.values))
-    lines = [c.line() for c in result.checks]
-    if not result.checks:
-        lines.append("PASS (no thresholds attached; illustration only)")
-    report = ExitReport(cfg.scenario, lines, result.passed, outdir, result)
-    if not result.passed:
-        raise ScenarioFailed([c.name for c in result.checks if not c.passed],
-                             report)
-    return report
+        files.update((f"plot_{s.label}.svg", svg_polyline(s.label, s.Ns, s.values))
+                     for s in result.series)
+    for name, text in files.items():
+        _write_text(os.path.join(outdir, name), text)
+    lines = [c.line() for c in result.checks] \
+        or ["PASS (no thresholds attached; illustration only)"]
+    return ExitReport(lines, outdir, result)
 
 
 def _cmd_run(path: str) -> int:
     try:
-        cfg = ScenarioConfig.from_mapping(load_config(path))
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    except (ConfigParse, UnknownScenario, BadOption) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
-        report = run_scenario(cfg)
-    except (BadOption, OSError) as exc:  # OSError: outdir, writes
+        report = run_scenario(ScenarioConfig.from_mapping(
+            parse_config_text(text)))
+    except (ConfigParse, UnknownScenario, BadOption, OSError) as exc:
+        # OSError: the output directory and the writes
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ScenarioFailed as exc:
-        report = exc.report
     for line in report.lines:
         print(line)
-    verdict = "PASS" if report.passed else "FAIL"
-    print(f"scenario {report.scenario}: {verdict} "
+    passed = report.result.passed
+    print(f"scenario {report.result.scenario}: {'PASS' if passed else 'FAIL'} "
           f"(artifacts in {report.outdir})")
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 def _cmd_list() -> int:
@@ -252,7 +257,7 @@ def _cmd_list() -> int:
 
 def _cmd_emit(scenario: str) -> int:
     try:
-        sys.stdout.write(scenarios.default_config(scenario))
+        sys.stdout.write(default_config(scenario))
     except UnknownScenario as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -362,29 +362,6 @@ def normalize_type1(inputs):
 # -- isospectral torus -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """A periodic generator sharing the discriminant of a reference
-    generator, tagged with its angle coordinates.  The two discriminants,
-    polynomials of degree p, are compared at the p + 1 Chebyshev-Lobatto
-    points of the reference's Gershgorin interval, which holds its
-    bands."""
-
-    jacobi: PeriodicJacobi
-    theta: Tuple[float, ...]
-    reference: PeriodicJacobi
-
-    def __post_init__(self):
-        ref = self.reference
-        lo, hi = min(ref.b) - 2.0 * max(ref.a), max(ref.b) + 2.0 * max(ref.a)
-        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
-            math.pi * np.arange(ref.p + 1) / ref.p)
-        want = discriminant(ref, x)
-        diff = float(np.max(np.abs(discriminant(self.jacobi, x) - want)))
-        if diff > 1e-9 * max(1.0, float(np.max(np.abs(want)))):
-            raise ValueError(f"discriminant mismatch {diff} for torus point")
-
-
 class _DirichletMap:
     """Explicit map from angles to the generators sharing J0's
     discriminant, through Dirichlet data, and its inverse.
@@ -491,20 +468,32 @@ class _DirichletMap:
         return a, b
 
 
-def torus_point(J0: PeriodicJacobi, theta) -> TorusPoint:
+def torus_point(J0: PeriodicJacobi, theta) -> PeriodicJacobi:
     """Member of the isospectral family of the generator J0 at angle
     coordinates theta (length p - 1), through the Dirichlet-data map;
     theta = 0 is J0 itself.  Every period is covered; all gaps must be open
     (GapClosed otherwise).
+
+    The two discriminants, polynomials of degree p, are compared at the
+    p + 1 Chebyshev-Lobatto points of J0's Gershgorin interval, which
+    holds its bands; a mismatch raises ValueError.
     """
     theta = tuple(np.atleast_1d(np.asarray(theta, dtype=float)).tolist())
     p = J0.p
     if len(theta) != p - 1:
         raise ValueError(f"period {p} needs {p - 1} torus coordinates")
-    if all(t == 0.0 for t in theta):
-        return TorusPoint(J0, theta, J0)
-    a, b = _DirichletMap(J0)(np.array(theta).reshape(1, p - 1))
-    return TorusPoint(PeriodicJacobi(tuple(a[0]), tuple(b[0])), theta, J0)
+    J = J0
+    if any(t != 0.0 for t in theta):
+        a, b = _DirichletMap(J0)(np.array(theta).reshape(1, p - 1))
+        J = PeriodicJacobi(tuple(a[0]), tuple(b[0]))
+    lo, hi = min(J0.b) - 2.0 * max(J0.a), max(J0.b) + 2.0 * max(J0.a)
+    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
+        math.pi * np.arange(p + 1) / p)
+    want = discriminant(J0, x)
+    diff = float(np.max(np.abs(discriminant(J, x) - want)))
+    if diff > 1e-9 * max(1.0, float(np.max(np.abs(want)))):
+        raise ValueError(f"discriminant mismatch {diff} for torus point")
+    return J
 
 
 # -- distance to the torus ---------------------------------------------

@@ -84,12 +84,6 @@ class FiniteGapSet:
     def n_bands(self) -> int:
         return len(self.bands)
 
-    def to_csv(self) -> str:
-        lines = ["band,lo,hi"]
-        lines += [f"{j},{repr(lo)},{repr(hi)}"
-                  for j, (lo, hi) in enumerate(self.bands, start=1)]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class CircleArcSet:

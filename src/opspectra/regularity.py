@@ -24,10 +24,6 @@ from . import periodic as _periodic
 from .sequences import (BlockJacobiParams, JacobiParams, VerblunskyParams,
                         WrongType, _herm)
 
-#: default geometric ladder of window lengths for limit-style claims
-DEFAULT_LADDER = tuple(2 ** k for k in range(5, 14))
-
-
 @dataclass(frozen=True)
 class StatSeries:
     """A labelled statistic evaluated over increasing window lengths."""
@@ -54,14 +50,6 @@ class StatSeries:
         kept = [v for n, v in zip(self.Ns, self.values) if n >= burn_in]
         return all(kept[i + 1] <= kept[i] for i in range(len(kept) - 1))
 
-    def csv_rows(self) -> list:
-        """The ``label,N,value`` lines of this series, without header."""
-        return [f"{self.label},{n},{repr(v)}"
-                for n, v in zip(self.Ns, self.values)]
-
-    def to_csv(self) -> str:
-        return "\n".join(["label,N,value"] + self.csv_rows()) + "\n"
-
 
 def _check_ladder(Ns) -> Tuple[int, ...]:
     Ns = tuple(int(n) for n in Ns)
@@ -82,7 +70,7 @@ def _prefix_means(terms: np.ndarray, Ns: Tuple[int, ...]) -> Tuple[float, ...]:
 # -- root tests --------------------------------------------------------
 
 
-def root_test(seq, Ns=DEFAULT_LADDER, label: str = "root_test") -> StatSeries:
+def root_test(seq, Ns, label: str = "root_test") -> StatSeries:
     """Geometric mean of the off-diagonal data over each window, in log
     space: exp((1/N) sum log a_n), exp((1/N) sum log rho_j), or
     exp((1/(N ell)) sum log |det A_n|) depending on the sequence kind.
@@ -113,8 +101,7 @@ def root_test(seq, Ns=DEFAULT_LADDER, label: str = "root_test") -> StatSeries:
 # -- Cesaro deviation averages ----------------------------------------
 
 
-def cn_stat_oprl(J: JacobiParams, Ns=DEFAULT_LADDER,
-                 label: str = "cn_oprl") -> StatSeries:
+def cn_stat_oprl(J: JacobiParams, Ns, label: str = "cn_oprl") -> StatSeries:
     """(1/N) sum over sites 1..N of |a_n - 1| + |b_n|: zero exactly on a
     free window, and its vanishing in the limit defines the scalar
     Cesaro-Nevai condition."""
@@ -124,8 +111,7 @@ def cn_stat_oprl(J: JacobiParams, Ns=DEFAULT_LADDER,
     return StatSeries(label, Ns, _prefix_means(dev, Ns))
 
 
-def cn_sq_stat_oprl(J: JacobiParams, Ns=DEFAULT_LADDER,
-                    label: str = "cn_sq_oprl") -> StatSeries:
+def cn_sq_stat_oprl(J: JacobiParams, Ns, label: str = "cn_sq_oprl") -> StatSeries:
     """Companion mean-square form: (1/N) sum of (a_n - 1)^2 + b_n^2."""
     Ns = _check_ladder(Ns)
     n = Ns[-1]
@@ -149,7 +135,7 @@ def cn_stat_windowed(J: JacobiParams, starts, n: int) -> np.ndarray:
     return ((cs[starts + n - 1] - cs[starts - 1]) / n).astype(float)
 
 
-def lemma21_stats(a, Ns=DEFAULT_LADDER):
+def lemma21_stats(a, Ns):
     """Four windowed functionals of a positive sequence: geometric mean,
     mean, mean square, and mean square deviation from 1.
 
@@ -173,7 +159,7 @@ def lemma21_stats(a, Ns=DEFAULT_LADDER):
     return geo, mean, mean_sq, msd
 
 
-def trace_stat(J, Ns=DEFAULT_LADDER, label: str = "trace_stat") -> StatSeries:
+def trace_stat(J, Ns, label: str = "trace_stat") -> StatSeries:
     """Normalized second moment of the N-site truncation:
     (1/N)(2 sum_{n<N} a_n^2 + sum_{n<=N} b_n^2) for scalar data, and
     (1/(N ell))(2 sum_{n<N} tr A_n^* A_n + sum_{n<=N} tr B_n^2) for
@@ -195,7 +181,7 @@ def trace_stat(J, Ns=DEFAULT_LADDER, label: str = "trace_stat") -> StatSeries:
         float((2.0 * csa[N - 1] + csb[N - 1]) / (N * ell)) for N in Ns))
 
 
-def cn_stat_matrix(Jb: BlockJacobiParams, Ns=DEFAULT_LADDER):
+def cn_stat_matrix(Jb: BlockJacobiParams, Ns):
     """Block Cesaro averages: the type form
     (1/N) sum (||A_n - 1|| + ||B_n||) and the invariant form
     (1/N) sum (||A_n^* A_n - 1|| + ||B_n||), Hilbert-Schmidt norms.
@@ -223,8 +209,7 @@ def _hs2(M: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(M) ** 2, axis=(1, 2))
 
 
-def cn_stat_matrix_invariant(Jb: BlockJacobiParams,
-                             Ns=DEFAULT_LADDER) -> StatSeries:
+def cn_stat_matrix_invariant(Jb: BlockJacobiParams, Ns) -> StatSeries:
     """The invariant form alone, valid for any tag."""
     Ns = _check_ladder(Ns)
     n = Ns[-1]
@@ -233,8 +218,7 @@ def cn_stat_matrix_invariant(Jb: BlockJacobiParams,
     return StatSeries("cn_matrix_invariant", Ns, _prefix_means(terms, Ns))
 
 
-def cn_stat_opuc(alpha: VerblunskyParams, Ns=DEFAULT_LADDER,
-                 label: str = "cn_opuc") -> StatSeries:
+def cn_stat_opuc(alpha: VerblunskyParams, Ns, label: str = "cn_opuc") -> StatSeries:
     """(1/N) sum over indices 0..N-1 of |alpha_j|."""
     Ns = _check_ladder(Ns)
     mod = np.abs(alpha.alpha_window(Ns[-1]))
@@ -244,8 +228,8 @@ def cn_stat_opuc(alpha: VerblunskyParams, Ns=DEFAULT_LADDER,
 # -- arc statistics ----------------------------------------------------
 
 
-def arc_stats(alpha: VerblunskyParams, a: float, k: int,
-              Ns=DEFAULT_LADDER):
+def arc_stats(alpha: VerblunskyParams, a: float, k: int, Ns,
+              label: str = "arc"):
     """Three windowed averages probing approach to the constant-modulus
     family {a e^{i theta}} associated with the symmetric circular arc:
 
@@ -259,7 +243,8 @@ def arc_stats(alpha: VerblunskyParams, a: float, k: int,
     sum |alpha_{j+l}|^2 + k a^2 - 2 a |sum alpha_{j+l}|.
     The step and block averages read ahead of the window, so the
     sequence must supply N + max(1, k) coefficients for a window of
-    length N.
+    length N.  The three series are labelled ``<label>_modulus``,
+    ``<label>_step`` and ``<label>_block``.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("arc parameter must lie in (0, 1)")
@@ -275,16 +260,15 @@ def arc_stats(alpha: VerblunskyParams, a: float, k: int,
     cs2 = np.concatenate([[0.0], np.cumsum(np.abs(al) ** 2)])
     block_sq = cs2[1 + k:n + k + 1] - cs2[1:n + 1]
     block_terms = block_sq + k * a * a - 2.0 * a * np.abs(block_sum)
-    return (StatSeries("arc_modulus", Ns, _prefix_means(mod_terms, Ns)),
-            StatSeries("arc_step", Ns, _prefix_means(step_terms, Ns)),
-            StatSeries("arc_block", Ns, _prefix_means(block_terms, Ns)))
+    return (StatSeries(f"{label}_modulus", Ns, _prefix_means(mod_terms, Ns)),
+            StatSeries(f"{label}_step", Ns, _prefix_means(step_terms, Ns)),
+            StatSeries(f"{label}_block", Ns, _prefix_means(block_terms, Ns)))
 
 
 # -- torus distances ---------------------------------------------------
 
 
-def cn_stat_torus(J: JacobiParams, J0, Ns=DEFAULT_LADDER,
-                  label: str = "cn_torus") -> StatSeries:
+def cn_stat_torus(J: JacobiParams, J0, Ns, label: str = "cn_torus") -> StatSeries:
     """Cesaro average (1/N) sum_{m=1..N} of the distance from J at
     offset m to the isospectral family of the periodic generator J0.
 

@@ -1,13 +1,17 @@
 """Named numerical experiments over the toolkit, driven by flat
-key = value configurations.
+key = value options.
 
-Each scenario builds deterministic inputs (seeded through SplitMix64
-where randomness is wanted), computes a bundle of windowed statistics,
-evaluates its thresholds, and hands everything back in a ScenarioResult:
-the statistic series (written to stats.csv by the command line front
-end), auxiliary CSV artifacts, the pass/fail checks, and the raw inputs
-so that cross-cutting identities can be asserted on every input of
-every scenario.
+Each scenario declares its options once, in one table (parser, default,
+doc).  `run` is the one place that parses them: it turns the option
+text into typed values, every default filled in, before anything is
+computed.  The scenario then builds deterministic inputs (seeded through
+SplitMix64 where randomness is wanted), computes a bundle of windowed
+statistics, evaluates its thresholds, and hands everything back in one
+ScenarioResult: the statistic series, the tables of its extra
+artifacts, the pass/fail checks, and the raw inputs so that
+cross-cutting identities can be asserted on every input of every
+scenario.  `ScenarioResult.artifacts` formats stats.csv and every extra
+through the one CSV formatter, `csv_text`.
 """
 
 from __future__ import annotations
@@ -63,12 +67,20 @@ class Check:
                 f"{_RELATIONS[self.relation][1]} {self.bound:.6g}")
 
 
+def csv_text(header, rows) -> str:
+    """One CSV artifact: the header line, then one line per row; float
+    cells by repr, other cells (ints, labels) as written."""
+    return "".join(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                            for v in row) + "\n" for row in (header, *rows))
+
+
 @dataclass
 class ScenarioResult:
     scenario: str
     series: List[R.StatSeries] = field(default_factory=list)
     checks: List[Check] = field(default_factory=list)
-    extras: Dict[str, str] = field(default_factory=dict)
+    # extra artifacts by file name, each a (header, rows) table
+    extras: Dict[str, tuple] = field(default_factory=dict)
     # inputs exposed for cross-cutting identity checks
     jacobi_inputs: List[Tuple[str, JacobiParams, Tuple[int, ...]]] = \
         field(default_factory=list)
@@ -79,11 +91,15 @@ class ScenarioResult:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def stats_csv(self) -> str:
-        lines = ["label,N,value"]
-        for s in self.series:
-            lines += s.csv_rows()
-        return "\n".join(lines) + "\n"
+    def artifacts(self) -> Dict[str, str]:
+        """Every CSV artifact by file name: stats.csv, one
+        ``label,N,value`` row per statistic window, then the extras."""
+        stats = [(s.label, n, v) for s in self.series
+                 for n, v in zip(s.Ns, s.values)]
+        out = {"stats.csv": csv_text(("label", "N", "value"), stats)}
+        out.update((name, csv_text(*table))
+                   for name, table in sorted(self.extras.items()))
+        return out
 
 
 def _num(cast, lo=-math.inf, hi=math.inf, closed=False):
@@ -241,16 +257,12 @@ def _run_prop2_2(o: Dict[str, object], seed: int) -> ScenarioResult:
     Ns = o["Ns"]
     ref = pot.equilibrium_measure((-2.0, 2.0))
     w1_vals = []
-    zeros_csv = None
     for n in Ns:
         emp = S.zero_counting(JacobiParams.free(n), n)
         w1_vals.append(pot.w1_distance(emp, ref))
-        zeros_csv = emp.to_csv()
     res.series.append(R.StatSeries("w1_free", Ns, tuple(w1_vals)))
-    res.extras["zeros.csv"] = zeros_csv
-    xs_dens = ref.density_samples()
-    res.extras["density.csv"] = "x,density\n" + "\n".join(
-        f"{repr(float(x))},{repr(float(d))}" for x, d in xs_dens) + "\n"
+    res.extras["zeros.csv"] = (("index", "point"), list(enumerate(emp.points)))
+    res.extras["density.csv"] = (("x", "density"), ref.density_samples())
     res.checks.append(Check("w1_first", w1_vals[0], o["threshold.w1_first"]))
     res.checks.append(Check("w1_shrinks", w1_vals[-1], w1_vals[0], "lt"))
 
@@ -409,11 +421,10 @@ def _run_thm4_2(o: Dict[str, object], seed: int) -> ScenarioResult:
         raise BadOption("arc.a, perturb.theta0: |alpha_0| would reach 1")
 
     Vc = VerblunskyParams.from_function(lambda j: complex(a))
-    s1, s2, s3 = R.arc_stats(Vc, a, kblk, lad)
-    for s, nm in ((s1, "const_modulus"), (s2, "const_step"), (s3, "const_block")):
-        res.series.append(R.StatSeries(nm, s.Ns, s.values))
+    consts = R.arc_stats(Vc, a, kblk, lad, label="const")
+    res.series += consts
     res.verblunsky_inputs.append(("const_alpha", Vc, lad))
-    worst_const = max(max(abs(v) for v in s.values) for s in (s1, s2, s3))
+    worst_const = max(max(abs(v) for v in s.values) for s in consts)
     res.checks.append(Check("const_stats_zero", worst_const, 1e-15))
 
     # any constant phase sits on the same isospectral family
@@ -428,7 +439,7 @@ def _run_thm4_2(o: Dict[str, object], seed: int) -> ScenarioResult:
     res.checks.append(Check("phased_stats_zero", worst_phased, 1e-13))
 
     emp = S.eig_unitary(S.cmv(Vc, cmv_n))
-    res.extras["angles.csv"] = emp.to_csv()
+    res.extras["angles.csv"] = (("index", "point"), list(enumerate(emp.points)))
     gap = 2.0 * math.asin(a)
     min_angle = float(np.min(np.abs(emp.points)))
     res.series.append(R.StatSeries("cmv_min_angle", (cmv_n,), (min_angle,)))
@@ -441,14 +452,13 @@ def _run_thm4_2(o: Dict[str, object], seed: int) -> ScenarioResult:
                             o["threshold.moment_dev"]))
 
     Vp = VerblunskyParams.from_function(lambda j: a * phase + 1.0 / (j + 2.0))
-    p1, p2, p3 = R.arc_stats(Vp, a, kblk, lad)
-    for s, nm in ((p1, "pert_modulus"), (p2, "pert_step"), (p3, "pert_block")):
-        res.series.append(R.StatSeries(nm, s.Ns, s.values))
+    perts = R.arc_stats(Vp, a, kblk, lad, label="pert")
+    res.series += perts
     res.verblunsky_inputs.append(("perturbed_alpha", Vp, lad))
-    worst_last = max(p1.last, p2.last, p3.last)
+    worst_last = max(s.last for s in perts)
     res.checks.append(Check("pert_stats_last", worst_last,
                             o["threshold.pert_last"]))
-    mono = all(s.decreasing() for s in (p1, p2, p3))
+    mono = all(s.decreasing() for s in perts)
     res.checks.append(Check("pert_stats_decreasing", 0.0 if mono else 1.0, 0.5))
     return res
 
@@ -456,6 +466,11 @@ def _run_thm4_2(o: Dict[str, object], seed: int) -> ScenarioResult:
 # ---------------------------------------------------------------------
 # thm6_1: the block map of a periodic generator, and the torus average
 # ---------------------------------------------------------------------
+
+
+def _bands_table(fgs: pot.FiniteGapSet) -> tuple:
+    return (("band", "lo", "hi"),
+            [(j, lo, hi) for j, (lo, hi) in enumerate(fgs.bands, start=1)])
 
 
 def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[IndexFn] = None,
@@ -473,6 +488,7 @@ def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[IndexFn] = None,
 
 @_scenario("thm6_1", "periodic block map and torus-distance averages", {
     "input.pattern": _PATTERN,
+    # at least 2: the interior blocks A[1:] of the map must not be empty
     "blockmap.K": (_num(int, 1), "64", "blocks of the block map"),
     "threshold.interior_norm": (_threshold, "1e-10", "interior blocks"),
     "defect.site": (_num(int, 0), "21", "site n <= (K + 1) p of a b_n shift"),
@@ -491,7 +507,7 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     if site > (K + 1) * p:
         raise BadOption(f"defect.site: {site} is past the {(K + 1) * p} "
                         "sites of the K + 1 diagonal blocks of the block map")
-    res.extras["bands.csv"] = fgs.to_csv()
+    res.extras["bands.csv"] = _bands_table(fgs)
 
     # block map on the exactly periodic sequence
     Jper = _periodic_as_params(J0)
@@ -539,8 +555,7 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res.checks.append(Check("torus_harmonic_decreasing",
                             0.0 if cn_h.decreasing(burn_in=burn) else 1.0, 0.5))
 
-    pt = P.torus_point(J0, (o["torus.theta"],) * (p - 1))
-    Jt = _periodic_as_params(pt.jacobi)
+    Jt = _periodic_as_params(P.torus_point(J0, (o["torus.theta"],) * (p - 1)))
     cn_t = R.cn_stat_torus(Jt, J0, lad, label="cn_torus_point")
     res.series.append(cn_t)
     res.jacobi_inputs.append(("torus_point", Jt, lad))
@@ -579,8 +594,7 @@ def _run_mnt(o: Dict[str, object], seed: int) -> ScenarioResult:
     res.series.append(R.StatSeries("b_window_max", lad, tuple(halves)))
     starts = np.array([1, 5, 10, 20, 40])
     win = R.cn_stat_windowed(J, starts, max(2, (n_coef - 1) // 4))
-    res.extras["windowed.csv"] = "start,value\n" + "\n".join(
-        f"{s},{repr(float(v))}" for s, v in zip(starts, win)) + "\n"
+    res.extras["windowed.csv"] = (("start", "value"), list(zip(starts, win)))
     return res
 
 
@@ -602,7 +616,7 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("conjecture5_1_explore")
     fgs = o["input.pattern"]
     J0, p = fgs.generator, fgs.generator.p
-    res.extras["bands.csv"] = fgs.to_csv()
+    res.extras["bands.csv"] = _bands_table(fgs)
     lad = o["Ns"]
 
     amp, power, bump = o["decay.amp"], o["decay.power"], o["bumps.amp"]
@@ -623,17 +637,14 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
                                    tuple(v / cap for v in rt.values)))
 
     n_samp = o["torus.samples"]
+    header = ([f"theta_{i+1}" for i in range(p - 1)]
+              + [f"a_{i+1}" for i in range(p)] + [f"b_{i+1}" for i in range(p)])
     rows = []
-    header = (",".join(f"theta_{i+1}" for i in range(p - 1))
-              + "," + ",".join(f"a_{i+1}" for i in range(p))
-              + "," + ",".join(f"b_{i+1}" for i in range(p)))
     for i in range(n_samp):
-        th = tuple(2.0 * math.pi * i / n_samp for _ in range(p - 1))
-        pt = P.torus_point(J0, th)
-        rows.append(",".join([repr(t) for t in th]
-                             + [repr(x) for x in pt.jacobi.a]
-                             + [repr(x) for x in pt.jacobi.b]))
-    res.extras["torus_samples.csv"] = header + "\n" + "\n".join(rows) + "\n"
+        th = (2.0 * math.pi * i / n_samp,) * (p - 1)
+        Jt = P.torus_point(J0, th)
+        rows.append(th + Jt.a + Jt.b)
+    res.extras["torus_samples.csv"] = (header, rows)
     return res
 
 
@@ -669,21 +680,15 @@ def parse_options(scenario: str, raw: Dict[str, str]) -> Dict[str, object]:
     return out
 
 
-def run(scenario: str, options: Dict[str, str], seed: int = 1) -> ScenarioResult:
-    """Execute one scenario with the given flat options."""
+def run(scenario: str, options: Dict[str, str], seed: int) -> ScenarioResult:
+    """Execute one scenario with the given flat option text.  The
+    options are parsed here, once, before anything is computed; a bad
+    one raises BadOption."""
     return _entry(scenario)[0](parse_options(scenario, options), seed)
 
 
-def default_config(scenario: str) -> str:
-    """Config text that reproduces the scenario's default run: every
-    option at its default, with its doc."""
-    lines = [
-        f"# {scenario}: {describe(scenario)}",
-        f"scenario = {scenario}",
-        "seed = 1",
-        "emit_svg = false",
-        "# outdir = ./out",
-    ]
-    for key, (_, default, doc) in _entry(scenario)[2].items():
-        lines.append(f"{key} = {default}  # {doc}")
-    return "\n".join(lines) + "\n"
+def option_lines(scenario: str) -> List[str]:
+    """One ``key = default  # doc`` config line per option the scenario
+    declares, in table order."""
+    return [f"{key} = {default}  # {doc}"
+            for key, (_, default, doc) in _entry(scenario)[2].items()]

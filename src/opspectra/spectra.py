@@ -105,10 +105,6 @@ class EmpiricalMeasure:
         return complex(math.fsum(z.real.tolist()),
                        math.fsum(z.imag.tolist())) / len(self.points)
 
-    def to_csv(self) -> str:
-        return "".join(["index,point\n"] + [
-            f"{i},{repr(float(x))}\n" for i, x in enumerate(self.points)])
-
 
 def truncate(params: JacobiParams, N: int) -> TridiagonalMatrix:
     """N-point truncation: diag b_1..b_N, offdiag a_1..a_{N-1}."""

@@ -241,8 +241,7 @@ def test_ac11_torus_distance_averages():
     Jh = scenarios._periodic_as_params(J0, db=lambda n: 1.0 / n,
                                        bound_extra=1.0)
     cn_h = cn_stat_torus(Jh, J0, lad)
-    pt = torus_point(J0, (1.3,))
-    Jt = scenarios._periodic_as_params(pt.jacobi)
+    Jt = scenarios._periodic_as_params(torus_point(J0, (1.3,)))
     cn_t = cn_stat_torus(Jt, J0, lad)
     ok = (cn_h.last <= 0.06 and cn_h.decreasing(burn_in=64)
           and max(cn_t.values) <= 1e-7)

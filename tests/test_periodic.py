@@ -453,21 +453,33 @@ def test_a_list_raises_the_first_inputs_first_singular_block(normalize):
 
 def test_torus_point_theta_zero_returns_reference():
     J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
-    pt = torus_point(J0, (0.0,))
-    assert pt.jacobi.a == J0.a
-    assert pt.jacobi.b == J0.b
+    assert torus_point(J0, (0.0,)) is J0
 
 
 @pytest.mark.parametrize("theta", [0.4, 1.5, math.pi, 4.0, 6.0])
 def test_torus_points_share_the_discriminant(theta):
     J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
     pt = torus_point(J0, (theta,))
-    assert pt.reference is J0
-    back = _monomial_coeffs(pt.jacobi)
+    back = _monomial_coeffs(pt)
     assert np.max(np.abs(back - _monomial_coeffs(J0))) < 1e-9
     # conserved elementary combinations
-    assert pt.jacobi.a[0] * pt.jacobi.a[1] == pytest.approx(0.5, abs=1e-10)
-    assert sum(pt.jacobi.b) == pytest.approx(-0.1, abs=1e-10)
+    assert pt.a[0] * pt.a[1] == pytest.approx(0.5, abs=1e-10)
+    assert sum(pt.b) == pytest.approx(-0.1, abs=1e-10)
+
+
+def test_a_torus_point_off_the_family_raises(monkeypatch):
+    # plant a Dirichlet map whose generator has b_1 moved by 0.1: its
+    # discriminant is no longer J0's
+    J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
+    real = _DirichletMap.__call__
+
+    def planted(self, theta):
+        a, b = real(self, theta)
+        return a, b + np.array([0.1, 0.0])
+
+    monkeypatch.setattr(_DirichletMap, "__call__", planted)
+    with pytest.raises(ValueError, match="discriminant mismatch"):
+        torus_point(J0, (0.7,))
 
 
 def test_closed_gap_family_is_degenerate():
@@ -478,7 +490,7 @@ def test_closed_gap_family_is_degenerate():
 def test_period_three_torus_point():
     J0 = PeriodicJacobi((1.0, 0.8, 1.1), (0.2, -0.1, 0.3))
     pt = torus_point(J0, (0.9, -0.6))
-    back = _monomial_coeffs(pt.jacobi)
+    back = _monomial_coeffs(pt)
     assert np.max(np.abs(back - _monomial_coeffs(J0))) < 1e-9
 
 
@@ -493,7 +505,7 @@ def test_dm_weights_are_geometric():
 def test_distance_to_torus_vanishes_on_the_family():
     J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
     pt = torus_point(J0, (1.1,))
-    J = _periodic_params(pt.jacobi)
+    J = _periodic_params(pt)
     for m in (1, 2, 7):
         assert d_to_torus(J, m, J0) < 1e-6
 
@@ -529,7 +541,7 @@ def test_batch_distances_agree_with_single_calls():
 DEFAULT = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
 SCENARIO_INPUTS = {
     "torus_point": lambda: _periodic_as_params(
-        torus_point(DEFAULT, (1.3,)).jacobi),
+        torus_point(DEFAULT, (1.3,))),
     "sparse_bumps": lambda: _periodic_as_params(
         DEFAULT, lambda n: np.where((n > 1) & _is_pow2(n), 0.4, 0.0),
         bound_extra=0.4),
@@ -711,13 +723,13 @@ def test_the_map_is_single_valued_and_the_search_beats_its_starts():
 
 
 def test_period_three_torus_point_is_found_at_every_offset():
-    J = _periodic_params(torus_point(P3, (0.9, -0.6)).jacobi)
+    J = _periodic_params(torus_point(P3, (0.9, -0.6)))
     d = d_to_torus_batch(J, np.arange(1, 201), P3)
     assert np.max(d) <= 1e-12
 
 
 @pytest.mark.parametrize("J0", [P2, P4], ids=["p2", "p4"])
 def test_period_two_and_four_torus_points_are_found_at_every_offset(J0):
-    J = _periodic_params(torus_point(J0, (1.3,) * (J0.p - 1)).jacobi)
+    J = _periodic_params(torus_point(J0, (1.3,) * (J0.p - 1)))
     d = d_to_torus_batch(J, np.arange(1, 201), J0)
     assert np.max(d) <= 1e-12

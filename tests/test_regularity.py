@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opspectra.periodic import PeriodicJacobi, delta_of_J, dm_weights
-from opspectra.regularity import (DEFAULT_LADDER, StatSeries, arc_stats,
+from opspectra.regularity import (StatSeries, arc_stats,
                                   cn_sq_stat_oprl,
                                   cn_stat_matrix, cn_stat_matrix_invariant,
                                   cn_stat_oprl, cn_stat_opuc, cn_stat_torus,
@@ -15,10 +15,6 @@ from opspectra.regularity import (DEFAULT_LADDER, StatSeries, arc_stats,
 from opspectra.sequences import (BlockJacobiParams, JacobiParams,
                                  VerblunskyParams, WrongType, sup_deviation)
 from oracles import d_m
-
-
-def test_default_ladder_is_powers_of_two():
-    assert DEFAULT_LADDER == tuple(2 ** k for k in range(5, 14))
 
 
 def test_stat_series_monotonicity():

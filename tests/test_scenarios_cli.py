@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from opspectra import cli, periodic, scenarios
-from opspectra.cli import (ConfigParse, ScenarioConfig, ScenarioFailed,
+from opspectra.cli import (ConfigParse, ScenarioConfig, default_config,
                            parse_config_text, run_scenario)
 from opspectra.regularity import StatSeries
 from opspectra.scenarios import BadOption, ScenarioResult, UnknownScenario
@@ -73,34 +73,41 @@ def test_scenario_config_from_mapping_defaults_and_checks():
     with pytest.raises(BadOption):
         ScenarioConfig.from_mapping({"scenario": "thm4_1", "seed": "x"})
     with pytest.raises(BadOption):
-        ScenarioConfig.from_mapping({"scenario": "thm4_1",
-                                     "threshold.cn_last": "-1"})
+        ScenarioConfig.from_mapping({"scenario": "thm4_1", "emit_svg": "x"})
+    # scenario options are passed on as text and parsed when it runs
+    cfg = ScenarioConfig.from_mapping({"scenario": "thm4_1",
+                                       "threshold.cn_last": "-1"})
+    assert cfg.options == {"threshold.cn_last": "-1"}
+    with pytest.raises(BadOption):
+        run_scenario(cfg)
 
 
 def test_default_configs_round_trip_through_the_parser():
     for sid in ALL_IDS:
         cfg = ScenarioConfig.from_mapping(
-            parse_config_text(scenarios.default_config(sid)))
+            parse_config_text(default_config(sid)))
         assert cfg.scenario == sid
 
 
 def test_run_scenario_writes_artifacts(tmp_path):
     cfg = ScenarioConfig("thm4_1", outdir=str(tmp_path / "out"))
     report = run_scenario(cfg)
-    assert report.passed
+    assert report.result.passed
     assert (tmp_path / "out" / "stats.csv").exists()
     text = (tmp_path / "out" / "stats.csv").read_text()
     assert text.startswith("label,N,value\n")
     assert all(line.count(",") == 2 for line in text.strip().splitlines())
 
 
-def test_run_scenario_raises_after_writing_on_threshold_violation(tmp_path):
+def test_run_scenario_reports_a_threshold_violation_after_writing(tmp_path):
     cfg = ScenarioConfig("thm4_1", outdir=str(tmp_path / "out"),
                          options={"threshold.cn_last": "1e-12"})
-    with pytest.raises(ScenarioFailed) as err:
-        run_scenario(cfg)
-    assert err.value.failures == ["cn_last"]
-    assert (tmp_path / "out" / "stats.csv").exists()
+    report = run_scenario(cfg)
+    assert report.result.passed is False
+    assert [c.name for c in report.result.checks if not c.passed] \
+        == ["cn_last"]
+    assert (tmp_path / "out" / "stats.csv").read_text() \
+        == report.result.artifacts()["stats.csv"]
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -169,6 +176,21 @@ def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_a_cli_run_parses_the_scenario_options_once(sid, tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    calls = []
+    real = scenarios.parse_options
+    monkeypatch.setattr(scenarios, "parse_options",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"scenario = {sid}\noutdir = {tmp_path / 'out'}\n")
+    assert cli.main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_cli_list_and_emit(capsys):
     assert cli.main(["list-scenarios"]) == 0
     out = capsys.readouterr().out
@@ -183,7 +205,7 @@ def test_cli_list_and_emit(capsys):
 def test_mnt_scenario_has_no_thresholds_but_reports(tmp_path):
     report = run_scenario(ScenarioConfig("mnt_illustration",
                                          outdir=str(tmp_path / "out")))
-    assert report.passed
+    assert report.result.passed
     assert any("illustration" in line for line in report.lines)
     labels = {s.label for s in report.result.series}
     assert "b_window_max" in labels
@@ -215,7 +237,7 @@ def test_mnt_coefficients_at_the_cap_match_the_continuous_measure():
     # 600 nodes agree with 2400 to 4e-15 on these n; mnt's 4800-node
     # discretization first leaves them by 1e-12 at a_127
     a, b = _tilted_flat_recurrence(0.5, 126, 600)
-    res = scenarios.run("mnt_illustration", {"coefficients": "126"})
+    res = scenarios.run("mnt_illustration", {"coefficients": "126"}, 1)
     J = res.jacobi_inputs[0][1]
     assert len(J) == 126
     assert np.max(np.abs(J.a_window(125) - a)) <= 1e-12
@@ -225,9 +247,12 @@ def test_mnt_coefficients_at_the_cap_match_the_continuous_measure():
 def test_stats_csv_is_the_series_csv_rows_under_one_header():
     series = [StatSeries("x", (1, 2), (0.5, 0.25)),
               StatSeries("y", (4,), (1.0 / 3.0,))]
-    res = ScenarioResult("demo", series=series)
-    body = "".join(s.to_csv().split("\n", 1)[1] for s in series)
-    assert res.stats_csv() == "label,N,value\n" + body
+    res = ScenarioResult("demo", series=series,
+                         extras={"t.csv": (("i", "v"), [(np.int64(3), 0.1)])})
+    assert res.artifacts() == {
+        "stats.csv": "label,N,value\nx,1,0.5\nx,2,0.25\n"
+                     "y,4,0.3333333333333333\n",
+        "t.csv": "i,v\n3,0.1\n"}
 
 
 PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
@@ -299,9 +324,9 @@ def test_negative_shifts_keep_the_declared_deviation_bounds(monkeypatch):
     real = periodic.delta_of_J
     monkeypatch.setattr(periodic, "delta_of_J",
                         lambda J0, J, K: shifted.append(J) or real(J0, J, K))
-    scenarios.run("thm6_1", {"defect.size": "-0.3", "torus.Ns": "32"})
+    scenarios.run("thm6_1", {"defect.size": "-0.3", "torus.Ns": "32"}, 1)
     res = scenarios.run("conjecture5_1_explore",
-                        {"decay.amp": "-0.5", "bumps.amp": "-0.4"})
+                        {"decay.amp": "-0.5", "bumps.amp": "-0.4"}, 1)
     inputs = [J for _, J, _ in res.jacobi_inputs] + shifted[1:]
     assert len(inputs) == 3
     for J in inputs:
@@ -373,7 +398,7 @@ def test_cli_legendre_ladder_past_200_coefficients_runs(
 @pytest.mark.parametrize("sid", ALL_IDS)
 def test_default_config_lists_every_option_and_reruns_the_default(
         sid, tmp_path, capsys, monkeypatch):
-    text = scenarios.default_config(sid)
+    text = default_config(sid)
     keys = [m.group(1) for m in map(re.compile(r"(?:# )?([\w.]+) =").match,
                                     text.splitlines()) if m]
     declared = list(scenarios.parse_options(sid, {}))
@@ -385,7 +410,7 @@ def test_default_config_lists_every_option_and_reruns_the_default(
     assert cli.main(["run", str(cfg)]) == 0
     capsys.readouterr()
     assert (tmp_path / "out" / "stats.csv").read_bytes() \
-        == scenarios.run(sid, {}, 1).stats_csv().encode()
+        == scenarios.run(sid, {}, 1).artifacts()["stats.csv"].encode()
 
 
 def test_every_benchmark_config_parses(tmp_path, monkeypatch):
@@ -454,6 +479,15 @@ def test_cli_runs_a_period_one_pattern(sid, extra, sha, tmp_path, capsys,
     capsys.readouterr()
     stats = (tmp_path / "out" / "stats.csv").read_bytes()
     assert hashlib.sha256(stats).hexdigest() == sha
+
+
+def test_period_one_torus_samples_name_every_column():
+    # a period-1 torus has no angle columns
+    res = scenarios.run("conjecture5_1_explore",
+                        {"input.pattern": "1,0", "Ns": "8",
+                         "torus.samples": "2"}, 1)
+    assert res.artifacts()["torus_samples.csv"] \
+        == "a_1,b_1\n1.0,0.0\n1.0,0.0\n"
 
 
 #: SHA-256 of each default stats.csv, by (scenario, seed)
