@@ -29,10 +29,10 @@ ch. 7-8).  The same map run backward reads the angles off any
 one-period window.  Distance from a coefficient sequence to the torus
 starts from the best of a fixed coarse grid of angles and the
 inverse-map angles of the sequence's own windows, then refines it by a
-pattern search along the axes and the diagonals.  A batch of offsets
-searches each distinct window once: offsets whose windows (coefficients
-and weights on whole periods) are bitwise equal share one search and
-its result.
+pattern search along the axes and the diagonals, several moves per map
+call when few windows are left.  A batch of offsets searches each
+distinct window once: offsets whose windows (coefficients and weights
+on whole periods) are bitwise equal share one search and its result.
 """
 
 from __future__ import annotations
@@ -471,21 +471,21 @@ class _DirichletMap:
 def torus_point(J0: PeriodicJacobi, theta) -> PeriodicJacobi:
     """Member of the isospectral family of the generator J0 at angle
     coordinates theta (length p - 1), through the Dirichlet-data map;
-    theta = 0 is J0 itself.  Every period is covered; all gaps must be open
-    (GapClosed otherwise).
+    theta = 0 is J0 itself, returned as is.  Every period is covered; all
+    gaps must be open (GapClosed otherwise).
 
-    The two discriminants, polynomials of degree p, are compared at the
-    p + 1 Chebyshev-Lobatto points of J0's Gershgorin interval, which
-    holds its bands; a mismatch raises ValueError.
+    Off theta = 0 the two discriminants, polynomials of degree p, are
+    compared at the p + 1 Chebyshev-Lobatto points of J0's Gershgorin
+    interval, which holds its bands; a mismatch raises ValueError.
     """
     theta = tuple(np.atleast_1d(np.asarray(theta, dtype=float)).tolist())
     p = J0.p
     if len(theta) != p - 1:
         raise ValueError(f"period {p} needs {p - 1} torus coordinates")
-    J = J0
-    if any(t != 0.0 for t in theta):
-        a, b = _DirichletMap(J0)(np.array(theta).reshape(1, p - 1))
-        J = PeriodicJacobi(tuple(a[0]), tuple(b[0]))
+    if not any(theta):
+        return J0
+    a, b = _DirichletMap(J0)(np.array(theta).reshape(1, p - 1))
+    J = PeriodicJacobi(tuple(a[0]), tuple(b[0]))
     lo, hi = min(J0.b) - 2.0 * max(J0.a), max(J0.b) + 2.0 * max(J0.a)
     x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
         math.pi * np.arange(p + 1) / p)
@@ -498,9 +498,13 @@ def torus_point(J0: PeriodicJacobi, theta) -> PeriodicJacobi:
 
 # -- distance to the torus ---------------------------------------------
 
-#: grid starts per torus coordinate, and the step that ends the search
+#: grid starts per torus coordinate, the step that ends the search, the
+#: (row, move) pairs one look-ahead round may hold, and the fewest moves
+#: per row for which a round is worth its gather
 _GRID_POINTS = 8
 _FINAL_STEP = 1e-7
+_LOOKAHEAD_ROWS = 256
+_MIN_LOOKAHEAD = 3
 
 
 def dm_weights(bound: float) -> np.ndarray:
@@ -594,6 +598,65 @@ def _window_starts(family: _DirichletMap, A, B, ms: np.ndarray):
                             np.take_along_axis(B, cols, axis=1))
 
 
+def _pattern_search(family: _DirichletMap, A, B, W, theta, best, span, work):
+    """Refine the angles ``theta`` and the distances ``best`` of the
+    aligned rows (A, B, W) in place, from step ``span`` down to
+    _FINAL_STEP; see d_to_torus_batch for the search and its rounds.
+    A, B, W and theta are overwritten."""
+    p = family.p
+    moves = [d for d in itertools.product((-1, 0, 1), repeat=p - 1) if any(d)]
+    moves = np.array(moves, dtype=float).reshape(len(moves), p - 1)
+    step = np.full(len(best), span)
+    live = np.arange(len(best))
+    while True:
+        keep = step > _FINAL_STEP
+        if not keep.all():
+            # the rows move down in place: a copy would sit beside the
+            # caller's full-size rows
+            n = int(np.count_nonzero(keep))
+            for X in (A, B, W):
+                X[:n] = X[keep]
+            A, B, W = A[:n], B[:n], W[:n]
+            live, theta, step = live[keep], theta[keep], step[keep]
+        if not len(live):
+            break
+        moved = np.zeros(len(live), dtype=bool)
+        if min(len(moves), _LOOKAHEAD_ROWS // len(live)) < _MIN_LOOKAHEAD:
+            # each move in turn for every row at once
+            for d in moves:
+                cand = theta + step[:, None] * d
+                vals = _weighted_dist(A, B, W, *family(cand), work)
+                better = vals < best[live]
+                theta[better] = cand[better]
+                best[live[better]] = vals[better]
+                moved |= better
+        else:
+            cur = best[live]
+            nxt = np.zeros(len(live), dtype=int)   # next untried move
+            act = np.arange(len(live))
+            while len(act):
+                h = min(len(moves), _LOOKAHEAD_ROWS // len(act))
+                # past a row's last move its pairs repeat that move
+                j = np.minimum(nxt[act, None] + np.arange(h), len(moves) - 1)
+                row = np.repeat(act, h)
+                cand = theta[row] + step[row, None] * moves[j.ravel()]
+                vals = _weighted_dist(A[row], B[row], W[row],
+                                      *family(cand), work)
+                better = vals.reshape(-1, h) < cur[act, None]
+                first = better.argmax(axis=1)
+                k = np.arange(len(act))
+                hit = better[k, first]
+                nxt[act] = j[k, np.where(hit, first, h - 1)] + 1
+                pick = k[hit] * h + first[hit]
+                took = act[hit]
+                theta[took] = cand[pick]
+                cur[took] = vals[pick]
+                moved[took] = True
+                act = act[nxt[act] < len(moves)]
+            best[live] = cur
+        step[~moved] *= 0.5
+
+
 def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
                      J0: PeriodicJacobi) -> np.ndarray:
     """Distance at each offset m in ``ms`` from J to the isospectral
@@ -610,6 +673,23 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     exact up to rounding, since a window of a family member maps back to
     its own angles.
 
+    Each row tries the moves of an iteration in a fixed order, each from
+    its current angles.  With few live rows this runs in look-ahead
+    rounds: every row with moves left evaluates its next h of them, all
+    from its current angles, through one map call and one distance call
+    for all rows; it takes the first that improves its distance and
+    goes on after that move.  Until that first improvement the angles
+    are the ones a move-by-move order would start from, so the rounds
+    take the same moves and compute every distance from the same
+    operands by the same elementwise steps: the result is bit for bit
+    that of one move at a time.  h = min(number of moves, R // rows with
+    moves left), R = _LOOKAHEAD_ROWS (256), so a round holds at most R
+    (row, move) pairs; a row's pairs past its last move repeat that
+    move.  An iteration with h below 3 at its start (more than R / 3
+    live rows, or p = 2 with its two moves) tries each move in turn for
+    every row at once, with no gather: a two-move round saves a map call
+    only when no row improves on the first move.
+
     Offsets whose aligned rows (the coefficients and weights from the
     start of the offset's period on, see _aligned_windows) are bitwise
     equal share one search, since the search reads nothing but the row
@@ -620,13 +700,15 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     grid goes through the map once and each grid generator is compared
     with every distinct row at once; each row's window starts are
     compared with the row itself, and the refinement moves all rows
-    together.
+    together, in rounds or move by move.
     """
     ms = np.asarray(ms, dtype=int)
     if np.any(ms < 1):
         raise ValueError("offsets are 1-based")
     p = J0.p
     family = _DirichletMap(J0)
+    if not len(ms):
+        return np.empty(0)
     bound = 2.0 * (_deviation_bound(J, int(ms.max()))
                    + J0.deviation_bound + 2.0)
     A, B, W = _aligned_windows(J, ms, dm_weights(bound), p)
@@ -634,7 +716,11 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     rows, share = _distinct_rows(A, B, W)
     if len(rows) < len(ms):
         A, B, W, ms = A[rows], B[rows], W[rows], ms[rows]
-    work = np.empty((2,) + A.shape)
+    # a look-ahead round evaluates at most _LOOKAHEAD_ROWS (row, move)
+    # pairs, and never more than every move of every row
+    n_moves = 3 ** (p - 1) - 1
+    work = np.empty((2, max(len(A), min(_LOOKAHEAD_ROWS, len(A) * n_moves)),
+                     A.shape[1]))
 
     span = 2.0 * math.pi / _GRID_POINTS
     pts = list(itertools.product(range(_GRID_POINTS), repeat=p - 1))
@@ -653,24 +739,5 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
         best[better] = vals[better]
         theta[better] = start[better]
 
-    moves = [np.array(d, dtype=float) for d in
-             itertools.product((-1, 0, 1), repeat=p - 1) if any(d)]
-    step = np.full(len(ms), span)
-    live = np.arange(len(ms))
-    while True:
-        keep = step > _FINAL_STEP
-        if not keep.all():
-            live, theta, step, A, B, W = (x[keep] for x in
-                                          (live, theta, step, A, B, W))
-        if not len(live):
-            break
-        moved = np.zeros(len(live), dtype=bool)
-        for d in moves:
-            cand = theta + step[:, None] * d
-            vals = _weighted_dist(A, B, W, *family(cand), work)
-            better = vals < best[live]
-            theta[better] = cand[better]
-            best[live[better]] = vals[better]
-            moved |= better
-        step[~moved] *= 0.5
+    _pattern_search(family, A, B, W, theta, best, span, work)
     return best[share]

@@ -4,13 +4,15 @@ Each function here recomputes something the package computes (or
 consumes) by a different method; no program calls them.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from opspectra.measures import DiscreteMeasure
-from opspectra.periodic import _deviation_bound, dm_weights
+from opspectra.periodic import (_FINAL_STEP, _deviation_bound, _weighted_dist,
+                                dm_weights)
 from opspectra.sequences import BlockJacobiParams, JacobiParams
 from opspectra.spectra import eig_block
 
@@ -54,6 +56,34 @@ def d_m(J: JacobiParams, Jt: JacobiParams, m: int) -> float:
     terms = (np.abs(J.a_window(hi)[m - 1:] - Jt.a_window(hi)[m - 1:])
              + np.abs(J.b_window(hi)[m - 1:] - Jt.b_window(hi)[m - 1:]))
     return float(terms @ w)
+
+
+def sequential_pattern_search(family, A, B, W, theta, best, span, work):
+    """periodic._pattern_search one move at a time: every live row tries
+    each move in turn from its current angles, through one map call per
+    move, and takes every improvement as it comes.  The look-ahead rounds
+    of the library must give the same bits."""
+    p = family.p
+    moves = [np.array(d, dtype=float) for d in
+             itertools.product((-1, 0, 1), repeat=p - 1) if any(d)]
+    step = np.full(len(best), span)
+    live = np.arange(len(best))
+    while True:
+        keep = step > _FINAL_STEP
+        if not keep.all():
+            live, theta, step, A, B, W = (x[keep] for x in
+                                          (live, theta, step, A, B, W))
+        if not len(live):
+            break
+        moved = np.zeros(len(live), dtype=bool)
+        for d in moves:
+            cand = theta + step[:, None] * d
+            vals = _weighted_dist(A, B, W, *family(cand), work)
+            better = vals < best[live]
+            theta[better] = cand[better]
+            best[live[better]] = vals[better]
+            moved |= better
+        step[~moved] *= 0.5
 
 
 def block_trace_square(params: BlockJacobiParams, K: int):

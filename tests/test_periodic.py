@@ -21,7 +21,7 @@ from opspectra.potential import capacity, equilibrium_measure
 from opspectra.scenarios import _is_pow2, _periodic_as_params
 from opspectra.sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
                                 validate_blocks)
-from oracles import d_m
+from oracles import d_m, sequential_pattern_search
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -451,9 +451,17 @@ def test_a_list_raises_the_first_inputs_first_singular_block(normalize):
 # -- isospectral torus -------------------------------------------------
 
 
-def test_torus_point_theta_zero_returns_reference():
+def test_torus_point_theta_zero_returns_reference(monkeypatch):
     J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
+    calls = []
+    real = periodic.discriminant
+    monkeypatch.setattr(periodic, "discriminant",
+                        lambda *args: calls.append(1) or real(*args))
     assert torus_point(J0, (0.0,)) is J0
+    # nothing to compare: J0's discriminant is J0's
+    assert calls == []
+    torus_point(J0, (0.7,))
+    assert calls
 
 
 @pytest.mark.parametrize("theta", [0.4, 1.5, math.pi, 4.0, 6.0])
@@ -733,3 +741,87 @@ def test_period_two_and_four_torus_points_are_found_at_every_offset(J0):
     J = _periodic_params(torus_point(J0, (1.3,) * (J0.p - 1)))
     d = d_to_torus_batch(J, np.arange(1, 201), J0)
     assert np.max(d) <= 1e-12
+
+
+# -- look-ahead rounds of the pattern search ---------------------------
+
+TORUS_INPUTS = {
+    "harmonic": lambda J0: _periodic_params(J0, lambda n: 1.0 / n,
+                                            bound_extra=1.0),
+    "half_over_n": lambda J0: _periodic_params(J0, lambda n: 0.5 / n,
+                                               bound_extra=0.5),
+    "sparse_bumps": lambda J0: _periodic_params(
+        J0, lambda n: np.where((n > 1) & _is_pow2(n), 0.4, 0.0),
+        bound_extra=0.4),
+    "torus_point": lambda J0: _periodic_params(
+        torus_point(J0, (1.3,) * (J0.p - 1))),
+}
+
+
+def _sequential(J, ms, J0, monkeypatch):
+    """d_to_torus_batch with the pattern search run one move at a time."""
+    with monkeypatch.context() as patch:
+        patch.setattr(periodic, "_pattern_search", sequential_pattern_search)
+        return d_to_torus_batch(J, ms, J0)
+
+
+@pytest.mark.parametrize("name", list(TORUS_INPUTS))
+@pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
+def test_look_ahead_search_gives_the_sequential_bits(J0, name, monkeypatch):
+    J = TORUS_INPUTS[name](J0)
+    ms = np.arange(1, 201)
+    assert np.array_equal(d_to_torus_batch(J, ms, J0),
+                          _sequential(J, ms, J0, monkeypatch))
+    for m in (1, 2, 7):
+        assert np.array_equal(d_to_torus_batch(J, [m], J0),
+                              _sequential(J, [m], J0, monkeypatch))
+
+
+@pytest.mark.parametrize("rows", [1, 10 ** 9], ids=["none", "full"])
+@pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
+def test_the_look_ahead_size_leaves_the_distances_unchanged(J0, rows,
+                                                            monkeypatch):
+    # one row budget runs every search one move at a time, the other (with
+    # rounds of any size allowed) puts every move of every row into the
+    # first round of an iteration, at p = 2 too
+    J = TORUS_INPUTS["half_over_n"](J0)
+    ms = np.arange(1, 65)
+    expected = _sequential(J, ms, J0, monkeypatch)
+    monkeypatch.setattr(periodic, "_LOOKAHEAD_ROWS", rows)
+    monkeypatch.setattr(periodic, "_MIN_LOOKAHEAD", 1)
+    assert np.array_equal(d_to_torus_batch(J, ms, J0), expected)
+
+
+def test_a_one_offset_search_makes_a_third_of_the_sequential_map_calls(
+        monkeypatch):
+    J = TORUS_INPUTS["half_over_n"](P3)
+    calls = []
+    real = _DirichletMap.__call__
+    monkeypatch.setattr(_DirichletMap, "__call__",
+                        lambda self, th: calls.append(1) or real(self, th))
+    fast = d_to_torus_batch(J, [1], P3)
+    n_fast = len(calls)
+    slow = _sequential(J, [1], P3, monkeypatch)
+    assert np.array_equal(fast, slow)
+    assert 3 * n_fast <= len(calls) - n_fast
+
+
+def test_look_ahead_memory_stays_near_the_sequential_search():
+    # the sequential search peaks at 0.57 MiB here; a round gathers at
+    # most _LOOKAHEAD_ROWS rows, which may add 0.5 MiB
+    J = TORUS_INPUTS["harmonic"](P4)
+    ms = np.arange(1, 129)
+    J.a_window(2 * len(ms))   # grow the stored sequences before tracing
+    J.b_window(2 * len(ms))
+    tracemalloc.start()
+    try:
+        d_to_torus_batch(J, ms, P4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (0.57 + 0.5) * 2 ** 20
+
+
+def test_an_empty_batch_gives_an_empty_array():
+    d = d_to_torus_batch(TORUS_INPUTS["harmonic"](P2), [], P2)
+    assert d.shape == (0,) and d.dtype == float
