@@ -6,7 +6,11 @@ Every diagnostic is reported as a :class:`StatSeries` over a ladder of
 window lengths.  All windowed averages share one code path: a prefix
 sum of per-site terms in extended precision, divided by the window
 length, so the algebraic identities between related statistics hold to
-1e-12 even at the largest windows.
+1e-12 even at the largest windows.  The sum runs over the window in
+chunks of ``_CHUNK`` sites, carrying its running total from chunk to
+chunk, so it has the bits of one cumulative sum over the whole window
+while the terms exist one chunk at a time: a statistic needs the
+window it reads plus O(_CHUNK) memory.
 
 Sequence indexing follows the underlying data: Jacobi windows cover
 sites 1..N, Verblunsky windows cover indices 0..N-1.
@@ -16,13 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from . import periodic as _periodic
-from .sequences import (BlockJacobiParams, JacobiParams, VerblunskyParams,
-                        WrongType, _herm)
+from .sequences import (_CHUNK, BlockJacobiParams, JacobiParams,
+                        VerblunskyParams, WrongType, _herm, _rho)
+
+#: the terms of sites lo..hi-1 along the last axis, given (lo, hi)
+Terms = Callable[[int, int], np.ndarray]
 
 @dataclass(frozen=True)
 class StatSeries:
@@ -60,11 +67,42 @@ def _check_ladder(Ns) -> Tuple[int, ...]:
     return Ns
 
 
-def _prefix_means(terms: np.ndarray, Ns: Tuple[int, ...]) -> Tuple[float, ...]:
+def _prefix_sums(terms: Terms, ends) -> np.ndarray:
+    """The sum of the first e terms for each e >= 0 of ``ends``, in
+    extended precision, with the series on the last axis (leading axes
+    of the terms are separate series).
+
+    ``terms`` is called on consecutive chunks (0, C), (C, 2C), ... up to
+    max(ends), with C = ``_CHUNK``.  Each chunk's cumulative sum starts
+    from the running total of the chunks before it, so every sum has the
+    bits of one ``np.cumsum(..., dtype=np.longdouble)`` over all terms.
+    The empty sum is -0.0, the exact identity of floating-point addition.
+    """
+    ends = np.asarray(ends, dtype=np.intp)
+    n = int(ends.max())
+    sums, carry = None, -0.0
+    for lo in range(0, n, _CHUNK) or (0,):
+        hi = min(lo + _CHUNK, n)
+        t = terms(lo, hi)
+        cs = np.empty(t.shape[:-1] + (hi - lo + 1,), dtype=np.longdouble)
+        cs[..., 0] = carry
+        cs[..., 1:] = t
+        np.add.accumulate(cs, axis=-1, out=cs)
+        at = cs[..., ends if n <= _CHUNK else np.clip(ends, lo, hi) - lo]
+        sums = at if sums is None else np.where(ends > lo, at, sums)
+        carry = cs[..., -1]
+    return sums
+
+
+def _prefix_means(terms: Terms, Ns: Tuple[int, ...]) -> Tuple[float, ...]:
     """(1/N) sum of the first N terms for each ladder entry, accumulated
-    in extended precision."""
-    cs = np.cumsum(np.asarray(terms), dtype=np.longdouble)
-    return tuple(float(cs[n - 1] / n) for n in Ns)
+    in extended precision by :func:`_prefix_sums`."""
+    return tuple(float(s / n) for s, n in zip(_prefix_sums(terms, Ns), Ns))
+
+
+def _slices(values: np.ndarray) -> Terms:
+    """Terms already held in one array, handed out by slicing."""
+    return lambda lo, hi: values[lo:hi]
 
 
 # -- root tests --------------------------------------------------------
@@ -82,16 +120,24 @@ def root_test(seq, Ns, label: str = "root_test") -> StatSeries:
     n_max = Ns[-1]
     if isinstance(seq, JacobiParams):
         a = seq.a_window(n_max)
-        if np.any(a <= 0.0):
-            raise ValueError("off-diagonal entries must be positive")
-        logs = np.log(a)
+
+        def logs(lo, hi):
+            if np.any(a[lo:hi] <= 0.0):
+                raise ValueError("off-diagonal entries must be positive")
+            return np.log(a[lo:hi])
     elif isinstance(seq, VerblunskyParams):
-        rho = seq.rho_window(n_max)
-        if np.any(rho <= 0.0):
-            raise ValueError("rho must be positive (|alpha| < 1)")
-        logs = np.log(rho)
+        alpha = seq.alpha_window(n_max)
+
+        def logs(lo, hi):
+            rho = _rho(alpha[lo:hi])
+            if np.any(rho <= 0.0):
+                raise ValueError("rho must be positive (|alpha| < 1)")
+            return np.log(rho)
     elif isinstance(seq, BlockJacobiParams):
-        logs = np.linalg.slogdet(seq.a_blocks(n_max))[1] / seq.block_size
+        A, ell = seq.a_blocks(n_max), seq.block_size
+
+        def logs(lo, hi):
+            return np.linalg.slogdet(A[lo:hi])[1] / ell
     else:
         raise TypeError(f"unsupported sequence type {type(seq).__name__}")
     means = _prefix_means(logs, Ns)
@@ -106,17 +152,21 @@ def cn_stat_oprl(J: JacobiParams, Ns, label: str = "cn_oprl") -> StatSeries:
     free window, and its vanishing in the limit defines the scalar
     Cesaro-Nevai condition."""
     Ns = _check_ladder(Ns)
-    n = Ns[-1]
-    dev = np.abs(J.a_window(n) - 1.0) + np.abs(J.b_window(n))
-    return StatSeries(label, Ns, _prefix_means(dev, Ns))
+    return StatSeries(label, Ns, _prefix_means(_deviations(J, Ns[-1]), Ns))
+
+
+def _deviations(J: JacobiParams, n: int) -> Terms:
+    """The terms |a_k - 1| + |b_k| of sites 1..n, by chunk."""
+    a, b = J.a_window(n), J.b_window(n)
+    return lambda lo, hi: np.abs(a[lo:hi] - 1.0) + np.abs(b[lo:hi])
 
 
 def cn_sq_stat_oprl(J: JacobiParams, Ns, label: str = "cn_sq_oprl") -> StatSeries:
     """Companion mean-square form: (1/N) sum of (a_n - 1)^2 + b_n^2."""
     Ns = _check_ladder(Ns)
-    n = Ns[-1]
-    dev = (J.a_window(n) - 1.0) ** 2 + J.b_window(n) ** 2
-    return StatSeries(label, Ns, _prefix_means(dev, Ns))
+    a, b = J.a_window(Ns[-1]), J.b_window(Ns[-1])
+    return StatSeries(label, Ns, _prefix_means(
+        lambda lo, hi: (a[lo:hi] - 1.0) ** 2 + b[lo:hi] ** 2, Ns))
 
 
 def cn_stat_windowed(J: JacobiParams, starts, n: int) -> np.ndarray:
@@ -129,10 +179,9 @@ def cn_stat_windowed(J: JacobiParams, starts, n: int) -> np.ndarray:
     starts = np.asarray(starts, dtype=int)
     if n < 1 or np.any(starts < 1):
         raise ValueError("need n >= 1 and 1-based starts")
-    hi = int(starts.max()) + n - 1
-    dev = np.abs(J.a_window(hi) - 1.0) + np.abs(J.b_window(hi))
-    cs = np.concatenate([[0.0], np.cumsum(dev, dtype=np.longdouble)])
-    return ((cs[starts + n - 1] - cs[starts - 1]) / n).astype(float)
+    dev = _deviations(J, int(starts.max()) + n - 1)
+    cs = _prefix_sums(dev, np.stack([starts - 1, starts + n - 1]))
+    return ((cs[1] - cs[0]) / n).astype(float)
 
 
 def lemma21_stats(a, Ns):
@@ -143,7 +192,8 @@ def lemma21_stats(a, Ns):
     below mean) and by the exact expansion
     mean_sq_dev = mean_square - 2 mean + 1, which holds here to 1e-12
     per window because all four share one extended-precision prefix sum
-    pass.  Returned in that order as StatSeries.
+    pass over a (4, chunk) block of terms.  Returned in that order as
+    StatSeries.
     """
     Ns = _check_ladder(Ns)
     a = np.asarray(a, dtype=float)
@@ -151,12 +201,18 @@ def lemma21_stats(a, Ns):
         raise ValueError(f"need a 1-d positive sequence of length >= {Ns[-1]}")
     if np.any(a <= 0.0):
         raise ValueError("sequence must be positive")
-    geo = StatSeries("geo_mean", Ns,
-                     tuple(math.exp(v) for v in _prefix_means(np.log(a), Ns)))
-    mean = StatSeries("mean", Ns, _prefix_means(a, Ns))
-    mean_sq = StatSeries("mean_square", Ns, _prefix_means(a * a, Ns))
-    msd = StatSeries("mean_sq_dev", Ns, _prefix_means((a - 1.0) ** 2, Ns))
-    return geo, mean, mean_sq, msd
+
+    def terms(lo, hi):
+        x = a[lo:hi]
+        return np.stack([np.log(x), x, x * x, (x - 1.0) ** 2])
+
+    sums = _prefix_sums(terms, Ns)
+    geo, mean, mean_sq, msd = (tuple(float(s / n) for s, n in zip(row, Ns))
+                               for row in sums)
+    return (StatSeries("geo_mean", Ns, tuple(math.exp(v) for v in geo)),
+            StatSeries("mean", Ns, mean),
+            StatSeries("mean_square", Ns, mean_sq),
+            StatSeries("mean_sq_dev", Ns, msd))
 
 
 def trace_stat(J, Ns, label: str = "trace_stat") -> StatSeries:
@@ -168,17 +224,27 @@ def trace_stat(J, Ns, label: str = "trace_stat") -> StatSeries:
     Ns = _check_ladder(Ns)
     n = Ns[-1]
     if isinstance(J, JacobiParams):
-        ell, ta, tb = 1, J.a_window(n - 1) ** 2, J.b_window(n) ** 2
+        ell, a, b = 1, J.a_window(n - 1), J.b_window(n)
+
+        def ta(lo, hi):
+            return a[lo:hi] ** 2
+
+        def tb(lo, hi):
+            return b[lo:hi] ** 2
     elif isinstance(J, BlockJacobiParams):
-        B = J.b_blocks(n)
-        ell, ta = J.block_size, _hs2(J.a_blocks(n - 1))
-        tb = np.trace(B @ B, axis1=1, axis2=2).real
+        ell, A, B = J.block_size, J.a_blocks(n - 1), J.b_blocks(n)
+
+        def ta(lo, hi):
+            return _hs2(A[lo:hi])
+
+        def tb(lo, hi):
+            return np.trace(B[lo:hi] @ B[lo:hi], axis1=1, axis2=2).real
     else:
         raise TypeError(f"unsupported sequence type {type(J).__name__}")
-    csa = np.concatenate([[0.0], np.cumsum(ta, dtype=np.longdouble)])
-    csb = np.cumsum(tb, dtype=np.longdouble)
+    sa = _prefix_sums(ta, np.subtract(Ns, 1))
+    sb = _prefix_sums(tb, Ns)
     return StatSeries(label, Ns, tuple(
-        float((2.0 * csa[N - 1] + csb[N - 1]) / (N * ell)) for N in Ns))
+        float((2.0 * x + y) / (N * ell)) for x, y, N in zip(sa, sb, Ns)))
 
 
 def cn_stat_matrix(Jb: BlockJacobiParams, Ns):
@@ -198,9 +264,10 @@ def cn_stat_matrix(Jb: BlockJacobiParams, Ns):
             "type form of the block average needs a type-1 or type-3 "
             f"representative, got tag {Jb.type_tag!r}"
         )
-    A, B = Jb.a_blocks(n), Jb.b_blocks(n)
-    terms = np.sqrt(_hs2(A - np.eye(Jb.block_size))) + np.sqrt(_hs2(B))
-    return (StatSeries("cn_matrix_type", Ns, _prefix_means(terms, Ns)),
+    A, B, eye = Jb.a_blocks(n), Jb.b_blocks(n), np.eye(Jb.block_size)
+    return (StatSeries("cn_matrix_type", Ns, _prefix_means(
+        lambda lo, hi: (np.sqrt(_hs2(A[lo:hi] - eye))
+                        + np.sqrt(_hs2(B[lo:hi]))), Ns)),
             cn_stat_matrix_invariant(Jb, Ns))
 
 
@@ -213,16 +280,21 @@ def cn_stat_matrix_invariant(Jb: BlockJacobiParams, Ns) -> StatSeries:
     """The invariant form alone, valid for any tag."""
     Ns = _check_ladder(Ns)
     n = Ns[-1]
-    A, B = Jb.a_blocks(n), Jb.b_blocks(n)
-    terms = np.sqrt(_hs2(_herm(A) @ A - np.eye(Jb.block_size))) + np.sqrt(_hs2(B))
+    A, B, eye = Jb.a_blocks(n), Jb.b_blocks(n), np.eye(Jb.block_size)
+
+    def terms(lo, hi):
+        Ak = A[lo:hi]
+        return np.sqrt(_hs2(_herm(Ak) @ Ak - eye)) + np.sqrt(_hs2(B[lo:hi]))
+
     return StatSeries("cn_matrix_invariant", Ns, _prefix_means(terms, Ns))
 
 
 def cn_stat_opuc(alpha: VerblunskyParams, Ns, label: str = "cn_opuc") -> StatSeries:
     """(1/N) sum over indices 0..N-1 of |alpha_j|."""
     Ns = _check_ladder(Ns)
-    mod = np.abs(alpha.alpha_window(Ns[-1]))
-    return StatSeries(label, Ns, _prefix_means(mod, Ns))
+    al = alpha.alpha_window(Ns[-1])
+    return StatSeries(label, Ns, _prefix_means(
+        lambda lo, hi: np.abs(al[lo:hi]), Ns))
 
 
 # -- arc statistics ----------------------------------------------------
@@ -260,9 +332,11 @@ def arc_stats(alpha: VerblunskyParams, a: float, k: int, Ns,
     cs2 = np.concatenate([[0.0], np.cumsum(np.abs(al) ** 2)])
     block_sq = cs2[1 + k:n + k + 1] - cs2[1:n + 1]
     block_terms = block_sq + k * a * a - 2.0 * a * np.abs(block_sum)
-    return (StatSeries(f"{label}_modulus", Ns, _prefix_means(mod_terms, Ns)),
-            StatSeries(f"{label}_step", Ns, _prefix_means(step_terms, Ns)),
-            StatSeries(f"{label}_block", Ns, _prefix_means(block_terms, Ns)))
+    return tuple(StatSeries(f"{label}_{name}", Ns,
+                            _prefix_means(_slices(terms), Ns))
+                 for name, terms in (("modulus", mod_terms),
+                                     ("step", step_terms),
+                                     ("block", block_terms)))
 
 
 # -- torus distances ---------------------------------------------------
@@ -280,4 +354,4 @@ def cn_stat_torus(J: JacobiParams, J0, Ns, label: str = "cn_torus") -> StatSerie
     Ns = _check_ladder(Ns)
     n = Ns[-1]
     ds = _periodic.d_to_torus_batch(J, np.arange(1, n + 1), J0)
-    return StatSeries(label, Ns, _prefix_means(ds, Ns))
+    return StatSeries(label, Ns, _prefix_means(_slices(ds), Ns))

@@ -11,10 +11,20 @@ Three families of coefficient data appear throughout the toolkit:
 
 Sequences are either finite arrays or unbounded ones given by index-array
 functions: called on an integer array of indices, such a function returns
-the values there (a scalar is broadcast).  Unbounded Jacobi parameters
-carry a declared deviation bound.  Every downstream statistic asks for an
-explicit window length, so an unbounded sequence is never materialized
-beyond the largest window requested.  Every window is read-only.
+the values there (a scalar is broadcast).  It may be called on any split
+of the indices into consecutive runs, so its value at an index must not
+depend on which other indices share the call.  Unbounded Jacobi
+parameters carry a declared deviation bound.  Every downstream statistic
+asks for an explicit window length, so an unbounded sequence is never
+materialized beyond the largest window requested.  Every window is
+read-only.
+
+A generated window is kept and grows by doubling; each growth fills the
+new array in runs of ``_CHUNK`` indices, each generated, checked and
+written in place.  So growing a window costs the old and the new array
+plus O(_CHUNK) work memory, and the statistics in ``regularity`` read
+windows in the same runs: a statistic over a window of n values needs
+the window plus O(_CHUNK).
 """
 
 from __future__ import annotations
@@ -27,6 +37,10 @@ import numpy as np
 #: an index-array function: integer indices -> values there, or a scalar
 IndexFn = Callable[[np.ndarray], object]
 
+#: indices per run of window growth and of a prefix-sum pass; bounds the
+#: work memory of both
+_CHUNK = 1 << 15
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr)
@@ -38,8 +52,11 @@ class _Store:
     """The values of one coefficient sequence from index ``first`` on, as
     a frozen array.  An unbounded sequence also keeps ``extend``, an
     index-array function called on the next indices; the array grows by
-    doubling.  ``check(values, index)``, with ``index`` that of
-    ``values[0]``, vets the initial values and every extension."""
+    doubling, and the grown part is filled in runs of at most ``_CHUNK``
+    indices, each generated, checked and written in place, so a growth
+    needs no temporary longer than a run.  ``check(values, index)``,
+    with ``index`` that of ``values[0]``, vets the initial values and
+    every run."""
 
     def __init__(self, values: np.ndarray, first: int,
                  extend: Optional[IndexFn] = None,
@@ -60,12 +77,17 @@ class _Store:
         """The first n values, or all of a shorter finite sequence."""
         have = len(self.values)
         if n > have and self.extend is not None:
-            idx = np.arange(self.first + have, self.first + max(n, 2 * have, 64))
-            new = np.broadcast_to(
-                np.asarray(self.extend(idx), dtype=self.values.dtype), idx.shape)
-            if self.check is not None:
-                self.check(new, self.first + have)
-            self.values = _freeze(np.concatenate([self.values, new]))
+            grown = np.empty(max(n, 2 * have, 64), dtype=self.values.dtype)
+            grown[:have] = self.values
+            for lo in range(have, len(grown), _CHUNK):
+                idx = np.arange(self.first + lo,
+                                self.first + min(lo + _CHUNK, len(grown)))
+                new = np.broadcast_to(
+                    np.asarray(self.extend(idx), dtype=grown.dtype), idx.shape)
+                if self.check is not None:
+                    self.check(new, self.first + lo)
+                grown[lo:lo + len(idx)] = new
+            self.values = _freeze(grown)
         return self.values[:n]
 
     def window(self, n: int, name: str) -> np.ndarray:
@@ -104,9 +126,9 @@ class JacobiParams:
     def from_functions(cls, a_fn: IndexFn, b_fn: IndexFn,
                        bound: float) -> "JacobiParams":
         """Unbounded sequence from index-array functions: each is called
-        on an integer array of 1-based indices n and returns a_n (b_n)
-        there, or one scalar for all of them.  ``bound`` is a declared
-        bound on |a_n - 1| + |b_n|."""
+        on an integer array of consecutive 1-based indices n (any split
+        of the window) and returns a_n (b_n) there, or one scalar for
+        all of them.  ``bound`` is a declared bound on |a_n - 1| + |b_n|."""
         self = cls.__new__(cls)
         self._a = _Store(np.empty(0), 1, a_fn)
         self._b = _Store(np.empty(0), 1, b_fn)
@@ -151,6 +173,11 @@ def sup_deviation(params: JacobiParams, n: int) -> float:
     return float(dev.max())
 
 
+def _rho(alpha: np.ndarray) -> np.ndarray:
+    """rho_j = sqrt(1 - |alpha_j|^2) of every coefficient given."""
+    return np.sqrt(1.0 - np.abs(alpha) ** 2)
+
+
 def _check_alpha(alpha: np.ndarray, first: int) -> None:
     mod = np.abs(alpha)
     if np.any(mod >= 1.0):
@@ -173,9 +200,9 @@ class VerblunskyParams:
     @classmethod
     def from_function(cls, alpha_fn: IndexFn) -> "VerblunskyParams":
         """Unbounded sequence from an index-array function: called on an
-        integer array of 0-based indices j, it returns alpha_j there, or
-        one scalar for all of them.  Each new value is checked for
-        |alpha_j| < 1."""
+        integer array of consecutive 0-based indices j (any split of the
+        window), it returns alpha_j there, or one scalar for all of them.
+        Each new value is checked for |alpha_j| < 1."""
         self = cls.__new__(cls)
         self._alpha = _Store(np.empty(0, dtype=complex), 0, alpha_fn,
                              _check_alpha)
@@ -190,8 +217,7 @@ class VerblunskyParams:
 
     def rho_window(self, n: int) -> np.ndarray:
         """rho_0..rho_{n-1} with rho_j^2 + |alpha_j|^2 = 1, read-only."""
-        a = self.alpha_window(n)
-        return _freeze(np.sqrt(1.0 - np.abs(a) ** 2))
+        return _freeze(_rho(self.alpha_window(n)))
 
 
 class SingularBlock(ValueError):

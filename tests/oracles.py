@@ -58,6 +58,14 @@ def d_m(J: JacobiParams, Jt: JacobiParams, m: int) -> float:
     return float(terms @ w)
 
 
+def prefix_means_of(terms, Ns):
+    """(1/N) sum of the first N terms for each N, from one extended
+    precision cumulative sum over all the terms at once: the sums that
+    regularity._prefix_sums forms chunk by chunk."""
+    cs = np.cumsum(np.array(terms), dtype=np.longdouble)
+    return tuple(float(cs[n - 1] / n) for n in Ns)
+
+
 def sequential_pattern_search(family, A, B, W, theta, best, span, work):
     """periodic._pattern_search one move at a time: every live row tries
     each move in turn from its current angles, through one map call per

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opspectra.periodic import PeriodicJacobi, delta_of_J, dm_weights
-from opspectra.regularity import (StatSeries, arc_stats,
+from opspectra.regularity import (StatSeries, _prefix_means, _prefix_sums,
+                                  arc_stats,
                                   cn_sq_stat_oprl,
                                   cn_stat_matrix, cn_stat_matrix_invariant,
                                   cn_stat_oprl, cn_stat_opuc, cn_stat_torus,
                                   cn_stat_windowed, lemma21_stats,
                                   root_test, trace_stat)
-from opspectra.sequences import (BlockJacobiParams, JacobiParams,
+from opspectra.scenarios import sparse_bump_verblunsky
+from opspectra.sequences import (_CHUNK, BlockJacobiParams, JacobiParams,
                                  VerblunskyParams, WrongType, sup_deviation)
-from oracles import d_m
+from oracles import d_m, prefix_means_of
 
 
 def test_stat_series_monotonicity():
@@ -156,11 +159,6 @@ def test_matrix_stats_on_hand_built_blocks():
     assert cn_stat_matrix_invariant(Jb, (1, 2)).values == iv.values
 
 
-def _prefix_means_of(terms, Ns):
-    cs = np.cumsum(np.array(terms), dtype=np.longdouble)
-    return tuple(float(cs[n - 1] / n) for n in Ns)
-
-
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_block_stats_equal_their_per_block_loops(ell):
     # the stacked statistics against the per-block loops they replace,
@@ -179,13 +177,13 @@ def test_block_stats_equal_their_per_block_loops(ell):
         return float(np.sqrt(np.sum(np.abs(M) ** 2)))
 
     tf, iv = cn_stat_matrix(Jb, Ns)
-    assert tf.values == _prefix_means_of(
+    assert tf.values == prefix_means_of(
         [hs(a - eye) + hs(b) for a, b in zip(A, B)], Ns)
-    assert iv.values == _prefix_means_of(
+    assert iv.values == prefix_means_of(
         [hs(a.conj().T @ a - eye) + hs(b) for a, b in zip(A, B)], Ns)
     logs = [np.linalg.slogdet(a)[1] / ell for a in A]
     assert root_test(Jb, Ns).values == tuple(
-        math.exp(v) for v in _prefix_means_of(logs, Ns))
+        math.exp(v) for v in prefix_means_of(logs, Ns))
     ta = np.concatenate([[0.0], np.cumsum(
         [float(np.sum(np.abs(a) ** 2)) for a in A], dtype=np.longdouble)])
     tb = np.cumsum([float(np.trace(b @ b).real) for b in B],
@@ -250,3 +248,119 @@ def test_block_map_root_test_approaches_one():
     blocks = delta_of_J(J0, J, 512)
     rt = root_test(blocks, (64, 256, 512))
     assert abs(rt.last - 1.0) < 0.02
+
+
+# ladder ends on both sides of the chunk boundaries of the accumulator
+C = _CHUNK
+CHUNK_ENDS = (1, C - 1, C, C + 1, 2 * C, 3 * C + 7)
+
+
+def test_prefix_sums_have_the_bits_of_one_cumulative_sum():
+    rng = np.random.default_rng(19)
+    n = CHUNK_ENDS[-1]
+    # magnitudes over many decades, so every rounding of the sum shows
+    x = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+    calls = []
+
+    def terms(lo, hi):
+        calls.append((lo, hi))
+        return x[lo:hi]
+
+    cs = np.cumsum(x, dtype=np.longdouble)
+    sums = _prefix_sums(terms, CHUNK_ENDS)
+    assert np.array_equal(sums, cs[np.subtract(CHUNK_ENDS, 1)])
+    assert calls == [(0, C), (C, 2 * C), (2 * C, 3 * C), (3 * C, 3 * C + 7)]
+    assert _prefix_means(terms, CHUNK_ENDS) == prefix_means_of(x, CHUNK_ENDS)
+    # leading axes are separate series; ends may be 0, repeated, unsorted
+    block = np.stack([x, -x * x, np.abs(x)])
+    ends = np.array([[3 * C + 7, 0, C], [5, C + 1, 5]])
+    got = _prefix_sums(lambda lo, hi: block[:, lo:hi], ends)
+    full = np.cumsum(block, axis=-1, dtype=np.longdouble)
+    want = np.where(ends > 0, full[:, np.maximum(ends, 1) - 1], 0.0)
+    assert got.shape == (3, 2, 3) and np.array_equal(got, want)
+    assert np.signbit(got[:, ends == 0]).all()  # the empty sum is -0.0
+    # a running total of -0.0 keeps its sign across chunks, as in one pass
+    negzero = _prefix_means(lambda lo, hi: np.full(hi - lo, -0.0), CHUNK_ENDS)
+    assert all(math.copysign(1.0, v) == -1.0 for v in negzero)
+
+
+def test_statistics_equal_the_one_pass_oracle_across_chunks():
+    rng = np.random.default_rng(23)
+    Ns, n = CHUNK_ENDS, CHUNK_ENDS[-1]
+    a = np.exp(rng.uniform(-0.7, 0.7, n))
+    b = rng.uniform(-0.5, 0.5, n)
+    J = JacobiParams(a, b)
+    alpha = 0.9 * rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    V = VerblunskyParams(alpha)
+    rt = tuple(math.exp(v) for v in prefix_means_of(np.log(a), Ns))
+    assert root_test(J, Ns).values == rt
+    rho = np.sqrt(1.0 - np.abs(alpha) ** 2)
+    assert root_test(V, Ns).values == tuple(
+        math.exp(v) for v in prefix_means_of(np.log(rho), Ns))
+    assert cn_stat_oprl(J, Ns).values == prefix_means_of(
+        np.abs(a - 1.0) + np.abs(b), Ns)
+    assert cn_sq_stat_oprl(J, Ns).values == prefix_means_of(
+        (a - 1.0) ** 2 + b ** 2, Ns)
+    assert cn_stat_opuc(V, Ns).values == prefix_means_of(np.abs(alpha), Ns)
+    geo, mean, mean_sq, msd = lemma21_stats(a, Ns)
+    assert geo.values == rt
+    assert mean.values == prefix_means_of(a, Ns)
+    assert mean_sq.values == prefix_means_of(a * a, Ns)
+    assert msd.values == prefix_means_of((a - 1.0) ** 2, Ns)
+    # trace_stat: the a-sum stops one site short of the b-sum
+    csa = np.concatenate([[0.0], np.cumsum(a[:n - 1] ** 2, dtype=np.longdouble)])
+    csb = np.cumsum(b ** 2, dtype=np.longdouble)
+    assert trace_stat(J, Ns).values == tuple(
+        float((2.0 * csa[N - 1] + csb[N - 1]) / N) for N in Ns)
+    # shifted windows that start and end on every side of a boundary
+    starts = np.array([1, 2, C - 4, C, C + 1, 2 * C - 3, 2 * C - 1, 40000])
+    w = C + 9
+    dev = np.abs(a - 1.0) + np.abs(b)
+    cs = np.concatenate([[0.0], np.cumsum(dev, dtype=np.longdouble)])
+    assert np.array_equal(cn_stat_windowed(J, starts, w),
+                          ((cs[starts + w - 1] - cs[starts - 1]) / w).astype(float))
+
+
+def test_block_statistics_equal_the_one_pass_oracle_across_chunks():
+    rng = np.random.default_rng(29)
+    Ns, K, ell = CHUNK_ENDS, CHUNK_ENDS[-1], 2
+    z = rng.standard_normal((2 * K, ell, ell)) \
+        + 1j * rng.standard_normal((2 * K, ell, ell))
+    A = np.tril(np.eye(ell) + 0.3 * z[:K])
+    A[:, range(ell), range(ell)] = np.abs(A[:, range(ell), range(ell)])
+    B = (z[K:] + z[K:].conj().transpose(0, 2, 1)) / 2
+    Jb = BlockJacobiParams(ell, A, B, "type3")
+    eye, Ah = np.eye(ell), A.conj().transpose(0, 2, 1)
+
+    def hs(M):
+        return np.sqrt(np.sum(np.abs(M) ** 2, axis=(1, 2)))
+
+    tf, iv = cn_stat_matrix(Jb, Ns)
+    assert tf.values == prefix_means_of(hs(A - eye) + hs(B), Ns)
+    assert iv.values == prefix_means_of(hs(Ah @ A - eye) + hs(B), Ns)
+    logs = np.linalg.slogdet(A)[1] / ell
+    assert root_test(Jb, Ns).values == tuple(
+        math.exp(v) for v in prefix_means_of(logs, Ns))
+    ta = np.concatenate([[0.0], np.cumsum(
+        np.sum(np.abs(A[:K - 1]) ** 2, axis=(1, 2)), dtype=np.longdouble)])
+    tb = np.cumsum(np.trace(B @ B, axis1=1, axis2=2).real, dtype=np.longdouble)
+    assert trace_stat(Jb, Ns).values == tuple(
+        float((2.0 * ta[N - 1] + tb[N - 1]) / (N * ell)) for N in Ns)
+
+
+def test_cesaro_statistics_need_the_window_plus_a_chunk():
+    # the statistics read the stored window chunk by chunk: no full-length
+    # temporary, neither while the window grows nor while it is summed
+    n = 2 ** 20
+    V = sparse_bump_verblunsky(0.5)
+    Ns = (2 ** 10, 2 ** 15, n)
+    tracemalloc.start()
+    try:
+        root_test(V, Ns)
+        cn_stat_opuc(V, Ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    window = V.alpha_window(n).nbytes
+    assert window == 16 * n
+    assert peak <= window + 2 * 2 ** 20

@@ -79,6 +79,36 @@ def test_verblunsky_generator_leaving_the_disc_names_the_index():
     assert np.all(V.alpha_window(50) == 0.5)  # stores j = 0..63
     with pytest.raises(ValueError, match=r"alpha_100\b"):
         V.alpha_window(200)
+    # a bad coefficient past the first chunk of a growth is named the same
+    far = VerblunskyParams.from_function(
+        lambda j: np.where(j >= 40000, 1.0, 0.5))
+    assert np.all(far.alpha_window(200) == 0.5)
+    with pytest.raises(ValueError, match=r"alpha_40000\b"):
+        far.alpha_window(50000)
+    assert np.all(far.alpha_window(300) == 0.5)  # the stored values stay
+
+
+def test_chunked_growth_equals_one_shot_generation():
+    # reads that cross chunk and doubling boundaries give the bits of one
+    # call of the generator on all the indices
+    def a_fn(n):
+        return 1.0 + 0.3 * np.sin(n) / n
+
+    def b_fn(n):
+        return 0.2 * np.cos(np.sqrt(n))
+
+    def alpha_fn(j):
+        return 0.5 * np.exp(0.1j * j) / (1.0 + np.log1p(j))
+
+    J = JacobiParams.from_functions(a_fn, b_fn, bound=1.0)
+    V = VerblunskyParams.from_function(alpha_fn)
+    for n in (100, 70000, 200000):
+        sites = np.arange(1, n + 1)
+        assert J.a_window(n).tobytes() == a_fn(sites).tobytes()
+        assert J.b_window(n).tobytes() == b_fn(sites).tobytes()
+        assert V.alpha_window(n).tobytes() == alpha_fn(sites - 1).tobytes()
+        assert V.rho_window(n).tobytes() == np.sqrt(
+            1.0 - np.abs(alpha_fn(sites - 1)) ** 2).tobytes()
 
 
 @given(st.integers(1, 40), st.integers(0, 2**32))
