@@ -21,7 +21,8 @@ from .potential import (CircleArcSet, EquilibriumMeasure, FiniteGapSet,
 from .regularity import (StatSeries, arc_stats, cn_stat_matrix,
                          cn_stat_matrix_invariant, cn_stat_oprl, cn_stat_opuc,
                          cn_stat_torus, cn_stat_windowed, cn_sq_stat_oprl,
-                         lemma21_stats, root_test, trace_stat)
+                         lemma21_stats, root_and_cesaro, root_test,
+                         trace_stat)
 from .rng import SplitMix64
 from .sequences import (BlockJacobiParams, JacobiParams, UnitaryChain,
                         VerblunskyParams, sup_deviation, validate_blocks)
@@ -43,8 +44,8 @@ __all__ = [
     "d_to_torus_batch", "delta_of_J", "discretize", "discriminant",
     "dm_weights", "eig_block", "eig_sym_tridiag", "eig_unitary",
     "equilibrium_measure", "jacobi_from_measure", "lemma21_stats",
-    "normalize_type1", "normalize_type3", "root_test", "sup_deviation",
-    "torus_point", "trace_square", "trace_stat", "truncate",
+    "normalize_type1", "normalize_type3", "root_and_cesaro", "root_test",
+    "sup_deviation", "torus_point", "trace_square", "trace_stat", "truncate",
     "validate_blocks", "verblunsky_from_measure", "w1_distance",
     "zero_counting",
 ]

@@ -9,8 +9,14 @@ length, so the algebraic identities between related statistics hold to
 1e-12 even at the largest windows.  The sum runs over the window in
 chunks of ``_CHUNK`` sites, carrying its running total from chunk to
 chunk, so it has the bits of one cumulative sum over the whole window
-while the terms exist one chunk at a time: a statistic needs the
-window it reads plus O(_CHUNK) memory.
+while the terms exist one chunk at a time.  A scalar or Verblunsky
+sequence is read by runs of the same chunks (``a_runs``,
+``alpha_runs``), which keep nothing, so such a statistic needs
+O(_CHUNK) memory at any N; statistics reported together over one
+sequence (:func:`root_and_cesaro`, :func:`arc_stats`,
+:func:`lemma21_stats`) stack their terms and share one pass.  Block
+statistics read their stored blocks and the torus average its batch of
+distances.
 
 Sequence indexing follows the underlying data: Jacobi windows cover
 sites 1..N, Verblunsky windows cover indices 0..N-1.
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -100,9 +106,47 @@ def _prefix_means(terms: Terms, Ns: Tuple[int, ...]) -> Tuple[float, ...]:
     return tuple(float(s / n) for s, n in zip(_prefix_sums(terms, Ns), Ns))
 
 
+def _means(sums: np.ndarray, Ns: Tuple[int, ...]) -> List[Tuple[float, ...]]:
+    """The ladder means of each row of stacked prefix sums."""
+    return [tuple(float(s / n) for s, n in zip(row, Ns)) for row in sums]
+
+
+def _run_means(reads: Sequence[Terms], rows: Sequence[Callable],
+               Ns: Tuple[int, ...]) -> List[Tuple[float, ...]]:
+    """Ladder means of several statistics from one prefix-sum pass: each
+    chunk reads one run from each of ``reads`` (run readers, or
+    :func:`_slices`), and each of ``rows`` maps those runs to the terms
+    of one statistic; the rows are stacked on a leading axis.  A row
+    sums the same bits whether it runs alone or with others."""
+    def terms(lo, hi):
+        runs = [read(lo, hi) for read in reads]
+        return np.stack([row(*runs) for row in rows])
+    return _means(_prefix_sums(terms, Ns), Ns)
+
+
 def _slices(values: np.ndarray) -> Terms:
     """Terms already held in one array, handed out by slicing."""
     return lambda lo, hi: values[lo:hi]
+
+
+def _log_a(a: np.ndarray) -> np.ndarray:
+    """log a_n of a run of positive off-diagonal entries."""
+    if np.any(a <= 0.0):
+        raise ValueError("off-diagonal entries must be positive")
+    return np.log(a)
+
+
+def _log_rho(alpha: np.ndarray) -> np.ndarray:
+    """log rho_j of a run of Verblunsky coefficients."""
+    rho = _rho(alpha)
+    if np.any(rho <= 0.0):
+        raise ValueError("rho must be positive (|alpha| < 1)")
+    return np.log(rho)
+
+
+def _dev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Cesaro deviation |a_n - 1| + |b_n| of runs of a and b."""
+    return np.abs(a - 1.0) + np.abs(b)
 
 
 # -- root tests --------------------------------------------------------
@@ -119,29 +163,37 @@ def root_test(seq, Ns, label: str = "root_test") -> StatSeries:
     Ns = _check_ladder(Ns)
     n_max = Ns[-1]
     if isinstance(seq, JacobiParams):
-        a = seq.a_window(n_max)
-
-        def logs(lo, hi):
-            if np.any(a[lo:hi] <= 0.0):
-                raise ValueError("off-diagonal entries must be positive")
-            return np.log(a[lo:hi])
+        means, = _run_means((seq.a_runs(n_max),), (_log_a,), Ns)
     elif isinstance(seq, VerblunskyParams):
-        alpha = seq.alpha_window(n_max)
-
-        def logs(lo, hi):
-            rho = _rho(alpha[lo:hi])
-            if np.any(rho <= 0.0):
-                raise ValueError("rho must be positive (|alpha| < 1)")
-            return np.log(rho)
+        means, = _run_means((seq.alpha_runs(n_max),), (_log_rho,), Ns)
     elif isinstance(seq, BlockJacobiParams):
         A, ell = seq.a_blocks(n_max), seq.block_size
-
-        def logs(lo, hi):
-            return np.linalg.slogdet(A[lo:hi])[1] / ell
+        means = _prefix_means(
+            lambda lo, hi: np.linalg.slogdet(A[lo:hi])[1] / ell, Ns)
     else:
         raise TypeError(f"unsupported sequence type {type(seq).__name__}")
-    means = _prefix_means(logs, Ns)
     return StatSeries(label, Ns, tuple(math.exp(v) for v in means))
+
+
+def root_and_cesaro(seq, Ns, root_label: str = "root_test",
+                    cn_label: str = "cn"):
+    """The root test and the Cesaro deviation average of one scalar
+    sequence from one pass over it: for Jacobi data :func:`root_test`
+    and :func:`cn_stat_oprl`, for Verblunsky data :func:`root_test` and
+    :func:`cn_stat_opuc`, each with the bits of its own call.  Returned
+    in that order as StatSeries.
+    """
+    Ns = _check_ladder(Ns)
+    n = Ns[-1]
+    if isinstance(seq, JacobiParams):
+        root, cn = _run_means(_ab_runs(seq, n),
+                              (lambda a, b: _log_a(a), _dev), Ns)
+    elif isinstance(seq, VerblunskyParams):
+        root, cn = _run_means((seq.alpha_runs(n),), (_log_rho, np.abs), Ns)
+    else:
+        raise TypeError(f"unsupported sequence type {type(seq).__name__}")
+    return (StatSeries(root_label, Ns, tuple(math.exp(v) for v in root)),
+            StatSeries(cn_label, Ns, cn))
 
 
 # -- Cesaro deviation averages ----------------------------------------
@@ -152,21 +204,21 @@ def cn_stat_oprl(J: JacobiParams, Ns, label: str = "cn_oprl") -> StatSeries:
     free window, and its vanishing in the limit defines the scalar
     Cesaro-Nevai condition."""
     Ns = _check_ladder(Ns)
-    return StatSeries(label, Ns, _prefix_means(_deviations(J, Ns[-1]), Ns))
+    means, = _run_means(_ab_runs(J, Ns[-1]), (_dev,), Ns)
+    return StatSeries(label, Ns, means)
 
 
-def _deviations(J: JacobiParams, n: int) -> Terms:
-    """The terms |a_k - 1| + |b_k| of sites 1..n, by chunk."""
-    a, b = J.a_window(n), J.b_window(n)
-    return lambda lo, hi: np.abs(a[lo:hi] - 1.0) + np.abs(b[lo:hi])
+def _ab_runs(J: JacobiParams, n: int) -> Tuple[Terms, Terms]:
+    """The run readers of a_1..a_n and b_1..b_n."""
+    return J.a_runs(n), J.b_runs(n)
 
 
 def cn_sq_stat_oprl(J: JacobiParams, Ns, label: str = "cn_sq_oprl") -> StatSeries:
     """Companion mean-square form: (1/N) sum of (a_n - 1)^2 + b_n^2."""
     Ns = _check_ladder(Ns)
-    a, b = J.a_window(Ns[-1]), J.b_window(Ns[-1])
-    return StatSeries(label, Ns, _prefix_means(
-        lambda lo, hi: (a[lo:hi] - 1.0) ** 2 + b[lo:hi] ** 2, Ns))
+    means, = _run_means(_ab_runs(J, Ns[-1]),
+                        (lambda a, b: (a - 1.0) ** 2 + b ** 2,), Ns)
+    return StatSeries(label, Ns, means)
 
 
 def cn_stat_windowed(J: JacobiParams, starts, n: int) -> np.ndarray:
@@ -179,8 +231,9 @@ def cn_stat_windowed(J: JacobiParams, starts, n: int) -> np.ndarray:
     starts = np.asarray(starts, dtype=int)
     if n < 1 or np.any(starts < 1):
         raise ValueError("need n >= 1 and 1-based starts")
-    dev = _deviations(J, int(starts.max()) + n - 1)
-    cs = _prefix_sums(dev, np.stack([starts - 1, starts + n - 1]))
+    read_a, read_b = _ab_runs(J, int(starts.max()) + n - 1)
+    cs = _prefix_sums(lambda lo, hi: _dev(read_a(lo, hi), read_b(lo, hi)),
+                      np.stack([starts - 1, starts + n - 1]))
     return ((cs[1] - cs[0]) / n).astype(float)
 
 
@@ -201,14 +254,9 @@ def lemma21_stats(a, Ns):
         raise ValueError(f"need a 1-d positive sequence of length >= {Ns[-1]}")
     if np.any(a <= 0.0):
         raise ValueError("sequence must be positive")
-
-    def terms(lo, hi):
-        x = a[lo:hi]
-        return np.stack([np.log(x), x, x * x, (x - 1.0) ** 2])
-
-    sums = _prefix_sums(terms, Ns)
-    geo, mean, mean_sq, msd = (tuple(float(s / n) for s, n in zip(row, Ns))
-                               for row in sums)
+    geo, mean, mean_sq, msd = _run_means(
+        (_slices(a),), (np.log, lambda x: x, lambda x: x * x,
+                        lambda x: (x - 1.0) ** 2), Ns)
     return (StatSeries("geo_mean", Ns, tuple(math.exp(v) for v in geo)),
             StatSeries("mean", Ns, mean),
             StatSeries("mean_square", Ns, mean_sq),
@@ -224,13 +272,13 @@ def trace_stat(J, Ns, label: str = "trace_stat") -> StatSeries:
     Ns = _check_ladder(Ns)
     n = Ns[-1]
     if isinstance(J, JacobiParams):
-        ell, a, b = 1, J.a_window(n - 1), J.b_window(n)
+        ell, read_a, read_b = 1, J.a_runs(n - 1), J.b_runs(n)
 
         def ta(lo, hi):
-            return a[lo:hi] ** 2
+            return read_a(lo, hi) ** 2
 
         def tb(lo, hi):
-            return b[lo:hi] ** 2
+            return read_b(lo, hi) ** 2
     elif isinstance(J, BlockJacobiParams):
         ell, A, B = J.block_size, J.a_blocks(n - 1), J.b_blocks(n)
 
@@ -292,9 +340,8 @@ def cn_stat_matrix_invariant(Jb: BlockJacobiParams, Ns) -> StatSeries:
 def cn_stat_opuc(alpha: VerblunskyParams, Ns, label: str = "cn_opuc") -> StatSeries:
     """(1/N) sum over indices 0..N-1 of |alpha_j|."""
     Ns = _check_ladder(Ns)
-    al = alpha.alpha_window(Ns[-1])
-    return StatSeries(label, Ns, _prefix_means(
-        lambda lo, hi: np.abs(al[lo:hi]), Ns))
+    means, = _run_means((alpha.alpha_runs(Ns[-1]),), (np.abs,), Ns)
+    return StatSeries(label, Ns, means)
 
 
 # -- arc statistics ----------------------------------------------------
@@ -316,27 +363,54 @@ def arc_stats(alpha: VerblunskyParams, a: float, k: int, Ns,
     The step and block averages read ahead of the window, so the
     sequence must supply N + max(1, k) coefficients for a window of
     length N.  The three series are labelled ``<label>_modulus``,
-    ``<label>_step`` and ``<label>_block``.
+    ``<label>_step`` and ``<label>_block``, and come from one pass that
+    reads the coefficients by runs: the block sums are differences of a
+    trailing and a leading running sum, k apart, each carried from run
+    to run, so memory depends on neither N nor k.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("arc parameter must lie in (0, 1)")
     if k < 1:
         raise ValueError("block length k >= 1 required")
     Ns = _check_ladder(Ns)
-    n = Ns[-1]
-    al = alpha.alpha_window(n + max(1, k))
-    mod_terms = (np.abs(al[:n]) - a) ** 2
-    step_terms = np.abs(al[1:n + 1] - al[:n]) ** 2
-    cs = np.concatenate([[0.0], np.cumsum(al)])
-    block_sum = cs[1 + k:n + k + 1] - cs[1:n + 1]          # sum_{l=1..k} alpha_{j+l}
-    cs2 = np.concatenate([[0.0], np.cumsum(np.abs(al) ** 2)])
-    block_sq = cs2[1 + k:n + k + 1] - cs2[1:n + 1]
-    block_terms = block_sq + k * a * a - 2.0 * a * np.abs(block_sum)
-    return tuple(StatSeries(f"{label}_{name}", Ns,
-                            _prefix_means(_slices(terms), Ns))
-                 for name, terms in (("modulus", mod_terms),
-                                     ("step", step_terms),
-                                     ("block", block_terms)))
+    read = alpha.alpha_runs(Ns[-1] + max(1, k))
+    # sum_{l=1..k} alpha_{j+l} = S_{j+k+1} - S_{j+1}, S_m the sum of the
+    # first m coefficients
+    trail, lead = _RunningSums(), _RunningSums()
+    for lo in range(0, k, _CHUNK):
+        lead.add(read(lo, min(lo + _CHUNK, k)))
+
+    def terms(lo, hi):
+        al = read(lo, hi + 1)
+        s, s2 = trail.add(al[:-1])
+        t, t2 = lead.add(read(lo + k, hi + k))
+        return np.stack([(np.abs(al[:-1]) - a) ** 2,
+                         np.abs(al[1:] - al[:-1]) ** 2,
+                         (t2 - s2) + k * a * a - 2.0 * a * np.abs(t - s)])
+
+    return tuple(StatSeries(f"{label}_{name}", Ns, means)
+                 for name, means in zip(("modulus", "step", "block"),
+                                        _means(_prefix_sums(terms, Ns), Ns)))
+
+
+class _RunningSums:
+    """Running sums S_m of alpha_0, alpha_1, ... and of |alpha_j|^2, fed
+    by consecutive runs.  Each run's sums are one sequential float64
+    pass starting from the total before it (first -0.0, the exact
+    identity of addition), so they have the bits of one ``np.cumsum``
+    over all the runs."""
+
+    def __init__(self):
+        self.total = np.array([complex(-0.0, -0.0)])
+        self.total_sq = np.array([-0.0])
+
+    def add(self, run: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """S_{m+1}..S_{m+len(run)} of both series, m the length fed so far."""
+        s = np.add.accumulate(np.concatenate([self.total, run]))
+        s2 = np.add.accumulate(np.concatenate([self.total_sq,
+                                               np.abs(run) ** 2]))
+        self.total, self.total_sq = s[-1:], s2[-1:]
+        return s[1:], s2[1:]
 
 
 # -- torus distances ---------------------------------------------------

@@ -120,8 +120,16 @@ _threshold = _num(float, 0.0)
 _shift = _num(float, -10.0, 10.0, closed=True)
 
 
+#: largest window of a ladder: the statistics stream any N in O(2^15)
+#: memory, and 2^32 sites take them minutes
+_MAX_WINDOW = 2 ** 32
+
+
 def _ladder(text: str) -> Tuple[int, ...]:
-    return R._check_ladder(int(t) for t in text.split(","))
+    Ns = R._check_ladder(int(t) for t in text.split(","))
+    if Ns[-1] > _MAX_WINDOW:
+        raise ValueError(f"window {Ns[-1]} is past the largest, {_MAX_WINDOW}")
+    return Ns
 
 
 #: largest period of an input pattern: the torus search starts from a
@@ -225,8 +233,8 @@ def _run_thm1_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     # part 2: sparse off-diagonal bumps
     lad2 = o["bumps.Ns"]
     J2 = sparse_bump_jacobi(o["input.bump_value"])
-    cn2 = R.cn_stat_oprl(J2, lad2, label="cn_bumps")
-    rt2 = R.root_test(J2, lad2, label="root_bumps")
+    rt2, cn2 = R.root_and_cesaro(J2, lad2, root_label="root_bumps",
+                                 cn_label="cn_bumps")
     res.series += [cn2, rt2]
     res.jacobi_inputs.append(("sparse_bumps", J2, lad2))
     w = S.eig_sym_tridiag(S.truncate(J2, o["bumps.norm_check_N"]))
@@ -386,8 +394,8 @@ def _run_thm4_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("thm4_1")
     lad = o["Ns"]
     V = sparse_bump_verblunsky(o["input.bump_value"])
-    rt = R.root_test(V, lad, label="root_opuc")
-    cn = R.cn_stat_opuc(V, lad, label="cn_opuc")
+    rt, cn = R.root_and_cesaro(V, lad, root_label="root_opuc",
+                               cn_label="cn_opuc")
     res.series += [rt, cn]
     res.verblunsky_inputs.append(("sparse_alpha", V, lad))
     res.checks.append(Check("root_last_dev", abs(rt.last - 1.0),

@@ -16,15 +16,18 @@ of the indices into consecutive runs, so its value at an index must not
 depend on which other indices share the call.  Unbounded Jacobi
 parameters carry a declared deviation bound.  Every downstream statistic
 asks for an explicit window length, so an unbounded sequence is never
-materialized beyond the largest window requested.  Every window is
+generated beyond the largest window requested.  Every window is
 read-only.
 
-A generated window is kept and grows by doubling; each growth fills the
-new array in runs of ``_CHUNK`` indices, each generated, checked and
-written in place.  So growing a window costs the old and the new array
-plus O(_CHUNK) work memory, and the statistics in ``regularity`` read
-windows in the same runs: a statistic over a window of n values needs
-the window plus O(_CHUNK).
+Two reads serve the two kinds of consumer.  A window (``a_window``,
+``alpha_window``, ...) is kept for the matrix consumers: it grows by
+doubling, and each growth fills the new array in runs of ``_CHUNK``
+indices, each generated, checked and written in place, so a growth
+costs the old and the new array plus O(_CHUNK) work memory.  A run
+reader (``a_runs``, ``alpha_runs``, ...) serves the statistics in
+``regularity``: a run slices what is kept and generates and checks the
+rest, with the same check and error, but keeps nothing, so a statistic
+over n values needs O(_CHUNK) memory whatever n is.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class _Store:
     indices, each generated, checked and written in place, so a growth
     needs no temporary longer than a run.  ``check(values, index)``,
     with ``index`` that of ``values[0]``, vets the initial values and
-    every run."""
+    every generated run, kept or not."""
 
     def __init__(self, values: np.ndarray, first: int,
                  extend: Optional[IndexFn] = None,
@@ -73,6 +76,15 @@ class _Store:
             raise TypeError("generator-backed sequence has no length")
         return len(self.values)
 
+    def _generate(self, lo: int, hi: int) -> np.ndarray:
+        """The checked values at positions lo..hi-1 from ``extend``."""
+        idx = np.arange(self.first + lo, self.first + hi)
+        new = np.broadcast_to(
+            np.asarray(self.extend(idx), dtype=self.values.dtype), idx.shape)
+        if self.check is not None:
+            self.check(new, self.first + lo)
+        return new
+
     def head(self, n: int) -> np.ndarray:
         """The first n values, or all of a shorter finite sequence."""
         have = len(self.values)
@@ -80,33 +92,47 @@ class _Store:
             grown = np.empty(max(n, 2 * have, 64), dtype=self.values.dtype)
             grown[:have] = self.values
             for lo in range(have, len(grown), _CHUNK):
-                idx = np.arange(self.first + lo,
-                                self.first + min(lo + _CHUNK, len(grown)))
-                new = np.broadcast_to(
-                    np.asarray(self.extend(idx), dtype=grown.dtype), idx.shape)
-                if self.check is not None:
-                    self.check(new, self.first + lo)
-                grown[lo:lo + len(idx)] = new
+                hi = min(lo + _CHUNK, len(grown))
+                grown[lo:hi] = self._generate(lo, hi)
             self.values = _freeze(grown)
         return self.values[:n]
 
-    def window(self, n: int, name: str) -> np.ndarray:
-        """Exactly the first n values; ValueError past a finite end."""
+    def run(self, lo: int, hi: int) -> np.ndarray:
+        """The values at positions lo..hi-1: the kept ones sliced, the rest
+        generated and checked as a growth would, but not kept."""
+        have = len(self.values)
+        if hi <= have or self.extend is None:
+            return self.values[lo:hi]
+        new = self._generate(max(lo, have), hi)
+        return new if lo >= have else np.concatenate([self.values[lo:], new])
+
+    def _require(self, n: int, name: str) -> None:
+        """ValueError unless the first n values exist."""
         if n < 0:
             raise ValueError("window length must be >= 0")
-        out = self.head(n)
-        if len(out) < n:
+        if self.extend is None and n > len(self.values):
             raise ValueError(f"requested {name}_{self.first}..{name}_"
-                             f"{self.first + n - 1}, have {len(out)}")
-        return out
+                             f"{self.first + n - 1}, have {len(self.values)}")
+
+    def window(self, n: int, name: str) -> np.ndarray:
+        """Exactly the first n values, kept; ValueError past a finite end."""
+        self._require(n, name)
+        return self.head(n)
+
+    def runs(self, n: int, name: str) -> Callable[[int, int], np.ndarray]:
+        """``run``, once the first n values are known to exist (the
+        ValueError of ``window`` otherwise)."""
+        self._require(n, name)
+        return self.run
 
 
 class JacobiParams:
     """Jacobi parameters a_1, a_2, ... (> 0) and b_1, b_2, ...
 
     Backed either by finite arrays or by index-array functions of n >= 1
-    with a declared deviation bound.  Generated values are kept, so
-    repeated statistics over a ladder of N's stay cheap.
+    with a declared deviation bound.  Values generated for a window are
+    kept, so the matrix consumers (truncations, the torus search) reuse
+    them; the statistics read runs, which keep nothing.
     """
 
     def __init__(self, a, b, bound: Optional[float] = None):
@@ -157,6 +183,15 @@ class JacobiParams:
     def b_window(self, n: int) -> np.ndarray:
         """b_1..b_n as a read-only array."""
         return self._b.window(n, "b")
+
+    def a_runs(self, n: int) -> Callable[[int, int], np.ndarray]:
+        """Reader of a_1..a_n by runs: (lo, hi) -> a_{lo+1}..a_hi, the
+        values past the kept window generated but not kept."""
+        return self._a.runs(n, "a")
+
+    def b_runs(self, n: int) -> Callable[[int, int], np.ndarray]:
+        """Reader of b_1..b_n by runs, as ``a_runs``."""
+        return self._b.runs(n, "b")
 
 
 def sup_deviation(params: JacobiParams, n: int) -> float:
@@ -214,6 +249,12 @@ class VerblunskyParams:
     def alpha_window(self, n: int) -> np.ndarray:
         """alpha_0..alpha_{n-1} as a read-only array."""
         return self._alpha.window(n, "alpha")
+
+    def alpha_runs(self, n: int) -> Callable[[int, int], np.ndarray]:
+        """Reader of alpha_0..alpha_{n-1} by runs: (lo, hi) ->
+        alpha_lo..alpha_{hi-1}, the values past the kept window generated
+        and checked but not kept."""
+        return self._alpha.runs(n, "alpha")
 
     def rho_window(self, n: int) -> np.ndarray:
         """rho_0..rho_{n-1} with rho_j^2 + |alpha_j|^2 = 1, read-only."""

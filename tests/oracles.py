@@ -108,3 +108,20 @@ def block_trace_square(params: BlockJacobiParams, K: int):
     via_eigs = float(np.sum(eigs ** 2)) / (K * ell)
     return via_formula, via_eigs
 
+
+
+def arc_stats_one_shot(alpha: np.ndarray, a: float, k: int, Ns):
+    """The modulus, step and block averages of ``regularity.arc_stats``
+    from full-length terms: the block sums as differences of one
+    cumulative sum over all N + max(1, k) coefficients."""
+    n = Ns[-1]
+    al = np.asarray(alpha)[:n + max(1, k)]
+    mod_terms = (np.abs(al[:n]) - a) ** 2
+    step_terms = np.abs(al[1:n + 1] - al[:n]) ** 2
+    cs = np.concatenate([[0.0], np.cumsum(al)])
+    block_sum = cs[1 + k:n + k + 1] - cs[1:n + 1]
+    cs2 = np.concatenate([[0.0], np.cumsum(np.abs(al) ** 2)])
+    block_sq = cs2[1 + k:n + k + 1] - cs2[1:n + 1]
+    block_terms = block_sq + k * a * a - 2.0 * a * np.abs(block_sum)
+    return tuple(prefix_means_of(t, Ns)
+                 for t in (mod_terms, step_terms, block_terms))

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 from opspectra.periodic import PeriodicJacobi, delta_of_J, dm_weights
 from opspectra.regularity import (StatSeries, _prefix_means, _prefix_sums,
+                                  _RunningSums,
                                   arc_stats,
                                   cn_sq_stat_oprl,
                                   cn_stat_matrix, cn_stat_matrix_invariant,
                                   cn_stat_oprl, cn_stat_opuc, cn_stat_torus,
                                   cn_stat_windowed, lemma21_stats,
-                                  root_test, trace_stat)
+                                  root_and_cesaro, root_test, trace_stat)
 from opspectra.scenarios import sparse_bump_verblunsky
 from opspectra.sequences import (_CHUNK, BlockJacobiParams, JacobiParams,
                                  VerblunskyParams, WrongType, sup_deviation)
-from oracles import d_m, prefix_means_of
+from oracles import arc_stats_one_shot, d_m, prefix_means_of
 
 
 def test_stat_series_monotonicity():
@@ -348,19 +349,87 @@ def test_block_statistics_equal_the_one_pass_oracle_across_chunks():
         float((2.0 * ta[N - 1] + tb[N - 1]) / (N * ell)) for N in Ns)
 
 
-def test_cesaro_statistics_need_the_window_plus_a_chunk():
-    # the statistics read the stored window chunk by chunk: no full-length
-    # temporary, neither while the window grows nor while it is summed
-    n = 2 ** 20
-    V = sparse_bump_verblunsky(0.5)
-    Ns = (2 ** 10, 2 ** 15, n)
+def test_root_and_cesaro_equal_the_single_statistics_bit_for_bit():
+    # the one pass of thm4_1 (and thm1_1) against the two calls it
+    # replaces, across chunk boundaries and a kept prefix
+    Ns = CHUNK_ENDS
+    for pre in (0, 100):
+        V = VerblunskyParams.from_function(
+            lambda j: 0.6 * np.sin(j) * np.exp(0.3j * j))
+        V.alpha_window(pre)
+        rt, cn = root_and_cesaro(V, Ns, root_label="r", cn_label="c")
+        assert (rt.label, cn.label) == ("r", "c")
+        assert rt.values == root_test(V, Ns).values
+        assert cn.values == cn_stat_opuc(V, Ns).values
+        J = JacobiParams.from_functions(lambda n: 1.0 + 0.5 * np.cos(n) / n,
+                                        lambda n: 0.3 * np.sin(n), bound=1.0)
+        J.a_window(pre)
+        rt, cn = root_and_cesaro(J, Ns)
+        assert rt.values == root_test(J, Ns).values
+        assert cn.values == cn_stat_oprl(J, Ns).values
+    with pytest.raises(TypeError):
+        root_and_cesaro(BlockJacobiParams(1, [[[1.0]]], [[[0.0]]] * 2), (1,))
+
+
+@pytest.mark.parametrize("k", [1, 3, 1000, C + 5])
+def test_arc_stats_equal_the_one_shot_formula_across_chunks(k):
+    # the run-by-run block sums against the cumulative sums over the
+    # whole window that they replace, to the last bit
+    rng = np.random.default_rng(k)
+    Ns, K = CHUNK_ENDS, max(1, k)
+    m = Ns[-1] + K
+    alpha = 0.7 * rng.uniform(0.0, 1.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+    alpha[::7] = -0.0                   # signed zeros through the sums
+    want = arc_stats_one_shot(alpha, 0.35, k, Ns)
+    assert tuple(s.values for s in arc_stats(VerblunskyParams(alpha), 0.35,
+                                             k, Ns)) == want
+    V = VerblunskyParams.from_function(lambda j: alpha[j])
+    V.alpha_window(100)                 # runs cross the kept prefix
+    got = arc_stats(V, 0.35, k, Ns, label="x")
+    assert tuple(s.values for s in got) == want
+    assert [s.label for s in got] == ["x_modulus", "x_step", "x_block"]
+    with pytest.raises(ValueError, match=r"alpha_0\.\.alpha_"):
+        arc_stats(VerblunskyParams(alpha[:-1]), 0.35, k, Ns)
+
+
+def test_running_sums_have_the_bits_of_one_cumsum():
+    # signed zeros included: the first carry is -0.0, not +0.0
+    x = np.array([complex(-0.0, -0.0), -0.0, 1e-300j, 3.0 - 1.0j, -3.0, 0.5])
+    for cut in ([2], [1, 3], [4, 5]):
+        sums = _RunningSums()
+        got = [sums.add(run) for run in np.split(x, cut)]
+        assert np.concatenate([s for s, _ in got]).tobytes() == \
+            np.cumsum(x).tobytes()
+        assert np.concatenate([s2 for _, s2 in got]).tobytes() == \
+            np.cumsum(np.abs(x) ** 2).tobytes()
+
+
+def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        root_test(V, Ns)
-        cn_stat_opuc(V, Ns)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    window = V.alpha_window(n).nbytes
-    assert window == 16 * n
-    assert peak <= window + 2 * 2 ** 20
+
+
+def test_streamed_statistics_need_o_chunk_memory_at_any_n():
+    # the statistics read a generated sequence by runs and keep nothing:
+    # memory is a few chunks, not the 16 MiB of a 2^20 window
+    n = 2 ** 20
+    Ns = (2 ** 10, 2 ** 15, n)
+    V = sparse_bump_verblunsky(0.5)
+    assert _traced_peak(lambda: root_and_cesaro(V, Ns)) <= 4 * 2 ** 20
+    assert _traced_peak(lambda: (root_test(V, Ns),
+                                 cn_stat_opuc(V, Ns))) <= 4 * 2 ** 20
+    assert len(V._alpha.values) == 0
+
+
+@pytest.mark.parametrize("k", [3, 2 ** 17])
+def test_arc_stats_memory_depends_on_neither_n_nor_k(k):
+    n = 2 ** 20
+    phase = complex(math.cos(0.7), math.sin(0.7))
+    V = VerblunskyParams.from_function(lambda j: 0.5 * phase + 1.0 / (j + 2.0))
+    peak = _traced_peak(lambda: arc_stats(V, 0.5, k, (2 ** 10, n)))
+    assert peak < 8 * 2 ** 20
+    assert len(V._alpha.values) == 0

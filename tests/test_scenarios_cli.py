@@ -292,6 +292,7 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
     ("thm6_1", "input.pattern = 1e-8,1,0,0"),   # defect.size 0.3 too large
     ("thm4_1", "Ns = 32,,64"),                  # empty ladder entry
     ("thm4_1", "Ns = 32,64,"),
+    ("thm4_1", "Ns = 32,64,99999999999999999999"),  # past 2^32 sites
 ], ids=["closed_gap", "constant_pattern", "non_numeric_pattern",
         "zero_window", "arc_a", "arc_k", "cmv_N", "arc_phase_inf",
         "perturbed_alpha_0", "inputs_count", "mnt_coefficients",
@@ -302,7 +303,7 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
         "defect_size", "bumps_amp", "decay_power", "thm6_1_period_7",
         "conjecture_period_7", "collapsed_band", "pattern_scale",
         "defect_size_for_pattern_scale", "ladder_empty_entry",
-        "ladder_trailing_comma"])
+        "ladder_trailing_comma", "ladder_past_bound"])
 def test_cli_unusable_input_exits_2_with_one_error_line(
         tmp_path, capsys, monkeypatch, scenario, line):
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
@@ -523,6 +524,16 @@ THM3_1_COUNT50_STATS_SHA256 = {
 }
 
 
+#: SHA-256 of thm4_1's stats.csv at the ladder Ns = 2^5, ..., 2^19, by
+#: seed: the statistics stream the coefficients, no window is kept
+THM4_1_LADDER_STATS_SHA256 = {
+    1: "6e3fdc7522d18f941efe0ba1c9154a50c41069891dcddce9281e10888d9e0f3c",
+    2: "6e3fdc7522d18f941efe0ba1c9154a50c41069891dcddce9281e10888d9e0f3c",
+}
+
+THM4_1_LADDER = ",".join(str(2 ** k) for k in range(5, 20))
+
+
 def test_pins_cover_every_scenario():
     assert {sid for sid, _ in DEFAULT_STATS_SHA256} == set(ALL_IDS)
 
@@ -541,6 +552,41 @@ def test_thm3_1_stats_csv_at_50_inputs_is_pinned_byte_for_byte(seed, tmp_path):
     stats = (tmp_path / "stats.csv").read_bytes()
     assert (hashlib.sha256(stats).hexdigest()
             == THM3_1_COUNT50_STATS_SHA256[seed])
+
+
+@pytest.mark.parametrize("seed", sorted(THM4_1_LADDER_STATS_SHA256))
+def test_thm4_1_stats_csv_at_a_long_ladder_is_pinned_byte_for_byte(
+        seed, tmp_path):
+    run_scenario(ScenarioConfig("thm4_1", seed=seed, outdir=str(tmp_path),
+                                options={"Ns": THM4_1_LADDER}))
+    stats = (tmp_path / "stats.csv").read_bytes()
+    assert (hashlib.sha256(stats).hexdigest()
+            == THM4_1_LADDER_STATS_SHA256[seed])
+
+
+def test_thm4_1_generates_each_coefficient_once(monkeypatch):
+    # the root test and the Cesaro average share one pass over the
+    # sequence, and neither keeps it
+    generated, made = [], []
+    real = scenarios.sparse_bump_verblunsky
+
+    def counting(value):
+        V = real(value)
+        fn = V._alpha.extend
+        V._alpha.extend = lambda j: generated.extend(j.tolist()) or fn(j)
+        made.append(V)
+        return V
+
+    monkeypatch.setattr(scenarios, "sparse_bump_verblunsky", counting)
+    scenarios.run("thm4_1", {"Ns": "32,1000,100000"}, 1)
+    assert generated == list(range(100000))
+    assert len(made[0]._alpha.values) == 0
+
+
+def test_ladder_windows_stop_at_2_to_the_32():
+    assert scenarios._ladder(f"1,{2 ** 32}") == (1, 2 ** 32)
+    with pytest.raises(ValueError, match="past the largest"):
+        scenarios._ladder(f"1,{2 ** 32 + 1}")
 
 
 _THM3_1_THREADS_SCRIPT = """

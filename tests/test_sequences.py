@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opspectra.sequences import (BlockJacobiParams, JacobiParams,
+from opspectra import regularity as R
+from opspectra.sequences import (_CHUNK, BlockJacobiParams, JacobiParams,
                                  SingularBlock, UnitaryChain, VerblunskyParams,
                                  WrongType, sup_deviation, validate_blocks)
 from opspectra.scenarios import sparse_bump_jacobi, sparse_bump_verblunsky
@@ -109,6 +110,82 @@ def test_chunked_growth_equals_one_shot_generation():
         assert V.alpha_window(n).tobytes() == alpha_fn(sites - 1).tobytes()
         assert V.rho_window(n).tobytes() == np.sqrt(
             1.0 - np.abs(alpha_fn(sites - 1)) ** 2).tobytes()
+
+
+def test_runs_equal_one_shot_generation():
+    # runs that cross chunk boundaries and the end of the kept window
+    # give the bits of one call of the generator on all the indices, and
+    # keep nothing
+    def a_fn(n):
+        return 1.0 + 0.3 * np.sin(n) / n
+
+    def b_fn(n):
+        return 0.2 * np.cos(np.sqrt(n))
+
+    def alpha_fn(j):
+        return 0.5 * np.exp(0.1j * j) / (1.0 + np.log1p(j))
+
+    J = JacobiParams.from_functions(a_fn, b_fn, bound=1.0)
+    V = VerblunskyParams.from_function(alpha_fn)
+    J.a_window(100), J.b_window(100), V.alpha_window(100)
+    for n in (70000, 200000):
+        sites = np.arange(1, n + 1)
+        for read, want in ((J.a_runs(n), a_fn(sites)),
+                           (J.b_runs(n), b_fn(sites)),
+                           (V.alpha_runs(n), alpha_fn(sites - 1))):
+            bounds = [0, 50, 150] + list(range(_CHUNK, n, _CHUNK)) + [n]
+            got = np.concatenate([read(lo, hi)
+                                  for lo, hi in zip(bounds, bounds[1:])])
+            assert got.tobytes() == want.tobytes()
+            assert read(0, n).tobytes() == want.tobytes()
+    assert [len(store.values) for store in (J._a, J._b, V._alpha)] == [100] * 3
+    # a finite sequence is read as it is, and not past its end
+    F = JacobiParams([1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0])
+    assert np.array_equal(F.b_runs(4)(1, 3), [5.0, 6.0])
+    with pytest.raises(ValueError, match=r"requested a_1\.\.a_4, have 3"):
+        F.a_runs(4)
+
+
+def test_a_bad_coefficient_in_a_streamed_run_names_its_index():
+    V = VerblunskyParams.from_function(
+        lambda j: np.where(j >= 40000, 1.0, 0.5))
+    V.alpha_window(200)
+    kept = V._alpha.values
+    read = V.alpha_runs(50000)
+    assert np.all(read(0, _CHUNK) == 0.5)
+    with pytest.raises(ValueError, match=r"alpha_40000\b"):
+        read(_CHUNK, 2 * _CHUNK)
+    with pytest.raises(ValueError, match=r"alpha_40000\b"):
+        R.cn_stat_opuc(V, (100, 50000))
+    assert V._alpha.values is kept
+    assert len(kept) == 200 and np.all(kept == 0.5)
+
+
+def test_statistics_leave_the_kept_window_as_they_found_it():
+    def fresh(kept):
+        J = JacobiParams.from_functions(lambda n: 1.0 + 0.2 / n,
+                                        lambda n: 0.1 * np.cos(n), bound=1.0)
+        V = VerblunskyParams.from_function(lambda j: 0.3 + 0.2 / (j + 1.0))
+        J.a_window(kept), J.b_window(kept), V.alpha_window(kept)
+        return J, V
+
+    Ns = (10, 300, 5000)
+    stats = [lambda J, V: R.root_test(J, Ns),
+             lambda J, V: R.root_test(V, Ns),
+             lambda J, V: R.root_and_cesaro(J, Ns),
+             lambda J, V: R.root_and_cesaro(V, Ns),
+             lambda J, V: R.cn_stat_oprl(J, Ns),
+             lambda J, V: R.cn_sq_stat_oprl(J, Ns),
+             lambda J, V: R.cn_stat_opuc(V, Ns),
+             lambda J, V: R.trace_stat(J, Ns),
+             lambda J, V: R.cn_stat_windowed(J, np.array([1, 40, 4000]), 900),
+             lambda J, V: R.arc_stats(V, 0.5, 3, Ns)]
+    for kept in (0, 100):
+        for stat in stats:
+            J, V = fresh(kept)
+            stat(J, V)
+            assert [len(store.values) for store in (J._a, J._b, V._alpha)] == \
+                [kept] * 3
 
 
 @given(st.integers(1, 40), st.integers(0, 2**32))
