@@ -94,7 +94,7 @@ def _prefix_sums(terms: Terms, ends) -> np.ndarray:
         cs[..., 0] = carry
         cs[..., 1:] = t
         np.add.accumulate(cs, axis=-1, out=cs)
-        at = cs[..., ends if n <= _CHUNK else np.clip(ends, lo, hi) - lo]
+        at = cs[..., np.clip(ends, lo, hi) - lo]
         sums = at if sums is None else np.where(ends > lo, at, sums)
         carry = cs[..., -1]
     return sums
@@ -129,19 +129,10 @@ def _slices(values: np.ndarray) -> Terms:
     return lambda lo, hi: values[lo:hi]
 
 
-def _log_a(a: np.ndarray) -> np.ndarray:
-    """log a_n of a run of positive off-diagonal entries."""
-    if np.any(a <= 0.0):
-        raise ValueError("off-diagonal entries must be positive")
-    return np.log(a)
-
-
 def _log_rho(alpha: np.ndarray) -> np.ndarray:
-    """log rho_j of a run of Verblunsky coefficients."""
-    rho = _rho(alpha)
-    if np.any(rho <= 0.0):
-        raise ValueError("rho must be positive (|alpha| < 1)")
-    return np.log(rho)
+    """log rho_j of a run of Verblunsky coefficients; the store has
+    checked |alpha_j| < 1, which leaves 1 - |alpha_j|^2 >= 2^-52."""
+    return np.log(_rho(alpha))
 
 
 def _dev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,7 +154,7 @@ def root_test(seq, Ns, label: str = "root_test") -> StatSeries:
     Ns = _check_ladder(Ns)
     n_max = Ns[-1]
     if isinstance(seq, JacobiParams):
-        means, = _run_means((seq.a_runs(n_max),), (_log_a,), Ns)
+        means, = _run_means((seq.a_runs(n_max),), (np.log,), Ns)
     elif isinstance(seq, VerblunskyParams):
         means, = _run_means((seq.alpha_runs(n_max),), (_log_rho,), Ns)
     elif isinstance(seq, BlockJacobiParams):
@@ -187,7 +178,7 @@ def root_and_cesaro(seq, Ns, root_label: str = "root_test",
     n = Ns[-1]
     if isinstance(seq, JacobiParams):
         root, cn = _run_means(_ab_runs(seq, n),
-                              (lambda a, b: _log_a(a), _dev), Ns)
+                              (lambda a, b: np.log(a), _dev), Ns)
     elif isinstance(seq, VerblunskyParams):
         root, cn = _run_means((seq.alpha_runs(n),), (_log_rho, np.abs), Ns)
     else:

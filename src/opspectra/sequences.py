@@ -17,17 +17,16 @@ depend on which other indices share the call.  Unbounded Jacobi
 parameters carry a declared deviation bound.  Every downstream statistic
 asks for an explicit window length, so an unbounded sequence is never
 generated beyond the largest window requested.  Every window is
-read-only.
+read-only, and every sequence is an immutable value.
 
-Two reads serve the two kinds of consumer.  A window (``a_window``,
-``alpha_window``, ...) is kept for the matrix consumers: it grows by
-doubling, and each growth fills the new array in runs of ``_CHUNK``
-indices, each generated, checked and written in place, so a growth
-costs the old and the new array plus O(_CHUNK) work memory.  A run
-reader (``a_runs``, ``alpha_runs``, ...) serves the statistics in
-``regularity``: a run slices what is kept and generates and checks the
-rest, with the same check and error, but keeps nothing, so a statistic
-over n values needs O(_CHUNK) memory whatever n is.
+A sequence keeps nothing it generates: each read of an unbounded
+sequence calls its function on exactly the indices it returns and
+checks the values there, naming the first bad index.  The statistics in
+``regularity`` read by runs (``a_runs``, ``alpha_runs``, ...), one chunk
+at a time, so a statistic over n values needs O(_CHUNK) memory whatever
+n is.  The matrix consumers read a window (``a_window``,
+``alpha_window``, ...): a fresh array filled from runs of ``_CHUNK``
+indices.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 #: an index-array function: integer indices -> values there, or a scalar
 IndexFn = Callable[[np.ndarray], object]
 
-#: indices per run of window growth and of a prefix-sum pass; bounds the
+#: indices per run of a window fill and of a prefix-sum pass; bounds the
 #: work memory of both
 _CHUNK = 1 << 15
 
@@ -51,73 +50,67 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class _Store:
-    """The values of one coefficient sequence from index ``first`` on, as
-    a frozen array.  An unbounded sequence also keeps ``extend``, an
-    index-array function called on the next indices; the array grows by
-    doubling, and the grown part is filled in runs of at most ``_CHUNK``
-    indices, each generated, checked and written in place, so a growth
-    needs no temporary longer than a run.  ``check(values, index)``,
-    with ``index`` that of ``values[0]``, vets the initial values and
-    every generated run, kept or not."""
+def _fill(obj, **fields) -> None:
+    """Set the fields of a frozen dataclass instance being constructed."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
 
-    def __init__(self, values: np.ndarray, first: int,
-                 extend: Optional[IndexFn] = None,
-                 check: Optional[Callable[[np.ndarray, int], None]] = None):
-        if check is not None:
-            check(values, first)
-        self.values = _freeze(np.array(values))
-        self.first = first
-        self.extend = extend
-        self.check = check
+
+@dataclass(frozen=True, eq=False)
+class _Store:
+    """The values of one coefficient sequence from index ``first`` on.  A
+    finite sequence is ``values``, a frozen copy of the given array; an
+    unbounded one is ``fn``, an index-array function, with ``values``
+    empty and only giving the dtype.  ``check(values, index)``, with
+    ``index`` that of ``values[0]``, vets the finite array and every
+    generated run."""
+
+    values: np.ndarray
+    first: int
+    fn: Optional[IndexFn] = None
+    check: Optional[Callable[[np.ndarray, int], None]] = None
+
+    def __post_init__(self):
+        if self.check is not None:
+            self.check(self.values, self.first)
+        _fill(self, values=_freeze(np.array(self.values)))
 
     def __len__(self) -> int:
-        if self.extend is not None:
+        if self.fn is not None:
             raise TypeError("generator-backed sequence has no length")
         return len(self.values)
 
-    def _generate(self, lo: int, hi: int) -> np.ndarray:
-        """The checked values at positions lo..hi-1 from ``extend``."""
+    def run(self, lo: int, hi: int) -> np.ndarray:
+        """The values at positions lo..hi-1: a slice of a finite sequence,
+        or generated and checked, and not kept."""
+        if self.fn is None:
+            return self.values[lo:hi]
         idx = np.arange(self.first + lo, self.first + hi)
         new = np.broadcast_to(
-            np.asarray(self.extend(idx), dtype=self.values.dtype), idx.shape)
+            np.asarray(self.fn(idx), dtype=self.values.dtype), idx.shape)
         if self.check is not None:
             self.check(new, self.first + lo)
         return new
-
-    def head(self, n: int) -> np.ndarray:
-        """The first n values, or all of a shorter finite sequence."""
-        have = len(self.values)
-        if n > have and self.extend is not None:
-            grown = np.empty(max(n, 2 * have, 64), dtype=self.values.dtype)
-            grown[:have] = self.values
-            for lo in range(have, len(grown), _CHUNK):
-                hi = min(lo + _CHUNK, len(grown))
-                grown[lo:hi] = self._generate(lo, hi)
-            self.values = _freeze(grown)
-        return self.values[:n]
-
-    def run(self, lo: int, hi: int) -> np.ndarray:
-        """The values at positions lo..hi-1: the kept ones sliced, the rest
-        generated and checked as a growth would, but not kept."""
-        have = len(self.values)
-        if hi <= have or self.extend is None:
-            return self.values[lo:hi]
-        new = self._generate(max(lo, have), hi)
-        return new if lo >= have else np.concatenate([self.values[lo:], new])
 
     def _require(self, n: int, name: str) -> None:
         """ValueError unless the first n values exist."""
         if n < 0:
             raise ValueError("window length must be >= 0")
-        if self.extend is None and n > len(self.values):
+        if self.fn is None and n > len(self.values):
             raise ValueError(f"requested {name}_{self.first}..{name}_"
                              f"{self.first + n - 1}, have {len(self.values)}")
 
     def window(self, n: int, name: str) -> np.ndarray:
-        """Exactly the first n values, kept; ValueError past a finite end."""
+        """Exactly the first n values, read-only: a slice of a finite
+        sequence, or a fresh array filled by runs of at most ``_CHUNK``;
+        ValueError past a finite end."""
         self._require(n, name)
-        return self.head(n)
+        if self.fn is None:
+            return self.run(0, n)
+        out = np.empty(n, dtype=self.values.dtype)
+        for lo in range(0, n, _CHUNK):
+            out[lo:lo + _CHUNK] = self.run(lo, min(lo + _CHUNK, n))
+        return _freeze(out)
 
     def runs(self, n: int, name: str) -> Callable[[int, int], np.ndarray]:
         """``run``, once the first n values are known to exist (the
@@ -126,14 +119,27 @@ class _Store:
         return self.run
 
 
+def _check_a(a: np.ndarray, first: int) -> None:
+    bad = ~(a > 0.0)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise ValueError(f"a_{first + j} = {a[j]} must be > 0")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class JacobiParams:
     """Jacobi parameters a_1, a_2, ... (> 0) and b_1, b_2, ...
 
     Backed either by finite arrays or by index-array functions of n >= 1
-    with a declared deviation bound.  Values generated for a window are
-    kept, so the matrix consumers (truncations, the torus search) reuse
-    them; the statistics read runs, which keep nothing.
+    with a declared deviation bound.  Every a_n is checked to be > 0: a
+    finite array on construction, generated values on each read.  A
+    generated value is not kept: each window or run generates the
+    values it returns.
     """
+
+    _a: _Store
+    _b: _Store
+    declared_bound: Optional[float]
 
     def __init__(self, a, b, bound: Optional[float] = None):
         a = np.asarray(a, dtype=float)
@@ -144,9 +150,8 @@ class JacobiParams:
             raise ValueError("empty coefficient sequences")
         if len(a) not in (len(b), len(b) - 1):
             raise ValueError("need len(a) == len(b) or len(b) - 1")
-        self._a = _Store(a, 1)
-        self._b = _Store(b, 1)
-        self.declared_bound = bound
+        _fill(self, _a=_Store(a, 1, check=_check_a), _b=_Store(b, 1),
+              declared_bound=bound)
 
     @classmethod
     def from_functions(cls, a_fn: IndexFn, b_fn: IndexFn,
@@ -156,9 +161,8 @@ class JacobiParams:
         of the window) and returns a_n (b_n) there, or one scalar for
         all of them.  ``bound`` is a declared bound on |a_n - 1| + |b_n|."""
         self = cls.__new__(cls)
-        self._a = _Store(np.empty(0), 1, a_fn)
-        self._b = _Store(np.empty(0), 1, b_fn)
-        self.declared_bound = float(bound)
+        _fill(self, _a=_Store(np.empty(0), 1, a_fn, _check_a),
+              _b=_Store(np.empty(0), 1, b_fn), declared_bound=float(bound))
         return self
 
     @classmethod
@@ -170,7 +174,7 @@ class JacobiParams:
 
     @property
     def is_finite(self) -> bool:
-        return self._b.extend is None
+        return self._b.fn is None
 
     def __len__(self) -> int:
         """The number of sites N (b_1..b_N) of a finite sequence."""
@@ -185,8 +189,8 @@ class JacobiParams:
         return self._b.window(n, "b")
 
     def a_runs(self, n: int) -> Callable[[int, int], np.ndarray]:
-        """Reader of a_1..a_n by runs: (lo, hi) -> a_{lo+1}..a_hi, the
-        values past the kept window generated but not kept."""
+        """Reader of a_1..a_n by runs: (lo, hi) -> a_{lo+1}..a_hi,
+        generated and checked on each call."""
         return self._a.runs(n, "a")
 
     def b_runs(self, n: int) -> Callable[[int, int], np.ndarray]:
@@ -202,7 +206,7 @@ def sup_deviation(params: JacobiParams, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    a = params._a.head(n)
+    a = params._a.run(0, n)
     dev = np.abs(params.b_window(n))
     dev[: len(a)] += np.abs(a - 1.0)
     return float(dev.max())
@@ -215,32 +219,36 @@ def _rho(alpha: np.ndarray) -> np.ndarray:
 
 def _check_alpha(alpha: np.ndarray, first: int) -> None:
     mod = np.abs(alpha)
-    if np.any(mod >= 1.0):
-        j = int(np.argmax(mod >= 1.0))
+    bad = ~(mod < 1.0)
+    if np.any(bad):
+        j = int(np.argmax(bad))
         raise ValueError(f"|alpha_{first + j}| = {mod[j]} must be < 1")
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class VerblunskyParams:
     """Verblunsky coefficients alpha_0, alpha_1, ... with |alpha_j| < 1.
 
     ``rho`` is the derived sequence sqrt(1 - |alpha_j|^2) in (0, 1].
     """
 
+    _alpha: _Store
+
     def __init__(self, alpha):
         alpha = np.asarray(alpha, dtype=complex)
         if alpha.ndim != 1:
             raise ValueError("alpha must be one-dimensional")
-        self._alpha = _Store(alpha, 0, check=_check_alpha)
+        _fill(self, _alpha=_Store(alpha, 0, check=_check_alpha))
 
     @classmethod
     def from_function(cls, alpha_fn: IndexFn) -> "VerblunskyParams":
         """Unbounded sequence from an index-array function: called on an
         integer array of consecutive 0-based indices j (any split of the
         window), it returns alpha_j there, or one scalar for all of them.
-        Each new value is checked for |alpha_j| < 1."""
+        Each generated value is checked for |alpha_j| < 1."""
         self = cls.__new__(cls)
-        self._alpha = _Store(np.empty(0, dtype=complex), 0, alpha_fn,
-                             _check_alpha)
+        _fill(self, _alpha=_Store(np.empty(0, dtype=complex), 0, alpha_fn,
+                                  _check_alpha))
         return self
 
     def __len__(self) -> int:
@@ -252,8 +260,7 @@ class VerblunskyParams:
 
     def alpha_runs(self, n: int) -> Callable[[int, int], np.ndarray]:
         """Reader of alpha_0..alpha_{n-1} by runs: (lo, hi) ->
-        alpha_lo..alpha_{hi-1}, the values past the kept window generated
-        and checked but not kept."""
+        alpha_lo..alpha_{hi-1}, generated and checked on each call."""
         return self._alpha.runs(n, "alpha")
 
     def rho_window(self, n: int) -> np.ndarray:

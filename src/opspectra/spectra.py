@@ -72,13 +72,6 @@ class TridiagonalMatrix:
         pad[1:] += e
         return float(np.min(d - pad)), float(np.max(d + pad))
 
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        m[idx, idx + 1] = self.offdiag
-        m[idx + 1, idx] = self.offdiag
-        return m
-
 
 class EmpiricalMeasure:
     """Sorted sample points with equal weights 1/N.
@@ -245,8 +238,7 @@ class CmvMatrix:
     boundary degenerates to the single entry -beta; eigenvalues are then
     the zeros of z Phi_{N-1} + beta Phi_{N-1}^*.  Every |alpha_j| < 1
     and |beta| = 1 are checked, so the matrix is unitary by
-    construction.  ``mat`` is the sparse product; ``dense()`` is for
-    oracles.
+    construction.  ``mat`` is the sparse product.
 
     ``cmv`` picks beta = alpha_{N-1}/|alpha_{N-1}| (beta = 1 when that
     coefficient vanishes), which for constant positive coefficient
@@ -285,9 +277,6 @@ class CmvMatrix:
     @property
     def n(self) -> int:
         return len(self.alpha) + 1
-
-    def dense(self) -> np.ndarray:
-        return self.mat.toarray()
 
 
 def cmv(params: VerblunskyParams, N: int) -> CmvMatrix:

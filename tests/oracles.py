@@ -14,7 +14,17 @@ from opspectra.measures import DiscreteMeasure
 from opspectra.periodic import (_FINAL_STEP, _deviation_bound, _weighted_dist,
                                 dm_weights)
 from opspectra.sequences import BlockJacobiParams, JacobiParams
-from opspectra.spectra import eig_block
+from opspectra.spectra import TridiagonalMatrix, eig_block
+
+
+def tridiagonal_dense(T: TridiagonalMatrix) -> np.ndarray:
+    """The dense symmetric matrix of a tridiagonal truncation, built
+    entry by entry from its diagonals."""
+    m = np.diag(T.diag)
+    idx = np.arange(T.n - 1)
+    m[idx, idx + 1] = T.offdiag
+    m[idx + 1, idx] = T.offdiag
+    return m
 
 
 def moment(m: DiscreteMeasure, k: int) -> float:

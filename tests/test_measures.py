@@ -326,7 +326,7 @@ def test_moment_route_round_trips_through_cmv():
     # the matrix's 50 coefficients (random, |alpha| < 0.5)
     rng = np.random.default_rng(0)
     alpha = 0.5 * np.sqrt(rng.random(50)) * np.exp(2j * math.pi * rng.random(50))
-    C = CmvMatrix(alpha, np.exp(0.7j)).dense()
+    C = CmvMatrix(alpha, np.exp(0.7j)).mat.toarray()
     z, vecs = np.linalg.eig(C)
     dm = DiscreteMeasure(np.angle(z), np.abs(vecs[0]) ** 2, "circle")
     back = verblunsky_from_measure(dm, 50).alpha_window(50)

@@ -597,8 +597,6 @@ def test_batch_search_memory_stays_near_one_copy_of_the_rows():
     # crosses the bound, which sits 0.6 MiB above the search's own 8.9
     J = SCENARIO_INPUTS["harmonic"]()
     ms = np.arange(1, 4097)
-    J.a_window(2 * len(ms))   # grow the stored sequences before tracing
-    J.b_window(2 * len(ms))
     tracemalloc.start()
     try:
         d_to_torus_batch(J, ms, DEFAULT)
@@ -811,8 +809,6 @@ def test_look_ahead_memory_stays_near_the_sequential_search():
     # most _LOOKAHEAD_ROWS rows, which may add 0.5 MiB
     J = TORUS_INPUTS["harmonic"](P4)
     ms = np.arange(1, 129)
-    J.a_window(2 * len(ms))   # grow the stored sequences before tracing
-    J.b_window(2 * len(ms))
     tracemalloc.start()
     try:
         d_to_torus_batch(J, ms, P4)

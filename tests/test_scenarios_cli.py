@@ -16,7 +16,8 @@ from opspectra.cli import (ConfigParse, ScenarioConfig, default_config,
                            parse_config_text, run_scenario)
 from opspectra.regularity import StatSeries
 from opspectra.scenarios import BadOption, ScenarioResult, UnknownScenario
-from opspectra.sequences import BlockJacobiParams, sup_deviation
+from opspectra.sequences import (BlockJacobiParams, VerblunskyParams,
+                                 sup_deviation)
 
 ALL_IDS = ("thm1_1", "prop2_2", "thm3_1", "thm4_1", "thm4_2", "thm6_1",
            "mnt_illustration", "conjecture5_1_explore")
@@ -566,21 +567,18 @@ def test_thm4_1_stats_csv_at_a_long_ladder_is_pinned_byte_for_byte(
 
 def test_thm4_1_generates_each_coefficient_once(monkeypatch):
     # the root test and the Cesaro average share one pass over the
-    # sequence, and neither keeps it
-    generated, made = [], []
+    # sequence
+    generated = []
     real = scenarios.sparse_bump_verblunsky
 
     def counting(value):
-        V = real(value)
-        fn = V._alpha.extend
-        V._alpha.extend = lambda j: generated.extend(j.tolist()) or fn(j)
-        made.append(V)
-        return V
+        fn = real(value)._alpha.fn
+        return VerblunskyParams.from_function(
+            lambda j: generated.extend(j.tolist()) or fn(j))
 
     monkeypatch.setattr(scenarios, "sparse_bump_verblunsky", counting)
     scenarios.run("thm4_1", {"Ns": "32,1000,100000"}, 1)
     assert generated == list(range(100000))
-    assert len(made[0]._alpha.values) == 0
 
 
 def test_ladder_windows_stop_at_2_to_the_32():

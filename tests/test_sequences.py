@@ -28,9 +28,10 @@ def test_function_backed_jacobi_is_lazy_and_consistent():
     J = JacobiParams.from_functions(a_fn, lambda n: 0.0, bound=1.0)
     first = J.a_window(5)
     assert np.allclose(first, 1.0 + 1.0 / np.arange(1, 6))
-    n_calls = len(calls)
-    J.a_window(3)  # smaller window must come from the cache
-    assert len(calls) == n_calls
+    assert np.concatenate(calls).tolist() == [1, 2, 3, 4, 5]
+    # nothing is kept: a second window calls the generator again
+    assert J.a_window(5).tobytes() == first.tobytes()
+    assert np.concatenate(calls).tolist() == [1, 2, 3, 4, 5] * 2
 
 
 def test_free_case_has_unit_a_zero_b():
@@ -77,21 +78,49 @@ def test_sparse_bump_verblunsky_bumps_exactly_at_powers_of_two():
 
 def test_verblunsky_generator_leaving_the_disc_names_the_index():
     V = VerblunskyParams.from_function(lambda j: np.where(j >= 100, 1.0, 0.5))
-    assert np.all(V.alpha_window(50) == 0.5)  # stores j = 0..63
+    assert np.all(V.alpha_window(50) == 0.5)
     with pytest.raises(ValueError, match=r"alpha_100\b"):
         V.alpha_window(200)
-    # a bad coefficient past the first chunk of a growth is named the same
-    far = VerblunskyParams.from_function(
-        lambda j: np.where(j >= 40000, 1.0, 0.5))
-    assert np.all(far.alpha_window(200) == 0.5)
-    with pytest.raises(ValueError, match=r"alpha_40000\b"):
-        far.alpha_window(50000)
-    assert np.all(far.alpha_window(300) == 0.5)  # the stored values stay
+    # NaN is not in the disc either, in a finite sequence or generated;
+    # a bad coefficient past the first chunk of a window is named the same
+    with pytest.raises(ValueError, match=r"^\|alpha_1\| = nan must be < 1"):
+        VerblunskyParams([0.1, np.nan])
+    for bad in (1.0, np.nan):
+        far = VerblunskyParams.from_function(
+            lambda j: np.where(j >= 40000, bad, 0.5))
+        with pytest.raises(ValueError, match=r"alpha_40000\b"):
+            far.alpha_window(50000)
+        with pytest.raises(ValueError, match=r"alpha_40000\b"):
+            R.cn_stat_opuc(far, (50000,))
+        assert np.all(far.alpha_window(300) == 0.5)
+
+
+def test_a_nonpositive_or_nan_a_n_is_refused_and_named():
+    # finite: at construction
+    with pytest.raises(ValueError, match=r"^a_1 = -1\.0 must be > 0"):
+        JacobiParams([-1.0, np.nan], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^a_2 = nan must be > 0"):
+        JacobiParams([1.0, np.nan], [0.0, 0.0, 0.0])
+    # generated: on every window and run that reaches it
+    J = JacobiParams.from_functions(lambda n: np.where(n == 5, 0.0, 1.0),
+                                    lambda n: 0.0, bound=1.0)
+    assert np.all(J.a_window(4) == 1.0)
+    with pytest.raises(ValueError, match=r"^a_5 = 0\.0 must be > 0"):
+        J.a_window(10)
+    with pytest.raises(ValueError, match=r"^a_5 = 0\.0 must be > 0"):
+        R.cn_stat_oprl(J, (10,))
+    # past the first chunk
+    far = JacobiParams.from_functions(lambda n: np.where(n >= 40000, -0.5, 1.0),
+                                      lambda n: 0.0, bound=2.0)
+    with pytest.raises(ValueError, match=r"^a_40000 = -0\.5 must be > 0"):
+        far.a_window(50000)
+    with pytest.raises(ValueError, match=r"^a_40000 = -0\.5 must be > 0"):
+        R.root_test(far, (100, 50000))
 
 
 def test_chunked_growth_equals_one_shot_generation():
-    # reads that cross chunk and doubling boundaries give the bits of one
-    # call of the generator on all the indices
+    # windows that cross chunk boundaries give the bits of one call of
+    # the generator on all the indices
     def a_fn(n):
         return 1.0 + 0.3 * np.sin(n) / n
 
@@ -113,9 +142,8 @@ def test_chunked_growth_equals_one_shot_generation():
 
 
 def test_runs_equal_one_shot_generation():
-    # runs that cross chunk boundaries and the end of the kept window
-    # give the bits of one call of the generator on all the indices, and
-    # keep nothing
+    # runs that cross chunk boundaries give the bits of one call of the
+    # generator on all the indices
     def a_fn(n):
         return 1.0 + 0.3 * np.sin(n) / n
 
@@ -127,7 +155,6 @@ def test_runs_equal_one_shot_generation():
 
     J = JacobiParams.from_functions(a_fn, b_fn, bound=1.0)
     V = VerblunskyParams.from_function(alpha_fn)
-    J.a_window(100), J.b_window(100), V.alpha_window(100)
     for n in (70000, 200000):
         sites = np.arange(1, n + 1)
         for read, want in ((J.a_runs(n), a_fn(sites)),
@@ -138,7 +165,6 @@ def test_runs_equal_one_shot_generation():
                                   for lo, hi in zip(bounds, bounds[1:])])
             assert got.tobytes() == want.tobytes()
             assert read(0, n).tobytes() == want.tobytes()
-    assert [len(store.values) for store in (J._a, J._b, V._alpha)] == [100] * 3
     # a finite sequence is read as it is, and not past its end
     F = JacobiParams([1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0])
     assert np.array_equal(F.b_runs(4)(1, 3), [5.0, 6.0])
@@ -149,43 +175,42 @@ def test_runs_equal_one_shot_generation():
 def test_a_bad_coefficient_in_a_streamed_run_names_its_index():
     V = VerblunskyParams.from_function(
         lambda j: np.where(j >= 40000, 1.0, 0.5))
-    V.alpha_window(200)
-    kept = V._alpha.values
     read = V.alpha_runs(50000)
     assert np.all(read(0, _CHUNK) == 0.5)
     with pytest.raises(ValueError, match=r"alpha_40000\b"):
         read(_CHUNK, 2 * _CHUNK)
     with pytest.raises(ValueError, match=r"alpha_40000\b"):
         R.cn_stat_opuc(V, (100, 50000))
-    assert V._alpha.values is kept
-    assert len(kept) == 200 and np.all(kept == 0.5)
 
 
-def test_statistics_leave_the_kept_window_as_they_found_it():
-    def fresh(kept):
-        J = JacobiParams.from_functions(lambda n: 1.0 + 0.2 / n,
-                                        lambda n: 0.1 * np.cos(n), bound=1.0)
-        V = VerblunskyParams.from_function(lambda j: 0.3 + 0.2 / (j + 1.0))
-        J.a_window(kept), J.b_window(kept), V.alpha_window(kept)
-        return J, V
-
+def test_reads_leave_every_store_as_they_found_it():
+    # a store keeps nothing it generates: its fields are the same objects
+    # after any window, run or statistic, and a repeated window gives the
+    # same bytes
+    J = JacobiParams.from_functions(lambda n: 1.0 + 0.2 / n,
+                                    lambda n: 0.1 * np.cos(n), bound=1.0)
+    V = VerblunskyParams.from_function(lambda j: 0.3 + 0.2 / (j + 1.0))
+    stores = (J._a, J._b, V._alpha)
+    before = [dict(vars(store)) for store in stores]
     Ns = (10, 300, 5000)
-    stats = [lambda J, V: R.root_test(J, Ns),
-             lambda J, V: R.root_test(V, Ns),
-             lambda J, V: R.root_and_cesaro(J, Ns),
-             lambda J, V: R.root_and_cesaro(V, Ns),
-             lambda J, V: R.cn_stat_oprl(J, Ns),
-             lambda J, V: R.cn_sq_stat_oprl(J, Ns),
-             lambda J, V: R.cn_stat_opuc(V, Ns),
-             lambda J, V: R.trace_stat(J, Ns),
-             lambda J, V: R.cn_stat_windowed(J, np.array([1, 40, 4000]), 900),
-             lambda J, V: R.arc_stats(V, 0.5, 3, Ns)]
-    for kept in (0, 100):
-        for stat in stats:
-            J, V = fresh(kept)
-            stat(J, V)
-            assert [len(store.values) for store in (J._a, J._b, V._alpha)] == \
-                [kept] * 3
+    windows = (J.a_window(5000), J.b_window(5000), V.alpha_window(5000))
+    for read in (J.a_runs(5000), J.b_runs(5000), V.alpha_runs(5000)):
+        read(0, 100), read(4000, 5000)
+    R.root_test(J, Ns), R.root_test(V, Ns)
+    R.root_and_cesaro(J, Ns), R.root_and_cesaro(V, Ns)
+    R.cn_stat_oprl(J, Ns), R.cn_sq_stat_oprl(J, Ns), R.cn_stat_opuc(V, Ns)
+    R.trace_stat(J, Ns), R.arc_stats(V, 0.5, 3, Ns)
+    R.cn_stat_windowed(J, np.array([1, 40, 4000]), 900)
+    for store, fields in zip(stores, before):
+        assert vars(store).keys() == fields.keys()
+        assert all(vars(store)[k] is v for k, v in fields.items())
+        assert len(store.values) == 0
+    again = (J.a_window(5000), J.b_window(5000), V.alpha_window(5000))
+    assert [w.tobytes() for w in again] == [w.tobytes() for w in windows]
+    with pytest.raises(AttributeError):
+        J.declared_bound = 2.0
+    with pytest.raises(AttributeError):
+        V._alpha.fn = None
 
 
 @given(st.integers(1, 40), st.integers(0, 2**32))

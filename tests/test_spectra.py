@@ -14,7 +14,7 @@ from opspectra.spectra import (CmvMatrix, DuplicateEigenvalues,
                                block_dense, cmv, eig_block,
                                eig_sym_tridiag, eig_unitary, trace_square,
                                truncate, zero_counting)
-from oracles import block_trace_square
+from oracles import block_trace_square, tridiagonal_dense
 
 
 def _dense(T):
@@ -73,7 +73,7 @@ def _sturm_certified(T, vals):
 def test_certified_repairs_wrong_lists_near_a_planted_pair():
     T = _twin_blocks(1e-6)
     vals = eig_sym_tridiag(T)
-    oracle = np.linalg.eigvalsh(T.dense())
+    oracle = np.linalg.eigvalsh(tridiagonal_dense(T))
     assert np.max(np.abs(vals - oracle)) < 1e-12
     gaps = np.diff(vals)
     j = int(np.argmin(gaps))
@@ -91,7 +91,7 @@ def test_certified_repairs_wrong_lists_near_a_planted_pair():
 
 def test_failed_brackets_are_refined_by_bisection(monkeypatch):
     T = _twin_blocks(1e-6)
-    oracle = np.linalg.eigvalsh(T.dense())
+    oracle = np.linalg.eigvalsh(tridiagonal_dense(T))
     j = int(np.argmin(np.diff(oracle)))
     wrong = oracle.copy()
     wrong[j + 1] = wrong[j]
@@ -119,7 +119,7 @@ def test_coincident_eigenvalues_warn(route):
         w = sla.eigvalsh_tridiagonal(T.diag, T.offdiag, lapack_driver="sterf")
         f, e = trace_square(JacobiParams(T.offdiag, T.diag), T.n)
         assert f == pytest.approx(e, rel=1e-12)
-    assert np.max(np.abs(w - np.linalg.eigvalsh(T.dense()))) < 1e-12
+    assert np.max(np.abs(w - np.linalg.eigvalsh(tridiagonal_dense(T)))) < 1e-12
 
 
 def test_trace_square_two_routes_agree():
@@ -169,7 +169,7 @@ def test_cmv_eigenvalues_match_polynomial_zeros(N, seed):
         + 1j * rng.uniform(-0.6, 0.6, size=2 * N)
     beta = 1.0 + 0.0j
     C = CmvMatrix(raw[:N - 1], beta)
-    D = C.dense()
+    D = C.mat.toarray()
     assert np.max(np.abs(D.conj().T @ D - np.eye(N))) < 1e-12
     mine = np.exp(1j * eig_unitary(C).points)
     oracle = _para_zeros(raw, N, beta)
@@ -189,7 +189,7 @@ def test_cmv_eigenvalues_match_dense_oracle(N, radius, seed):
     th = eig_unitary(C).points
     assert np.all((th > -math.pi) & (th <= math.pi))
     mine = np.exp(1j * th)
-    oracle = sla.eigvals(C.dense())
+    oracle = sla.eigvals(C.mat.toarray())
     dist = np.abs(mine[:, None] - oracle[None, :])
     assert np.max(dist.min(axis=1)) < 1e-11
     assert np.max(dist.min(axis=0)) < 1e-11
@@ -219,7 +219,7 @@ def _alternating(N, beta):
 
 def test_eigenangle_at_pi_matches_dense_oracle():
     C = _alternating(27, 1.0)
-    oracle = sla.eigvals(C.dense())
+    oracle = sla.eigvals(C.mat.toarray())
     assert np.min(np.abs(oracle + 1.0)) < 1e-14  # an eigenvalue at -1
     mine = np.exp(1j * eig_unitary(C).points)
     dist = np.abs(mine[:, None] - oracle[None, :])
@@ -240,14 +240,14 @@ def test_phase_counts_match_dense_oracle(seed):
     rng = np.random.default_rng(100 + seed)
     cut = rng.uniform(-math.pi, math.pi)
     xs = cut + rng.uniform(0.0, 2.0 * math.pi, 500)
-    lifted = np.remainder(np.angle(sla.eigvals(C.dense())) - cut, 2.0 * math.pi)
+    lifted = np.remainder(np.angle(sla.eigvals(C.mat.toarray())) - cut, 2.0 * math.pi)
     expect = np.sum(lifted[None, :] <= (xs - cut)[:, None], axis=1)
     assert np.array_equal(spectra._phase_counts(C, cut, xs), expect)
 
 
 def test_certified_repairs_wrong_angle_lists():
     C = _random_cmv(7, 30)
-    ring = np.sort(np.angle(sla.eigvals(C.dense())))
+    ring = np.sort(np.angle(sla.eigvals(C.mat.toarray())))
     gaps = np.diff(np.append(ring, ring[0] + 2.0 * math.pi))
     k = int(np.argmax(gaps))
     cut = ring[k] + 0.5 * gaps[k]
@@ -272,7 +272,7 @@ def test_certified_repairs_wrong_angle_lists():
 
 def test_eig_unitary_bisects_when_the_band_solver_is_wrong(monkeypatch):
     C = _random_cmv(3, 50)
-    oracle = sla.eigvals(C.dense())
+    oracle = sla.eigvals(C.mat.toarray())
     # every cosine and sine 0: four candidates, every bracket crowded
     monkeypatch.setattr(spectra.sla, "eigvals_banded",
                         lambda band, **kw: np.zeros(band.shape[1]))
