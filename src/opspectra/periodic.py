@@ -33,6 +33,8 @@ pattern search along the axes and the diagonals, several moves per map
 call when few windows are left.  A batch of offsets searches each
 distinct window once: offsets whose windows (coefficients and weights
 on whole periods) are bitwise equal share one search and its result.
+The batch holds O(1) numbers per offset; each distance call gathers the
+windows it compares one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -499,12 +501,15 @@ def torus_point(J0: PeriodicJacobi, theta) -> PeriodicJacobi:
 # -- distance to the torus ---------------------------------------------
 
 #: grid starts per torus coordinate, the step that ends the search, the
-#: (row, move) pairs one look-ahead round may hold, and the fewest moves
-#: per row for which a round is worth its gather
+#: (row, move) pairs one look-ahead round may hold, the fewest moves per
+#: row for which a round is worth its gather, and the rows whose
+#: coefficients a distance call gathers at a time (a block's few (512, L)
+#: arrays stay in a core's L2 cache; 256 and 128 were slower)
 _GRID_POINTS = 8
 _FINAL_STEP = 1e-7
 _LOOKAHEAD_ROWS = 256
 _MIN_LOOKAHEAD = 3
+_BLOCK = 512
 
 
 def dm_weights(bound: float) -> np.ndarray:
@@ -522,87 +527,129 @@ def _deviation_bound(J: JacobiParams, probe: int) -> float:
     return sup_deviation(J, min(probe, len(J)))
 
 
-def _aligned_windows(J: JacobiParams, ms: np.ndarray, w: np.ndarray, p: int):
-    """Coefficients of J and distance weights on whole periods: row i
-    covers the L sites from the first site of m_i's period on, L a
-    multiple of p; the weight of site m_i + k is w[k] and every other
-    weight is 0."""
+class _Rows(NamedTuple):
+    """Aligned rows, each held as two numbers: row i covers the L sites
+    from the first site of its offset's period on (L a multiple of p),
+    so its coefficients are a[period[i]] and b[period[i]], and its
+    distance weights are w[phase[i]], phase = (m - 1) % p: the weight of
+    site m + k is w_k and every other weight is 0."""
+
+    a: np.ndarray       # (periods, L) views of the padded coefficient
+    b: np.ndarray       # windows, one row per period
+    w: np.ndarray       # (p, L), one weight row per period phase
+    period: np.ndarray
+    phase: np.ndarray
+
+
+def _aligned_rows(J: JacobiParams, ms: np.ndarray, w: np.ndarray,
+                  p: int) -> _Rows:
+    """The aligned rows of J at the offsets ``ms``, with the weights
+    ``w`` (see _Rows)."""
     K = len(w) - 1
     L = p * -(-(K + p) // p)
     r = (ms - 1) % p
     hi = int(ms.max()) + K
     # rows reach past site hi only where their weight is 0
     pad = np.zeros(L - K)
-    A, B = (np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([seq, pad]), L)[ms - r - 1]
-        for seq in (J.a_window(hi), J.b_window(hi)))
+    a, b = (np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([seq, pad]), L)[::p] for seq in (J.a_window(hi),
+                                                        J.b_window(hi)))
     wz = np.concatenate([np.zeros(p - 1), w, np.zeros(L)])
-    W = np.lib.stride_tricks.sliding_window_view(wz, L)[p - 1 - r]
-    return A, B, W
+    W = np.lib.stride_tricks.sliding_window_view(wz, L)[p - 1 - np.arange(p)]
+    return _Rows(a, b, W, (ms - 1) // p, r)
 
 
-def _weighted_dist(A, B, W, a, b, work) -> np.ndarray:
-    """Weighted distance of each aligned row to the periodic extension
-    of pattern (a, b) (one pattern, or one per row).  ``work`` is a
-    reused (2, >= rows, L) buffer: fresh temporaries of this size would
-    each cost page faults."""
-    reps = A.shape[1] // a.shape[-1]
-    x, y = work[0, :len(A)], work[1, :len(A)]
-    np.abs(np.subtract(A, np.tile(a, reps), out=x), out=x)
-    np.abs(np.subtract(B, np.tile(b, reps), out=y), out=y)
-    return np.einsum("ij,ij->i", W, np.add(x, y, out=x))
+def _gather(rows: _Rows, idx: np.ndarray):
+    """(lo, A, B) for each block of at most _BLOCK of the rows ``idx``:
+    A and B are fresh (n, L) copies of the coefficients of rows
+    idx[lo:lo + n]."""
+    for lo in range(0, len(idx), _BLOCK):
+        t = rows.period[idx[lo:lo + _BLOCK]]
+        yield lo, rows.a[t], rows.b[t]
 
 
-def _row_keys(A, B, W) -> np.ndarray:
+def _weighted_dist(rows: _Rows, idx: np.ndarray, a, b) -> np.ndarray:
+    """Weighted distance of each of the rows ``idx`` to the periodic
+    extension of its pattern: row idx[i] against (a[i], b[i]).  A
+    block's rows are weighted phase run by phase run with that phase's
+    weight row, which gives the bits of one full weight matrix; rows in
+    phase order make one run per phase."""
+    reps = rows.w.shape[1] // a.shape[-1]
+    phase = rows.phase[idx]
+    runs = [0, *((phase[1:] != phase[:-1]).nonzero()[0] + 1).tolist(),
+            len(idx)]
+    out = np.empty(len(idx))
+    for lo, A, B in _gather(rows, idx):
+        n = len(A)
+        for X, x in ((A, a), (B, b)):
+            np.subtract(X, np.tile(x[lo:lo + n], reps), out=X)
+            np.abs(X, out=X)
+        np.add(A, B, out=A)
+        for i, j in zip(runs[:-1], runs[1:]):
+            i, j = max(i, lo), min(j, lo + n)
+            if i < j:
+                out[i:j] = np.einsum("j,ij->i", rows.w[phase[i]],
+                                     A[i - lo:j - lo])
+    return out
+
+
+def _row_keys(A, B, phase) -> np.ndarray:
     """A uint64 key of each aligned row: the wrapping dot product of the
-    bits of its A, B and W (their uint64 views) with fixed odd
-    multipliers.  Bitwise equal rows get equal keys; unequal rows may
-    collide, so a key only proposes a group."""
+    bits of its A and B (their uint64 views) and its phase with fixed
+    odd multipliers.  Bitwise equal rows get equal keys; unequal rows
+    may collide, so a key only proposes a group."""
     L = A.shape[1]
-    mult = (np.arange(1, 6 * L, 2, dtype=np.uint64)
-            * np.uint64(0x9E3779B97F4A7C15)).reshape(3, L)
-    return (A.view(np.uint64) @ mult[0] + B.view(np.uint64) @ mult[1]
-            + W.view(np.uint64) @ mult[2])
+    mult = (np.arange(1, 4 * L + 2, 2, dtype=np.uint64)
+            * np.uint64(0x9E3779B97F4A7C15))
+    return (A.view(np.uint64) @ mult[:L] + B.view(np.uint64) @ mult[L:2 * L]
+            + phase.astype(np.uint64) * mult[2 * L])
 
 
-def _distinct_rows(A, B, W):
+def _distinct_rows(rows: _Rows):
     """Indices of one representative per distinct aligned row, in row
     order, and each row's position among them.  Rows sharing a key are
     checked bit for bit against the first row with that key; a row that
-    differs from it stays its own representative."""
-    _, first, group = np.unique(_row_keys(A, B, W), return_index=True,
-                                return_inverse=True)
+    differs from it stays its own representative.  The phase stands in
+    for the weights, which it fixes."""
+    n = len(rows.phase)
+    every = np.arange(n)
+    keys = np.empty(n, dtype=np.uint64)
+    for lo, A, B in _gather(rows, every):
+        keys[lo:lo + len(A)] = _row_keys(A, B, rows.phase[lo:lo + len(A)])
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     rep = first[group]
-    shared = np.flatnonzero(rep != np.arange(len(rep)))
-    differ = np.zeros(len(shared), dtype=bool)
-    for X in (A, B, W):
-        bits = X.view(np.uint64)
-        differ |= np.any(bits[shared] != bits[rep[shared]], axis=1)
+    shared = np.flatnonzero(rep != every)
+    differ = rows.phase[shared] != rows.phase[rep[shared]]
+    for (lo, A, B), (_, A0, B0) in zip(_gather(rows, shared),
+                                       _gather(rows, rep[shared])):
+        k = slice(lo, lo + len(A))
+        for X, X0 in ((A, A0), (B, B0)):
+            differ[k] |= np.any(X.view(np.uint64) != X0.view(np.uint64),
+                                axis=1)
     rep[shared[differ]] = shared[differ]
     return np.unique(rep, return_inverse=True)
 
 
-def _window_starts(family: _DirichletMap, A, B, ms: np.ndarray):
+def _window_starts(family: _DirichletMap, rows: _Rows):
     """Inverse-map angles of the p one-period windows at sites m + s ..
     m + s + p - 1, s = 0..p - 1, of each aligned row, read into period
     phase; none at p = 1."""
     p = family.p
     if p == 1:
         return
-    r = (ms - 1) % p
     q = np.arange(p)
+    t = rows.period[:, None]
     for s in range(p):
-        c = (r + s)[:, None]
+        c = (rows.phase + s)[:, None]
         cols = c + (q - c) % p
-        yield family.angles(np.take_along_axis(A, cols, axis=1),
-                            np.take_along_axis(B, cols, axis=1))
+        yield family.angles(rows.a[t, cols], rows.b[t, cols])
 
 
-def _pattern_search(family: _DirichletMap, A, B, W, theta, best, span, work):
+def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span):
     """Refine the angles ``theta`` and the distances ``best`` of the
-    aligned rows (A, B, W) in place, from step ``span`` down to
-    _FINAL_STEP; see d_to_torus_batch for the search and its rounds.
-    A, B, W and theta are overwritten."""
+    aligned rows in place, from step ``span`` down to _FINAL_STEP; see
+    d_to_torus_batch for the search and its rounds.  theta is
+    overwritten."""
     p = family.p
     moves = [d for d in itertools.product((-1, 0, 1), repeat=p - 1) if any(d)]
     moves = np.array(moves, dtype=float).reshape(len(moves), p - 1)
@@ -611,12 +658,6 @@ def _pattern_search(family: _DirichletMap, A, B, W, theta, best, span, work):
     while True:
         keep = step > _FINAL_STEP
         if not keep.all():
-            # the rows move down in place: a copy would sit beside the
-            # caller's full-size rows
-            n = int(np.count_nonzero(keep))
-            for X in (A, B, W):
-                X[:n] = X[keep]
-            A, B, W = A[:n], B[:n], W[:n]
             live, theta, step = live[keep], theta[keep], step[keep]
         if not len(live):
             break
@@ -625,7 +666,7 @@ def _pattern_search(family: _DirichletMap, A, B, W, theta, best, span, work):
             # each move in turn for every row at once
             for d in moves:
                 cand = theta + step[:, None] * d
-                vals = _weighted_dist(A, B, W, *family(cand), work)
+                vals = _weighted_dist(rows, live, *family(cand))
                 better = vals < best[live]
                 theta[better] = cand[better]
                 best[live[better]] = vals[better]
@@ -640,8 +681,7 @@ def _pattern_search(family: _DirichletMap, A, B, W, theta, best, span, work):
                 j = np.minimum(nxt[act, None] + np.arange(h), len(moves) - 1)
                 row = np.repeat(act, h)
                 cand = theta[row] + step[row, None] * moves[j.ravel()]
-                vals = _weighted_dist(A[row], B[row], W[row],
-                                      *family(cand), work)
+                vals = _weighted_dist(rows, live[row], *family(cand))
                 better = vals.reshape(-1, h) < cur[act, None]
                 first = better.argmax(axis=1)
                 k = np.arange(len(act))
@@ -687,20 +727,34 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     (row, move) pairs; a row's pairs past its last move repeat that
     move.  An iteration with h below 3 at its start (more than R / 3
     live rows, or p = 2 with its two moves) tries each move in turn for
-    every row at once, with no gather: a two-move round saves a map call
-    only when no row improves on the first move.
+    every row at once: a two-move round saves a map call only when no
+    row improves on the first move.
 
     Offsets whose aligned rows (the coefficients and weights from the
-    start of the offset's period on, see _aligned_windows) are bitwise
-    equal share one search, since the search reads nothing but the row
-    and the offset's period phase, which the weights fix: each distinct
-    row is searched once and its distance goes to every offset that has
-    it.  An input of period p has p distinct rows and a sparse one few,
-    so a long batch of them costs about as much as its distinct rows.  The
-    grid goes through the map once and each grid generator is compared
-    with every distinct row at once; each row's window starts are
-    compared with the row itself, and the refinement moves all rows
-    together, in rounds or move by move.
+    start of the offset's period on, see _Rows) are bitwise equal share
+    one search, since the search reads nothing but the row and the
+    offset's period phase, which the weights fix: each distinct row is
+    searched once and its distance goes to every offset that has it.
+    An input of period p has p distinct rows and a sparse one few, so a
+    long batch of them costs about as much as its distinct rows.  The
+    grid goes through the map once, and each distance call compares
+    every distinct row with max(1, _BLOCK // rows) grid generators, the
+    first of equal minima winning as in a loop over the generators; each
+    row's window starts are compared with the row itself, and the
+    refinement moves all rows together, in rounds or move by move.
+
+    Memory is O(1) per offset: a row is held as the index of its first
+    period and its period phase, beside its angles, its best distance and
+    its step, and J's coefficients up to the last offset are read once
+    into two windows.  Every distance call gathers the coefficients of
+    its rows block by block, at most _BLOCK (512) rows of L sites at a
+    time, so nothing of shape (rows, L) outlives a block.  At p = 2 this
+    is about 280 bytes per offset (18 MiB traced at 2^16 offsets), where
+    one copied row of coefficients and weights takes 24 L bytes.  The
+    rows are kept in period-phase order (stably, so each phase keeps its
+    offsets' order), which makes each phase one run of a block, weighted
+    by that phase's one weight row; rows are searched independently, so
+    the order changes no result.
     """
     ms = np.asarray(ms, dtype=int)
     if np.any(ms < 1):
@@ -711,33 +765,40 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
         return np.empty(0)
     bound = 2.0 * (_deviation_bound(J, int(ms.max()))
                    + J0.deviation_bound + 2.0)
-    A, B, W = _aligned_windows(J, ms, dm_weights(bound), p)
-    # rebound here, so no full-size copy outlives the compaction
-    rows, share = _distinct_rows(A, B, W)
-    if len(rows) < len(ms):
-        A, B, W, ms = A[rows], B[rows], W[rows], ms[rows]
-    # a look-ahead round evaluates at most _LOOKAHEAD_ROWS (row, move)
-    # pairs, and never more than every move of every row
-    n_moves = 3 ** (p - 1) - 1
-    work = np.empty((2, max(len(A), min(_LOOKAHEAD_ROWS, len(A) * n_moves)),
-                     A.shape[1]))
+    order = np.argsort((ms - 1) % p, kind="stable")
+    rows = _aligned_rows(J, ms[order], dm_weights(bound), p)
+    reps, share = _distinct_rows(rows)
+    rows = rows._replace(period=rows.period[reps], phase=rows.phase[reps])
+    every = np.arange(len(reps))
 
     span = 2.0 * math.pi / _GRID_POINTS
     pts = list(itertools.product(range(_GRID_POINTS), repeat=p - 1))
     grid = span * np.array(pts, dtype=float).reshape(len(pts), p - 1)
     ga, gb = family(grid)
-    best = np.full(len(ms), np.inf)
-    theta = np.zeros((len(ms), p - 1))
-    for g in range(len(grid)):
-        vals = _weighted_dist(A, B, W, ga[g], gb[g], work)
+    n = len(reps)
+    best = np.full(n, np.inf)
+    theta = np.zeros((n, p - 1))
+    # k grid generators per distance call, so that few rows still make
+    # a block of (row, generator) pairs; the first of equal minima wins,
+    # as in a loop over the generators in order
+    k = max(1, _BLOCK // n)
+    for g in range(0, len(grid), k):
+        pa, pb = ga[g:g + k], gb[g:g + k]
+        vals = _weighted_dist(rows, np.repeat(every, len(pa)),
+                              np.tile(pa, (n, 1)), np.tile(pb, (n, 1)))
+        vals = vals.reshape(n, len(pa))
+        first = vals.argmin(axis=1)
+        vals = vals[every, first]
         better = vals < best
         best[better] = vals[better]
-        theta[better] = grid[g]
-    for start in _window_starts(family, A, B, ms):
-        vals = _weighted_dist(A, B, W, *family(start), work)
+        theta[better] = grid[g + first[better]]
+    for start in _window_starts(family, rows):
+        vals = _weighted_dist(rows, every, *family(start))
         better = vals < best
         best[better] = vals[better]
         theta[better] = start[better]
 
-    _pattern_search(family, A, B, W, theta, best, span, work)
-    return best[share]
+    _pattern_search(family, rows, theta, best, span)
+    out = np.empty(len(ms))
+    out[order] = best[share]
+    return out

@@ -15,8 +15,9 @@ sequence is read by runs of the same chunks (``a_runs``,
 O(_CHUNK) memory at any N; statistics reported together over one
 sequence (:func:`root_and_cesaro`, :func:`arc_stats`,
 :func:`lemma21_stats`) stack their terms and share one pass.  Block
-statistics read their stored blocks and the torus average its batch of
-distances.
+statistics read their stored blocks; the torus average reads the
+distances of all N offsets, one array from one torus search that holds
+O(1) numbers per offset (``periodic.d_to_torus_batch``).
 
 Sequence indexing follows the underlying data: Jacobi windows cover
 sites 1..N, Verblunsky windows cover indices 0..N-1.
@@ -412,9 +413,11 @@ def cn_stat_torus(J: JacobiParams, J0, Ns, label: str = "cn_torus") -> StatSerie
     offset m to the isospectral family of the periodic generator J0.
 
     Every period is supported (all gaps open, GapClosed otherwise).  All
-    offsets up to the last window are searched in one vectorized batch;
-    see periodic.d_to_torus_batch for the search, its starts and its
-    guarantees.
+    offsets up to the last window go to one periodic.d_to_torus_batch
+    call, which holds O(1) numbers per offset and gathers coefficient
+    windows one block of rows at a time; see it for the search, its
+    starts and its guarantees.  The distances, 8 bytes per offset, are
+    then averaged like every other windowed statistic.
     """
     Ns = _check_ladder(Ns)
     n = Ns[-1]

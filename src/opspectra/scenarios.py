@@ -125,11 +125,28 @@ _shift = _num(float, -10.0, 10.0, closed=True)
 _MAX_WINDOW = 2 ** 32
 
 
-def _ladder(text: str) -> Tuple[int, ...]:
-    Ns = R._check_ladder(int(t) for t in text.split(","))
-    if Ns[-1] > _MAX_WINDOW:
-        raise ValueError(f"window {Ns[-1]} is past the largest, {_MAX_WINDOW}")
-    return Ns
+def _ladder_upto(largest: int, why: str = ""):
+    """Parser of a window ladder whose last window is at most
+    ``largest``; ``why`` ends the message past it."""
+    def parse(text: str) -> Tuple[int, ...]:
+        Ns = R._check_ladder(int(t) for t in text.split(","))
+        if Ns[-1] > largest:
+            raise ValueError(f"window {Ns[-1]} is past the largest, "
+                             f"{largest}{why}")
+        return Ns
+    return parse
+
+
+_ladder = _ladder_upto(_MAX_WINDOW)
+# ladders of the consumers that hold every window at once, each bound
+# sized from its time on 2 cores with one BLAS thread: the torus search
+# keeps O(1) numbers per offset for all N offsets (2^16 take about 2 s
+# and 80 MB at p = 2, 2^18 about 7 s), and the zero counting
+# diagonalizes an N-site truncation in O(N^2) (2^14 takes about 6 s)
+_torus_ladder = _ladder_upto(
+    2 ** 16, ": the torus search holds every offset at once")
+_zeros_ladder = _ladder_upto(
+    2 ** 14, ": the zero counting takes O(N^2) time")
 
 
 #: largest period of an input pattern: the torus search starts from a
@@ -253,7 +270,8 @@ def _run_thm1_1(o: Dict[str, object], seed: int) -> ScenarioResult:
 
 
 @_scenario("prop2_2", "zero counting vs arcsine law; trace identities", {
-    "Ns": (_ladder, "400,800", "truncation sizes of the zero counting"),
+    "Ns": (_zeros_ladder, "400,800",
+           "truncation sizes of the zero counting"),
     "threshold.w1_first": (_threshold, "0.02", "W1 to arcsine at the first N"),
     "trace.Ns": (_ladder, "32,64,128,256,512", "windows of the trace"),
     "identity.count": (_num(int, 0), "50", "random trace identity inputs"),
@@ -501,7 +519,7 @@ def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[IndexFn] = None,
     "threshold.interior_norm": (_threshold, "1e-10", "interior blocks"),
     "defect.site": (_num(int, 0), "21", "site n <= (K + 1) p of a b_n shift"),
     "defect.size": (_shift, "0.3", "size of that shift, |size| <= 10"),
-    "torus.Ns": (_ladder, "32,64,128,256,512,1024,2000", "windows"),
+    "torus.Ns": (_torus_ladder, "32,64,128,256,512,1024,2000", "windows"),
     "threshold.torus_last": (_threshold, "0.06", "harmonic shift, last N"),
     "torus.burn_in": (_num(int, -1), "64", "N below it: no decrease check"),
     "torus.theta": (_real, "1.3", "every angle of the torus point"),
@@ -613,7 +631,7 @@ def _run_mnt(o: Dict[str, object], seed: int) -> ScenarioResult:
 
 @_scenario("conjecture5_1_explore", "finite-gap torus averages, exploratory", {
     "input.pattern": _PATTERN,
-    "Ns": (_ladder, "32,64,128,256,512", "windows"),
+    "Ns": (_torus_ladder, "32,64,128,256,512", "windows"),
     "decay.amp": (_shift, "0.5", "b_n shift amp / n^power, |amp| <= 10"),
     "decay.power": (_num(float, 0.0, math.inf, closed=True), "1.0",
                     "its power, >= 0"),

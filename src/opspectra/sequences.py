@@ -119,11 +119,21 @@ class _Store:
         return self.run
 
 
-def _check_a(a: np.ndarray, first: int) -> None:
-    bad = ~(a > 0.0)
+def _refuse(bad: np.ndarray, values: np.ndarray, first: int, name: str,
+            rule: str) -> None:
+    """ValueError naming the first ``bad`` value, ``first`` the index of
+    values[0]."""
     if np.any(bad):
         j = int(np.argmax(bad))
-        raise ValueError(f"a_{first + j} = {a[j]} must be > 0")
+        raise ValueError(f"{name}_{first + j} = {values[j]} must be {rule}")
+
+
+def _check_a(a: np.ndarray, first: int) -> None:
+    _refuse(~(a > 0.0) | np.isinf(a), a, first, "a", "> 0 and finite")
+
+
+def _check_b(b: np.ndarray, first: int) -> None:
+    _refuse(~np.isfinite(b), b, first, "b", "finite")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -131,10 +141,10 @@ class JacobiParams:
     """Jacobi parameters a_1, a_2, ... (> 0) and b_1, b_2, ...
 
     Backed either by finite arrays or by index-array functions of n >= 1
-    with a declared deviation bound.  Every a_n is checked to be > 0: a
-    finite array on construction, generated values on each read.  A
-    generated value is not kept: each window or run generates the
-    values it returns.
+    with a declared deviation bound.  Every a_n is checked to be finite
+    and > 0 and every b_n to be finite: a finite array on construction,
+    generated values on each read.  A generated value is not kept: each
+    window or run generates the values it returns.
     """
 
     _a: _Store
@@ -150,7 +160,8 @@ class JacobiParams:
             raise ValueError("empty coefficient sequences")
         if len(a) not in (len(b), len(b) - 1):
             raise ValueError("need len(a) == len(b) or len(b) - 1")
-        _fill(self, _a=_Store(a, 1, check=_check_a), _b=_Store(b, 1),
+        _fill(self, _a=_Store(a, 1, check=_check_a),
+              _b=_Store(b, 1, check=_check_b),
               declared_bound=bound)
 
     @classmethod
@@ -162,7 +173,8 @@ class JacobiParams:
         all of them.  ``bound`` is a declared bound on |a_n - 1| + |b_n|."""
         self = cls.__new__(cls)
         _fill(self, _a=_Store(np.empty(0), 1, a_fn, _check_a),
-              _b=_Store(np.empty(0), 1, b_fn), declared_bound=float(bound))
+              _b=_Store(np.empty(0), 1, b_fn, _check_b),
+              declared_bound=float(bound))
         return self
 
     @classmethod

@@ -76,7 +76,7 @@ def prefix_means_of(terms, Ns):
     return tuple(float(cs[n - 1] / n) for n in Ns)
 
 
-def sequential_pattern_search(family, A, B, W, theta, best, span, work):
+def sequential_pattern_search(family, rows, theta, best, span):
     """periodic._pattern_search one move at a time: every live row tries
     each move in turn from its current angles, through one map call per
     move, and takes every improvement as it comes.  The look-ahead rounds
@@ -89,14 +89,13 @@ def sequential_pattern_search(family, A, B, W, theta, best, span, work):
     while True:
         keep = step > _FINAL_STEP
         if not keep.all():
-            live, theta, step, A, B, W = (x[keep] for x in
-                                          (live, theta, step, A, B, W))
+            live, theta, step = (x[keep] for x in (live, theta, step))
         if not len(live):
             break
         moved = np.zeros(len(live), dtype=bool)
         for d in moves:
             cand = theta + step[:, None] * d
-            vals = _weighted_dist(A, B, W, *family(cand), work)
+            vals = _weighted_dist(rows, live, *family(cand))
             better = vals < best[live]
             theta[better] = cand[better]
             best[live[better]] = vals[better]

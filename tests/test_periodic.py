@@ -567,10 +567,10 @@ def test_offsets_sharing_a_window_get_the_single_call_distance(
     searched = []
     real = periodic._distinct_rows
 
-    def spy(A, B, W):
-        rows, share = real(A, B, W)
-        searched.append(len(rows))
-        return rows, share
+    def spy(rows):
+        reps, share = real(rows)
+        searched.append(len(reps))
+        return reps, share
 
     monkeypatch.setattr(periodic, "_distinct_rows", spy)
     batch = d_to_torus_batch(J, ms, DEFAULT)
@@ -584,26 +584,95 @@ def test_colliding_row_keys_leave_the_distances_unchanged(name, monkeypatch):
     J = SCENARIO_INPUTS[name]()
     ms = np.arange(1, 201)
     expected = d_to_torus_batch(J, ms, DEFAULT)
-    # one key for every row: only the bitwise check can tell rows apart
-    monkeypatch.setattr(periodic, "_row_keys",
-                        lambda A, B, W: np.zeros(len(A), dtype=np.uint64))
+    # one key for every row of every block: only the bitwise check can
+    # tell rows apart
+    keyed = []
+
+    def collide(A, B, phase):
+        keyed.append(len(A))
+        return np.zeros(len(A), dtype=np.uint64)
+
+    monkeypatch.setattr(periodic, "_row_keys", collide)
     assert np.array_equal(d_to_torus_batch(J, ms, DEFAULT), expected)
+    assert sum(keyed) == len(ms)
+
+
+def _harmonic_batch_peak(n):
+    """tracemalloc peak of one d_to_torus_batch call over offsets 1..n
+    of the harmonic input."""
+    J = SCENARIO_INPUTS["harmonic"]()
+    ms = np.arange(1, n + 1)
+    tracemalloc.start()
+    try:
+        d_to_torus_batch(J, ms, DEFAULT)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_batch_search_memory_stays_near_one_copy_of_the_rows():
     # every offset of the harmonic input has its own window, so nothing
-    # is shared; a dedup that copies all rows at once (np.unique with
-    # axis=0) or keeps the full-size rows alive beside compacted ones
-    # crosses the bound, which sits 0.6 MiB above the search's own 8.9
-    J = SCENARIO_INPUTS["harmonic"]()
-    ms = np.arange(1, 4097)
-    tracemalloc.start()
-    try:
-        d_to_torus_batch(J, ms, DEFAULT)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9.5 * 2 ** 20
+    # is shared; the search holds O(1) numbers per offset (1.49 MiB
+    # here) and gathers windows one block of rows at a time, so rows of
+    # L sites for every offset at once (8.4 MiB) cross the bound
+    assert _harmonic_batch_peak(4096) <= 3.0 * 2 ** 20
+
+
+def test_batch_search_memory_grows_by_o1_per_offset():
+    # twice the offsets of the test above: 2.25 MiB here, where rows of
+    # L sites for every offset would take 16.7 MiB
+    assert _harmonic_batch_peak(2 ** 13) <= 4.0 * 2 ** 20
+
+
+def _finite_unbounded():
+    """A finite J with no declared deviation bound."""
+    rng = np.random.default_rng(11)
+    return JacobiParams(1.0 + 0.1 * rng.standard_normal(1100),
+                        0.2 * rng.standard_normal(1100))
+
+
+@pytest.mark.parametrize("n", [511, 512, 513, 1025])
+@pytest.mark.parametrize("name", ["harmonic", "no_bound"])
+def test_row_blocks_leave_the_distances_unchanged(name, n, monkeypatch):
+    # the distance kernel gathers at most _BLOCK (512) rows at a time;
+    # these row counts end a block one row early, exactly, one row late
+    # and one row into a third block, and at n = 1025 the last of the
+    # 513 odd offsets (phase 0) shares the second block with the even ones
+    J = (_finite_unbounded() if name == "no_bound"
+         else SCENARIO_INPUTS["harmonic"]())
+    ms = np.arange(1, n + 1)
+    batch = d_to_torus_batch(J, ms, DEFAULT)
+    with monkeypatch.context() as patch:
+        patch.setattr(periodic, "_BLOCK", 10 ** 9)
+        assert np.array_equal(d_to_torus_batch(J, ms, DEFAULT), batch)
+    # offsets next to the block edges, each searched alone
+    near = np.unique(np.clip([1, 2, 509, 510, 511, 512, 513, 1022, 1023,
+                              1024, 1025, n - 1, n], 1, n))
+    singles = np.array([d_to_torus(J, int(m), DEFAULT) for m in near])
+    assert np.array_equal(batch[near - 1], singles)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_distance_kernel_gives_the_bits_of_full_rows(p):
+    # the weighted distance of gathered blocks, weighted phase run by
+    # phase run, against full (rows, L) coefficient and weight matrices;
+    # the rows come unsorted and repeated, over three blocks
+    J = _finite_unbounded()
+    rng = np.random.default_rng(p)
+    ms = rng.integers(1, 1000, 1100)
+    rows = periodic._aligned_rows(J, ms, dm_weights(8.0), p)
+    L = rows.w.shape[1]
+    idx = rng.integers(0, len(ms), 1300)
+    sites = (rows.period[idx] * p)[:, None] + np.arange(L)
+    a_pad, b_pad = (np.concatenate([x, np.zeros(2 * L)])
+                    for x in (J.a_window(len(J) - 1), J.b_window(len(J))))
+    W = rows.w[rows.phase[idx]]
+    a = rng.uniform(0.5, 1.5, (len(idx), p))
+    b = rng.uniform(-1.0, 1.0, (len(idx), p))
+    full = np.einsum("ij,ij->i", W,
+                     np.abs(a_pad[sites] - np.tile(a, L // p))
+                     + np.abs(b_pad[sites] - np.tile(b, L // p)))
+    assert np.array_equal(periodic._weighted_dist(rows, idx, a, b), full)
 
 
 # -- the Dirichlet-data map for every period ---------------------------
@@ -728,6 +797,19 @@ def test_the_map_is_single_valued_and_the_search_beats_its_starts():
                       2, P3) <= 0.15962122898648104 + 1e-12
 
 
+@pytest.mark.parametrize("block", [1, 35, 10 ** 9],
+                         ids=["one_generator", "uneven", "whole_grid"])
+def test_grid_chunks_leave_the_distances_unchanged(block, monkeypatch):
+    # five distinct rows take max(1, _BLOCK // 5) of the 64 grid
+    # generators per distance call: one at a time, as in a loop over the
+    # grid; chunks of 7, the last one short; or the whole grid at once
+    J = _periodic_params(P3, lambda n: 0.5 / n, bound_extra=0.5)
+    ms = np.arange(1, 6)
+    expected = d_to_torus_batch(J, ms, P3)
+    monkeypatch.setattr(periodic, "_BLOCK", block)
+    assert np.array_equal(d_to_torus_batch(J, ms, P3), expected)
+
+
 def test_period_three_torus_point_is_found_at_every_offset():
     J = _periodic_params(torus_point(P3, (0.9, -0.6)))
     d = d_to_torus_batch(J, np.arange(1, 201), P3)
@@ -805,8 +887,9 @@ def test_a_one_offset_search_makes_a_third_of_the_sequential_map_calls(
 
 
 def test_look_ahead_memory_stays_near_the_sequential_search():
-    # the sequential search peaks at 0.57 MiB here; a round gathers at
-    # most _LOOKAHEAD_ROWS rows, which may add 0.5 MiB
+    # the search peaks at 0.64 MiB here one move at a time and at 0.70
+    # MiB in rounds, most of it one gathered block of 512 (row, grid
+    # generator) pairs; a round gathers at most _LOOKAHEAD_ROWS rows
     J = TORUS_INPUTS["harmonic"](P4)
     ms = np.arange(1, 129)
     tracemalloc.start()
@@ -815,7 +898,7 @@ def test_look_ahead_memory_stays_near_the_sequential_search():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (0.57 + 0.5) * 2 ** 20
+    assert peak <= 1.07 * 2 ** 20
 
 
 def test_an_empty_batch_gives_an_empty_array():

@@ -294,6 +294,9 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
     ("thm4_1", "Ns = 32,,64"),                  # empty ladder entry
     ("thm4_1", "Ns = 32,64,"),
     ("thm4_1", "Ns = 32,64,99999999999999999999"),  # past 2^32 sites
+    ("thm6_1", "torus.Ns = 32,65537"),          # past 2^16 torus offsets
+    ("conjecture5_1_explore", "Ns = 65537"),
+    ("prop2_2", "Ns = 400,16385"),              # past 2^14 zero counting
 ], ids=["closed_gap", "constant_pattern", "non_numeric_pattern",
         "zero_window", "arc_a", "arc_k", "cmv_N", "arc_phase_inf",
         "perturbed_alpha_0", "inputs_count", "mnt_coefficients",
@@ -304,7 +307,8 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
         "defect_size", "bumps_amp", "decay_power", "thm6_1_period_7",
         "conjecture_period_7", "collapsed_band", "pattern_scale",
         "defect_size_for_pattern_scale", "ladder_empty_entry",
-        "ladder_trailing_comma", "ladder_past_bound"])
+        "ladder_trailing_comma", "ladder_past_bound", "torus_ladder",
+        "conjecture_ladder", "zeros_ladder"])
 def test_cli_unusable_input_exits_2_with_one_error_line(
         tmp_path, capsys, monkeypatch, scenario, line):
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
@@ -585,6 +589,20 @@ def test_ladder_windows_stop_at_2_to_the_32():
     assert scenarios._ladder(f"1,{2 ** 32}") == (1, 2 ** 32)
     with pytest.raises(ValueError, match="past the largest"):
         scenarios._ladder(f"1,{2 ** 32 + 1}")
+
+
+@pytest.mark.parametrize("scenario, key, largest", [
+    ("thm6_1", "torus.Ns", 2 ** 16),
+    ("conjecture5_1_explore", "Ns", 2 ** 16),
+    ("prop2_2", "Ns", 2 ** 14),
+])
+def test_window_holding_ladders_stop_at_their_bound(scenario, key, largest):
+    assert scenarios.parse_options(
+        scenario, {key: f"1,{largest}"})[key] == (1, largest)
+    with pytest.raises(scenarios.BadOption,
+                       match=f"^{key}: window {largest + 1} is past the "
+                             f"largest, {largest}: "):
+        scenarios.parse_options(scenario, {key: f"1,{largest + 1}"})
 
 
 _THM3_1_THREADS_SCRIPT = """

@@ -118,6 +118,28 @@ def test_a_nonpositive_or_nan_a_n_is_refused_and_named():
         R.root_test(far, (100, 50000))
 
 
+def test_an_infinite_a_n_or_a_non_finite_b_n_is_refused_and_named():
+    # inf > 0 holds, so a_n = inf needs its own refusal
+    with pytest.raises(ValueError, match=r"^a_2 = inf must be > 0 and finite"):
+        JacobiParams([1.0, np.inf], [0.0, 0.0, 0.0])
+    J = JacobiParams.from_functions(lambda n: np.where(n == 7, np.inf, 1.0),
+                                    lambda n: 0.0, bound=1.0)
+    with pytest.raises(ValueError, match=r"^a_7 = inf must be > 0 and finite"):
+        R.cn_stat_oprl(J, (10,))
+    # b: at construction, and past the first chunk of a generated run
+    with pytest.raises(ValueError, match=r"^b_2 = nan must be finite"):
+        JacobiParams([1, 1, 1], [0, np.nan, 0])
+    with pytest.raises(ValueError, match=r"^b_1 = -inf must be finite"):
+        JacobiParams([1.0], [-np.inf, 0.0])
+    far = JacobiParams.from_functions(
+        lambda n: 1.0, lambda n: np.where(n == 40000, np.inf, 0.0), bound=1.0)
+    assert np.all(far.b_window(39999) == 0.0)
+    with pytest.raises(ValueError, match=r"^b_40000 = inf must be finite"):
+        R.cn_stat_oprl(far, (50000,))
+    with pytest.raises(ValueError, match=r"^b_40000 = inf must be finite"):
+        far.b_window(40000)
+
+
 def test_chunked_growth_equals_one_shot_generation():
     # windows that cross chunk boundaries give the bits of one call of
     # the generator on all the indices
