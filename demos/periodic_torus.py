@@ -34,7 +34,7 @@ def main():
           f" interior |B| {wB:.2e}")
 
     lad = (64, 256, 1024)
-    Jh = _periodic_as_params(J0, db=lambda n: 1.0 / n, bound_extra=1.0)
+    Jh = _periodic_as_params(J0, db=lambda n: 1.0 / n)
     cn_h = cn_stat_torus(Jh, J0, lad)
     Jt = torus_point(J0, (2.0,))
     cn_t = cn_stat_torus(_periodic_as_params(Jt), J0, lad)

@@ -31,7 +31,7 @@ def main():
         rng = SplitMix64(3000 + s)
         a = 1.0 + 0.4 * (rng.uniforms(200) - 0.5)
         b = 0.8 * (rng.uniforms(200) - 0.5)
-        J = JacobiParams(a[:199], b, bound=0.6)
+        J = JacobiParams(a[:199], b)
         formula, eigs = trace_square(J, 200)
         gap = abs(formula - eigs) / abs(formula)
         worst = max(worst, gap)

@@ -29,7 +29,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .sequences import JacobiParams, VerblunskyParams, _freeze
+from .sequences import JacobiParams, VerblunskyParams, _freeze, _refuse
 
 
 class DensityNegative(ValueError):
@@ -150,7 +150,8 @@ class DiscreteMeasure:
     """Finitely supported measure: sorted nodes, positive weights, mass 1.
 
     ``domain`` is "line" (nodes are reals) or "circle" (nodes are angles,
-    wrapped into [-pi, pi) before coincident nodes merge).
+    wrapped into [-pi, pi) before coincident nodes merge).  ValueError
+    names the first non-finite node or weight, in input order.
     """
 
     def __init__(self, nodes, weights, domain: str = "line"):
@@ -160,6 +161,8 @@ class DiscreteMeasure:
             raise ValueError("domain must be 'line' or 'circle'")
         if nodes.shape != weights.shape or nodes.ndim != 1 or len(nodes) == 0:
             raise ValueError("nodes and weights must be equal-length 1-d arrays")
+        _refuse(~np.isfinite(nodes), nodes, 0, "node", "finite")
+        _refuse(~np.isfinite(weights), weights, 0, "weight", "finite")
         if domain == "circle":
             out = (nodes < -math.pi) | (nodes >= math.pi)
             nodes = np.where(out, np.mod(nodes + math.pi, 2.0 * math.pi)
@@ -205,12 +208,15 @@ def _tabulated_rule(xs, vals, order: int):
     """Per-segment Gauss rule against a piecewise-linear density.
 
     Exact for polynomial moments up to degree 2*order - 2, which covers
-    everything the toolkit asks of tabulated parts.
+    everything the toolkit asks of tabulated parts.  ValueError names
+    the first non-finite x or value.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(vals, dtype=float)
     if xs.ndim != 1 or xs.shape != vals.shape or len(xs) < 2:
         raise ValueError("tabulated data needs matching xs, values arrays")
+    _refuse(~np.isfinite(xs), xs, 0, "xs", "finite")
+    _refuse(~np.isfinite(vals), vals, 0, "values", "finite")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("tabulated xs must be strictly increasing")
     neg = np.nonzero(vals < 0.0)[0]

@@ -520,11 +520,9 @@ def dm_weights(bound: float) -> np.ndarray:
 
 
 def _deviation_bound(J: JacobiParams, probe: int) -> float:
-    """Bound on |a_n - 1| + |b_n|: the declared one, else the sup over
-    the first ``probe`` sites (all of them for a shorter finite J)."""
-    if J.declared_bound is not None:
-        return float(J.declared_bound)
-    return sup_deviation(J, min(probe, len(J)))
+    """The sup of |a_n - 1| + |b_n| over the first ``probe`` sites (all
+    of them for a shorter finite J)."""
+    return sup_deviation(J, min(probe, len(J)) if J.is_finite else probe)
 
 
 class _Rows(NamedTuple):
@@ -712,6 +710,11 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     best start; it can stop in a local minimum.  On the family it is
     exact up to rounding, since a window of a family member maps back to
     its own angles.
+
+    The weights are dm_weights(2 (s + s0 + 2)), s the sup of |a_n - 1|
+    + |b_n| over J's first max(ms) sites (all of a shorter finite J) and
+    s0 that of J0: a generator-backed J and the array of its first
+    values get the same distances.
 
     Each row tries the moves of an iteration in a fixed order, each from
     its current angles.  With few live rows this runs in look-ahead

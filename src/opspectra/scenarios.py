@@ -199,10 +199,9 @@ def _is_pow2(n: np.ndarray) -> np.ndarray:
 def sparse_bump_jacobi(value: float) -> JacobiParams:
     """a_n = value at n = 2, 4, 8, ... (powers of two above 1), else 1;
     b = 0.  A classic regular-but-not-Nevai coefficient sequence."""
-    dev = abs(value - 1.0)
     return JacobiParams.from_functions(
         lambda n: np.where((n > 1) & _is_pow2(n), value, 1.0),
-        lambda n: 0.0, bound=dev)
+        lambda n: 0.0)
 
 
 def sparse_bump_verblunsky(value: float) -> VerblunskyParams:
@@ -212,10 +211,9 @@ def sparse_bump_verblunsky(value: float) -> VerblunskyParams:
 
 
 def _seeded_jacobi(rng: SplitMix64, n: int) -> JacobiParams:
-    a_amp, b_amp = 0.4, 0.8
-    a = 1.0 + a_amp * (rng.uniforms(n) - 0.5)
-    b = b_amp * (rng.uniforms(n) - 0.5)
-    return JacobiParams(a[: n - 1], b, bound=a_amp / 2 + b_amp / 2)
+    a = 1.0 + 0.4 * (rng.uniforms(n) - 0.5)
+    b = 0.8 * (rng.uniforms(n) - 0.5)
+    return JacobiParams(a[: n - 1], b)
 
 
 # ---------------------------------------------------------------------
@@ -499,17 +497,15 @@ def _bands_table(fgs: pot.FiniteGapSet) -> tuple:
             [(j, lo, hi) for j, (lo, hi) in enumerate(fgs.bands, start=1)])
 
 
-def _periodic_as_params(J0: P.PeriodicJacobi, db: Optional[IndexFn] = None,
-                        bound_extra: float = 0.0) -> JacobiParams:
+def _periodic_as_params(J0: P.PeriodicJacobi,
+                        db: Optional[IndexFn] = None) -> JacobiParams:
     """The periodic J0 as unbounded Jacobi parameters, with the
     index-array function ``db`` (default 0) added to its b_n."""
-    dev = J0.deviation_bound + bound_extra
     a, b = np.array(J0.a), np.array(J0.b)
     shift = db if db is not None else (lambda n: 0.0)
     return JacobiParams.from_functions(
         lambda n: a[(n - 1) % J0.p],
-        lambda n: b[(n - 1) % J0.p] + shift(n),
-        bound=dev)
+        lambda n: b[(n - 1) % J0.p] + shift(n))
 
 
 @_scenario("thm6_1", "periodic block map and torus-distance averages", {
@@ -549,8 +545,7 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     upper = float(np.max(np.abs(np.triu(blocks.A, k=1))))
     res.checks.append(Check("type3_structure", upper, 1e-12))
 
-    Jdef = _periodic_as_params(J0, lambda n: np.where(n == site, eps, 0.0),
-                               bound_extra=abs(eps))
+    Jdef = _periodic_as_params(J0, lambda n: np.where(n == site, eps, 0.0))
     try:
         blocks_d = P.delta_of_J(J0, Jdef, K)
     except P.NotType3 as exc:
@@ -571,7 +566,7 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
 
     # torus-distance averages
     lad = o["torus.Ns"]
-    Jh = _periodic_as_params(J0, lambda n: 1.0 / n, bound_extra=1.0)
+    Jh = _periodic_as_params(J0, lambda n: 1.0 / n)
     cn_h = R.cn_stat_torus(Jh, J0, lad, label="cn_torus_harmonic")
     res.series.append(cn_h)
     res.jacobi_inputs.append(("harmonic_shift", Jh, lad))
@@ -646,11 +641,9 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     lad = o["Ns"]
 
     amp, power, bump = o["decay.amp"], o["decay.power"], o["bumps.amp"]
-    Jd = _periodic_as_params(J0, lambda n: amp / n ** power,
-                             bound_extra=abs(amp))
+    Jd = _periodic_as_params(J0, lambda n: amp / n ** power)
     Jb = _periodic_as_params(
-        J0, lambda n: np.where((n > 1) & _is_pow2(n), bump, 0.0),
-        bound_extra=abs(bump))
+        J0, lambda n: np.where((n > 1) & _is_pow2(n), bump, 0.0))
     for name, J, label in (("decaying_shift", Jd, "cn_torus_decay"),
                            ("sparse_shift", Jb, "cn_torus_bumps")):
         res.series.append(R.cn_stat_torus(J, J0, lad, label=label))

@@ -13,11 +13,10 @@ Sequences are either finite arrays or unbounded ones given by index-array
 functions: called on an integer array of indices, such a function returns
 the values there (a scalar is broadcast).  It may be called on any split
 of the indices into consecutive runs, so its value at an index must not
-depend on which other indices share the call.  Unbounded Jacobi
-parameters carry a declared deviation bound.  Every downstream statistic
-asks for an explicit window length, so an unbounded sequence is never
-generated beyond the largest window requested.  Every window is
-read-only, and every sequence is an immutable value.
+depend on which other indices share the call.  Every downstream
+statistic asks for an explicit window length, so an unbounded sequence
+is never generated beyond the largest window requested.  Every window
+is read-only, and every sequence is an immutable value.
 
 A sequence keeps nothing it generates: each read of an unbounded
 sequence calls its function on exactly the indices it returns and
@@ -140,18 +139,17 @@ def _check_b(b: np.ndarray, first: int) -> None:
 class JacobiParams:
     """Jacobi parameters a_1, a_2, ... (> 0) and b_1, b_2, ...
 
-    Backed either by finite arrays or by index-array functions of n >= 1
-    with a declared deviation bound.  Every a_n is checked to be finite
-    and > 0 and every b_n to be finite: a finite array on construction,
-    generated values on each read.  A generated value is not kept: each
-    window or run generates the values it returns.
+    Backed either by finite arrays or by index-array functions of n >= 1.
+    Every a_n is checked to be finite and > 0 and every b_n to be
+    finite: a finite array on construction, generated values on each
+    read.  A generated value is not kept: each window or run generates
+    the values it returns.
     """
 
     _a: _Store
     _b: _Store
-    declared_bound: Optional[float]
 
-    def __init__(self, a, b, bound: Optional[float] = None):
+    def __init__(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if a.ndim != 1 or b.ndim != 1:
@@ -161,28 +159,25 @@ class JacobiParams:
         if len(a) not in (len(b), len(b) - 1):
             raise ValueError("need len(a) == len(b) or len(b) - 1")
         _fill(self, _a=_Store(a, 1, check=_check_a),
-              _b=_Store(b, 1, check=_check_b),
-              declared_bound=bound)
+              _b=_Store(b, 1, check=_check_b))
 
     @classmethod
-    def from_functions(cls, a_fn: IndexFn, b_fn: IndexFn,
-                       bound: float) -> "JacobiParams":
+    def from_functions(cls, a_fn: IndexFn, b_fn: IndexFn) -> "JacobiParams":
         """Unbounded sequence from index-array functions: each is called
         on an integer array of consecutive 1-based indices n (any split
         of the window) and returns a_n (b_n) there, or one scalar for
-        all of them.  ``bound`` is a declared bound on |a_n - 1| + |b_n|."""
+        all of them."""
         self = cls.__new__(cls)
         _fill(self, _a=_Store(np.empty(0), 1, a_fn, _check_a),
-              _b=_Store(np.empty(0), 1, b_fn, _check_b),
-              declared_bound=float(bound))
+              _b=_Store(np.empty(0), 1, b_fn, _check_b))
         return self
 
     @classmethod
     def free(cls, n: Optional[int] = None) -> "JacobiParams":
         """The free case a == 1, b == 0 (finite length n, or unbounded)."""
         if n is None:
-            return cls.from_functions(lambda k: 1.0, lambda k: 0.0, bound=0.0)
-        return cls(np.ones(n), np.zeros(n), bound=0.0)
+            return cls.from_functions(lambda k: 1.0, lambda k: 0.0)
+        return cls(np.ones(n), np.zeros(n))
 
     @property
     def is_finite(self) -> bool:
@@ -408,7 +403,7 @@ class UnitaryChain:
         if bad.any():
             raise ValueError(f"u_{int(np.argmax(bad)) + 1} is not unitary to tolerance")
 
-    def apply(self, params: BlockJacobiParams, type_tag: str = "general") -> BlockJacobiParams:
+    def apply(self, params: BlockJacobiParams) -> BlockJacobiParams:
         """Transform block parameters by this chain (needs one unitary per
         B block plus a trailing one for the last A block)."""
         nA, nB = len(params.A), len(params.B)
@@ -417,4 +412,4 @@ class UnitaryChain:
         uh = _herm(self.u)
         return BlockJacobiParams(params.block_size,
                                  uh[:nA] @ params.A @ self.u[1:nA + 1],
-                                 uh[:nB] @ params.B @ self.u[:nB], type_tag)
+                                 uh[:nB] @ params.B @ self.u[:nB])

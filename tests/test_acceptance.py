@@ -216,7 +216,7 @@ def test_ac10_block_map_of_the_periodic_generator():
 
     site, eps = 21, 0.3
     Jdef = scenarios._periodic_as_params(
-        J0, db=lambda n: np.where(n == site, eps, 0.0), bound_extra=eps)
+        J0, db=lambda n: np.where(n == site, eps, 0.0))
     defect = delta_of_J(J0, Jdef, K)
     lo_blk, hi_blk = (site - 3) // 2 - 1, (site + 1) // 2 + 1
     far = near = 0.0
@@ -238,8 +238,7 @@ def test_ac10_block_map_of_the_periodic_generator():
 def test_ac11_torus_distance_averages():
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
     lad = (32, 64, 128, 256, 512, 1024, 2000)
-    Jh = scenarios._periodic_as_params(J0, db=lambda n: 1.0 / n,
-                                       bound_extra=1.0)
+    Jh = scenarios._periodic_as_params(J0, db=lambda n: 1.0 / n)
     cn_h = cn_stat_torus(Jh, J0, lad)
     Jt = scenarios._periodic_as_params(torus_point(J0, (1.3,)))
     cn_t = cn_stat_torus(Jt, J0, lad)

@@ -1,15 +1,28 @@
-"""Every narrative demo runs to completion and prints something."""
+"""Every narrative demo, and the README quick start, runs to completion
+and prints something."""
 
 import pathlib
+import re
 import runpy
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos")
-               .glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_quick_start_runs_and_prints_what_it_says(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    # the W1 distance the README calls "about 0.003"
+    assert float(lines[0]) == pytest.approx(0.00297, abs=5e-6)

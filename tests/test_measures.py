@@ -169,6 +169,37 @@ def test_discrete_measure_normalizes_and_merges():
     assert moment(dm, 0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("nodes, weights, message", [
+    ([0.0, np.nan], [0.5, 0.5], r"^node_1 = nan must be finite"),
+    ([np.nan, 0.0, 1.0], [0.2, 0.3, 0.5], r"^node_0 = nan must be finite"),
+    ([0.0, np.inf, -np.inf], [0.2, 0.3, 0.5], r"^node_1 = inf must be finite"),
+    ([0.0, 1.0, 2.0], [0.5, np.nan, 0.5], r"^weight_1 = nan must be finite"),
+    ([0.0, 1.0], [np.inf, 0.5], r"^weight_0 = inf must be finite"),
+], ids=["nan_node_last", "nan_node_first", "inf_node", "nan_weight",
+        "inf_weight"])
+def test_discrete_measure_refuses_a_non_finite_node_or_weight(
+        nodes, weights, message):
+    # unchecked, sorting merges a NaN node into a neighbour, an inf node
+    # is kept, and normalizing an inf weight makes every weight NaN
+    for domain in ("line", "circle"):
+        with pytest.raises(ValueError, match=message):
+            DiscreteMeasure(nodes, weights, domain)
+
+
+@pytest.mark.parametrize("at, value, message", [
+    ("xs", np.nan, r"^xs_3 = nan must be finite"),
+    ("values", np.inf, r"^values_3 = inf must be finite"),
+], ids=["nan_x", "inf_value"])
+def test_tabulated_density_refuses_non_finite_data(at, value, message):
+    # unchecked, a NaN x discretizes the part to a single NaN node
+    data = {"xs": np.linspace(-2.0, 2.0, 11), "values": np.ones(11)}
+    data[at][3] = value
+    spec = LineMeasureSpec([DensityPart(-2.0, 2.0, "tabulated", 1.0,
+                                        (data["xs"], data["values"]))])
+    with pytest.raises(ValueError, match=message):
+        discretize(spec)
+
+
 def test_flat_measure_moments():
     # oracle: (1/4) int_{-2}^{2} x^k dx = 2^k/(k+1) for even k, 0 odd
     dm = discretize(LineMeasureSpec.legendre_flat())

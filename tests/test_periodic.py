@@ -265,22 +265,11 @@ def test_equilibrium_measure_does_not_depend_on_the_blas_thread_count():
 # -- block map of a periodic generator ---------------------------------
 
 
-def _periodic_params(J0, db=None, bound_extra=0.0):
-    dev = max(abs(x - 1.0) for x in J0.a) + max(abs(x) for x in J0.b) \
-        + bound_extra
-    shift = db if db is not None else (lambda n: 0.0)
-    a, b = np.array(J0.a), np.array(J0.b)
-    return JacobiParams.from_functions(
-        lambda n: a[(n - 1) % J0.p],
-        lambda n: b[(n - 1) % J0.p] + shift(n), bound=dev)
-
-
 def test_block_map_matches_dense_matrix_polynomial():
     for J0 in (PeriodicJacobi((1.2, 0.8), (0.1, -0.3)),
                PeriodicJacobi((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3))):
         K = 6
-        J = _periodic_params(J0, lambda n: 0.05 * np.sin(1.3 * n),
-                             bound_extra=0.05)
+        J = _periodic_as_params(J0, lambda n: 0.05 * np.sin(1.3 * n))
         blocks = delta_of_J(J0, J, K)
         p = J0.p
         n_sites = (K + 2) * p + p
@@ -306,7 +295,7 @@ def test_block_map_matches_dense_matrix_polynomial():
 
 def test_block_map_of_generator_is_magic():
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
-    blocks = delta_of_J(J0, _periodic_params(J0), 16)
+    blocks = delta_of_J(J0, _periodic_as_params(J0), 16)
     eye = np.eye(2)
     for k in range(1, 17):
         assert np.max(np.abs(blocks.B[k])) < 1e-12
@@ -321,7 +310,7 @@ def test_block_map_of_a_long_generator_keeps_its_interior_blocks(p):
     # Horner on the monomial coefficients left Frobenius norms up to
     # 6.0e-10 at p = 16 and 5.2e-7 at p = 24 in these blocks
     J0 = _random_pattern(p)
-    blocks = delta_of_J(J0, _periodic_params(J0), 16)
+    blocks = delta_of_J(J0, _periodic_as_params(J0), 16)
     assert np.max(np.linalg.norm(blocks.B[1:], axis=(1, 2))) <= 1e-10
     assert np.max(np.linalg.norm(blocks.A[1:] - np.eye(p),
                                  axis=(1, 2))) <= 1e-10
@@ -371,7 +360,7 @@ def test_normal_forms_preserve_data_and_have_structure(ell, K, seed):
         assert np.min(np.linalg.eigvalsh((Ablk + Ablk.conj().T) / 2)) > 0.0
     # the chains actually realize the normal forms
     for t, c in ((t3, c3), (t1, c1)):
-        redone = c.apply(Jb, t.type_tag)
+        redone = c.apply(Jb)
         worst = max(max(np.max(np.abs(x - y)) for x, y in zip(redone.A, t.A))
                     if len(t.A) else 0.0,
                     max(np.max(np.abs(x - y)) for x, y in zip(redone.B, t.B)))
@@ -513,7 +502,7 @@ def test_dm_weights_are_geometric():
 def test_distance_to_torus_vanishes_on_the_family():
     J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
     pt = torus_point(J0, (1.1,))
-    J = _periodic_params(pt)
+    J = _periodic_as_params(pt)
     for m in (1, 2, 7):
         assert d_to_torus(J, m, J0) < 1e-6
 
@@ -522,7 +511,7 @@ def test_distance_is_bounded_by_reference_offset():
     # the minimized distance cannot exceed the weighted distance to any
     # single family member, e.g. the reference itself
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.1))
-    J = _periodic_params(J0, lambda n: 0.3 / n, bound_extra=0.3)
+    J = _periodic_as_params(J0, lambda n: 0.3 / n)
     w = dm_weights(10.0)
     K = len(w) - 1
     for m in (1, 3):
@@ -537,11 +526,23 @@ def test_distance_is_bounded_by_reference_offset():
 
 def test_batch_distances_agree_with_single_calls():
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.1))
-    J = _periodic_params(J0, lambda n: 0.2 / n, bound_extra=0.2)
+    J = _periodic_as_params(J0, lambda n: 0.2 / n)
     ms = np.array([1, 2, 5, 9, 40, 41])
     batch = d_to_torus_batch(J, ms, J0)
     singles = np.array([d_to_torus(J, int(m), J0) for m in ms])
     assert np.array_equal(batch, singles)
+
+
+@pytest.mark.parametrize("amp", [0.5, 400.0])
+def test_generator_and_its_finite_prefix_give_the_same_distances(amp):
+    # the weights are cut where the sup of the coefficients read says, so
+    # a generator-backed J and the array of its first values share them:
+    # 41 weights at amp = 0.5, 43 at amp = 400
+    J = _periodic_as_params(P3, lambda n: amp / n)
+    F = JacobiParams(J.a_window(199), J.b_window(200))
+    ms = np.arange(1, 41)
+    assert (d_to_torus_batch(J, ms, P3).tobytes()
+            == d_to_torus_batch(F, ms, P3).tobytes())
 
 
 # the torus inputs of thm6_1 and conjecture5_1_explore at the default
@@ -551,10 +552,9 @@ SCENARIO_INPUTS = {
     "torus_point": lambda: _periodic_as_params(
         torus_point(DEFAULT, (1.3,))),
     "sparse_bumps": lambda: _periodic_as_params(
-        DEFAULT, lambda n: np.where((n > 1) & _is_pow2(n), 0.4, 0.0),
-        bound_extra=0.4),
+        DEFAULT, lambda n: np.where((n > 1) & _is_pow2(n), 0.4, 0.0)),
     "harmonic": lambda: _periodic_as_params(
-        DEFAULT, lambda n: 1.0 / n, bound_extra=1.0),
+        DEFAULT, lambda n: 1.0 / n),
 }
 
 
@@ -783,17 +783,18 @@ def test_the_map_is_single_valued_and_the_search_beats_its_starts():
 
     for J0 in (P2, P3):
         family = _DirichletMap(J0)
-        J = _periodic_params(J0, lambda n: 0.5 / n, bound_extra=0.5)
+        J = _periodic_as_params(J0, lambda n: 0.5 / n)
         for m in range(1, 7):
             a, b = family(_search_starts(family, J, m))
             best_start = min(
-                d_m(J, _periodic_params(PeriodicJacobi(tuple(x), tuple(y))), m)
+                d_m(J, _periodic_as_params(PeriodicJacobi(tuple(x), tuple(y))),
+                    m)
                 for x, y in zip(a, b))
             d = d_to_torus(J, m, J0)
             assert d <= best_start + 1e-12
-            assert d <= d_m(J, _periodic_params(J0), m) + 1e-12
+            assert d <= d_m(J, _periodic_as_params(J0), m) + 1e-12
     # a 64 x 64 grid with the same pattern search reaches 0.15962122898648104
-    assert d_to_torus(_periodic_params(P3, lambda n: 0.5 / n, bound_extra=0.5),
+    assert d_to_torus(_periodic_as_params(P3, lambda n: 0.5 / n),
                       2, P3) <= 0.15962122898648104 + 1e-12
 
 
@@ -803,7 +804,7 @@ def test_grid_chunks_leave_the_distances_unchanged(block, monkeypatch):
     # five distinct rows take max(1, _BLOCK // 5) of the 64 grid
     # generators per distance call: one at a time, as in a loop over the
     # grid; chunks of 7, the last one short; or the whole grid at once
-    J = _periodic_params(P3, lambda n: 0.5 / n, bound_extra=0.5)
+    J = _periodic_as_params(P3, lambda n: 0.5 / n)
     ms = np.arange(1, 6)
     expected = d_to_torus_batch(J, ms, P3)
     monkeypatch.setattr(periodic, "_BLOCK", block)
@@ -811,14 +812,14 @@ def test_grid_chunks_leave_the_distances_unchanged(block, monkeypatch):
 
 
 def test_period_three_torus_point_is_found_at_every_offset():
-    J = _periodic_params(torus_point(P3, (0.9, -0.6)))
+    J = _periodic_as_params(torus_point(P3, (0.9, -0.6)))
     d = d_to_torus_batch(J, np.arange(1, 201), P3)
     assert np.max(d) <= 1e-12
 
 
 @pytest.mark.parametrize("J0", [P2, P4], ids=["p2", "p4"])
 def test_period_two_and_four_torus_points_are_found_at_every_offset(J0):
-    J = _periodic_params(torus_point(J0, (1.3,) * (J0.p - 1)))
+    J = _periodic_as_params(torus_point(J0, (1.3,) * (J0.p - 1)))
     d = d_to_torus_batch(J, np.arange(1, 201), J0)
     assert np.max(d) <= 1e-12
 
@@ -826,14 +827,11 @@ def test_period_two_and_four_torus_points_are_found_at_every_offset(J0):
 # -- look-ahead rounds of the pattern search ---------------------------
 
 TORUS_INPUTS = {
-    "harmonic": lambda J0: _periodic_params(J0, lambda n: 1.0 / n,
-                                            bound_extra=1.0),
-    "half_over_n": lambda J0: _periodic_params(J0, lambda n: 0.5 / n,
-                                               bound_extra=0.5),
-    "sparse_bumps": lambda J0: _periodic_params(
-        J0, lambda n: np.where((n > 1) & _is_pow2(n), 0.4, 0.0),
-        bound_extra=0.4),
-    "torus_point": lambda J0: _periodic_params(
+    "harmonic": lambda J0: _periodic_as_params(J0, lambda n: 1.0 / n),
+    "half_over_n": lambda J0: _periodic_as_params(J0, lambda n: 0.5 / n),
+    "sparse_bumps": lambda J0: _periodic_as_params(
+        J0, lambda n: np.where((n > 1) & _is_pow2(n), 0.4, 0.0)),
+    "torus_point": lambda J0: _periodic_as_params(
         torus_point(J0, (1.3,) * (J0.p - 1))),
 }
 

@@ -204,8 +204,7 @@ def test_type_form_requires_a_typed_representative():
 def test_exponential_distance_basics():
     J0 = JacobiParams.free()
     J1 = JacobiParams.from_functions(lambda n: 1.0,
-                                     lambda n: np.where(n == 3, 0.5, 0.0),
-                                     bound=0.5)
+                                     lambda n: np.where(n == 3, 0.5, 0.0))
     assert d_m(J0, J0, 5) == 0.0
     assert d_m(J0, J1, 1) == pytest.approx(0.5 * math.exp(-2.0), abs=1e-15)
     assert d_m(J0, J1, 3) == pytest.approx(0.5, abs=1e-15)
@@ -216,7 +215,7 @@ def test_exponential_distance_basics():
 def test_exponential_distance_truncation_is_stable():
     # doubling the truncated tail changes nothing at 1e-12
     J = JacobiParams.from_functions(lambda n: 1.0 + 0.3 / n,
-                                    lambda n: 0.2 * np.cos(n), bound=0.7)
+                                    lambda n: 0.2 * np.cos(n))
     Jt = JacobiParams.free()
     m = 2
     d = d_m(J, Jt, m)
@@ -232,8 +231,7 @@ def test_exponential_distance_truncation_is_stable():
 def test_torus_average_vanishes_on_the_generator():
     J0 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))
     J = JacobiParams.from_functions(lambda n: np.array(J0.a)[(n - 1) % 2],
-                                    lambda n: np.array(J0.b)[(n - 1) % 2],
-                                    bound=1.0)
+                                    lambda n: np.array(J0.b)[(n - 1) % 2])
     s = cn_stat_torus(J, J0, (8, 32))
     assert max(s.values) < 1e-12
 
@@ -245,7 +243,7 @@ def test_block_map_root_test_approaches_one():
     J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
     J = JacobiParams.from_functions(
         lambda n: np.array(J0.a)[(n - 1) % 2],
-        lambda n: 0.4 / n, bound=1.0)
+        lambda n: 0.4 / n)
     blocks = delta_of_J(J0, J, 512)
     rt = root_test(blocks, (64, 256, 512))
     assert abs(rt.last - 1.0) < 0.02
@@ -360,7 +358,7 @@ def test_root_and_cesaro_equal_the_single_statistics_bit_for_bit():
     assert rt.values == root_test(V, Ns).values
     assert cn.values == cn_stat_opuc(V, Ns).values
     J = JacobiParams.from_functions(lambda n: 1.0 + 0.5 * np.cos(n) / n,
-                                    lambda n: 0.3 * np.sin(n), bound=1.0)
+                                    lambda n: 0.3 * np.sin(n))
     rt, cn = root_and_cesaro(J, Ns)
     assert rt.values == root_test(J, Ns).values
     assert cn.values == cn_stat_oprl(J, Ns).values

@@ -16,8 +16,7 @@ from opspectra.cli import (ConfigParse, ScenarioConfig, default_config,
                            parse_config_text, run_scenario)
 from opspectra.regularity import StatSeries
 from opspectra.scenarios import BadOption, ScenarioResult, UnknownScenario
-from opspectra.sequences import (BlockJacobiParams, VerblunskyParams,
-                                 sup_deviation)
+from opspectra.sequences import BlockJacobiParams, VerblunskyParams
 
 ALL_IDS = ("thm1_1", "prop2_2", "thm3_1", "thm4_1", "thm4_2", "thm6_1",
            "mnt_illustration", "conjecture5_1_explore")
@@ -203,6 +202,33 @@ def test_cli_list_and_emit(capsys):
     capsys.readouterr()
 
 
+def _src_env(**extra):
+    """The environment with src first on PYTHONPATH and ``extra`` set."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def _python_m_opspectra(*args):
+    """``python -m opspectra args`` in a fresh process."""
+    return subprocess.run([sys.executable, "-m", "opspectra", *args],
+                          env=_src_env(), capture_output=True, text=True)
+
+
+def test_module_entry_point_lists_the_scenarios():
+    out = _python_m_opspectra("list-scenarios")
+    assert out.returncode == 0
+    assert tuple(line.split()[0] for line in out.stdout.splitlines()) \
+        == ALL_IDS
+
+
+def test_module_entry_point_without_a_command_prints_usage_and_exits_2():
+    out = _python_m_opspectra()
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage: opspectra ")
+
+
 def test_mnt_scenario_has_no_thresholds_but_reports(tmp_path):
     report = run_scenario(ScenarioConfig("mnt_illustration",
                                          outdir=str(tmp_path / "out")))
@@ -321,22 +347,6 @@ def test_cli_unusable_input_exits_2_with_one_error_line(
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
-
-
-def test_negative_shifts_keep_the_declared_deviation_bounds(monkeypatch):
-    # the declared bound sets the truncation of the torus weights, so it
-    # must hold for shifts of either sign
-    shifted = []
-    real = periodic.delta_of_J
-    monkeypatch.setattr(periodic, "delta_of_J",
-                        lambda J0, J, K: shifted.append(J) or real(J0, J, K))
-    scenarios.run("thm6_1", {"defect.size": "-0.3", "torus.Ns": "32"}, 1)
-    res = scenarios.run("conjecture5_1_explore",
-                        {"decay.amp": "-0.5", "bumps.amp": "-0.4"}, 1)
-    inputs = [J for _, J, _ in res.jacobi_inputs] + shifted[1:]
-    assert len(inputs) == 3
-    for J in inputs:
-        assert sup_deviation(J, 4096) <= J.declared_bound
 
 
 def test_thm3_1_reports_a_hadamard_violation_as_a_fail_line(
@@ -619,12 +629,9 @@ with tempfile.TemporaryDirectory() as out:
 def test_thm3_1_stats_csv_does_not_depend_on_the_blas_thread_count():
     # the normal forms multiply stacks of small matrices, which a
     # threaded BLAS could split differently with its thread count
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env = _src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out = subprocess.run([sys.executable, "-c", _THM3_1_THREADS_SCRIPT],
                              env=env, capture_output=True, text=True, check=True)
         digests.append(out.stdout.split()[-1])
@@ -633,11 +640,8 @@ def test_thm3_1_stats_csv_does_not_depend_on_the_blas_thread_count():
 
 def test_importing_the_cli_leaves_scipy_optimize_out():
     # no scenario needs a root finder, so no process should pay for one
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, opspectra.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+        env=_src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

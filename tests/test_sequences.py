@@ -25,7 +25,7 @@ def test_function_backed_jacobi_is_lazy_and_consistent():
         calls.append(n)
         return 1.0 + 1.0 / n
 
-    J = JacobiParams.from_functions(a_fn, lambda n: 0.0, bound=1.0)
+    J = JacobiParams.from_functions(a_fn, lambda n: 0.0)
     first = J.a_window(5)
     assert np.allclose(first, 1.0 + 1.0 / np.arange(1, 6))
     assert np.concatenate(calls).tolist() == [1, 2, 3, 4, 5]
@@ -103,7 +103,7 @@ def test_a_nonpositive_or_nan_a_n_is_refused_and_named():
         JacobiParams([1.0, np.nan], [0.0, 0.0, 0.0])
     # generated: on every window and run that reaches it
     J = JacobiParams.from_functions(lambda n: np.where(n == 5, 0.0, 1.0),
-                                    lambda n: 0.0, bound=1.0)
+                                    lambda n: 0.0)
     assert np.all(J.a_window(4) == 1.0)
     with pytest.raises(ValueError, match=r"^a_5 = 0\.0 must be > 0"):
         J.a_window(10)
@@ -111,7 +111,7 @@ def test_a_nonpositive_or_nan_a_n_is_refused_and_named():
         R.cn_stat_oprl(J, (10,))
     # past the first chunk
     far = JacobiParams.from_functions(lambda n: np.where(n >= 40000, -0.5, 1.0),
-                                      lambda n: 0.0, bound=2.0)
+                                      lambda n: 0.0)
     with pytest.raises(ValueError, match=r"^a_40000 = -0\.5 must be > 0"):
         far.a_window(50000)
     with pytest.raises(ValueError, match=r"^a_40000 = -0\.5 must be > 0"):
@@ -123,7 +123,7 @@ def test_an_infinite_a_n_or_a_non_finite_b_n_is_refused_and_named():
     with pytest.raises(ValueError, match=r"^a_2 = inf must be > 0 and finite"):
         JacobiParams([1.0, np.inf], [0.0, 0.0, 0.0])
     J = JacobiParams.from_functions(lambda n: np.where(n == 7, np.inf, 1.0),
-                                    lambda n: 0.0, bound=1.0)
+                                    lambda n: 0.0)
     with pytest.raises(ValueError, match=r"^a_7 = inf must be > 0 and finite"):
         R.cn_stat_oprl(J, (10,))
     # b: at construction, and past the first chunk of a generated run
@@ -132,7 +132,7 @@ def test_an_infinite_a_n_or_a_non_finite_b_n_is_refused_and_named():
     with pytest.raises(ValueError, match=r"^b_1 = -inf must be finite"):
         JacobiParams([1.0], [-np.inf, 0.0])
     far = JacobiParams.from_functions(
-        lambda n: 1.0, lambda n: np.where(n == 40000, np.inf, 0.0), bound=1.0)
+        lambda n: 1.0, lambda n: np.where(n == 40000, np.inf, 0.0))
     assert np.all(far.b_window(39999) == 0.0)
     with pytest.raises(ValueError, match=r"^b_40000 = inf must be finite"):
         R.cn_stat_oprl(far, (50000,))
@@ -152,7 +152,7 @@ def test_chunked_growth_equals_one_shot_generation():
     def alpha_fn(j):
         return 0.5 * np.exp(0.1j * j) / (1.0 + np.log1p(j))
 
-    J = JacobiParams.from_functions(a_fn, b_fn, bound=1.0)
+    J = JacobiParams.from_functions(a_fn, b_fn)
     V = VerblunskyParams.from_function(alpha_fn)
     for n in (100, 70000, 200000):
         sites = np.arange(1, n + 1)
@@ -175,7 +175,7 @@ def test_runs_equal_one_shot_generation():
     def alpha_fn(j):
         return 0.5 * np.exp(0.1j * j) / (1.0 + np.log1p(j))
 
-    J = JacobiParams.from_functions(a_fn, b_fn, bound=1.0)
+    J = JacobiParams.from_functions(a_fn, b_fn)
     V = VerblunskyParams.from_function(alpha_fn)
     for n in (70000, 200000):
         sites = np.arange(1, n + 1)
@@ -210,7 +210,7 @@ def test_reads_leave_every_store_as_they_found_it():
     # after any window, run or statistic, and a repeated window gives the
     # same bytes
     J = JacobiParams.from_functions(lambda n: 1.0 + 0.2 / n,
-                                    lambda n: 0.1 * np.cos(n), bound=1.0)
+                                    lambda n: 0.1 * np.cos(n))
     V = VerblunskyParams.from_function(lambda j: 0.3 + 0.2 / (j + 1.0))
     stores = (J._a, J._b, V._alpha)
     before = [dict(vars(store)) for store in stores]
@@ -230,7 +230,7 @@ def test_reads_leave_every_store_as_they_found_it():
     again = (J.a_window(5000), J.b_window(5000), V.alpha_window(5000))
     assert [w.tobytes() for w in again] == [w.tobytes() for w in windows]
     with pytest.raises(AttributeError):
-        J.declared_bound = 2.0
+        J._a = J._b
     with pytest.raises(AttributeError):
         V._alpha.fn = None
 
