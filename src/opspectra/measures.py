@@ -73,26 +73,36 @@ class DensityPart:
 
 
 def _check_parts(parts, kinds, lo_min, hi_max):
+    """ValueError for an unknown kind, ends not finite with lo < hi in
+    [lo_min, hi_max], a weight not finite and > 0, or overlapping parts;
+    a non-finite end or a bad weight names the first part with one."""
+    spans = [(p.lo, p.hi) for p in parts]
+    ends = np.array(spans, dtype=float).reshape(-1, 2)
+    _refuse(~np.isfinite(ends).all(axis=1), spans, 0, "part", "finite")
+    w = np.array([p.weight for p in parts], dtype=float)
+    _refuse(~(w > 0.0) | np.isinf(w), w, 0, "part_weight", "> 0 and finite")
     for p in parts:
         if p.kind not in kinds:
             raise ValueError(f"unknown density kind {p.kind!r}")
         if not (lo_min - 1e-12 <= p.lo < p.hi <= hi_max + 1e-12):
             raise ValueError(f"interval [{p.lo},{p.hi}] out of range or empty")
-        if p.weight <= 0:
-            raise ValueError("part weight must be positive")
-    spans = sorted((p.lo, p.hi) for p in parts)
+    spans.sort()
     for (l1, h1), (l2, h2) in zip(spans, spans[1:]):
         if l2 < h1 - 1e-12:
             raise ValueError(f"intervals [{l1},{h1}] and [{l2},{h2}] overlap")
 
 
 def _normalized(parts, atoms):
-    """The parts and the (location, mass) atoms, scaled to total mass 1."""
-    if any(mass <= 0 for _, mass in atoms):
-        raise ValueError("atom masses must be positive")
+    """The parts and the (location, mass) atoms, scaled to total mass 1;
+    ValueError names the first atom with a non-finite location or a mass
+    that is not finite and > 0."""
+    x = np.array([x for x, _ in atoms], dtype=float)
+    m = np.array([m for _, m in atoms], dtype=float)
+    _refuse(~np.isfinite(x), x, 0, "atom", "finite")
+    _refuse(~(m > 0.0) | np.isinf(m), m, 0, "atom_mass", "> 0 and finite")
     total = sum(p.weight for p in parts) + sum(m for _, m in atoms)
-    if total <= 0:
-        raise ValueError("measure must have positive total mass")
+    if not 0.0 < total < math.inf:
+        raise ValueError("measure must have positive, finite total mass")
     return (tuple(DensityPart(p.lo, p.hi, p.kind, p.weight / total, p.data)
                   for p in parts),
             tuple((float(x), m / total) for x, m in atoms))

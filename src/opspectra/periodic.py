@@ -4,14 +4,15 @@ type-1/type-3 normalization, and the isospectral torus.
 The discriminant D of a period-p generator is the trace of its
 one-period transfer-matrix product, evaluated by running the transfer
 recursion step by step for every x at once; this keeps D accurate at
-large p, where monomial coefficients do not.  The band edges, where D is
-+-2, are the eigenvalues of the generator's periodic and antiperiodic
-p x p matrices (Floquet theory).  Evaluating D on a one-sided
-tridiagonal matrix produces a block-tridiagonal matrix with p x p
-blocks whose off-diagonal blocks are lower triangular with positive
-diagonal; the evaluation is the same recursion run on sparse matrices,
-so the bandwidth (and hence the block structure) is exact and no dense
-intermediate ever exists.
+large p, where monomial coefficients do not.  The same recursion run
+on the 2 x 2 Jordan blocks [[x, 1], [0, x]] gives D(x) and D'(x)
+together.  The band edges, where D is +-2, are the eigenvalues of the
+generator's periodic and antiperiodic p x p matrices (Floquet theory).
+Evaluating D on a one-sided tridiagonal matrix produces a
+block-tridiagonal matrix with p x p blocks whose off-diagonal blocks are
+lower triangular with positive diagonal: this block map is the same
+recursion run on sparse matrices, so the bandwidth (and hence the block
+structure) is exact and no dense intermediate ever exists.
 
 The type-3 and type-1 normal forms take a list of block parameter sets.
 Each is built block index by block index, one unitary at a time; the
@@ -110,58 +111,38 @@ class PeriodicJacobi:
         return m
 
     def transfer_trace(self, x):
-        """The discriminant D(x) and its derivative D'(x), as the trace
-        of the one-period transfer product (see discriminant) and of its
-        x-derivative, carried step by step through the product for every
-        x at once."""
+        """The discriminant D(x) and its derivative D'(x): the transfer
+        product of discriminant (bit for bit its D) run on the Jordan
+        blocks [[x, 1], [0, x]], as f([[x, 1], [0, x]]) = [[f(x), f'(x)],
+        [0, f(x)]] for every polynomial f."""
         x = np.asarray(x, dtype=float)
-        t, d = (1.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0)
-        for an, bn, c in _steps(self):
-            s = (x - bn) / an
-            # (S T)' = S T' + S' T with S' = [[1 / a_n, 0], [0, 0]]
-            d11, d12, d21, d22 = _step(d, s, c)
-            d = (d11 + t[0] / an, d12 + t[1] / an, d21, d22)
-            t = _step(t, s, c)
-        return t[0] + t[3], d[0] + d[3]
-
-
-def _steps(J0: PeriodicJacobi):
-    """(a_n, b_n, a_{n-1} / a_n) for n = 1..p, with a_0 = a_p: the n-th
-    one-step transfer matrix is [[(x - b_n) / a_n, -a_{n-1} / a_n],
-    [1, 0]]."""
-    a_prev = J0.a[-1]
-    for an, bn in zip(J0.a, J0.b):
-        yield an, bn, a_prev / an
-        a_prev = an
-
-
-def _step(t, s, c, mul=operator.mul):
-    """S T for the one-step matrix S = [[s, -c], [1, 0]] and T = (t11,
-    t12, t21, t22); ``mul`` multiplies s into an entry (operator.matmul
-    when the entries are matrices)."""
-    t11, t12, t21, t22 = t
-    return mul(s, t11) - c * t21, mul(s, t12) - c * t22, t11, t12
+        X = np.zeros(x.shape + (2, 2))
+        X[..., 0, 0] = X[..., 1, 1] = x
+        X[..., 0, 1] = 1.0
+        R = _product_trace(self, X, np.eye(2), operator.matmul)
+        return R[..., 0, 0], R[..., 0, 1]
 
 
 def _product_trace(J0: PeriodicJacobi, x, one=1.0, mul=operator.mul):
-    """Trace of the one-period transfer product S_p ... S_1 of J0 at x:
-    numbers (``one`` = 1.0), or a square matrix with ``one`` its
+    """Trace of the one-period transfer product S_p ... S_1 of J0 at x,
+    where S_n = [[(x - b_n) / a_n, -a_{n-1} / a_n], [1, 0]] and a_0 =
+    a_p: numbers (``one`` = 1.0), or square matrices with ``one`` their
     identity and ``mul`` operator.matmul.  Every entry is a polynomial
     in x, so the entries commute either way."""
-    steps = _steps(J0)
-    an, bn, c = next(steps)
+    c = [a_prev / an for a_prev, an in zip(J0.a[-1:] + J0.a[:-1], J0.a)]
     # S_1 times the identity
-    t = ((x - bn * one) / an, -c * one, one, 0.0 * one)
-    for an, bn, c in steps:
-        t = _step(t, (x - bn * one) / an, c, mul)
+    t = ((x - J0.b[0] * one) / J0.a[0], -c[0] * one, one, 0.0 * one)
+    for an, bn, cn in zip(J0.a[1:], J0.b[1:], c[1:]):
+        s = (x - bn * one) / an
+        t = (mul(s, t[0]) - cn * t[2], mul(s, t[1]) - cn * t[3], t[0], t[1])
     return t[0] + t[3]
 
 
 def discriminant(J0: PeriodicJacobi, x):
     """The discriminant D(x) of J0 for every x at once: the trace of the
-    one-period transfer product S_p ... S_1 (see _steps), a polynomial
-    of degree p with leading coefficient 1 / prod(a).  It is carried
-    through the product step by step, never through its monomial
+    one-period transfer product S_p ... S_1 (see _product_trace), a
+    polynomial of degree p with leading coefficient 1 / prod(a).  It is
+    carried through the product step by step, never through its monomial
     coefficients, which lose accuracy at large p."""
     return _product_trace(J0, np.asarray(x, dtype=float))
 
@@ -415,8 +396,6 @@ class _DirichletMap:
         edge the angle is ill-conditioned in mu_j: an error e in mu_j
         moves theta_j by about e / (h_j |sin theta_j|)."""
         p = self.p
-        if p == 1:
-            return np.zeros((len(a), 0))
         j = np.arange(p - 1)
         trunc = np.zeros((len(a), p - 1, p - 1))
         trunc[:, j, j] = b[:, :p - 1]

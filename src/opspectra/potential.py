@@ -10,8 +10,9 @@ Three supported geometries:
   back through x = 2 cos theta onto each half of the arc;
 * band sets of a periodic recurrence, each carrying its period-p
   generator, where the density is |D'(x)| / (p pi sqrt(4 - D(x)^2)) for
-  the discriminant D of that generator, with D and D' carried through
-  the one-period transfer product at x.
+  the discriminant D of that generator, with D and D' from the one
+  transfer recursion of ``periodic`` (which also gives the block map)
+  run on Jordan blocks.
 
 The periodic equilibrium measure is the density of states of the
 generator: the mean over kappa of the eigenvalue counting measure of its
@@ -240,13 +241,19 @@ class EquilibriumMeasure:
 
 
 def _parse(target):
-    """Sort a target into ("arc", CircleArcSet), ("bands", FiniteGapSet)
-    or ("interval", (lo, hi)); an (lo, hi) pair needs finite lo < hi,
-    else ValueError."""
+    """Resolve a target to the tag and payload of its EquilibriumMeasure:
+    ("arc", CircleArcSet), ("periodic", FiniteGapSet) for a band set with
+    its generator, or ("interval", (lo, hi)) for a finite lo < hi (else
+    ValueError), which a band set without one resolves to if it has one
+    band (else Unsupported)."""
     if isinstance(target, CircleArcSet):
         return "arc", target
     if isinstance(target, FiniteGapSet):
-        return "bands", target
+        if target.generator is not None:
+            return "periodic", target
+        if target.n_bands > 1:
+            raise Unsupported("a multi-band set needs its periodic generator")
+        target = target.bands[0]
     if isinstance(target, tuple) and len(target) == 2 and np.isscalar(target[0]):
         lo, hi = float(target[0]), float(target[1])
         if not -math.inf < lo < hi < math.inf:
@@ -264,14 +271,7 @@ def equilibrium_measure(target) -> EquilibriumMeasure:
     density of states; one without gets the arcsine law of its one band,
     and Unsupported if it has more.
     """
-    kind, target = _parse(target)
-    if kind == "bands":
-        if target.generator is not None:
-            return EquilibriumMeasure("periodic", target)
-        if target.n_bands > 1:
-            raise Unsupported("multi-band sets need their periodic generator")
-        kind, target = _parse(target.bands[0])
-    return EquilibriumMeasure(kind, target)
+    return EquilibriumMeasure(*_parse(target))
 
 
 def capacity(target) -> float:
@@ -281,13 +281,9 @@ def capacity(target) -> float:
     kind, target = _parse(target)
     if kind == "arc":
         return math.sqrt(1.0 - target.a ** 2)
-    if kind == "bands":
-        if target.generator is not None:
-            logs = [math.log(a) for a in target.generator.a]
-            return math.exp(math.fsum(logs) / len(logs))
-        if target.n_bands > 1:
-            raise Unsupported("capacity of a band set needs its periodic generator")
-        kind, target = _parse(target.bands[0])
+    if kind == "periodic":
+        logs = [math.log(a) for a in target.generator.a]
+        return math.exp(math.fsum(logs) / len(logs))
     lo, hi = target
     return (hi - lo) / 4.0
 

@@ -207,16 +207,22 @@ class JacobiParams:
 
 def sup_deviation(params: JacobiParams, n: int) -> float:
     """max over the first n sites of |a_k - 1| + |b_k| (just |b_N| where
-    a finite a stops at N - 1).
+    a finite a stops at N - 1), read in runs of _CHUNK sites, so in
+    O(_CHUNK) memory whatever n is.
 
     Monotone nondecreasing in n; zero exactly on a free window.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    a = params._a.run(0, n)
-    dev = np.abs(params.b_window(n))
-    dev[: len(a)] += np.abs(a - 1.0)
-    return float(dev.max())
+    b = params.b_runs(n)
+    out = 0.0
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        a = params._a.run(lo, hi)
+        dev = np.abs(b(lo, hi))
+        dev[: len(a)] += np.abs(a - 1.0)
+        out = max(out, float(dev.max()))
+    return out
 
 
 def _rho(alpha: np.ndarray) -> np.ndarray:

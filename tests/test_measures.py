@@ -200,6 +200,50 @@ def test_tabulated_density_refuses_non_finite_data(at, value, message):
         discretize(spec)
 
 
+_FLAT = DensityPart(-2.0, 2.0, "legendre-flat")
+
+
+@pytest.mark.parametrize("parts, atoms, message", [
+    ([_FLAT], [(0.5, np.inf)], r"^atom_mass_0 = inf must be > 0 and finite"),
+    ([_FLAT], [(0.5, 0.1), (1.0, np.nan)],
+     r"^atom_mass_1 = nan must be > 0 and finite"),
+    ([DensityPart(-2.0, 2.0, "legendre-flat", np.nan)], [],
+     r"^part_weight_0 = nan must be > 0 and finite"),
+    ([DensityPart(-2.0, 0.0, "legendre-flat"),
+      DensityPart(0.0, 2.0, "legendre-flat", np.inf)], [],
+     r"^part_weight_1 = inf must be > 0 and finite"),
+    ([_FLAT], [(np.nan, 0.1)], r"^atom_0 = nan must be finite"),
+    ([_FLAT], [(0.5, 0.1), (np.inf, 0.1)], r"^atom_1 = inf must be finite"),
+    ([DensityPart(-np.inf, 0.0, "legendre-flat")], [],
+     r"^part_0 = \(-inf, 0.0\) must be finite"),
+    ([DensityPart(-2.0, 0.0, "legendre-flat"),
+      DensityPart(0.0, np.inf, "legendre-flat")], [],
+     r"^part_1 = \(0.0, inf\) must be finite"),
+    ([DensityPart(-2.0, 0.0, "legendre-flat", 1e308),
+      DensityPart(0.0, 2.0, "legendre-flat", 1e308)], [],
+     r"^measure must have positive, finite total mass"),
+], ids=["inf_atom_mass", "nan_atom_mass", "nan_part_weight",
+        "inf_part_weight", "nan_atom", "inf_atom", "part_to_minus_inf",
+        "part_to_inf", "total_overflows"])
+def test_line_measure_spec_refuses_non_finite_input(parts, atoms, message):
+    # unchecked, each of these builds and fails only in discretize,
+    # naming a quadrature index (an inf atom mass zeroes the part weight
+    # and makes the atom mass NaN; an infinite part warns in _gl_nodes)
+    with pytest.raises(ValueError, match=message):
+        LineMeasureSpec(parts, atoms)
+
+
+@pytest.mark.parametrize("parts, atoms, message", [
+    ([DensityPart(-math.pi, math.pi, "uniform", np.nan)], [],
+     r"^part_weight_0 = nan must be > 0 and finite"),
+    ([DensityPart(-math.pi, math.pi, "uniform")], [(0.5, np.inf)],
+     r"^atom_mass_0 = inf must be > 0 and finite"),
+], ids=["nan_part_weight", "inf_atom_mass"])
+def test_circle_measure_spec_refuses_non_finite_weights(parts, atoms, message):
+    with pytest.raises(ValueError, match=message):
+        CircleMeasureSpec(parts, atoms)
+
+
 def test_flat_measure_moments():
     # oracle: (1/4) int_{-2}^{2} x^k dx = 2^k/(k+1) for even k, 0 odd
     dm = discretize(LineMeasureSpec.legendre_flat())

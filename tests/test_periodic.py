@@ -682,7 +682,10 @@ P3 = PeriodicJacobi((1.0, 0.6, 0.8), (0.1, -0.2, 0.0))
 P4 = PeriodicJacobi((1.0, 0.6, 0.8, 1.2), (0.1, -0.2, 0.0, 0.3))
 
 
-@pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
+P1 = PeriodicJacobi((2.0,), (0.5,))
+
+
+@pytest.mark.parametrize("J0", [P1, P2, P3, P4], ids=["p1", "p2", "p3", "p4"])
 def test_transfer_trace_is_the_discriminant_and_its_derivative(J0):
     x = np.linspace(-3.0, 3.0, 61)
     D, slope = J0.transfer_trace(x)
@@ -691,6 +694,9 @@ def test_transfer_trace_is_the_discriminant_and_its_derivative(J0):
     assert np.allclose(D, npp.polyval(x, coeffs), rtol=1e-12, atol=1e-12)
     assert np.allclose(slope, npp.polyval(x, npp.polyder(coeffs)),
                        rtol=1e-12, atol=1e-12)
+    if J0.p == 1:
+        # D(x) = (x - b) / a, so D' = 1 / a exactly
+        assert np.all(slope == 0.5)
 
 
 @pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])

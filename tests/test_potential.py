@@ -115,10 +115,21 @@ def test_a_multi_band_set_without_its_generator_is_unsupported():
     # here recovers the generator from the edges
     fg = FiniteGapSet(bands(PeriodicJacobi((1.0, 0.5), (0.0, 0.0))).bands)
     assert fg.generator is None and fg.n_bands == 2
-    with pytest.raises(Unsupported):
+    with pytest.raises(Unsupported) as cap:
         capacity(fg)
-    with pytest.raises(Unsupported):
+    with pytest.raises(Unsupported) as em:
         equilibrium_measure(fg)
+    assert str(cap.value) == str(em.value)
+
+
+def test_a_one_band_set_without_its_generator_is_its_interval():
+    em = equilibrium_measure(FiniteGapSet(((-2.0, 2.0),)))
+    ref = equilibrium_measure((-2.0, 2.0))
+    us = (np.arange(1000) + 0.5) / 1000
+    assert em.quantiles(us).tobytes() == ref.quantiles(us).tobytes()
+    assert [em.moment(k) for k in range(9)] == [ref.moment(k) for k in range(9)]
+    assert em.density_samples().tobytes() == ref.density_samples().tobytes()
+    assert capacity(FiniteGapSet(((-2.0, 2.0),))) == capacity((-2.0, 2.0))
 
 
 def test_periodic_capacity_is_the_geometric_mean_of_a():

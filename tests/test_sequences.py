@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,51 @@ def test_sup_deviation_monotone(n, seed):
     b = rng.uniform(-1.0, 1.0, size=n + 6)
     J = JacobiParams(a, b)
     assert sup_deviation(J, n) <= sup_deviation(J, n + 1) + 1e-15
+
+
+def _whole_window_sup(a, b) -> float:
+    """sup_deviation read off whole windows a and b (a one shorter where
+    a finite a stops at N - 1)."""
+    dev = np.abs(b)
+    dev[: len(a)] += np.abs(a - 1.0)
+    return float(dev.max())
+
+
+def test_sup_deviation_where_a_stops_one_site_short():
+    # the last run of a is one shorter than that of b, and |b_N| alone
+    # is the largest deviation
+    N = _CHUNK + 5
+    rng = np.random.default_rng(3)
+    a = 1.0 + rng.uniform(-0.5, 0.5, N - 1)
+    b = rng.uniform(-1.0, 1.0, N)
+    b[-1] = 5.0
+    assert sup_deviation(JacobiParams(a, b), N) == _whole_window_sup(a, b) == 5.0
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+def test_sup_deviation_of_a_generator_across_run_boundaries(n):
+    # the largest deviation sits at site C + 1, the first of the second
+    # run, so n = C misses it and n = C + 1 reads it
+    def a_fn(k):
+        return 1.0 + 0.5 * np.sin(0.37 * k) + 3.0 * (k == _CHUNK + 1)
+
+    J = JacobiParams.from_functions(a_fn, lambda k: 0.3 * np.cos(1.3 * k))
+    want = _whole_window_sup(J.a_window(n), J.b_window(n))
+    assert sup_deviation(J, n) == want
+    assert (want > 2.0) == (n > _CHUNK)
+
+
+def test_sup_deviation_of_a_generator_needs_o_chunk_memory():
+    # whole windows of a and b at 2^20 sites take 16 MiB each
+    J = JacobiParams.from_functions(lambda k: 1.0 + 1.0 / k,
+                                    lambda k: np.sin(k) / k)
+    tracemalloc.start()
+    try:
+        sup_deviation(J, 2 ** 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_verblunsky_rho_and_windows():
