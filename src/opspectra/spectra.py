@@ -8,11 +8,15 @@ path share one route: LAPACK gives candidate values, one vectorized
 count sweep at their midpoints keeps every candidate whose bracket holds
 exactly one eigenvalue, and bisection on the count runs only inside the
 brackets that hold more.  The line counts with Sturm sequences
-(Sylvester inertia) and takes its candidates from root-free QL; the
-circle counts with the phase of a Blaschke product and takes its
-candidates from the banded Hermitian parts of the CMV matrix.  Only
-trace_square takes the QL values uncertified: its coefficient-side
-formula is their check.
+(Sylvester inertia).  It takes its candidates from root-free QL, or,
+when the diagonal is zero, as +-sqrt of the values dqds finds for the
+even-site block of T^2 at half the size (Golub and Kahan, SIAM J.
+Numer. Anal. 2, 1965; Fernando and Parlett, Numer. Math. 67, 1994),
+with QL as the fallback when that fails.  A matrix with an entry beyond
+2^+-500 is scaled by a power of two first.  The circle counts with the
+phase of a Blaschke product and takes its candidates from the banded
+Hermitian parts of the CMV matrix.  Only trace_square takes the QL
+values uncertified: its coefficient-side formula is their check.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from scipy import linalg as sla
 from scipy import sparse
 
 from .sequences import (BlockJacobiParams, JacobiParams, VerblunskyParams,
-                        _freeze, _herm)
+                        _freeze, _herm, _refuse)
 
 
 class NoConvergence(ArithmeticError):
@@ -44,8 +48,8 @@ class DuplicateEigenvalues(UserWarning):
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix: diagonal of length N, positive
-    off-diagonal of length N-1."""
+    """Symmetric tridiagonal matrix: finite diagonal of length N, finite
+    positive off-diagonal of length N-1."""
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -57,6 +61,8 @@ class TridiagonalMatrix:
         object.__setattr__(self, "offdiag", e)
         if d.ndim != 1 or e.ndim != 1 or len(e) != len(d) - 1:
             raise ValueError("need len(offdiag) == len(diag) - 1")
+        _refuse(~np.isfinite(d), d, 0, "diag", "finite")
+        _refuse(~np.isfinite(e), e, 0, "offdiag", "finite")
         if np.any(e <= 0):
             raise ValueError("off-diagonal entries must be positive")
 
@@ -77,16 +83,21 @@ class EmpiricalMeasure:
     """Sorted sample points with equal weights 1/N.
 
     ``domain`` is "line" for real points or "circle" for angles in
-    (-pi, pi].
+    (-pi, pi].  A non-finite point, or an angle outside (-pi, pi], is
+    refused with a ValueError naming its index.
     """
 
     def __init__(self, points, domain: str = "line"):
-        points = np.sort(np.asarray(points, dtype=float))
+        points = np.asarray(points, dtype=float)
         if domain not in ("line", "circle"):
             raise ValueError("domain must be 'line' or 'circle'")
         if len(points) == 0:
             raise ValueError("empty sample")
-        self.points = _freeze(points)
+        _refuse(~np.isfinite(points), points, 0, "point", "finite")
+        if domain == "circle":
+            _refuse((points <= -math.pi) | (points > math.pi), points, 0,
+                    "point", "in (-pi, pi]")
+        self.points = _freeze(np.sort(points))
         self.domain = domain
 
     def __len__(self) -> int:
@@ -109,6 +120,8 @@ def truncate(params: JacobiParams, N: int) -> TridiagonalMatrix:
 
 
 _SAFMIN = np.finfo(float).tiny
+_SUBMIN = np.nextafter(0.0, 1.0)
+_EPS = np.finfo(float).eps
 
 
 def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
@@ -171,15 +184,64 @@ def _certified(count, cand: np.ndarray, lo: float, hi: float, n: int,
     )
 
 
+def _zero_diagonal_candidates(T: TridiagonalMatrix, bound: float,
+                              tol: float):
+    """Eigenvalues of T, whose diagonal is zero, from dqds on the
+    even-site block of T^2; None when pteqr fails or a value near 0
+    fails its check.
+
+    That block has diagonal a_{2k-1}^2 + a_{2k}^2 and off-diagonal
+    a_{2k} a_{2k+1} (a_N := 0); it is B^T B for the bidiagonal B of the
+    a_n, positive definite since every a_n > 0, and the spectrum of T is
+    the +-sqrt of its eigenvalues, plus 0 at odd N.  Forming and
+    factoring the block moves each of its eigenvalues lam by a few ulp
+    of bound^2 (``bound`` >= |T|), so s = sqrt(lam) by up to about
+    8 eps bound^2 / s.  Each s for which that exceeds ``tol`` must have
+    an eigenvalue of T within ``tol``, by LAPACK's Sturm count
+    (``stebz``): a graded or nearly singular T can otherwise get a small
+    s wrong by orders of magnitude, which the midpoint brackets of
+    ``_certified`` do not see.
+    """
+    n = T.n
+    m = n // 2
+    a = np.concatenate([T.offdiag, [0.0, 0.0]])  # a_1 .. a_{N+1}
+    even = a[1:2 * m:2]
+    d = a[0:2 * m:2] ** 2 + even ** 2
+    e = even * a[2:2 * m + 1:2]  # its last entry is 0
+    # the wrapper wants len(e) = 1, not 0, at m = 1
+    lam, _, _, info = sla.lapack.dpteqr(d, e[:max(m - 1, 1)],
+                                        np.zeros((1, 1)), compute_z=0)
+    if info != 0:
+        return None
+    s = np.sqrt(lam)
+    # the spectrum is symmetric, so checking +s checks -s too
+    for x in s[s * tol < 8.0 * _EPS * bound * bound]:
+        if sla.lapack.dstebz(T.diag, T.offdiag, 1, x - tol, x + tol, 1, 1,
+                             2.0 * tol, b"E")[0] < 1:
+            return None
+    return np.concatenate([-s, [0.0] * (n % 2), s])
+
+
 def eig_sym_tridiag(T: TridiagonalMatrix) -> np.ndarray:
     """All eigenvalues of T, ascending.
 
-    The values come from LAPACK's root-free QL/QR iteration (``sterf``)
-    and are certified by one vectorized Sturm-count sweep at their
-    midpoints (``_certified``): a value is kept when its bracket holds
-    exactly one eigenvalue, and only brackets that hold more are refined
-    by Sturm-count bisection (at most 200 sweeps), to 1e-13 relative to
-    the Gershgorin bound.
+    When the diagonal of T is identically zero, its spectrum is
+    +-sigma(B) for the bidiagonal B of the off-diagonal (plus 0 at odd
+    N; Golub and Kahan, SIAM J. Numer. Anal. 2, 1965), and the candidate
+    values are the +-sqrt of the eigenvalues that LAPACK's dqds
+    (``pteqr``; Fernando and Parlett, Numer. Math. 67, 1994) finds for
+    the even-site block of T^2, at half the size
+    (``_zero_diagonal_candidates``).  Every other T takes them from
+    LAPACK's root-free QL/QR iteration (``sterf``), and so does a
+    zero-diagonal T when pteqr fails or a candidate near 0 fails its
+    check.  The candidates are certified by one vectorized Sturm-count
+    sweep at their midpoints (``_certified``): a value is kept when its
+    bracket holds exactly one eigenvalue, and only brackets that hold
+    more are refined by Sturm-count bisection (at most 200 sweeps), to
+    1e-13 relative to the Gershgorin bound.  A T whose largest entry
+    lies outside [2^-500, 2^500] is first scaled by an exact power of
+    two, so that no square in pteqr or the Sturm pivots overflows or
+    underflows, and the values are scaled back.
 
     Positive off-diagonals force simple eigenvalues; numerically
     coincident ones trigger a DuplicateEigenvalues warning.
@@ -187,9 +249,24 @@ def eig_sym_tridiag(T: TridiagonalMatrix) -> np.ndarray:
     n = T.n
     if n == 1:
         return np.array([float(T.diag[0])])
-    vals = sla.eigvalsh_tridiagonal(T.diag, T.offdiag, lapack_driver="sterf")
+    big = max(float(np.max(np.abs(T.diag))), float(np.max(T.offdiag)))
+    shift = 0
+    if not 2.0 ** -500 <= big <= 2.0 ** 500:
+        shift = math.frexp(big)[1]
+        # an off-diagonal entry below 2^-1074 of the largest one stays at
+        # the least subnormal: the scaled T keeps positive off-diagonals
+        T = TridiagonalMatrix(np.ldexp(T.diag, -shift),
+                              np.maximum(np.ldexp(T.offdiag, -shift),
+                                         _SUBMIN))
     gl, gu = T.gershgorin()
-    pad = 1e-13 * max(abs(gl), abs(gu))
+    bound = max(abs(gl), abs(gu))
+    pad = 1e-13 * bound
+    vals = None
+    if not T.diag.any():
+        vals = _zero_diagonal_candidates(T, bound, pad)
+    if vals is None:
+        vals = sla.eigvalsh_tridiagonal(T.diag, T.offdiag,
+                                        lapack_driver="sterf")
     vals = _certified(lambda xs: _sturm_counts(T, xs), vals, gl - pad,
                       gu + pad, n, pad)
     gaps = np.diff(vals)
@@ -199,7 +276,7 @@ def eig_sym_tridiag(T: TridiagonalMatrix) -> np.ndarray:
             "numerically duplicate eigenvalues in a simple-spectrum matrix",
             DuplicateEigenvalues,
         )
-    return vals
+    return np.ldexp(vals, shift)
 
 
 def zero_counting(params: JacobiParams, N: int) -> EmpiricalMeasure:

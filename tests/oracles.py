@@ -8,6 +8,7 @@ import itertools
 import math
 
 import numpy as np
+from mpmath import mp
 from scipy.linalg import eigh_tridiagonal
 
 from opspectra.measures import DiscreteMeasure
@@ -25,6 +26,15 @@ def tridiagonal_dense(T: TridiagonalMatrix) -> np.ndarray:
     m[idx, idx + 1] = T.offdiag
     m[idx + 1, idx] = T.offdiag
     return m
+
+
+def tridiagonal_eigvals_mp(T: TridiagonalMatrix, dps: int = 40) -> np.ndarray:
+    """The eigenvalues of T, ascending, from mpmath's symmetric solver at
+    ``dps`` digits, each rounded once to the nearest double."""
+    with mp.workdps(dps):
+        m = mp.matrix(tridiagonal_dense(T).tolist())
+        return np.array(sorted(float(x) for x in
+                               mp.eigsy(m, eigvals_only=True)))
 
 
 def moment(m: DiscreteMeasure, k: int) -> float:

@@ -25,7 +25,7 @@ ARTIFACT_SHA256 = {
         "density.csv":
             "62ce25f31df283fd58a64e534076ce89f7d3ba21e771d194b776289be0dbc309",
         "zeros.csv":
-            "8f10cf6372c48c59baa66ea314419fa9e4852e650865deb6b96825c9c5688ad6",
+            "dae57af730792f3591dc002d970ddda8407224a32120ce375705dc79daaa4d1c",
         "<stdout>":
             "40d3563261b60a27b40c2138ea9b3497795fccbf3d35a2d558004474b0d95ca7",
     },
@@ -33,7 +33,7 @@ ARTIFACT_SHA256 = {
         "density.csv":
             "62ce25f31df283fd58a64e534076ce89f7d3ba21e771d194b776289be0dbc309",
         "zeros.csv":
-            "8f10cf6372c48c59baa66ea314419fa9e4852e650865deb6b96825c9c5688ad6",
+            "dae57af730792f3591dc002d970ddda8407224a32120ce375705dc79daaa4d1c",
         "<stdout>":
             "47092972adb9d8fdacf0e0164161892d715b0b2d2c72c0356fa0e52c7d4fbe05",
     },

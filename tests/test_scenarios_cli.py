@@ -511,7 +511,7 @@ DEFAULT_STATS_SHA256 = {
     ("thm1_1", 1):
         "31837ae58f681d96360d3543c44c374086ba2338d3f2dbb52bc99593d7996009",
     ("prop2_2", 1):
-        "ed507a762c0b24a7906b5ec6ced1725fb06f58c233045689b553467779cb0ef7",
+        "9bd26e2fc438d360a5e30cd27b0bde826b10db4e67593c6e09c9a8230059d4db",
     ("thm3_1", 1):
         "118bf7a131ba31af3ac77b3403a1aed6c8b285d27041470113e1622d58d1781b",
     # seed 2 moves if |det A| is taken with np.abs instead of abs()

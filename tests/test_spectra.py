@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from opspectra.spectra import (CmvMatrix, DuplicateEigenvalues,
                                block_dense, cmv, eig_block,
                                eig_sym_tridiag, eig_unitary, trace_square,
                                truncate, zero_counting)
-from oracles import block_trace_square, tridiagonal_dense
+from oracles import (block_trace_square, tridiagonal_dense,
+                     tridiagonal_eigvals_mp)
 
 
 def _dense(T):
@@ -33,10 +35,11 @@ def test_truncation_shape_and_entries():
 
 def test_free_eigenvalues_match_closed_form():
     # the free n-site truncation has eigenvalues 2 cos(k pi / (n+1))
-    n = 60
-    w = eig_sym_tridiag(truncate(JacobiParams.free(), n))
-    expect = np.sort(2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1)))
-    assert np.max(np.abs(w - expect)) < 1e-12
+    for n in (60, 401, 2048):
+        w = eig_sym_tridiag(truncate(JacobiParams.free(), n))
+        expect = np.sort(2.0 * np.cos(np.arange(1, n + 1) * math.pi
+                                      / (n + 1)))
+        assert np.max(np.abs(w - expect)) < 2.5e-15
 
 
 @given(st.integers(2, 30), st.integers(0, 2**32))
@@ -54,11 +57,12 @@ def test_bisect_and_ql_match_dense_oracle(n, seed):
         assert np.max(np.abs(np.sort(w) - oracle)) < 1e-10 * scale
 
 
-def _twin_blocks(coupling):
+def _twin_blocks(coupling, zero_diagonal=False):
     """Two copies of one 5-site block joined by a weak link: every
     eigenvalue of the block splits into a pair less than `coupling`
     apart."""
-    d = np.array([0.3, -0.4, 1.1, 0.2, -0.9])
+    d = np.zeros(5) if zero_diagonal else np.array([0.3, -0.4, 1.1, 0.2,
+                                                    -0.9])
     e = np.array([1.0, 0.7, 1.3, 0.8])
     return TridiagonalMatrix(np.concatenate([d, d]),
                              np.concatenate([e, [coupling], e]))
@@ -108,10 +112,10 @@ def test_failed_brackets_are_refined_by_bisection(monkeypatch):
     assert np.max(np.abs(fixed - oracle)) < 1e-12
 
 
-@pytest.mark.parametrize("route", ["bisect", "ql"])
+@pytest.mark.parametrize("route", ["bisect", "ql", "zero_diagonal"])
 def test_coincident_eigenvalues_warn(route):
-    T = _twin_blocks(1e-20)
-    if route == "bisect":
+    T = _twin_blocks(1e-20, zero_diagonal=route == "zero_diagonal")
+    if route != "ql":
         with pytest.warns(DuplicateEigenvalues):
             w = eig_sym_tridiag(T)
     else:
@@ -120,6 +124,147 @@ def test_coincident_eigenvalues_warn(route):
         f, e = trace_square(JacobiParams(T.offdiag, T.diag), T.n)
         assert f == pytest.approx(e, rel=1e-12)
     assert np.max(np.abs(w - np.linalg.eigvalsh(tridiagonal_dense(T)))) < 1e-12
+
+
+def _spy(monkeypatch, module, name):
+    """Record the calls to module.name, results unchanged."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kw):
+        calls.append(real(*args, **kw))
+        return calls[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [24, 25])
+@pytest.mark.parametrize("seed", range(10))
+def test_zero_diagonal_matches_40_digit_oracle(n, seed, monkeypatch):
+    sterf = _spy(monkeypatch, spectra.sla, "eigvalsh_tridiagonal")
+    rng = np.random.default_rng(seed)
+    T = TridiagonalMatrix(np.zeros(n), np.exp(rng.uniform(-1.0, 1.0, n - 1)))
+    oracle = tridiagonal_eigvals_mp(T)
+    err = np.max(np.abs(eig_sym_tridiag(T) - oracle))
+    assert not sterf  # the values come from pteqr
+    # measured over these 20 cases (numpy 2.4.6, scipy 1.17.1): at most
+    # 34 eps max|x| at n = 24 and 1.7 eps max|x| at n = 25 (sterf: 7.9
+    # and 9.8); 128 eps leaves a margin of 3.7.  Over 100 seeds at
+    # n = 48 the route reached 483 eps, within the 1e-13 of the
+    # Gershgorin bound that its check near 0 enforces
+    assert err <= 128 * np.finfo(float).eps * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("a", [[0.7], [1.3e-5], [0.6, 1.9], [2.0, 1e-3]])
+def test_two_and_three_site_zero_diagonal_spectra(a):
+    a = np.array(a)
+    w = eig_sym_tridiag(TridiagonalMatrix(np.zeros(len(a) + 1), a))
+    if len(a) == 1:
+        assert np.array_equal(w, [-a[0], a[0]])
+    else:
+        r = math.hypot(*a)
+        assert w[1] == 0.0
+        assert np.allclose(w[[0, 2]], [-r, r], rtol=2.3e-16, atol=0.0)
+
+
+def test_zero_diagonal_falls_back_to_sterf_when_pteqr_fails(monkeypatch):
+    # a graded a across 1e-3 .. 10 on which the Cholesky step of pteqr
+    # breaks down; its weak links leave pairs of eigenvalues closer than
+    # 1e-16, which the warning reports
+    rng = np.random.default_rng(1)
+    T = TridiagonalMatrix(np.zeros(600), 10.0 ** rng.uniform(-3.0, 1.0, 599))
+    oracle = np.linalg.eigvalsh(tridiagonal_dense(T))
+    assert np.min(np.diff(oracle)) < 1e-16
+    pteqr = _spy(monkeypatch, spectra.sla.lapack, "dpteqr")
+    sterf = _spy(monkeypatch, spectra.sla, "eigvalsh_tridiagonal")
+    with pytest.warns(DuplicateEigenvalues):
+        w = eig_sym_tridiag(T)
+    assert [r[3] for r in pteqr] == [296] and len(sterf) == 1
+    assert np.max(np.abs(w - oracle)) < 1e-14 * np.max(np.abs(oracle))
+
+
+def test_certified_repairs_a_wrong_pteqr_list(monkeypatch):
+    T = _twin_blocks(1e-6, zero_diagonal=True)
+    oracle = np.linalg.eigvalsh(tridiagonal_dense(T))
+    s = oracle[5:]  # the five values above 0, ascending
+    assert s[0] < 1e-6 < 0.1 < s[1]
+    wrong = s[::-1] ** 2  # pteqr's order: descending
+    wrong[1] = wrong[0]  # the top pair collapsed
+    wrong[2] += 0.5  # a value moved into the next bracket up
+    sterf = _spy(monkeypatch, spectra.sla, "eigvalsh_tridiagonal")
+    monkeypatch.setattr(spectra.sla.lapack, "dpteqr",
+                        lambda d, e, z, **kw: (wrong.copy(), e, z, 0))
+    assert np.max(np.abs(eig_sym_tridiag(T) - oracle)) < 1e-12
+    assert not sterf
+
+
+def test_a_wrong_pteqr_value_near_zero_falls_back_to_sterf(monkeypatch):
+    # the small pair of the twin blocks sits at +-2.75e-7; a list that
+    # puts it at +-1e-6 passes the counts, but not the check near 0
+    T = _twin_blocks(1e-6, zero_diagonal=True)
+    oracle = np.linalg.eigvalsh(tridiagonal_dense(T))
+    wrong = np.append(oracle[:5:-1], 1e-6) ** 2
+    sterf = _spy(monkeypatch, spectra.sla, "eigvalsh_tridiagonal")
+    monkeypatch.setattr(spectra.sla.lapack, "dpteqr",
+                        lambda d, e, z, **kw: (wrong.copy(), e, z, 0))
+    assert np.max(np.abs(eig_sym_tridiag(T) - oracle)) < 1e-12
+    assert len(sterf) == 1
+
+
+@pytest.mark.parametrize("diag", [np.zeros(6),
+                                  np.array([0.3, -0.4, 1.1, 0.2, -0.9, 0.5])],
+                         ids=["zero_diagonal", "general"])
+@pytest.mark.parametrize("s", [2.0 ** 600, 2.0 ** -600, 1e160, 1e-170],
+                         ids=["2^600", "2^-600", "1e160", "1e-170"])
+def test_extreme_scales_are_scaled_exactly(s, diag):
+    a = np.array([1.0, 0.5, 2.0, 1.0, 0.7])
+    w0 = eig_sym_tridiag(TridiagonalMatrix(diag, a))
+    w = eig_sym_tridiag(TridiagonalMatrix(s * diag, s * a))
+    # a power of two scales exactly; 1e160 and 1e-170 round each entry
+    assert np.max(np.abs(w / s - w0)) <= 4 * np.finfo(float).eps * np.max(
+        np.abs(w0))
+    if math.frexp(s)[0] == 0.5:
+        assert np.array_equal(w, s * w0)
+
+
+def test_an_off_diagonal_below_the_scaled_range_stays_positive():
+    # scaling 2^600 down to 1/2 takes 2^-700 below the least subnormal:
+    # the link is kept at that subnormal, so the two blocks decouple
+    a = np.array([2.0 ** 600, 2.0 ** 599, 2.0 ** -700, 2.0 ** 600])
+    w = eig_sym_tridiag(TridiagonalMatrix(np.zeros(5), a))
+    r = math.sqrt(1.25)
+    expect = 2.0 ** 600 * np.array([-r, -1.0, 0.0, 1.0, r])
+    assert np.allclose(w, expect, rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("diag, offdiag, message", [
+    ([0.0, math.nan, 0.0], [1.0, 1.0], "diag_1 = nan must be finite"),
+    ([0.0, 0.0, -math.inf], [1.0, 1.0], "diag_2 = -inf must be finite"),
+    ([0.0, 0.0, 0.0], [1.0, math.nan], "offdiag_1 = nan must be finite"),
+    ([0.0, 0.0, 0.0], [math.inf, 1.0], "offdiag_0 = inf must be finite"),
+    ([0.0, 0.0, 0.0], [1.0, -1.0], "off-diagonal entries must be positive"),
+])
+def test_tridiagonal_matrix_refuses_bad_entries(diag, offdiag, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TridiagonalMatrix(diag, offdiag)
+
+
+@pytest.mark.parametrize("points, domain, message", [
+    ([0.0, math.nan], "line", "point_1 = nan must be finite"),
+    ([math.inf, 0.0], "line", "point_0 = inf must be finite"),
+    ([0.5, -math.inf], "circle", "point_1 = -inf must be finite"),
+    ([0.0, 1.0, 4.0], "circle", "point_2 = 4.0 must be in (-pi, pi]"),
+    ([-math.pi, 0.0], "circle", "must be in (-pi, pi]"),
+])
+def test_empirical_measure_refuses_bad_points(points, domain, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EmpiricalMeasure(points, domain)
+
+
+def test_circle_sample_may_hold_pi():
+    assert np.array_equal(EmpiricalMeasure([math.pi, 0.0], "circle").points,
+                          [0.0, math.pi])
 
 
 def test_trace_square_two_routes_agree():
