@@ -8,12 +8,15 @@ path share one route: LAPACK gives candidate values, one vectorized
 count sweep at their midpoints keeps every candidate whose bracket holds
 exactly one eigenvalue, and bisection on the count runs only inside the
 brackets that hold more.  The line counts with Sturm sequences
-(Sylvester inertia).  It takes its candidates from root-free QL, or,
-when the diagonal is zero, as +-sqrt of the values dqds finds for the
-even-site block of T^2 at half the size (Golub and Kahan, SIAM J.
-Numer. Anal. 2, 1965; Fernando and Parlett, Numer. Math. 67, 1994),
-with QL as the fallback when that fails.  A matrix with an entry beyond
-2^+-500 is scaled by a power of two first.  The circle counts with the
+(Sylvester inertia), in blocks of pivots with the pivot guard checked
+once per block (Marques, Riedy and Voemel, SIAM J. Sci. Comput. 28,
+2006).  It takes its candidates from root-free QL, or, when the
+diagonal is zero, as +-sqrt of the values dqds finds for the even-site
+block of T^2 at half the size (Golub and Kahan, SIAM J. Numer. Anal. 2,
+1965; Fernando and Parlett, Numer. Math. 67, 1994), with QL as the
+fallback when that fails; a zero-diagonal spectrum is certified on its
+positive half and mirrored.  A matrix with an entry beyond 2^+-500 is
+scaled by a power of two first.  The circle counts with the
 phase of a Blaschke product and takes its candidates from the banded
 Hermitian parts of the CMV matrix.  Only trace_square takes the QL
 values uncertified: its coefficient-side formula is their check.
@@ -124,21 +127,74 @@ _SUBMIN = np.nextafter(0.0, 1.0)
 _EPS = np.finfo(float).eps
 
 
+_BLOCK = 64  # pivot rows per guard check: 512 KiB at 1024 shifts
+
+
 def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
     """Number of eigenvalues of T below each shift in xs, via the signs
-    of the LDL^T pivots q_k = d_k - x - e_{k-1}^2 / q_{k-1}."""
-    d = T.diag
+    of the LDL^T pivots q_k = d_k - x - e_{k-1}^2 / q_{k-1}.
+
+    A pivot below pivmin in magnitude is replaced by +-pivmin before it
+    divides, with the sign it had (+pivmin for a zero).  The sweep runs
+    in blocks of ``_BLOCK`` pivots, unguarded, and checks the block once:
+    when every |pivot| in it is at least pivmin the guard changed
+    nothing, and otherwise the block is run again with the guard at every
+    step, from the same entering pivot.  So every pivot and count has the
+    bits of a sweep guarded at every step (LAPACK's ``dlaneg`` checks its
+    pivots in the same way: Marques, Riedy and Voemel, SIAM J. Sci.
+    Comput. 28, 2006).  Signs are counted before the guard, which keeps
+    them.
+    """
+    d = T.diag.tolist()
     e2 = T.offdiag ** 2
     pivmin = _SAFMIN * float(np.max(e2, initial=1.0))
+    e2 = e2.tolist()
+    n = len(d)
     counts = np.zeros(len(xs), dtype=np.int64)
-    q = d[0] - xs
-    counts += q < 0.0
-    for k in range(1, len(d)):
+    if len(xs) == 0:
+        return counts
+
+    def guarded(q):
         small = np.abs(q) < pivmin
         if small.any():
             q = np.where(small, np.where(q < 0.0, -pivmin, pivmin), q)
-        q = d[k] - xs - e2[k - 1] / q
-        counts += q < 0.0
+        return q
+
+    q = d[0] - xs
+    counts += q < 0.0
+    enter = guarded(q)
+    rows = np.empty((min(_BLOCK, n - 1), len(xs)))
+    neg = np.empty(rows.shape, dtype=bool)
+    last = np.empty(len(xs))
+    zero = not T.diag.any()
+    # d_k - x, the same at every k for a zero diagonal: a -0.0 entry
+    # could change only the sign of a zero pivot, which the check redoes
+    shifted = 0.0 - xs if zero else np.empty(len(xs))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k0 in range(1, n, _BLOCK):
+            block = rows[:min(_BLOCK, n - k0)]
+            sites = range(k0, k0 + len(block))
+            q = enter
+            for k, row in zip(sites, block):
+                if not zero:
+                    np.subtract(d[k], xs, out=shifted)
+                np.divide(e2[k - 1], q, out=row)
+                np.subtract(shifted, row, out=row)
+                q = row
+            sign = neg[:len(block)]
+            np.less(block, 0.0, out=sign)
+            np.copyto(last, block[-1])
+            # the block holds its magnitudes from here on; a NaN, which
+            # only follows a pivot below pivmin, fails the test too
+            if not np.abs(block, out=block).min() >= pivmin:
+                q = enter
+                for k, row in zip(sites, block):
+                    np.subtract(d[k] - xs, e2[k - 1] / guarded(q), out=row)
+                    q = row
+                np.less(block, 0.0, out=sign)
+                np.copyto(last, guarded(block[-1]))
+            counts += np.count_nonzero(sign, axis=0)
+            enter, last = last, enter
     return counts
 
 
@@ -186,9 +242,9 @@ def _certified(count, cand: np.ndarray, lo: float, hi: float, n: int,
 
 def _zero_diagonal_candidates(T: TridiagonalMatrix, bound: float,
                               tol: float):
-    """Eigenvalues of T, whose diagonal is zero, from dqds on the
-    even-site block of T^2; None when pteqr fails or a value near 0
-    fails its check.
+    """Candidates for the positive eigenvalues of T, whose diagonal is
+    zero, from dqds on the even-site block of T^2; None when pteqr fails
+    or a value near 0 fails its check.
 
     That block has diagonal a_{2k-1}^2 + a_{2k}^2 and off-diagonal
     a_{2k} a_{2k+1} (a_N := 0); it is B^T B for the bidiagonal B of the
@@ -219,7 +275,7 @@ def _zero_diagonal_candidates(T: TridiagonalMatrix, bound: float,
         if sla.lapack.dstebz(T.diag, T.offdiag, 1, x - tol, x + tol, 1, 1,
                              2.0 * tol, b"E")[0] < 1:
             return None
-    return np.concatenate([-s, [0.0] * (n % 2), s])
+    return s
 
 
 def eig_sym_tridiag(T: TridiagonalMatrix) -> np.ndarray:
@@ -227,20 +283,25 @@ def eig_sym_tridiag(T: TridiagonalMatrix) -> np.ndarray:
 
     When the diagonal of T is identically zero, its spectrum is
     +-sigma(B) for the bidiagonal B of the off-diagonal (plus 0 at odd
-    N; Golub and Kahan, SIAM J. Numer. Anal. 2, 1965), and the candidate
-    values are the +-sqrt of the eigenvalues that LAPACK's dqds
-    (``pteqr``; Fernando and Parlett, Numer. Math. 67, 1994) finds for
-    the even-site block of T^2, at half the size
+    N; Golub and Kahan, SIAM J. Numer. Anal. 2, 1965), and the
+    candidates for its positive half are the sqrt of the eigenvalues
+    that LAPACK's dqds (``pteqr``; Fernando and Parlett, Numer. Math.
+    67, 1994) finds for the even-site block of T^2, at half the size
     (``_zero_diagonal_candidates``).  Every other T takes them from
     LAPACK's root-free QL/QR iteration (``sterf``), and so does a
     zero-diagonal T when pteqr fails or a candidate near 0 fails its
     check.  The candidates are certified by one vectorized Sturm-count
-    sweep at their midpoints (``_certified``): a value is kept when its
-    bracket holds exactly one eigenvalue, and only brackets that hold
-    more are refined by Sturm-count bisection (at most 200 sweeps), to
-    1e-13 relative to the Gershgorin bound.  A T whose largest entry
-    lies outside [2^-500, 2^500] is first scaled by an exact power of
-    two, so that no square in pteqr or the Sturm pivots overflows or
+    sweep at their midpoints (``_certified``; the sweep runs in blocks
+    of pivots, see ``_sturm_counts``): a value is kept when its bracket
+    holds exactly one eigenvalue, and only brackets that hold more are
+    refined by Sturm-count bisection (at most 200 sweeps), to 1e-13
+    relative to the Gershgorin bound.  A zero-diagonal T is similar to
+    -T (by diag(+-1)), so only its N//2 positive eigenvalues are
+    certified, on the positive candidates with the count above 0, and
+    the rest are their negatives and, at odd N, an exact 0: its spectrum
+    comes back exactly symmetric, at half the lanes.  A T whose largest
+    entry lies outside [2^-500, 2^500] is first scaled by an exact power
+    of two, so that no square in pteqr or the Sturm pivots overflows or
     underflows, and the values are scaled back.
 
     Positive off-diagonals force simple eigenvalues; numerically
@@ -261,14 +322,20 @@ def eig_sym_tridiag(T: TridiagonalMatrix) -> np.ndarray:
     gl, gu = T.gershgorin()
     bound = max(abs(gl), abs(gu))
     pad = 1e-13 * bound
-    vals = None
-    if not T.diag.any():
-        vals = _zero_diagonal_candidates(T, bound, pad)
-    if vals is None:
+    zero = not T.diag.any()
+    pos = _zero_diagonal_candidates(T, bound, pad) if zero else None
+    if pos is None:
         vals = sla.eigvalsh_tridiagonal(T.diag, T.offdiag,
                                         lapack_driver="sterf")
-    vals = _certified(lambda xs: _sturm_counts(T, xs), vals, gl - pad,
-                      gu + pad, n, pad)
+        pos = vals[vals > 0] if zero else None
+    if zero:
+        # (n + 1) // 2 eigenvalues lie at or below 0
+        pos = _certified(lambda xs: _sturm_counts(T, xs) - (n + 1) // 2,
+                         pos, 0.0, gu + pad, n // 2, pad)
+        vals = np.concatenate([-pos[::-1], [0.0] * (n % 2), pos])
+    else:
+        vals = _certified(lambda xs: _sturm_counts(T, xs), vals, gl - pad,
+                          gu + pad, n, pad)
     gaps = np.diff(vals)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if len(gaps) and float(gaps.min()) < 1e-12 * scale:

@@ -15,7 +15,7 @@ from opspectra.measures import DiscreteMeasure
 from opspectra.periodic import (_FINAL_STEP, _deviation_bound, _weighted_dist,
                                 dm_weights)
 from opspectra.sequences import BlockJacobiParams, JacobiParams
-from opspectra.spectra import TridiagonalMatrix, eig_block
+from opspectra.spectra import _SAFMIN, TridiagonalMatrix, eig_block
 
 
 def tridiagonal_dense(T: TridiagonalMatrix) -> np.ndarray:
@@ -35,6 +35,26 @@ def tridiagonal_eigvals_mp(T: TridiagonalMatrix, dps: int = 40) -> np.ndarray:
         m = mp.matrix(tridiagonal_dense(T).tolist())
         return np.array(sorted(float(x) for x in
                                mp.eigsy(m, eigvals_only=True)))
+
+
+def sturm_counts_stepwise(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of T below each shift in xs, via the signs
+    of the LDL^T pivots q_k = d_k - x - e_{k-1}^2 / q_{k-1}, with the
+    pivmin guard checked at every step: the count sweep as it ran before
+    it ran in blocks."""
+    d = T.diag
+    e2 = T.offdiag ** 2
+    pivmin = _SAFMIN * float(np.max(e2, initial=1.0))
+    counts = np.zeros(len(xs), dtype=np.int64)
+    q = d[0] - xs
+    counts += q < 0.0
+    for k in range(1, len(d)):
+        small = np.abs(q) < pivmin
+        if small.any():
+            q = np.where(small, np.where(q < 0.0, -pivmin, pivmin), q)
+        q = d[k] - xs - e2[k - 1] / q
+        counts += q < 0.0
+    return counts
 
 
 def moment(m: DiscreteMeasure, k: int) -> float:

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 
@@ -15,8 +16,8 @@ from opspectra.spectra import (CmvMatrix, DuplicateEigenvalues,
                                block_dense, cmv, eig_block,
                                eig_sym_tridiag, eig_unitary, trace_square,
                                truncate, zero_counting)
-from oracles import (block_trace_square, tridiagonal_dense,
-                     tridiagonal_eigvals_mp)
+from oracles import (block_trace_square, sturm_counts_stepwise,
+                     tridiagonal_dense, tridiagonal_eigvals_mp)
 
 
 def _dense(T):
@@ -236,6 +237,129 @@ def test_an_off_diagonal_below_the_scaled_range_stays_positive():
     r = math.sqrt(1.25)
     expect = 2.0 ** 600 * np.array([-r, -1.0, 0.0, 1.0, r])
     assert np.allclose(w, expect, rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [24, 25, 400, 401, 1024, 2048])
+@pytest.mark.parametrize("chain", ["graded", "free"])
+@pytest.mark.parametrize("route", ["any", "sterf"])
+def test_zero_diagonal_spectra_are_exactly_symmetric(n, chain, route,
+                                                     monkeypatch):
+    # a = e^U(-1, 1) takes either route, depending on the draw; the free
+    # chain keeps pteqr's values.  A failing pteqr forces the sterf
+    # route, whose values are not symmetric.
+    rng = np.random.default_rng(n)
+    a = (np.exp(rng.uniform(-1.0, 1.0, n - 1)) if chain == "graded"
+         else np.ones(n - 1))
+    T = TridiagonalMatrix(np.zeros(n), a)
+    oracle = np.linalg.eigvalsh(tridiagonal_dense(T))
+    # the graded draw at n = 2048 has two eigenvalues 1.2e-15 apart,
+    # which the warning reports
+    close = np.min(np.diff(oracle)) < 1e-12 * np.max(np.abs(oracle))
+    if route == "sterf":
+        monkeypatch.setattr(spectra.sla.lapack, "dpteqr",
+                            lambda d, e, z, **kw: (d, e, z, 1))
+    sterf = _spy(monkeypatch, spectra.sla, "eigvalsh_tridiagonal")
+    with (pytest.warns(DuplicateEigenvalues) if close
+          else contextlib.nullcontext()):
+        w = eig_sym_tridiag(T)
+    assert close == (chain == "graded" and n == 2048)
+    if route == "sterf" or chain == "free":
+        assert bool(sterf) == (route == "sterf")
+    assert np.array_equal(w, -w[::-1])
+    # measured (numpy 2.4.6, scipy 1.17.1): at most 1.8e-14 at n = 2048
+    assert np.max(np.abs(w - oracle)) < 1e-13 * np.max(np.abs(oracle))
+
+
+def test_a_bisected_zero_diagonal_pair_is_mirrored():
+    # the pair at +-1e-20, below the 1e-13 tolerance, comes back as -x and
+    # x, not as one value x twice
+    T = _twin_blocks(1e-20, zero_diagonal=True)
+    with pytest.warns(DuplicateEigenvalues):
+        w = eig_sym_tridiag(T)
+    assert np.array_equal(w, -w[::-1])
+    assert w[4] < 0.0 < w[5]
+    assert np.max(np.abs(w - np.linalg.eigvalsh(tridiagonal_dense(T)))) < 1e-12
+
+
+_B = spectra._BLOCK
+
+
+def _stepwise_pivots(T, x):
+    """The pivots of the count sweep at the one shift x, each before the
+    guard that the next step applies."""
+    e2 = T.offdiag ** 2
+    pivmin = spectra._SAFMIN * float(np.max(e2, initial=1.0))
+    q = [T.diag[0] - x]
+    for k in range(1, T.n):
+        prev = q[-1]
+        if abs(prev) < pivmin:
+            prev = -pivmin if prev < 0.0 else pivmin
+        q.append(T.diag[k] - x - e2[k - 1] / prev)
+    return np.array(q), pivmin
+
+
+@pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("zero", [False, True],
+                         ids=["general", "zero_diagonal"])
+@pytest.mark.parametrize("m", [0, 1, 60])
+def test_blocked_sturm_counts_match_the_stepwise_sweep(n, zero, m):
+    rng = np.random.default_rng(1000 * n + 10 * m + zero)
+    d = np.zeros(n) if zero else rng.uniform(-2.0, 2.0, n)
+    T = TridiagonalMatrix(d, np.exp(rng.uniform(-1.0, 1.0, n - 1)))
+    # random shifts, and half of them at eigenvalues, where counts tip
+    xs = rng.uniform(-5.0, 5.0, m)
+    xs[:m // 2] = np.linalg.eigvalsh(tridiagonal_dense(T))[:m // 2]
+    counts = spectra._sturm_counts(T, xs)
+    assert counts.dtype == np.int64 and counts.shape == (m,)
+    assert np.array_equal(counts, sturm_counts_stepwise(T, xs))
+
+
+@pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("zero", [False, True],
+                         ids=["general", "zero_diagonal"])
+@pytest.mark.parametrize("plant", ["zero", "below_pivmin"])
+def test_blocked_sturm_counts_match_at_planted_small_pivots(n, zero, plant):
+    # sites at the start, the middle and the end of the first block, in
+    # the second and at the last site
+    sites = sorted({1, _B // 2, _B, _B + 3, n - 1} & set(range(1, n)))
+    rng = np.random.default_rng(n)
+    d = np.zeros(n) if zero else rng.uniform(-2.0, 2.0, n)
+    e = np.exp(rng.uniform(-1.0, 1.0, n - 1))
+    x = 0.0
+    if zero and plant == "zero":
+        # the leading 2 x 2 block of the free chain has the eigenvalue 1,
+        # so at x = 1 every third pivot from site 1 on is exactly 0
+        e[:] = 1.0
+        sites = list(range(1, n, 3))
+        x = 1.0
+    elif zero:
+        # at x = 0 the first pivot is 0, and each even one is
+        # pivmin a_{k-1}^2 / a_{k-2}^2 after a guarded one: below pivmin,
+        # and not 0, on a decreasing chain
+        e = np.linspace(2.0, 1.0, n - 1)
+        sites = list(range(2, n, 2))
+    elif plant == "zero":
+        # d_k = a_{k-1}^2 / q_{k-1} makes the pivot at site k exactly 0
+        for k in sites:
+            q, pivmin = _stepwise_pivots(TridiagonalMatrix(d.copy(), e), x)
+            prev = q[k - 1] if abs(q[k - 1]) >= pivmin else pivmin
+            d[k] = e[k - 1] ** 2 / prev
+    else:
+        # a link of 1e-160 squares to a subnormal: at x = 0 the pivot
+        # after it is -1e-320 / q, nonzero and below pivmin
+        d[sites] = 0.0
+        e[np.array(sites) - 1] = 1e-160
+    T = TridiagonalMatrix(d, e)
+    q, pivmin = _stepwise_pivots(T, x)
+    if plant == "zero":
+        assert np.all(q[sites] == 0.0)
+    else:
+        assert np.all((q[sites] != 0.0) & (np.abs(q[sites]) < pivmin))
+    assert sites[0] <= 2 and sites[-1] >= n - 3
+    xs = np.concatenate([[x, 0.0, 1.0], rng.uniform(-5.0, 5.0, 20)])
+    for shifts in (xs, xs[:1]):
+        assert np.array_equal(spectra._sturm_counts(T, shifts),
+                              sturm_counts_stepwise(T, shifts))
 
 
 @pytest.mark.parametrize("diag, offdiag, message", [
