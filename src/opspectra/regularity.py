@@ -84,20 +84,27 @@ def _prefix_sums(terms: Terms, ends) -> np.ndarray:
     from the running total of the chunks before it, so every sum has the
     bits of one ``np.cumsum(..., dtype=np.longdouble)`` over all terms.
     The empty sum is -0.0, the exact identity of floating-point addition.
+    One buffer per pass, of C + 1 sums per series, serves every chunk:
+    its first slot takes the carry, the rest the chunk's terms, and sums
+    are read out only at the ladder ends that the chunk holds.
     """
     ends = np.asarray(ends, dtype=np.intp)
     n = int(ends.max())
-    sums, carry = None, -0.0
     for lo in range(0, n, _CHUNK) or (0,):
         hi = min(lo + _CHUNK, n)
         t = terms(lo, hi)
-        cs = np.empty(t.shape[:-1] + (hi - lo + 1,), dtype=np.longdouble)
-        cs[..., 0] = carry
-        cs[..., 1:] = t
-        np.add.accumulate(cs, axis=-1, out=cs)
-        at = cs[..., np.clip(ends, lo, hi) - lo]
-        sums = at if sums is None else np.where(ends > lo, at, sums)
-        carry = cs[..., -1]
+        if lo == 0:
+            cs = np.empty(t.shape[:-1] + (min(n, _CHUNK) + 1,), np.longdouble)
+            sums = np.empty(t.shape[:-1] + ends.shape, np.longdouble)
+            cs[..., 0] = -0.0
+        else:
+            cs[..., 0] = cs[..., m]     # the carry, before t overwrites it
+        m = hi - lo
+        run = cs[..., :m + 1]
+        run[..., 1:] = t
+        np.add.accumulate(run, axis=-1, out=run)
+        held = (ends <= hi) & ((ends > lo) | (lo == 0))
+        sums[..., held] = run[..., ends[held] - lo]
     return sums
 
 

@@ -120,7 +120,7 @@ _threshold = _num(float, 0.0)
 _shift = _num(float, -10.0, 10.0, closed=True)
 
 
-#: largest window of a ladder: the statistics stream any N in O(2^15)
+#: largest window of a ladder: the statistics stream any N in O(2^14)
 #: memory, and 2^32 sites take them minutes
 _MAX_WINDOW = 2 ** 32
 

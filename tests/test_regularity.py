@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opspectra import regularity, sequences
 from opspectra.periodic import PeriodicJacobi, delta_of_J, dm_weights
 from opspectra.regularity import (StatSeries, _prefix_means, _prefix_sums,
                                   _RunningSums,
@@ -312,7 +313,8 @@ def test_statistics_equal_the_one_pass_oracle_across_chunks():
     assert trace_stat(J, Ns).values == tuple(
         float((2.0 * csa[N - 1] + csb[N - 1]) / N) for N in Ns)
     # shifted windows that start and end on every side of a boundary
-    starts = np.array([1, 2, C - 4, C, C + 1, 2 * C - 3, 2 * C - 1, 40000])
+    starts = np.array([1, 2, C - 4, C, C + 1, 2 * C - 3, 2 * C - 1,
+                       C + C // 4])
     w = C + 9
     dev = np.abs(a - 1.0) + np.abs(b)
     cs = np.concatenate([[0.0], np.cumsum(dev, dtype=np.longdouble)])
@@ -366,10 +368,11 @@ def test_root_and_cesaro_equal_the_single_statistics_bit_for_bit():
         root_and_cesaro(BlockJacobiParams(1, [[[1.0]]], [[[0.0]]] * 2), (1,))
 
 
-@pytest.mark.parametrize("k", [1, 3, 1000, C + 5])
+@pytest.mark.parametrize("k", [1, 3, 1000, C + 5, 2 * C + 5])
 def test_arc_stats_equal_the_one_shot_formula_across_chunks(k):
     # the run-by-run block sums against the cumulative sums over the
-    # whole window that they replace, to the last bit
+    # whole window that they replace, to the last bit; the longest blocks
+    # span one and two whole runs
     rng = np.random.default_rng(k)
     Ns, K = CHUNK_ENDS, max(1, k)
     m = Ns[-1] + K
@@ -398,6 +401,53 @@ def test_running_sums_have_the_bits_of_one_cumsum():
             np.cumsum(np.abs(x) ** 2).tobytes()
 
 
+def _bits(result) -> bytes:
+    """The bytes of a statistic, a tuple of them, an array or a float."""
+    if isinstance(result, tuple):
+        return b"".join(_bits(r) for r in result)
+    if isinstance(result, StatSeries):
+        return result.label.encode() + np.array(result.values).tobytes()
+    return np.asarray(result).tobytes()
+
+
+def _every_streamed_result(c: int) -> bytes:
+    """Every statistic read by runs, and every window fill, on generated
+    sequences of 3c + 7 sites, as bytes.  The ladder ends fall on both
+    sides of the run boundaries for runs of c sites, and the largest
+    deviation sits at the last site of the first run."""
+    n = 3 * c + 7
+    Ns = (1, c - 1, c, c + 1, 2 * c, n)
+    J = JacobiParams.from_functions(
+        lambda k: np.exp(2.0 * np.sin(0.37 * k)),
+        # signed zeros, and magnitudes over seven decades
+        lambda k: np.where(k == c, 1e5, (k % 5 != 0) * np.sin(1.7 * k)
+                           * np.exp(8.0 * np.cos(0.013 * k))))
+    V = VerblunskyParams.from_function(
+        lambda j: 0.9 * np.exp(-20.0 * np.sin(j) ** 2 + 1j * j))
+    a = np.exp(np.cos(0.71 * np.arange(1, n + 1)))
+    return _bits((root_test(J, Ns), root_test(V, Ns),
+                  root_and_cesaro(J, Ns), root_and_cesaro(V, Ns),
+                  cn_stat_oprl(J, Ns), cn_sq_stat_oprl(J, Ns),
+                  cn_stat_opuc(V, Ns),
+                  cn_stat_windowed(J, [1, 2, c - 1, c, c + 1, 2 * c - 1], c + 2),
+                  trace_stat(J, Ns),
+                  arc_stats(V, 0.4, 3, Ns), arc_stats(V, 0.4, 2 * c + 3, Ns),
+                  lemma21_stats(a, Ns), sup_deviation(J, n),
+                  J.a_window(n), J.b_window(n), V.alpha_window(n)))
+
+
+@pytest.mark.parametrize("c", [7, 64, 2 ** 14, 2 ** 15])
+def test_run_length_does_not_change_the_bits(monkeypatch, c):
+    # regularity imports the run length by name, so both modules are
+    # patched; the reference reads everything in one run
+    def under(chunk):
+        for module in (sequences, regularity):
+            monkeypatch.setattr(module, "_CHUNK", chunk)
+        return _every_streamed_result(c)
+
+    assert under(c) == under(2 ** 30)
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -409,13 +459,15 @@ def _traced_peak(fn) -> int:
 
 def test_streamed_statistics_need_o_chunk_memory_at_any_n():
     # the statistics read a generated sequence by runs and keep nothing:
-    # memory is a few chunks, not the 16 MiB of a 2^20 window
+    # memory is one chunk's working set and one sum buffer per pass (1.5
+    # MiB for root_and_cesaro, 0.9 MiB for the single statistics), not
+    # the 16 MiB of a 2^20 window
     n = 2 ** 20
     Ns = (2 ** 10, 2 ** 15, n)
     V = sparse_bump_verblunsky(0.5)
-    assert _traced_peak(lambda: root_and_cesaro(V, Ns)) <= 4 * 2 ** 20
+    assert _traced_peak(lambda: root_and_cesaro(V, Ns)) <= 2 * 2 ** 20
     assert _traced_peak(lambda: (root_test(V, Ns),
-                                 cn_stat_opuc(V, Ns))) <= 4 * 2 ** 20
+                                 cn_stat_opuc(V, Ns))) <= 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("k", [3, 2 ** 17])
@@ -423,5 +475,7 @@ def test_arc_stats_memory_depends_on_neither_n_nor_k(k):
     n = 2 ** 20
     phase = complex(math.cos(0.7), math.sin(0.7))
     V = VerblunskyParams.from_function(lambda j: 0.5 * phase + 1.0 / (j + 2.0))
+    # 2.9 MiB at either k: three rows of terms and sums, and the runs
+    # and running sums of the trailing and the leading block
     peak = _traced_peak(lambda: arc_stats(V, 0.5, k, (2 ** 10, n)))
-    assert peak < 8 * 2 ** 20
+    assert peak < 4 * 2 ** 20

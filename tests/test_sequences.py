@@ -197,14 +197,16 @@ def test_runs_equal_one_shot_generation():
 
 
 def test_a_bad_coefficient_in_a_streamed_run_names_its_index():
+    # the first bad alpha lies inside the second run
+    bad, n = _CHUNK + _CHUNK // 4, 2 * _CHUNK
     V = VerblunskyParams.from_function(
-        lambda j: np.where(j >= 40000, 1.0, 0.5))
-    read = V.alpha_runs(50000)
+        lambda j: np.where(j >= bad, 1.0, 0.5))
+    read = V.alpha_runs(n)
     assert np.all(read(0, _CHUNK) == 0.5)
-    with pytest.raises(ValueError, match=r"alpha_40000\b"):
+    with pytest.raises(ValueError, match=rf"alpha_{bad}\b"):
         read(_CHUNK, 2 * _CHUNK)
-    with pytest.raises(ValueError, match=r"alpha_40000\b"):
-        R.cn_stat_opuc(V, (100, 50000))
+    with pytest.raises(ValueError, match=rf"alpha_{bad}\b"):
+        R.cn_stat_opuc(V, (100, n))
 
 
 def test_reads_leave_every_store_as_they_found_it():
@@ -266,21 +268,27 @@ def test_sup_deviation_where_a_stops_one_site_short():
     assert sup_deviation(JacobiParams(a, b), N) == _whole_window_sup(a, b) == 5.0
 
 
-@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
+                               3 * _CHUNK + 7, 6 * _CHUNK + 7])
 def test_sup_deviation_of_a_generator_across_run_boundaries(n):
-    # the largest deviation sits at site C + 1, the first of the second
-    # run, so n = C misses it and n = C + 1 reads it
+    # large deviations sit at sites C + 1 and 2C + 1, the first of the
+    # second and of the third run, so n = C misses the first and n = C + 1
+    # reads it, and likewise n = 2C and n = 2C + 1 for the second
     def a_fn(k):
-        return 1.0 + 0.5 * np.sin(0.37 * k) + 3.0 * (k == _CHUNK + 1)
+        return (1.0 + 0.5 * np.sin(0.37 * k) + 3.0 * (k == _CHUNK + 1)
+                + 6.0 * (k == 2 * _CHUNK + 1))
 
     J = JacobiParams.from_functions(a_fn, lambda k: 0.3 * np.cos(1.3 * k))
     want = _whole_window_sup(J.a_window(n), J.b_window(n))
     assert sup_deviation(J, n) == want
     assert (want > 2.0) == (n > _CHUNK)
+    assert (want > 4.5) == (n > 2 * _CHUNK)
 
 
 def test_sup_deviation_of_a_generator_needs_o_chunk_memory():
-    # whole windows of a and b at 2^20 sites take 16 MiB each
+    # whole windows of a and b at 2^20 sites take 8 MiB each; one run of
+    # each and its deviations take 0.7 MiB
     J = JacobiParams.from_functions(lambda k: 1.0 + 1.0 / k,
                                     lambda k: np.sin(k) / k)
     tracemalloc.start()
@@ -289,7 +297,7 @@ def test_sup_deviation_of_a_generator_needs_o_chunk_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    assert peak < 2 ** 20
 
 
 def test_verblunsky_rho_and_windows():
