@@ -14,8 +14,8 @@ from .measures import (CircleMeasureSpec, DensityPart, DiscreteMeasure,
                        LineMeasureSpec, discretize, jacobi_from_measure,
                        verblunsky_from_measure)
 from .periodic import (PeriodicJacobi, bands, d_to_torus_batch, delta_of_J,
-                       discriminant, dm_weights, normalize_type1,
-                       normalize_type3, torus_point)
+                       discriminant, normalize_type1, normalize_type3,
+                       torus_point)
 from .potential import (CircleArcSet, EquilibriumMeasure, FiniteGapSet,
                         capacity, equilibrium_measure, w1_distance)
 from .regularity import (StatSeries, arc_stats, cn_stat_matrix,
@@ -26,9 +26,9 @@ from .regularity import (StatSeries, arc_stats, cn_stat_matrix,
 from .rng import SplitMix64
 from .sequences import (BlockJacobiParams, JacobiParams, UnitaryChain,
                         VerblunskyParams, sup_deviation, validate_blocks)
-from .spectra import (CmvMatrix, EmpiricalMeasure, TridiagonalMatrix,
-                      block_dense, cmv, eig_block, eig_sym_tridiag,
-                      eig_unitary, trace_square, truncate, zero_counting)
+from .spectra import (CmvMatrix, EmpiricalMeasure, TridiagonalMatrix, cmv,
+                      eig_block, eig_sym_tridiag, eig_unitary, trace_square,
+                      truncate, zero_counting)
 
 __version__ = "0.1.0"
 
@@ -38,11 +38,11 @@ __all__ = [
     "EmpiricalMeasure", "EquilibriumMeasure", "FiniteGapSet", "JacobiParams",
     "LineMeasureSpec", "PeriodicJacobi", "SplitMix64", "StatSeries",
     "TridiagonalMatrix", "UnitaryChain", "VerblunskyParams",
-    "arc_stats", "bands", "block_dense", "capacity", "cmv",
+    "arc_stats", "bands", "capacity", "cmv",
     "cn_sq_stat_oprl", "cn_stat_matrix", "cn_stat_matrix_invariant",
     "cn_stat_oprl", "cn_stat_opuc", "cn_stat_torus", "cn_stat_windowed",
     "d_to_torus_batch", "delta_of_J", "discretize", "discriminant",
-    "dm_weights", "eig_block", "eig_sym_tridiag", "eig_unitary",
+    "eig_block", "eig_sym_tridiag", "eig_unitary",
     "equilibrium_measure", "jacobi_from_measure", "lemma21_stats",
     "normalize_type1", "normalize_type3", "root_and_cesaro", "root_test",
     "sup_deviation", "torus_point", "trace_square", "trace_stat", "truncate",

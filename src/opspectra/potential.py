@@ -131,8 +131,10 @@ class EquilibriumMeasure:
             self.arc = payload
             self.domain = "circle"
             a = self.arc.a
-            # arcsine interval the arc pulls back to under x = 2 cos theta
-            self._lo, self._hi = -2.0, 2.0 - 4.0 * a * a
+            # the arcsine law of the interval that the arc pulls back to
+            # under x = 2 cos theta
+            self._pullback = EquilibriumMeasure(
+                "interval", (-2.0, 2.0 - 4.0 * a * a))
         elif tag == "periodic":
             self.set, self.generator = payload, payload.generator
             self.domain = "line"
@@ -181,16 +183,13 @@ class EquilibriumMeasure:
         if not 0 <= k <= 8:
             raise ValueError("moments implemented for 0 <= k <= 8")
         if self.tag == "interval":
-            c = 0.5 * (self.lo + self.hi)
-            t = 0.5 * (self.hi - self.lo) * np.cos(_PHI[:_ANGLES // 2])
-            vals = _power(c + t, k) + _power(c - t, k)
+            t = np.cos(_PHI[:_ANGLES // 2])
+            vals = _power(self._points(t), k) + _power(self._points(-t), k)
             return math.fsum(vals.tolist()) / _ANGLES
         if self.tag == "arc":
             # int z^k d rho = int T_k(x/2) d nu over the pullback
             # interval; conjugation symmetry kills the imaginary part.
-            c = 0.5 * (self._lo + self._hi)
-            h = 0.5 * (self._hi - self._lo)
-            x = c + h * np.cos(_PHI)
+            x = self._pullback._points(np.cos(_PHI))
             vals = np.cos(k * np.arccos(np.clip(x / 2.0, -1.0, 1.0)))
             return complex(math.fsum(vals.tolist()) / _ANGLES, 0.0)
         lam = self._floquet_eigs(_PHI)
@@ -208,6 +207,13 @@ class EquilibriumMeasure:
 
     # -- quantiles ---------------------------------------------------
 
+    def _points(self, cos_phi: np.ndarray) -> np.ndarray:
+        """c + h cos(phi) on an interval of center c and half-width h:
+        the arcsine law is the pushforward of d phi / pi on (0, pi)."""
+        c = 0.5 * (self.lo + self.hi)
+        h = 0.5 * (self.hi - self.lo)
+        return c + h * cos_phi
+
     def quantiles(self, us: np.ndarray) -> np.ndarray:
         """Quantile function on a vector of levels in (0, 1).
 
@@ -217,19 +223,13 @@ class EquilibriumMeasure:
         """
         us = np.asarray(us, dtype=float)
         if self.tag == "interval":
-            c = 0.5 * (self.lo + self.hi)
-            h = 0.5 * (self.hi - self.lo)
-            return c - h * np.cos(math.pi * us)
+            return self._points(-np.cos(math.pi * us))
         if self.tag == "arc":
-            c = 0.5 * (self._lo + self._hi)
-            h = 0.5 * (self._hi - self._lo)
-            out = np.empty_like(us)
-            left = us <= 0.5
-            xq = c - h * np.cos(math.pi * (1.0 - 2.0 * us[left]))
-            out[left] = np.arccos(np.clip(xq / 2.0, -1.0, 1.0))
-            xq = c - h * np.cos(math.pi * (2.0 * us[~left] - 1.0))
-            out[~left] = 2.0 * math.pi - np.arccos(np.clip(xq / 2.0, -1.0, 1.0))
-            return out
+            # level u of the arc is level |2u - 1| of the pullback, on the
+            # upper half for u <= 1/2 and on the lower half past it
+            xq = self._pullback.quantiles(np.abs(2.0 * us - 1.0))
+            theta = np.arccos(np.clip(xq / 2.0, -1.0, 1.0))
+            return np.where(us <= 0.5, theta, 2.0 * math.pi - theta)
         # band j carries the j-th Floquet eigenvalue, which falls from
         # kappa = 0 to pi when p - 1 - j is even and rises otherwise
         p = self.generator.p

@@ -3,21 +3,23 @@ for scalar, unitary, and block recurrence data, concavity functionals,
 arc statistics, and the torus-distance average.
 
 Every diagnostic is reported as a :class:`StatSeries` over a ladder of
-window lengths.  All windowed averages share one code path: a prefix
-sum of per-site terms in extended precision, divided by the window
-length, so the algebraic identities between related statistics hold to
-1e-12 even at the largest windows.  The sum runs over the window in
-chunks of ``_CHUNK`` sites, carrying its running total from chunk to
-chunk, so it has the bits of one cumulative sum over the whole window
-while the terms exist one chunk at a time.  A scalar or Verblunsky
-sequence is read by runs of the same chunks (``a_runs``,
-``alpha_runs``), which keep nothing, so such a statistic needs
-O(_CHUNK) memory at any N; statistics reported together over one
-sequence (:func:`root_and_cesaro`, :func:`arc_stats`,
-:func:`lemma21_stats`) stack their terms and share one pass.  Block
-statistics read their stored blocks; the torus average reads the
-distances of all N offsets, one array from one torus search that holds
-O(1) numbers per offset (``periodic.d_to_torus_batch``).
+window lengths.  All windowed averages share one code path,
+:func:`_prefix_sums`: a prefix sum of per-site terms in extended
+precision, divided by the window length, so the algebraic identities
+between related statistics hold to 1e-12 even at the largest windows.
+The sum runs over the window in chunks of ``_CHUNK`` sites, carrying its
+running total from chunk to chunk, so it has the bits of one cumulative
+sum over the whole window while the terms exist one chunk at a time.
+Each chunk reads one run from each of the pass's readers, and each
+statistic is a row of terms of those runs; statistics reported together
+stack their rows and share one pass (:func:`root_and_cesaro`,
+:func:`lemma21_stats`, :func:`cn_stat_matrix`, :func:`arc_stats`).  A
+scalar or Verblunsky sequence is read by runs of the same chunks
+(``a_runs``, ``b_runs``, ``alpha_runs``), which keep nothing, so such a
+statistic needs O(_CHUNK) memory at any N.  Block statistics slice
+their stored blocks; the torus average slices the distances of all N
+offsets, one array from one torus search that holds O(1) numbers per
+offset (``periodic.d_to_torus_batch``).
 
 Sequence indexing follows the underlying data: Jacobi windows cover
 sites 1..N, Verblunsky windows cover indices 0..N-1.
@@ -35,8 +37,8 @@ from . import periodic as _periodic
 from .sequences import (_CHUNK, BlockJacobiParams, JacobiParams,
                         VerblunskyParams, WrongType, _herm, _rho)
 
-#: the terms of sites lo..hi-1 along the last axis, given (lo, hi)
-Terms = Callable[[int, int], np.ndarray]
+#: a run reader: (lo, hi) -> the data of sites lo..hi-1
+Reader = Callable[[int, int], object]
 
 @dataclass(frozen=True)
 class StatSeries:
@@ -74,73 +76,72 @@ def _check_ladder(Ns) -> Tuple[int, ...]:
     return Ns
 
 
-def _prefix_sums(terms: Terms, ends) -> np.ndarray:
-    """The sum of the first e terms for each e >= 0 of ``ends``, in
-    extended precision, with the series on the last axis (leading axes
-    of the terms are separate series).
+def _prefix_sums(reads: Sequence[Reader], rows: Sequence[Callable],
+                 ends) -> np.ndarray:
+    """The sum of the first e terms of each row for each e >= 0 of
+    ``ends``, in extended precision, with the rows on a leading axis.
 
-    ``terms`` is called on consecutive chunks (0, C), (C, 2C), ... up to
-    max(ends), with C = ``_CHUNK``.  Each chunk's cumulative sum starts
+    Each chunk (0, C), (C, 2C), ... up to max(ends), C = ``_CHUNK``,
+    reads one run from each of ``reads`` (run readers, or
+    :func:`_slices`), and each of ``rows`` maps those runs to the
+    chunk's terms of one series.  Each chunk's cumulative sum starts
     from the running total of the chunks before it, so every sum has the
-    bits of one ``np.cumsum(..., dtype=np.longdouble)`` over all terms.
-    The empty sum is -0.0, the exact identity of floating-point addition.
-    One buffer per pass, of C + 1 sums per series, serves every chunk:
-    its first slot takes the carry, the rest the chunk's terms, and sums
-    are read out only at the ladder ends that the chunk holds.
+    bits of one ``np.cumsum(..., dtype=np.longdouble)`` over all terms,
+    whether its row runs alone or with others.  The empty sum is -0.0,
+    the exact identity of floating-point addition.  One buffer per pass,
+    of C + 1 sums per row, serves every chunk: its first slot holds the
+    carry and each row writes its terms into the rest, and sums are read
+    out only at the ladder ends that the chunk holds.
     """
     ends = np.asarray(ends, dtype=np.intp)
     n = int(ends.max())
-    for lo in range(0, n, _CHUNK) or (0,):
+    cs = np.empty((len(rows), min(n, _CHUNK) + 1), np.longdouble)
+    sums = np.full((len(rows),) + ends.shape, -0.0, np.longdouble)
+    cs[:, 0] = -0.0
+    for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        t = terms(lo, hi)
-        if lo == 0:
-            cs = np.empty(t.shape[:-1] + (min(n, _CHUNK) + 1,), np.longdouble)
-            sums = np.empty(t.shape[:-1] + ends.shape, np.longdouble)
-            cs[..., 0] = -0.0
-        else:
-            cs[..., 0] = cs[..., m]     # the carry, before t overwrites it
-        m = hi - lo
-        run = cs[..., :m + 1]
-        run[..., 1:] = t
+        runs = [read(lo, hi) for read in reads]
+        run = cs[:, :hi - lo + 1]
+        for out, row in zip(run, rows):
+            out[1:] = row(*runs)
+        del runs                    # before the next chunk's are read
         np.add.accumulate(run, axis=-1, out=run)
-        held = (ends <= hi) & ((ends > lo) | (lo == 0))
-        sums[..., held] = run[..., ends[held] - lo]
+        held = (ends > lo) & (ends <= hi)
+        sums[:, held] = run[:, ends[held] - lo]
+        cs[:, 0] = run[:, -1]       # the carry into the next chunk
     return sums
 
 
-def _prefix_means(terms: Terms, Ns: Tuple[int, ...]) -> Tuple[float, ...]:
-    """(1/N) sum of the first N terms for each ladder entry, accumulated
-    in extended precision by :func:`_prefix_sums`."""
-    return tuple(float(s / n) for s, n in zip(_prefix_sums(terms, Ns), Ns))
-
-
-def _means(sums: np.ndarray, Ns: Tuple[int, ...]) -> List[Tuple[float, ...]]:
-    """The ladder means of each row of stacked prefix sums."""
-    return [tuple(float(s / n) for s, n in zip(row, Ns)) for row in sums]
-
-
-def _run_means(reads: Sequence[Terms], rows: Sequence[Callable],
+def _run_means(reads: Sequence[Reader], rows: Sequence[Callable],
                Ns: Tuple[int, ...]) -> List[Tuple[float, ...]]:
-    """Ladder means of several statistics from one prefix-sum pass: each
-    chunk reads one run from each of ``reads`` (run readers, or
-    :func:`_slices`), and each of ``rows`` maps those runs to the terms
-    of one statistic; the rows are stacked on a leading axis.  A row
-    sums the same bits whether it runs alone or with others."""
-    def terms(lo, hi):
-        runs = [read(lo, hi) for read in reads]
-        return np.stack([row(*runs) for row in rows])
-    return _means(_prefix_sums(terms, Ns), Ns)
+    """The ladder means (1/N) sum of the first N terms of each row, from
+    one :func:`_prefix_sums` pass."""
+    return [tuple(float(s / n) for s, n in zip(row, Ns))
+            for row in _prefix_sums(reads, rows, Ns)]
 
 
-def _slices(values: np.ndarray) -> Terms:
-    """Terms already held in one array, handed out by slicing."""
+def _slices(values: np.ndarray) -> Reader:
+    """A reader of data already held in one array, by slicing."""
     return lambda lo, hi: values[lo:hi]
 
 
-def _log_rho(alpha: np.ndarray) -> np.ndarray:
-    """log rho_j of a run of Verblunsky coefficients; the store has
-    checked |alpha_j| < 1, which leaves 1 - |alpha_j|^2 >= 2^-52."""
-    return np.log(_rho(alpha))
+def _scalar_means(seq, Ns: Tuple[int, ...], off: Sequence[Callable] = (),
+                  cn: bool = False) -> List[Tuple[float, ...]]:
+    """Ladder means from one pass over a Jacobi or Verblunsky sequence:
+    f(x) for each f of ``off``, x its off-diagonal data (a_n, or
+    rho_j = sqrt(1 - |alpha_j|^2)), then, if ``cn``, its Cesaro
+    deviation (|a_n - 1| + |b_n|, or |alpha_j|).  b_n is read only for
+    the deviation."""
+    n = Ns[-1]
+    if isinstance(seq, JacobiParams):
+        reads = (seq.a_runs(n), seq.b_runs(n)) if cn else (seq.a_runs(n),)
+        x, dev = (lambda a, *b: a), _dev
+    elif isinstance(seq, VerblunskyParams):
+        reads, x, dev = (seq.alpha_runs(n),), _rho, np.abs
+    else:
+        raise TypeError(f"unsupported sequence type {type(seq).__name__}")
+    rows = [lambda *runs, f=f: f(x(*runs)) for f in off]
+    return _run_means(reads, rows + ([dev] if cn else []), Ns)
 
 
 def _dev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,17 +161,12 @@ def root_test(seq, Ns, label: str = "root_test") -> StatSeries:
     spectrum, which is what makes them a practical regularity probe.
     """
     Ns = _check_ladder(Ns)
-    n_max = Ns[-1]
-    if isinstance(seq, JacobiParams):
-        means, = _run_means((seq.a_runs(n_max),), (np.log,), Ns)
-    elif isinstance(seq, VerblunskyParams):
-        means, = _run_means((seq.alpha_runs(n_max),), (_log_rho,), Ns)
-    elif isinstance(seq, BlockJacobiParams):
-        A, ell = seq.a_blocks(n_max), seq.block_size
-        means = _prefix_means(
-            lambda lo, hi: np.linalg.slogdet(A[lo:hi])[1] / ell, Ns)
+    if isinstance(seq, BlockJacobiParams):
+        ell = seq.block_size
+        means, = _run_means((_slices(seq.a_blocks(Ns[-1])),),
+                            (lambda A: np.linalg.slogdet(A)[1] / ell,), Ns)
     else:
-        raise TypeError(f"unsupported sequence type {type(seq).__name__}")
+        means, = _scalar_means(seq, Ns, (np.log,))
     return StatSeries(label, Ns, tuple(math.exp(v) for v in means))
 
 
@@ -183,14 +179,7 @@ def root_and_cesaro(seq, Ns, root_label: str = "root_test",
     in that order as StatSeries.
     """
     Ns = _check_ladder(Ns)
-    n = Ns[-1]
-    if isinstance(seq, JacobiParams):
-        root, cn = _run_means(_ab_runs(seq, n),
-                              (lambda a, b: np.log(a), _dev), Ns)
-    elif isinstance(seq, VerblunskyParams):
-        root, cn = _run_means((seq.alpha_runs(n),), (_log_rho, np.abs), Ns)
-    else:
-        raise TypeError(f"unsupported sequence type {type(seq).__name__}")
+    root, cn = _scalar_means(seq, Ns, (np.log,), cn=True)
     return (StatSeries(root_label, Ns, tuple(math.exp(v) for v in root)),
             StatSeries(cn_label, Ns, cn))
 
@@ -203,19 +192,15 @@ def cn_stat_oprl(J: JacobiParams, Ns, label: str = "cn_oprl") -> StatSeries:
     free window, and its vanishing in the limit defines the scalar
     Cesaro-Nevai condition."""
     Ns = _check_ladder(Ns)
-    means, = _run_means(_ab_runs(J, Ns[-1]), (_dev,), Ns)
+    means, = _scalar_means(J, Ns, cn=True)
     return StatSeries(label, Ns, means)
-
-
-def _ab_runs(J: JacobiParams, n: int) -> Tuple[Terms, Terms]:
-    """The run readers of a_1..a_n and b_1..b_n."""
-    return J.a_runs(n), J.b_runs(n)
 
 
 def cn_sq_stat_oprl(J: JacobiParams, Ns, label: str = "cn_sq_oprl") -> StatSeries:
     """Companion mean-square form: (1/N) sum of (a_n - 1)^2 + b_n^2."""
     Ns = _check_ladder(Ns)
-    means, = _run_means(_ab_runs(J, Ns[-1]),
+    n = Ns[-1]
+    means, = _run_means((J.a_runs(n), J.b_runs(n)),
                         (lambda a, b: (a - 1.0) ** 2 + b ** 2,), Ns)
     return StatSeries(label, Ns, means)
 
@@ -230,32 +215,30 @@ def cn_stat_windowed(J: JacobiParams, starts, n: int) -> np.ndarray:
     starts = np.asarray(starts, dtype=int)
     if n < 1 or np.any(starts < 1):
         raise ValueError("need n >= 1 and 1-based starts")
-    read_a, read_b = _ab_runs(J, int(starts.max()) + n - 1)
-    cs = _prefix_sums(lambda lo, hi: _dev(read_a(lo, hi), read_b(lo, hi)),
-                      np.stack([starts - 1, starts + n - 1]))
+    m = int(starts.max()) + n - 1
+    cs, = _prefix_sums((J.a_runs(m), J.b_runs(m)), (_dev,),
+                       np.stack([starts - 1, starts + n - 1]))
     return ((cs[1] - cs[0]) / n).astype(float)
 
 
-def lemma21_stats(a, Ns):
-    """Four windowed functionals of a positive sequence: geometric mean,
-    mean, mean square, and mean square deviation from 1.
+def lemma21_stats(seq, Ns):
+    """The four windowed functionals of Lemma 2.1 of the off-diagonal
+    data x of a Jacobi or Verblunsky sequence (a_n, or
+    rho_j = sqrt(1 - |alpha_j|^2), both positive): geometric mean, mean,
+    mean square, and mean square deviation from 1.
 
     The four are linked by concavity of the logarithm (geometric mean
     below mean) and by the exact expansion
     mean_sq_dev = mean_square - 2 mean + 1, which holds here to 1e-12
     per window because all four share one extended-precision prefix sum
-    pass over a (4, chunk) block of terms.  Returned in that order as
-    StatSeries.
+    pass, reading the sequence by runs like every scalar statistic; the
+    geometric mean has the bits of :func:`root_test`.  Returned in that
+    order as StatSeries.
     """
     Ns = _check_ladder(Ns)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or len(a) < Ns[-1]:
-        raise ValueError(f"need a 1-d positive sequence of length >= {Ns[-1]}")
-    if np.any(a <= 0.0):
-        raise ValueError("sequence must be positive")
-    geo, mean, mean_sq, msd = _run_means(
-        (_slices(a),), (np.log, lambda x: x, lambda x: x * x,
-                        lambda x: (x - 1.0) ** 2), Ns)
+    geo, mean, mean_sq, msd = _scalar_means(
+        seq, Ns, (np.log, lambda x: x, lambda x: x * x,
+                  lambda x: (x - 1.0) ** 2))
     return (StatSeries("geo_mean", Ns, tuple(math.exp(v) for v in geo)),
             StatSeries("mean", Ns, mean),
             StatSeries("mean_square", Ns, mean_sq),
@@ -271,25 +254,21 @@ def trace_stat(J, Ns, label: str = "trace_stat") -> StatSeries:
     Ns = _check_ladder(Ns)
     n = Ns[-1]
     if isinstance(J, JacobiParams):
-        ell, read_a, read_b = 1, J.a_runs(n - 1), J.b_runs(n)
-
-        def ta(lo, hi):
-            return read_a(lo, hi) ** 2
-
-        def tb(lo, hi):
-            return read_b(lo, hi) ** 2
+        ell = 1
+        read_a, term_a = J.a_runs(n - 1), np.square
+        read_b, term_b = J.b_runs(n), np.square
     elif isinstance(J, BlockJacobiParams):
-        ell, A, B = J.block_size, J.a_blocks(n - 1), J.b_blocks(n)
+        ell = J.block_size
+        read_a, term_a = _slices(J.a_blocks(n - 1)), _hs2
+        read_b = _slices(J.b_blocks(n))
 
-        def ta(lo, hi):
-            return _hs2(A[lo:hi])
-
-        def tb(lo, hi):
-            return np.trace(B[lo:hi] @ B[lo:hi], axis1=1, axis2=2).real
+        def term_b(B):
+            return np.trace(B @ B, axis1=1, axis2=2).real
     else:
         raise TypeError(f"unsupported sequence type {type(J).__name__}")
-    sa = _prefix_sums(ta, np.subtract(Ns, 1))
-    sb = _prefix_sums(tb, Ns)
+    # the a-sum stops one site short of the b-sum, so two passes
+    sa, = _prefix_sums((read_a,), (term_a,), np.subtract(Ns, 1))
+    sb, = _prefix_sums((read_b,), (term_b,), Ns)
     return StatSeries(label, Ns, tuple(
         float((2.0 * x + y) / (N * ell)) for x, y, N in zip(sa, sb, Ns)))
 
@@ -297,7 +276,8 @@ def trace_stat(J, Ns, label: str = "trace_stat") -> StatSeries:
 def cn_stat_matrix(Jb: BlockJacobiParams, Ns):
     """Block Cesaro averages: the type form
     (1/N) sum (||A_n - 1|| + ||B_n||) and the invariant form
-    (1/N) sum (||A_n^* A_n - 1|| + ||B_n||), Hilbert-Schmidt norms.
+    (1/N) sum (||A_n^* A_n - 1|| + ||B_n||), Hilbert-Schmidt norms, from
+    one pass over the stored blocks.
 
     The type form only means anything on a type-1 or type-3 tagged
     representative (WrongType otherwise); the invariant form gives the
@@ -305,17 +285,36 @@ def cn_stat_matrix(Jb: BlockJacobiParams, Ns):
     norm of B are untouched by the chain conjugation.
     """
     Ns = _check_ladder(Ns)
-    n = Ns[-1]
     if Jb.type_tag not in ("type1", "type3"):
         raise WrongType(
             "type form of the block average needs a type-1 or type-3 "
             f"representative, got tag {Jb.type_tag!r}"
         )
-    A, B, eye = Jb.a_blocks(n), Jb.b_blocks(n), np.eye(Jb.block_size)
-    return (StatSeries("cn_matrix_type", Ns, _prefix_means(
-        lambda lo, hi: (np.sqrt(_hs2(A[lo:hi] - eye))
-                        + np.sqrt(_hs2(B[lo:hi]))), Ns)),
-            cn_stat_matrix_invariant(Jb, Ns))
+    n = Ns[-1]
+    tf, iv = _run_means((_slices(Jb.a_blocks(n)), _slices(Jb.b_blocks(n))),
+                        (_type_dev, _invariant_dev), Ns)
+    return (StatSeries("cn_matrix_type", Ns, tf),
+            StatSeries("cn_matrix_invariant", Ns, iv))
+
+
+def cn_stat_matrix_invariant(Jb: BlockJacobiParams, Ns) -> StatSeries:
+    """The invariant form alone, valid for any tag."""
+    Ns = _check_ladder(Ns)
+    n = Ns[-1]
+    means, = _run_means((_slices(Jb.a_blocks(n)), _slices(Jb.b_blocks(n))),
+                        (_invariant_dev,), Ns)
+    return StatSeries("cn_matrix_invariant", Ns, means)
+
+
+def _type_dev(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """||A_n - 1|| + ||B_n|| of stacks of blocks."""
+    return np.sqrt(_hs2(A - np.eye(A.shape[-1]))) + np.sqrt(_hs2(B))
+
+
+def _invariant_dev(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """||A_n^* A_n - 1|| + ||B_n|| of stacks of blocks."""
+    return (np.sqrt(_hs2(_herm(A) @ A - np.eye(A.shape[-1])))
+            + np.sqrt(_hs2(B)))
 
 
 def _hs2(M: np.ndarray) -> np.ndarray:
@@ -323,23 +322,10 @@ def _hs2(M: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(M) ** 2, axis=(1, 2))
 
 
-def cn_stat_matrix_invariant(Jb: BlockJacobiParams, Ns) -> StatSeries:
-    """The invariant form alone, valid for any tag."""
-    Ns = _check_ladder(Ns)
-    n = Ns[-1]
-    A, B, eye = Jb.a_blocks(n), Jb.b_blocks(n), np.eye(Jb.block_size)
-
-    def terms(lo, hi):
-        Ak = A[lo:hi]
-        return np.sqrt(_hs2(_herm(Ak) @ Ak - eye)) + np.sqrt(_hs2(B[lo:hi]))
-
-    return StatSeries("cn_matrix_invariant", Ns, _prefix_means(terms, Ns))
-
-
 def cn_stat_opuc(alpha: VerblunskyParams, Ns, label: str = "cn_opuc") -> StatSeries:
     """(1/N) sum over indices 0..N-1 of |alpha_j|."""
     Ns = _check_ladder(Ns)
-    means, = _run_means((alpha.alpha_runs(Ns[-1]),), (np.abs,), Ns)
+    means, = _scalar_means(alpha, Ns, cn=True)
     return StatSeries(label, Ns, means)
 
 
@@ -365,7 +351,9 @@ def arc_stats(alpha: VerblunskyParams, a: float, k: int, Ns,
     ``<label>_step`` and ``<label>_block``, and come from one pass that
     reads the coefficients by runs: the block sums are differences of a
     trailing and a leading running sum, k apart, each carried from run
-    to run, so memory depends on neither N nor k.
+    to run, so memory depends on neither N nor k.  The price is that
+    every coefficient is generated twice per pass, once by the trailing
+    read and once by the leading one.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("arc parameter must lie in (0, 1)")
@@ -379,17 +367,20 @@ def arc_stats(alpha: VerblunskyParams, a: float, k: int, Ns,
     for lo in range(0, k, _CHUNK):
         lead.add(read(lo, min(lo + _CHUNK, k)))
 
-    def terms(lo, hi):
+    def runs(lo, hi):
+        """alpha_lo..alpha_hi, and the block sums of alpha and of
+        |alpha|^2 at j = lo..hi-1."""
         al = read(lo, hi + 1)
         s, s2 = trail.add(al[:-1])
         t, t2 = lead.add(read(lo + k, hi + k))
-        return np.stack([(np.abs(al[:-1]) - a) ** 2,
-                         np.abs(al[1:] - al[:-1]) ** 2,
-                         (t2 - s2) + k * a * a - 2.0 * a * np.abs(t - s)])
+        return al, t - s, t2 - s2
 
+    rows = (lambda run: (np.abs(run[0][:-1]) - a) ** 2,
+            lambda run: np.abs(run[0][1:] - run[0][:-1]) ** 2,
+            lambda run: run[2] + k * a * a - 2.0 * a * np.abs(run[1]))
     return tuple(StatSeries(f"{label}_{name}", Ns, means)
                  for name, means in zip(("modulus", "step", "block"),
-                                        _means(_prefix_sums(terms, Ns), Ns)))
+                                        _run_means((runs,), rows, Ns)))
 
 
 class _RunningSums:
@@ -429,4 +420,5 @@ def cn_stat_torus(J: JacobiParams, J0, Ns, label: str = "cn_torus") -> StatSerie
     Ns = _check_ladder(Ns)
     n = Ns[-1]
     ds = _periodic.d_to_torus_batch(J, np.arange(1, n + 1), J0)
-    return StatSeries(label, Ns, _prefix_means(_slices(ds), Ns))
+    means, = _run_means((_slices(ds),), (lambda d: d,), Ns)
+    return StatSeries(label, Ns, means)

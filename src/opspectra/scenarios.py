@@ -149,6 +149,36 @@ _zeros_ladder = _ladder_upto(
     2 ** 14, ": the zero counting takes O(N^2) time")
 
 
+def _size_upto(largest: int, why: str):
+    """Parser of a positive size of at most ``largest``; ``why`` ends
+    the message past it."""
+    positive = _num(int, 0)
+
+    def parse(text: str) -> int:
+        n = positive(text)
+        if n > largest:
+            raise ValueError(f"size {n} is past the largest, {largest}{why}")
+        return n
+    return parse
+
+
+# sizes that drive a solve costing more than linear time, each bound
+# sized like the ladders above: thm1_1's flat measure needs an
+# (N + 1)-point Gauss rule, whose companion matrix has (N + 1)^2 entries
+# (2^11 take about 1.2 s and 130 MB, 4000 about 7 s and 310 MB); the
+# tridiagonal norm check is O(N^2) (2^14 take about 2 s); the circle
+# eigensolver takes about 1.7 s at 2^12 and 8 s at 2^13; and each trace
+# identity input about 0.3 s at 2^12 and 1.3 s at 2^13, times the count
+_legendre_ladder = _ladder_upto(
+    2 ** 11, ": the flat measure's Gauss rule takes O(N^2) memory")
+_norm_check_size = _size_upto(
+    2 ** 14, ": the norm check takes O(N^2) time")
+_cmv_size = _size_upto(
+    2 ** 12, ": the circle eigensolver takes O(N^2) time")
+_identity_size = _size_upto(
+    2 ** 12, ": each trace identity input takes O(N^2) time")
+
+
 #: largest period of an input pattern: the torus search starts from a
 #: grid of 8^(p - 1) angles (2.6e5 at p = 7, 1.3e8 at p = 10)
 _MAX_PERIOD = 6
@@ -222,11 +252,12 @@ def _seeded_jacobi(rng: SplitMix64, n: int) -> JacobiParams:
 
 
 @_scenario("thm1_1", "scalar regularity: measure ladder and sparse bumps", {
-    "legendre.Ns": (_ladder, "4,8,16,32,60", "windows of the flat measure"),
+    "legendre.Ns": (_legendre_ladder, "4,8,16,32,60",
+                    "windows of the flat measure"),
     "threshold.legendre_cn_last": (_threshold, "0.02", "its last average"),
     "input.bump_value": (_num(float, 0.0), "0.5", "a_n at n = 2, 4, 8, ..."),
     "bumps.Ns": (_ladder, "32,64,128,256,512,1024,2048,4096,8192", "windows"),
-    "bumps.norm_check_N": (_num(int, 0), "1024", "size of the norm check"),
+    "bumps.norm_check_N": (_norm_check_size, "1024", "size of the norm check"),
     "threshold.bumps_root_dev": (_threshold, "0.01", "|last root test - 1|"),
     "threshold.bumps_cn_last": (_threshold, "0.01", "last Cesaro average"),
 })
@@ -273,7 +304,7 @@ def _run_thm1_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     "threshold.w1_first": (_threshold, "0.02", "W1 to arcsine at the first N"),
     "trace.Ns": (_ladder, "32,64,128,256,512", "windows of the trace"),
     "identity.count": (_num(int, 0), "50", "random trace identity inputs"),
-    "identity.N": (_num(int, 0), "200", "their truncation size"),
+    "identity.N": (_identity_size, "200", "their truncation size"),
     "threshold.trace_identity": (_threshold, "1e-8", "worst mismatch"),
 })
 def _run_prop2_2(o: Dict[str, object], seed: int) -> ScenarioResult:
@@ -429,7 +460,7 @@ def _run_thm4_1(o: Dict[str, object], seed: int) -> ScenarioResult:
            "circular arc: torus point, truncation angles, perturbations", {
     "arc.a": (_num(float, 0.0, 1.0), "0.5", "arc parameter: alpha_j = a"),
     "arc.k": (_num(int, 0), "3", "block length of the block statistic"),
-    "cmv.N": (_num(int, 0), "256", "CMV truncation size"),
+    "cmv.N": (_cmv_size, "256", "CMV truncation size"),
     "Ns": (_ladder, "32,64,128,256,512,1024,2000", "windows"),
     "arc.phase": (_real, repr(math.pi / 3.0), "chi in alpha_j = a e^(i chi)"),
     "threshold.moment_dev": (_threshold, "0.05", "|first CMV moment + a^2|"),

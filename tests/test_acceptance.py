@@ -44,10 +44,8 @@ def scenario_results():
 
 def _every_input(results):
     for sid, res in results.items():
-        for name, J, Ns in res.jacobi_inputs:
-            yield f"{sid}/{name}", J.a_window(Ns[-1]), Ns
-        for name, V, Ns in res.verblunsky_inputs:
-            yield f"{sid}/{name}", V.rho_window(Ns[-1]), Ns
+        for name, seq, Ns in res.jacobi_inputs + res.verblunsky_inputs:
+            yield f"{sid}/{name}", seq, Ns
 
 
 def test_ac01_trace_identity_on_seeded_inputs():

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from opspectra import regularity, sequences
 from opspectra.periodic import PeriodicJacobi, delta_of_J, dm_weights
-from opspectra.regularity import (StatSeries, _prefix_means, _prefix_sums,
-                                  _RunningSums,
+from opspectra.regularity import (StatSeries, _prefix_sums, _run_means,
+                                  _RunningSums, _slices,
                                   arc_stats,
                                   cn_sq_stat_oprl,
                                   cn_stat_matrix, cn_stat_matrix_invariant,
                                   cn_stat_oprl, cn_stat_opuc, cn_stat_torus,
                                   cn_stat_windowed, lemma21_stats,
                                   root_and_cesaro, root_test, trace_stat)
-from opspectra.scenarios import sparse_bump_verblunsky
+from opspectra.scenarios import sparse_bump_jacobi, sparse_bump_verblunsky
 from opspectra.sequences import (_CHUNK, BlockJacobiParams, JacobiParams,
                                  VerblunskyParams, WrongType, sup_deviation)
 from oracles import arc_stats_one_shot, d_m, prefix_means_of
@@ -40,7 +40,8 @@ def test_square_deviation_expansion_is_exact(seed, scale):
     # (1/N) sum (a-1)^2 = mean_square - 2 mean + 1 per window
     rng = np.random.default_rng(seed)
     a = np.exp(rng.uniform(-scale / 4.0, scale / 4.0, size=4096))
-    geo, mean, mean_sq, msd = lemma21_stats(a, (32, 256, 1024, 4096))
+    J = JacobiParams(a, np.zeros(4096))
+    geo, mean, mean_sq, msd = lemma21_stats(J, (32, 256, 1024, 4096))
     for g, m, q, d in zip(geo.values, mean.values, mean_sq.values, msd.values):
         assert abs(d - (q - 2.0 * m + 1.0)) <= 1e-12
         assert g <= m + 1e-14
@@ -56,6 +57,18 @@ def test_root_test_matches_direct_product_on_short_windows():
         assert v == pytest.approx(direct, rel=1e-12)
 
 
+def test_statistics_of_the_off_diagonal_read_a_only():
+    def unread(n):
+        raise AssertionError(f"b_{n[0]}.. read")
+
+    J = JacobiParams.from_functions(lambda n: 1.0 + 1.0 / n, unread)
+    Ns = (5, 100)
+    geo = lemma21_stats(J, Ns)[0]
+    assert geo.values == root_test(J, Ns).values
+    with pytest.raises(AssertionError, match="b_1.. read"):
+        cn_stat_oprl(J, Ns)
+
+
 def test_root_test_on_verblunsky_uses_rho():
     V = VerblunskyParams(np.full(64, 0.6))
     rt = root_test(V, (16, 64))
@@ -63,7 +76,6 @@ def test_root_test_on_verblunsky_uses_rho():
 
 
 def test_sparse_bump_statistics_closed_forms():
-    from opspectra.scenarios import sparse_bump_jacobi
     J = sparse_bump_jacobi(0.5)
     cn = cn_stat_oprl(J, (1024, 8192))
     # bumps of size 1/2 at 2, 4, ..., so floor(log2 N) of them by site N
@@ -262,25 +274,38 @@ def test_prefix_sums_have_the_bits_of_one_cumulative_sum():
     x = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
     calls = []
 
-    def terms(lo, hi):
+    def read(lo, hi):
         calls.append((lo, hi))
         return x[lo:hi]
 
+    def same(t):
+        return t
+
     cs = np.cumsum(x, dtype=np.longdouble)
-    sums = _prefix_sums(terms, CHUNK_ENDS)
+    sums, = _prefix_sums((read,), (same,), CHUNK_ENDS)
     assert np.array_equal(sums, cs[np.subtract(CHUNK_ENDS, 1)])
     assert calls == [(0, C), (C, 2 * C), (2 * C, 3 * C), (3 * C, 3 * C + 7)]
-    assert _prefix_means(terms, CHUNK_ENDS) == prefix_means_of(x, CHUNK_ENDS)
-    # leading axes are separate series; ends may be 0, repeated, unsorted
-    block = np.stack([x, -x * x, np.abs(x)])
+    assert _run_means((read,), (same,), CHUNK_ENDS) == [
+        prefix_means_of(x, CHUNK_ENDS)]
+    # rows are separate series over the same runs, each with the bits it
+    # has alone; ends may be 0, repeated, unsorted
+    rows = (same, lambda t: -t * t, np.abs)
     ends = np.array([[3 * C + 7, 0, C], [5, C + 1, 5]])
-    got = _prefix_sums(lambda lo, hi: block[:, lo:hi], ends)
-    full = np.cumsum(block, axis=-1, dtype=np.longdouble)
+    got = _prefix_sums((_slices(x),), rows, ends)
+    full = np.cumsum(np.stack([x, -x * x, np.abs(x)]), axis=-1,
+                     dtype=np.longdouble)
     want = np.where(ends > 0, full[:, np.maximum(ends, 1) - 1], 0.0)
     assert got.shape == (3, 2, 3) and np.array_equal(got, want)
     assert np.signbit(got[:, ends == 0]).all()  # the empty sum is -0.0
+    for row, alone in zip(rows, got):
+        assert np.array_equal(_prefix_sums((_slices(x),), (row,), ends)[0],
+                              alone)
+    # ends that are all 0 read nothing
+    calls.clear()
+    assert np.signbit(_prefix_sums((read,), (same,), [0, 0])).all()
+    assert calls == []
     # a running total of -0.0 keeps its sign across chunks, as in one pass
-    negzero = _prefix_means(lambda lo, hi: np.full(hi - lo, -0.0), CHUNK_ENDS)
+    negzero, = _run_means((_slices(np.full(n, -0.0)),), (same,), CHUNK_ENDS)
     assert all(math.copysign(1.0, v) == -1.0 for v in negzero)
 
 
@@ -302,7 +327,7 @@ def test_statistics_equal_the_one_pass_oracle_across_chunks():
     assert cn_sq_stat_oprl(J, Ns).values == prefix_means_of(
         (a - 1.0) ** 2 + b ** 2, Ns)
     assert cn_stat_opuc(V, Ns).values == prefix_means_of(np.abs(alpha), Ns)
-    geo, mean, mean_sq, msd = lemma21_stats(a, Ns)
+    geo, mean, mean_sq, msd = lemma21_stats(J, Ns)
     assert geo.values == rt
     assert mean.values == prefix_means_of(a, Ns)
     assert mean_sq.values == prefix_means_of(a * a, Ns)
@@ -322,15 +347,22 @@ def test_statistics_equal_the_one_pass_oracle_across_chunks():
                           ((cs[starts + w - 1] - cs[starts - 1]) / w).astype(float))
 
 
-def test_block_statistics_equal_the_one_pass_oracle_across_chunks():
-    rng = np.random.default_rng(29)
-    Ns, K, ell = CHUNK_ENDS, CHUNK_ENDS[-1], 2
+def _type3_blocks(K: int, ell: int, seed: int) -> BlockJacobiParams:
+    """K random type-3 blocks A_n (lower triangular, positive diagonal)
+    and K Hermitian blocks B_n."""
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal((2 * K, ell, ell)) \
         + 1j * rng.standard_normal((2 * K, ell, ell))
     A = np.tril(np.eye(ell) + 0.3 * z[:K])
     A[:, range(ell), range(ell)] = np.abs(A[:, range(ell), range(ell)])
     B = (z[K:] + z[K:].conj().transpose(0, 2, 1)) / 2
-    Jb = BlockJacobiParams(ell, A, B, "type3")
+    return BlockJacobiParams(ell, A, B, "type3")
+
+
+def test_block_statistics_equal_the_one_pass_oracle_across_chunks():
+    Ns, K, ell = CHUNK_ENDS, CHUNK_ENDS[-1], 2
+    Jb = _type3_blocks(K, ell, 29)
+    A, B = Jb.A, Jb.B
     eye, Ah = np.eye(ell), A.conj().transpose(0, 2, 1)
 
     def hs(M):
@@ -412,9 +444,10 @@ def _bits(result) -> bytes:
 
 def _every_streamed_result(c: int) -> bytes:
     """Every statistic read by runs, and every window fill, on generated
-    sequences of 3c + 7 sites, as bytes.  The ladder ends fall on both
-    sides of the run boundaries for runs of c sites, and the largest
-    deviation sits at the last site of the first run."""
+    sequences of 3c + 7 sites (and 3c + 7 stored blocks), as bytes.  The
+    ladder ends fall on both sides of the run boundaries for runs of c
+    sites, and the largest deviation sits at the last site of the first
+    run."""
     n = 3 * c + 7
     Ns = (1, c - 1, c, c + 1, 2 * c, n)
     J = JacobiParams.from_functions(
@@ -424,16 +457,43 @@ def _every_streamed_result(c: int) -> bytes:
                            * np.exp(8.0 * np.cos(0.013 * k))))
     V = VerblunskyParams.from_function(
         lambda j: 0.9 * np.exp(-20.0 * np.sin(j) ** 2 + 1j * j))
-    a = np.exp(np.cos(0.71 * np.arange(1, n + 1)))
-    return _bits((root_test(J, Ns), root_test(V, Ns),
+    Jb = _type3_blocks(n, 2, c)
+    return _bits((root_test(J, Ns), root_test(V, Ns), root_test(Jb, Ns),
                   root_and_cesaro(J, Ns), root_and_cesaro(V, Ns),
                   cn_stat_oprl(J, Ns), cn_sq_stat_oprl(J, Ns),
                   cn_stat_opuc(V, Ns),
                   cn_stat_windowed(J, [1, 2, c - 1, c, c + 1, 2 * c - 1], c + 2),
-                  trace_stat(J, Ns),
+                  trace_stat(J, Ns), trace_stat(Jb, Ns),
+                  cn_stat_matrix(Jb, Ns),
                   arc_stats(V, 0.4, 3, Ns), arc_stats(V, 0.4, 2 * c + 3, Ns),
-                  lemma21_stats(a, Ns), sup_deviation(J, n),
+                  lemma21_stats(J, Ns), lemma21_stats(V, Ns),
+                  sup_deviation(J, n),
                   J.a_window(n), J.b_window(n), V.alpha_window(n)))
+
+
+def _check_shared_passes(c: int) -> None:
+    """At runs of the current length: cn_stat_matrix reads each block
+    stack once and gives the invariant series of its own call, and the
+    Lemma 2.1 geometric mean is the root test, to the bit."""
+    n = 3 * c + 7
+    Ns = (1, c - 1, c, c + 1, 2 * c, n)
+    Jb = _type3_blocks(n, 2, c)
+    reads = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("a_blocks", "b_blocks"):
+            mp.setattr(BlockJacobiParams, name,
+                       lambda self, m, stack=getattr(BlockJacobiParams, name),
+                       name=name: reads.append(name) or stack(self, m))
+        tf, iv = cn_stat_matrix(Jb, Ns)
+    assert sorted(reads) == ["a_blocks", "b_blocks"]
+    assert _bits(iv) == _bits(cn_stat_matrix_invariant(Jb, Ns))
+    J = JacobiParams.from_functions(lambda k: np.exp(np.sin(0.37 * k)),
+                                    lambda k: 0.0)
+    V = VerblunskyParams.from_function(lambda j: 0.9 * np.sin(j) ** 2)
+    for seq in (J, V):
+        geo = lemma21_stats(seq, Ns)[0]
+        assert np.array(geo.values).tobytes() == \
+            np.array(root_test(seq, Ns).values).tobytes()
 
 
 @pytest.mark.parametrize("c", [7, 64, 2 ** 14, 2 ** 15])
@@ -443,6 +503,7 @@ def test_run_length_does_not_change_the_bits(monkeypatch, c):
     def under(chunk):
         for module in (sequences, regularity):
             monkeypatch.setattr(module, "_CHUNK", chunk)
+        _check_shared_passes(c)
         return _every_streamed_result(c)
 
     assert under(c) == under(2 ** 30)
@@ -459,8 +520,8 @@ def _traced_peak(fn) -> int:
 
 def test_streamed_statistics_need_o_chunk_memory_at_any_n():
     # the statistics read a generated sequence by runs and keep nothing:
-    # memory is one chunk's working set and one sum buffer per pass (1.5
-    # MiB for root_and_cesaro, 0.9 MiB for the single statistics), not
+    # memory is one chunk's working set and one sum buffer per pass (1.0
+    # MiB for root_and_cesaro, 0.8 MiB for the single statistics), not
     # the 16 MiB of a 2^20 window
     n = 2 ** 20
     Ns = (2 ** 10, 2 ** 15, n)
@@ -468,6 +529,10 @@ def test_streamed_statistics_need_o_chunk_memory_at_any_n():
     assert _traced_peak(lambda: root_and_cesaro(V, Ns)) <= 2 * 2 ** 20
     assert _traced_peak(lambda: (root_test(V, Ns),
                                  cn_stat_opuc(V, Ns))) <= 2 * 2 ** 20
+    # the four Lemma 2.1 rows over one pass: 1.4 MiB on J, 1.6 MiB on V
+    J = sparse_bump_jacobi(0.5)
+    assert _traced_peak(lambda: lemma21_stats(J, Ns)) <= 2 * 2 ** 20
+    assert _traced_peak(lambda: lemma21_stats(V, Ns)) <= 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("k", [3, 2 ** 17])
@@ -475,7 +540,7 @@ def test_arc_stats_memory_depends_on_neither_n_nor_k(k):
     n = 2 ** 20
     phase = complex(math.cos(0.7), math.sin(0.7))
     V = VerblunskyParams.from_function(lambda j: 0.5 * phase + 1.0 / (j + 2.0))
-    # 2.9 MiB at either k: three rows of terms and sums, and the runs
-    # and running sums of the trailing and the leading block
+    # 2.5 MiB at either k: three rows of sums, and the runs and running
+    # sums of the trailing and the leading block
     peak = _traced_peak(lambda: arc_stats(V, 0.5, k, (2 ** 10, n)))
     assert peak < 4 * 2 ** 20

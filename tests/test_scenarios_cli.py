@@ -323,6 +323,10 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
     ("thm6_1", "torus.Ns = 32,65537"),          # past 2^16 torus offsets
     ("conjecture5_1_explore", "Ns = 65537"),
     ("prop2_2", "Ns = 400,16385"),              # past 2^14 zero counting
+    ("thm1_1", "legendre.Ns = 4,50000"),        # past the 2^11 Gauss rule
+    ("thm1_1", "bumps.norm_check_N = 16385"),   # past 2^14
+    ("thm4_2", "cmv.N = 4097"),                 # past 2^12
+    ("prop2_2", "identity.N = 4097"),           # past 2^12
 ], ids=["closed_gap", "constant_pattern", "non_numeric_pattern",
         "zero_window", "arc_a", "arc_k", "cmv_N", "arc_phase_inf",
         "perturbed_alpha_0", "inputs_count", "mnt_coefficients",
@@ -334,7 +338,9 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
         "conjecture_period_7", "collapsed_band", "pattern_scale",
         "defect_size_for_pattern_scale", "ladder_empty_entry",
         "ladder_trailing_comma", "ladder_past_bound", "torus_ladder",
-        "conjecture_ladder", "zeros_ladder"])
+        "conjecture_ladder", "zeros_ladder", "legendre_ladder",
+        "norm_check_N_past_bound", "cmv_N_past_bound",
+        "identity_N_past_bound"])
 def test_cli_unusable_input_exits_2_with_one_error_line(
         tmp_path, capsys, monkeypatch, scenario, line):
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
@@ -605,6 +611,7 @@ def test_ladder_windows_stop_at_2_to_the_32():
     ("thm6_1", "torus.Ns", 2 ** 16),
     ("conjecture5_1_explore", "Ns", 2 ** 16),
     ("prop2_2", "Ns", 2 ** 14),
+    ("thm1_1", "legendre.Ns", 2 ** 11),
 ])
 def test_window_holding_ladders_stop_at_their_bound(scenario, key, largest):
     assert scenarios.parse_options(
@@ -613,6 +620,22 @@ def test_window_holding_ladders_stop_at_their_bound(scenario, key, largest):
                        match=f"^{key}: window {largest + 1} is past the "
                              f"largest, {largest}: "):
         scenarios.parse_options(scenario, {key: f"1,{largest + 1}"})
+
+
+@pytest.mark.parametrize("scenario, key, largest", [
+    ("thm1_1", "bumps.norm_check_N", 2 ** 14),
+    ("thm4_2", "cmv.N", 2 ** 12),
+    ("prop2_2", "identity.N", 2 ** 12),
+])
+def test_superlinear_sizes_stop_at_their_bound(scenario, key, largest):
+    assert scenarios.parse_options(
+        scenario, {key: str(largest)})[key] == largest
+    with pytest.raises(scenarios.BadOption,
+                       match=f"^{key}: size {largest + 1} is past the "
+                             f"largest, {largest}: "):
+        scenarios.parse_options(scenario, {key: str(largest + 1)})
+    with pytest.raises(scenarios.BadOption, match=f"^{key}: 0 is not in"):
+        scenarios.parse_options(scenario, {key: "0"})
 
 
 _THM3_1_THREADS_SCRIPT = """
