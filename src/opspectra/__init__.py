@@ -26,9 +26,9 @@ from .regularity import (StatSeries, arc_stats, cn_stat_matrix,
 from .rng import SplitMix64
 from .sequences import (BlockJacobiParams, JacobiParams, UnitaryChain,
                         VerblunskyParams, sup_deviation, validate_blocks)
-from .spectra import (CmvMatrix, EmpiricalMeasure, TridiagonalMatrix, cmv,
-                      eig_block, eig_sym_tridiag, eig_unitary, trace_square,
-                      truncate, zero_counting)
+from .spectra import (CmvMatrix, EmpiricalMeasure, cmv, eig_block,
+                      eig_sym_tridiag, eig_unitary, trace_square,
+                      zero_counting)
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,7 @@ __all__ = [
     "DensityPart", "DiscreteMeasure",
     "EmpiricalMeasure", "EquilibriumMeasure", "FiniteGapSet", "JacobiParams",
     "LineMeasureSpec", "PeriodicJacobi", "SplitMix64", "StatSeries",
-    "TridiagonalMatrix", "UnitaryChain", "VerblunskyParams",
+    "UnitaryChain", "VerblunskyParams",
     "arc_stats", "bands", "capacity", "cmv",
     "cn_sq_stat_oprl", "cn_stat_matrix", "cn_stat_matrix_invariant",
     "cn_stat_oprl", "cn_stat_opuc", "cn_stat_torus", "cn_stat_windowed",
@@ -45,7 +45,7 @@ __all__ = [
     "eig_block", "eig_sym_tridiag", "eig_unitary",
     "equilibrium_measure", "jacobi_from_measure", "lemma21_stats",
     "normalize_type1", "normalize_type3", "root_and_cesaro", "root_test",
-    "sup_deviation", "torus_point", "trace_square", "trace_stat", "truncate",
+    "sup_deviation", "torus_point", "trace_square", "trace_stat",
     "validate_blocks", "verblunsky_from_measure", "w1_distance",
     "zero_counting",
 ]

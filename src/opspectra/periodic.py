@@ -51,7 +51,8 @@ import scipy.sparse as sp
 
 from .potential import FiniteGapSet
 from .sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
-                        UnitaryChain, _herm, sup_deviation, validate_blocks)
+                        UnitaryChain, _check_a, _check_b, _herm,
+                        sup_deviation, validate_blocks)
 
 
 class GapClosed(ValueError):
@@ -69,7 +70,9 @@ class NotType3(ArithmeticError):
 
 @dataclass(frozen=True)
 class PeriodicJacobi:
-    """Period-p coefficient pattern: a = (a_1..a_p) positive, b likewise."""
+    """Period-p coefficient pattern a = (a_1..a_p), b = (b_1..b_p), each
+    entry checked like a Jacobi sequence's: a_n finite and > 0, b_n
+    finite."""
 
     a: Tuple[float, ...]
     b: Tuple[float, ...]
@@ -81,8 +84,8 @@ class PeriodicJacobi:
         object.__setattr__(self, "b", b)
         if len(a) != len(b) or len(a) == 0:
             raise ValueError("need matching nonempty a and b patterns")
-        if any(x <= 0 for x in a):
-            raise ValueError("off-diagonal pattern must be positive")
+        _check_a(np.array(a), 1)
+        _check_b(np.array(b), 1)
 
     @property
     def p(self) -> int:

@@ -149,13 +149,13 @@ _zeros_ladder = _ladder_upto(
     2 ** 14, ": the zero counting takes O(N^2) time")
 
 
-def _size_upto(largest: int, why: str):
-    """Parser of a positive size of at most ``largest``; ``why`` ends
-    the message past it."""
-    positive = _num(int, 0)
+def _size_upto(largest: int, why: str, least: int = 1):
+    """Parser of a size from ``least`` to ``largest``; ``why`` ends the
+    message past ``largest``."""
+    at_least = _num(int, least - 1)
 
     def parse(text: str) -> int:
-        n = positive(text)
+        n = at_least(text)
         if n > largest:
             raise ValueError(f"size {n} is past the largest, {largest}{why}")
         return n
@@ -177,6 +177,23 @@ _cmv_size = _size_upto(
     2 ** 12, ": the circle eigensolver takes O(N^2) time")
 _identity_size = _size_upto(
     2 ** 12, ": each trace identity input takes O(N^2) time")
+# counts and sizes whose cost grows linearly, bounded like the ladders
+# so that a typo cannot run for hours: 2^12 trace identity inputs take
+# about 4.7 s at N = 200; thm3_1 holds every input until the normal
+# forms run (2^10 take about 2.8 s and 81 MB); 2^14 torus samples take
+# about 4.8 s; the block map holds K blocks of p x p (2^14 take about
+# 210 MB at p = 6); and the arc's block statistic streams k sites ahead
+# in O(1) memory, like any window
+_identity_count = _size_upto(
+    2 ** 12, ": each input solves an identity.N-site truncation")
+_inputs_count = _size_upto(
+    2 ** 10, ": every input is held until the normal forms run")
+_samples_count = _size_upto(
+    2 ** 14, ": each torus sample solves for a torus point")
+_blockmap_size = _size_upto(
+    2 ** 14, ": the block map holds K blocks of p x p", least=2)
+_block_length = _size_upto(
+    _MAX_WINDOW, ": 2^32 sites take the statistics minutes")
 
 
 #: largest period of an input pattern: the torus search starts from a
@@ -283,7 +300,7 @@ def _run_thm1_1(o: Dict[str, object], seed: int) -> ScenarioResult:
                                  cn_label="cn_bumps")
     res.series += [cn2, rt2]
     res.jacobi_inputs.append(("sparse_bumps", J2, lad2))
-    w = S.eig_sym_tridiag(S.truncate(J2, o["bumps.norm_check_N"]))
+    w = S.eig_sym_tridiag(J2, o["bumps.norm_check_N"])
     res.checks.append(Check("bumps_norm", float(np.max(np.abs(w))),
                             2.0 + 1e-9))
     res.checks.append(Check("bumps_root_last", abs(rt2.last - 1.0),
@@ -303,7 +320,8 @@ def _run_thm1_1(o: Dict[str, object], seed: int) -> ScenarioResult:
            "truncation sizes of the zero counting"),
     "threshold.w1_first": (_threshold, "0.02", "W1 to arcsine at the first N"),
     "trace.Ns": (_ladder, "32,64,128,256,512", "windows of the trace"),
-    "identity.count": (_num(int, 0), "50", "random trace identity inputs"),
+    "identity.count": (_identity_count, "50",
+                       "random trace identity inputs"),
     "identity.N": (_identity_size, "200", "their truncation size"),
     "threshold.trace_identity": (_threshold, "1e-8", "worst mismatch"),
 })
@@ -369,7 +387,7 @@ def _random_chain(rng: SplitMix64, ell: int, count: int) -> UnitaryChain:
 
 
 @_scenario("thm3_1", "block normal forms and the invariant average", {
-    "inputs.count": (_num(int, 0), "20", "random block Jacobi inputs"),
+    "inputs.count": (_inputs_count, "20", "random block Jacobi inputs"),
     "threshold.spectra_preserved": (_threshold, "1e-10", "eigenvalue shift"),
     "threshold.det_preserved": (_threshold, "1e-12", "|det A_n| shift"),
     "threshold.invariant_form": (_threshold, "1e-12", "invariant avg shift"),
@@ -459,7 +477,7 @@ def _run_thm4_1(o: Dict[str, object], seed: int) -> ScenarioResult:
 @_scenario("thm4_2",
            "circular arc: torus point, truncation angles, perturbations", {
     "arc.a": (_num(float, 0.0, 1.0), "0.5", "arc parameter: alpha_j = a"),
-    "arc.k": (_num(int, 0), "3", "block length of the block statistic"),
+    "arc.k": (_block_length, "3", "block length of the block statistic"),
     "cmv.N": (_cmv_size, "256", "CMV truncation size"),
     "Ns": (_ladder, "32,64,128,256,512,1024,2000", "windows"),
     "arc.phase": (_real, repr(math.pi / 3.0), "chi in alpha_j = a e^(i chi)"),
@@ -542,7 +560,7 @@ def _periodic_as_params(J0: P.PeriodicJacobi,
 @_scenario("thm6_1", "periodic block map and torus-distance averages", {
     "input.pattern": _PATTERN,
     # at least 2: the interior blocks A[1:] of the map must not be empty
-    "blockmap.K": (_num(int, 1), "64", "blocks of the block map"),
+    "blockmap.K": (_blockmap_size, "64", "blocks of the block map"),
     "threshold.interior_norm": (_threshold, "1e-10", "interior blocks"),
     "defect.site": (_num(int, 0), "21", "site n <= (K + 1) p of a b_n shift"),
     "defect.size": (_shift, "0.3", "size of that shift, |size| <= 10"),
@@ -662,7 +680,7 @@ def _run_mnt(o: Dict[str, object], seed: int) -> ScenarioResult:
     "decay.power": (_num(float, 0.0, math.inf, closed=True), "1.0",
                     "its power, >= 0"),
     "bumps.amp": (_shift, "0.4", "b_n shift at n = 2, 4, 8, ..., |amp| <= 10"),
-    "torus.samples": (_num(int, 0), "8", "rows of torus_samples.csv"),
+    "torus.samples": (_samples_count, "8", "rows of torus_samples.csv"),
 })
 def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     res = ScenarioResult("conjecture5_1_explore")

@@ -3,7 +3,11 @@
 Three matrix shapes: symmetric tridiagonal truncations of scalar
 recurrence data, Hermitian block-tridiagonal truncations, and unitary
 five-diagonal (CMV) truncations of circle recurrence data.  Only
-eigenvalues are ever needed downstream.  The tridiagonal and the unitary
+eigenvalues are ever needed downstream.  The line solver, like the
+block solver, takes the recurrence data and a size:
+``eig_sym_tridiag(params, N)`` reads b_1..b_N and a_1..a_{N-1} off the
+sequence, whose windows check every entry, so no entry is checked
+again here.  The tridiagonal and the unitary
 path share one route: LAPACK gives candidate values, one vectorized
 count sweep at their midpoints keeps every candidate whose bracket holds
 exactly one eigenvalue, and bisection on the count runs only inside the
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -47,39 +50,6 @@ class NoConvergence(ArithmeticError):
 class DuplicateEigenvalues(UserWarning):
     """Numerically coincident eigenvalues where simplicity is guaranteed;
     points at an invariant violation upstream."""
-
-
-@dataclass(frozen=True)
-class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix: finite diagonal of length N, finite
-    positive off-diagonal of length N-1."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        d = _freeze(np.asarray(self.diag, dtype=float))
-        e = _freeze(np.asarray(self.offdiag, dtype=float))
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
-        if d.ndim != 1 or e.ndim != 1 or len(e) != len(d) - 1:
-            raise ValueError("need len(offdiag) == len(diag) - 1")
-        _refuse(~np.isfinite(d), d, 0, "diag", "finite")
-        _refuse(~np.isfinite(e), e, 0, "offdiag", "finite")
-        if np.any(e <= 0):
-            raise ValueError("off-diagonal entries must be positive")
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    def gershgorin(self):
-        """Enclosing interval for the spectrum."""
-        d, e = self.diag, self.offdiag
-        pad = np.zeros(len(d))
-        pad[:-1] += e
-        pad[1:] += e
-        return float(np.min(d - pad)), float(np.max(d + pad))
 
 
 class EmpiricalMeasure:
@@ -113,13 +83,14 @@ class EmpiricalMeasure:
                        math.fsum(z.imag.tolist())) / len(self.points)
 
 
-def truncate(params: JacobiParams, N: int) -> TridiagonalMatrix:
-    """N-point truncation: diag b_1..b_N, offdiag a_1..a_{N-1}."""
+def _truncation(params: JacobiParams, N: int):
+    """(d, e) = (b_1..b_N, a_1..a_{N-1}): the diagonal and the
+    off-diagonal of the N-site truncation, as read from the sequence,
+    which checks them."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    b = params.b_window(N)
-    a = params.a_window(N - 1) if N > 1 else np.empty(0)
-    return TridiagonalMatrix(b, a)
+    d = params.b_window(N)
+    return d, params.a_window(N - 1) if N > 1 else np.empty(0)
 
 
 _SAFMIN = np.finfo(float).tiny
@@ -130,9 +101,11 @@ _EPS = np.finfo(float).eps
 _BLOCK = 64  # pivot rows per guard check: 512 KiB at 1024 shifts
 
 
-def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues of T below each shift in xs, via the signs
-    of the LDL^T pivots q_k = d_k - x - e_{k-1}^2 / q_{k-1}.
+def _sturm_counts(d: np.ndarray, e: np.ndarray,
+                  xs: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below each shift in xs of the tridiagonal
+    matrix with diagonal d and off-diagonal e, via the signs of the LDL^T
+    pivots q_k = d_k - x - e_{k-1}^2 / q_{k-1}.
 
     A pivot below pivmin in magnitude is replaced by +-pivmin before it
     divides, with the sign it had (+pivmin for a zero).  The sweep runs
@@ -145,10 +118,10 @@ def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
     Comput. 28, 2006).  Signs are counted before the guard, which keeps
     them.
     """
-    d = T.diag.tolist()
-    e2 = T.offdiag ** 2
+    zero = not d.any()
+    e2 = e ** 2
     pivmin = _SAFMIN * float(np.max(e2, initial=1.0))
-    e2 = e2.tolist()
+    d, e2 = d.tolist(), e2.tolist()
     n = len(d)
     counts = np.zeros(len(xs), dtype=np.int64)
     if len(xs) == 0:
@@ -166,7 +139,6 @@ def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
     rows = np.empty((min(_BLOCK, n - 1), len(xs)))
     neg = np.empty(rows.shape, dtype=bool)
     last = np.empty(len(xs))
-    zero = not T.diag.any()
     # d_k - x, the same at every k for a zero diagonal: a -0.0 entry
     # could change only the sign of a zero pivot, which the check redoes
     shifted = 0.0 - xs if zero else np.empty(len(xs))
@@ -240,11 +212,11 @@ def _certified(count, cand: np.ndarray, lo: float, hi: float, n: int,
     )
 
 
-def _zero_diagonal_candidates(T: TridiagonalMatrix, bound: float,
+def _zero_diagonal_candidates(d: np.ndarray, e: np.ndarray, bound: float,
                               tol: float):
-    """Candidates for the positive eigenvalues of T, whose diagonal is
-    zero, from dqds on the even-site block of T^2; None when pteqr fails
-    or a value near 0 fails its check.
+    """Candidates for the positive eigenvalues of the tridiagonal T with
+    zero diagonal d and off-diagonal e, from dqds on the even-site block
+    of T^2; None when pteqr fails or a value near 0 fails its check.
 
     That block has diagonal a_{2k-1}^2 + a_{2k}^2 and off-diagonal
     a_{2k} a_{2k+1} (a_N := 0); it is B^T B for the bidiagonal B of the
@@ -258,36 +230,36 @@ def _zero_diagonal_candidates(T: TridiagonalMatrix, bound: float,
     s wrong by orders of magnitude, which the midpoint brackets of
     ``_certified`` do not see.
     """
-    n = T.n
-    m = n // 2
-    a = np.concatenate([T.offdiag, [0.0, 0.0]])  # a_1 .. a_{N+1}
+    m = len(d) // 2
+    a = np.concatenate([e, [0.0, 0.0]])  # a_1 .. a_{N+1}
     even = a[1:2 * m:2]
-    d = a[0:2 * m:2] ** 2 + even ** 2
-    e = even * a[2:2 * m + 1:2]  # its last entry is 0
-    # the wrapper wants len(e) = 1, not 0, at m = 1
-    lam, _, _, info = sla.lapack.dpteqr(d, e[:max(m - 1, 1)],
+    sq_d = a[0:2 * m:2] ** 2 + even ** 2
+    sq_e = even * a[2:2 * m + 1:2]  # its last entry is 0
+    # the wrapper wants len(sq_e) = 1, not 0, at m = 1
+    lam, _, _, info = sla.lapack.dpteqr(sq_d, sq_e[:max(m - 1, 1)],
                                         np.zeros((1, 1)), compute_z=0)
     if info != 0:
         return None
     s = np.sqrt(lam)
     # the spectrum is symmetric, so checking +s checks -s too
     for x in s[s * tol < 8.0 * _EPS * bound * bound]:
-        if sla.lapack.dstebz(T.diag, T.offdiag, 1, x - tol, x + tol, 1, 1,
-                             2.0 * tol, b"E")[0] < 1:
+        if sla.lapack.dstebz(d, e, 1, x - tol, x + tol, 1, 1, 2.0 * tol,
+                             b"E")[0] < 1:
             return None
     return s
 
 
-def eig_sym_tridiag(T: TridiagonalMatrix) -> np.ndarray:
-    """All eigenvalues of T, ascending.
+def eig_sym_tridiag(params: JacobiParams, N: int) -> np.ndarray:
+    """All eigenvalues of the N-site truncation T of J, ascending.
 
-    When the diagonal of T is identically zero, its spectrum is
-    +-sigma(B) for the bidiagonal B of the off-diagonal (plus 0 at odd
-    N; Golub and Kahan, SIAM J. Numer. Anal. 2, 1965), and the
-    candidates for its positive half are the sqrt of the eigenvalues
-    that LAPACK's dqds (``pteqr``; Fernando and Parlett, Numer. Math.
-    67, 1994) finds for the even-site block of T^2, at half the size
-    (``_zero_diagonal_candidates``).  Every other T takes them from
+    T has diagonal b_1..b_N and off-diagonal a_1..a_{N-1}, read from the
+    sequence, which checks them (``_truncation``).  When the diagonal of
+    T is identically zero, its spectrum is +-sigma(B) for the bidiagonal
+    B of the off-diagonal (plus 0 at odd N; Golub and Kahan, SIAM J.
+    Numer. Anal. 2, 1965), and the candidates for its positive half are
+    the sqrt of the eigenvalues that LAPACK's dqds (``pteqr``; Fernando
+    and Parlett, Numer. Math. 67, 1994) finds for the even-site block of
+    T^2, at half the size (``_zero_diagonal_candidates``).  Every other T takes them from
     LAPACK's root-free QL/QR iteration (``sterf``), and so does a
     zero-diagonal T when pteqr fails or a candidate near 0 fails its
     check.  The candidates are certified by one vectorized Sturm-count
@@ -307,35 +279,37 @@ def eig_sym_tridiag(T: TridiagonalMatrix) -> np.ndarray:
     Positive off-diagonals force simple eigenvalues; numerically
     coincident ones trigger a DuplicateEigenvalues warning.
     """
-    n = T.n
-    if n == 1:
-        return np.array([float(T.diag[0])])
-    big = max(float(np.max(np.abs(T.diag))), float(np.max(T.offdiag)))
+    d, e = _truncation(params, N)
+    if N == 1:
+        return np.array([float(d[0])])
+    big = max(float(np.max(np.abs(d))), float(np.max(e)))
     shift = 0
     if not 2.0 ** -500 <= big <= 2.0 ** 500:
         shift = math.frexp(big)[1]
         # an off-diagonal entry below 2^-1074 of the largest one stays at
         # the least subnormal: the scaled T keeps positive off-diagonals
-        T = TridiagonalMatrix(np.ldexp(T.diag, -shift),
-                              np.maximum(np.ldexp(T.offdiag, -shift),
-                                         _SUBMIN))
-    gl, gu = T.gershgorin()
+        d = np.ldexp(d, -shift)
+        e = np.maximum(np.ldexp(e, -shift), _SUBMIN)
+    # the Gershgorin interval
+    radius = np.zeros(N)
+    radius[:-1] += e
+    radius[1:] += e
+    gl, gu = float(np.min(d - radius)), float(np.max(d + radius))
     bound = max(abs(gl), abs(gu))
     pad = 1e-13 * bound
-    zero = not T.diag.any()
-    pos = _zero_diagonal_candidates(T, bound, pad) if zero else None
+    zero = not d.any()
+    pos = _zero_diagonal_candidates(d, e, bound, pad) if zero else None
     if pos is None:
-        vals = sla.eigvalsh_tridiagonal(T.diag, T.offdiag,
-                                        lapack_driver="sterf")
+        vals = sla.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
         pos = vals[vals > 0] if zero else None
     if zero:
-        # (n + 1) // 2 eigenvalues lie at or below 0
-        pos = _certified(lambda xs: _sturm_counts(T, xs) - (n + 1) // 2,
-                         pos, 0.0, gu + pad, n // 2, pad)
-        vals = np.concatenate([-pos[::-1], [0.0] * (n % 2), pos])
+        # (N + 1) // 2 eigenvalues lie at or below 0
+        pos = _certified(lambda xs: _sturm_counts(d, e, xs) - (N + 1) // 2,
+                         pos, 0.0, gu + pad, N // 2, pad)
+        vals = np.concatenate([-pos[::-1], [0.0] * (N % 2), pos])
     else:
-        vals = _certified(lambda xs: _sturm_counts(T, xs), vals, gl - pad,
-                          gu + pad, n, pad)
+        vals = _certified(lambda xs: _sturm_counts(d, e, xs), vals, gl - pad,
+                          gu + pad, N, pad)
     gaps = np.diff(vals)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if len(gaps) and float(gaps.min()) < 1e-12 * scale:
@@ -348,7 +322,7 @@ def eig_sym_tridiag(T: TridiagonalMatrix) -> np.ndarray:
 
 def zero_counting(params: JacobiParams, N: int) -> EmpiricalMeasure:
     """Normalized counting measure of the N-truncation eigenvalues."""
-    return EmpiricalMeasure(eig_sym_tridiag(truncate(params, N)), "line")
+    return EmpiricalMeasure(eig_sym_tridiag(params, N), "line")
 
 
 def trace_square(params: JacobiParams, N: int):
@@ -360,10 +334,10 @@ def trace_square(params: JacobiParams, N: int):
     eigenvalues are LAPACK's uncertified ``sterf`` values and the
     formula side is their check.
     """
-    T = truncate(params, N)
-    via_formula = (math.fsum((T.diag ** 2).tolist())
-                   + 2.0 * math.fsum((T.offdiag ** 2).tolist())) / N
-    eigs = sla.eigvalsh_tridiagonal(T.diag, T.offdiag, lapack_driver="sterf")
+    d, e = _truncation(params, N)
+    via_formula = (math.fsum((d ** 2).tolist())
+                   + 2.0 * math.fsum((e ** 2).tolist())) / N
+    eigs = sla.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
     via_eigs = math.fsum((eigs ** 2).tolist()) / N
     return via_formula, via_eigs
 

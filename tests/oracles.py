@@ -15,35 +15,36 @@ from opspectra.measures import DiscreteMeasure
 from opspectra.periodic import (_FINAL_STEP, _deviation_bound, _weighted_dist,
                                 dm_weights)
 from opspectra.sequences import BlockJacobiParams, JacobiParams
-from opspectra.spectra import _SAFMIN, TridiagonalMatrix, eig_block
+from opspectra.spectra import _SAFMIN, eig_block
 
 
-def tridiagonal_dense(T: TridiagonalMatrix) -> np.ndarray:
-    """The dense symmetric matrix of a tridiagonal truncation, built
-    entry by entry from its diagonals."""
-    m = np.diag(T.diag)
-    idx = np.arange(T.n - 1)
-    m[idx, idx + 1] = T.offdiag
-    m[idx + 1, idx] = T.offdiag
+def tridiagonal_dense(d, e) -> np.ndarray:
+    """The dense symmetric matrix with diagonal d and off-diagonal e,
+    built entry by entry."""
+    m = np.diag(np.asarray(d, dtype=float))
+    idx = np.arange(len(d) - 1)
+    m[idx, idx + 1] = e
+    m[idx + 1, idx] = e
     return m
 
 
-def tridiagonal_eigvals_mp(T: TridiagonalMatrix, dps: int = 40) -> np.ndarray:
-    """The eigenvalues of T, ascending, from mpmath's symmetric solver at
-    ``dps`` digits, each rounded once to the nearest double."""
+def tridiagonal_eigvals_mp(d, e, dps: int = 40) -> np.ndarray:
+    """The eigenvalues of the tridiagonal matrix with diagonal d and
+    off-diagonal e, ascending, from mpmath's symmetric solver at ``dps``
+    digits, each rounded once to the nearest double."""
     with mp.workdps(dps):
-        m = mp.matrix(tridiagonal_dense(T).tolist())
+        m = mp.matrix(tridiagonal_dense(d, e).tolist())
         return np.array(sorted(float(x) for x in
                                mp.eigsy(m, eigvals_only=True)))
 
 
-def sturm_counts_stepwise(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues of T below each shift in xs, via the signs
-    of the LDL^T pivots q_k = d_k - x - e_{k-1}^2 / q_{k-1}, with the
-    pivmin guard checked at every step: the count sweep as it ran before
-    it ran in blocks."""
-    d = T.diag
-    e2 = T.offdiag ** 2
+def sturm_counts_stepwise(d, e, xs: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below each shift in xs of the tridiagonal
+    matrix with diagonal d and off-diagonal e, via the signs of the
+    LDL^T pivots q_k = d_k - x - e_{k-1}^2 / q_{k-1}, with the pivmin
+    guard checked at every step: the count sweep as it ran before it ran
+    in blocks."""
+    e2 = np.asarray(e) ** 2
     pivmin = _SAFMIN * float(np.max(e2, initial=1.0))
     counts = np.zeros(len(xs), dtype=np.int64)
     q = d[0] - xs

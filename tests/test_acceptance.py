@@ -26,7 +26,7 @@ from opspectra.scenarios import (_random_blocks, _random_chain, _seeded_jacobi,
                                  sparse_bump_jacobi, sparse_bump_verblunsky)
 from opspectra.sequences import JacobiParams, VerblunskyParams, sup_deviation
 from opspectra.spectra import (cmv, eig_block, eig_sym_tridiag, eig_unitary,
-                               trace_square, truncate, zero_counting)
+                               trace_square, zero_counting)
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
@@ -89,7 +89,7 @@ def test_ac04_cesaro_averages_die_for_regular_inputs():
     part1 = cn1.decreasing() and cn1.last <= 0.02
 
     J2 = sparse_bump_jacobi(0.5)
-    norm = float(np.max(np.abs(eig_sym_tridiag(truncate(J2, 1024)))))
+    norm = float(np.max(np.abs(eig_sym_tridiag(J2, 1024))))
     rt = root_test(J2, (1024, 8192)).last
     cn2 = cn_stat_oprl(J2, (1024, 8192)).last
     part2 = norm <= 2.0 + 1e-9 and abs(rt - 1.0) <= 0.01 and cn2 <= 0.01

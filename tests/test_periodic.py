@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -50,6 +51,17 @@ def _monomial_coeffs(J0):
 
 
 X = np.linspace(-3.0, 3.0, 61)
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ((1.0, -0.5), (0.0, 0.0), "a_2 = -0.5 must be > 0 and finite"),
+    ((0.0, 1.0), (0.0, 0.0), "a_1 = 0.0 must be > 0 and finite"),
+    ((1.0, math.inf), (0.0, 0.0), "a_2 = inf must be > 0 and finite"),
+    ((1.0, 1.0), (0.0, math.nan), "b_2 = nan must be finite"),
+])
+def test_a_pattern_is_checked_like_a_jacobi_sequence(a, b, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PeriodicJacobi(a, b)
 
 
 def test_period_one_discriminant_is_linear():

@@ -327,6 +327,12 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
     ("thm1_1", "bumps.norm_check_N = 16385"),   # past 2^14
     ("thm4_2", "cmv.N = 4097"),                 # past 2^12
     ("prop2_2", "identity.N = 4097"),           # past 2^12
+    ("prop2_2", "identity.count = 4097"),       # past 2^12
+    ("thm3_1", "inputs.count = 1025"),          # past 2^10
+    ("conjecture5_1_explore", "torus.samples = 16385"),  # past 2^14
+    ("thm6_1", "blockmap.K = 1"),               # no interior block
+    ("thm6_1", "blockmap.K = 16385"),           # past 2^14
+    ("thm4_2", "arc.k = 4294967297"),           # past 2^32
 ], ids=["closed_gap", "constant_pattern", "non_numeric_pattern",
         "zero_window", "arc_a", "arc_k", "cmv_N", "arc_phase_inf",
         "perturbed_alpha_0", "inputs_count", "mnt_coefficients",
@@ -340,7 +346,9 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
         "ladder_trailing_comma", "ladder_past_bound", "torus_ladder",
         "conjecture_ladder", "zeros_ladder", "legendre_ladder",
         "norm_check_N_past_bound", "cmv_N_past_bound",
-        "identity_N_past_bound"])
+        "identity_N_past_bound", "identity_count_past_bound",
+        "inputs_count_past_bound", "torus_samples_past_bound",
+        "blockmap_K_one", "blockmap_K_past_bound", "arc_k_past_bound"])
 def test_cli_unusable_input_exits_2_with_one_error_line(
         tmp_path, capsys, monkeypatch, scenario, line):
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
@@ -626,6 +634,11 @@ def test_window_holding_ladders_stop_at_their_bound(scenario, key, largest):
     ("thm1_1", "bumps.norm_check_N", 2 ** 14),
     ("thm4_2", "cmv.N", 2 ** 12),
     ("prop2_2", "identity.N", 2 ** 12),
+    ("prop2_2", "identity.count", 2 ** 12),
+    ("thm3_1", "inputs.count", 2 ** 10),
+    ("conjecture5_1_explore", "torus.samples", 2 ** 14),
+    ("thm6_1", "blockmap.K", 2 ** 14),
+    ("thm4_2", "arc.k", 2 ** 32),
 ])
 def test_superlinear_sizes_stop_at_their_bound(scenario, key, largest):
     assert scenarios.parse_options(
