@@ -11,8 +11,9 @@ generator's periodic and antiperiodic p x p matrices (Floquet theory).
 Evaluating D on a one-sided tridiagonal matrix produces a
 block-tridiagonal matrix with p x p blocks whose off-diagonal blocks are
 lower triangular with positive diagonal: this block map is the same
-recursion run on sparse matrices, so the bandwidth (and hence the block
-structure) is exact and no dense intermediate ever exists.
+recursion run on banded matrices held by their diagonals
+(``spectra._Banded``), so the bandwidth (and hence the block structure)
+is exact and no dense intermediate ever exists.
 
 The type-3 and type-1 normal forms take a list of block parameter sets.
 Each is built block index by block index, one unitary at a time; the
@@ -47,12 +48,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .potential import FiniteGapSet
 from .sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
                         UnitaryChain, _check_a, _check_b, _herm,
                         sup_deviation, validate_blocks)
+from .spectra import _Banded
 
 
 class GapClosed(ValueError):
@@ -178,10 +179,12 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
     off-diagonal blocks.
 
     The evaluation is the transfer product of discriminant run on
-    sparse matrices, with (T - b_n) / a_n multiplied in by matrix
-    products, and one scatter of the result's upper-triangle entries
-    cuts every block (the diagonal blocks are mirrored from it, so they
-    are exactly symmetric).  The result bandwidth equals p exactly, so
+    banded matrices held by their diagonals (``spectra._Banded``), with
+    (T - b_n) / a_n multiplied in by matrix products, and the result's
+    diagonals 0..p, read row by row, cut every block (the diagonal blocks
+    are mirrored from their upper triangles, so they are exactly
+    symmetric).  Every entry has the bits of the same recursion on
+    sparse (CSR) matrices.  The result bandwidth equals p exactly, so
     the off-diagonal blocks are lower triangular by construction with
     diagonal entries that are ratios of p-fold products of J's
     off-diagonals to the period product.  The returned parameters carry
@@ -197,18 +200,18 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
             f"need {n_sites} sites for K={K} blocks of size {p}"
         )
     a_arr = J.a_window(n_sites - 1)
-    T = sp.diags_array([a_arr, J.b_window(n_sites), a_arr], offsets=(-1, 0, 1),
-                       format="csr")
-    R = _product_trace(J0, T, sp.eye_array(n_sites, format="csr"),
-                       operator.matmul).tocoo()
-    upper = R.col >= R.row
-    i, j, v = R.row[upper], R.col[upper], R.data[upper]
-    k, d = i // p, j // p - i // p
-    keep = k + d <= K
-    cut = np.zeros((K + 1, 2, p, p))
-    cut[k[keep], d[keep], i[keep] % p, j[keep] % p] = v[keep]
-    B = cut[:, 0] + np.triu(cut[:, 0], 1).transpose(0, 2, 1)
-    out = BlockJacobiParams(p, cut[:K, 1], B, "type3")
+    T = _Banded.tridiagonal(J.b_window(n_sites), a_arr)
+    one = _Banded({0: np.ones(n_sites)})
+    R = _product_trace(J0, T, one, operator.matmul).diags
+    # rows[k, r, t] is the entry (kp + r, kp + t): blocks k and k + 1 of
+    # row r of block row k, read off the diagonals m = t - r = 0 .. p
+    rows = np.zeros((K + 1, p, 2 * p))
+    r = np.arange(p)
+    for m in range(p + 1):
+        rows[:, r, r + m] = R[m][:(K + 1) * p].reshape(K + 1, p)
+    cut = rows.reshape(K + 1, p, 2, p)
+    B = cut[:, :, 0] + np.triu(cut[:, :, 0], 1).transpose(0, 2, 1)
+    out = BlockJacobiParams(p, cut[:K, :, 1], B, "type3")
     try:
         validate_blocks(out)
     except (ValueError, TypeError) as exc:
@@ -626,15 +629,17 @@ def _window_starts(family: _DirichletMap, rows: _Rows):
 
 
 def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span):
-    """Refine the angles ``theta`` and the distances ``best`` of the
-    aligned rows in place, from step ``span`` down to _FINAL_STEP; see
-    d_to_torus_batch for the search and its rounds.  theta is
-    overwritten."""
+    """Refine the distances ``best`` of the aligned rows in place, from
+    their angles ``theta`` and from step ``span`` down to _FINAL_STEP;
+    see d_to_torus_batch for the search and its rounds.  A row at
+    distance exactly 0 is final, since no distance is below 0: it would
+    take no move, so it is not searched."""
     p = family.p
     moves = [d for d in itertools.product((-1, 0, 1), repeat=p - 1) if any(d)]
     moves = np.array(moves, dtype=float).reshape(len(moves), p - 1)
-    step = np.full(len(best), span)
-    live = np.arange(len(best))
+    live = np.flatnonzero(best != 0.0)
+    theta = theta[live]
+    step = np.full(len(live), span)
     while True:
         keep = step > _FINAL_STEP
         if not keep.all():

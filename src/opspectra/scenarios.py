@@ -182,10 +182,14 @@ _identity_size = _size_upto(
 # about 4.7 s at N = 200; thm3_1 holds every input until the normal
 # forms run (2^10 take about 2.8 s and 81 MB); 2^14 torus samples take
 # about 4.8 s; the block map holds K blocks of p x p (2^14 take about
-# 210 MB at p = 6); and the arc's block statistic streams k sites ahead
-# in O(1) memory, like any window
+# 0.25 s and a 150 MB peak at p = 6); and the arc's block statistic
+# streams k sites ahead in O(1) memory, like any window
 _identity_count = _size_upto(
     2 ** 12, ": each input solves an identity.N-site truncation")
+# the two bounds above multiply: count * N^2 at 2^28 takes about 4.5 s
+# (16 inputs at N = 2^12, or 64 at 2^11), while 2^12 of each would take
+# about 20 minutes
+_IDENTITY_WORK = 2 ** 28
 _inputs_count = _size_upto(
     2 ** 10, ": every input is held until the normal forms run")
 _samples_count = _size_upto(
@@ -326,6 +330,11 @@ def _run_thm1_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     "threshold.trace_identity": (_threshold, "1e-8", "worst mismatch"),
 })
 def _run_prop2_2(o: Dict[str, object], seed: int) -> ScenarioResult:
+    count, n_id = o["identity.count"], o["identity.N"]
+    if count * n_id ** 2 > _IDENTITY_WORK:
+        raise BadOption(f"identity.count, identity.N: {count} inputs of "
+                        f"{n_id} sites are past the largest count * N^2, "
+                        "2^28: each input takes O(N^2) time")
     res = ScenarioResult("prop2_2")
     Ns = o["Ns"]
     ref = pot.equilibrium_measure((-2.0, 2.0))
@@ -347,7 +356,6 @@ def _run_prop2_2(o: Dict[str, object], seed: int) -> ScenarioResult:
     worst_gap = max(abs(v - 2.0) - 2.5 / n for n, v in zip(ts.Ns, ts.values))
     res.checks.append(Check("trace_near_2", worst_gap, 0.0))
 
-    count, n_id = o["identity.count"], o["identity.N"]
     worst = 0.0
     for s in range(count):
         rng = SplitMix64(seed * 1000 + s)

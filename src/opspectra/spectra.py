@@ -20,10 +20,12 @@ block of T^2 at half the size (Golub and Kahan, SIAM J. Numer. Anal. 2,
 1965; Fernando and Parlett, Numer. Math. 67, 1994), with QL as the
 fallback when that fails; a zero-diagonal spectrum is certified on its
 positive half and mirrored.  A matrix with an entry beyond 2^+-500 is
-scaled by a power of two first.  The circle counts with the
-phase of a Blaschke product and takes its candidates from the banded
-Hermitian parts of the CMV matrix.  Only trace_square takes the QL
-values uncertified: its coefficient-side formula is their check.
+scaled by a power of two first.  The circle counts with the phase of a
+Blaschke product and takes its candidates from the banded Hermitian
+parts of the CMV matrix, which is held by its five diagonals
+(``_Banded``, the type that also runs the block map of ``periodic``).
+Only trace_square takes the QL values uncertified: its
+coefficient-side formula is their check.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import warnings
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import sparse
 
 from .sequences import (BlockJacobiParams, JacobiParams, VerblunskyParams,
                         _freeze, _herm, _refuse)
@@ -342,6 +343,73 @@ def trace_square(params: JacobiParams, N: int):
     return via_formula, via_eigs
 
 
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y entrywise; a complex product is (xr yr - xi yi) + (xr yi +
+    xi yr) i with each operation rounded on its own, where numpy's
+    complex multiply may fuse a multiply with an add."""
+    if not np.iscomplexobj(x):
+        return x * y
+    out = np.empty(len(x), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+class _Banded:
+    """A square matrix held by its diagonals: ``diags[k][i]`` is the
+    entry (i, i + k), and the places of a diagonal past the matrix's edge
+    hold 0.  It has only the arithmetic that the transfer recursion of
+    ``periodic._product_trace`` and the CMV product need: ``+`` and
+    ``-``, a scalar ``*`` and ``/``, and ``@``.  An entry of a product
+    adds its terms (``_times``) onto 0 in ascending inner index, and
+    ``/`` multiplies by the reciprocal, so every nonzero entry has the
+    bits of the sparse (CSR) arithmetic that the tests hold it to; a
+    zero entry may carry either sign."""
+
+    def __init__(self, diags):
+        self.diags = diags
+
+    @classmethod
+    def tridiagonal(cls, d: np.ndarray, e: np.ndarray) -> "_Banded":
+        """Diagonal d, and e on both off-diagonals, in the dtype of d."""
+        pad = np.zeros(1, dtype=d.dtype)
+        return cls({-1: np.concatenate([pad, e]), 0: d,
+                    1: np.concatenate([e, pad])})
+
+    def diagonal(self, k: int) -> np.ndarray:
+        """The n - |k| entries of the k-th diagonal."""
+        v = self.diags[k]
+        return v[:len(v) - k] if k >= 0 else v[-k:]
+
+    def _combine(self, other: "_Banded", op) -> "_Banded":
+        return _Banded({k: op(self.diags.get(k, 0.0), other.diags.get(k, 0.0))
+                        for k in self.diags.keys() | other.diags.keys()})
+
+    def __add__(self, other: "_Banded") -> "_Banded":
+        return self._combine(other, np.add)
+
+    def __sub__(self, other: "_Banded") -> "_Banded":
+        return self._combine(other, np.subtract)
+
+    def __mul__(self, c) -> "_Banded":
+        return _Banded({k: v * c for k, v in self.diags.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c) -> "_Banded":
+        return self * (1.0 / c)
+
+    def __matmul__(self, other: "_Banded") -> "_Banded":
+        out = {}
+        for i, a in sorted(self.diags.items()):
+            n = len(a)
+            lo, hi = max(0, -i), min(n, n - i)  # rows r with 0 <= r + i < n
+            for j, b in other.diags.items():
+                c = out.setdefault(i + j, np.zeros(n, np.result_type(a, b)))
+                c[lo:hi] += _times(a[lo:hi], b[lo + i:hi + i])
+        return _Banded(out)
+
+
 class CmvMatrix:
     """Unitary five-diagonal truncation built from circle recurrence
     coefficients alpha_0..alpha_{N-2} and a boundary phase beta.
@@ -356,7 +424,9 @@ class CmvMatrix:
     boundary degenerates to the single entry -beta; eigenvalues are then
     the zeros of z Phi_{N-1} + beta Phi_{N-1}^*.  Every |alpha_j| < 1
     and |beta| = 1 are checked, so the matrix is unitary by
-    construction.  ``mat`` is the sparse product.
+    construction.  ``band`` holds the five diagonals of L M, each entry
+    a single product of an entry of L and one of M, since the blocks of
+    L and M overlap in at most one index.
 
     ``cmv`` picks beta = alpha_{N-1}/|alpha_{N-1}| (beta = 1 when that
     coefficient vanishes), which for constant positive coefficient
@@ -376,10 +446,10 @@ class CmvMatrix:
         self.boundary = boundary
         eff = np.append(alpha, boundary)
         rho = np.sqrt(1.0 - np.abs(alpha) ** 2)
-        self.mat = self._factor(eff, rho, 0) @ self._factor(eff, rho, 1)
+        self.band = self._factor(eff, rho, 0) @ self._factor(eff, rho, 1)
 
     @staticmethod
-    def _factor(eff: np.ndarray, rho: np.ndarray, start: int):
+    def _factor(eff: np.ndarray, rho: np.ndarray, start: int) -> _Banded:
         """The tridiagonal factor with rotors at j = start, start + 2, ...
         and a leading 1 when start = 1."""
         n = len(eff)
@@ -390,7 +460,7 @@ class CmvMatrix:
         j = j[j < n - 1]
         d[j + 1] = np.conj(eff[j])
         off[j] = rho[j]
-        return sparse.diags([off, d, off], [-1, 0, 1], format="csr")
+        return _Banded.tridiagonal(d, off)
 
     @property
     def n(self) -> int:
@@ -452,14 +522,14 @@ def eig_unitary(C: CmvMatrix) -> EmpiricalMeasure:
     one angle to 1e-13.  The angles are real, so every e^{i theta} is on
     the circle by construction.
     """
-    c = C.mat
-    ch = c.conj().T
+    c = C.band
     kd = min(2, C.n - 1)  # a band wider than the matrix gives 0 at N = 1
     parts = []
-    for h in (0.5 * (c + ch), -0.5j * (c - ch)):
+    for scale, op in ((0.5, np.add), (-0.5j, np.subtract)):
         band = np.zeros((kd + 1, C.n), dtype=complex)
         for k in range(kd + 1):
-            band[kd - k, k:] = h.diagonal(k)
+            h = op(c.diagonal(k), np.conj(c.diagonal(-k)))
+            band[kd - k, k:] = scale * h
         parts.append(np.clip(sla.eigvals_banded(band, check_finite=False),
                              -1.0, 1.0))
     cos_arc, sin_arc = np.arccos(parts[0]), np.arcsin(parts[1])

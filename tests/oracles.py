@@ -6,14 +6,16 @@ consumes) by a different method; no program calls them.
 
 import itertools
 import math
+import operator
 
 import numpy as np
+import scipy.sparse as sp
 from mpmath import mp
 from scipy.linalg import eigh_tridiagonal
 
 from opspectra.measures import DiscreteMeasure
-from opspectra.periodic import (_FINAL_STEP, _deviation_bound, _weighted_dist,
-                                dm_weights)
+from opspectra.periodic import (_FINAL_STEP, PeriodicJacobi, _deviation_bound,
+                                _product_trace, _weighted_dist, dm_weights)
 from opspectra.sequences import BlockJacobiParams, JacobiParams
 from opspectra.spectra import _SAFMIN, eig_block
 
@@ -165,3 +167,45 @@ def arc_stats_one_shot(alpha: np.ndarray, a: float, k: int, Ns):
     block_terms = block_sq + k * a * a - 2.0 * a * np.abs(block_sum)
     return tuple(prefix_means_of(t, Ns)
                  for t in (mod_terms, step_terms, block_terms))
+
+
+def block_map_sparse(J0: PeriodicJacobi, J: JacobiParams, K: int):
+    """The blocks (A, B) of periodic.delta_of_J from the transfer
+    recursion run on CSR matrices, cut by one scatter of the result's
+    upper-triangle entries: K off-diagonal and K + 1 diagonal blocks."""
+    p = J0.p
+    n_sites = (K + 3) * p
+    a = J.a_window(n_sites - 1)
+    T = sp.diags_array([a, J.b_window(n_sites), a], offsets=(-1, 0, 1),
+                       format="csr")
+    R = _product_trace(J0, T, sp.eye_array(n_sites, format="csr"),
+                       operator.matmul).tocoo()
+    upper = R.col >= R.row
+    i, j, v = R.row[upper], R.col[upper], R.data[upper]
+    k, d = i // p, j // p - i // p
+    keep = k + d <= K
+    cut = np.zeros((K + 1, 2, p, p))
+    cut[k[keep], d[keep], i[keep] % p, j[keep] % p] = v[keep]
+    return cut[:K, 1], cut[:, 0] + np.triu(cut[:, 0], 1).transpose(0, 2, 1)
+
+
+def cmv_sparse(alpha, boundary: complex):
+    """The CMV truncation L M of spectra.CmvMatrix as the product of two
+    CSR factors: L with the rotors [[-a_j, rho_j], [rho_j, conj(a_j)]] at
+    even j, M with a leading 1 and the rotors at odd j, and -beta where a
+    rotor would straddle the last index."""
+    alpha = np.asarray(alpha, dtype=complex)
+    eff = np.append(alpha, boundary)
+    rho = np.sqrt(1.0 - np.abs(alpha) ** 2)
+    n = len(eff)
+    factors = []
+    for start in (0, 1):
+        d = np.ones(n, dtype=complex)
+        off = np.zeros(n - 1)
+        for j in range(start, n, 2):
+            d[j] = -eff[j]
+            if j < n - 1:
+                d[j + 1] = np.conj(eff[j])
+                off[j] = rho[j]
+        factors.append(sp.diags([off, d, off], [-1, 0, 1], format="csr"))
+    return factors[0] @ factors[1]

@@ -13,8 +13,7 @@ from opspectra.measures import (BreakdownAtStep, CircleMeasureSpec,
                                 LineMeasureSpec, _gl_nodes, _leggauss,
                                 _tabulated_rule, discretize,
                                 jacobi_from_measure, verblunsky_from_measure)
-from opspectra.spectra import CmvMatrix
-from oracles import gauss_rule, moment
+from oracles import cmv_sparse, gauss_rule, moment
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -401,7 +400,7 @@ def test_moment_route_round_trips_through_cmv():
     # the matrix's 50 coefficients (random, |alpha| < 0.5)
     rng = np.random.default_rng(0)
     alpha = 0.5 * np.sqrt(rng.random(50)) * np.exp(2j * math.pi * rng.random(50))
-    C = CmvMatrix(alpha, np.exp(0.7j)).mat.toarray()
+    C = cmv_sparse(alpha, np.exp(0.7j)).toarray()
     z, vecs = np.linalg.eig(C)
     dm = DiscreteMeasure(np.angle(z), np.abs(vecs[0]) ** 2, "circle")
     back = verblunsky_from_measure(dm, 50).alpha_window(50)

@@ -22,7 +22,7 @@ from opspectra.potential import capacity, equilibrium_measure
 from opspectra.scenarios import _is_pow2, _periodic_as_params
 from opspectra.sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
                                 validate_blocks)
-from oracles import d_m, sequential_pattern_search
+from oracles import block_map_sparse, d_m, sequential_pattern_search
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -315,6 +315,21 @@ def test_block_map_of_generator_is_magic():
         assert np.max(np.abs(blocks.A[k] - eye)) < 1e-12
     assert blocks.type_tag == "type3"
     validate_blocks(blocks)
+
+
+@pytest.mark.parametrize("K", (2, 7, 512))
+@pytest.mark.parametrize("p", range(1, 7))
+def test_block_map_has_the_bits_of_the_sparse_block_map(p, K):
+    # a shifted b_n inside the map, and a smooth perturbation everywhere
+    J0 = _random_pattern(p)
+    for db in (lambda n: np.where(n == 3 * p + 1, 0.3, 0.0),
+               lambda n: 0.05 * np.sin(1.3 * n)):
+        J = _periodic_as_params(J0, db)
+        blocks = delta_of_J(J0, J, K)
+        A, B = block_map_sparse(J0, J, K)
+        # the complex copies keep the sign of every zero of the real parts
+        assert blocks.A.tobytes() == A.astype(complex).tobytes()
+        assert blocks.B.tobytes() == B.astype(complex).tobytes()
 
 
 @pytest.mark.parametrize("p", (16, 24))
@@ -840,6 +855,27 @@ def test_period_two_and_four_torus_points_are_found_at_every_offset(J0):
     J = _periodic_as_params(torus_point(J0, (1.3,) * (J0.p - 1)))
     d = d_to_torus_batch(J, np.arange(1, 201), J0)
     assert np.max(d) <= 1e-12
+
+
+def test_a_torus_point_batch_makes_no_map_call_after_its_starts(monkeypatch):
+    # thm6_1's torus point at 2^12 offsets: both distinct rows are at
+    # distance 0 after the starts, so the search has nothing to try
+    J0 = PeriodicJacobi((1.0, 0.5), (0.0, 0.0))
+    J = _periodic_as_params(torus_point(J0, (1.3,)))
+    calls, call = [], _DirichletMap.__call__
+    monkeypatch.setattr(_DirichletMap, "__call__",
+                        lambda self, th: calls.append(1) or call(self, th))
+    search, counts = periodic._pattern_search, []
+
+    def spied(*args):
+        counts.append(len(calls))
+        search(*args)
+        counts.append(len(calls))
+
+    monkeypatch.setattr(periodic, "_pattern_search", spied)
+    d = d_to_torus_batch(J, np.arange(1, 4097), J0)
+    assert np.all(d == 0.0)
+    assert counts[0] > 0 and counts[1] == counts[0]
 
 
 # -- look-ahead rounds of the pattern search ---------------------------

@@ -328,6 +328,7 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
     ("thm4_2", "cmv.N = 4097"),                 # past 2^12
     ("prop2_2", "identity.N = 4097"),           # past 2^12
     ("prop2_2", "identity.count = 4097"),       # past 2^12
+    ("prop2_2", "identity.count = 17\nidentity.N = 4096"),  # 2^28 < count N^2
     ("thm3_1", "inputs.count = 1025"),          # past 2^10
     ("conjecture5_1_explore", "torus.samples = 16385"),  # past 2^14
     ("thm6_1", "blockmap.K = 1"),               # no interior block
@@ -347,6 +348,7 @@ PERIOD_7 = ("input.pattern = 1,0.6,0.8,1.2,0.9,1.1,0.7,"
         "conjecture_ladder", "zeros_ladder", "legendre_ladder",
         "norm_check_N_past_bound", "cmv_N_past_bound",
         "identity_N_past_bound", "identity_count_past_bound",
+        "identity_count_times_N_squared",
         "inputs_count_past_bound", "torus_samples_past_bound",
         "blockmap_K_one", "blockmap_K_past_bound", "arc_k_past_bound"])
 def test_cli_unusable_input_exits_2_with_one_error_line(
@@ -651,6 +653,28 @@ def test_superlinear_sizes_stop_at_their_bound(scenario, key, largest):
         scenarios.parse_options(scenario, {key: "0"})
 
 
+def test_prop2_2_bounds_the_identity_count_times_n_squared(monkeypatch):
+    # each bound alone would let 2^12 inputs of 2^12 sites run for
+    # about 20 minutes; the product stops at 2^28, checked before any
+    # solve
+    class Solved(Exception):
+        pass
+
+    def solve(*args):
+        raise Solved
+
+    monkeypatch.setattr(scenarios.S, "zero_counting", solve)
+    with pytest.raises(Solved):
+        scenarios.run("prop2_2", {"identity.count": "16",
+                                  "identity.N": "4096"}, 1)
+    with pytest.raises(scenarios.BadOption,
+                       match=r"^identity\.count, identity\.N: 17 inputs of "
+                             r"4096 sites are past the largest count \* N\^2, "
+                             r"2\^28: "):
+        scenarios.run("prop2_2", {"identity.count": "17",
+                                  "identity.N": "4096"}, 1)
+
+
 _THM3_1_THREADS_SCRIPT = """
 import hashlib, os, tempfile
 from opspectra.cli import ScenarioConfig, run_scenario
@@ -674,10 +698,12 @@ def test_thm3_1_stats_csv_does_not_depend_on_the_blas_thread_count():
     assert digests[0] == digests[1] == THM3_1_COUNT50_STATS_SHA256[1]
 
 
-def test_importing_the_cli_leaves_scipy_optimize_out():
-    # no scenario needs a root finder, so no process should pay for one
+@pytest.mark.parametrize("module", ("scipy.optimize", "scipy.sparse"))
+def test_importing_the_cli_leaves_a_scipy_module_out(module):
+    # no scenario needs a root finder, and the block map and the CMV
+    # matrix are banded arrays, so no process should pay for either
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, opspectra.cli; print('scipy.optimize' in sys.modules)"],
+         f"import sys, opspectra.cli; print({module!r} in sys.modules)"],
         env=_src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

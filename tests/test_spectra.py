@@ -15,7 +15,7 @@ from opspectra.spectra import (CmvMatrix, DuplicateEigenvalues,
                                EmpiricalMeasure, block_dense, cmv, eig_block,
                                eig_sym_tridiag, eig_unitary, trace_square,
                                zero_counting)
-from oracles import (block_trace_square, sturm_counts_stepwise,
+from oracles import (block_trace_square, cmv_sparse, sturm_counts_stepwise,
                      tridiagonal_dense, tridiagonal_eigvals_mp)
 
 
@@ -462,7 +462,7 @@ def test_cmv_eigenvalues_match_polynomial_zeros(N, seed):
         + 1j * rng.uniform(-0.6, 0.6, size=2 * N)
     beta = 1.0 + 0.0j
     C = CmvMatrix(raw[:N - 1], beta)
-    D = C.mat.toarray()
+    D = cmv_sparse(C.alpha, C.boundary).toarray()
     assert np.max(np.abs(D.conj().T @ D - np.eye(N))) < 1e-12
     mine = np.exp(1j * eig_unitary(C).points)
     oracle = _para_zeros(raw, N, beta)
@@ -482,10 +482,31 @@ def test_cmv_eigenvalues_match_dense_oracle(N, radius, seed):
     th = eig_unitary(C).points
     assert np.all((th > -math.pi) & (th <= math.pi))
     mine = np.exp(1j * th)
-    oracle = sla.eigvals(C.mat.toarray())
+    oracle = sla.eigvals(cmv_sparse(C.alpha, C.boundary).toarray())
     dist = np.abs(mine[:, None] - oracle[None, :])
     assert np.max(dist.min(axis=1)) < 1e-11
     assert np.max(dist.min(axis=0)) < 1e-11
+
+
+@pytest.mark.parametrize("kind", ("real", "complex"))
+@pytest.mark.parametrize("N", (1, 2, 3, 64, 257))
+def test_cmv_band_has_the_bits_of_the_sparse_product(N, kind):
+    rng = np.random.default_rng(N)
+    if kind == "real":
+        # zeros leave entries out of the sparse factors
+        alpha = rng.uniform(-0.9, 0.9, N - 1)
+        alpha[::5] = 0.0
+        beta = -1.0
+    else:
+        alpha = rng.uniform(0.0, 0.9, N - 1) \
+            * np.exp(1j * rng.uniform(-math.pi, math.pi, N - 1))
+        beta = np.exp(1j * rng.uniform(-math.pi, math.pi))
+    C = CmvMatrix(alpha, beta)
+    S = cmv_sparse(C.alpha, C.boundary)
+    rows, cols = S.nonzero()
+    assert np.all(np.abs(cols - rows) <= 2)
+    for k in range(-2, 3):
+        assert C.band.diagonal(k).tobytes() == S.diagonal(k).tobytes()
 
 
 def test_cmv_matrix_rejects_coefficients_off_the_disk_and_off_the_circle():
@@ -512,7 +533,7 @@ def _alternating(N, beta):
 
 def test_eigenangle_at_pi_matches_dense_oracle():
     C = _alternating(27, 1.0)
-    oracle = sla.eigvals(C.mat.toarray())
+    oracle = sla.eigvals(cmv_sparse(C.alpha, C.boundary).toarray())
     assert np.min(np.abs(oracle + 1.0)) < 1e-14  # an eigenvalue at -1
     mine = np.exp(1j * eig_unitary(C).points)
     dist = np.abs(mine[:, None] - oracle[None, :])
@@ -533,14 +554,16 @@ def test_phase_counts_match_dense_oracle(seed):
     rng = np.random.default_rng(100 + seed)
     cut = rng.uniform(-math.pi, math.pi)
     xs = cut + rng.uniform(0.0, 2.0 * math.pi, 500)
-    lifted = np.remainder(np.angle(sla.eigvals(C.mat.toarray())) - cut, 2.0 * math.pi)
+    dense = cmv_sparse(C.alpha, C.boundary).toarray()
+    lifted = np.remainder(np.angle(sla.eigvals(dense)) - cut, 2.0 * math.pi)
     expect = np.sum(lifted[None, :] <= (xs - cut)[:, None], axis=1)
     assert np.array_equal(spectra._phase_counts(C, cut, xs), expect)
 
 
 def test_certified_repairs_wrong_angle_lists():
     C = _random_cmv(7, 30)
-    ring = np.sort(np.angle(sla.eigvals(C.mat.toarray())))
+    dense = cmv_sparse(C.alpha, C.boundary).toarray()
+    ring = np.sort(np.angle(sla.eigvals(dense)))
     gaps = np.diff(np.append(ring, ring[0] + 2.0 * math.pi))
     k = int(np.argmax(gaps))
     cut = ring[k] + 0.5 * gaps[k]
@@ -565,7 +588,7 @@ def test_certified_repairs_wrong_angle_lists():
 
 def test_eig_unitary_bisects_when_the_band_solver_is_wrong(monkeypatch):
     C = _random_cmv(3, 50)
-    oracle = sla.eigvals(C.mat.toarray())
+    oracle = sla.eigvals(cmv_sparse(C.alpha, C.boundary).toarray())
     # every cosine and sine 0: four candidates, every bracket crowded
     monkeypatch.setattr(spectra.sla, "eigvals_banded",
                         lambda band, **kw: np.zeros(band.shape[1]))
