@@ -26,19 +26,18 @@ from .regularity import (StatSeries, arc_stats, cn_stat_matrix,
 from .rng import SplitMix64
 from .sequences import (BlockJacobiParams, JacobiParams, UnitaryChain,
                         VerblunskyParams, sup_deviation, validate_blocks)
-from .spectra import (CmvMatrix, EmpiricalMeasure, cmv, eig_block,
-                      eig_sym_tridiag, eig_unitary, trace_square,
-                      zero_counting)
+from .spectra import (EmpiricalMeasure, eig_block, eig_sym_tridiag,
+                      eig_unitary, trace_square, zero_counting)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockJacobiParams", "CircleArcSet", "CircleMeasureSpec", "CmvMatrix",
+    "BlockJacobiParams", "CircleArcSet", "CircleMeasureSpec",
     "DensityPart", "DiscreteMeasure",
     "EmpiricalMeasure", "EquilibriumMeasure", "FiniteGapSet", "JacobiParams",
     "LineMeasureSpec", "PeriodicJacobi", "SplitMix64", "StatSeries",
     "UnitaryChain", "VerblunskyParams",
-    "arc_stats", "bands", "capacity", "cmv",
+    "arc_stats", "bands", "capacity",
     "cn_sq_stat_oprl", "cn_stat_matrix", "cn_stat_matrix_invariant",
     "cn_stat_oprl", "cn_stat_opuc", "cn_stat_torus", "cn_stat_windowed",
     "d_to_torus_batch", "delta_of_J", "discretize", "discriminant",

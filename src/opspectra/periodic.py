@@ -132,14 +132,18 @@ def _product_trace(J0: PeriodicJacobi, x, one=1.0, mul=operator.mul):
     where S_n = [[(x - b_n) / a_n, -a_{n-1} / a_n], [1, 0]] and a_0 =
     a_p: numbers (``one`` = 1.0), or square matrices with ``one`` their
     identity and ``mul`` operator.matmul.  Every entry is a polynomial
-    in x, so the entries commute either way."""
+    in x, so the entries commute either way.  The last step forms only
+    the diagonal entries, the ones the trace reads."""
     c = [a_prev / an for a_prev, an in zip(J0.a[-1:] + J0.a[:-1], J0.a)]
     # S_1 times the identity
     t = ((x - J0.b[0] * one) / J0.a[0], -c[0] * one, one, 0.0 * one)
-    for an, bn, cn in zip(J0.a[1:], J0.b[1:], c[1:]):
+    if J0.p == 1:
+        return t[0] + t[3]
+    for an, bn, cn in zip(J0.a[1:-1], J0.b[1:-1], c[1:-1]):
         s = (x - bn * one) / an
         t = (mul(s, t[0]) - cn * t[2], mul(s, t[1]) - cn * t[3], t[0], t[1])
-    return t[0] + t[3]
+    s = (x - J0.b[-1] * one) / J0.a[-1]
+    return (mul(s, t[0]) - c[-1] * t[2]) + t[1]
 
 
 def discriminant(J0: PeriodicJacobi, x):
@@ -455,6 +459,31 @@ class _DirichletMap:
         return a, b
 
 
+def _torus_points(J0: PeriodicJacobi, theta: np.ndarray) -> list:
+    """The members of the isospectral family of J0 at the rows of the
+    (n, p - 1) array of angles ``theta``, as torus_point gives each: a
+    row of zeros is J0 itself, and the other rows take one Dirichlet map
+    and one map call for all of them, each member's discriminant then
+    checked against J0's."""
+    out = [J0] * len(theta)
+    off = np.flatnonzero(theta.any(axis=1))
+    if not len(off):
+        return out
+    a, b = _DirichletMap(J0)(theta[off])
+    p = J0.p
+    lo, hi = min(J0.b) - 2.0 * max(J0.a), max(J0.b) + 2.0 * max(J0.a)
+    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
+        math.pi * np.arange(p + 1) / p)
+    want = discriminant(J0, x)
+    for i, ai, bi in zip(off, a, b):
+        J = PeriodicJacobi(tuple(ai), tuple(bi))
+        diff = float(np.max(np.abs(discriminant(J, x) - want)))
+        if diff > 1e-9 * max(1.0, float(np.max(np.abs(want)))):
+            raise ValueError(f"discriminant mismatch {diff} for torus point")
+        out[i] = J
+    return out
+
+
 def torus_point(J0: PeriodicJacobi, theta) -> PeriodicJacobi:
     """Member of the isospectral family of the generator J0 at angle
     coordinates theta (length p - 1), through the Dirichlet-data map;
@@ -465,22 +494,11 @@ def torus_point(J0: PeriodicJacobi, theta) -> PeriodicJacobi:
     compared at the p + 1 Chebyshev-Lobatto points of J0's Gershgorin
     interval, which holds its bands; a mismatch raises ValueError.
     """
-    theta = tuple(np.atleast_1d(np.asarray(theta, dtype=float)).tolist())
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     p = J0.p
     if len(theta) != p - 1:
         raise ValueError(f"period {p} needs {p - 1} torus coordinates")
-    if not any(theta):
-        return J0
-    a, b = _DirichletMap(J0)(np.array(theta).reshape(1, p - 1))
-    J = PeriodicJacobi(tuple(a[0]), tuple(b[0]))
-    lo, hi = min(J0.b) - 2.0 * max(J0.a), max(J0.b) + 2.0 * max(J0.a)
-    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
-        math.pi * np.arange(p + 1) / p)
-    want = discriminant(J0, x)
-    diff = float(np.max(np.abs(discriminant(J, x) - want)))
-    if diff > 1e-9 * max(1.0, float(np.max(np.abs(want)))):
-        raise ValueError(f"discriminant mismatch {diff} for torus point")
-    return J
+    return _torus_points(J0, theta.reshape(1, p - 1))[0]
 
 
 # -- distance to the torus ---------------------------------------------

@@ -180,10 +180,11 @@ _identity_size = _size_upto(
 # counts and sizes whose cost grows linearly, bounded like the ladders
 # so that a typo cannot run for hours: 2^12 trace identity inputs take
 # about 4.7 s at N = 200; thm3_1 holds every input until the normal
-# forms run (2^10 take about 2.8 s and 81 MB); 2^14 torus samples take
-# about 4.8 s; the block map holds K blocks of p x p (2^14 take about
-# 0.25 s and a 150 MB peak at p = 6); and the arc's block statistic
-# streams k sites ahead in O(1) memory, like any window
+# forms run (2^10 take about 2.8 s and 81 MB); 2^14 torus samples, one
+# map call and 2^14 discriminant checks, take about 0.7 s at p = 2 or 3;
+# the block map holds K blocks of p x p (2^14 take about 0.25 s and a
+# 150 MB peak at p = 6); and the arc's block statistic streams k sites
+# ahead in O(1) memory, like any window
 _identity_count = _size_upto(
     2 ** 12, ": each input solves an identity.N-site truncation")
 # the two bounds above multiply: count * N^2 at 2^28 takes about 4.5 s
@@ -519,7 +520,7 @@ def _run_thm4_2(o: Dict[str, object], seed: int) -> ScenarioResult:
     res.verblunsky_inputs.append(("phased_alpha", Vf, lad))
     res.checks.append(Check("phased_stats_zero", worst_phased, 1e-13))
 
-    emp = S.eig_unitary(S.cmv(Vc, cmv_n))
+    emp = S.eig_unitary(Vc, cmv_n)
     res.extras["angles.csv"] = (("index", "point"), list(enumerate(emp.points)))
     gap = 2.0 * math.asin(a)
     min_angle = float(np.min(np.abs(emp.points)))
@@ -715,11 +716,9 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     n_samp = o["torus.samples"]
     header = ([f"theta_{i+1}" for i in range(p - 1)]
               + [f"a_{i+1}" for i in range(p)] + [f"b_{i+1}" for i in range(p)])
-    rows = []
-    for i in range(n_samp):
-        th = (2.0 * math.pi * i / n_samp,) * (p - 1)
-        Jt = P.torus_point(J0, th)
-        rows.append(th + Jt.a + Jt.b)
+    thetas = [(2.0 * math.pi * i / n_samp,) * (p - 1) for i in range(n_samp)]
+    points = P._torus_points(J0, np.array(thetas))
+    rows = [th + Jt.a + Jt.b for th, Jt in zip(thetas, points)]
     res.extras["torus_samples.csv"] = (header, rows)
     return res
 

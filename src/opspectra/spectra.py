@@ -3,18 +3,19 @@
 Three matrix shapes: symmetric tridiagonal truncations of scalar
 recurrence data, Hermitian block-tridiagonal truncations, and unitary
 five-diagonal (CMV) truncations of circle recurrence data.  Only
-eigenvalues are ever needed downstream.  The line solver, like the
-block solver, takes the recurrence data and a size:
-``eig_sym_tridiag(params, N)`` reads b_1..b_N and a_1..a_{N-1} off the
-sequence, whose windows check every entry, so no entry is checked
-again here.  The tridiagonal and the unitary
-path share one route: LAPACK gives candidate values, one vectorized
-count sweep at their midpoints keeps every candidate whose bracket holds
-exactly one eigenvalue, and bisection on the count runs only inside the
-brackets that hold more.  The line counts with Sturm sequences
-(Sylvester inertia), in blocks of pivots with the pivot guard checked
-once per block (Marques, Riedy and Voemel, SIAM J. Sci. Comput. 28,
-2006).  It takes its candidates from root-free QL, or, when the
+eigenvalues are ever needed downstream.  Every solver takes the
+recurrence data and a size (``eig_sym_tridiag(params, N)``,
+``eig_unitary(params, N)``, ``eig_block(params, K)``) and reads its
+truncation off the sequence: b_1..b_N and a_1..a_{N-1} on the line,
+alpha_0..alpha_{N-1} on the circle.  The scalar sequences check every
+entry they return, so no entry is checked again here.  The tridiagonal
+and the unitary path share one route: LAPACK gives candidate values,
+one vectorized count sweep at their midpoints keeps every candidate
+whose bracket holds exactly one eigenvalue, and bisection on the count
+runs only inside the brackets that hold more.  The line counts with
+Sturm sequences (Sylvester inertia), in blocks of pivots with the pivot
+guard checked once per block (Marques, Riedy and Voemel, SIAM J. Sci.
+Comput. 28, 2006).  It takes its candidates from root-free QL, or, when the
 diagonal is zero, as +-sqrt of the values dqds finds for the even-site
 block of T^2 at half the size (Golub and Kahan, SIAM J. Numer. Anal. 2,
 1965; Fernando and Parlett, Numer. Math. 67, 1994), with QL as the
@@ -22,7 +23,7 @@ fallback when that fails; a zero-diagonal spectrum is certified on its
 positive half and mirrored.  A matrix with an entry beyond 2^+-500 is
 scaled by a power of two first.  The circle counts with the phase of a
 Blaschke product and takes its candidates from the banded Hermitian
-parts of the CMV matrix, which is held by its five diagonals
+parts of the paraorthogonal CMV truncation, held by its five diagonals
 (``_Banded``, the type that also runs the block map of ``periodic``).
 Only trace_square takes the QL values uncertified: its
 coefficient-side formula is their check.
@@ -410,80 +411,60 @@ class _Banded:
         return _Banded(out)
 
 
-class CmvMatrix:
-    """Unitary five-diagonal truncation built from circle recurrence
-    coefficients alpha_0..alpha_{N-2} and a boundary phase beta.
+def _rotors(eff: np.ndarray, rho: np.ndarray, start: int) -> _Banded:
+    """The tridiagonal CMV factor with the rotors at j = start, start + 2,
+    ... and a leading 1 when start = 1."""
+    n = len(eff)
+    d = np.ones(n, dtype=complex)
+    off = np.zeros(n - 1)
+    j = np.arange(start, n, 2)
+    d[j] = -eff[j]
+    j = j[j < n - 1]
+    d[j + 1] = np.conj(eff[j])
+    off[j] = rho[j]
+    return _Banded.tridiagonal(d, off)
 
-    The matrix is the product L M of two block-diagonal unitaries: L made
-    of the 2x2 rotors [[-a_j, rho_j], [rho_j, conj(a_j)]] at even j, M
-    with a leading 1 and the rotors at odd j.  The rotor signs follow
-    the recursion Phi_{n+1} = z Phi_n + alpha_n Phi_n^* used by
+
+def _cmv(params: VerblunskyParams, N: int):
+    """(alpha, beta, band) of the N x N unitary CMV truncation, as read
+    from the sequence, which checks alpha_0..alpha_{N-1}: alpha is
+    alpha_0..alpha_{N-2}, and beta the boundary phase
+    alpha_{N-1}/|alpha_{N-1}|, or 1 when that coefficient vanishes (a
+    subnormal one is scaled by 2^600 first, exactly, so that its modulus
+    stays finite and nonzero).
+
+    The truncation is the product L M of two block-diagonal unitaries
+    (Cantero, Moral and Velazquez, 2003): L made of the 2x2 rotors
+    [[-a_j, rho_j], [rho_j, conj(a_j)]] at even j, M with a leading 1
+    and the rotors at odd j.  The rotor signs follow the recursion
+    Phi_{n+1} = z Phi_n + alpha_n Phi_n^* used by
     ``measures.verblunsky_from_measure``, under which the constant
     sequence alpha_j = a > 0 is the gap-around-1 arc measure with
     nothing in the gap.  The rotor that would straddle the truncation
-    boundary degenerates to the single entry -beta; eigenvalues are then
-    the zeros of z Phi_{N-1} + beta Phi_{N-1}^*.  Every |alpha_j| < 1
-    and |beta| = 1 are checked, so the matrix is unitary by
-    construction.  ``band`` holds the five diagonals of L M, each entry
-    a single product of an entry of L and one of M, since the blocks of
-    L and M overlap in at most one index.
-
-    ``cmv`` picks beta = alpha_{N-1}/|alpha_{N-1}| (beta = 1 when that
-    coefficient vanishes), which for constant positive coefficient
-    sequences parks the boundary-controlled zero inside the essential
-    arc instead of mid-gap; any fixed unimodular choice is legitimate,
-    and another one is a CmvMatrix built directly.
+    boundary degenerates to the single entry -beta, so the truncation is
+    paraorthogonal (Simon, OPUC Part 1, 2005): its eigenvalues are the
+    zeros of z Phi_{N-1} + beta Phi_{N-1}^*.  For constant positive
+    sequences this beta parks the boundary-controlled zero inside the
+    essential arc instead of mid-gap.  ``band`` holds the five diagonals
+    of L M, each entry a single product of an entry of L and one of M,
+    since the blocks of L and M overlap in at most one index.
     """
-
-    def __init__(self, alpha, boundary: complex):
-        alpha = _freeze(np.array(alpha, dtype=complex))
-        boundary = complex(boundary)
-        if alpha.ndim != 1 or not np.all(np.abs(alpha) < 1.0):
-            raise ValueError("need a 1-d sequence with every |alpha_j| < 1")
-        if abs(abs(boundary) - 1.0) > 1e-12:
-            raise ValueError("boundary phase must be unimodular")
-        self.alpha = alpha
-        self.boundary = boundary
-        eff = np.append(alpha, boundary)
-        rho = np.sqrt(1.0 - np.abs(alpha) ** 2)
-        self.band = self._factor(eff, rho, 0) @ self._factor(eff, rho, 1)
-
-    @staticmethod
-    def _factor(eff: np.ndarray, rho: np.ndarray, start: int) -> _Banded:
-        """The tridiagonal factor with rotors at j = start, start + 2, ...
-        and a leading 1 when start = 1."""
-        n = len(eff)
-        d = np.ones(n, dtype=complex)
-        off = np.zeros(n - 1)
-        j = np.arange(start, n, 2)
-        d[j] = -eff[j]
-        j = j[j < n - 1]
-        d[j + 1] = np.conj(eff[j])
-        off[j] = rho[j]
-        return _Banded.tridiagonal(d, off)
-
-    @property
-    def n(self) -> int:
-        return len(self.alpha) + 1
-
-
-def cmv(params: VerblunskyParams, N: int) -> CmvMatrix:
-    """Assemble the N x N unitary truncation from alpha_0..alpha_{N-2}
-    and the boundary phase of alpha_{N-1} (see the CmvMatrix
-    docstring)."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    alpha = np.asarray(params.alpha_window(N), dtype=complex)
-    tail = alpha[N - 1]
+    window = params.alpha_window(N)
+    alpha, tail = window[:N - 1], window[N - 1]
     if 0.0 < abs(tail) < _SAFMIN:
         tail = tail * 2.0 ** 600  # exact; keeps 1 / |tail| finite
-    boundary = tail / abs(tail) if abs(tail) > 0 else 1.0 + 0.0j
-    return CmvMatrix(alpha[:N - 1], boundary)
+    beta = complex(tail / abs(tail)) if abs(tail) > 0 else 1.0 + 0.0j
+    eff = np.append(alpha, beta)
+    rho = np.sqrt(1.0 - np.abs(alpha) ** 2)
+    return alpha, beta, _rotors(eff, rho, 0) @ _rotors(eff, rho, 1)
 
 
-def _phase_counts(C: CmvMatrix, cut: float, xs: np.ndarray) -> np.ndarray:
-    """Number of eigenangles of C in (cut, x] for each x in xs, with
-    cut < x <= cut + 2 pi.
+def _phase_counts(alpha: np.ndarray, beta: complex, cut: float,
+                  xs: np.ndarray) -> np.ndarray:
+    """Number of eigenangles of the CMV truncation of (alpha, beta) in
+    (cut, x] for each x in xs, with cut < x <= cut + 2 pi.
 
     b = z Phi_{N-1} / Phi_{N-1}^* is a Blaschke product of degree N, built
     by b <- z (b + alpha_n) / (1 + conj(alpha_n) b) from b = z, and the
@@ -496,37 +477,40 @@ def _phase_counts(C: CmvMatrix, cut: float, xs: np.ndarray) -> np.ndarray:
     x = np.concatenate([[cut], xs])
     z = np.exp(1j * x)
     b = z.copy()
-    phase = C.n * x
-    for a in C.alpha:
+    phase = (len(alpha) + 1) * x
+    for a in alpha:
         w = 1.0 + a * b.conj()
         phase += 2.0 * np.angle(w)
         b *= z * (w / w.conj())
     # phase - arg(-beta) = 2 pi turns + psi: the rounding of the long sum
     # only ever picks the integer, and psi is read off b itself
-    psi = np.angle(b * -np.conj(C.boundary))
-    turns = np.round((phase - np.angle(-C.boundary) - psi) / (2.0 * math.pi))
+    psi = np.angle(b * -np.conj(beta))
+    turns = np.round((phase - np.angle(-beta) - psi) / (2.0 * math.pi))
     k = turns - (psi < 0.0)
     return (k[1:] - k[0]).astype(np.int64)
 
 
-def eig_unitary(C: CmvMatrix) -> EmpiricalMeasure:
-    """Eigenvalue angles of a unitary CMV matrix, sorted in (-pi, pi].
+def eig_unitary(params: VerblunskyParams, N: int) -> EmpiricalMeasure:
+    """Eigenvalue angles of the N x N CMV truncation of the sequence,
+    sorted in (-pi, pi].
 
-    C is normal, so the eigenvalues of its Hermitian parts (C + C^*)/2
-    and (C - C^*)/2i, both of bandwidth 2, are the cosines and the sines
-    of its eigenangles.  The candidates +-arccos c, arcsin s and
-    pi - arcsin s give every angle one well-conditioned candidate, near
-    0 and pi too.  ``_certified`` picks the angles among them with the
-    phase count of ``_phase_counts``, started mid-way across the widest
-    gap between candidates, and bisects any bracket that holds more than
-    one angle to 1e-13.  The angles are real, so every e^{i theta} is on
-    the circle by construction.
+    The truncation is read from alpha_0..alpha_{N-1}, its boundary phase
+    taken from alpha_{N-1} (``_cmv``, which gives the rotor and sign
+    conventions).  It is normal, so the eigenvalues of its Hermitian
+    parts (C + C^*)/2 and (C - C^*)/2i, both of bandwidth 2, are the
+    cosines and the sines of its eigenangles.  The candidates +-arccos c,
+    arcsin s and pi - arcsin s give every angle one well-conditioned
+    candidate, near 0 and pi too.  ``_certified`` picks the angles among
+    them with the phase count of ``_phase_counts``, started mid-way
+    across the widest gap between candidates, and bisects any bracket
+    that holds more than one angle to 1e-13.  The angles are real, so
+    every e^{i theta} is on the circle by construction.
     """
-    c = C.band
-    kd = min(2, C.n - 1)  # a band wider than the matrix gives 0 at N = 1
+    alpha, beta, c = _cmv(params, N)
+    kd = min(2, N - 1)  # a band wider than the matrix gives 0 at N = 1
     parts = []
     for scale, op in ((0.5, np.add), (-0.5j, np.subtract)):
-        band = np.zeros((kd + 1, C.n), dtype=complex)
+        band = np.zeros((kd + 1, N), dtype=complex)
         for k in range(kd + 1):
             h = op(c.diagonal(k), np.conj(c.diagonal(-k)))
             band[kd - k, k:] = scale * h
@@ -539,8 +523,8 @@ def eig_unitary(C: CmvMatrix) -> EmpiricalMeasure:
     k = int(np.argmax(gaps))
     cut = ring[k] + 0.5 * gaps[k]
     cand = cut + np.remainder(cand - cut, 2.0 * math.pi)
-    angles = _certified(lambda xs: _phase_counts(C, cut, xs), cand, cut,
-                        cut + 2.0 * math.pi, C.n, 1e-13)
+    angles = _certified(lambda xs: _phase_counts(alpha, beta, cut, xs), cand,
+                        cut, cut + 2.0 * math.pi, N, 1e-13)
     angles = np.remainder(angles + math.pi, 2.0 * math.pi) - math.pi
     # the remainder lies in [-pi, pi); -pi is the same point as pi
     angles[angles <= -math.pi] += 2.0 * math.pi

@@ -15,7 +15,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from opspectra.measures import DiscreteMeasure
 from opspectra.periodic import (_FINAL_STEP, PeriodicJacobi, _deviation_bound,
-                                _product_trace, _weighted_dist, dm_weights)
+                                _weighted_dist, dm_weights)
 from opspectra.sequences import BlockJacobiParams, JacobiParams
 from opspectra.spectra import _SAFMIN, eig_block
 
@@ -169,17 +169,32 @@ def arc_stats_one_shot(alpha: np.ndarray, a: float, k: int, Ns):
                  for t in (mod_terms, step_terms, block_terms))
 
 
+def product_trace_stepwise(J0: PeriodicJacobi, x, one=1.0,
+                           mul=operator.mul):
+    """The trace of the one-period transfer product of
+    periodic._product_trace by the plain four-entry loop: every step,
+    the last included, forms all four entries of S_n times the product
+    so far, and the trace adds the diagonal entries of the last."""
+    c = [a_prev / an for a_prev, an in zip(J0.a[-1:] + J0.a[:-1], J0.a)]
+    t = ((x - J0.b[0] * one) / J0.a[0], -c[0] * one, one, 0.0 * one)
+    for an, bn, cn in zip(J0.a[1:], J0.b[1:], c[1:]):
+        s = (x - bn * one) / an
+        t = (mul(s, t[0]) - cn * t[2], mul(s, t[1]) - cn * t[3], t[0], t[1])
+    return t[0] + t[3]
+
+
 def block_map_sparse(J0: PeriodicJacobi, J: JacobiParams, K: int):
-    """The blocks (A, B) of periodic.delta_of_J from the transfer
-    recursion run on CSR matrices, cut by one scatter of the result's
-    upper-triangle entries: K off-diagonal and K + 1 diagonal blocks."""
+    """The blocks (A, B) of periodic.delta_of_J from the four-entry
+    transfer loop (product_trace_stepwise) run on CSR matrices, cut by
+    one scatter of the result's upper-triangle entries: K off-diagonal
+    and K + 1 diagonal blocks."""
     p = J0.p
     n_sites = (K + 3) * p
     a = J.a_window(n_sites - 1)
     T = sp.diags_array([a, J.b_window(n_sites), a], offsets=(-1, 0, 1),
                        format="csr")
-    R = _product_trace(J0, T, sp.eye_array(n_sites, format="csr"),
-                       operator.matmul).tocoo()
+    R = product_trace_stepwise(J0, T, sp.eye_array(n_sites, format="csr"),
+                               operator.matmul).tocoo()
     upper = R.col >= R.row
     i, j, v = R.row[upper], R.col[upper], R.data[upper]
     k, d = i // p, j // p - i // p
@@ -190,7 +205,7 @@ def block_map_sparse(J0: PeriodicJacobi, J: JacobiParams, K: int):
 
 
 def cmv_sparse(alpha, boundary: complex):
-    """The CMV truncation L M of spectra.CmvMatrix as the product of two
+    """The CMV truncation L M of spectra._cmv as the product of two
     CSR factors: L with the rotors [[-a_j, rho_j], [rho_j, conj(a_j)]] at
     even j, M with a leading 1 and the rotors at odd j, and -beta where a
     rotor would straddle the last index."""

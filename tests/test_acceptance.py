@@ -25,7 +25,7 @@ from opspectra.rng import SplitMix64
 from opspectra.scenarios import (_random_blocks, _random_chain, _seeded_jacobi,
                                  sparse_bump_jacobi, sparse_bump_verblunsky)
 from opspectra.sequences import JacobiParams, VerblunskyParams, sup_deviation
-from opspectra.spectra import (cmv, eig_block, eig_sym_tridiag, eig_unitary,
+from opspectra.spectra import (eig_block, eig_sym_tridiag, eig_unitary,
                                trace_square, zero_counting)
 
 
@@ -179,7 +179,7 @@ def test_ac09_arc_statistics_and_truncation_angles():
     const_worst = max(max(abs(v) for v in s.values)
                       for s in arc_stats(Vc, a, 3, lad))
 
-    emp = eig_unitary(cmv(Vc, 256))
+    emp = eig_unitary(Vc, 256)
     min_angle = float(np.min(np.abs(emp.points)))
     gap = 2.0 * math.asin(a)
     moment = emp.mean_phase()

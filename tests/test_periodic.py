@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import os
 import re
 import subprocess
@@ -22,7 +23,8 @@ from opspectra.potential import capacity, equilibrium_measure
 from opspectra.scenarios import _is_pow2, _periodic_as_params
 from opspectra.sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
                                 validate_blocks)
-from oracles import block_map_sparse, d_m, sequential_pattern_search
+from oracles import (block_map_sparse, d_m, product_trace_stepwise,
+                     sequential_pattern_search)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -330,6 +332,23 @@ def test_block_map_has_the_bits_of_the_sparse_block_map(p, K):
         # the complex copies keep the sign of every zero of the real parts
         assert blocks.A.tobytes() == A.astype(complex).tobytes()
         assert blocks.B.tobytes() == B.astype(complex).tobytes()
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_the_transfer_product_has_the_bits_of_the_four_entry_loop(p):
+    # the block map is held to the same loop on CSR matrices by
+    # test_block_map_has_the_bits_of_the_sparse_block_map
+    J0 = _random_pattern(p)
+    x = np.linspace(-3.0, 3.0, 61)
+    D = product_trace_stepwise(J0, x)
+    assert discriminant(J0, x).tobytes() == D.tobytes()
+    X = np.zeros((len(x), 2, 2))
+    X[:, 0, 0] = X[:, 1, 1] = x
+    X[:, 0, 1] = 1.0
+    R = product_trace_stepwise(J0, X, np.eye(2), operator.matmul)
+    value, slope = J0.transfer_trace(x)
+    assert value.tobytes() == R[:, 0, 0].tobytes() == D.tobytes()
+    assert slope.tobytes() == R[:, 0, 1].tobytes()
 
 
 @pytest.mark.parametrize("p", (16, 24))
@@ -770,6 +789,49 @@ def test_period_two_map_sweeps_the_closed_form_family():
     # the sweep covers the whole family: both ends of [t_lo, t_hi]
     assert t.min() - t_lo < 0.01 * (t_hi - t_lo)
     assert t_hi - t.max() < 0.01 * (t_hi - t_lo)
+
+
+@pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
+def test_torus_points_of_a_batch_share_one_map_call(J0, monkeypatch):
+    p = J0.p
+    theta = np.repeat(2.0 * math.pi * np.arange(64)[:, None] / 64, p - 1,
+                      axis=1)
+    built, called = [], []
+    init, call = _DirichletMap.__init__, _DirichletMap.__call__
+    monkeypatch.setattr(_DirichletMap, "__init__",
+                        lambda self, J: built.append(J) or init(self, J))
+    monkeypatch.setattr(_DirichletMap, "__call__", lambda self, th:
+                        called.append(len(th)) or call(self, th))
+    points = periodic._torus_points(J0, theta)
+    assert built == [J0] and called == [63]
+    # a row of zeros is J0 itself, and a batch of them builds no map
+    assert points[0] is J0
+    assert all(pt is J0 for pt in periodic._torus_points(
+        J0, np.zeros((3, p - 1))))
+    assert len(built) == 1
+    monkeypatch.undo()
+    # every member has the bits of its own torus_point call
+    for th, pt in zip(theta[1:], points[1:]):
+        alone = torus_point(J0, th)
+        assert np.array(pt.a + pt.b).tobytes() == \
+            np.array(alone.a + alone.b).tobytes()
+
+
+def test_a_torus_sample_off_the_family_raises(monkeypatch):
+    # only the last row of the batch is planted off the family
+    real = _DirichletMap.__call__
+
+    def planted(self, theta):
+        a, b = real(self, theta)
+        b[-1, 0] += 0.1
+        return a, b
+
+    monkeypatch.setattr(_DirichletMap, "__call__", planted)
+    theta = np.linspace(0.0, 6.0, 16)[:, None]
+    with pytest.raises(ValueError, match="discriminant mismatch"):
+        periodic._torus_points(P2, theta)
+    monkeypatch.undo()
+    assert len(periodic._torus_points(P2, theta)) == 16
 
 
 @pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])

@@ -24,7 +24,7 @@ WAITING = {
 
 #: classes that exported functions return, so a caller of the function
 #: uses the class though it never names it
-RETURNED = {"CmvMatrix", "DiscreteMeasure", "EquilibriumMeasure"}
+RETURNED = {"DiscreteMeasure", "EquilibriumMeasure"}
 
 
 def _used_names_by_module():

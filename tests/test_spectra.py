@@ -11,10 +11,9 @@ from scipy import linalg as sla
 from opspectra import spectra
 from opspectra.sequences import (BlockJacobiParams, JacobiParams,
                                  VerblunskyParams)
-from opspectra.spectra import (CmvMatrix, DuplicateEigenvalues,
-                               EmpiricalMeasure, block_dense, cmv, eig_block,
-                               eig_sym_tridiag, eig_unitary, trace_square,
-                               zero_counting)
+from opspectra.spectra import (DuplicateEigenvalues, EmpiricalMeasure,
+                               block_dense, eig_block, eig_sym_tridiag,
+                               eig_unitary, trace_square, zero_counting)
 from oracles import (block_trace_square, cmv_sparse, sturm_counts_stepwise,
                      tridiagonal_dense, tridiagonal_eigvals_mp)
 
@@ -460,11 +459,13 @@ def test_cmv_eigenvalues_match_polynomial_zeros(N, seed):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-0.6, 0.6, size=2 * N) \
         + 1j * rng.uniform(-0.6, 0.6, size=2 * N)
-    beta = 1.0 + 0.0j
-    C = CmvMatrix(raw[:N - 1], beta)
-    D = cmv_sparse(C.alpha, C.boundary).toarray()
+    # alpha_{N-1} = 0.5 gives the boundary phase 1 exactly
+    V = VerblunskyParams(np.append(raw[:N - 1], 0.5))
+    alpha, beta, _ = spectra._cmv(V, N)
+    assert beta == 1.0
+    D = cmv_sparse(alpha, beta).toarray()
     assert np.max(np.abs(D.conj().T @ D - np.eye(N))) < 1e-12
-    mine = np.exp(1j * eig_unitary(C).points)
+    mine = np.exp(1j * eig_unitary(V, N).points)
     oracle = _para_zeros(raw, N, beta)
     # match as multisets
     mine = mine[np.argsort(np.angle(mine))]
@@ -478,11 +479,11 @@ def test_cmv_eigenvalues_match_dense_oracle(N, radius, seed):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.0, radius, size=N) \
         * np.exp(1j * rng.uniform(-math.pi, math.pi, size=N))
-    C = cmv(VerblunskyParams(raw), N)
-    th = eig_unitary(C).points
+    V = VerblunskyParams(raw)
+    th = eig_unitary(V, N).points
     assert np.all((th > -math.pi) & (th <= math.pi))
     mine = np.exp(1j * th)
-    oracle = sla.eigvals(cmv_sparse(C.alpha, C.boundary).toarray())
+    oracle = sla.eigvals(cmv_sparse(*spectra._cmv(V, N)[:2]).toarray())
     dist = np.abs(mine[:, None] - oracle[None, :])
     assert np.max(dist.min(axis=1)) < 1e-11
     assert np.max(dist.min(axis=0)) < 1e-11
@@ -493,32 +494,74 @@ def test_cmv_eigenvalues_match_dense_oracle(N, radius, seed):
 def test_cmv_band_has_the_bits_of_the_sparse_product(N, kind):
     rng = np.random.default_rng(N)
     if kind == "real":
-        # zeros leave entries out of the sparse factors
+        # zeros leave entries out of the sparse factors; alpha_{N-1} =
+        # -0.5 gives the boundary phase -1 exactly
         alpha = rng.uniform(-0.9, 0.9, N - 1)
         alpha[::5] = 0.0
-        beta = -1.0
+        tail = -0.5
     else:
         alpha = rng.uniform(0.0, 0.9, N - 1) \
             * np.exp(1j * rng.uniform(-math.pi, math.pi, N - 1))
-        beta = np.exp(1j * rng.uniform(-math.pi, math.pi))
-    C = CmvMatrix(alpha, beta)
-    S = cmv_sparse(C.alpha, C.boundary)
+        tail = 0.5 * np.exp(1j * rng.uniform(-math.pi, math.pi))
+    alpha, beta, band = spectra._cmv(VerblunskyParams(np.append(alpha, tail)),
+                                     N)
+    if kind == "real":
+        assert beta == -1.0
+    S = cmv_sparse(alpha, beta)
     rows, cols = S.nonzero()
     assert np.all(np.abs(cols - rows) <= 2)
     for k in range(-2, 3):
-        assert C.band.diagonal(k).tobytes() == S.diagonal(k).tobytes()
+        assert band.diagonal(k).tobytes() == S.diagonal(k).tobytes()
 
 
-def test_cmv_matrix_rejects_coefficients_off_the_disk_and_off_the_circle():
-    for alpha, beta in [([0.5, 1.0], 1.0), ([0.3j, -0.6 - 0.8j], 1.0),
-                        ([0.5], 1.1), ([0.5], 0.0), ([0.5], 1j * (1 - 1e-9))]:
-        with pytest.raises(ValueError):
-            CmvMatrix(np.array(alpha), beta)
+def _generated(values):
+    """A generator-backed sequence with alpha_j = values[j], and the
+    indices it is asked for, one array per call."""
+    asked = []
+    values = np.asarray(values, dtype=complex)
+    return VerblunskyParams.from_function(
+        lambda j: asked.append(j.copy()) or values[j]), asked
+
+
+def test_the_circle_solver_reads_the_truncation_off_the_sequence():
+    rng = np.random.default_rng(4)
+    values = 0.6 * rng.uniform(size=12) * np.exp(2j * math.pi
+                                                * rng.uniform(size=12))
+    for n in (1, 2, 5, 12):
+        V, asked = _generated(values)
+        th = eig_unitary(V, n).points
+        assert np.array_equal(np.concatenate(asked), np.arange(n))
+        assert len(th) == n
+        dense = cmv_sparse(values[:n - 1],
+                           values[n - 1] / abs(values[n - 1])).toarray()
+        oracle = sla.eigvals(dense)
+        dist = np.abs(np.exp(1j * th)[:, None] - oracle[None, :])
+        assert np.max(dist.min(axis=1)) < 1e-12
+    # one site: the 1 x 1 truncation -beta
+    V, _ = _generated([0.5j])
+    assert np.allclose(eig_unitary(V, 1).points, [-math.pi / 2],
+                       rtol=0.0, atol=1e-13)
+    with pytest.raises(ValueError, match="N >= 1 required"):
+        eig_unitary(V, 0)
+    # the boundary coefficient is read, and so checked, like the others
+    V, _ = _generated([0.5, 0.2, 1.5])
+    with pytest.raises(ValueError, match=re.escape("|alpha_2| = 1.5")):
+        eig_unitary(V, 3)
+
+
+def test_eig_unitary_rejects_coefficients_off_the_disk():
+    for values in ([0.5, 1.0, 0.5], [0.3j, -0.6 - 0.8j, 0.5]):
+        V, _ = _generated(values)
+        with pytest.raises(ValueError, match=re.escape("|alpha_1|")):
+            eig_unitary(V, 3)
 
 
 def test_cmv_zero_coefficients_give_uniform_angles():
-    for N, beta in [(32, 1.0), (2048, 1.0), (2048, np.exp(0.3j))]:
-        th = eig_unitary(CmvMatrix(np.zeros(N - 1), beta)).points
+    # alpha_{N-1} = 0.5 gives the boundary phase 1 exactly
+    for N, tail in [(32, 0.5), (2048, 0.5), (2048, 0.5 * np.exp(0.3j))]:
+        V = VerblunskyParams(np.append(np.zeros(N - 1), tail))
+        beta = spectra._cmv(V, N)[1]
+        th = eig_unitary(V, N).points
         # oracle: the N roots of z^N = -beta, exactly spaced
         exact = np.exp(1j * (np.angle(-beta) + 2.0 * math.pi * np.arange(N))
                        / N)
@@ -527,42 +570,45 @@ def test_cmv_zero_coefficients_give_uniform_angles():
         assert np.max(dist.min(axis=0)) < 1e-12
 
 
-def _alternating(N, beta):
-    return CmvMatrix(0.5 * (-1.0) ** np.arange(N - 1), beta)
-
-
 def test_eigenangle_at_pi_matches_dense_oracle():
-    C = _alternating(27, 1.0)
-    oracle = sla.eigvals(cmv_sparse(C.alpha, C.boundary).toarray())
+    # alternating coefficients, and alpha_26 = 0.5 gives the boundary
+    # phase 1 exactly
+    V = VerblunskyParams(np.append(0.5 * (-1.0) ** np.arange(26), 0.5))
+    alpha, beta, _ = spectra._cmv(V, 27)
+    assert beta == 1.0
+    oracle = sla.eigvals(cmv_sparse(alpha, beta).toarray())
     assert np.min(np.abs(oracle + 1.0)) < 1e-14  # an eigenvalue at -1
-    mine = np.exp(1j * eig_unitary(C).points)
+    mine = np.exp(1j * eig_unitary(V, 27).points)
     dist = np.abs(mine[:, None] - oracle[None, :])
     assert np.max(dist.min(axis=1)) < 1e-12
     assert np.max(dist.min(axis=0)) < 1e-12
 
 
 def _random_cmv(seed, N, radius=0.9):
+    """A random sequence of N coefficients, the last of which sets only
+    a random boundary phase."""
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(0.0, radius, N - 1) \
         * np.exp(1j * rng.uniform(-math.pi, math.pi, N - 1))
-    return CmvMatrix(alpha, np.exp(1j * rng.uniform(-math.pi, math.pi)))
+    tail = 0.5 * np.exp(1j * rng.uniform(-math.pi, math.pi))
+    return VerblunskyParams(np.append(alpha, tail))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_phase_counts_match_dense_oracle(seed):
-    C = _random_cmv(seed, 40)
+    alpha, beta, _ = spectra._cmv(_random_cmv(seed, 40), 40)
     rng = np.random.default_rng(100 + seed)
     cut = rng.uniform(-math.pi, math.pi)
     xs = cut + rng.uniform(0.0, 2.0 * math.pi, 500)
-    dense = cmv_sparse(C.alpha, C.boundary).toarray()
+    dense = cmv_sparse(alpha, beta).toarray()
     lifted = np.remainder(np.angle(sla.eigvals(dense)) - cut, 2.0 * math.pi)
     expect = np.sum(lifted[None, :] <= (xs - cut)[:, None], axis=1)
-    assert np.array_equal(spectra._phase_counts(C, cut, xs), expect)
+    assert np.array_equal(spectra._phase_counts(alpha, beta, cut, xs), expect)
 
 
 def test_certified_repairs_wrong_angle_lists():
-    C = _random_cmv(7, 30)
-    dense = cmv_sparse(C.alpha, C.boundary).toarray()
+    alpha, beta, _ = spectra._cmv(_random_cmv(7, 30), 30)
+    dense = cmv_sparse(alpha, beta).toarray()
     ring = np.sort(np.angle(sla.eigvals(dense)))
     gaps = np.diff(np.append(ring, ring[0] + 2.0 * math.pi))
     k = int(np.argmax(gaps))
@@ -571,8 +617,8 @@ def test_certified_repairs_wrong_angle_lists():
 
     def certified(cand):
         return spectra._certified(
-            lambda xs: spectra._phase_counts(C, cut, xs), cand, cut,
-            cut + 2.0 * math.pi, C.n, 1e-14)
+            lambda xs: spectra._phase_counts(alpha, beta, cut, xs), cand,
+            cut, cut + 2.0 * math.pi, 30, 1e-14)
 
     assert np.array_equal(certified(oracle), oracle)
     j = 10
@@ -587,12 +633,12 @@ def test_certified_repairs_wrong_angle_lists():
 
 
 def test_eig_unitary_bisects_when_the_band_solver_is_wrong(monkeypatch):
-    C = _random_cmv(3, 50)
-    oracle = sla.eigvals(cmv_sparse(C.alpha, C.boundary).toarray())
+    V = _random_cmv(3, 50)
+    oracle = sla.eigvals(cmv_sparse(*spectra._cmv(V, 50)[:2]).toarray())
     # every cosine and sine 0: four candidates, every bracket crowded
     monkeypatch.setattr(spectra.sla, "eigvals_banded",
                         lambda band, **kw: np.zeros(band.shape[1]))
-    mine = np.exp(1j * eig_unitary(C).points)
+    mine = np.exp(1j * eig_unitary(V, 50).points)
     dist = np.abs(mine[:, None] - oracle[None, :])
     assert np.max(dist.min(axis=1)) < 1e-12
     assert np.max(dist.min(axis=0)) < 1e-12
@@ -600,9 +646,9 @@ def test_eig_unitary_bisects_when_the_band_solver_is_wrong(monkeypatch):
 
 def test_cmv_default_boundary_follows_last_coefficient():
     V = VerblunskyParams(np.full(8, 0.3 * np.exp(0.4j)))
-    C = cmv(V, 8)
+    beta = spectra._cmv(V, 8)[1]
     tail = 0.3 * np.exp(0.4j)
-    assert C.boundary == pytest.approx(tail / abs(tail))
+    assert beta == pytest.approx(tail / abs(tail))
 
 
 # -- block truncations -------------------------------------------------
@@ -671,13 +717,14 @@ def test_eig_block_matches_dense_oracle():
 @pytest.mark.parametrize("tail", [1e-320, -1e-320j, 3e-310 - 4e-310j, 5e-324])
 def test_cmv_subnormal_tail_gives_its_phase(tail):
     V = VerblunskyParams(np.array([0.3, -0.2j, tail]))
-    C = cmv(V, 3)
+    beta = spectra._cmv(V, 3)[1]
     scaled = np.complex128(tail) * 2.0 ** 600  # exact, far from underflow
-    assert C.boundary == scaled / abs(scaled)
-    assert abs(abs(C.boundary) - 1.0) < 1e-15
+    assert beta == scaled / abs(scaled)
+    assert abs(abs(beta) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("tail", [0.3 + 0.4j, -0.7, 1e-300j, 2.5e-308])
 def test_cmv_normal_tail_phase_is_unchanged(tail):
     V = VerblunskyParams(np.array([0.3, -0.2j, tail]))
-    assert cmv(V, 3).boundary == np.complex128(tail) / abs(np.complex128(tail))
+    tail = np.complex128(tail)
+    assert spectra._cmv(V, 3)[1] == tail / abs(tail)
