@@ -25,7 +25,7 @@ from .regularity import (StatSeries, arc_stats, cn_stat_matrix,
                          trace_stat)
 from .rng import SplitMix64
 from .sequences import (BlockJacobiParams, JacobiParams, UnitaryChain,
-                        VerblunskyParams, sup_deviation, validate_blocks)
+                        VerblunskyParams, sup_deviation)
 from .spectra import (EmpiricalMeasure, eig_block, eig_sym_tridiag,
                       eig_unitary, trace_square, zero_counting)
 
@@ -45,6 +45,5 @@ __all__ = [
     "equilibrium_measure", "jacobi_from_measure", "lemma21_stats",
     "normalize_type1", "normalize_type3", "root_and_cesaro", "root_test",
     "sup_deviation", "torus_point", "trace_square", "trace_stat",
-    "validate_blocks", "verblunsky_from_measure", "w1_distance",
-    "zero_counting",
+    "verblunsky_from_measure", "w1_distance", "zero_counting",
 ]

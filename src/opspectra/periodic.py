@@ -50,9 +50,8 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .potential import FiniteGapSet
-from .sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
-                        UnitaryChain, _check_a, _check_b, _herm,
-                        sup_deviation, validate_blocks)
+from .sequences import (BlockJacobiParams, JacobiParams, UnitaryChain,
+                        _check_a, _check_b, _herm, sup_deviation)
 from .spectra import _Banded
 
 
@@ -192,8 +191,8 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
     the off-diagonal blocks are lower triangular by construction with
     diagonal entries that are ratios of p-fold products of J's
     off-diagonals to the period product.  The returned parameters carry
-    the type3 tag after verification; failure of that structure is an
-    implementation bug and raises NotType3.
+    the type3 tag, which their construction checks; failure of that
+    structure is an implementation bug and raises NotType3.
     """
     if K < 1:
         raise ValueError("K >= 1 required")
@@ -215,12 +214,10 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
         rows[:, r, r + m] = R[m][:(K + 1) * p].reshape(K + 1, p)
     cut = rows.reshape(K + 1, p, 2, p)
     B = cut[:, :, 0] + np.triu(cut[:, :, 0], 1).transpose(0, 2, 1)
-    out = BlockJacobiParams(p, cut[:K, :, 1], B, "type3")
     try:
-        validate_blocks(out)
+        return BlockJacobiParams(p, cut[:K, :, 1], B, "type3")
     except (ValueError, TypeError) as exc:
         raise NotType3(str(exc)) from exc
-    return out
 
 
 # -- equivalence-class representatives ---------------------------------
@@ -228,20 +225,20 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
 
 def _normal_forms(inputs, tag: str, exact, step, snap):
     """Each input, in input order, with its chain u_1 = I, u_{j+1} =
-    step(u_j^* A_j, A_j), padded with identities, and the input
-    transformed by it, its A stack ``snap``-ped; ``exact`` input comes
-    back retagged, with the identity chain.
+    step(u_j^* A_j), padded with identities, and the input transformed
+    by it, its A stack ``snap``-ped; ``exact`` input comes back
+    retagged, with the identity chain.
 
     The other inputs are grouped by block size, their A stacks padded
     with identity blocks to the group's longest, and each block index j
     takes one stacked ``step`` for the whole group; a stacked LAPACK call
-    gives each matrix the bits of a call on it alone.  ``step`` returns
-    the next unitaries and, per input, whether the block is singular,
-    its smallest singular value and the threshold.  A singular block is
-    raised at its input's turn, so the error is the one a loop over the
-    inputs would raise first."""
+    gives each matrix the bits of a call on it alone.  Every input was
+    checked nonsingular when it was built, so every step has a unitary
+    to give.  Each output is checked once, by its own construction: the
+    input's stacks are conjugated as ``UnitaryChain.apply`` does, with
+    no intermediate parameter set."""
     inputs = list(inputs)
-    groups, chains, singular = {}, {}, {}
+    groups, chains = {}, {}
     for i, Jb in enumerate(inputs):
         if not exact(Jb.A):
             groups.setdefault(Jb.block_size, []).append(i)
@@ -253,12 +250,7 @@ def _normal_forms(inputs, tag: str, exact, step, snap):
             A[row, :nA[row]] = inputs[i].A
         us = [np.tile(eye, (len(idx), 1, 1))]
         for j in range(A.shape[1]):
-            u, bad, sigma, threshold = step(_herm(us[-1]) @ A[:, j], A[:, j])
-            for row in np.flatnonzero(bad):
-                if j < nA[row]:
-                    singular.setdefault(idx[row], SingularBlock(
-                        j + 1, float(sigma[row]), float(threshold[row])))
-            us.append(u)
+            us.append(step(_herm(us[-1]) @ A[:, j]))
         us = np.stack(us, axis=1)
         for row, i in enumerate(idx):
             n = max(len(inputs[i].B), nA[row] + 1)
@@ -267,17 +259,14 @@ def _normal_forms(inputs, tag: str, exact, step, snap):
     out = []
     for i, Jb in enumerate(inputs):
         ell = Jb.block_size
-        if i in singular:
-            raise singular[i]
         if i not in chains:
             n = max(len(Jb.B), len(Jb.A) + 1)
             out.append((BlockJacobiParams(ell, Jb.A, Jb.B, tag),
                         UnitaryChain(np.tile(np.eye(ell), (n, 1, 1)))))
             continue
         chain = UnitaryChain(chains[i])
-        moved = chain.apply(Jb)
-        out.append((validate_blocks(BlockJacobiParams(ell, snap(moved.A),
-                                                      moved.B, tag)), chain))
+        A, B = chain._moved(Jb)
+        out.append((BlockJacobiParams(ell, snap(A), B, tag), chain))
     return out
 
 
@@ -287,18 +276,15 @@ def _exactly_type3(A: np.ndarray) -> bool:
             and bool(np.all(d.real > 0.0)))
 
 
-def _qr_step(M: np.ndarray, A: np.ndarray):
+def _qr_step(M: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(_herm(M))
     rd = np.diagonal(r, axis1=1, axis2=2)
-    size = np.abs(rd)
-    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
-    bad = np.any(size <= 1e-12 * scale[:, None], axis=1)
     # q @ diag(phase) as a matmul: an elementwise scaling can round
-    # differently.  A singular block's row divides by 1, not by its 0.
+    # differently
     phase = np.zeros_like(q)
     i = np.arange(q.shape[1])
-    phase[:, i, i] = rd / np.where(bad[:, None], 1.0, size)
-    return q @ phase, bad, size.min(axis=1), np.zeros(len(q))
+    phase[:, i, i] = rd / np.abs(rd)
+    return q @ phase
 
 
 def _snap_type3(A: np.ndarray) -> np.ndarray:
@@ -330,10 +316,9 @@ def _exactly_type1(A: np.ndarray) -> bool:
             and bool(np.all(np.linalg.eigvalsh(A)[:, 0] > 0.0)))
 
 
-def _polar_step(M: np.ndarray, A: np.ndarray):
-    uu, s, vh = np.linalg.svd(M)
-    bad = s[:, -1] <= 1e-12 * np.maximum(s[:, 0], 1.0)
-    return _herm(uu @ vh), bad, s[:, -1], 1e-12 * s[:, 0]
+def _polar_step(M: np.ndarray) -> np.ndarray:
+    uu, _, vh = np.linalg.svd(M)
+    return _herm(uu @ vh)
 
 
 def _snap_type1(A: np.ndarray) -> np.ndarray:

@@ -30,8 +30,7 @@ from . import regularity as R
 from . import spectra as S
 from .rng import SplitMix64
 from .sequences import (BlockJacobiParams, IndexFn, JacobiParams,
-                        UnitaryChain, VerblunskyParams, _herm,
-                        validate_blocks)
+                        UnitaryChain, VerblunskyParams, _herm)
 
 
 class UnknownScenario(ValueError):
@@ -383,7 +382,7 @@ def _random_blocks(rng: SplitMix64, ell: int, K: int) -> BlockJacobiParams:
     B = 0.4 * z[:K]
     B = (B + _herm(B)) / 2.0
     A = np.eye(ell, dtype=complex) + 0.35 * z[K:]
-    return validate_blocks(BlockJacobiParams(ell, A, B, "general"))
+    return BlockJacobiParams(ell, A, B, "general")
 
 
 def _random_chain(rng: SplitMix64, ell: int, count: int) -> UnitaryChain:

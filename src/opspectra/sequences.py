@@ -7,7 +7,8 @@ Three families of coefficient data appear throughout the toolkit:
 * Verblunsky coefficients ``{alpha_j}`` (0-indexed) in the open unit
   disc, with companion ``rho_j = sqrt(1 - |alpha_j|^2)``;
 * block Jacobi parameters ``{A_j, B_j}`` of square complex blocks with
-  ``A_j`` nonsingular and ``B_j`` Hermitian.
+  ``A_j`` nonsingular and ``B_j`` Hermitian, each block checked on
+  construction.
 
 Sequences are either finite arrays or unbounded ones given by index-array
 functions: called on an integer array of indices, such a function returns
@@ -328,7 +329,9 @@ class BlockJacobiParams:
     arrays.  ``A`` has one block fewer than ``B`` or the same count (it
     may be empty).  ``type_tag`` is "general", "type1" (each A_j positive
     definite) or "type3" (each A_j lower triangular with positive
-    diagonal).  Validation happens in :func:`validate_blocks`.
+    diagonal).  The blocks are checked on construction by
+    :func:`validate_blocks`, like scalar data, so a parameter set it
+    refuses cannot exist.
     """
 
     block_size: int
@@ -339,28 +342,39 @@ class BlockJacobiParams:
     def __post_init__(self):
         for name in ("A", "B"):
             _stack(self, name, self.block_size)
+        validate_blocks(self)
 
     def a_blocks(self, n: int) -> np.ndarray:
         """A_1..A_n as a read-only (n, ell, ell) array."""
-        if n > len(self.A):
-            raise ValueError(f"requested {n} A-blocks, have {len(self.A)}")
-        return self.A[:n]
+        return _head(self.A, n, "A")
 
     def b_blocks(self, n: int) -> np.ndarray:
         """B_1..B_n as a read-only (n, ell, ell) array."""
-        if n > len(self.B):
-            raise ValueError(f"requested {n} B-blocks, have {len(self.B)}")
-        return self.B[:n]
+        return _head(self.B, n, "B")
 
 
-def validate_blocks(params: BlockJacobiParams) -> BlockJacobiParams:
-    """Check the type tag, finiteness of every entry, nonsingularity of
-    the A's, Hermiticity of the B's, and the declared type structure;
-    an error names the first failing block.
+def _head(blocks: np.ndarray, n: int, name: str) -> np.ndarray:
+    """The first n blocks; ValueError for a negative n or past the end,
+    as a window of a scalar sequence."""
+    if n < 0:
+        raise ValueError("window length must be >= 0")
+    if n > len(blocks):
+        raise ValueError(f"requested {n} {name}-blocks, have {len(blocks)}")
+    return blocks[:n]
+
+
+def validate_blocks(params: BlockJacobiParams) -> None:
+    """The check every ``BlockJacobiParams`` passes on construction: the
+    type tag, finiteness of every entry, nonsingularity of the A's,
+    Hermiticity of the B's, and the declared type structure; an error
+    names the first failing block.
 
     The nonsingularity threshold is 1e-12 times the spectral norm of the
-    block (the theory only demands nonsingular); Hermiticity is checked
-    to 1e-12 and the type structure to 1e-10, relative to the block.
+    block (the theory only demands nonsingular), the one such rule: the
+    normal forms take every block it passes.  Hermiticity is checked to
+    1e-12 max(1, max|B_j|); the type structure to 1e-10 times sigma_max
+    (type 1) or max(1, sigma_max) (type 3, whose diagonal must be real
+    to 1e-10).
     """
     singular_rtol, hermitian_tol, type_tol = 1e-12, 1e-12, 1e-10
     A, B, tag = params.A, params.B, params.type_tag
@@ -392,7 +406,6 @@ def validate_blocks(params: BlockJacobiParams) -> BlockJacobiParams:
         if singular[k]:
             raise SingularBlock(k + 1, float(s[k, -1]), float(singular_rtol * s[k, 0]))
         raise WrongType(f"A_{k + 1} {_TYPE_TAGS[tag]} ({tag} tag)")
-    return params
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,13 +425,17 @@ class UnitaryChain:
         if bad.any():
             raise ValueError(f"u_{int(np.argmax(bad)) + 1} is not unitary to tolerance")
 
-    def apply(self, params: BlockJacobiParams) -> BlockJacobiParams:
-        """Transform block parameters by this chain (needs one unitary per
-        B block plus a trailing one for the last A block)."""
+    def _moved(self, params: BlockJacobiParams):
+        """The stacks u_j^* A_j u_{j+1} and u_j^* B_j u_j (needs one
+        unitary per B block plus a trailing one for the last A block)."""
         nA, nB = len(params.A), len(params.B)
         if len(self.u) < max(nB, nA + 1):
             raise ValueError("chain shorter than block sequence")
         uh = _herm(self.u)
-        return BlockJacobiParams(params.block_size,
-                                 uh[:nA] @ params.A @ self.u[1:nA + 1],
-                                 uh[:nB] @ params.B @ self.u[:nB])
+        return (uh[:nA] @ params.A @ self.u[1:nA + 1],
+                uh[:nB] @ params.B @ self.u[:nB])
+
+    def apply(self, params: BlockJacobiParams) -> BlockJacobiParams:
+        """Transform block parameters by this chain; the result has the
+        general tag."""
+        return BlockJacobiParams(params.block_size, *self._moved(params))

@@ -7,12 +7,13 @@ eigenvalues are ever needed downstream.  Every solver takes the
 recurrence data and a size (``eig_sym_tridiag(params, N)``,
 ``eig_unitary(params, N)``, ``eig_block(params, K)``) and reads its
 truncation off the sequence: b_1..b_N and a_1..a_{N-1} on the line,
-alpha_0..alpha_{N-1} on the circle.  The scalar sequences check every
-entry they return, so no entry is checked again here.  The tridiagonal
-and the unitary path share one route: LAPACK gives candidate values,
-one vectorized count sweep at their midpoints keeps every candidate
-whose bracket holds exactly one eigenvalue, and bisection on the count
-runs only inside the brackets that hold more.  The line counts with
+alpha_0..alpha_{N-1} on the circle, B_1..B_K and A_1..A_{K-1} of the
+blocks.  The scalar sequences check every entry they return and block
+data is checked on construction, so no entry is checked again here.
+The tridiagonal and the unitary path share one route: LAPACK gives
+candidate values, one vectorized count sweep at their midpoints keeps
+every candidate whose bracket holds exactly one eigenvalue, and
+bisection on the count runs only inside the brackets that hold more.  The line counts with
 Sturm sequences (Sylvester inertia), in blocks of pivots with the pivot
 guard checked once per block (Marques, Riedy and Voemel, SIAM J. Sci.
 Comput. 28, 2006).  It takes its candidates from root-free QL, or, when the
@@ -531,8 +532,10 @@ def eig_unitary(params: VerblunskyParams, N: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(angles, "circle")
 
 
-def block_dense(params: BlockJacobiParams, K: int) -> np.ndarray:
-    """Dense Hermitian K-block truncation."""
+def _block_dense(params: BlockJacobiParams, K: int) -> np.ndarray:
+    """The dense Hermitian K-block truncation, read off B_1..B_K and
+    A_1..A_{K-1}: the block reader of ``eig_block``, as ``_truncation``
+    and ``_cmv`` are of the other two solvers."""
     ell, k = params.block_size, np.arange(K)
     m = np.zeros((K, ell, K, ell), dtype=complex)
     m[k, :, k, :] = params.b_blocks(K)
@@ -549,4 +552,4 @@ def eig_block(params: BlockJacobiParams, K: int) -> np.ndarray:
     Tr A_k^* A_k, which the test oracles hold it to."""
     if K < 1:
         raise ValueError("K >= 1 required")
-    return np.linalg.eigvalsh(block_dense(params, K))
+    return np.linalg.eigvalsh(_block_dense(params, K))

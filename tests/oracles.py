@@ -136,6 +136,21 @@ def sequential_pattern_search(family, rows, theta, best, span):
         step[~moved] *= 0.5
 
 
+def block_dense(params: BlockJacobiParams, K: int) -> np.ndarray:
+    """The dense Hermitian K-block truncation, built block by block:
+    B_k on the diagonal, A_k above it and A_k^* below."""
+    ell = params.block_size
+    m = np.zeros((K * ell, K * ell), dtype=complex)
+    for k in range(K):
+        s = slice(k * ell, (k + 1) * ell)
+        m[s, s] = params.B[k]
+        if k + 1 < K:
+            t = slice((k + 1) * ell, (k + 2) * ell)
+            m[s, t] = params.A[k]
+            m[t, s] = params.A[k].conj().T
+    return m
+
+
 def block_trace_square(params: BlockJacobiParams, K: int):
     """Mean squared eigenvalue of the K-block truncation, both ways:
     (1/(K ell))[sum Tr B_k^2 + 2 sum Tr A_k^* A_k] versus the sum over

@@ -14,15 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
-from opspectra import periodic
+from opspectra import periodic, sequences
 from opspectra.periodic import (_GRID_POINTS, GapClosed, PeriodicJacobi,
                                 _DirichletMap, bands, d_to_torus_batch,
                                 delta_of_J, discriminant, dm_weights,
                                 normalize_type1, normalize_type3, torus_point)
 from opspectra.potential import capacity, equilibrium_measure
-from opspectra.scenarios import _is_pow2, _periodic_as_params
-from opspectra.sequences import (BlockJacobiParams, JacobiParams, SingularBlock,
-                                validate_blocks)
+from opspectra.rng import SplitMix64
+from opspectra.scenarios import _is_pow2, _periodic_as_params, _random_blocks
+from opspectra.sequences import BlockJacobiParams, JacobiParams, validate_blocks
 from oracles import (block_map_sparse, d_m, product_trace_stepwise,
                      sequential_pattern_search)
 
@@ -457,30 +457,39 @@ def test_an_empty_list_normalizes_to_an_empty_list():
     assert normalize_type3([]) == [] and normalize_type1([]) == []
 
 
-def _singular_at(Jb, js):
-    A = np.array(Jb.A)
-    for j in js:
-        A[j - 1, :, 0] = 0.0
-    return BlockJacobiParams(Jb.block_size, A, Jb.B)
+@pytest.mark.parametrize("normalize", [normalize_type3, normalize_type1])
+def test_normal_forms_are_scale_covariant_bit_for_bit(normalize):
+    # blocks scaled by 2^-45 pass the relative nonsingularity rule of
+    # their construction; a power of two scales every step exactly, so
+    # the chains are the same and the forms are the scaled forms
+    scale = 2.0 ** -45
+    inputs = [_random_blocks(SplitMix64(40 + i), 1 + i % 3, 12)
+              for i in range(6)]
+    small = [BlockJacobiParams(Jb.block_size, scale * Jb.A, scale * Jb.B)
+             for Jb in inputs]
+    for (t, c), (ts, cs) in zip(normalize(inputs), normalize(small)):
+        assert cs.u.tobytes() == c.u.tobytes()
+        assert ts.A.tobytes() == (scale * t.A).tobytes()
+        assert ts.B.tobytes() == (scale * t.B).tobytes()
+        assert ts.type_tag == t.type_tag
 
 
 @pytest.mark.parametrize("normalize", [normalize_type3, normalize_type1])
-def test_a_list_raises_the_first_inputs_first_singular_block(normalize):
-    # the second input of the size-2 group fails at a lower block index
-    # than the first, and a size-1 input fails at A_1; the error is the
-    # one a loop over the list raises first: the first failing input's
-    # first singular block
-    rng = np.random.default_rng(16)
-    first = _singular_at(_blocks(rng, 2, 9, 10), (7, 4))
-    inputs = [_blocks(rng, 2, 11, 12), first,
-              _singular_at(_blocks(rng, 2, 5, 6), (2,)),
-              _singular_at(_blocks(rng, 1, 3, 4), (1,))]
-    with pytest.raises(SingularBlock) as info:
-        normalize(inputs)
-    with pytest.raises(SingularBlock) as alone:
-        normalize([first])
-    assert info.value.index == 4
-    assert str(info.value) == str(alone.value)
+def test_normal_forms_check_each_output_once(normalize, monkeypatch):
+    # the output's construction is its one check: no intermediate
+    # parameter set is built, and an input already in form is checked
+    # once too
+    rng = np.random.default_rng(17)
+    inputs = [_blocks(rng, ell, nA, nB) for ell, nA, nB in
+              ((2, 9, 10), (1, 4, 4), (3, 5, 6), (2, 3, 3))]
+    [(exact, _)] = normalize([_blocks(rng, 2, 6, 7)])
+    inputs.append(exact)
+    checked = []
+    real = sequences.validate_blocks
+    monkeypatch.setattr(sequences, "validate_blocks",
+                        lambda Jb: checked.append(Jb) or real(Jb))
+    out = normalize(inputs)
+    assert [id(Jb) for Jb in checked] == [id(t) for t, _ in out]
 
 
 # -- isospectral torus -------------------------------------------------

@@ -318,20 +318,16 @@ def _sample_blocks():
 def test_validate_blocks_rejects_singular_and_wrong_type():
     Jb = _sample_blocks()
     validate_blocks(Jb)
-    sing = BlockJacobiParams(2, (np.zeros((2, 2), dtype=complex),), Jb.B,
-                             "general")
     with pytest.raises(SingularBlock):
-        validate_blocks(sing)
-    upper = BlockJacobiParams(2, (np.array([[1.0, 0.5], [0.0, 1.0]],
-                                           dtype=complex),), Jb.B, "type3")
+        BlockJacobiParams(2, (np.zeros((2, 2), dtype=complex),), Jb.B,
+                          "general")
     with pytest.raises(WrongType):
-        validate_blocks(upper)
-    not_herm = BlockJacobiParams(2, Jb.A,
-                                 (np.array([[0.0, 1.0], [0.0, 0.0]],
-                                           dtype=complex), Jb.B[1]),
-                                 "general")
+        BlockJacobiParams(2, (np.array([[1.0, 0.5], [0.0, 1.0]],
+                                       dtype=complex),), Jb.B, "type3")
     with pytest.raises(ValueError):
-        validate_blocks(not_herm)
+        BlockJacobiParams(2, Jb.A,
+                          (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+                           Jb.B[1]), "general")
 
 
 def _random_chain(rng, ell, count):
@@ -372,9 +368,8 @@ def test_chain_requires_exact_identity_head():
 
 def test_validate_blocks_rejects_an_unknown_type_tag():
     Jb = _sample_blocks()
-    typo = BlockJacobiParams(2, Jb.A, Jb.B, "typo3")
     with pytest.raises(ValueError, match="typo3"):
-        validate_blocks(typo)
+        BlockJacobiParams(2, Jb.A, Jb.B, "typo3")
 
 
 @pytest.mark.parametrize("name, k, value", [
@@ -385,10 +380,9 @@ def test_validate_blocks_rejects_non_finite_blocks(name, k, value):
     eye = np.eye(2, dtype=complex)
     blocks = {"A": [eye, eye], "B": [eye, eye, eye]}
     blocks[name][k - 1] = np.full((2, 2), value)
-    Jb = BlockJacobiParams(2, blocks["A"], blocks["B"])
     with pytest.raises(ValueError, match=rf"^{name}_{k} has a non-finite") \
             as info:
-        validate_blocks(Jb)
+        BlockJacobiParams(2, blocks["A"], blocks["B"])
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
@@ -408,6 +402,31 @@ def test_validate_blocks_names_the_first_failing_block():
     herm = [0.1 * eye, 0.1 * eye, upper, upper]
     with pytest.raises(ValueError, match=r"^B_3 is not Hermitian"):
         validate_blocks(BlockJacobiParams(2, [eye] * 3, herm))
+
+
+@pytest.mark.parametrize("part, block, message", [
+    ("B", [[0.0, 1.0], [0.0, 0.0]], r"^B_2 is not Hermitian"),
+    ("B", [[np.nan, 0.0], [0.0, 1.0]], r"^B_2 has a non-finite entry"),
+    ("A", [[0.0, 0.0], [0.0, 0.0]], r"^A_2: smallest singular value 0\.0 "),
+], ids=["non_hermitian_B", "nan_B", "singular_A"])
+def test_unusable_blocks_are_refused_where_they_are_made(part, block,
+                                                         message):
+    # none of them may reach a consumer: eig_block's eigvalsh reads one
+    # triangle of B and raises LinAlgError on a NaN, and cn_stat_matrix
+    # would give a zero A tagged type3 a value
+    eye = np.eye(2, dtype=complex)
+    blocks = {"A": [eye] * 3, "B": [0.1 * eye] * 4}
+    blocks[part][1] = np.array(block, dtype=complex)
+    with pytest.raises(ValueError, match=message):
+        BlockJacobiParams(2, blocks["A"], blocks["B"], "type3")
+
+
+@pytest.mark.parametrize("read", ["a_blocks", "b_blocks"])
+def test_block_reads_refuse_a_negative_length(read):
+    Jb = _sample_blocks()
+    with pytest.raises(ValueError, match="window length must be >= 0"):
+        getattr(Jb, read)(-1)
+    assert getattr(Jb, read)(0).shape == (0, 2, 2)
 
 
 def test_block_params_and_chain_copy_their_input_and_are_read_only():
@@ -444,7 +463,7 @@ def test_chain_apply_equals_its_per_block_loop(ell, nA, nB):
     rng = np.random.default_rng(ell + nA)
     z = rng.standard_normal((nA + nB, ell, ell)) \
         + 1j * rng.standard_normal((nA + nB, ell, ell))
-    Jb = BlockJacobiParams(ell, z[:nA], z[nA:])
+    Jb = BlockJacobiParams(ell, z[:nA], z[nA:] + z[nA:].conj().swapaxes(1, 2))
     u = _random_chain(rng, ell, nA + 1 if nA == nB else nB).u
     out = UnitaryChain(u).apply(Jb)
     assert np.array_equal(out.B, [u[j].conj().T @ Jb.B[j] @ u[j]

@@ -12,10 +12,11 @@ from opspectra import spectra
 from opspectra.sequences import (BlockJacobiParams, JacobiParams,
                                  VerblunskyParams)
 from opspectra.spectra import (DuplicateEigenvalues, EmpiricalMeasure,
-                               block_dense, eig_block, eig_sym_tridiag,
-                               eig_unitary, trace_square, zero_counting)
-from oracles import (block_trace_square, cmv_sparse, sturm_counts_stepwise,
-                     tridiagonal_dense, tridiagonal_eigvals_mp)
+                               eig_block, eig_sym_tridiag, eig_unitary,
+                               trace_square, zero_counting)
+from oracles import (block_dense, block_trace_square, cmv_sparse,
+                     sturm_counts_stepwise, tridiagonal_dense,
+                     tridiagonal_eigvals_mp)
 
 
 def test_truncation_shape_and_entries():
@@ -666,7 +667,8 @@ def _sample_block_params(rng, ell, K):
 def test_block_dense_layout():
     rng = np.random.default_rng(5)
     Jb = _sample_block_params(rng, 2, 3)
-    m = block_dense(Jb, 3)
+    m = spectra._block_dense(Jb, 3)
+    assert np.array_equal(m, block_dense(Jb, 3))
     assert m.shape == (6, 6)
     assert np.array_equal(m[0:2, 0:2], Jb.B[0])
     assert np.array_equal(m[0:2, 2:4], Jb.A[0])
@@ -678,16 +680,7 @@ def test_block_dense_layout():
 def test_block_dense_places_every_block(ell, K):
     rng = np.random.default_rng(ell * 10 + K)
     Jb = _sample_block_params(rng, ell, K + 1)
-    m = block_dense(Jb, K)
-    oracle = np.zeros((K * ell, K * ell), dtype=complex)
-    for k in range(K):
-        s = slice(k * ell, (k + 1) * ell)
-        oracle[s, s] = Jb.B[k]
-        if k + 1 < K:
-            t = slice((k + 1) * ell, (k + 2) * ell)
-            oracle[s, t] = Jb.A[k]
-            oracle[t, s] = Jb.A[k].conj().T
-    assert np.array_equal(m, oracle)
+    assert np.array_equal(spectra._block_dense(Jb, K), block_dense(Jb, K))
 
 
 def test_block_trace_square_needs_a_block():
