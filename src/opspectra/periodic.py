@@ -51,7 +51,8 @@ import numpy as np
 
 from .potential import FiniteGapSet
 from .sequences import (BlockJacobiParams, JacobiParams, UnitaryChain,
-                        _check_a, _check_b, _herm, sup_deviation)
+                        _built_together, _check_a, _check_b, _herm,
+                        sup_deviation)
 from .spectra import _Banded
 
 
@@ -234,9 +235,11 @@ def _normal_forms(inputs, tag: str, exact, step, snap):
     takes one stacked ``step`` for the whole group; a stacked LAPACK call
     gives each matrix the bits of a call on it alone.  Every input was
     checked nonsingular when it was built, so every step has a unitary
-    to give.  Each output is checked once, by its own construction: the
-    input's stacks are conjugated as ``UnitaryChain.apply`` does, with
-    no intermediate parameter set."""
+    to give.  The chains, and then the outputs, are built together
+    (``sequences._built_together``): each is checked once, by one pass
+    of its construction check per block size, and an output's stacks
+    are conjugated as ``UnitaryChain.apply`` does, with no intermediate
+    parameter set."""
     inputs = list(inputs)
     groups, chains = {}, {}
     for i, Jb in enumerate(inputs):
@@ -256,18 +259,18 @@ def _normal_forms(inputs, tag: str, exact, step, snap):
             n = max(len(inputs[i].B), nA[row] + 1)
             chains[i] = np.concatenate(
                 [us[row, :nA[row] + 1], np.tile(eye, (n - nA[row] - 1, 1, 1))])
-    out = []
-    for i, Jb in enumerate(inputs):
-        ell = Jb.block_size
-        if i not in chains:
-            n = max(len(Jb.B), len(Jb.A) + 1)
-            out.append((BlockJacobiParams(ell, Jb.A, Jb.B, tag),
-                        UnitaryChain(np.tile(np.eye(ell), (n, 1, 1)))))
-            continue
-        chain = UnitaryChain(chains[i])
-        A, B = chain._moved(Jb)
-        out.append((BlockJacobiParams(ell, snap(A), B, tag), chain))
-    return out
+    built = _built_together(UnitaryChain, [
+        (chains[i] if i in chains else np.tile(
+            np.eye(Jb.block_size), (max(len(Jb.B), len(Jb.A) + 1), 1, 1)),)
+        for i, Jb in enumerate(inputs)])
+    rows = []
+    for i, (Jb, chain) in enumerate(zip(inputs, built)):
+        if i in chains:
+            A, B = chain._moved(Jb)
+            rows.append((Jb.block_size, snap(A), B, tag))
+        else:
+            rows.append((Jb.block_size, Jb.A, Jb.B, tag))
+    return list(zip(_built_together(BlockJacobiParams, rows), built))
 
 
 def _exactly_type3(A: np.ndarray) -> bool:

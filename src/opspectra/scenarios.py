@@ -30,7 +30,8 @@ from . import regularity as R
 from . import spectra as S
 from .rng import SplitMix64
 from .sequences import (BlockJacobiParams, IndexFn, JacobiParams,
-                        UnitaryChain, VerblunskyParams, _herm)
+                        UnitaryChain, VerblunskyParams, _built_together,
+                        _herm)
 
 
 class UnknownScenario(ValueError):
@@ -376,22 +377,44 @@ def _run_prop2_2(o: Dict[str, object], seed: int) -> ScenarioResult:
 # ---------------------------------------------------------------------
 
 
-def _random_blocks(rng: SplitMix64, ell: int, K: int) -> BlockJacobiParams:
-    """K Hermitian B's, then K - 1 A's near I, from one complex normal each."""
+def _block_draws(rng: SplitMix64, ell: int, K: int):
+    """(A, B): K Hermitian B's, then K - 1 A's near I, from one complex
+    normal each."""
     z = rng.normals(2 * (2 * K - 1) * ell * ell).view(complex).reshape(-1, ell, ell)
     B = 0.4 * z[:K]
     B = (B + _herm(B)) / 2.0
     A = np.eye(ell, dtype=complex) + 0.35 * z[K:]
-    return BlockJacobiParams(ell, A, B, "general")
+    return A, B
+
+
+def _random_blocks(rng: SplitMix64, ell: int, K: int) -> BlockJacobiParams:
+    """General-tag block parameters from ``_block_draws``."""
+    return BlockJacobiParams(ell, *_block_draws(rng, ell, K), "general")
+
+
+def _random_chains(draws) -> List[UnitaryChain]:
+    """One chain per (rng, ell, count) of ``draws``: u_1 = I, then the
+    phase-fixed Q factors of count - 1 complex normal matrices from that
+    rng, with one stacked QR per block size; the chains are built
+    together, one unitarity check per block size."""
+    g = [rng.normals(2 * (count - 1) * ell * ell).view(complex)
+         .reshape(count - 1, ell, ell) for rng, ell, count in draws]
+    us = [None] * len(draws)
+    for ell in sorted({ell for _, ell, _ in draws}):
+        idx = [i for i, (_, e, _) in enumerate(draws) if e == ell]
+        q, r = np.linalg.qr(np.concatenate([g[i] for i in idx]))
+        d = np.diagonal(r, axis1=1, axis2=2)
+        q = q @ (np.eye(ell) * (d / np.abs(d))[:, None, :])
+        ends = np.cumsum([len(g[i]) for i in idx])
+        for i, qi in zip(idx, np.split(q, ends[:-1])):
+            us[i] = np.concatenate([np.eye(ell)[None], qi])
+    return _built_together(UnitaryChain, [(u,) for u in us])
 
 
 def _random_chain(rng: SplitMix64, ell: int, count: int) -> UnitaryChain:
-    """u_1 = I, then phase-fixed Q factors of complex normal matrices."""
-    g = rng.normals(2 * (count - 1) * ell * ell).view(complex)
-    q, r = np.linalg.qr(g.reshape(count - 1, ell, ell))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    q = q @ (np.eye(ell) * (d / np.abs(d))[:, None, :])
-    return UnitaryChain(np.concatenate([np.eye(ell)[None], q]))
+    """The one chain of ``_random_chains([(rng, ell, count)])``."""
+    [chain] = _random_chains([(rng, ell, count)])
+    return chain
 
 
 @_scenario("thm3_1", "block normal forms and the invariant average", {
@@ -406,15 +429,23 @@ def _run_thm3_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     worst_spec = worst_det = worst_inv = 0.0
     hadamard = -math.inf   # max of det A - prod diag A over type-1 blocks
     rep_series = None
-    rngs, inputs = [], []
+    rngs, rows = [], []
     for i in range(count):
         rng = SplitMix64(seed * 777 + i)
-        ell = 1 + rng.next_u64() % 3
-        K = 8 + rng.next_u64() % 33        # up to 40 blocks
-        inputs.append(_random_blocks(rng, int(ell), int(K)))
+        ell = int(1 + rng.next_u64() % 3)
+        K = int(8 + rng.next_u64() % 33)        # up to 40 blocks
+        rows.append((ell, *_block_draws(rng, ell, K), "general"))
         rngs.append(rng)
+    # every input, its random gauge chain and the gauge-moved copy are
+    # built together, one construction check per block size
+    inputs = _built_together(BlockJacobiParams, rows)
+    chains = _random_chains([(rng, Jb.block_size, len(Jb.B) + 1)
+                             for rng, Jb in zip(rngs, inputs)])
+    moved = _built_together(BlockJacobiParams, [
+        (Jb.block_size, *chain._moved(Jb), "general")
+        for chain, Jb in zip(chains, inputs)])
     forms = zip(P.normalize_type3(inputs), P.normalize_type1(inputs))
-    for rng, Jb, ((t3, _), (t1, _)) in zip(rngs, inputs, forms):
+    for Jb, Jm, ((t3, _), (t1, _)) in zip(inputs, moved, forms):
         w0 = S.eig_block(Jb, len(Jb.B))
         dx = np.linalg.det(Jb.A)
         for t in (t3, t1):
@@ -423,14 +454,13 @@ def _run_thm3_1(o: Dict[str, object], seed: int) -> ScenarioResult:
             dy = np.linalg.det(t.A)  # |det| as hypot: bit-equal to abs()
             shift = np.abs(np.hypot(dx.real, dx.imag) - np.hypot(dy.real, dy.imag))
             worst_det = max(worst_det, float(np.max(shift)))
-        det = np.linalg.det(t1.A).real
+        # the loop ends on t1, so dy is det(t1.A)
         diag = np.prod(np.diagonal(t1.A, axis1=1, axis2=2).real, axis=1)
-        hadamard = max(hadamard, float(np.max(det - diag)))
+        hadamard = max(hadamard, float(np.max(dy.real - diag)))
         lad = tuple(sorted({max(1, len(Jb.B) // 4), max(2, len(Jb.B) // 2),
                             len(Jb.B) - 1}))
         inv_a = R.cn_stat_matrix_invariant(Jb, lad)
-        chain = _random_chain(rng, Jb.block_size, len(Jb.B) + 1)
-        inv_b = R.cn_stat_matrix_invariant(chain.apply(Jb), lad)
+        inv_b = R.cn_stat_matrix_invariant(Jm, lad)
         worst_inv = max(worst_inv, max(abs(x - y) for x, y
                                        in zip(inv_a.values, inv_b.values)))
         if rep_series is None:

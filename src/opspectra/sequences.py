@@ -320,6 +320,47 @@ def _herm(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
 
+def _built_together(cls, rows) -> list:
+    """``[cls(*row) for row in rows]`` with one construction check for
+    all of them: each member is built and its blocks stacked as its own
+    construction would, and ``cls._check_all`` then checks the lot, one
+    pass of the per-block rule per group of members that share a block
+    size (``_check_grouped``).  The error, if any, is the one the first
+    failing member's own construction raises."""
+    members = []
+    for row in rows:
+        obj = object.__new__(cls)
+        _fill(obj, **dict(zip(cls.__dataclass_fields__, row)))
+        try:
+            obj._stack_fields()
+        except (ValueError, TypeError):
+            # an earlier member's check may fail first
+            return [cls(*row) for row in rows]
+        members.append(obj)
+    cls._check_all(members)
+    return members
+
+
+def _check_grouped(members, key, group_rule, alone) -> None:
+    """``alone(m)`` for every member m, in order, run as one
+    ``group_rule(k, group)`` per group of the members with equal ``key``
+    (the rule over the group's concatenated stacks).  A member whose key
+    is None, or a group whose rule raises, sends every member through
+    ``alone`` in order, so the error is the first failing member's own."""
+    groups = {}
+    for m in members:
+        groups.setdefault(key(m), []).append(m)
+    if len(members) > 1 and None not in groups:
+        try:
+            for k, group in groups.items():
+                group_rule(k, group)
+            return
+        except (ValueError, TypeError):
+            pass
+    for m in members:
+        alone(m)
+
+
 @dataclass(frozen=True, eq=False)
 class BlockJacobiParams:
     """Block Jacobi parameters: off-diagonal blocks A_j, diagonal blocks B_j.
@@ -340,9 +381,16 @@ class BlockJacobiParams:
     type_tag: str = "general"
 
     def __post_init__(self):
+        self._stack_fields()
+        validate_blocks(self)
+
+    def _stack_fields(self) -> None:
         for name in ("A", "B"):
             _stack(self, name, self.block_size)
-        validate_blocks(self)
+
+    @staticmethod
+    def _check_all(members) -> None:
+        validate_blocks(*members)
 
     def a_blocks(self, n: int) -> np.ndarray:
         """A_1..A_n as a read-only (n, ell, ell) array."""
@@ -363,44 +411,30 @@ def _head(blocks: np.ndarray, n: int, name: str) -> np.ndarray:
     return blocks[:n]
 
 
-def validate_blocks(params: BlockJacobiParams) -> None:
-    """The check every ``BlockJacobiParams`` passes on construction: the
-    type tag, finiteness of every entry, nonsingularity of the A's,
-    Hermiticity of the B's, and the declared type structure; an error
-    names the first failing block.
-
-    The nonsingularity threshold is 1e-12 times the spectral norm of the
-    block (the theory only demands nonsingular), the one such rule: the
-    normal forms take every block it passes.  Hermiticity is checked to
-    1e-12 max(1, max|B_j|); the type structure to 1e-10 times sigma_max
-    (type 1) or max(1, sigma_max) (type 3, whose diagonal must be real
-    to 1e-10).
-    """
-    singular_rtol, hermitian_tol, type_tol = 1e-12, 1e-12, 1e-10
-    A, B, tag = params.A, params.B, params.type_tag
-    if tag not in _TYPE_TAGS:
-        raise ValueError(f"unknown type tag {tag!r}, expected one of {tuple(_TYPE_TAGS)}")
-    if len(A) not in (len(B), len(B) - 1):
-        raise ValueError("need len(A) == len(B) or len(B) - 1")
+def _block_rule(A: np.ndarray, B: np.ndarray, tag: str) -> None:
+    """The per-block rule of ``validate_blocks`` on an A and a B stack
+    under a known tag; an error names the first failing block by its
+    position in the stack."""
+    singular_rtol, hermitian_rtol, type_rtol = 1e-12, 1e-12, 1e-10
     for name, X in (("B", B), ("A", A)):
         bad = ~np.isfinite(X).all(axis=(1, 2))
         if bad.any():
             raise ValueError(f"{name}_{int(np.argmax(bad)) + 1} has a non-finite entry")
-    scale = np.maximum(1.0, np.abs(B).max(axis=(1, 2)))
-    bad = np.abs(B - _herm(B)).max(axis=(1, 2)) > hermitian_tol * scale
+    bad = (np.abs(B - _herm(B)).max(axis=(1, 2))
+           > hermitian_rtol * np.abs(B).max(axis=(1, 2)))
     if bad.any():
         raise ValueError(f"B_{int(np.argmax(bad)) + 1} is not Hermitian to tolerance")
     s = np.linalg.svd(A, compute_uv=False)
     singular = s[:, -1] <= singular_rtol * s[:, 0]
+    tol = type_rtol * s[:, 0]
     wrong = np.zeros(len(A), dtype=bool)
     if tag == "type1":
-        wrong = ((np.abs(A - _herm(A)).max(axis=(1, 2)) > type_tol * s[:, 0])
+        wrong = ((np.abs(A - _herm(A)).max(axis=(1, 2)) > tol)
                  | (np.linalg.eigvalsh((A + _herm(A)) / 2.0)[:, 0] <= 0.0))
     elif tag == "type3":
         d = np.diagonal(A, axis1=1, axis2=2)
-        upper = np.abs(np.triu(A, 1)).max(axis=(1, 2))
-        wrong = ((upper > type_tol * np.maximum(1.0, s[:, 0]))
-                 | (np.abs(d.imag).max(axis=1) > type_tol) | (d.real.min(axis=1) <= 0.0))
+        wrong = ((np.abs(np.triu(A, 1)).max(axis=(1, 2)) > tol)
+                 | (np.abs(d.imag).max(axis=1) > tol) | (d.real.min(axis=1) <= 0.0))
     if np.any(singular | wrong):
         k = int(np.argmax(singular | wrong))
         if singular[k]:
@@ -408,22 +442,91 @@ def validate_blocks(params: BlockJacobiParams) -> None:
         raise WrongType(f"A_{k + 1} {_TYPE_TAGS[tag]} ({tag} tag)")
 
 
+def _lengths_fit(params: BlockJacobiParams) -> bool:
+    return len(params.A) in (len(params.B), len(params.B) - 1)
+
+
+def _validate_alone(params: BlockJacobiParams) -> None:
+    if params.type_tag not in _TYPE_TAGS:
+        raise ValueError(f"unknown type tag {params.type_tag!r}, "
+                         f"expected one of {tuple(_TYPE_TAGS)}")
+    if not _lengths_fit(params):
+        raise ValueError("need len(A) == len(B) or len(B) - 1")
+    _block_rule(params.A, params.B, params.type_tag)
+
+
+def validate_blocks(*params: BlockJacobiParams) -> None:
+    """The check every ``BlockJacobiParams`` passes on construction: the
+    type tag, len(A) == len(B) or len(B) - 1, and the per-block rule:
+    finiteness of every entry, Hermiticity of the B's, nonsingularity of
+    the A's and the declared type structure; an error names the first
+    failing block.
+
+    Every tolerance is relative to the block, with no absolute floor, so
+    a scaled block passes exactly when the unscaled one does.  The
+    nonsingularity threshold is 1e-12 times the spectral norm sigma_max
+    of the block (the theory only demands nonsingular), the one such
+    rule: the normal forms take every block it passes.  Hermiticity is
+    checked to 1e-12 max|B_j|; the type structure to 1e-10 sigma_max:
+    the anti-Hermitian part (type 1), and the strictly upper part and
+    the diagonal's imaginary part (type 3).
+
+    Several parameter sets (``_built_together``) are checked in one call:
+    the per-block rule runs once over the concatenated stacks of all the
+    sets of one block size and tag, and only when that pass fails is
+    each set checked alone, in order, so the error is the first failing
+    set's own, as if each had been built by itself.
+    """
+    _check_grouped(
+        params,
+        lambda p: ((p.block_size, p.type_tag)
+                   if p.type_tag in _TYPE_TAGS and _lengths_fit(p) else None),
+        lambda key, group: _block_rule(np.concatenate([p.A for p in group]),
+                                       np.concatenate([p.B for p in group]),
+                                       key[1]),
+        _validate_alone)
+
+
+def _identity_head(u: np.ndarray) -> bool:
+    return np.max(np.abs(u[0] - np.eye(len(u[0])))) == 0.0
+
+
+def _unitary_rule(u: np.ndarray) -> None:
+    bad = np.abs(_herm(u) @ u - np.eye(u.shape[-1])).max(axis=(1, 2)) > 1e-12
+    if bad.any():
+        raise ValueError(f"u_{int(np.argmax(bad)) + 1} is not unitary to tolerance")
+
+
+def _chain_alone(chain: UnitaryChain) -> None:
+    if not _identity_head(chain.u):
+        raise ValueError("u_1 must be the identity exactly")
+    _unitary_rule(chain.u)
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryChain:
     """Unitaries u_1 = I, u_2, u_3, ... realizing a block-parameter
     equivalence: B~_j = u_j^* B_j u_j, A~_j = u_j^* A_j u_{j+1}.  ``u``
-    is a read-only complex (n, ell, ell) array, copied on construction."""
+    is a read-only complex (n, ell, ell) array, copied on construction,
+    and checked: u_1 exactly the identity, every u_j unitary to 1e-12."""
 
     u: np.ndarray
 
     def __post_init__(self):
+        self._stack_fields()
+        self._check_all([self])
+
+    def _stack_fields(self) -> None:
         _stack(self, "u", len(self.u[0]))
-        u, eye = self.u, np.eye(len(self.u[0]))
-        if np.max(np.abs(u[0] - eye)) != 0.0:
-            raise ValueError("u_1 must be the identity exactly")
-        bad = np.abs(_herm(u) @ u - eye).max(axis=(1, 2)) > 1e-12
-        if bad.any():
-            raise ValueError(f"u_{int(np.argmax(bad)) + 1} is not unitary to tolerance")
+
+    @staticmethod
+    def _check_all(members) -> None:
+        # one unitarity pass per block size over the concatenated stacks
+        _check_grouped(
+            members,
+            lambda c: c.u.shape[-1] if _identity_head(c.u) else None,
+            lambda ell, group: _unitary_rule(np.concatenate([c.u for c in group])),
+            _chain_alone)
 
     def _moved(self, params: BlockJacobiParams):
         """The stacks u_j^* A_j u_{j+1} and u_j^* B_j u_j (needs one

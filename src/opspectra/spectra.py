@@ -27,7 +27,9 @@ Blaschke product and takes its candidates from the banded Hermitian
 parts of the paraorthogonal CMV truncation, held by its five diagonals
 (``_Banded``, the type that also runs the block map of ``periodic``).
 Only trace_square takes the QL values uncertified: its
-coefficient-side formula is their check.
+coefficient-side formula is their check.  Both tridiagonal routes call
+QL (LAPACK's ``dsterf``) directly through ``_sterf``, with no scipy
+wrapper around it to check again what the sequence has checked.
 """
 
 from __future__ import annotations
@@ -94,6 +96,19 @@ def _truncation(params: JacobiParams, N: int):
         raise ValueError("N >= 1 required")
     d = params.b_window(N)
     return d, params.a_window(N - 1) if N > 1 else np.empty(0)
+
+
+def _sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the tridiagonal (d, e), ascending, from
+    LAPACK's root-free QL/QR iteration, called directly: the entries were
+    checked by the sequence they came from.  At one site the value is
+    d itself (the wrapper refuses an empty e)."""
+    if len(d) == 1:
+        return np.array(d)
+    vals, info = sla.lapack.dsterf(d, e)
+    if info != 0:
+        raise NoConvergence(f"sterf failed (LAPACK info={info})")
+    return vals
 
 
 _SAFMIN = np.finfo(float).tiny
@@ -303,7 +318,7 @@ def eig_sym_tridiag(params: JacobiParams, N: int) -> np.ndarray:
     zero = not d.any()
     pos = _zero_diagonal_candidates(d, e, bound, pad) if zero else None
     if pos is None:
-        vals = sla.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+        vals = _sterf(d, e)
         pos = vals[vals > 0] if zero else None
     if zero:
         # (N + 1) // 2 eigenvalues lie at or below 0
@@ -334,13 +349,14 @@ def trace_square(params: JacobiParams, N: int):
     Returns (via_formula, via_eigs): the coefficient-side expression
     (1/N)(sum b^2 + 2 sum a^2) and the spectral side (1/N) sum x_j^2.
     The two agree to roundoff; keeping both routes is the point, so the
-    eigenvalues are LAPACK's uncertified ``sterf`` values and the
-    formula side is their check.
+    eigenvalues are LAPACK's uncertified ``sterf`` values, from one
+    direct call (``_sterf``) per identity, and the formula side is
+    their check.
     """
     d, e = _truncation(params, N)
     via_formula = (math.fsum((d ** 2).tolist())
                    + 2.0 * math.fsum((e ** 2).tolist())) / N
-    eigs = sla.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    eigs = _sterf(d, e)
     via_eigs = math.fsum((eigs ** 2).tolist()) / N
     return via_formula, via_eigs
 

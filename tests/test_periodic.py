@@ -476,20 +476,26 @@ def test_normal_forms_are_scale_covariant_bit_for_bit(normalize):
 
 @pytest.mark.parametrize("normalize", [normalize_type3, normalize_type1])
 def test_normal_forms_check_each_output_once(normalize, monkeypatch):
-    # the output's construction is its one check: no intermediate
-    # parameter set is built, and an input already in form is checked
-    # once too
+    # the outputs' joint construction is their one check: no intermediate
+    # parameter set is built, an input already in form is checked once
+    # too, and the per-block rule sees every output block exactly once
     rng = np.random.default_rng(17)
     inputs = [_blocks(rng, ell, nA, nB) for ell, nA, nB in
               ((2, 9, 10), (1, 4, 4), (3, 5, 6), (2, 3, 3))]
     [(exact, _)] = normalize([_blocks(rng, 2, 6, 7)])
     inputs.append(exact)
-    checked = []
-    real = sequences.validate_blocks
+    checked, ruled = [], []
+    real, rule = sequences.validate_blocks, sequences._block_rule
     monkeypatch.setattr(sequences, "validate_blocks",
-                        lambda Jb: checked.append(Jb) or real(Jb))
+                        lambda *Jbs: checked.extend(Jbs) or real(*Jbs))
+    monkeypatch.setattr(sequences, "_block_rule",
+                        lambda A, B, tag: ruled.append((A, B)) or rule(A, B, tag))
     out = normalize(inputs)
-    assert [id(Jb) for Jb in checked] == [id(t) for t, _ in out]
+    assert sorted(map(id, checked)) == sorted(id(t) for t, _ in out)
+    for part in (0, 1):
+        seen = sorted(blk.tobytes() for stacks in ruled for blk in stacks[part])
+        assert seen == sorted(blk.tobytes() for t, _ in out
+                              for blk in (t.A, t.B)[part])
 
 
 # -- isospectral torus -------------------------------------------------

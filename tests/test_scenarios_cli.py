@@ -11,12 +11,13 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from opspectra import cli, periodic, scenarios
+from opspectra import cli, periodic, scenarios, sequences
 from opspectra.cli import (ConfigParse, ScenarioConfig, default_config,
                            parse_config_text, run_scenario)
 from opspectra.regularity import StatSeries
 from opspectra.scenarios import BadOption, ScenarioResult, UnknownScenario
-from opspectra.sequences import BlockJacobiParams, VerblunskyParams
+from opspectra.sequences import (BlockJacobiParams, UnitaryChain,
+                                 VerblunskyParams)
 
 ALL_IDS = ("thm1_1", "prop2_2", "thm3_1", "thm4_1", "thm4_2", "thm6_1",
            "mnt_illustration", "conjecture5_1_explore")
@@ -707,3 +708,25 @@ def test_importing_the_cli_leaves_a_scipy_module_out(module):
          f"import sys, opspectra.cli; print({module!r} in sys.modules)"],
         env=_src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_thm3_1_checks_every_block_object_it_makes_exactly_once(
+        monkeypatch):
+    # the inputs, the chains, the normal forms and the gauge-moved copies
+    # are built in groups; each still passes its construction check once
+    made, checked = [], []
+    stack, validate = sequences._stack, sequences.validate_blocks
+    check_chains = UnitaryChain._check_all
+    monkeypatch.setattr(sequences, "_stack", lambda obj, name, ell: (
+        made.append(obj) if name in ("A", "u") else None,
+        stack(obj, name, ell))[1])
+    monkeypatch.setattr(sequences, "validate_blocks", lambda *Jbs: (
+        checked.extend(Jbs), validate(*Jbs))[1])
+    monkeypatch.setattr(UnitaryChain, "_check_all", staticmethod(
+        lambda members: (checked.extend(members), check_chains(members))[1]))
+    result = scenarios.run("thm3_1", {"inputs.count": "7"}, 3)
+    assert result.passed
+    # 7 inputs, 7 random chains, 7 gauge-moved copies, and 7 outputs and
+    # 7 chains per normal form
+    assert len(made) == 49
+    assert sorted(map(id, checked)) == sorted(map(id, made))

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opspectra import regularity as R
+from opspectra import sequences
 from opspectra.sequences import (_CHUNK, BlockJacobiParams, JacobiParams,
                                  SingularBlock, UnitaryChain, VerblunskyParams,
-                                 WrongType, sup_deviation, validate_blocks)
+                                 WrongType, _built_together, sup_deviation,
+                                 validate_blocks)
 from opspectra.scenarios import sparse_bump_jacobi, sparse_bump_verblunsky
 
 
@@ -470,3 +472,117 @@ def test_chain_apply_equals_its_per_block_loop(ell, nA, nB):
                                   for j in range(nB)])
     assert np.array_equal(out.A, [u[j].conj().T @ Jb.A[j] @ u[j + 1]
                                   for j in range(nA)])
+
+
+@pytest.mark.parametrize("A, B, tag, error, message", [
+    ([np.eye(2)], [[[0.0, 1.0], [0.0, 0.0]]] * 2, "general", ValueError,
+     r"^B_1 is not Hermitian"),
+    ([[[1.0, 0.5], [0.0, 1.0]]], [np.zeros((2, 2))] * 2, "type3", WrongType,
+     r"^A_1 is not lower triangular"),
+], ids=["non_hermitian_B", "upper_A_type3"])
+def test_block_tolerances_are_relative_to_the_block(A, B, tag, error,
+                                                    message):
+    # scaled by 1e-14, both blocks used to pass an absolute floor of
+    # 1e-12 (B) and 1e-10 (type 3); the rule is now the same at every
+    # scale, and the scaled form of a passing set still passes
+    for scale in (1.0, 1e-14):
+        with pytest.raises(error, match=message):
+            BlockJacobiParams(2, scale * np.array(A), scale * np.array(B), tag)
+    ok = BlockJacobiParams(2, [1e-14 * np.tril(A[0])],
+                           [1e-14 * np.array([[0.0, 1.0], [1.0, 0.0]])] * 2,
+                           tag)
+    assert ok.A[0, 0, 1] == 0.0
+
+
+def _mixed_rows(rng):
+    """Block rows of sizes 1-3 with both len(A) shapes, in mixed order."""
+    rows = []
+    for ell, nA, nB in ((2, 4, 5), (1, 3, 3), (3, 2, 3), (2, 5, 5),
+                        (1, 0, 1), (3, 4, 4), (2, 1, 2)):
+        z = rng.standard_normal((nA + nB, ell, ell)) \
+            + 1j * rng.standard_normal((nA + nB, ell, ell))
+        rows.append((ell, np.eye(ell) + 0.3 * z[:nA],
+                     z[nA:] + z[nA:].conj().swapaxes(1, 2), "general"))
+    return rows
+
+
+def _bits(obj):
+    return [(name, getattr(obj, name).tobytes()
+             if isinstance(getattr(obj, name), np.ndarray)
+             else getattr(obj, name)) for name in obj.__dataclass_fields__]
+
+
+def test_built_together_gives_the_bits_of_one_by_one_construction(
+        monkeypatch):
+    rng = np.random.default_rng(5)
+    rows = _mixed_rows(rng)
+    chains = [(np.concatenate([np.eye(ell)[None], np.linalg.qr(
+        rng.standard_normal((n, ell, ell)))[0]]),)
+        for ell, n in ((2, 3), (1, 5), (3, 2), (2, 1), (1, 0))]
+    calls = []
+    real = sequences.validate_blocks
+    monkeypatch.setattr(sequences, "validate_blocks",
+                        lambda *Jbs: calls.append(len(Jbs)) or real(*Jbs))
+    together = _built_together(BlockJacobiParams, rows)
+    assert calls == [len(rows)]
+    for got, row in zip(together, rows):
+        assert _bits(got) == _bits(BlockJacobiParams(*row))
+        assert got.A.dtype == complex and not got.B.flags.writeable
+    for got, row in zip(_built_together(UnitaryChain, chains), chains):
+        assert _bits(got) == _bits(UnitaryChain(*row))
+    assert _built_together(BlockJacobiParams, []) == []
+
+
+def _plant(rows, k, part, block):
+    ell, A, B, tag = rows[k]
+    stacks = {"A": np.array(A, dtype=complex), "B": np.array(B, dtype=complex)}
+    stacks[part][1] = block(ell)
+    rows[k] = (ell, stacks["A"], stacks["B"], tag)
+
+
+@pytest.mark.parametrize("part, block, error", [
+    ("A", lambda ell: np.zeros((ell, ell)), SingularBlock),
+    ("B", lambda ell: np.triu(np.ones((ell, ell)), 1) + np.eye(ell),
+     ValueError),
+    ("B", lambda ell: np.full((ell, ell), np.nan), ValueError),
+    ("A", lambda ell: np.full((ell, ell), np.nan), ValueError),
+], ids=["singular_A", "non_hermitian_B", "nan_B", "nan_A"])
+def test_built_together_raises_the_first_failing_members_own_error(
+        part, block, error):
+    rows = _mixed_rows(np.random.default_rng(6))
+    for k in (3, 5):  # a middle member of size 2, then also a later one
+        _plant(rows, k, part, block)
+        with pytest.raises(error) as alone:
+            BlockJacobiParams(*rows[3])
+        with pytest.raises(error) as together:
+            _built_together(BlockJacobiParams, rows)
+        assert type(together.value) is type(alone.value)
+        assert str(together.value) == str(alone.value)
+        assert str(alone.value).startswith(f"{part}_2")
+
+
+def test_built_together_keeps_the_order_of_member_errors():
+    # a wrong len(A) or block shape in a later member is not reported
+    # before an earlier member's bad block, and a chain whose head is off
+    # the identity is refused as it is alone
+    rows = _mixed_rows(np.random.default_rng(7))
+    _plant(rows, 1, "B", lambda ell: np.full((ell, ell), np.inf))
+    ell, A, B, tag = rows[5]
+    rows[5] = (ell, np.concatenate([A, A, A]), B, tag)
+    with pytest.raises(ValueError, match=r"^B_2 has a non-finite entry"):
+        _built_together(BlockJacobiParams, rows)
+    with pytest.raises(ValueError, match=r"^need len\(A\)"):
+        _built_together(BlockJacobiParams, rows[2:])
+    ell, A, B, tag = rows[6]
+    rows[6] = (ell, A, B[:, :1], tag)
+    with pytest.raises(ValueError, match=r"^B_2 has a non-finite entry"):
+        _built_together(BlockJacobiParams, rows)
+    with pytest.raises(ValueError, match=r"^B has shape"):
+        _built_together(BlockJacobiParams, rows[6:])
+    u = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    off = u.copy()
+    off[0, 0, 0] = 1.0 + 1e-15
+    with pytest.raises(ValueError, match="identity exactly"):
+        _built_together(UnitaryChain, [(u,), (off,), (2.0 * u,)])
+    with pytest.raises(ValueError, match=r"^u_2 is not unitary"):
+        _built_together(UnitaryChain, [(u,), (np.stack([u[0], 2.0 * u[0]]),)])

@@ -133,8 +133,8 @@ def test_failed_brackets_are_refined_by_bisection(monkeypatch):
     wrong = oracle.copy()
     wrong[j + 1] = wrong[j]
     wrong[0] -= 0.5
-    monkeypatch.setattr(spectra.sla, "eigvalsh_tridiagonal",
-                        lambda *args, **kw: wrong.copy())
+    monkeypatch.setattr(spectra.sla.lapack, "dsterf",
+                        lambda *args, **kw: (wrong.copy(), 0))
     # trace_square takes the wrong list as it comes, so its formula side
     # no longer matches; eig_sym_tridiag repairs it
     J = JacobiParams(e, d)
@@ -143,6 +143,16 @@ def test_failed_brackets_are_refined_by_bisection(monkeypatch):
     assert abs(f - via_eigs) > 0.1
     fixed = eig_sym_tridiag(J, len(d))
     assert np.max(np.abs(fixed - oracle)) < 1e-12
+
+
+def test_a_failed_sterf_raises(monkeypatch):
+    # sterf is called directly, so its info is checked here, not by scipy
+    monkeypatch.setattr(spectra.sla.lapack, "dsterf",
+                        lambda d, e, **kw: (np.array(d), 3))
+    J = JacobiParams(np.ones(4), np.arange(5.0))
+    for solve in (trace_square, eig_sym_tridiag):
+        with pytest.raises(spectra.NoConvergence, match="info=3"):
+            solve(J, 5)
 
 
 @pytest.mark.parametrize("route", ["bisect", "ql", "zero_diagonal"])
@@ -177,7 +187,7 @@ def _spy(monkeypatch, module, name):
 @pytest.mark.parametrize("n", [24, 25])
 @pytest.mark.parametrize("seed", range(10))
 def test_zero_diagonal_matches_40_digit_oracle(n, seed, monkeypatch):
-    sterf = _spy(monkeypatch, spectra.sla, "eigvalsh_tridiagonal")
+    sterf = _spy(monkeypatch, spectra.sla.lapack, "dsterf")
     rng = np.random.default_rng(seed)
     d, e = np.zeros(n), np.exp(rng.uniform(-1.0, 1.0, n - 1))
     oracle = tridiagonal_eigvals_mp(d, e)
@@ -212,7 +222,7 @@ def test_zero_diagonal_falls_back_to_sterf_when_pteqr_fails(monkeypatch):
     oracle = np.linalg.eigvalsh(tridiagonal_dense(d, e))
     assert np.min(np.diff(oracle)) < 1e-16
     pteqr = _spy(monkeypatch, spectra.sla.lapack, "dpteqr")
-    sterf = _spy(monkeypatch, spectra.sla, "eigvalsh_tridiagonal")
+    sterf = _spy(monkeypatch, spectra.sla.lapack, "dsterf")
     with pytest.warns(DuplicateEigenvalues):
         w = eig_sym_tridiag(JacobiParams(e, d), 600)
     assert [r[3] for r in pteqr] == [296] and len(sterf) == 1
@@ -227,7 +237,7 @@ def test_certified_repairs_a_wrong_pteqr_list(monkeypatch):
     wrong = s[::-1] ** 2  # pteqr's order: descending
     wrong[1] = wrong[0]  # the top pair collapsed
     wrong[2] += 0.5  # a value moved into the next bracket up
-    sterf = _spy(monkeypatch, spectra.sla, "eigvalsh_tridiagonal")
+    sterf = _spy(monkeypatch, spectra.sla.lapack, "dsterf")
     monkeypatch.setattr(spectra.sla.lapack, "dpteqr",
                         lambda d, e, z, **kw: (wrong.copy(), e, z, 0))
     assert np.max(np.abs(eig_sym_tridiag(JacobiParams(e, d), len(d))
@@ -241,7 +251,7 @@ def test_a_wrong_pteqr_value_near_zero_falls_back_to_sterf(monkeypatch):
     d, e = _twin_blocks(1e-6, zero_diagonal=True)
     oracle = np.linalg.eigvalsh(tridiagonal_dense(d, e))
     wrong = np.append(oracle[:5:-1], 1e-6) ** 2
-    sterf = _spy(monkeypatch, spectra.sla, "eigvalsh_tridiagonal")
+    sterf = _spy(monkeypatch, spectra.sla.lapack, "dsterf")
     monkeypatch.setattr(spectra.sla.lapack, "dpteqr",
                         lambda d, e, z, **kw: (wrong.copy(), e, z, 0))
     assert np.max(np.abs(eig_sym_tridiag(JacobiParams(e, d), len(d))
@@ -294,7 +304,7 @@ def test_zero_diagonal_spectra_are_exactly_symmetric(n, chain, route,
     if route == "sterf":
         monkeypatch.setattr(spectra.sla.lapack, "dpteqr",
                             lambda d, e, z, **kw: (d, e, z, 1))
-    sterf = _spy(monkeypatch, spectra.sla, "eigvalsh_tridiagonal")
+    sterf = _spy(monkeypatch, spectra.sla.lapack, "dsterf")
     with (pytest.warns(DuplicateEigenvalues) if close
           else contextlib.nullcontext()):
         w = eig_sym_tridiag(JacobiParams(a, d), n)
