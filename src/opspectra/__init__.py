@@ -10,9 +10,8 @@ deviations as the window grows.  The ``opspectra`` command line runs
 named end-to-end experiments; see ``opspectra list-scenarios``.
 """
 
-from .measures import (CircleMeasureSpec, DensityPart, DiscreteMeasure,
-                       LineMeasureSpec, discretize, jacobi_from_measure,
-                       verblunsky_from_measure)
+from .measures import (DensityPart, DiscreteMeasure, LineMeasureSpec,
+                       discretize, jacobi_from_measure, szego_image)
 from .periodic import (PeriodicJacobi, bands, d_to_torus_batch, delta_of_J,
                        discriminant, normalize_type1, normalize_type3,
                        torus_point)
@@ -32,8 +31,7 @@ from .spectra import (EmpiricalMeasure, eig_block, eig_sym_tridiag,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockJacobiParams", "CircleArcSet", "CircleMeasureSpec",
-    "DensityPart", "DiscreteMeasure",
+    "BlockJacobiParams", "CircleArcSet", "DensityPart", "DiscreteMeasure",
     "EmpiricalMeasure", "EquilibriumMeasure", "FiniteGapSet", "JacobiParams",
     "LineMeasureSpec", "PeriodicJacobi", "SplitMix64", "StatSeries",
     "UnitaryChain", "VerblunskyParams",
@@ -44,6 +42,6 @@ __all__ = [
     "eig_block", "eig_sym_tridiag", "eig_unitary",
     "equilibrium_measure", "jacobi_from_measure", "lemma21_stats",
     "normalize_type1", "normalize_type3", "root_and_cesaro", "root_test",
-    "sup_deviation", "torus_point", "trace_square", "trace_stat",
-    "verblunsky_from_measure", "w1_distance", "zero_counting",
+    "sup_deviation", "szego_image", "torus_point", "trace_square",
+    "trace_stat", "w1_distance", "zero_counting",
 ]

@@ -1,5 +1,6 @@
-"""Declarative probability measures on the line and the unit circle, and
-the constructive measure -> recurrence-coefficient procedures.
+"""Declarative probability measures on the line, the constructive
+measure -> recurrence-coefficient procedure, and the Szego map that
+carries line coefficients to the circle.
 
 The line density kinds that matter here live on [-2, 2]: the arcsine
 density (4 - x^2)^{-1/2}/pi, the semicircle-type density
@@ -13,10 +14,10 @@ the square-root-weighted values sqrt(w) p_n of the orthonormal
 polynomials at the nodes, so every discrete inner product is one
 pairwise sum (never a BLAS dot, whose result depends on the thread
 count), with explicit reorthogonalization against the two preceding
-polynomials.  On the circle the route is its twin, the isometric
-Arnoldi process on the nodes e^{i theta}: the same square-root-weighted
-vectors, fully reorthogonalized twice, so it stays accurate on measures
-with a gap.
+polynomials.  Circle coefficients come from the line: a circle measure
+symmetric under conjugation is the Szego image of a line measure under
+x = 2 cos(theta), and ``szego_image`` takes its Verblunsky coefficients
+from that line measure's Jacobi parameters in O(N).
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ class DensityNegative(ValueError):
 
 
 class BreakdownAtStep(ArithmeticError):
-    """A recurrence hit a vanishing squared norm (a_n^2 on the line,
-    rho_n^2 on the circle): the measure behaves as if supported on fewer
-    points than requested."""
+    """A recurrence hit a vanishing squared norm a_n^2: the measure
+    behaves as if supported on fewer points than requested."""
 
     def __init__(self, step: int, norm2: float = 0.0):
         super().__init__(f"recurrence breakdown at step {step} (norm^2 = {norm2})")
@@ -53,7 +53,6 @@ class BreakdownAtStep(ArithmeticError):
 
 
 _LINE_KINDS = ("chebyshev-t", "chebyshev-u", "legendre-flat", "tabulated")
-_CIRCLE_KINDS = ("uniform", "tabulated")
 
 
 @dataclass(frozen=True)
@@ -72,20 +71,20 @@ class DensityPart:
     data: object = None
 
 
-def _check_parts(parts, kinds, lo_min, hi_max):
-    """ValueError for an unknown kind, ends not finite with lo < hi in
-    [lo_min, hi_max], a weight not finite and > 0, or overlapping parts;
-    a non-finite end or a bad weight names the first part with one."""
+def _check_parts(parts):
+    """ValueError for an unknown kind, ends not finite with lo < hi, a
+    weight not finite and > 0, or overlapping parts; a non-finite end or
+    a bad weight names the first part with one."""
     spans = [(p.lo, p.hi) for p in parts]
     ends = np.array(spans, dtype=float).reshape(-1, 2)
     _refuse(~np.isfinite(ends).all(axis=1), spans, 0, "part", "finite")
     w = np.array([p.weight for p in parts], dtype=float)
     _refuse(~(w > 0.0) | np.isinf(w), w, 0, "part_weight", "> 0 and finite")
     for p in parts:
-        if p.kind not in kinds:
+        if p.kind not in _LINE_KINDS:
             raise ValueError(f"unknown density kind {p.kind!r}")
-        if not (lo_min - 1e-12 <= p.lo < p.hi <= hi_max + 1e-12):
-            raise ValueError(f"interval [{p.lo},{p.hi}] out of range or empty")
+        if not p.lo < p.hi:
+            raise ValueError(f"interval [{p.lo},{p.hi}] is empty")
     spans.sort()
     for (l1, h1), (l2, h2) in zip(spans, spans[1:]):
         if l2 < h1 - 1e-12:
@@ -128,7 +127,7 @@ class LineMeasureSpec:
     def __init__(self, parts: Sequence[DensityPart] = (),
                  atoms: Sequence[Tuple[float, float]] = ()):
         parts = tuple(parts)
-        _check_parts(parts, _LINE_KINDS, -np.inf, np.inf)
+        _check_parts(parts)
         for p in parts:
             if p.kind in ("chebyshev-t", "chebyshev-u") and (p.lo, p.hi) != (-2.0, 2.0):
                 raise ValueError(f"{p.kind} preset lives on [-2,2]")
@@ -139,44 +138,19 @@ class LineMeasureSpec:
         return cls([DensityPart(lo, hi, "legendre-flat")])
 
 
-class CircleMeasureSpec:
-    """Measure on the unit circle: densities w(theta) d theta / (2 pi) on
-    angle intervals inside [-pi, pi], plus atoms at angles.
-
-    Kinds: "uniform" (w constant on the interval) and "tabulated"
-    (piecewise-linear w through ``data`` = (thetas, values)).
-    """
-
-    def __init__(self, parts: Sequence[DensityPart] = (),
-                 atoms: Sequence[Tuple[float, float]] = ()):
-        parts = tuple(parts)
-        _check_parts(parts, _CIRCLE_KINDS, -math.pi, math.pi)
-        if any(not -math.pi <= th <= math.pi for th, _ in atoms):
-            raise ValueError("atom angle outside [-pi, pi]")
-        self.parts, self.atoms = _normalized(parts, atoms)
-
-
 class DiscreteMeasure:
-    """Finitely supported measure: sorted nodes, positive weights, mass 1.
-
-    ``domain`` is "line" (nodes are reals) or "circle" (nodes are angles,
-    wrapped into [-pi, pi) before coincident nodes merge).  ValueError
-    names the first non-finite node or weight, in input order.
+    """Finitely supported measure on the line: sorted nodes, positive
+    weights, mass 1.  ValueError names the first non-finite node or
+    weight, in input order.
     """
 
-    def __init__(self, nodes, weights, domain: str = "line"):
+    def __init__(self, nodes, weights):
         nodes = np.asarray(nodes, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if domain not in ("line", "circle"):
-            raise ValueError("domain must be 'line' or 'circle'")
         if nodes.shape != weights.shape or nodes.ndim != 1 or len(nodes) == 0:
             raise ValueError("nodes and weights must be equal-length 1-d arrays")
         _refuse(~np.isfinite(nodes), nodes, 0, "node", "finite")
         _refuse(~np.isfinite(weights), weights, 0, "weight", "finite")
-        if domain == "circle":
-            out = (nodes < -math.pi) | (nodes >= math.pi)
-            nodes = np.where(out, np.mod(nodes + math.pi, 2.0 * math.pi)
-                             - math.pi, nodes)
         order = np.argsort(nodes, kind="stable")
         nodes, weights = nodes[order], weights[order]
         # merge exactly coincident nodes (atom placed on a quadrature node)
@@ -193,7 +167,6 @@ class DiscreteMeasure:
             weights = weights / s
         self.nodes = _freeze(nodes)
         self.weights = _freeze(weights)
-        self.domain = domain
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -256,49 +229,28 @@ def _line_part_rule(part: DensityPart, n: int):
     raise ValueError(part.kind)
 
 
-def _circle_part_rule(part: DensityPart, n: int):
-    if part.kind == "uniform" and part.hi - part.lo >= 2.0 * math.pi - 1e-12:
-        # the whole circle: n equispaced angles integrate every
-        # trigonometric polynomial of degree below n exactly
-        return part.lo + (2.0 * math.pi / n) * np.arange(n), np.full(n, 1.0 / n)
-    if part.kind == "uniform":
-        th, w = _gl_nodes(part.lo, part.hi, n)
-        return th, w / (part.hi - part.lo)
-    if part.kind == "tabulated":
-        ths, vals = part.data
-        return _tabulated_rule(ths, vals, min(n, 12))
-    raise ValueError(part.kind)
-
-
 def discretize(spec, points_per_interval: int = 200) -> DiscreteMeasure:
-    """Quadrature discretization of a measure spec.
+    """Quadrature discretization of a line measure spec.
 
     Each a.c. part becomes a mapped Gauss-Legendre rule carrying the
-    part's share of the mass, except a uniform part spanning the whole
-    circle, which gets equispaced angles with equal weights; atoms pass
-    through verbatim.  Moments of polynomial-density parts are
-    reproduced to near machine precision for orders below twice the
-    point count, and the trigonometric moments of the whole-circle part
-    for orders below the point count.
+    part's share of the mass; atoms pass through verbatim.  Moments of
+    polynomial-density parts are reproduced to near machine precision
+    for orders below twice the point count.
     """
     if points_per_interval < 2:
         raise ValueError("points_per_interval must be >= 2")
-    if isinstance(spec, LineMeasureSpec):
-        rule, domain = _line_part_rule, "line"
-    elif isinstance(spec, CircleMeasureSpec):
-        rule, domain = _circle_part_rule, "circle"
-    else:
-        raise TypeError("expected LineMeasureSpec or CircleMeasureSpec")
+    if not isinstance(spec, LineMeasureSpec):
+        raise TypeError("expected LineMeasureSpec")
     nodes, weights = [], []
     for part in spec.parts:
-        x, w = rule(part, points_per_interval)
+        x, w = _line_part_rule(part, points_per_interval)
         raw = math.fsum(w.tolist())
         nodes.append(x)
         weights.append(w * (part.weight / raw))
     for loc, mass in spec.atoms:
         nodes.append(np.array([loc]))
         weights.append(np.array([mass]))
-    return DiscreteMeasure(np.concatenate(nodes), np.concatenate(weights), domain)
+    return DiscreteMeasure(np.concatenate(nodes), np.concatenate(weights))
 
 
 def jacobi_from_measure(m: DiscreteMeasure, N: int) -> JacobiParams:
@@ -317,8 +269,6 @@ def jacobi_from_measure(m: DiscreteMeasure, N: int) -> JacobiParams:
     times max(1, max|node|^2): the measure cannot support an n-th
     orthonormal polynomial.
     """
-    if m.domain != "line":
-        raise ValueError("jacobi_from_measure needs a line measure")
     if N < 1:
         raise ValueError("N >= 1 required")
     x, w = m.nodes, m.weights
@@ -343,51 +293,49 @@ def jacobi_from_measure(m: DiscreteMeasure, N: int) -> JacobiParams:
     return JacobiParams(a, b)
 
 
-def verblunsky_from_measure(m: DiscreteMeasure, N: int) -> VerblunskyParams:
-    """First N Verblunsky coefficients alpha_0..alpha_{N-1} of a circle
-    measure, by the isometric Arnoldi process on its nodes.
 
-    Arnoldi on diag(z), z_k = e^{i theta_k}, started from u_0 = sqrt(w),
-    builds the vectors u_n = sqrt(w) phi_n of the orthonormal
-    polynomials; each new vector is orthogonalized against all its
-    predecessors twice, and every inner product is a pairwise ``np.sum``
-    along the node axis, so the result does not depend on the BLAS
-    thread count.  Then alpha_n = -<z phi_n, phi_n^*> = -sum_k z_k^{1-n}
-    u_{n,k}^2 with phi_n^* = z^n conj(phi_n): the sign of the recursion
-    Phi_{n+1} = z Phi_n + alpha_n Phi_n^* used throughout this package,
-    so alpha_0 = -integral of z (Gragg, J. Comput. Appl. Math. 46
-    (1993); Simon, OPUC Part 1, 2005).  Unlike a recursion on moments it
-    stays accurate on measures with a gap: on the equilibrium measure of
-    the a = 0.5 arc (800 nodes) it matches a 250-digit Szego recursion
-    on the same nodes to 1e-13 for every n < 300.
 
-    The nodes must resolve degree N: ``discretize`` of the uniform
-    measure at 200 points (equispaced) gives |alpha_n| < 2e-14 for every
-    n <= 198, while 200 Gauss-Legendre nodes in theta, which cluster at
-    +-pi, give 0.92 at n = 150.  A measure on M
-    points has M - 1 coefficients inside the disc; asking for more, or a
-    squared norm rho_n^2 = 1 - |alpha_n|^2 below 1e-13, raises
-    BreakdownAtStep.
+def szego_image(J: JacobiParams, N: int) -> VerblunskyParams:
+    """First N Verblunsky coefficients alpha_0..alpha_{N-1} of the Szego
+    image of J's measure mu on [-2, 2]: the circle measure nu, symmetric
+    under conjugation, with integral g(2 cos theta) d nu = integral g
+    d mu.
+
+    The coefficients are real and follow from the Geronimus relations,
+    solved forward in O(N) with no quadrature (Simon, OPUC Part 2, 2005,
+    Thm 13.1.7; Killip and Nenciu, IMRN 2004, for the form used here).
+    In Simon's sign, with alpha_{-1} = -1, for n >= 0:
+
+        a_{n+1}^2 = (1 - alpha_{2n-1}) (1 - alpha_{2n}^2) (1 + alpha_{2n+1})
+        b_{n+1} = (1 - alpha_{2n-1}) alpha_{2n} - (1 + alpha_{2n-1}) alpha_{2n-2}
+
+    This package's alpha_n is the negative of Simon's, from the
+    recursion Phi_{n+1} = z Phi_n + alpha_n Phi_n^*, so alpha_0 = -b_1/2
+    is minus the integral of z.  b_{n+1} gives alpha_{2n} and a_{n+1}
+    gives alpha_{2n+1}, so exactly b_1..b_{ceil(N/2)} and
+    a_1..a_{floor(N/2)} are read.  The arcsine law of [-2, 2] maps to
+    the uniform measure (every alpha_n = 0), and that of [-2, 2 - 4a^2]
+    to the equilibrium measure of the arc {|theta| >= 2 arcsin a}, with
+    alpha_0 = a^2 and alpha_n -> a.
+
+    A measure with mass outside [-2, 2] has no Szego image: ValueError
+    names the first coefficient outside the open unit disc, and none
+    past it is computed.
     """
-    if m.domain != "circle":
-        raise ValueError("verblunsky_from_measure needs a circle measure")
     if N < 1:
         raise ValueError("N >= 1 required")
-    th, w = m.nodes, m.weights
-    if len(th) <= N:
-        raise BreakdownAtStep(len(th) + 1, 0.0)
-    z = np.exp(1j * th)
-    U = np.empty((N + 1, len(th)), dtype=complex)
-    U[0] = np.sqrt(w / np.sum(w))
-    alpha = np.empty(N, dtype=complex)
-    for n in range(N):
-        alpha[n] = -np.sum(np.exp(1j * (1 - n) * th) * U[n] * U[n])
-        q = z * U[n]
-        for _ in range(2):
-            c = np.sum(np.conj(U[:n + 1]) * q, axis=1)
-            q -= np.sum(c[:, None] * U[:n + 1], axis=0)
-        norm2 = float(np.sum(q.real ** 2 + q.imag ** 2))
-        if norm2 <= 1e-13:
-            raise BreakdownAtStep(n + 2, norm2)
-        U[n + 1] = q / math.sqrt(norm2)
+    b = J.b_window((N + 1) // 2).tolist()
+    a = J.a_window(N // 2).tolist()
+    alpha = []
+    # alpha_{-1} = 1 in this sign; alpha_{-2} enters with weight 1 - alpha_{-1} = 0
+    odd, even = 1.0, 0.0
+    for n, bn in enumerate(b):
+        even = ((1.0 - odd) * even - bn) / (1.0 + odd)
+        alpha.append(even)
+        if not abs(even) < 1.0 or n == len(a):
+            break
+        odd = 1.0 - a[n] * a[n] / ((1.0 + odd) * (1.0 - even * even))
+        alpha.append(odd)
+        if not abs(odd) < 1.0:
+            break
     return VerblunskyParams(alpha)

@@ -454,8 +454,9 @@ def _cmv(params: VerblunskyParams, N: int):
     (Cantero, Moral and Velazquez, 2003): L made of the 2x2 rotors
     [[-a_j, rho_j], [rho_j, conj(a_j)]] at even j, M with a leading 1
     and the rotors at odd j.  The rotor signs follow the recursion
-    Phi_{n+1} = z Phi_n + alpha_n Phi_n^* used by
-    ``measures.verblunsky_from_measure``, under which the constant
+    Phi_{n+1} = z Phi_n + alpha_n Phi_n^*, the sign of
+    ``measures.szego_image`` and of the tests' isometric Arnoldi oracle
+    (``oracles.verblunsky_from_measure``), under which the constant
     sequence alpha_j = a > 0 is the gap-around-1 arc measure with
     nothing in the gap.  The rotor that would straddle the truncation
     boundary degenerates to the single entry -beta, so the truncation is

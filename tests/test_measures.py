@@ -8,12 +8,12 @@ import pytest
 from mpmath import mp
 from numpy.polynomial import legendre as npleg
 
-from opspectra.measures import (BreakdownAtStep, CircleMeasureSpec,
-                                DensityNegative, DensityPart, DiscreteMeasure,
-                                LineMeasureSpec, _gl_nodes, _leggauss,
-                                _tabulated_rule, discretize,
-                                jacobi_from_measure, verblunsky_from_measure)
-from oracles import cmv_sparse, gauss_rule, moment
+from opspectra.measures import (BreakdownAtStep, DensityNegative,
+                                DensityPart, DiscreteMeasure, LineMeasureSpec,
+                                _gl_nodes, _leggauss, _tabulated_rule,
+                                discretize, jacobi_from_measure, szego_image)
+from opspectra.sequences import JacobiParams
+from oracles import cmv_sparse, gauss_rule, moment, verblunsky_from_measure
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -112,12 +112,12 @@ _THREADS_SCRIPT = """
 import hashlib
 import numpy as np
 from opspectra.measures import (DiscreteMeasure, jacobi_from_measure,
-                                verblunsky_from_measure)
+                                szego_image)
 x = np.linspace(-2.0, 2.0, 20011)
 J = jacobi_from_measure(DiscreteMeasure(x, 1.0 + 0.3 * x + np.sin(5.0 * x) ** 2), 50)
 th = np.linspace(-np.pi, np.pi, 20011, endpoint=False)
-V = verblunsky_from_measure(DiscreteMeasure(
-    th, 1.0 + 0.3 * np.cos(th) + np.sin(5.0 * th) ** 2, "circle"), 30)
+V = szego_image(jacobi_from_measure(DiscreteMeasure(
+    2.0 * np.cos(th), 1.0 + 0.3 * np.cos(th) + np.sin(5.0 * th) ** 2), 16), 30)
 print(hashlib.sha256(J.a_window(49).tobytes() + J.b_window(50).tobytes()
                      + V.alpha_window(30).tobytes()).hexdigest())
 """
@@ -180,9 +180,8 @@ def test_discrete_measure_refuses_a_non_finite_node_or_weight(
         nodes, weights, message):
     # unchecked, sorting merges a NaN node into a neighbour, an inf node
     # is kept, and normalizing an inf weight makes every weight NaN
-    for domain in ("line", "circle"):
-        with pytest.raises(ValueError, match=message):
-            DiscreteMeasure(nodes, weights, domain)
+    with pytest.raises(ValueError, match=message):
+        DiscreteMeasure(nodes, weights)
 
 
 @pytest.mark.parametrize("at, value, message", [
@@ -230,17 +229,6 @@ def test_line_measure_spec_refuses_non_finite_input(parts, atoms, message):
     # and makes the atom mass NaN; an infinite part warns in _gl_nodes)
     with pytest.raises(ValueError, match=message):
         LineMeasureSpec(parts, atoms)
-
-
-@pytest.mark.parametrize("parts, atoms, message", [
-    ([DensityPart(-math.pi, math.pi, "uniform", np.nan)], [],
-     r"^part_weight_0 = nan must be > 0 and finite"),
-    ([DensityPart(-math.pi, math.pi, "uniform")], [(0.5, np.inf)],
-     r"^atom_mass_0 = inf must be > 0 and finite"),
-], ids=["nan_part_weight", "inf_atom_mass"])
-def test_circle_measure_spec_refuses_non_finite_weights(parts, atoms, message):
-    with pytest.raises(ValueError, match=message):
-        CircleMeasureSpec(parts, atoms)
 
 
 def test_flat_measure_moments():
@@ -298,10 +286,18 @@ def test_stieltjes_breakdown_on_tiny_support():
         jacobi_from_measure(dm, 4)
 
 
-def _trig_moments(m: DiscreteMeasure, K: int) -> np.ndarray:
-    """c_0..c_K with c_k = integral of e^{-i k theta} dm, each a
-    compensated sum."""
-    vals = m.weights * np.exp(-1j * np.arange(K + 1)[:, None] * m.nodes)
+def _uniform_angles(n: int):
+    """The uniform measure on the circle as n equispaced angles from -pi
+    with equal weights: it integrates every trigonometric polynomial of
+    degree below n exactly."""
+    return -math.pi + (2.0 * math.pi / n) * np.arange(n), np.full(n, 1.0 / n)
+
+
+def _trig_moments(theta, weights, K: int) -> np.ndarray:
+    """c_0..c_K with c_k = integral of e^{-i k theta} of the measure with
+    the given weights (of total mass 1) at the angles, each a compensated
+    sum."""
+    vals = weights * np.exp(-1j * np.arange(K + 1)[:, None] * theta)
     return np.array([complex(math.fsum(v.real.tolist()),
                              math.fsum(v.imag.tolist())) for v in vals])
 
@@ -360,23 +356,24 @@ def _szego_mp(theta, N: int, dps: int) -> np.ndarray:
     return np.array(out)
 
 
-def _arc_equilibrium(K: int) -> DiscreteMeasure:
+def _arc_line_nodes(K: int) -> np.ndarray:
     # the a = 0.5 arc, theta in [pi/3, 5 pi/3]: its equilibrium measure
-    # pushed to x = 2 cos(theta) is the arcsine law of [-2, 1], whose
-    # K-point Gauss-Chebyshev rule is mirrored to the lower half
-    x = -0.5 + 1.5 * np.cos((2 * np.arange(K) + 1) * math.pi / (2 * K))
-    th = np.arccos(x / 2.0)
-    return DiscreteMeasure(np.r_[th, -th], np.ones(2 * K), "circle")
+    # pushed to x = 2 cos(theta) is the arcsine law of [-2, 1], here its
+    # K-point Gauss-Chebyshev rule (equal weights)
+    return -0.5 + 1.5 * np.cos((2 * np.arange(K) + 1) * math.pi / (2 * K))
+
+
+def _arc_equilibrium(K: int):
+    # the 2K angles over the K line nodes, ascending, with equal weights
+    th = np.arccos(_arc_line_nodes(K) / 2.0)
+    return np.r_[-th[::-1], th], np.ones(2 * K)
 
 
 def test_uniform_circle_moments_and_coefficients():
     # 200 equispaced angles integrate z^k exactly for |k| < 200, so every
-    # coefficient the 200 nodes carry inside the disc is 0 (the
-    # verblunsky_from_measure docstring)
-    dm = discretize(CircleMeasureSpec(
-        [DensityPart(-math.pi, math.pi, "uniform")]))
-    assert len(dm) == 200
-    V = verblunsky_from_measure(dm, 199)
+    # coefficient the 200 nodes carry inside the disc is 0 (the oracle's
+    # docstring)
+    V = verblunsky_from_measure(*_uniform_angles(200), 199)
     assert abs(V.alpha_window(1)[0]) < 1e-14   # alpha_0 = -integral of z
     assert np.max(np.abs(V.alpha_window(199))) < 2e-14
 
@@ -385,14 +382,13 @@ def test_cosine_weight_has_known_first_moment():
     # w(theta) = 1 + cos(theta): integral of z is 1/2 exactly, so
     # alpha_0 = -1/2; the piecewise-linear table adds an O(h^2) error
     th = np.linspace(-math.pi, math.pi, 2001)
-    dm = discretize(CircleMeasureSpec(
-        [DensityPart(-math.pi, math.pi, "tabulated", 1.0,
-                     (th, 1.0 + np.cos(th)))]))
-    alpha = verblunsky_from_measure(dm, 20).alpha_window(20)
+    nodes, w = _tabulated_rule(th, 1.0 + np.cos(th), 12)
+    w = w / math.fsum(w.tolist())
+    alpha = verblunsky_from_measure(nodes, w, 20).alpha_window(20)
     assert alpha[0] == pytest.approx(-0.5, abs=1e-4)
     # no gap, so the moment recursion is a sound oracle at small N
     assert np.max(np.abs(alpha - _verblunsky_from_moments(
-        _trig_moments(dm, 20), 20))) <= 1e-13
+        _trig_moments(nodes, w, 20), 20))) <= 1e-13
 
 
 def test_moment_route_round_trips_through_cmv():
@@ -402,8 +398,8 @@ def test_moment_route_round_trips_through_cmv():
     alpha = 0.5 * np.sqrt(rng.random(50)) * np.exp(2j * math.pi * rng.random(50))
     C = cmv_sparse(alpha, np.exp(0.7j)).toarray()
     z, vecs = np.linalg.eig(C)
-    dm = DiscreteMeasure(np.angle(z), np.abs(vecs[0]) ** 2, "circle")
-    back = verblunsky_from_measure(dm, 50).alpha_window(50)
+    back = verblunsky_from_measure(np.angle(z), np.abs(vecs[0]) ** 2,
+                                   50).alpha_window(50)
     assert np.max(np.abs(back - alpha)) <= 1e-12
     # independent dual route: CMV corner moments -> the moment oracle
     e0 = np.zeros(len(C), dtype=complex)
@@ -426,12 +422,12 @@ def test_atom_on_circle_shifts_moments():
     # half uniform plus half an atom at z = 1: alpha_0 = -integral of z
     # = -1/2; uniform plus mass t at 1 has alpha_n = -t/(1 + n t) in
     # this package's sign, here -1/(n + 2)
-    dm = discretize(CircleMeasureSpec(
-        [DensityPart(-math.pi, math.pi, "uniform", 0.5)], atoms=[(0.0, 0.5)]))
-    alpha = verblunsky_from_measure(dm, 150).alpha_window(150)
+    th, w = _uniform_angles(200)
+    th, w = np.r_[th, 0.0], np.r_[0.5 * w, 0.5]
+    alpha = verblunsky_from_measure(th, w, 150).alpha_window(150)
     assert np.max(np.abs(alpha + 1.0 / (np.arange(150) + 2.0))) <= 1e-13
     assert np.max(np.abs(alpha[:20] - _verblunsky_from_moments(
-        _trig_moments(dm, 20), 20))) <= 1e-13
+        _trig_moments(th, w, 20), 20))) <= 1e-13
 
 
 # alpha_n of the 800-node arc measure from a 250-digit Szego recursion
@@ -442,30 +438,111 @@ _ARC_PINNED = {0: 0.24999999999999997, 1: 0.4, 10: 0.49999435500259654,
 
 
 def test_arnoldi_matches_the_high_precision_recursion_across_the_arc_gap():
-    alpha = verblunsky_from_measure(_arc_equilibrium(400), 300).alpha_window(300)
+    alpha = verblunsky_from_measure(*_arc_equilibrium(400), 300).alpha_window(300)
     for n, want in _ARC_PINNED.items():
         assert abs(alpha[n] - want) <= 1e-13, n
-    small = _arc_equilibrium(100)
-    got = verblunsky_from_measure(small, 100).alpha_window(100)
-    assert np.max(np.abs(got - _szego_mp(small.nodes, 100, 250))) <= 1e-13
+    th, w = _arc_equilibrium(100)
+    got = verblunsky_from_measure(th, w, 100).alpha_window(100)
+    assert np.max(np.abs(got - _szego_mp(th, 100, 250))) <= 1e-13
 
 
 def test_arnoldi_breaks_down_past_the_support():
-    three = DiscreteMeasure([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "circle")
-    verblunsky_from_measure(three, 2)
+    three = (np.array([0.0, 1.0, 2.0]), np.ones(3))
+    verblunsky_from_measure(*three, 2)
     with pytest.raises(BreakdownAtStep) as info:
-        verblunsky_from_measure(three, 3)
+        verblunsky_from_measure(*three, 3)
     assert info.value.step == 4
     # two nodes 1e-9 apart: rho_1^2 ~ 1e-18
     with pytest.raises(BreakdownAtStep) as info:
-        verblunsky_from_measure(DiscreteMeasure([0.0, 1e-9, 1.0], [1.0] * 3,
-                                                "circle"), 2)
+        verblunsky_from_measure([0.0, 1e-9, 1.0], [1.0] * 3, 2)
     assert info.value.step == 3
     # pi and -pi are one point
-    dm = discretize(CircleMeasureSpec(atoms=[(math.pi, 0.5), (-math.pi, 0.5)]))
-    assert len(dm) == 1 and dm.nodes[0] == -math.pi
     with pytest.raises(BreakdownAtStep):
-        verblunsky_from_measure(dm, 1)
+        verblunsky_from_measure([-math.pi, math.pi], [0.5, 0.5], 1)
+
+
+def _mirrored_chebyshev_angles(M: int) -> np.ndarray:
+    """The M angles (2k + 1) pi / M in (0, pi), k < M / 2, and their
+    mirror images in (-pi, 0)."""
+    th = (2 * np.arange(M // 2) + 1) * math.pi / M
+    return np.r_[-th[::-1], th]
+
+
+@pytest.mark.parametrize("weight", [lambda th: 1.0 + 0.5 * np.cos(th),
+                                    lambda th: np.ones_like(th)],
+                         ids=["one_plus_half_cosine", "uniform"])
+def test_szego_image_agrees_with_the_arnoldi_oracle(weight):
+    # the same discrete measure on both sides: 600 angles on the circle,
+    # their 300 line nodes 2 cos(theta_k) carrying the same weights
+    th = _mirrored_chebyshev_angles(600)
+    line = DiscreteMeasure(2.0 * np.cos(th[300:]), weight(th[300:]))
+    got = szego_image(jacobi_from_measure(line, 120), 239).alpha_window(239)
+    want = verblunsky_from_measure(th, weight(th), 239).alpha_window(239)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("N", [299, 300])
+def test_szego_image_reaches_the_high_precision_arc_pins_through_the_line(N):
+    # the 800-node arc measure of _ARC_PINNED, as its 400 line nodes
+    line = DiscreteMeasure(_arc_line_nodes(400), np.ones(400))
+    alpha = szego_image(jacobi_from_measure(line, 151), N).alpha_window(N)
+    assert np.all(alpha.imag == 0.0)
+    for n, want in _ARC_PINNED.items():
+        if n < N:
+            assert abs(alpha[n] - want) <= 1e-14, n
+
+
+def _arcsine_of(a: float) -> JacobiParams:
+    """The arcsine law of [-2, 2 - 4a^2] by its closed-form coefficients:
+    a_1 = sqrt(2)(1 - a^2), a_n = 1 - a^2 after, b_n = -2a^2."""
+    return JacobiParams.from_functions(
+        lambda n: np.where(n == 1, math.sqrt(2.0), 1.0) * (1.0 - a * a),
+        lambda n: -2.0 * a * a)
+
+
+def test_szego_image_of_an_arcsine_law_is_the_arc_equilibrium_measure():
+    alpha = szego_image(_arcsine_of(0.5), 2).alpha_window(2)
+    assert alpha[0] == pytest.approx(0.25, abs=1e-16)
+    assert alpha[1] == pytest.approx(0.4, abs=1e-15)
+    for a in (0.3, 0.5, 0.8, 0.95):
+        alpha = szego_image(_arcsine_of(a), 2000).alpha_window(2000)
+        assert alpha[0] == pytest.approx(a * a, abs=1e-15)
+        assert np.max(np.abs(alpha[100:] - a)) <= 1e-14, a
+    # the arcsine law of [-2, 2] is the uniform measure's preimage
+    assert np.max(np.abs(szego_image(_arcsine_of(0.0), 101).alpha_window(101))) <= 1e-15
+
+
+def _arcsine_plus_atom(at: float) -> DiscreteMeasure:
+    x = 2.0 * np.cos((2 * np.arange(400) + 1) * math.pi / 800)
+    return DiscreteMeasure(np.r_[x, at], np.r_[np.full(400, 0.9 / 400), 0.1])
+
+
+def test_szego_image_refuses_a_measure_with_mass_past_two():
+    J = jacobi_from_measure(_arcsine_plus_atom(2.5), 11)
+    with pytest.raises(ValueError, match=r"^\|alpha_4\| = .* must be < 1$"):
+        szego_image(J, 21)
+    # at exactly 2 the atom is the image of an atom at z = 1:
+    # alpha_n = -0.1/(1 + 0.1 n)
+    alpha = szego_image(jacobi_from_measure(_arcsine_plus_atom(2.0), 11),
+                        21).alpha_window(21)
+    assert np.max(np.abs(alpha)) == pytest.approx(0.1, abs=1e-15)
+    assert np.max(np.abs(alpha + 0.1 / (1.0 + 0.1 * np.arange(21)))) <= 1e-14
+
+
+@pytest.mark.parametrize("N, missing", [(7, "b_4"), (8, "a_4")])
+def test_szego_image_reads_exactly_the_coefficients_it_needs(N, missing):
+    # alpha_0..alpha_{N-1} read b_1..b_{ceil(N/2)} and a_1..a_{floor(N/2)}
+    full = _arcsine_of(0.5)
+    a, b = full.a_window(N // 2), full.b_window((N + 1) // 2)
+    want = szego_image(full, N).alpha_window(N)
+    assert np.array_equal(szego_image(JacobiParams(a, b), N).alpha_window(N),
+                          want)
+    # one fewer of the coefficient read last
+    short = (JacobiParams(a, b[:-1]) if missing[0] == "b"
+             else JacobiParams(a[:-1], b))
+    with pytest.raises(ValueError,
+                       match=rf"^requested {missing[0]}_1\.\.{missing}, "):
+        szego_image(short, N)
 
 
 def test_gauss_legendre_rules_are_cached_read_only_and_exact():

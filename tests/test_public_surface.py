@@ -14,10 +14,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 WAITING = {
     "CircleArcSet": "item 15: thm4_2 reports W1 to the arc's equilibrium "
                     "measure",
-    "CircleMeasureSpec": "item 9: thm4_2 takes a measure input",
     "cn_sq_stat_oprl": "item 17: thm1_1 reports the mean-square average",
     "lemma21_stats": "item 17: thm1_1 reports the Lemma 2.1 functionals",
-    "verblunsky_from_measure": "item 9: thm4_2 takes a measure input",
+    "szego_image": "items 9 and 28: thm4_2 and thm4_1 take a measure input",
     "VerblunskyParams.rho_window": "item 15: a benchmark PR deletes it",
 }
 
