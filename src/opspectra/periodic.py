@@ -3,10 +3,11 @@ type-1/type-3 normalization, and the isospectral torus.
 
 The discriminant D of a period-p generator is the trace of its
 one-period transfer-matrix product, evaluated by running the transfer
-recursion step by step for every x at once; this keeps D accurate at
-large p, where monomial coefficients do not.  The same recursion run
-on the 2 x 2 Jordan blocks [[x, 1], [0, x]] gives D(x) and D'(x)
-together.  The band edges, where D is +-2, are the eigenvalues of the
+recursion step by step for every x at once (and for every pattern of
+a stack at once, its coefficients held as columns); this keeps D
+accurate at large p, where monomial coefficients do not.  The same
+recursion run on the 2 x 2 Jordan blocks [[x, 1], [0, x]] gives D(x)
+and D'(x) together.  The band edges, where D is +-2, are the eigenvalues of the
 generator's periodic and antiperiodic p x p matrices (Floquet theory).
 Evaluating D on a one-sided tridiagonal matrix produces a
 block-tridiagonal matrix with p x p blocks whose off-diagonal blocks are
@@ -57,7 +58,8 @@ from .spectra import _Banded
 
 
 class GapClosed(ValueError):
-    """Torus construction asked for a band set with a closed gap."""
+    """A band set with a closed gap where every gap must be open (the
+    isospectral torus, a scenario's input pattern)."""
 
 
 class BandwidthExceeded(ValueError):
@@ -123,26 +125,30 @@ class PeriodicJacobi:
         X = np.zeros(x.shape + (2, 2))
         X[..., 0, 0] = X[..., 1, 1] = x
         X[..., 0, 1] = 1.0
-        R = _product_trace(self, X, np.eye(2), operator.matmul)
+        R = _product_trace(self.a, self.b, X, np.eye(2), operator.matmul)
         return R[..., 0, 0], R[..., 0, 1]
 
 
-def _product_trace(J0: PeriodicJacobi, x, one=1.0, mul=operator.mul):
-    """Trace of the one-period transfer product S_p ... S_1 of J0 at x,
-    where S_n = [[(x - b_n) / a_n, -a_{n-1} / a_n], [1, 0]] and a_0 =
-    a_p: numbers (``one`` = 1.0), or square matrices with ``one`` their
-    identity and ``mul`` operator.matmul.  Every entry is a polynomial
-    in x, so the entries commute either way.  The last step forms only
-    the diagonal entries, the ones the trace reads."""
-    c = [a_prev / an for a_prev, an in zip(J0.a[-1:] + J0.a[:-1], J0.a)]
+def _product_trace(a, b, x, one=1.0, mul=operator.mul):
+    """Trace of the one-period transfer product S_p ... S_1 of the
+    pattern columns a = (a_1..a_p), b = (b_1..b_p) at x, where S_n =
+    [[(x - b_n) / a_n, -a_{n-1} / a_n], [1, 0]] and a_0 = a_p: numbers
+    (``one`` = 1.0), or square matrices with ``one`` their identity and
+    ``mul`` operator.matmul.  Each a_n and b_n is a number or an (n, 1)
+    column of a stack of patterns, against which x broadcasts, so one
+    recursion gives the trace of every pattern of the stack, each with
+    the bits of its own.  Every entry is a polynomial in x, so the
+    entries commute either way.  The last step forms only the diagonal
+    entries, the ones the trace reads."""
+    c = [a_prev / an for a_prev, an in zip(a[-1:] + a[:-1], a)]
     # S_1 times the identity
-    t = ((x - J0.b[0] * one) / J0.a[0], -c[0] * one, one, 0.0 * one)
-    if J0.p == 1:
+    t = ((x - b[0] * one) / a[0], -c[0] * one, one, 0.0 * one)
+    if len(a) == 1:
         return t[0] + t[3]
-    for an, bn, cn in zip(J0.a[1:-1], J0.b[1:-1], c[1:-1]):
+    for an, bn, cn in zip(a[1:-1], b[1:-1], c[1:-1]):
         s = (x - bn * one) / an
         t = (mul(s, t[0]) - cn * t[2], mul(s, t[1]) - cn * t[3], t[0], t[1])
-    s = (x - J0.b[-1] * one) / J0.a[-1]
+    s = (x - b[-1] * one) / a[-1]
     return (mul(s, t[0]) - c[-1] * t[2]) + t[1]
 
 
@@ -152,7 +158,7 @@ def discriminant(J0: PeriodicJacobi, x):
     polynomial of degree p with leading coefficient 1 / prod(a).  It is
     carried through the product step by step, never through its monomial
     coefficients, which lose accuracy at large p."""
-    return _product_trace(J0, np.asarray(x, dtype=float))
+    return _product_trace(J0.a, J0.b, np.asarray(x, dtype=float))
 
 
 def bands(J0: PeriodicJacobi) -> FiniteGapSet:
@@ -175,6 +181,15 @@ def bands(J0: PeriodicJacobi) -> FiniteGapSet:
         else:
             merged.append([lo, hi])
     return FiniteGapSet(tuple((lo, hi) for lo, hi in merged), generator=J0)
+
+
+def _open_bands(J0: PeriodicJacobi) -> FiniteGapSet:
+    """bands(J0), which must have p bands: GapClosed otherwise."""
+    fgs = bands(J0)
+    if fgs.n_bands < J0.p:
+        raise GapClosed(f"period {J0.p} needs {J0.p} bands (every gap "
+                        f"open), found {fgs.n_bands}")
+    return fgs
 
 
 def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams:
@@ -206,7 +221,7 @@ def delta_of_J(J0: PeriodicJacobi, J: JacobiParams, K: int) -> BlockJacobiParams
     a_arr = J.a_window(n_sites - 1)
     T = _Banded.tridiagonal(J.b_window(n_sites), a_arr)
     one = _Banded({0: np.ones(n_sites)})
-    R = _product_trace(J0, T, one, operator.matmul).diags
+    R = _product_trace(J0.a, J0.b, T, one, operator.matmul).diags
     # rows[k, r, t] is the entry (kp + r, kp + t): blocks k and k + 1 of
     # row r of block row k, read off the diagonals m = t - r = 0 .. p
     rows = np.zeros((K + 1, p, 2 * p))
@@ -370,12 +385,8 @@ class _DirichletMap:
         self.shift = np.zeros(p - 1)
         if p == 1:
             return
-        fgs = bands(J0)
-        if fgs.n_bands < p:
-            raise GapClosed(f"period-{p} torus needs {p} bands (every gap "
-                            f"open), found {fgs.n_bands}")
-        lo = np.array([band[1] for band in fgs.bands[:-1]])
-        hi = np.array([band[0] for band in fgs.bands[1:]])
+        edges = np.array(_open_bands(J0).bands)
+        lo, hi = edges[:-1, 1], edges[1:, 0]
         self.mid = 0.5 * (lo + hi)
         self.half = 0.5 * (hi - lo)
         self.shift = self.angles(np.array([J0.a]), np.array([J0.b]))[0]
@@ -447,29 +458,37 @@ class _DirichletMap:
         return a, b
 
 
-def _torus_points(J0: PeriodicJacobi, theta: np.ndarray) -> list:
+def _torus_points(J0: PeriodicJacobi, theta: np.ndarray) -> tuple:
     """The members of the isospectral family of J0 at the rows of the
-    (n, p - 1) array of angles ``theta``, as torus_point gives each: a
-    row of zeros is J0 itself, and the other rows take one Dirichlet map
-    and one map call for all of them, each member's discriminant then
-    checked against J0's."""
-    out = [J0] * len(theta)
+    (n, p - 1) array of angles ``theta``, as the rows of two (n, p)
+    arrays a and b: a row of zeros gives J0's pattern, and the other
+    rows take one Dirichlet map and one map call for all of them.  Each
+    member is checked as its own PeriodicJacobi and torus_point would
+    check it, all of them in one stacked pass: its entries, then its
+    discriminant against J0's; the first member that fails raises its
+    own error."""
+    n, p = len(theta), J0.p
+    a, b = np.tile(J0.a, (n, 1)), np.tile(J0.b, (n, 1))
     off = np.flatnonzero(theta.any(axis=1))
     if not len(off):
-        return out
-    a, b = _DirichletMap(J0)(theta[off])
-    p = J0.p
+        return a, b
+    a[off], b[off] = am, bm = _DirichletMap(J0)(theta[off])
     lo, hi = min(J0.b) - 2.0 * max(J0.a), max(J0.b) + 2.0 * max(J0.a)
     x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
         math.pi * np.arange(p + 1) / p)
     want = discriminant(J0, x)
-    for i, ai, bi in zip(off, a, b):
-        J = PeriodicJacobi(tuple(ai), tuple(bi))
-        diff = float(np.max(np.abs(discriminant(J, x) - want)))
-        if diff > 1e-9 * max(1.0, float(np.max(np.abs(want)))):
-            raise ValueError(f"discriminant mismatch {diff} for torus point")
-        out[i] = J
-    return out
+    # a sample with a nonfinite or zero entry fails its entry check below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = _product_trace(np.hsplit(am, p), np.hsplit(bm, p), x)
+    diff = np.max(np.abs(D - want), axis=1)
+    fails = ((diff > 1e-9 * max(1.0, float(np.max(np.abs(want)))))
+             | ~(np.isfinite(am) & (am > 0.0) & np.isfinite(bm)).all(axis=1))
+    if fails.any():
+        # the first failing sample's own construction names a bad entry
+        i = int(np.argmax(fails))
+        PeriodicJacobi(tuple(am[i]), tuple(bm[i]))
+        raise ValueError(f"discriminant mismatch {diff[i]} for torus point")
+    return a, b
 
 
 def torus_point(J0: PeriodicJacobi, theta) -> PeriodicJacobi:
@@ -483,10 +502,12 @@ def torus_point(J0: PeriodicJacobi, theta) -> PeriodicJacobi:
     interval, which holds its bands; a mismatch raises ValueError.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    p = J0.p
-    if len(theta) != p - 1:
-        raise ValueError(f"period {p} needs {p - 1} torus coordinates")
-    return _torus_points(J0, theta.reshape(1, p - 1))[0]
+    if len(theta) != J0.p - 1:
+        raise ValueError(f"period {J0.p} needs {J0.p - 1} torus coordinates")
+    if not theta.any():
+        return J0
+    a, b = _torus_points(J0, theta[None])
+    return PeriodicJacobi(tuple(a[0]), tuple(b[0]))
 
 
 # -- distance to the torus ---------------------------------------------
@@ -636,10 +657,21 @@ def _window_starts(family: _DirichletMap, rows: _Rows):
 
 def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span):
     """Refine the distances ``best`` of the aligned rows in place, from
-    their angles ``theta`` and from step ``span`` down to _FINAL_STEP;
-    see d_to_torus_batch for the search and its rounds.  A row at
-    distance exactly 0 is final, since no distance is below 0: it would
-    take no move, so it is not searched."""
+    their angles ``theta`` and from step ``span`` down to _FINAL_STEP
+    (see d_to_torus_batch).  A row at distance exactly 0 is final, since
+    no distance is below 0: it would take no move, so it is not
+    searched.
+
+    Each row tries the moves of an iteration in a fixed order, each from
+    its current angles.  With few live rows this runs in look-ahead
+    rounds: every row with moves left evaluates its next h of them, h =
+    min(moves, _LOOKAHEAD_ROWS // rows with moves left), through one map
+    call and one distance call for all rows, and takes the first that
+    improves; its pairs past its last move repeat that move.  Until that
+    first improvement its angles are the ones a move-by-move order would
+    start from, so a round takes the same moves from the same operands.
+    An iteration with h below _MIN_LOOKAHEAD at its start tries each
+    move in turn for every row at once."""
     p = family.p
     moves = [d for d in itertools.product((-1, 0, 1), repeat=p - 1) if any(d)]
     moves = np.array(moves, dtype=float).reshape(len(moves), p - 1)
@@ -709,48 +741,19 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     s0 that of J0: a generator-backed J and the array of its first
     values get the same distances.
 
-    Each row tries the moves of an iteration in a fixed order, each from
-    its current angles.  With few live rows this runs in look-ahead
-    rounds: every row with moves left evaluates its next h of them, all
-    from its current angles, through one map call and one distance call
-    for all rows; it takes the first that improves its distance and
-    goes on after that move.  Until that first improvement the angles
-    are the ones a move-by-move order would start from, so the rounds
-    take the same moves and compute every distance from the same
-    operands by the same elementwise steps: the result is bit for bit
-    that of one move at a time.  h = min(number of moves, R // rows with
-    moves left), R = _LOOKAHEAD_ROWS (256), so a round holds at most R
-    (row, move) pairs; a row's pairs past its last move repeat that
-    move.  An iteration with h below 3 at its start (more than R / 3
-    live rows, or p = 2 with its two moves) tries each move in turn for
-    every row at once: a two-move round saves a map call only when no
-    row improves on the first move.
-
-    Offsets whose aligned rows (the coefficients and weights from the
-    start of the offset's period on, see _Rows) are bitwise equal share
-    one search, since the search reads nothing but the row and the
-    offset's period phase, which the weights fix: each distinct row is
-    searched once and its distance goes to every offset that has it.
-    An input of period p has p distinct rows and a sparse one few, so a
-    long batch of them costs about as much as its distinct rows.  The
-    grid goes through the map once, and each distance call compares
-    every distinct row with max(1, _BLOCK // rows) grid generators, the
-    first of equal minima winning as in a loop over the generators; each
-    row's window starts are compared with the row itself, and the
-    refinement moves all rows together, in rounds or move by move.
-
-    Memory is O(1) per offset: a row is held as the index of its first
-    period and its period phase, beside its angles, its best distance and
-    its step, and J's coefficients up to the last offset are read once
-    into two windows.  Every distance call gathers the coefficients of
-    its rows block by block, at most _BLOCK (512) rows of L sites at a
-    time, so nothing of shape (rows, L) outlives a block.  At p = 2 this
-    is about 280 bytes per offset (18 MiB traced at 2^16 offsets), where
-    one copied row of coefficients and weights takes 24 L bytes.  The
-    rows are kept in period-phase order (stably, so each phase keeps its
-    offsets' order), which makes each phase one run of a block, weighted
-    by that phase's one weight row; rows are searched independently, so
-    the order changes no result.
+    Each distance has the bits of a search of its offset alone, one
+    move at a time.  The batch searches each distinct aligned row (see
+    _Rows) once, gathers rows _BLOCK at a time, and, with few live
+    rows, tries several moves per map call in look-ahead rounds; none
+    of these changes a bit (the tests in tests/test_periodic.py that
+    hold it: test_look_ahead_search_gives_the_sequential_bits,
+    test_the_look_ahead_size_leaves_the_distances_unchanged,
+    test_offsets_sharing_a_window_get_the_single_call_distance,
+    test_colliding_row_keys_leave_the_distances_unchanged,
+    test_row_blocks_leave_the_distances_unchanged and
+    test_grid_chunks_leave_the_distances_unchanged).  Memory is O(1)
+    per offset, about 280 bytes at p = 2
+    (test_batch_search_memory_grows_by_o1_per_offset).
     """
     ms = np.asarray(ms, dtype=int)
     if np.any(ms < 1):

@@ -181,10 +181,10 @@ _identity_size = _size_upto(
 # so that a typo cannot run for hours: 2^12 trace identity inputs take
 # about 4.7 s at N = 200; thm3_1 holds every input until the normal
 # forms run (2^10 take about 2.8 s and 81 MB); 2^14 torus samples, one
-# map call and 2^14 discriminant checks, take about 0.7 s at p = 2 or 3;
-# the block map holds K blocks of p x p (2^14 take about 0.25 s and a
-# 150 MB peak at p = 6); and the arc's block statistic streams k sites
-# ahead in O(1) memory, like any window
+# map call and one stacked check for all of them, take about 0.01 s at
+# p = 2 or 3; the block map holds K blocks of p x p (2^14 take about
+# 0.25 s and a 150 MB peak at p = 6); and the arc's block statistic
+# streams k sites ahead in O(1) memory, like any window
 _identity_count = _size_upto(
     2 ** 12, ": each input solves an identity.N-site truncation")
 # the two bounds above multiply: count * N^2 at 2^28 takes about 4.5 s
@@ -217,11 +217,7 @@ def _pattern(text: str) -> pot.FiniteGapSet:
     if p > _MAX_PERIOD:
         raise ValueError(f"period {p} is above {_MAX_PERIOD}: the torus "
                          f"search would start from 8^{p - 1} grid points")
-    fgs = P.bands(P.PeriodicJacobi(tuple(vals[:p]), tuple(vals[p:])))
-    if fgs.n_bands < p:
-        raise ValueError(f"period {p} needs {p} bands (every gap open), "
-                         f"found {fgs.n_bands}")
-    return fgs
+    return P._open_bands(P.PeriodicJacobi(tuple(vals[:p]), tuple(vals[p:])))
 
 
 #: (parser of the config text, default config text, one-line doc)
@@ -402,9 +398,7 @@ def _random_chains(draws) -> List[UnitaryChain]:
     us = [None] * len(draws)
     for ell in sorted({ell for _, ell, _ in draws}):
         idx = [i for i, (_, e, _) in enumerate(draws) if e == ell]
-        q, r = np.linalg.qr(np.concatenate([g[i] for i in idx]))
-        d = np.diagonal(r, axis1=1, axis2=2)
-        q = q @ (np.eye(ell) * (d / np.abs(d))[:, None, :])
+        q = P._qr_step(_herm(np.concatenate([g[i] for i in idx])))
         ends = np.cumsum([len(g[i]) for i in idx])
         for i, qi in zip(idx, np.split(q, ends[:-1])):
             us[i] = np.concatenate([np.eye(ell)[None], qi])
@@ -742,12 +736,11 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     res.series.append(R.StatSeries("root_over_capacity", lad,
                                    tuple(v / cap for v in rt.values)))
 
-    n_samp = o["torus.samples"]
+    count = o["torus.samples"]
     header = ([f"theta_{i+1}" for i in range(p - 1)]
               + [f"a_{i+1}" for i in range(p)] + [f"b_{i+1}" for i in range(p)])
-    thetas = [(2.0 * math.pi * i / n_samp,) * (p - 1) for i in range(n_samp)]
-    points = P._torus_points(J0, np.array(thetas))
-    rows = [th + Jt.a + Jt.b for th, Jt in zip(thetas, points)]
+    theta = np.tile((2.0 * math.pi * np.arange(count) / count)[:, None], p - 1)
+    rows = np.hstack([theta, *P._torus_points(J0, theta)]).tolist()
     res.extras["torus_samples.csv"] = (header, rows)
     return res
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
-from opspectra import periodic, sequences
+from opspectra import periodic, scenarios, sequences
 from opspectra.periodic import (_GRID_POINTS, GapClosed, PeriodicJacobi,
                                 _DirichletMap, bands, d_to_torus_batch,
                                 delta_of_J, discriminant, dm_weights,
@@ -817,18 +817,20 @@ def test_torus_points_of_a_batch_share_one_map_call(J0, monkeypatch):
                         lambda self, J: built.append(J) or init(self, J))
     monkeypatch.setattr(_DirichletMap, "__call__", lambda self, th:
                         called.append(len(th)) or call(self, th))
-    points = periodic._torus_points(J0, theta)
+    a, b = periodic._torus_points(J0, theta)
     assert built == [J0] and called == [63]
-    # a row of zeros is J0 itself, and a batch of them builds no map
-    assert points[0] is J0
-    assert all(pt is J0 for pt in periodic._torus_points(
-        J0, np.zeros((3, p - 1))))
+    assert a.shape == b.shape == (64, p)
+    # a row of zeros carries J0's bits, and a batch of them builds no map
+    pattern = np.array(J0.a + J0.b)
+    assert np.concatenate([a[0], b[0]]).tobytes() == pattern.tobytes()
+    za, zb = periodic._torus_points(J0, np.zeros((3, p - 1)))
+    assert np.hstack([za, zb]).tobytes() == np.tile(pattern, (3, 1)).tobytes()
     assert len(built) == 1
     monkeypatch.undo()
     # every member has the bits of its own torus_point call
-    for th, pt in zip(theta[1:], points[1:]):
+    for th, ai, bi in zip(theta[1:], a[1:], b[1:]):
         alone = torus_point(J0, th)
-        assert np.array(pt.a + pt.b).tobytes() == \
+        assert np.concatenate([ai, bi]).tobytes() == \
             np.array(alone.a + alone.b).tobytes()
 
 
@@ -846,7 +848,111 @@ def test_a_torus_sample_off_the_family_raises(monkeypatch):
     with pytest.raises(ValueError, match="discriminant mismatch"):
         periodic._torus_points(P2, theta)
     monkeypatch.undo()
-    assert len(periodic._torus_points(P2, theta)) == 16
+    a, b = periodic._torus_points(P2, theta)
+    assert a.shape == b.shape == (16, 2)
+
+
+def _alone_error(J0, a, b):
+    """The error that the sample (a, b) raises when it is checked on its
+    own: its PeriodicJacobi construction, then its discriminant against
+    J0's at the p + 1 Chebyshev-Lobatto points of J0's Gershgorin
+    interval."""
+    try:
+        J = PeriodicJacobi(tuple(a), tuple(b))
+    except ValueError as exc:
+        return str(exc)
+    lo, hi = min(J0.b) - 2.0 * max(J0.a), max(J0.b) + 2.0 * max(J0.a)
+    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
+        math.pi * np.arange(J0.p + 1) / J0.p)
+    want = discriminant(J0, x)
+    diff = float(np.max(np.abs(discriminant(J, x) - want)))
+    assert diff > 1e-9 * max(1.0, float(np.max(np.abs(want))))
+    return f"discriminant mismatch {diff} for torus point"
+
+
+def _nan_a(a, b):
+    a[1] = math.nan
+
+
+def _inf_b(a, b):
+    b[0] = math.inf
+
+
+def _off_family(a, b):
+    b[0] += 0.1
+
+
+def _negative_a(a, b):
+    # two sign flips leave the discriminant as it was
+    a[:2] *= -1.0
+
+
+@pytest.mark.parametrize("first, later", [
+    (_nan_a, _inf_b), (_inf_b, _nan_a), (_off_family, _nan_a),
+    (_negative_a, _off_family), (_nan_a, _off_family)])
+def test_the_first_failing_torus_sample_raises_its_own_error(first, later,
+                                                             monkeypatch):
+    # a fault planted at a middle sample, and a later sample with another
+    # fault: the middle one raises, with the error it raises alone
+    real = _DirichletMap.__call__
+    planted = {}
+
+    def plant(self, theta):
+        a, b = real(self, theta)
+        first(a[6], b[6])
+        later(a[10], b[10])
+        planted["row"] = a[6].copy(), b[6].copy()
+        return a, b
+
+    monkeypatch.setattr(_DirichletMap, "__call__", plant)
+    with pytest.raises(ValueError) as err:
+        periodic._torus_points(P3, np.linspace(0.0, 6.0, 16)[:, None]
+                               * np.array([1.0, -0.5]))
+    assert str(err.value) == _alone_error(P3, *planted["row"])
+    if first is _nan_a:
+        assert str(err.value) == "a_2 = nan must be > 0 and finite"
+
+
+def test_a_large_torus_batch_builds_no_pattern_and_one_discriminant(
+        monkeypatch):
+    n, p = 2 ** 14, P3.p
+    built, calls = [], []
+    post_init, real = PeriodicJacobi.__post_init__, periodic.discriminant
+    monkeypatch.setattr(PeriodicJacobi, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(periodic, "discriminant", lambda J, x:
+                        calls.append(np.shape(x)) or real(J, x))
+    theta = np.repeat(2.0 * math.pi * np.arange(n)[:, None] / n, p - 1,
+                      axis=1)
+    a, b = periodic._torus_points(P3, theta)
+    assert a.shape == b.shape == (n, p)
+    assert built == []
+    # the map's two, at J0's own Dirichlet points when it is built and at
+    # every sample's in its one call, and one for J0's values at the
+    # p + 1 points that every sample is compared at
+    assert calls == [(1, p - 1), (n - 1, p - 1), (p + 1,)]
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_the_stacked_transfer_product_has_the_bits_of_each_pattern(p):
+    rng = np.random.default_rng(100 + p)
+    a = rng.uniform(0.5, 1.5, (40, p))
+    b = rng.uniform(-0.5, 0.5, (40, p))
+    x = np.linspace(-3.0, 3.0, 61)
+    D = periodic._product_trace(np.hsplit(a, p), np.hsplit(b, p), x)
+    assert D.shape == (40, len(x))
+    for ai, bi, Di in zip(a, b, D):
+        alone = product_trace_stepwise(PeriodicJacobi(tuple(ai), tuple(bi)), x)
+        assert Di.tobytes() == alone.tobytes()
+
+
+def test_the_parser_and_the_torus_refuse_a_closed_gap_alike():
+    closed = PeriodicJacobi((1.0, 1.0), (0.0, 0.0))
+    message = "period 2 needs 2 bands (every gap open), found 1"
+    with pytest.raises(GapClosed, match=re.escape(message)):
+        _DirichletMap(closed)
+    with pytest.raises(GapClosed, match=re.escape(message)):
+        scenarios._pattern("1,1,0,0")
 
 
 @pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
