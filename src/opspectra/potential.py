@@ -1,14 +1,18 @@
 """Equilibrium measures, capacities, and weak-convergence distances.
 
-Three supported geometries:
+Three supported geometries, each one private subclass of
+``EquilibriumMeasure`` with its own density, moment rule, quantiles and
+capacity; ``equilibrium_measure`` resolves a target to its instance
+once, and ``capacity`` reads the instance's ``capacity``:
 
-* a single interval [c - 2r, c + 2r], whose equilibrium measure is the
-  arcsine law (pushforward of d theta / pi under c + 2r cos theta) and
-  whose capacity is r;
-* the circular arc of points e^{i theta} with pi >= |theta| > 2 arcsin(a),
-  handled by pulling the arcsine law of the interval [-2, 2 - 4a^2]
-  back through x = 2 cos theta onto each half of the arc;
-* band sets of a periodic recurrence, each carrying its period-p
+* ``_Interval``: a single interval [c - 2r, c + 2r], whose equilibrium
+  measure is the arcsine law (pushforward of d theta / pi under
+  c + 2r cos theta) and whose capacity is r;
+* ``_Arc``: the circular arc of points e^{i theta} with
+  pi >= |theta| > 2 arcsin(a), which pulls the arcsine law of its
+  ``_Interval`` [-2, 2 - 4a^2] back through x = 2 cos theta onto each
+  half of the arc;
+* ``_Bands``: a band set of a periodic recurrence, carrying its period-p
   generator, where the density is |D'(x)| / (p pi sqrt(4 - D(x)^2)) for
   the discriminant D of that generator, with D and D' from the one
   transfer recursion of ``periodic`` (which also gives the block map)
@@ -117,64 +121,26 @@ class EquilibriumMeasure:
     """Equilibrium (minimal logarithmic energy) measure of a supported
     geometry, with moment and quantile evaluation.
 
-    Construct through :func:`equilibrium_measure`.  ``domain`` is "line"
-    for interval and band sets, "circle" for arcs (moments are then
-    complex, quantiles are angles).
+    Construct through :func:`equilibrium_measure`, which returns one
+    private subclass per geometry.  Each carries ``domain`` ("line" for
+    interval and band sets, "circle" for arcs: moments are then complex,
+    quantiles are angles), ``spans`` (the intervals of its support, in
+    angles for arcs), ``capacity``, and its own ``density``,
+    ``quantiles`` and moment rule.
     """
 
-    def __init__(self, tag: str, payload):
-        self.tag = tag
-        if tag == "interval":
-            self.lo, self.hi = payload
-            self.domain = "line"
-        elif tag == "arc":
-            self.arc = payload
-            self.domain = "circle"
-            a = self.arc.a
-            # the arcsine law of the interval that the arc pulls back to
-            # under x = 2 cos theta
-            self._pullback = EquilibriumMeasure(
-                "interval", (-2.0, 2.0 - 4.0 * a * a))
-        elif tag == "periodic":
-            self.set, self.generator = payload, payload.generator
-            self.domain = "line"
-        else:
-            raise ValueError(f"unknown tag {tag!r}")
-
-    # -- densities ---------------------------------------------------
-
-    def density(self, x):
-        """Density at interior points of the support (d theta for arcs)."""
-        x = np.asarray(x, dtype=float)
-        if self.tag == "interval":
-            return 1.0 / (math.pi * np.sqrt((x - self.lo) * (self.hi - x)))
-        if self.tag == "arc":
-            a = self.arc.a
-            s = np.sin(np.abs(x) / 2.0)
-            return s / (2.0 * math.pi * np.sqrt(s * s - a * a))
-        d, slope = self.generator.transfer_trace(x)
-        return np.abs(slope) / (self.generator.p * math.pi
-                                * np.sqrt(4.0 - d * d))
+    domain = "line"
 
     def density_samples(self) -> np.ndarray:
         """About 200 (x, density) rows sampled strictly inside the
         support; for arcs the first column is the angle."""
         rows = []
-        if self.tag == "interval":
-            spans = [(self.lo, self.hi)]
-        elif self.tag == "periodic":
-            spans = list(self.set.bands)
-        else:
-            g = self.arc.gap_angle
-            spans = [(-math.pi, -g), (g, math.pi)]
-        for lo, hi in spans:
+        for lo, hi in self.spans:
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            phi = np.linspace(0.0, math.pi, 200 // len(spans) + 2)[1:-1]
+            phi = np.linspace(0.0, math.pi, 200 // len(self.spans) + 2)[1:-1]
             x = mid + half * np.cos(phi)[::-1]
             rows.append(np.column_stack([x, self.density(x)]))
         return np.vstack(rows)
-
-    # -- moments -----------------------------------------------------
 
     def moment(self, k: int):
         """k-th power moment; complex (trigonometric, int z^k) on the
@@ -182,16 +148,86 @@ class EquilibriumMeasure:
         an exact 0.0."""
         if not 0 <= k <= 8:
             raise ValueError("moments implemented for 0 <= k <= 8")
-        if self.tag == "interval":
-            t = np.cos(_PHI[:_ANGLES // 2])
-            vals = _power(self._points(t), k) + _power(self._points(-t), k)
-            return math.fsum(vals.tolist()) / _ANGLES
-        if self.tag == "arc":
-            # int z^k d rho = int T_k(x/2) d nu over the pullback
-            # interval; conjugation symmetry kills the imaginary part.
-            x = self._pullback._points(np.cos(_PHI))
-            vals = np.cos(k * np.arccos(np.clip(x / 2.0, -1.0, 1.0)))
-            return complex(math.fsum(vals.tolist()) / _ANGLES, 0.0)
+        return self._moment(k)
+
+
+class _Interval(EquilibriumMeasure):
+    """The arcsine law of [lo, hi]: the pushforward of d phi / pi on
+    (0, pi) under c + h cos(phi), for center c and half-width h."""
+
+    def __init__(self, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
+        self.spans = ((lo, hi),)
+        self.capacity = (hi - lo) / 4.0
+
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        return 1.0 / (math.pi * np.sqrt((x - self.lo) * (self.hi - x)))
+
+    def _points(self, cos_phi: np.ndarray) -> np.ndarray:
+        return 0.5 * (self.lo + self.hi) + 0.5 * (self.hi - self.lo) * cos_phi
+
+    def _moment(self, k: int) -> float:
+        t = np.cos(_PHI[:_ANGLES // 2])
+        vals = _power(self._points(t), k) + _power(self._points(-t), k)
+        return math.fsum(vals.tolist()) / _ANGLES
+
+    def quantiles(self, us: np.ndarray) -> np.ndarray:
+        """Quantile function on a vector of levels in (0, 1)."""
+        return self._points(-np.cos(math.pi * np.asarray(us, dtype=float)))
+
+
+class _Arc(EquilibriumMeasure):
+    """The arc of a CircleArcSet, pulled back through x = 2 cos theta
+    onto the arcsine law of [-2, 2 - 4 a^2] on each half of the arc."""
+
+    domain = "circle"
+
+    def __init__(self, arc: CircleArcSet):
+        self.a = arc.a
+        g = arc.gap_angle
+        self.spans = ((-math.pi, -g), (g, math.pi))
+        self.capacity = math.sqrt(1.0 - self.a ** 2)
+        self._pullback = _Interval(-2.0, 2.0 - 4.0 * self.a * self.a)
+
+    def density(self, theta):
+        """Density in d theta at interior angles of the arc."""
+        s = np.sin(np.abs(np.asarray(theta, dtype=float)) / 2.0)
+        return s / (2.0 * math.pi * np.sqrt(s * s - self.a * self.a))
+
+    def _moment(self, k: int) -> complex:
+        # int z^k d rho = int T_k(x/2) d nu over the pullback interval;
+        # conjugation symmetry kills the imaginary part.
+        x = self._pullback._points(np.cos(_PHI))
+        vals = np.cos(k * np.arccos(np.clip(x / 2.0, -1.0, 1.0)))
+        return complex(math.fsum(vals.tolist()) / _ANGLES, 0.0)
+
+    def quantiles(self, us: np.ndarray) -> np.ndarray:
+        """Angles lifted to (0, 2 pi) (cut at the gap around angle 0),
+        matching the lift used by :func:`w1_distance`."""
+        us = np.asarray(us, dtype=float)
+        # level u of the arc is level |2u - 1| of the pullback, on the
+        # upper half for u <= 1/2 and on the lower half past it
+        xq = self._pullback.quantiles(np.abs(2.0 * us - 1.0))
+        theta = np.arccos(np.clip(xq / 2.0, -1.0, 1.0))
+        return np.where(us <= 0.5, theta, 2.0 * math.pi - theta)
+
+
+class _Bands(EquilibriumMeasure):
+    """The density of states of the periodic generator of a band set."""
+
+    def __init__(self, fgs: FiniteGapSet):
+        self.generator = fgs.generator
+        self.spans = fgs.bands
+        self.capacity = math.exp(math.fsum(map(math.log, fgs.generator.a))
+                                 / fgs.generator.p)
+
+    def density(self, x):
+        d, slope = self.generator.transfer_trace(np.asarray(x, dtype=float))
+        return np.abs(slope) / (self.generator.p * math.pi
+                                * np.sqrt(4.0 - d * d))
+
+    def _moment(self, k: int) -> float:
         lam = self._floquet_eigs(_PHI)
         return (math.fsum(_power(lam, k).ravel().tolist())
                 / (_ANGLES * self.generator.p))
@@ -205,31 +241,9 @@ class EquilibriumMeasure:
         return np.concatenate([np.linalg.eigvalsh(J0.floquet(np.exp(1j * k)))
                                for k in np.array_split(kappa, parts)])
 
-    # -- quantiles ---------------------------------------------------
-
-    def _points(self, cos_phi: np.ndarray) -> np.ndarray:
-        """c + h cos(phi) on an interval of center c and half-width h:
-        the arcsine law is the pushforward of d phi / pi on (0, pi)."""
-        c = 0.5 * (self.lo + self.hi)
-        h = 0.5 * (self.hi - self.lo)
-        return c + h * cos_phi
-
     def quantiles(self, us: np.ndarray) -> np.ndarray:
-        """Quantile function on a vector of levels in (0, 1).
-
-        Line geometries return points; the arc returns angles lifted to
-        (0, 2 pi) (cut at the gap around angle 0), matching the lift
-        used by :func:`w1_distance`.
-        """
+        """Quantile function on a vector of levels in (0, 1)."""
         us = np.asarray(us, dtype=float)
-        if self.tag == "interval":
-            return self._points(-np.cos(math.pi * us))
-        if self.tag == "arc":
-            # level u of the arc is level |2u - 1| of the pullback, on the
-            # upper half for u <= 1/2 and on the lower half past it
-            xq = self._pullback.quantiles(np.abs(2.0 * us - 1.0))
-            theta = np.arccos(np.clip(xq / 2.0, -1.0, 1.0))
-            return np.where(us <= 0.5, theta, 2.0 * math.pi - theta)
         # band j carries the j-th Floquet eigenvalue, which falls from
         # kappa = 0 to pi when p - 1 - j is even and rises otherwise
         p = self.generator.p
@@ -240,17 +254,19 @@ class EquilibriumMeasure:
         return lam[np.arange(lam.shape[0]), j.ravel()].reshape(us.shape)
 
 
-def _parse(target):
-    """Resolve a target to the tag and payload of its EquilibriumMeasure:
-    ("arc", CircleArcSet), ("periodic", FiniteGapSet) for a band set with
-    its generator, or ("interval", (lo, hi)) for a finite lo < hi (else
-    ValueError), which a band set without one resolves to if it has one
-    band (else Unsupported)."""
+def equilibrium_measure(target) -> EquilibriumMeasure:
+    """Equilibrium measure of an interval, an arc, or a periodic band set.
+
+    ``target`` may be an (lo, hi) pair (finite, lo < hi, else
+    ValueError), a CircleArcSet, or a FiniteGapSet.  A band set with a
+    generator gets the generator's density of states; one without gets
+    the arcsine law of its one band, and Unsupported if it has more.
+    """
     if isinstance(target, CircleArcSet):
-        return "arc", target
+        return _Arc(target)
     if isinstance(target, FiniteGapSet):
         if target.generator is not None:
-            return "periodic", target
+            return _Bands(target)
         if target.n_bands > 1:
             raise Unsupported("a multi-band set needs its periodic generator")
         target = target.bands[0]
@@ -259,33 +275,15 @@ def _parse(target):
         if not -math.inf < lo < hi < math.inf:
             raise ValueError(f"interval ({lo}, {hi}) is empty, reversed or "
                              "not finite")
-        return "interval", (lo, hi)
+        return _Interval(lo, hi)
     raise TypeError(f"unrecognized target {target!r}")
-
-
-def equilibrium_measure(target) -> EquilibriumMeasure:
-    """Equilibrium measure of an interval, an arc, or a periodic band set.
-
-    ``target`` may be an (lo, hi) pair, a CircleArcSet, or a
-    FiniteGapSet.  A band set with a generator gets the generator's
-    density of states; one without gets the arcsine law of its one band,
-    and Unsupported if it has more.
-    """
-    return EquilibriumMeasure(*_parse(target))
 
 
 def capacity(target) -> float:
     """Logarithmic capacity: (hi-lo)/4 for an interval, sqrt(1-a^2) for
     the arc with gap parameter a, geometric mean of the off-diagonal
     pattern of a band set's generator."""
-    kind, target = _parse(target)
-    if kind == "arc":
-        return math.sqrt(1.0 - target.a ** 2)
-    if kind == "periodic":
-        logs = [math.log(a) for a in target.generator.a]
-        return math.exp(math.fsum(logs) / len(logs))
-    lo, hi = target
-    return (hi - lo) / 4.0
+    return equilibrium_measure(target).capacity
 
 
 def w1_distance(emp: EmpiricalMeasure, ref: EquilibriumMeasure) -> float:

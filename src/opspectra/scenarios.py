@@ -180,11 +180,13 @@ _identity_size = _size_upto(
 # counts and sizes whose cost grows linearly, bounded like the ladders
 # so that a typo cannot run for hours: 2^12 trace identity inputs take
 # about 4.7 s at N = 200; thm3_1 holds every input until the normal
-# forms run (2^10 take about 2.8 s and 81 MB); 2^14 torus samples, one
-# map call and one stacked check for all of them, take about 0.01 s at
-# p = 2 or 3; the block map holds K blocks of p x p (2^14 take about
-# 0.25 s and a 150 MB peak at p = 6); and the arc's block statistic
-# streams k sites ahead in O(1) memory, like any window
+# forms run (2^10 take about 2.8 s and 81 MB); each torus sample is a
+# row of torus_samples.csv (2^14 rows are 1.5 MiB at p = 2 and 5.1 MiB at
+# p = 6, and computing them takes 5 to 30 ms with a 3 to 14 MiB peak,
+# one map call and one stacked check for all of them); the block map
+# holds K blocks of p x p (2^14 take about 0.25 s and a 150 MB peak at
+# p = 6); and the arc's block statistic streams k sites ahead in O(1)
+# memory, like any window
 _identity_count = _size_upto(
     2 ** 12, ": each input solves an identity.N-site truncation")
 # the two bounds above multiply: count * N^2 at 2^28 takes about 4.5 s
@@ -194,7 +196,8 @@ _IDENTITY_WORK = 2 ** 28
 _inputs_count = _size_upto(
     2 ** 10, ": every input is held until the normal forms run")
 _samples_count = _size_upto(
-    2 ** 14, ": each torus sample solves for a torus point")
+    2 ** 14, ": each torus sample is a row of torus_samples.csv "
+    "(2^14 rows are 5.1 MiB at p = 6)")
 _blockmap_size = _size_upto(
     2 ** 14, ": the block map holds K blocks of p x p", least=2)
 _block_length = _size_upto(
@@ -545,7 +548,7 @@ def _run_thm4_2(o: Dict[str, object], seed: int) -> ScenarioResult:
 
     emp = S.eig_unitary(Vc, cmv_n)
     res.extras["angles.csv"] = (("index", "point"), list(enumerate(emp.points)))
-    gap = 2.0 * math.asin(a)
+    gap = pot.CircleArcSet(a).gap_angle
     min_angle = float(np.min(np.abs(emp.points)))
     res.series.append(R.StatSeries("cmv_min_angle", (cmv_n,), (min_angle,)))
     res.checks.append(Check("cmv_angles_in_arc", min_angle, gap - 0.1, "ge"))

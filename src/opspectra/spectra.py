@@ -28,8 +28,9 @@ parts of the paraorthogonal CMV truncation, held by its five diagonals
 (``_Banded``, the type that also runs the block map of ``periodic``).
 Only trace_square takes the QL values uncertified: its
 coefficient-side formula is their check.  Both tridiagonal routes call
-QL (LAPACK's ``dsterf``) directly through ``_sterf``, with no scipy
-wrapper around it to check again what the sequence has checked.
+QL (LAPACK's ``dsterf``) directly through ``_sterf``, and the circle
+calls the Hermitian band solver (``zhbevd``) directly, with no scipy
+wrapper around either to check again what the sequence has checked.
 """
 
 from __future__ import annotations
@@ -532,8 +533,10 @@ def eig_unitary(params: VerblunskyParams, N: int) -> EmpiricalMeasure:
         for k in range(kd + 1):
             h = op(c.diagonal(k), np.conj(c.diagonal(-k)))
             band[kd - k, k:] = scale * h
-        parts.append(np.clip(sla.eigvals_banded(band, check_finite=False),
-                             -1.0, 1.0))
+        vals, _, info = sla.lapack.zhbevd(band, compute_v=0)
+        if info != 0:
+            raise NoConvergence(f"hbevd failed (LAPACK info={info})")
+        parts.append(np.clip(vals, -1.0, 1.0))
     cos_arc, sin_arc = np.arccos(parts[0]), np.arcsin(parts[1])
     cand = np.concatenate([cos_arc, -cos_arc, sin_arc, math.pi - sin_arc])
     ring = np.sort(np.remainder(cand, 2.0 * math.pi))

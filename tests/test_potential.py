@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -203,3 +204,120 @@ def test_bad_intervals_are_rejected_by_both_entry_points(target):
         capacity(target)
     with pytest.raises(ValueError):
         equilibrium_measure(target)
+
+
+#: the targets of the byte pins below, one per geometry and shape
+PINNED_TARGETS = {
+    "interval(-2,2)": lambda: (-2.0, 2.0),
+    "interval(0,1)": lambda: (0.0, 1.0),
+    "arc(0.4)": lambda: CircleArcSet(0.4),
+    "bands(1,0.5,0,0)": lambda: bands(PeriodicJacobi((1.0, 0.5),
+                                                     (0.0, 0.0))),
+    "bands(1,0.6,0.8,0.1,-0.2,0)": lambda: bands(
+        PeriodicJacobi((1.0, 0.6, 0.8), (0.1, -0.2, 0.0))),
+}
+
+#: SHA-256 of each quantity's bytes on the pinned stack
+PINNED_BYTES = {
+    "arc(0.4)": {
+        "moment":
+            "53e269de994c3467112d9fca02c5a813b721596ca70629f4bd9e0477dbd4ce9e",
+        "quantiles":
+            "0c7331643487ddc25f30d70a77fba05062d1eb384fc24ab0fb01918f24c272ed",
+        "density":
+            "d4715b87eee7e3902991e8ce1bd1f27ea68768587817f165aec3ffa16c3a2e9c",
+        "density_samples":
+            "d1e8bc84773a9ff6a278ec742dc2d8c32e74c16bcc85f999012326a68a0c02a0",
+        "capacity":
+            "add9345ade26d625aad0349e94f13cb388c5500fe1493a78423d1517764c65f2",
+    },
+    "bands(1,0.5,0,0)": {
+        "moment":
+            "172ec421a3bcc7fe529bff1433bcaef0931112426eb02d4889c0e54be5d57eba",
+        "quantiles":
+            "550377380d6e0db9ae3df523b5cbf2b360ba70f91014575dc4c1fd801347e0dc",
+        "density":
+            "5a5c1a62f03acdc445fe809e0c42faa9d3a94693000ec0c03b47ec47fea8b204",
+        "density_samples":
+            "8c51c195edc829be187f839fe04a68f2623f2ebc048c40fffa499e6b019b3ba2",
+        "capacity":
+            "0e9ede2409ce2a463b6130ca196885129f8d3d4302e5608f635ae87efef76712",
+    },
+    "bands(1,0.6,0.8,0.1,-0.2,0)": {
+        "moment":
+            "b7424e17f1eeb8ad0b37bc977342fd0bb7abb6c6c3d374e5272b59058ee23e04",
+        "quantiles":
+            "58ab00b0ec9925746c45b01a63045d3a5b9f293a9e3433323fe832234312407f",
+        "density":
+            "04751f5280d2b6d2ce026842d33ba50fbefea38f25ad2f2eb60038cdd02b06e1",
+        "density_samples":
+            "b1874b1eec56d8f32b85e69446508029b5e06a886b1937362730e6e0e2d8ccdb",
+        "capacity":
+            "dd02b03d8c7bb928ce27cb196b49418d628aa2a80e9311ee570f37b865d6f1dc",
+    },
+    "interval(-2,2)": {
+        "moment":
+            "13b0c3b0e17c59e4127a11c18a4aaddba9a679dc6f8251221cf510e34bc9a34b",
+        "quantiles":
+            "76c61510c5aa144d4b8c728ef3f0e6e2a554e5d3b893c221d5418fe2932bc76e",
+        "density":
+            "7b602d50fc91400d409ac0dceb7c818a68e4a845b208ad73a7745a84c0470b20",
+        "density_samples":
+            "a3f77386e69f56c3b09c702afc2fcdef59767cac7c61bfca45fe20e99f8eba5c",
+        "capacity":
+            "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    },
+    "interval(0,1)": {
+        "moment":
+            "dfe0eb3745c9bb334c36ad97feb4cb26b922a11288a55a06d245335eb443f996",
+        "quantiles":
+            "3fa3723b2e9e1c3a2b4acb81b951d63ec0d9b0766f90ef7fff3e19d3a8135f6d",
+        "density":
+            "1f6a66773c8228d64c5ec954880cd6e408860536cb06eb473aa1d6ded55a57ea",
+        "density_samples":
+            "ae8944c50e08f266943f6bae447bdfe9ca2be886c0038189dde2cb0e37601df1",
+        "capacity":
+            "272f78036db6721f7cf7444315e5f6360426d14c3d446d6ae8a89ef70d134002",
+    },
+}
+
+
+def _pinned_quantities(target):
+    """The bytes of every quantity a reference measure gives: moments 0..8,
+    quantiles at 257 midpoint levels, the density at the quantiles of 256
+    midpoint levels (no level of 256 is a band edge j / p for p = 2, 3),
+    density_samples() and the capacity."""
+    em = equilibrium_measure(target)
+    return {
+        "moment": np.array([em.moment(k) for k in range(9)]).tobytes(),
+        "quantiles": em.quantiles((np.arange(257) + 0.5) / 257).tobytes(),
+        "density": em.density(
+            em.quantiles((np.arange(256) + 0.5) / 256)).tobytes(),
+        "density_samples": em.density_samples().tobytes(),
+        "capacity": np.float64(capacity(target)).tobytes(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TARGETS))
+def test_every_quantity_of_each_geometry_keeps_its_bytes(name):
+    got = {q: hashlib.sha256(b).hexdigest()
+           for q, b in _pinned_quantities(PINNED_TARGETS[name]()).items()}
+    assert got == PINNED_BYTES[name]
+
+
+@pytest.mark.parametrize("name", ["arc(0.4)", "bands(1,0.5,0,0)",
+                                  "bands(1,0.6,0.8,0.1,-0.2,0)"])
+def test_density_samples_lie_strictly_inside_the_support(name):
+    target = PINNED_TARGETS[name]()
+    rows = equilibrium_measure(target).density_samples()
+    x, dens = rows[:, 0], rows[:, 1]
+    if isinstance(target, CircleArcSet):
+        # angles in (-pi, pi), outside the gap around 0
+        spans = [(-math.pi, -target.gap_angle), (target.gap_angle, math.pi)]
+    else:
+        spans = list(target.bands)
+    inside = np.zeros(len(x), dtype=bool)
+    for lo, hi in spans:
+        inside |= (lo < x) & (x < hi)
+    assert len(x) >= 150 and inside.all()
+    assert np.all(np.isfinite(dens)) and np.all(dens > 0.0)

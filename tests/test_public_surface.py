@@ -12,8 +12,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: exported names and public methods of exported classes that no program
 #: runs yet, each with the ROADMAP item that settles it
 WAITING = {
-    "CircleArcSet": "item 15: thm4_2 reports W1 to the arc's equilibrium "
-                    "measure",
     "cn_sq_stat_oprl": "item 17: thm1_1 reports the mean-square average",
     "lemma21_stats": "item 17: thm1_1 reports the Lemma 2.1 functionals",
     "szego_image": "items 9 and 28: thm4_2 and thm4_1 take a measure input",

@@ -155,6 +155,14 @@ def test_a_failed_sterf_raises(monkeypatch):
             solve(J, 5)
 
 
+def test_a_failed_hbevd_raises(monkeypatch):
+    # the circle's band solver is called directly too
+    monkeypatch.setattr(spectra.sla.lapack, "zhbevd",
+                        lambda band, **kw: (np.zeros(band.shape[1]), None, 2))
+    with pytest.raises(spectra.NoConvergence, match="hbevd.*info=2"):
+        eig_unitary(_random_cmv(3, 50), 50)
+
+
 @pytest.mark.parametrize("route", ["bisect", "ql", "zero_diagonal"])
 def test_coincident_eigenvalues_warn(route):
     d, e = _twin_blocks(1e-20, zero_diagonal=route == "zero_diagonal")
@@ -647,8 +655,8 @@ def test_eig_unitary_bisects_when_the_band_solver_is_wrong(monkeypatch):
     V = _random_cmv(3, 50)
     oracle = sla.eigvals(cmv_sparse(*spectra._cmv(V, 50)[:2]).toarray())
     # every cosine and sine 0: four candidates, every bracket crowded
-    monkeypatch.setattr(spectra.sla, "eigvals_banded",
-                        lambda band, **kw: np.zeros(band.shape[1]))
+    monkeypatch.setattr(spectra.sla.lapack, "zhbevd",
+                        lambda band, **kw: (np.zeros(band.shape[1]), None, 0))
     mine = np.exp(1j * eig_unitary(V, 50).points)
     dist = np.abs(mine[:, None] - oracle[None, :])
     assert np.max(dist.min(axis=1)) < 1e-12
