@@ -37,7 +37,8 @@ call when few windows are left.  A batch of offsets searches each
 distinct window once: offsets whose windows (coefficients and weights
 on whole periods) are bitwise equal share one search and its result.
 The batch holds O(1) numbers per offset; each distance call gathers the
-windows it compares one block of rows at a time.
+windows it compares one block of rows at a time, into buffers made once
+per search.
 """
 
 from __future__ import annotations
@@ -514,14 +515,19 @@ def torus_point(J0: PeriodicJacobi, theta) -> PeriodicJacobi:
 
 #: grid starts per torus coordinate, the step that ends the search, the
 #: (row, move) pairs one look-ahead round may hold, the fewest moves per
-#: row for which a round is worth its gather, and the rows whose
+#: row for which a round is worth its gather, the rows whose
 #: coefficients a distance call gathers at a time (a block's few (512, L)
-#: arrays stay in a core's L2 cache; 256 and 128 were slower)
+#: arrays stay in a core's L2 cache; 256 and 128 were slower), and the
+#: most sites in one chunk of a gathered row (take copies chunk by
+#: chunk, so longer chunks gather faster, but chunks of g periods hold
+#: every coefficient g times: at 16 sites a thm6_1 run made 237 minor
+#: faults against 153 at 6, and the memory per offset grew by 112 bytes)
 _GRID_POINTS = 8
 _FINAL_STEP = 1e-7
 _LOOKAHEAD_ROWS = 256
 _MIN_LOOKAHEAD = 3
 _BLOCK = 512
+_CHUNK_SITES = 6
 
 
 def dm_weights(bound: float) -> np.ndarray:
@@ -537,18 +543,78 @@ def _deviation_bound(J: JacobiParams, probe: int) -> float:
     return sup_deviation(J, min(probe, len(J)) if J.is_finite else probe)
 
 
+class _Blocks:
+    """The coefficients of the aligned rows and the buffers that the
+    distance kernel gathers them into, made once per search.
+
+    A row's L sites are read as R chunks of g periods each, g the
+    largest divisor of L / p with g p <= _CHUNK_SITES: chunk row u of
+    ``a`` and ``b`` holds sites u p .. (u + g) p - 1 of the padded
+    coefficient windows, so the row with period index t is chunk rows
+    t, t + g, .., t + (R - 1) g, and numpy's take copies them straight
+    into a buffer.  The buffers hold the most rows one block has passed
+    and every later call reuses them, so a call allocates nothing of
+    size (rows, L)."""
+
+    def __init__(self, a_pad: np.ndarray, b_pad: np.ndarray, p: int, L: int):
+        reps = L // p
+        g = max(d for d in range(1, max(1, _CHUNK_SITES // p) + 1)
+                if reps % d == 0)
+        self.a, self.b = (np.ascontiguousarray(
+            np.lib.stride_tricks.sliding_window_view(x, g * p)[::p])
+            for x in (a_pad, b_pad))
+        self.chunk = (reps // g, g * p)
+        self.offsets = g * np.arange(reps // g)
+        self.first = np.zeros(reps // g, dtype=np.intp)
+        self.repeat = np.zeros((p, L))
+        self.repeat[np.arange(L) % p, np.arange(L)] = 1.0
+        self.L, self.rows = L, 0
+
+    def gather(self, t: np.ndarray):
+        """(X, Y, T): the coefficients of the rows with period indices
+        ``t``, of a and of b, and a buffer for their patterns, each
+        (len(t), L).  Every index is in range by construction;
+        mode="clip" keeps take from first copying into a temporary, as
+        it does under the default mode."""
+        n = len(t)
+        if n > self.rows:
+            self.rows = n
+            self.X, self.Y, self.T = (np.empty((n, self.L))
+                                      for _ in range(3))
+            self.starts = np.tile(self.offsets, (n, 1))
+            self.I = np.empty_like(self.starts)
+        # t along each row, then the chunk offsets added: a ufunc with a
+        # broadcast operand would allocate its iterator's buffers
+        I, X, Y = self.I[:n], self.X[:n], self.Y[:n]
+        np.take(t[:, None], self.first, axis=1, out=I, mode="clip")
+        np.add(I, self.starts[:n], out=I)
+        for D, src in ((X, self.a), (Y, self.b)):
+            np.take(src, I, axis=0, out=D.reshape(n, *self.chunk),
+                    mode="clip")
+        return X, Y, self.T[:n]
+
+    def tile(self, x: np.ndarray, T: np.ndarray) -> None:
+        """Write the patterns ``x`` ((n, p)), each repeated along its
+        row, into T, as the product with ``repeat``, the (p, L) matrix
+        with a 1 at (k % p, k) and 0 elsewhere.  Entry k of a row sums
+        x[k % p] times 1 and zeros, which is x[k % p] itself for finite
+        x (a zero may change sign, which |a - T| cannot show); twice as
+        fast as take's copy, with nothing allocated."""
+        np.matmul(x, self.repeat, out=T)
+
+
 class _Rows(NamedTuple):
     """Aligned rows, each held as two numbers: row i covers the L sites
     from the first site of its offset's period on (L a multiple of p),
-    so its coefficients are a[period[i]] and b[period[i]], and its
-    distance weights are w[phase[i]], phase = (m - 1) % p: the weight of
-    site m + k is w_k and every other weight is 0."""
+    so its coefficients are the row with period index period[i] of
+    ``blocks``, and its distance weights are w[phase[i]], phase =
+    (m - 1) % p: the weight of site m + k is w_k and every other weight
+    is 0."""
 
-    a: np.ndarray       # (periods, L) views of the padded coefficient
-    b: np.ndarray       # windows, one row per period
     w: np.ndarray       # (p, L), one weight row per period phase
     period: np.ndarray
     phase: np.ndarray
+    blocks: _Blocks
 
 
 def _aligned_rows(J: JacobiParams, ms: np.ndarray, w: np.ndarray,
@@ -561,45 +627,47 @@ def _aligned_rows(J: JacobiParams, ms: np.ndarray, w: np.ndarray,
     hi = int(ms.max()) + K
     # rows reach past site hi only where their weight is 0
     pad = np.zeros(L - K)
-    a, b = (np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([seq, pad]), L)[::p] for seq in (J.a_window(hi),
-                                                        J.b_window(hi)))
+    a, b = (np.concatenate([seq, pad]) for seq in (J.a_window(hi),
+                                                   J.b_window(hi)))
     wz = np.concatenate([np.zeros(p - 1), w, np.zeros(L)])
     W = np.lib.stride_tricks.sliding_window_view(wz, L)[p - 1 - np.arange(p)]
-    return _Rows(a, b, W, (ms - 1) // p, r)
+    return _Rows(W, (ms - 1) // p, r, _Blocks(a, b, p, L))
 
 
-def _gather(rows: _Rows, idx: np.ndarray):
-    """(lo, A, B) for each block of at most _BLOCK of the rows ``idx``:
-    A and B are fresh (n, L) copies of the coefficients of rows
-    idx[lo:lo + n]."""
-    for lo in range(0, len(idx), _BLOCK):
-        t = rows.period[idx[lo:lo + _BLOCK]]
-        yield lo, rows.a[t], rows.b[t]
+def _gather(rows: _Rows, idx: np.ndarray, step: int):
+    """(lo, A, B) for each block of at most ``step`` of the rows ``idx``:
+    A and B are (n, L) views of the coefficients of rows idx[lo:lo + n]
+    in the buffers of ``rows.blocks``, which the next block overwrites."""
+    for lo in range(0, len(idx), step):
+        A, B, _ = rows.blocks.gather(rows.period[idx[lo:lo + step]])
+        yield lo, A, B
 
 
 def _weighted_dist(rows: _Rows, idx: np.ndarray, a, b) -> np.ndarray:
     """Weighted distance of each of the rows ``idx`` to the periodic
     extension of its pattern: row idx[i] against (a[i], b[i]).  A
-    block's rows are weighted phase run by phase run with that phase's
-    weight row, which gives the bits of one full weight matrix; rows in
-    phase order make one run per phase."""
-    reps = rows.w.shape[1] // a.shape[-1]
+    block's rows are gathered into the buffers of ``rows.blocks`` and
+    weighted phase run by phase run with that phase's weight row, which
+    gives the bits of one full weight matrix; rows in phase order make
+    one run per phase."""
+    blocks = rows.blocks
     phase = rows.phase[idx]
     runs = [0, *((phase[1:] != phase[:-1]).nonzero()[0] + 1).tolist(),
             len(idx)]
     out = np.empty(len(idx))
-    for lo, A, B in _gather(rows, idx):
-        n = len(A)
-        for X, x in ((A, a), (B, b)):
-            np.subtract(X, np.tile(x[lo:lo + n], reps), out=X)
-            np.abs(X, out=X)
-        np.add(A, B, out=A)
+    for lo in range(0, len(idx), _BLOCK):
+        X, Y, T = blocks.gather(rows.period[idx[lo:lo + _BLOCK]])
+        n = len(X)
+        for D, x in ((X, a), (Y, b)):
+            blocks.tile(x[lo:lo + n], T)
+            np.subtract(D, T, out=D)
+            np.abs(D, out=D)
+        np.add(X, Y, out=X)
         for i, j in zip(runs[:-1], runs[1:]):
             i, j = max(i, lo), min(j, lo + n)
             if i < j:
                 out[i:j] = np.einsum("j,ij->i", rows.w[phase[i]],
-                                     A[i - lo:j - lo])
+                                     X[i - lo:j - lo])
     return out
 
 
@@ -624,18 +692,19 @@ def _distinct_rows(rows: _Rows):
     n = len(rows.phase)
     every = np.arange(n)
     keys = np.empty(n, dtype=np.uint64)
-    for lo, A, B in _gather(rows, every):
+    for lo, A, B in _gather(rows, every, _BLOCK):
         keys[lo:lo + len(A)] = _row_keys(A, B, rows.phase[lo:lo + len(A)])
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     rep = first[group]
     shared = np.flatnonzero(rep != every)
     differ = rows.phase[shared] != rows.phase[rep[shared]]
-    for (lo, A, B), (_, A0, B0) in zip(_gather(rows, shared),
-                                       _gather(rows, rep[shared])):
-        k = slice(lo, lo + len(A))
-        for X, X0 in ((A, A0), (B, B0)):
-            differ[k] |= np.any(X.view(np.uint64) != X0.view(np.uint64),
-                                axis=1)
+    # each shared row next to its group's first, whole pairs per block
+    pairs = np.stack([shared, rep[shared]], axis=1).ravel()
+    for lo, A, B in _gather(rows, pairs, 2 * max(1, _BLOCK // 2)):
+        k = slice(lo // 2, (lo + len(A)) // 2)
+        for X in (A, B):
+            bits = X.view(np.uint64)
+            differ[k] |= np.any(bits[0::2] != bits[1::2], axis=1)
     rep[shared[differ]] = shared[differ]
     return np.unique(rep, return_inverse=True)
 
@@ -648,11 +717,13 @@ def _window_starts(family: _DirichletMap, rows: _Rows):
     if p == 1:
         return
     q = np.arange(p)
-    t = rows.period[:, None]
+    a, b = rows.blocks.a, rows.blocks.b
     for s in range(p):
         c = (rows.phase + s)[:, None]
         cols = c + (q - c) % p
-        yield family.angles(rows.a[t, cols], rows.b[t, cols])
+        # site k of a row is entry k % p of its chunk row k // p on
+        u = rows.period[:, None] + cols // p
+        yield family.angles(a[u, cols % p], b[u, cols % p])
 
 
 def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span):
@@ -750,10 +821,12 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     test_the_look_ahead_size_leaves_the_distances_unchanged,
     test_offsets_sharing_a_window_get_the_single_call_distance,
     test_colliding_row_keys_leave_the_distances_unchanged,
+    test_row_pairs_in_odd_blocks_leave_the_distances_unchanged,
     test_row_blocks_leave_the_distances_unchanged and
     test_grid_chunks_leave_the_distances_unchanged).  Memory is O(1)
-    per offset, about 280 bytes at p = 2
-    (test_batch_search_memory_grows_by_o1_per_offset).
+    per offset, about 310 bytes at p = 2, 48 of them the chunk rows,
+    which hold each coefficient of 42-site rows three times (see
+    _Blocks; test_batch_search_memory_grows_by_o1_per_offset).
     """
     ms = np.asarray(ms, dtype=int)
     if np.any(ms < 1):

@@ -31,18 +31,56 @@ coefficient-side formula is their check.  Both tridiagonal routes call
 QL (LAPACK's ``dsterf``) directly through ``_sterf``, and the circle
 calls the Hermitian band solver (``zhbevd``) directly, with no scipy
 wrapper around either to check again what the sequence has checked.
+The four LAPACK routines (``dsterf``, ``dpteqr``, ``dstebz`` and
+``zhbevd``) come from scipy's compiled wrappers, the extension
+``scipy/linalg/_flapack``, loaded by its extension loader without the
+``scipy.linalg`` package, whose import loads some 330 modules
+(``_load_flapack``).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import warnings
 
 import numpy as np
-from scipy import linalg as sla
 
 from .sequences import (BlockJacobiParams, JacobiParams, VerblunskyParams,
                         _freeze, _herm, _refuse)
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy/linalg/_flapack``, loaded
+    by their extension loader under their own name, so their routines
+    are the objects ``scipy.linalg.lapack`` hands out.  Any import from
+    ``scipy.linalg`` runs that package's ``__init__``, which doubles the
+    modules and the memory of a process that needs only four routines.
+    There is no other route: where the file is not where scipy >= 1.12
+    puts it, this raises one ImportError that names scipy's version."""
+    name = "scipy.linalg._flapack"
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("opspectra needs scipy >= 1.12, which is not "
+                          "installed")
+    where = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(where, "_flapack" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    from scipy import __version__
+    raise ImportError(f"opspectra needs LAPACK from scipy's extension "
+                      f"linalg/_flapack, which scipy >= 1.12 installs, and "
+                      f"scipy {__version__} has none in {where}")
+
+
+_flapack = _load_flapack()
 
 
 class NoConvergence(ArithmeticError):
@@ -106,7 +144,7 @@ def _sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     d itself (the wrapper refuses an empty e)."""
     if len(d) == 1:
         return np.array(d)
-    vals, info = sla.lapack.dsterf(d, e)
+    vals, info = _flapack.dsterf(d, e)
     if info != 0:
         raise NoConvergence(f"sterf failed (LAPACK info={info})")
     return vals
@@ -255,15 +293,15 @@ def _zero_diagonal_candidates(d: np.ndarray, e: np.ndarray, bound: float,
     sq_d = a[0:2 * m:2] ** 2 + even ** 2
     sq_e = even * a[2:2 * m + 1:2]  # its last entry is 0
     # the wrapper wants len(sq_e) = 1, not 0, at m = 1
-    lam, _, _, info = sla.lapack.dpteqr(sq_d, sq_e[:max(m - 1, 1)],
-                                        np.zeros((1, 1)), compute_z=0)
+    lam, _, _, info = _flapack.dpteqr(sq_d, sq_e[:max(m - 1, 1)],
+                                      np.zeros((1, 1)), compute_z=0)
     if info != 0:
         return None
     s = np.sqrt(lam)
     # the spectrum is symmetric, so checking +s checks -s too
     for x in s[s * tol < 8.0 * _EPS * bound * bound]:
-        if sla.lapack.dstebz(d, e, 1, x - tol, x + tol, 1, 1, 2.0 * tol,
-                             b"E")[0] < 1:
+        if _flapack.dstebz(d, e, 1, x - tol, x + tol, 1, 1, 2.0 * tol,
+                           b"E")[0] < 1:
             return None
     return s
 
@@ -533,7 +571,7 @@ def eig_unitary(params: VerblunskyParams, N: int) -> EmpiricalMeasure:
         for k in range(kd + 1):
             h = op(c.diagonal(k), np.conj(c.diagonal(-k)))
             band[kd - k, k:] = scale * h
-        vals, _, info = sla.lapack.zhbevd(band, compute_v=0)
+        vals, _, info = _flapack.zhbevd(band, compute_v=0)
         if info != 0:
             raise NoConvergence(f"hbevd failed (LAPACK info={info})")
         parts.append(np.clip(vals, -1.0, 1.0))

@@ -736,6 +736,45 @@ def test_distance_kernel_gives_the_bits_of_full_rows(p):
     assert np.array_equal(periodic._weighted_dist(rows, idx, a, b), full)
 
 
+def test_distance_calls_allocate_no_coefficient_block():
+    # a block's coefficients and patterns go into buffers that the first
+    # call sizes, so a later full-block call allocates a small share of
+    # one (512, L) block (its output and the phase runs), where fresh
+    # gathered and tiled arrays would hold three such blocks at once
+    J = _finite_unbounded()
+    rng = np.random.default_rng(39)
+    ms = rng.integers(1, 1000, 600)
+    rows = periodic._aligned_rows(J, ms, dm_weights(8.0), 2)
+    idx = np.arange(512)
+    a = rng.uniform(0.5, 1.5, (512, 2))
+    b = rng.uniform(-1.0, 1.0, (512, 2))
+    first = periodic._weighted_dist(rows, idx, a, b)
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            assert np.array_equal(periodic._weighted_dist(rows, idx, a, b),
+                                  first)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 512 * rows.w.shape[1] * 8
+
+
+@pytest.mark.parametrize("block", [3, 7])
+def test_row_pairs_in_odd_blocks_leave_the_distances_unchanged(
+        block, monkeypatch):
+    # with every key equal, the bitwise check gathers each row next to
+    # its group's first row, whole pairs per gather, also when a block
+    # holds an odd number of rows
+    J = SCENARIO_INPUTS["sparse_bumps"]()
+    ms = np.arange(1, 201)
+    expected = d_to_torus_batch(J, ms, DEFAULT)
+    monkeypatch.setattr(periodic, "_row_keys",
+                        lambda A, B, phase: np.zeros(len(A), dtype=np.uint64))
+    monkeypatch.setattr(periodic, "_BLOCK", block)
+    assert np.array_equal(d_to_torus_batch(J, ms, DEFAULT), expected)
+
+
 # -- the Dirichlet-data map for every period ---------------------------
 
 P2 = PeriodicJacobi((1.0, 0.5), (0.2, -0.3))

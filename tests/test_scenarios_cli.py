@@ -10,6 +10,7 @@ import xml.dom.minidom
 
 import numpy as np
 import pytest
+import scipy
 
 from opspectra import cli, periodic, scenarios, sequences
 from opspectra.cli import (ConfigParse, ScenarioConfig, default_config,
@@ -699,15 +700,32 @@ def test_thm3_1_stats_csv_does_not_depend_on_the_blas_thread_count():
     assert digests[0] == digests[1] == THM3_1_COUNT50_STATS_SHA256[1]
 
 
-@pytest.mark.parametrize("module", ("scipy.optimize", "scipy.sparse"))
+@pytest.mark.parametrize("module", ("scipy.optimize", "scipy.sparse",
+                                    "scipy.linalg"))
 def test_importing_the_cli_leaves_a_scipy_module_out(module):
-    # no scenario needs a root finder, and the block map and the CMV
-    # matrix are banded arrays, so no process should pay for either
+    # no scenario needs a root finder, the block map and the CMV matrix
+    # are banded arrays, and spectra loads its LAPACK routines from
+    # scipy's extension alone, so no process should pay for any of them
     out = subprocess.run(
         [sys.executable, "-c",
          f"import sys, opspectra.cli; print({module!r} in sys.modules)"],
         env=_src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_without_the_lapack_extension_the_import_fails_naming_scipy():
+    # spectra has one route to LAPACK: with scipy's extension file out of
+    # reach the import raises one error, one line naming scipy's version
+    code = ("import importlib.machinery as m; "
+            "m.EXTENSION_SUFFIXES[:] = ['.absent']; import opspectra.cli")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         capture_output=True, text=True)
+    assert out.returncode == 1
+    assert "During handling" not in out.stderr
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: ")
+    assert "linalg/_flapack" in last
+    assert f"scipy {scipy.__version__} " in last
 
 
 def test_thm3_1_checks_every_block_object_it_makes_exactly_once(

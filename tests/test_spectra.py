@@ -133,7 +133,7 @@ def test_failed_brackets_are_refined_by_bisection(monkeypatch):
     wrong = oracle.copy()
     wrong[j + 1] = wrong[j]
     wrong[0] -= 0.5
-    monkeypatch.setattr(spectra.sla.lapack, "dsterf",
+    monkeypatch.setattr(spectra._flapack, "dsterf",
                         lambda *args, **kw: (wrong.copy(), 0))
     # trace_square takes the wrong list as it comes, so its formula side
     # no longer matches; eig_sym_tridiag repairs it
@@ -147,7 +147,7 @@ def test_failed_brackets_are_refined_by_bisection(monkeypatch):
 
 def test_a_failed_sterf_raises(monkeypatch):
     # sterf is called directly, so its info is checked here, not by scipy
-    monkeypatch.setattr(spectra.sla.lapack, "dsterf",
+    monkeypatch.setattr(spectra._flapack, "dsterf",
                         lambda d, e, **kw: (np.array(d), 3))
     J = JacobiParams(np.ones(4), np.arange(5.0))
     for solve in (trace_square, eig_sym_tridiag):
@@ -155,9 +155,41 @@ def test_a_failed_sterf_raises(monkeypatch):
             solve(J, 5)
 
 
+def test_the_loaded_lapack_routines_give_scipys_bits():
+    # spectra loads the four routines from scipy's extension without the
+    # scipy.linalg package; on sample inputs each gives the bits and the
+    # info code of scipy.linalg.lapack's
+    ours, scipys = spectra._flapack, sla.lapack
+    rng = np.random.default_rng(39)
+    d, e = rng.standard_normal(300), rng.standard_normal(299)
+    pd_d, pd_e = 3.0 + rng.uniform(0.0, 1.0, 300), rng.uniform(-1.0, 1.0, 299)
+    N, kd = 400, 2
+    band = np.zeros((kd + 1, N), dtype=complex)
+    band[kd] = rng.standard_normal(N)
+    for k in range(1, kd + 1):
+        band[kd - k, k:] = (rng.standard_normal(N - k)
+                            + 1j * rng.standard_normal(N - k))
+    calls = [
+        ("dsterf", (d, e), {}),
+        ("dstebz", (d, e, 0, 0.0, 0.0, 0, 0, 0.0, b"E"), {}),
+        ("dstebz", (d, e, 1, -0.5, 0.5, 1, 1, 1e-12, b"E"), {}),
+        ("dpteqr", (pd_d, pd_e, np.zeros((1, 1))), {"compute_z": 0}),
+        ("zhbevd", (band,), {"compute_v": 0}),
+    ]
+    for name, args, kw in calls:
+        got = getattr(ours, name)(*args, **kw)
+        want = getattr(scipys, name)(*args, **kw)
+        assert len(got) == len(want), name
+        for x, y in zip(got, want):
+            x, y = np.asarray(x), np.asarray(y)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+        assert int(got[-1]) == 0, name   # the info code
+
+
 def test_a_failed_hbevd_raises(monkeypatch):
     # the circle's band solver is called directly too
-    monkeypatch.setattr(spectra.sla.lapack, "zhbevd",
+    monkeypatch.setattr(spectra._flapack, "zhbevd",
                         lambda band, **kw: (np.zeros(band.shape[1]), None, 2))
     with pytest.raises(spectra.NoConvergence, match="hbevd.*info=2"):
         eig_unitary(_random_cmv(3, 50), 50)
@@ -195,7 +227,7 @@ def _spy(monkeypatch, module, name):
 @pytest.mark.parametrize("n", [24, 25])
 @pytest.mark.parametrize("seed", range(10))
 def test_zero_diagonal_matches_40_digit_oracle(n, seed, monkeypatch):
-    sterf = _spy(monkeypatch, spectra.sla.lapack, "dsterf")
+    sterf = _spy(monkeypatch, spectra._flapack, "dsterf")
     rng = np.random.default_rng(seed)
     d, e = np.zeros(n), np.exp(rng.uniform(-1.0, 1.0, n - 1))
     oracle = tridiagonal_eigvals_mp(d, e)
@@ -229,8 +261,8 @@ def test_zero_diagonal_falls_back_to_sterf_when_pteqr_fails(monkeypatch):
     d, e = np.zeros(600), 10.0 ** rng.uniform(-3.0, 1.0, 599)
     oracle = np.linalg.eigvalsh(tridiagonal_dense(d, e))
     assert np.min(np.diff(oracle)) < 1e-16
-    pteqr = _spy(monkeypatch, spectra.sla.lapack, "dpteqr")
-    sterf = _spy(monkeypatch, spectra.sla.lapack, "dsterf")
+    pteqr = _spy(monkeypatch, spectra._flapack, "dpteqr")
+    sterf = _spy(monkeypatch, spectra._flapack, "dsterf")
     with pytest.warns(DuplicateEigenvalues):
         w = eig_sym_tridiag(JacobiParams(e, d), 600)
     assert [r[3] for r in pteqr] == [296] and len(sterf) == 1
@@ -245,8 +277,8 @@ def test_certified_repairs_a_wrong_pteqr_list(monkeypatch):
     wrong = s[::-1] ** 2  # pteqr's order: descending
     wrong[1] = wrong[0]  # the top pair collapsed
     wrong[2] += 0.5  # a value moved into the next bracket up
-    sterf = _spy(monkeypatch, spectra.sla.lapack, "dsterf")
-    monkeypatch.setattr(spectra.sla.lapack, "dpteqr",
+    sterf = _spy(monkeypatch, spectra._flapack, "dsterf")
+    monkeypatch.setattr(spectra._flapack, "dpteqr",
                         lambda d, e, z, **kw: (wrong.copy(), e, z, 0))
     assert np.max(np.abs(eig_sym_tridiag(JacobiParams(e, d), len(d))
                          - oracle)) < 1e-12
@@ -259,8 +291,8 @@ def test_a_wrong_pteqr_value_near_zero_falls_back_to_sterf(monkeypatch):
     d, e = _twin_blocks(1e-6, zero_diagonal=True)
     oracle = np.linalg.eigvalsh(tridiagonal_dense(d, e))
     wrong = np.append(oracle[:5:-1], 1e-6) ** 2
-    sterf = _spy(monkeypatch, spectra.sla.lapack, "dsterf")
-    monkeypatch.setattr(spectra.sla.lapack, "dpteqr",
+    sterf = _spy(monkeypatch, spectra._flapack, "dsterf")
+    monkeypatch.setattr(spectra._flapack, "dpteqr",
                         lambda d, e, z, **kw: (wrong.copy(), e, z, 0))
     assert np.max(np.abs(eig_sym_tridiag(JacobiParams(e, d), len(d))
                          - oracle)) < 1e-12
@@ -310,9 +342,9 @@ def test_zero_diagonal_spectra_are_exactly_symmetric(n, chain, route,
     # which the warning reports
     close = np.min(np.diff(oracle)) < 1e-12 * np.max(np.abs(oracle))
     if route == "sterf":
-        monkeypatch.setattr(spectra.sla.lapack, "dpteqr",
+        monkeypatch.setattr(spectra._flapack, "dpteqr",
                             lambda d, e, z, **kw: (d, e, z, 1))
-    sterf = _spy(monkeypatch, spectra.sla.lapack, "dsterf")
+    sterf = _spy(monkeypatch, spectra._flapack, "dsterf")
     with (pytest.warns(DuplicateEigenvalues) if close
           else contextlib.nullcontext()):
         w = eig_sym_tridiag(JacobiParams(a, d), n)
@@ -655,7 +687,7 @@ def test_eig_unitary_bisects_when_the_band_solver_is_wrong(monkeypatch):
     V = _random_cmv(3, 50)
     oracle = sla.eigvals(cmv_sparse(*spectra._cmv(V, 50)[:2]).toarray())
     # every cosine and sine 0: four candidates, every bracket crowded
-    monkeypatch.setattr(spectra.sla.lapack, "zhbevd",
+    monkeypatch.setattr(spectra._flapack, "zhbevd",
                         lambda band, **kw: (np.zeros(band.shape[1]), None, 0))
     mine = np.exp(1j * eig_unitary(V, 50).points)
     dist = np.abs(mine[:, None] - oracle[None, :])
