@@ -36,9 +36,10 @@ pattern search along the axes and the diagonals, several moves per map
 call when few windows are left.  A batch of offsets searches each
 distinct window once: offsets whose windows (coefficients and weights
 on whole periods) are bitwise equal share one search and its result.
-The batch holds O(1) numbers per offset; each distance call gathers the
-windows it compares one block of rows at a time, into buffers made once
-per search.
+The batch holds O(1) numbers per offset in one row store: a distance
+call gathers the rows it compares from it one block at a time, into
+buffers made once per search, and the start angles read their
+one-period windows from it too.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .potential import FiniteGapSet
 from .sequences import (BlockJacobiParams, JacobiParams, UnitaryChain,
@@ -543,42 +545,61 @@ def _deviation_bound(J: JacobiParams, probe: int) -> float:
     return sup_deviation(J, min(probe, len(J)) if J.is_finite else probe)
 
 
-class _Blocks:
-    """The coefficients of the aligned rows and the buffers that the
-    distance kernel gathers them into, made once per search.
+class _Rows:
+    """The aligned rows of a torus search, each held as two numbers, and
+    the buffers that the distance kernel gathers them into, made once
+    per search.
+
+    Row i covers the L sites from the first site of its offset m's
+    period on (L a multiple of p): its period index is period[i] = (m -
+    1) // p, and its distance weights are w[phase[i]], phase = (m - 1) %
+    p, one of the (p, L) weight rows: the weight of site m + k is w_k and
+    every other weight is 0.
 
     A row's L sites are read as R chunks of g periods each, g the
     largest divisor of L / p with g p <= _CHUNK_SITES: chunk row u of
-    ``a`` and ``b`` holds sites u p .. (u + g) p - 1 of the padded
-    coefficient windows, so the row with period index t is chunk rows
-    t, t + g, .., t + (R - 1) g, and numpy's take copies them straight
-    into a buffer.  The buffers hold the most rows one block has passed
-    and every later call reuses them, so a call allocates nothing of
-    size (rows, L)."""
+    ``a`` and ``b`` holds sites u p .. (u + g) p - 1 of J's coefficients,
+    padded with zeros past the last weighted site, so the row with
+    period index t is chunk rows t, t + g, .., t + (R - 1) g, and numpy's
+    take copies them straight into a buffer.  The buffers hold the most
+    rows one gather has passed and every later gather reuses them, so a
+    gather allocates nothing of size (rows, L)."""
 
-    def __init__(self, a_pad: np.ndarray, b_pad: np.ndarray, p: int, L: int):
+    def __init__(self, J: JacobiParams, ms: np.ndarray, w: np.ndarray,
+                 p: int):
+        K = len(w) - 1
+        L = p * -(-(K + p) // p)
+        self.phase = (ms - 1) % p
+        hi = int(ms.max()) + K
+        # rows reach past site hi only where their weight is 0
+        pad = np.zeros(L - K)
+        a, b = (np.concatenate([seq, pad]) for seq in (J.a_window(hi),
+                                                       J.b_window(hi)))
+        wz = np.concatenate([np.zeros(p - 1), w, np.zeros(L)])
+        self.w = sliding_window_view(wz, L)[p - 1 - np.arange(p)]
+        self.period = (ms - 1) // p
         reps = L // p
         g = max(d for d in range(1, max(1, _CHUNK_SITES // p) + 1)
                 if reps % d == 0)
-        self.a, self.b = (np.ascontiguousarray(
-            np.lib.stride_tricks.sliding_window_view(x, g * p)[::p])
-            for x in (a_pad, b_pad))
+        self.a, self.b = (np.ascontiguousarray(sliding_window_view(
+            x, g * p)[::p]) for x in (a, b))
         self.chunk = (reps // g, g * p)
         self.offsets = g * np.arange(reps // g)
         self.first = np.zeros(reps // g, dtype=np.intp)
         self.repeat = np.zeros((p, L))
         self.repeat[np.arange(L) % p, np.arange(L)] = 1.0
-        self.L, self.rows = L, 0
+        self.p, self.L, self.held = p, L, 0
 
-    def gather(self, t: np.ndarray):
-        """(X, Y, T): the coefficients of the rows with period indices
-        ``t``, of a and of b, and a buffer for their patterns, each
-        (len(t), L).  Every index is in range by construction;
-        mode="clip" keeps take from first copying into a temporary, as
-        it does under the default mode."""
+    def gather(self, idx: np.ndarray):
+        """(X, Y, T): the coefficients of the rows ``idx``, of a and of
+        b, and a buffer for their patterns, each (len(idx), L) and
+        overwritten by the next gather.  Every index is in range by
+        construction; mode="clip" keeps take from first copying into a
+        temporary, as it does under the default mode."""
+        t = self.period[idx]
         n = len(t)
-        if n > self.rows:
-            self.rows = n
+        if n > self.held:
+            self.held = n
             self.X, self.Y, self.T = (np.empty((n, self.L))
                                       for _ in range(3))
             self.starts = np.tile(self.offsets, (n, 1))
@@ -602,64 +623,34 @@ class _Blocks:
         fast as take's copy, with nothing allocated."""
         np.matmul(x, self.repeat, out=T)
 
-
-class _Rows(NamedTuple):
-    """Aligned rows, each held as two numbers: row i covers the L sites
-    from the first site of its offset's period on (L a multiple of p),
-    so its coefficients are the row with period index period[i] of
-    ``blocks``, and its distance weights are w[phase[i]], phase =
-    (m - 1) % p: the weight of site m + k is w_k and every other weight
-    is 0."""
-
-    w: np.ndarray       # (p, L), one weight row per period phase
-    period: np.ndarray
-    phase: np.ndarray
-    blocks: _Blocks
-
-
-def _aligned_rows(J: JacobiParams, ms: np.ndarray, w: np.ndarray,
-                  p: int) -> _Rows:
-    """The aligned rows of J at the offsets ``ms``, with the weights
-    ``w`` (see _Rows)."""
-    K = len(w) - 1
-    L = p * -(-(K + p) // p)
-    r = (ms - 1) % p
-    hi = int(ms.max()) + K
-    # rows reach past site hi only where their weight is 0
-    pad = np.zeros(L - K)
-    a, b = (np.concatenate([seq, pad]) for seq in (J.a_window(hi),
-                                                   J.b_window(hi)))
-    wz = np.concatenate([np.zeros(p - 1), w, np.zeros(L)])
-    W = np.lib.stride_tricks.sliding_window_view(wz, L)[p - 1 - np.arange(p)]
-    return _Rows(W, (ms - 1) // p, r, _Blocks(a, b, p, L))
-
-
-def _gather(rows: _Rows, idx: np.ndarray, step: int):
-    """(lo, A, B) for each block of at most ``step`` of the rows ``idx``:
-    A and B are (n, L) views of the coefficients of rows idx[lo:lo + n]
-    in the buffers of ``rows.blocks``, which the next block overwrites."""
-    for lo in range(0, len(idx), step):
-        A, B, _ = rows.blocks.gather(rows.period[idx[lo:lo + step]])
-        yield lo, A, B
+    def windows(self, s: int):
+        """The one-period windows (a, b) of every row at sites m + s ..
+        m + s + p - 1, each (rows, p) and read into period phase: column
+        q holds the site n with (n - 1) % p = q."""
+        p, q = self.p, np.arange(self.p)
+        c = (self.phase + s)[:, None]
+        cols = c + (q - c) % p
+        # site k of a row is entry k % p of its chunk row k // p on
+        u = self.period[:, None] + cols // p
+        return self.a[u, cols % p], self.b[u, cols % p]
 
 
 def _weighted_dist(rows: _Rows, idx: np.ndarray, a, b) -> np.ndarray:
     """Weighted distance of each of the rows ``idx`` to the periodic
     extension of its pattern: row idx[i] against (a[i], b[i]).  A
-    block's rows are gathered into the buffers of ``rows.blocks`` and
+    block's rows are gathered into the buffers of ``rows`` and
     weighted phase run by phase run with that phase's weight row, which
     gives the bits of one full weight matrix; rows in phase order make
     one run per phase."""
-    blocks = rows.blocks
     phase = rows.phase[idx]
     runs = [0, *((phase[1:] != phase[:-1]).nonzero()[0] + 1).tolist(),
             len(idx)]
     out = np.empty(len(idx))
     for lo in range(0, len(idx), _BLOCK):
-        X, Y, T = blocks.gather(rows.period[idx[lo:lo + _BLOCK]])
+        X, Y, T = rows.gather(idx[lo:lo + _BLOCK])
         n = len(X)
         for D, x in ((X, a), (Y, b)):
-            blocks.tile(x[lo:lo + n], T)
+            rows.tile(x[lo:lo + n], T)
             np.subtract(D, T, out=D)
             np.abs(D, out=D)
         np.add(X, Y, out=X)
@@ -692,7 +683,8 @@ def _distinct_rows(rows: _Rows):
     n = len(rows.phase)
     every = np.arange(n)
     keys = np.empty(n, dtype=np.uint64)
-    for lo, A, B in _gather(rows, every, _BLOCK):
+    for lo in range(0, n, _BLOCK):
+        A, B, _ = rows.gather(every[lo:lo + _BLOCK])
         keys[lo:lo + len(A)] = _row_keys(A, B, rows.phase[lo:lo + len(A)])
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     rep = first[group]
@@ -700,30 +692,15 @@ def _distinct_rows(rows: _Rows):
     differ = rows.phase[shared] != rows.phase[rep[shared]]
     # each shared row next to its group's first, whole pairs per block
     pairs = np.stack([shared, rep[shared]], axis=1).ravel()
-    for lo, A, B in _gather(rows, pairs, 2 * max(1, _BLOCK // 2)):
+    step = 2 * max(1, _BLOCK // 2)
+    for lo in range(0, len(pairs), step):
+        A, B, _ = rows.gather(pairs[lo:lo + step])
         k = slice(lo // 2, (lo + len(A)) // 2)
         for X in (A, B):
             bits = X.view(np.uint64)
             differ[k] |= np.any(bits[0::2] != bits[1::2], axis=1)
     rep[shared[differ]] = shared[differ]
     return np.unique(rep, return_inverse=True)
-
-
-def _window_starts(family: _DirichletMap, rows: _Rows):
-    """Inverse-map angles of the p one-period windows at sites m + s ..
-    m + s + p - 1, s = 0..p - 1, of each aligned row, read into period
-    phase; none at p = 1."""
-    p = family.p
-    if p == 1:
-        return
-    q = np.arange(p)
-    a, b = rows.blocks.a, rows.blocks.b
-    for s in range(p):
-        c = (rows.phase + s)[:, None]
-        cols = c + (q - c) % p
-        # site k of a row is entry k % p of its chunk row k // p on
-        u = rows.period[:, None] + cols // p
-        yield family.angles(a[u, cols % p], b[u, cols % p])
 
 
 def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span):
@@ -825,8 +802,8 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     test_row_blocks_leave_the_distances_unchanged and
     test_grid_chunks_leave_the_distances_unchanged).  Memory is O(1)
     per offset, about 310 bytes at p = 2, 48 of them the chunk rows,
-    which hold each coefficient of 42-site rows three times (see
-    _Blocks; test_batch_search_memory_grows_by_o1_per_offset).
+    which hold each coefficient of 42-site rows three times (see _Rows;
+    test_batch_search_memory_grows_by_o1_per_offset).
     """
     ms = np.asarray(ms, dtype=int)
     if np.any(ms < 1):
@@ -838,9 +815,9 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     bound = 2.0 * (_deviation_bound(J, int(ms.max()))
                    + J0.deviation_bound + 2.0)
     order = np.argsort((ms - 1) % p, kind="stable")
-    rows = _aligned_rows(J, ms[order], dm_weights(bound), p)
+    rows = _Rows(J, ms[order], dm_weights(bound), p)
     reps, share = _distinct_rows(rows)
-    rows = rows._replace(period=rows.period[reps], phase=rows.phase[reps])
+    rows.period, rows.phase = rows.period[reps], rows.phase[reps]
     every = np.arange(len(reps))
 
     span = 2.0 * math.pi / _GRID_POINTS
@@ -864,7 +841,9 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
         better = vals < best
         best[better] = vals[better]
         theta[better] = grid[g + first[better]]
-    for start in _window_starts(family, rows):
+    # the windows' own angles; at p = 1 the grid's one point is the family
+    for s in range(p) if p > 1 else ():
+        start = family.angles(*rows.windows(s))
         vals = _weighted_dist(rows, every, *family(start))
         better = vals < best
         best[better] = vals[better]

@@ -660,7 +660,11 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     res.checks.append(Check("torus_harmonic_decreasing",
                             0.0 if cn_h.decreasing(burn_in=burn) else 1.0, 0.5))
 
-    Jt = _periodic_as_params(P.torus_point(J0, (o["torus.theta"],) * (p - 1)))
+    try:
+        Jt = P.torus_point(J0, (o["torus.theta"],) * (p - 1))
+    except ValueError as exc:
+        raise BadOption(f"input.pattern, torus.theta: {exc}") from None
+    Jt = _periodic_as_params(Jt)
     cn_t = R.cn_stat_torus(Jt, J0, lad, label="cn_torus_point")
     res.series.append(cn_t)
     res.jacobi_inputs.append(("torus_point", Jt, lad))
@@ -725,7 +729,9 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     lad = o["Ns"]
 
     amp, power, bump = o["decay.amp"], o["decay.power"], o["bumps.amp"]
-    Jd = _periodic_as_params(J0, lambda n: amp / n ** power)
+    # past the float range n^power is inf and the shift exactly 0
+    decay = np.errstate(over="ignore")(lambda n: amp / n ** power)
+    Jd = _periodic_as_params(J0, decay)
     Jb = _periodic_as_params(
         J0, lambda n: np.where((n > 1) & _is_pow2(n), bump, 0.0))
     for name, J, label in (("decaying_shift", Jd, "cn_torus_decay"),
@@ -743,7 +749,11 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
     header = ([f"theta_{i+1}" for i in range(p - 1)]
               + [f"a_{i+1}" for i in range(p)] + [f"b_{i+1}" for i in range(p)])
     theta = np.tile((2.0 * math.pi * np.arange(count) / count)[:, None], p - 1)
-    rows = np.hstack([theta, *P._torus_points(J0, theta)]).tolist()
+    try:
+        points = P._torus_points(J0, theta)
+    except ValueError as exc:
+        raise BadOption(f"input.pattern, torus.samples: {exc}") from None
+    rows = np.hstack([theta, *points]).tolist()
     res.extras["torus_samples.csv"] = (header, rows)
     return res
 

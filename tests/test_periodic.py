@@ -673,14 +673,14 @@ def _harmonic_batch_peak(n):
 
 def test_batch_search_memory_stays_near_one_copy_of_the_rows():
     # every offset of the harmonic input has its own window, so nothing
-    # is shared; the search holds O(1) numbers per offset (1.49 MiB
+    # is shared; the search holds O(1) numbers per offset (1.81 MiB
     # here) and gathers windows one block of rows at a time, so rows of
     # L sites for every offset at once (8.4 MiB) cross the bound
     assert _harmonic_batch_peak(4096) <= 3.0 * 2 ** 20
 
 
 def test_batch_search_memory_grows_by_o1_per_offset():
-    # twice the offsets of the test above: 2.25 MiB here, where rows of
+    # twice the offsets of the test above: 3.03 MiB here, where rows of
     # L sites for every offset would take 16.7 MiB
     assert _harmonic_batch_peak(2 ** 13) <= 4.0 * 2 ** 20
 
@@ -721,7 +721,7 @@ def test_distance_kernel_gives_the_bits_of_full_rows(p):
     J = _finite_unbounded()
     rng = np.random.default_rng(p)
     ms = rng.integers(1, 1000, 1100)
-    rows = periodic._aligned_rows(J, ms, dm_weights(8.0), p)
+    rows = periodic._Rows(J, ms, dm_weights(8.0), p)
     L = rows.w.shape[1]
     idx = rng.integers(0, len(ms), 1300)
     sites = (rows.period[idx] * p)[:, None] + np.arange(L)
@@ -736,6 +736,25 @@ def test_distance_kernel_gives_the_bits_of_full_rows(p):
     assert np.array_equal(periodic._weighted_dist(rows, idx, a, b), full)
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_row_windows_hold_each_site_in_its_period_phase(p):
+    # unsorted and repeated offsets; the windows at shift s start at
+    # every position of a chunk row, so many run into the next one
+    J = _finite_unbounded()
+    rng = np.random.default_rng(40 + p)
+    ms = rng.integers(1, 1000, 300)
+    ms = np.concatenate([ms, ms[::7]])
+    rows = periodic._Rows(J, ms, dm_weights(8.0), p)
+    a, b = J.a_window(len(J) - 1), J.b_window(len(J))
+    for s in range(p):
+        wa, wb = rows.windows(s)
+        assert wa.shape == wb.shape == (len(ms), p)
+        for i, m in enumerate(ms):
+            for n in range(m + s, m + s + p):
+                q = (n - 1) % p
+                assert wa[i, q] == a[n - 1] and wb[i, q] == b[n - 1]
+
+
 def test_distance_calls_allocate_no_coefficient_block():
     # a block's coefficients and patterns go into buffers that the first
     # call sizes, so a later full-block call allocates a small share of
@@ -744,7 +763,7 @@ def test_distance_calls_allocate_no_coefficient_block():
     J = _finite_unbounded()
     rng = np.random.default_rng(39)
     ms = rng.integers(1, 1000, 600)
-    rows = periodic._aligned_rows(J, ms, dm_weights(8.0), 2)
+    rows = periodic._Rows(J, ms, dm_weights(8.0), 2)
     idx = np.arange(512)
     a = rng.uniform(0.5, 1.5, (512, 2))
     b = rng.uniform(-1.0, 1.0, (512, 2))

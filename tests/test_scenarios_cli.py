@@ -524,6 +524,45 @@ def test_period_one_torus_samples_name_every_column():
         == "a_1,b_1\n1.0,0.0\n1.0,0.0\n"
 
 
+@pytest.mark.parametrize("scenario, lines, keys", [
+    ("conjecture5_1_explore",
+     "input.pattern = 2.666077,0.002409,2.684383,0.004134,0.002004,"
+     "-0.000218,-193.590107,-202.020466\nNs = 8,16\ntorus.samples = 16",
+     "input.pattern, torus.samples"),
+    ("thm6_1",
+     "input.pattern = 1.727015,2.487907,0.000196,0.043284,35.116348,"
+     "-288.695595,0.001084,-0.001417\ntorus.theta = 4.167765728991936\n"
+     "defect.size = 0\ntorus.Ns = 8,16",
+     "input.pattern, torus.theta"),
+], ids=["torus_samples", "torus_point"])
+def test_cli_torus_points_off_their_discriminant_exit_2_naming_the_keys(
+        tmp_path, capsys, monkeypatch, scenario, lines, keys):
+    # patterns whose gaps are open, but at whose scale a member of the
+    # torus fails its discriminant check
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"scenario = {scenario}\noutdir = {tmp_path / 'out'}\n"
+                   f"{lines}\n")
+    assert cli.main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {keys}: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_decay_power_past_the_float_range_shifts_nothing():
+    # 6^400 is past the float range: from n = 6 on the shift amp / n^400
+    # is exactly 0, with no overflow warning (an error under pytest)
+    res = scenarios.run("conjecture5_1_explore",
+                        {"input.pattern": "1,0.5,0.1,-0.2", "Ns": "8,16",
+                         "decay.power": "400"}, 1)
+    name, J, _ = res.jacobi_inputs[0]
+    assert name == "decaying_shift"
+    assert np.array_equal(J.b_window(100)[5:],
+                          np.resize([0.1, -0.2], 100)[5:])
+
+
 #: SHA-256 of each default stats.csv, by (scenario, seed)
 DEFAULT_STATS_SHA256 = {
     ("thm1_1", 1):
