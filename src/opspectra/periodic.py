@@ -33,9 +33,12 @@ one-period window.  Distance from a coefficient sequence to the torus
 starts from the best of a fixed coarse grid of angles and the
 inverse-map angles of the sequence's own windows, then refines it by a
 pattern search along the axes and the diagonals, several moves per map
-call when few windows are left.  A batch of offsets searches each
-distinct window once: offsets whose windows (coefficients and weights
-on whole periods) are bitwise equal share one search and its result.
+call when few windows are left; a candidate reaches the distance kernel
+only when a lower bound from its window's first period cannot rule it
+out, and the members the search ends at are checked against the
+torus.  A batch of offsets searches each distinct window once: offsets
+whose windows (coefficients and weights on whole periods) are bitwise
+equal share one search and its result.
 The batch holds O(1) numbers per offset in one row store: a distance
 call gathers the rows it compares from it one block at a time, into
 buffers made once per search, and the start angles read their
@@ -443,22 +446,47 @@ class _DirichletMap:
         diffs = mu[:, :, None] - mu[:, None, :]
         j = np.arange(p - 1)
         diffs[:, j, j] = 1.0
-        w = -t22 / np.prod(diffs, axis=2)
-        norm = np.sum(w, axis=1)
+        # the ufuncs' own reductions: np.sum and np.prod give the same
+        # bits, after about a microsecond of wrapper per call
+        w = -t22 / np.multiply.reduce(diffs, axis=2)
+        norm = np.add.reduce(w, axis=1)
         a[:, p - 1] = np.sqrt(self.prod_a * norm)
         prev, cur, a2 = np.zeros_like(mu), np.ones_like(mu), 0.0
         for k in range(p - 1):
-            b[:, k] = np.sum(w * mu * cur * cur, axis=1) / norm
+            b[:, k] = np.add.reduce(w * mu * cur * cur, axis=1) / norm
             if k == p - 2:
                 break
             prev, cur = cur, (mu - b[:, k, None]) * cur - a2 * prev
-            nxt = np.sum(w * cur * cur, axis=1)
+            nxt = np.add.reduce(w * cur * cur, axis=1)
             a2 = (nxt / norm)[:, None]
             a[:, k] = np.sqrt(a2[:, 0])
             norm = nxt
         a[:, p - 2] = self.prod_a / (a[:, p - 1] * np.prod(a[:, :p - 2], axis=1))
-        b[:, p - 1] = self.sum_b - np.sum(b[:, :p - 1], axis=1)
+        b[:, p - 1] = self.sum_b - np.add.reduce(b[:, :p - 1], axis=1)
         return a, b
+
+
+def _off_torus(J0: PeriodicJacobi, a: np.ndarray, b: np.ndarray):
+    """(i, mismatch) of the first of the members (a[i], b[i]) of J0's
+    family, each row a pattern, that fails the torus check, None when
+    every one passes.  The check is the one that PeriodicJacobi and
+    torus_point make, in one pass over the stack: the entries (a finite
+    and > 0, b finite), then the discriminant against J0's at the p + 1
+    Chebyshev-Lobatto points of J0's Gershgorin interval, which holds
+    its bands, by one transfer recursion, to 1e-9 of max(1, max|D_0|)."""
+    p = J0.p
+    lo, hi = min(J0.b) - 2.0 * max(J0.a), max(J0.b) + 2.0 * max(J0.a)
+    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
+        math.pi * np.arange(p + 1) / p)
+    want = discriminant(J0, x)
+    # a member with a nonfinite or zero entry fails its entry check below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = _product_trace(np.hsplit(a, p), np.hsplit(b, p), x)
+    diff = np.max(np.abs(D - want), axis=1)
+    fails = ((diff > 1e-9 * max(1.0, float(np.max(np.abs(want)))))
+             | ~(np.isfinite(a) & (a > 0.0) & np.isfinite(b)).all(axis=1))
+    i = int(np.argmax(fails))
+    return (i, diff[i]) if fails[i] else None
 
 
 def _torus_points(J0: PeriodicJacobi, theta: np.ndarray) -> tuple:
@@ -470,27 +498,17 @@ def _torus_points(J0: PeriodicJacobi, theta: np.ndarray) -> tuple:
     check it, all of them in one stacked pass: its entries, then its
     discriminant against J0's; the first member that fails raises its
     own error."""
-    n, p = len(theta), J0.p
+    n = len(theta)
     a, b = np.tile(J0.a, (n, 1)), np.tile(J0.b, (n, 1))
     off = np.flatnonzero(theta.any(axis=1))
     if not len(off):
         return a, b
     a[off], b[off] = am, bm = _DirichletMap(J0)(theta[off])
-    lo, hi = min(J0.b) - 2.0 * max(J0.a), max(J0.b) + 2.0 * max(J0.a)
-    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
-        math.pi * np.arange(p + 1) / p)
-    want = discriminant(J0, x)
-    # a sample with a nonfinite or zero entry fails its entry check below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        D = _product_trace(np.hsplit(am, p), np.hsplit(bm, p), x)
-    diff = np.max(np.abs(D - want), axis=1)
-    fails = ((diff > 1e-9 * max(1.0, float(np.max(np.abs(want)))))
-             | ~(np.isfinite(am) & (am > 0.0) & np.isfinite(bm)).all(axis=1))
-    if fails.any():
+    bad = _off_torus(J0, am, bm)
+    if bad:
         # the first failing sample's own construction names a bad entry
-        i = int(np.argmax(fails))
-        PeriodicJacobi(tuple(am[i]), tuple(bm[i]))
-        raise ValueError(f"discriminant mismatch {diff[i]} for torus point")
+        PeriodicJacobi(tuple(am[bad[0]]), tuple(bm[bad[0]]))
+        raise ValueError(f"discriminant mismatch {bad[1]} for torus point")
     return a, b
 
 
@@ -523,13 +541,17 @@ def torus_point(J0: PeriodicJacobi, theta) -> PeriodicJacobi:
 #: most sites in one chunk of a gathered row (take copies chunk by
 #: chunk, so longer chunks gather faster, but chunks of g periods hold
 #: every coefficient g times: at 16 sites a thm6_1 run made 237 minor
-#: faults against 153 at 6, and the memory per offset grew by 112 bytes)
+#: faults against 153 at 6, and the memory per offset grew by 112 bytes),
+#: and the fewest candidates of a distance call for which _Bound is worth
+#: its fixed cost (about 25 us: at 256 candidates it pays once it prunes
+#: 6 in 10, at 128 only past 9 in 10, and it prunes about 9 in 10)
 _GRID_POINTS = 8
 _FINAL_STEP = 1e-7
 _LOOKAHEAD_ROWS = 256
 _MIN_LOOKAHEAD = 3
 _BLOCK = 512
 _CHUNK_SITES = 6
+_MIN_BOUND = 256
 
 
 def dm_weights(bound: float) -> np.ndarray:
@@ -703,12 +725,113 @@ def _distinct_rows(rows: _Rows):
     return np.unique(rep, return_inverse=True)
 
 
-def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span):
+class _Bound:
+    """A lower bound on a row's distance to a candidate pattern, from the
+    row's first period and a reference: a pattern r of the row with its
+    distance, both as computed.
+
+    Split the distance d(z) of a row of phase f to a pattern z = (a, b)
+    after the first period from its offset.  That period's sites, read
+    into period phase by ``_Rows.windows(0)`` as (A, B), give the prefix
+    P(z) = sum_q first[f, q] (|a_q - A_q| + |b_q - B_q|); tail[f, q] is
+    the weight of every later site of pattern column q.  From r to z
+    each later site of column q moves by at most |a_q - ra_q| + |b_q -
+    rb_q|, so with T(z) = sum_q tail[f, q] (|a_q - ra_q| + |b_q - rb_q|)
+
+        d(z) >= P(z) - P(r) + d(r) - T(z).
+
+    Each of these sums, the kernel's d included, adds at most L
+    nonnegative terms rounded a few times each, so it is computed within
+    a relative error of about (L + 4) eps / 2 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 4.2), and so are the tail
+    weights.  Take kappa = 4 L eps, several times the sum of these
+    errors.  Then a candidate with (1 - kappa) P(z) - (1 + kappa) T(z) >
+    (1 + kappa) P(r) + kappa d(r), both sides as computed, has a computed
+    distance of at least d(r): Lawler and Wood's bound-and-prune (Oper.
+    Res. 14, 1966).  A row's best only falls, so the search would reject
+    that candidate, and it never reaches the kernel.  The bound decides
+    only which candidates the kernel sees, never a value, so no distance
+    changes a bit.  NaN or inf on either side prunes nothing.
+
+    Each improvement becomes its row's reference and the end member of
+    the search.  A call of fewer than _MIN_BOUND candidates skips the
+    bound (its fixed cost is more than the kernel work it saves), and
+    its improvements get an infinite right side: they are not pruned
+    until the next improvement.  Per row this holds the window, 2 p
+    numbers, and the right side."""
+
+    def __init__(self, rows: _Rows, live: np.ndarray, ra: np.ndarray,
+                 rb: np.ndarray, best: np.ndarray):
+        self.rows, self.ra, self.rb = rows, ra, rb
+        self.rhs = np.full(len(best), np.inf)
+        p, L = rows.p, rows.L
+        first = np.arange(L) < np.arange(p)[:, None] + p
+        first, tail = (np.where(m, rows.w, 0.0).reshape(p, -1, p).sum(axis=1)
+                       for m in (first, ~first))
+        self.kappa = kappa = 4.0 * L * np.finfo(float).eps
+        self.ratio = (1.0 + kappa) / (1.0 - kappa)
+        # per phase, the weights of the left side above
+        self.first, self.tail = (1.0 - kappa) * first, (1.0 + kappa) * tail
+        self.windows = rows.windows(0)
+        # pre is (1 - kappa) P(r)
+        pre = self._sums(live, np.take(ra, live, 0), np.take(rb, live, 0))[1]
+        self.rhs[live] = self.ratio * pre + kappa * best[live]
+
+    def _sums(self, idx: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """The left side above and (1 - kappa) P(z) at the patterns (a,
+        b) of the rows idx, weighted phase run by phase run.  Rows are
+        taken with np.take: numpy's fancy indexing of (n, p) arrays is
+        several times slower."""
+        near = _l1(a, b, *(np.take(x, idx, 0) for x in self.windows))
+        move = _l1(a, b, np.take(self.ra, idx, 0), np.take(self.rb, idx, 0))
+        phase = self.rows.phase[idx]
+        # the starts of the phase runs, and the end (none if idx is empty)
+        runs = np.flatnonzero(np.diff(phase, prepend=-1, append=-1)).tolist()
+        left, pre = np.empty(len(idx)), np.empty(len(idx))
+        for i, j in zip(runs[:-1], runs[1:]):
+            np.matmul(near[i:j], self.first[phase[i]], out=pre[i:j])
+            left[i:j] = pre[i:j] - move[i:j] @ self.tail[phase[i]]
+        return left, pre
+
+    def dist(self, idx: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """(vals, pre): the distance of row idx[i] to the pattern (a[i],
+        b[i]) by _weighted_dist, or inf where the bound proves it no
+        smaller than the row's best; and (1 - kappa) P of each pattern,
+        None when the call skips the bound."""
+        if len(idx) < _MIN_BOUND:
+            return _weighted_dist(self.rows, idx, a, b), None
+        left, pre = self._sums(idx, a, b)
+        vals = np.full(len(idx), np.inf)
+        go = np.flatnonzero(~(left > self.rhs[idx]))
+        vals[go] = _weighted_dist(self.rows, idx[go], np.take(a, go, 0),
+                                  np.take(b, go, 0))
+        return vals, pre
+
+    def take(self, idx: np.ndarray, sel: np.ndarray, a: np.ndarray,
+             b: np.ndarray, vals: np.ndarray, pre) -> None:
+        """Make the candidates sel of a dist call, patterns (a, b) at
+        distances vals and with ``pre`` from it, the references of the
+        rows idx."""
+        if len(idx):
+            self.ra[idx], self.rb[idx] = np.take(a, sel, 0), np.take(b, sel, 0)
+            self.rhs[idx] = (np.inf if pre is None else
+                             self.ratio * pre[sel] + self.kappa * vals[sel])
+
+
+def _l1(a, b, x, y):
+    """|a - x| + |b - y|, entry by entry, in two temporaries."""
+    d, e = a - x, b - y
+    return np.add(np.abs(d, out=d), np.abs(e, out=e), out=d)
+
+
+def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span,
+                    ra, rb):
     """Refine the distances ``best`` of the aligned rows in place, from
     their angles ``theta`` and from step ``span`` down to _FINAL_STEP
-    (see d_to_torus_batch).  A row at distance exactly 0 is final, since
-    no distance is below 0: it would take no move, so it is not
-    searched.
+    (see d_to_torus_batch), and their patterns ``ra`` and ``rb``, whose
+    distances ``best`` are, to the end members: the last improvement of
+    a row, or its start.  A row at distance exactly 0 is final, since no
+    distance is below 0: it would take no move, so it is not searched.
 
     Each row tries the moves of an iteration in a fixed order, each from
     its current angles.  With few live rows this runs in look-ahead
@@ -719,13 +842,17 @@ def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span):
     first improvement its angles are the ones a move-by-move order would
     start from, so a round takes the same moves from the same operands.
     An iteration with h below _MIN_LOOKAHEAD at its start tries each
-    move in turn for every row at once."""
+    move in turn for every row at once.  Either way a candidate reaches
+    the distance kernel only if _Bound cannot prove it no better than
+    its row's best: about 1 in 9 (row, move) pairs at p = 2 on the
+    harmonic input of thm6_1, whose calls are large."""
     p = family.p
     moves = [d for d in itertools.product((-1, 0, 1), repeat=p - 1) if any(d)]
     moves = np.array(moves, dtype=float).reshape(len(moves), p - 1)
     live = np.flatnonzero(best != 0.0)
     theta = theta[live]
     step = np.full(len(live), span)
+    bound = _Bound(rows, live, ra, rb, best)
     while True:
         keep = step > _FINAL_STEP
         if not keep.all():
@@ -737,11 +864,16 @@ def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span):
             # each move in turn for every row at once
             for d in moves:
                 cand = theta + step[:, None] * d
-                vals = _weighted_dist(rows, live, *family(cand))
-                better = vals < best[live]
-                theta[better] = cand[better]
+                a, b = family(cand)
+                vals, pre = bound.dist(live, a, b)
+                better = np.flatnonzero(vals < best[live])
+                theta[better] = np.take(cand, better, 0)
                 best[live[better]] = vals[better]
-                moved |= better
+                bound.take(live[better], better, a, b, vals, pre)
+                moved[better] = True
+                # held through the next map call, this move's arrays
+                # would add to its peak, the search's highest
+                del a, b, vals, pre
         else:
             cur = best[live]
             nxt = np.zeros(len(live), dtype=int)   # next untried move
@@ -751,8 +883,10 @@ def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span):
                 # past a row's last move its pairs repeat that move
                 j = np.minimum(nxt[act, None] + np.arange(h), len(moves) - 1)
                 row = np.repeat(act, h)
-                cand = theta[row] + step[row, None] * moves[j.ravel()]
-                vals = _weighted_dist(rows, live[row], *family(cand))
+                cand = (np.take(theta, row, 0)
+                        + step[row, None] * np.take(moves, j.ravel(), 0))
+                a, b = family(cand)
+                vals, pre = bound.dist(live[row], a, b)
                 better = vals.reshape(-1, h) < cur[act, None]
                 first = better.argmax(axis=1)
                 k = np.arange(len(act))
@@ -760,8 +894,9 @@ def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span):
                 nxt[act] = j[k, np.where(hit, first, h - 1)] + 1
                 pick = k[hit] * h + first[hit]
                 took = act[hit]
-                theta[took] = cand[pick]
+                theta[took] = np.take(cand, pick, 0)
                 cur[took] = vals[pick]
+                bound.take(live[took], pick, a, b, vals, pre)
                 moved[took] = True
                 act = act[nxt[act] < len(moves)]
             best[live] = cur
@@ -792,18 +927,31 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     Each distance has the bits of a search of its offset alone, one
     move at a time.  The batch searches each distinct aligned row (see
     _Rows) once, gathers rows _BLOCK at a time, and, with few live
-    rows, tries several moves per map call in look-ahead rounds; none
-    of these changes a bit (the tests in tests/test_periodic.py that
+    rows, tries several moves per map call in look-ahead rounds.  A
+    candidate of a large call reaches the distance kernel only when a
+    lower bound from its row's first period cannot prove it no better
+    than the row's best (_Bound): about 1 in 9 at p = 2.  The bound's
+    margin, 4 L eps of its sums, is several times their rounding, so a
+    pruned candidate is one the search would reject.  None of these
+    changes a bit (the tests in tests/test_periodic.py that
     hold it: test_look_ahead_search_gives_the_sequential_bits,
     test_the_look_ahead_size_leaves_the_distances_unchanged,
     test_offsets_sharing_a_window_get_the_single_call_distance,
     test_colliding_row_keys_leave_the_distances_unchanged,
     test_row_pairs_in_odd_blocks_leave_the_distances_unchanged,
     test_row_blocks_leave_the_distances_unchanged and
-    test_grid_chunks_leave_the_distances_unchanged).  Memory is O(1)
-    per offset, about 310 bytes at p = 2, 48 of them the chunk rows,
-    which hold each coefficient of 42-site rows three times (see _Rows;
-    test_batch_search_memory_grows_by_o1_per_offset).
+    test_grid_chunks_leave_the_distances_unchanged, and
+    test_the_bound_prunes_only_candidates_the_search_rejects for the
+    bound).  Memory is O(1) per offset, about 350 bytes at p = 2: 48 of
+    them the chunk rows, which hold each coefficient of 42-site rows
+    three times (see _Rows), and 72 the bound's window and right side
+    and the row's member (test_batch_search_memory_grows_by_o1_per_offset).
+
+    The member each search ends at, a row's last improvement or its
+    start, is checked as torus_point checks one (entries, then the
+    discriminant against J0's), all of them in one pass: a member off
+    the torus raises ValueError naming its offset.  So each distance
+    returned is one to a checked member of the family.
     """
     ms = np.asarray(ms, dtype=int)
     if np.any(ms < 1):
@@ -818,15 +966,34 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     rows = _Rows(J, ms[order], dm_weights(bound), p)
     reps, share = _distinct_rows(rows)
     rows.period, rows.phase = rows.period[reps], rows.phase[reps]
-    every = np.arange(len(reps))
-
     span = 2.0 * math.pi / _GRID_POINTS
+    theta, best, ra, rb = _starts(family, rows, span)
+    _pattern_search(family, rows, theta, best, span, ra, rb)
+    bad = _off_torus(J0, ra, rb)
+    if bad:
+        raise ValueError(f"torus member at offset {ms[order[reps[bad[0]]]]}: "
+                         f"discriminant mismatch {bad[1]}")
+    out = np.empty(len(ms))
+    out[order] = best[share]
+    return out
+
+
+def _starts(family: _DirichletMap, rows: _Rows, span: float):
+    """(theta, best, ra, rb): each row's start angles, their distance
+    and their member (a, b), the best of the grid of _GRID_POINTS angles
+    per coordinate, step ``span``, and the inverse-map angles of the
+    row's p one-period windows (see d_to_torus_batch).  The members are
+    the map's outputs for these angles, so the search gets them with no
+    map call of its own."""
+    p = family.p
     pts = list(itertools.product(range(_GRID_POINTS), repeat=p - 1))
     grid = span * np.array(pts, dtype=float).reshape(len(pts), p - 1)
     ga, gb = family(grid)
-    n = len(reps)
+    n = len(rows.phase)
+    every = np.arange(n)
     best = np.full(n, np.inf)
     theta = np.zeros((n, p - 1))
+    ra, rb = np.full((n, p), np.nan), np.full((n, p), np.nan)
     # k grid generators per distance call, so that few rows still make
     # a block of (row, generator) pairs; the first of equal minima wins,
     # as in a loop over the generators in order
@@ -841,15 +1008,14 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
         better = vals < best
         best[better] = vals[better]
         theta[better] = grid[g + first[better]]
+        ra[better], rb[better] = ga[g + first[better]], gb[g + first[better]]
     # the windows' own angles; at p = 1 the grid's one point is the family
     for s in range(p) if p > 1 else ():
         start = family.angles(*rows.windows(s))
-        vals = _weighted_dist(rows, every, *family(start))
+        sa, sb = family(start)
+        vals = _weighted_dist(rows, every, sa, sb)
         better = vals < best
         best[better] = vals[better]
         theta[better] = start[better]
-
-    _pattern_search(family, rows, theta, best, span)
-    out = np.empty(len(ms))
-    out[order] = best[share]
-    return out
+        ra[better], rb[better] = sa[better], sb[better]
+    return theta, best, ra, rb

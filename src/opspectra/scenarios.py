@@ -592,6 +592,15 @@ def _periodic_as_params(J0: P.PeriodicJacobi,
         lambda n: b[(n - 1) % J0.p] + shift(n))
 
 
+def _torus_series(J, J0, lad, label: str):
+    """R.cn_stat_torus, with a search that ends at a member off the
+    torus (a ValueError naming its offset) refused as a BadOption."""
+    try:
+        return R.cn_stat_torus(J, J0, lad, label=label)
+    except ValueError as exc:
+        raise BadOption(f"input.pattern: {exc}") from None
+
+
 @_scenario("thm6_1", "periodic block map and torus-distance averages", {
     "input.pattern": _PATTERN,
     # at least 2: the interior blocks A[1:] of the map must not be empty
@@ -651,7 +660,7 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     # torus-distance averages
     lad = o["torus.Ns"]
     Jh = _periodic_as_params(J0, lambda n: 1.0 / n)
-    cn_h = R.cn_stat_torus(Jh, J0, lad, label="cn_torus_harmonic")
+    cn_h = _torus_series(Jh, J0, lad, "cn_torus_harmonic")
     res.series.append(cn_h)
     res.jacobi_inputs.append(("harmonic_shift", Jh, lad))
     res.checks.append(Check("torus_harmonic_last", cn_h.last,
@@ -665,7 +674,7 @@ def _run_thm6_1(o: Dict[str, object], seed: int) -> ScenarioResult:
     except ValueError as exc:
         raise BadOption(f"input.pattern, torus.theta: {exc}") from None
     Jt = _periodic_as_params(Jt)
-    cn_t = R.cn_stat_torus(Jt, J0, lad, label="cn_torus_point")
+    cn_t = _torus_series(Jt, J0, lad, "cn_torus_point")
     res.series.append(cn_t)
     res.jacobi_inputs.append(("torus_point", Jt, lad))
     res.checks.append(Check("torus_point_flat", max(cn_t.values),
@@ -736,7 +745,7 @@ def _run_conjecture(o: Dict[str, object], seed: int) -> ScenarioResult:
         J0, lambda n: np.where((n > 1) & _is_pow2(n), bump, 0.0))
     for name, J, label in (("decaying_shift", Jd, "cn_torus_decay"),
                            ("sparse_shift", Jb, "cn_torus_bumps")):
-        res.series.append(R.cn_stat_torus(J, J0, lad, label=label))
+        res.series.append(_torus_series(J, J0, lad, label))
         res.jacobi_inputs.append((name, J, lad))
 
     rt = R.root_test(Jd, lad, label="root_decay")

@@ -227,6 +227,15 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray,
     return counts
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) of a 1-d float array, bit for bit, without the
+    masked-array check by which np.unique imports numpy.ma: the sorted
+    values, the first of each run of equal ones (so which of 0.0 and -0.0
+    survives is np.unique's choice), and one NaN."""
+    x = np.sort(x)
+    return x[np.append(True, (x[1:] != x[:-1]) & ~np.isnan(x[:-1]))[:len(x)]]
+
+
 def _certified(count, cand: np.ndarray, lo: float, hi: float, n: int,
                tol: float) -> np.ndarray:
     """The n eigenvalues in (lo, hi], ascending, from candidate values.
@@ -242,7 +251,7 @@ def _certified(count, cand: np.ndarray, lo: float, hi: float, n: int,
     it holds is bisected on the count to width ``tol``, in at most 200
     sweeps.
     """
-    cand = np.unique(cand)
+    cand = _distinct(cand)
     mids = 0.5 * (cand[:-1] + cand[1:])
     k = np.maximum.accumulate(np.concatenate([[0], count(mids), [n]]))
     edges = np.concatenate([[lo], mids, [hi]])

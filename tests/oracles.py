@@ -153,11 +153,13 @@ def prefix_means_of(terms, Ns):
     return tuple(float(cs[n - 1] / n) for n in Ns)
 
 
-def sequential_pattern_search(family, rows, theta, best, span):
-    """periodic._pattern_search one move at a time: every live row tries
-    each move in turn from its current angles, through one map call per
-    move, and takes every improvement as it comes.  The look-ahead rounds
-    of the library must give the same bits."""
+def sequential_pattern_search(family, rows, theta, best, span, ra, rb):
+    """periodic._pattern_search one move at a time and unpruned: every
+    live row tries each move in turn from its current angles, through
+    one map call and one distance call over every live row per move, and
+    takes every improvement as it comes, its pattern into ``ra`` and
+    ``rb``.  The look-ahead rounds and the bound of the library must
+    give the same bits."""
     p = family.p
     moves = [np.array(d, dtype=float) for d in
              itertools.product((-1, 0, 1), repeat=p - 1) if any(d)]
@@ -172,10 +174,12 @@ def sequential_pattern_search(family, rows, theta, best, span):
         moved = np.zeros(len(live), dtype=bool)
         for d in moves:
             cand = theta + step[:, None] * d
-            vals = _weighted_dist(rows, live, *family(cand))
+            a, b = family(cand)
+            vals = _weighted_dist(rows, live, a, b)
             better = vals < best[live]
             theta[better] = cand[better]
             best[live[better]] = vals[better]
+            ra[live[better]], rb[live[better]] = a[better], b[better]
             moved |= better
         step[~moved] *= 0.5
 

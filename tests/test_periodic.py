@@ -673,14 +673,14 @@ def _harmonic_batch_peak(n):
 
 def test_batch_search_memory_stays_near_one_copy_of_the_rows():
     # every offset of the harmonic input has its own window, so nothing
-    # is shared; the search holds O(1) numbers per offset (1.81 MiB
+    # is shared; the search holds O(1) numbers per offset (1.93 MiB
     # here) and gathers windows one block of rows at a time, so rows of
     # L sites for every offset at once (8.4 MiB) cross the bound
     assert _harmonic_batch_peak(4096) <= 3.0 * 2 ** 20
 
 
 def test_batch_search_memory_grows_by_o1_per_offset():
-    # twice the offsets of the test above: 3.03 MiB here, where rows of
+    # twice the offsets of the test above: 3.28 MiB here, where rows of
     # L sites for every offset would take 16.7 MiB
     assert _harmonic_batch_peak(2 ** 13) <= 4.0 * 2 ** 20
 
@@ -1197,3 +1197,113 @@ def test_look_ahead_memory_stays_near_the_sequential_search():
 def test_an_empty_batch_gives_an_empty_array():
     d = d_to_torus_batch(TORUS_INPUTS["harmonic"](P2), [], P2)
     assert d.shape == (0,) and d.dtype == float
+
+
+# -- the bound that prunes pattern-search candidates -------------------
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([0.0, 1e-16, 1e-12, 1e-6, 1e-3, 0.1, 1.0]))
+def test_the_bound_prunes_only_candidates_the_search_rejects(p, seed, scale):
+    # random coefficient rows at every phase, references and candidates
+    # near them (at scale 0 each candidate is its reference): the lower
+    # bound, best + left - rhs, is never above the kernel's distance, so
+    # a pruned candidate (lower bound above best) would be rejected, and
+    # a candidate equal to its reference is never pruned
+    rng = np.random.default_rng(seed)
+    J = JacobiParams(rng.uniform(0.2, 2.0, 300), rng.uniform(-1.5, 1.5, 301))
+    ms = np.sort(rng.integers(1, 200, 40))
+    rows = periodic._Rows(J, ms, dm_weights(8.0), p)
+    ra, rb = rng.uniform(0.3, 1.7, (40, p)), rng.uniform(-1.0, 1.0, (40, p))
+    every = np.arange(40)
+    best = periodic._weighted_dist(rows, every, ra, rb)
+    bound = periodic._Bound(rows, every, ra, rb, best)
+    pos = np.repeat(every, 8)
+    a = np.abs(ra[pos] + scale * rng.standard_normal((len(pos), p)))
+    b = rb[pos] + scale * rng.standard_normal((len(pos), p))
+    a[::8], b[::8] = ra, rb
+    left, _ = bound._sums(pos, a, b)
+    vals = periodic._weighted_dist(rows, pos, a, b)
+    assert np.all(best[pos] + (left - bound.rhs[pos]) <= vals)
+    pruned = left > bound.rhs[pos]
+    assert np.all(vals[pruned] >= best[pos][pruned])
+    assert not pruned[::8].any()
+
+
+def test_most_search_pairs_of_a_harmonic_batch_skip_the_kernel(monkeypatch):
+    # thm6_1's harmonic input at 4096 offsets, p = 2: every mapped
+    # candidate of the search is a (row, move) pair; about 1 in 9 of them
+    # reaches the distance kernel
+    J = SCENARIO_INPUTS["harmonic"]()
+    counts, searching = {"pairs": 0, "kernel": 0}, []
+    kernel, call = periodic._weighted_dist, _DirichletMap.__call__
+    search = periodic._pattern_search
+
+    def counted(key, n):
+        if searching:
+            counts[key] += n
+
+    monkeypatch.setattr(periodic, "_weighted_dist", lambda rows, idx, a, b:
+                        counted("kernel", len(idx)) or kernel(rows, idx, a, b))
+    monkeypatch.setattr(_DirichletMap, "__call__", lambda self, th:
+                        counted("pairs", len(th)) or call(self, th))
+
+    def spied(*args):
+        searching.append(1)
+        try:
+            search(*args)
+        finally:
+            searching.clear()
+
+    monkeypatch.setattr(periodic, "_pattern_search", spied)
+    d_to_torus_batch(J, np.arange(1, 4097), DEFAULT)
+    assert counts["pairs"] > 10 ** 5
+    assert counts["kernel"] <= 0.15 * counts["pairs"]
+
+
+def test_a_search_member_off_the_torus_raises_naming_its_offset(monkeypatch):
+    # the search ends with one row's member moved off the torus by 1e-6:
+    # rows run in phase order, so row 5 is offset 11 at p = 2
+    J = SCENARIO_INPUTS["harmonic"]()
+    search = periodic._pattern_search
+
+    def planted(family, rows, theta, best, span, ra, rb):
+        search(family, rows, theta, best, span, ra, rb)
+        rb[5, 0] += 1e-6
+
+    monkeypatch.setattr(periodic, "_pattern_search", planted)
+    with pytest.raises(ValueError, match="offset 11: discriminant mismatch"):
+        d_to_torus_batch(J, np.arange(1, 65), DEFAULT)
+    monkeypatch.undo()
+    d_to_torus_batch(J, np.arange(1, 65), DEFAULT)
+
+
+@pytest.mark.parametrize("scenario", ["thm6_1", "conjecture5_1_explore"])
+def test_a_search_ending_off_the_torus_is_a_bad_pattern(scenario,
+                                                        monkeypatch):
+    # a family whose every member sits 1e-6 off the torus: the search's
+    # end members fail their check before any sample or point is made
+    call = _DirichletMap.__call__
+
+    def planted(self, theta):
+        a, b = call(self, theta)
+        b[:, 0] += 1e-6
+        return a, b
+
+    monkeypatch.setattr(_DirichletMap, "__call__", planted)
+    with pytest.raises(scenarios.BadOption,
+                       match=r"^input\.pattern: .* offset 1: "):
+        scenarios.run(scenario, {}, 1)
+
+
+@pytest.mark.parametrize("J0", [P2, P3, P4], ids=["p2", "p3", "p4"])
+def test_the_search_reports_members_on_the_torus(J0, monkeypatch):
+    # every row's end member, checked once per search: the start of a
+    # row that is never searched, the last improvement of every other
+    checked = []
+    real = periodic._off_torus
+    monkeypatch.setattr(periodic, "_off_torus", lambda J0, a, b:
+                        checked.append(a.shape) or real(J0, a, b))
+    J = TORUS_INPUTS["half_over_n"](J0)
+    d_to_torus_batch(J, np.arange(1, 65), J0)
+    assert checked == [(64, J0.p)]

@@ -752,6 +752,18 @@ def test_importing_the_cli_leaves_a_scipy_module_out(module):
     assert out.stdout.strip() == "False"
 
 
+def test_default_solves_leave_numpy_ma_out():
+    # np.unique's masked-array check imports numpy.ma (about 10 ms) on a
+    # process's first solve; the certificate dedupes its candidates
+    # without it
+    code = ("import sys; from opspectra import scenarios; "
+            "[scenarios.run(s, {}, 1) for s in ('thm1_1', 'thm4_2')]; "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_without_the_lapack_extension_the_import_fails_naming_scipy():
     # spectra has one route to LAPACK: with scipy's extension file out of
     # reach the import raises one error, one line naming scipy's version

@@ -107,6 +107,19 @@ def _sturm_certified(d, e, vals):
                               float(np.max(d + radius)) + 1.0, len(d), 1e-14)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf,
+                     -math.inf, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True)), max_size=40))
+def test_candidates_are_deduped_with_the_bits_of_np_unique(values):
+    # the certificate's dedupe, which leaves numpy.ma unimported: every
+    # value, which of two equal candidates survives (0.0 or -0.0) and
+    # where the one NaN goes, as np.unique has them
+    x = np.array(values, dtype=float)
+    assert spectra._distinct(x).tobytes() == np.unique(x).tobytes()
+
+
 def test_certified_repairs_wrong_lists_near_a_planted_pair():
     d, e = _twin_blocks(1e-6)
     vals = eig_sym_tridiag(JacobiParams(e, d), len(d))
