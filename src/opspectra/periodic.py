@@ -756,14 +756,17 @@ class _Bound:
     Each improvement becomes its row's reference and the end member of
     the search.  A call of fewer than _MIN_BOUND candidates skips the
     bound (its fixed cost is more than the kernel work it saves), and
-    its improvements get an infinite right side: they are not pruned
-    until the next improvement.  Per row this holds the window, 2 p
-    numbers, and the right side."""
+    leaves the right sides of its improvements unknown (NaN), as every
+    right side is at the start: the next call that uses the bound on
+    such a row computes it from the row's reference and best first, so
+    a search whose calls are all small never computes one.  Per row
+    this holds the window, 2 p numbers, and the right side; the
+    references and ``best`` are the search's own arrays."""
 
-    def __init__(self, rows: _Rows, live: np.ndarray, ra: np.ndarray,
-                 rb: np.ndarray, best: np.ndarray):
-        self.rows, self.ra, self.rb = rows, ra, rb
-        self.rhs = np.full(len(best), np.inf)
+    def __init__(self, rows: _Rows, ra: np.ndarray, rb: np.ndarray,
+                 best: np.ndarray):
+        self.rows, self.ra, self.rb, self.best = rows, ra, rb, best
+        self.rhs = np.full(len(best), np.nan)
         p, L = rows.p, rows.L
         first = np.arange(L) < np.arange(p)[:, None] + p
         first, tail = (np.where(m, rows.w, 0.0).reshape(p, -1, p).sum(axis=1)
@@ -773,20 +776,18 @@ class _Bound:
         # per phase, the weights of the left side above
         self.first, self.tail = (1.0 - kappa) * first, (1.0 + kappa) * tail
         self.windows = rows.windows(0)
-        # pre is (1 - kappa) P(r)
-        pre = self._sums(live, np.take(ra, live, 0), np.take(rb, live, 0))[1]
-        self.rhs[live] = self.ratio * pre + kappa * best[live]
 
     def _sums(self, idx: np.ndarray, a: np.ndarray, b: np.ndarray):
         """The left side above and (1 - kappa) P(z) at the patterns (a,
-        b) of the rows idx, weighted phase run by phase run.  Rows are
-        taken with np.take: numpy's fancy indexing of (n, p) arrays is
-        several times slower."""
-        near = _l1(a, b, *(np.take(x, idx, 0) for x in self.windows))
-        move = _l1(a, b, np.take(self.ra, idx, 0), np.take(self.rb, idx, 0))
+        b) of the rows idx (at least one), weighted phase run by phase
+        run.  Rows are gathered with take: numpy's fancy indexing of (n,
+        p) arrays is several times slower."""
+        near = _l1(a, b, *(x.take(idx, 0) for x in self.windows))
+        move = _l1(a, b, self.ra.take(idx, 0), self.rb.take(idx, 0))
         phase = self.rows.phase[idx]
-        # the starts of the phase runs, and the end (none if idx is empty)
-        runs = np.flatnonzero(np.diff(phase, prepend=-1, append=-1)).tolist()
+        # the starts of the phase runs, and the end
+        runs = [0, *(np.flatnonzero(phase[1:] != phase[:-1]) + 1).tolist(),
+                len(idx)]
         left, pre = np.empty(len(idx)), np.empty(len(idx))
         for i, j in zip(runs[:-1], runs[1:]):
             np.matmul(near[i:j], self.first[phase[i]], out=pre[i:j])
@@ -800,11 +801,17 @@ class _Bound:
         None when the call skips the bound."""
         if len(idx) < _MIN_BOUND:
             return _weighted_dist(self.rows, idx, a, b), None
+        # the right sides not known yet; pre is (1 - kappa) P(r)
+        stale = idx[np.isnan(self.rhs[idx])]
+        if len(stale):
+            pre = self._sums(stale, self.ra.take(stale, 0),
+                             self.rb.take(stale, 0))[1]
+            self.rhs[stale] = self.ratio * pre + self.kappa * self.best[stale]
         left, pre = self._sums(idx, a, b)
         vals = np.full(len(idx), np.inf)
         go = np.flatnonzero(~(left > self.rhs[idx]))
-        vals[go] = _weighted_dist(self.rows, idx[go], np.take(a, go, 0),
-                                  np.take(b, go, 0))
+        vals[go] = _weighted_dist(self.rows, idx[go], a.take(go, 0),
+                                  b.take(go, 0))
         return vals, pre
 
     def take(self, idx: np.ndarray, sel: np.ndarray, a: np.ndarray,
@@ -813,8 +820,8 @@ class _Bound:
         distances vals and with ``pre`` from it, the references of the
         rows idx."""
         if len(idx):
-            self.ra[idx], self.rb[idx] = np.take(a, sel, 0), np.take(b, sel, 0)
-            self.rhs[idx] = (np.inf if pre is None else
+            self.ra[idx], self.rb[idx] = a.take(sel, 0), b.take(sel, 0)
+            self.rhs[idx] = (np.nan if pre is None else
                              self.ratio * pre[sel] + self.kappa * vals[sel])
 
 
@@ -852,7 +859,7 @@ def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span,
     live = np.flatnonzero(best != 0.0)
     theta = theta[live]
     step = np.full(len(live), span)
-    bound = _Bound(rows, live, ra, rb, best)
+    bound = _Bound(rows, ra, rb, best)
     while True:
         keep = step > _FINAL_STEP
         if not keep.all():
@@ -867,7 +874,7 @@ def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span,
                 a, b = family(cand)
                 vals, pre = bound.dist(live, a, b)
                 better = np.flatnonzero(vals < best[live])
-                theta[better] = np.take(cand, better, 0)
+                theta[better] = cand.take(better, 0)
                 best[live[better]] = vals[better]
                 bound.take(live[better], better, a, b, vals, pre)
                 moved[better] = True
@@ -875,7 +882,6 @@ def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span,
                 # would add to its peak, the search's highest
                 del a, b, vals, pre
         else:
-            cur = best[live]
             nxt = np.zeros(len(live), dtype=int)   # next untried move
             act = np.arange(len(live))
             while len(act):
@@ -883,23 +889,22 @@ def _pattern_search(family: _DirichletMap, rows: _Rows, theta, best, span,
                 # past a row's last move its pairs repeat that move
                 j = np.minimum(nxt[act, None] + np.arange(h), len(moves) - 1)
                 row = np.repeat(act, h)
-                cand = (np.take(theta, row, 0)
-                        + step[row, None] * np.take(moves, j.ravel(), 0))
+                cand = (theta.take(row, 0)
+                        + step[row, None] * moves.take(j.ravel(), 0))
                 a, b = family(cand)
                 vals, pre = bound.dist(live[row], a, b)
-                better = vals.reshape(-1, h) < cur[act, None]
+                better = vals.reshape(-1, h) < best[live[act], None]
                 first = better.argmax(axis=1)
                 k = np.arange(len(act))
                 hit = better[k, first]
                 nxt[act] = j[k, np.where(hit, first, h - 1)] + 1
                 pick = k[hit] * h + first[hit]
                 took = act[hit]
-                theta[took] = np.take(cand, pick, 0)
-                cur[took] = vals[pick]
+                theta[took] = cand.take(pick, 0)
+                best[live[took]] = vals[pick]
                 bound.take(live[took], pick, a, b, vals, pre)
                 moved[took] = True
                 act = act[nxt[act] < len(moves)]
-            best[live] = cur
         step[~moved] *= 0.5
 
 
@@ -942,7 +947,7 @@ def d_to_torus_batch(J: JacobiParams, ms: np.ndarray,
     test_row_blocks_leave_the_distances_unchanged and
     test_grid_chunks_leave_the_distances_unchanged, and
     test_the_bound_prunes_only_candidates_the_search_rejects for the
-    bound).  Memory is O(1) per offset, about 350 bytes at p = 2: 48 of
+    bound).  Memory is O(1) per offset, about 360 bytes at p = 2: 48 of
     them the chunk rows, which hold each coefficient of 42-site rows
     three times (see _Rows), and 72 the bound's window and right side
     and the row's member (test_batch_search_memory_grows_by_o1_per_offset).

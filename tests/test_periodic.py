@@ -673,14 +673,14 @@ def _harmonic_batch_peak(n):
 
 def test_batch_search_memory_stays_near_one_copy_of_the_rows():
     # every offset of the harmonic input has its own window, so nothing
-    # is shared; the search holds O(1) numbers per offset (1.93 MiB
+    # is shared; the search holds O(1) numbers per offset (1.99 MiB
     # here) and gathers windows one block of rows at a time, so rows of
     # L sites for every offset at once (8.4 MiB) cross the bound
     assert _harmonic_batch_peak(4096) <= 3.0 * 2 ** 20
 
 
 def test_batch_search_memory_grows_by_o1_per_offset():
-    # twice the offsets of the test above: 3.28 MiB here, where rows of
+    # twice the offsets of the test above: 3.39 MiB here, where rows of
     # L sites for every offset would take 16.7 MiB
     assert _harmonic_batch_peak(2 ** 13) <= 4.0 * 2 ** 20
 
@@ -1180,7 +1180,7 @@ def test_a_one_offset_search_makes_a_third_of_the_sequential_map_calls(
 
 
 def test_look_ahead_memory_stays_near_the_sequential_search():
-    # the search peaks at 0.64 MiB here one move at a time and at 0.70
+    # the search peaks at 0.79 MiB here one move at a time and at 0.85
     # MiB in rounds, most of it one gathered block of 512 (row, grid
     # generator) pairs; a round gathers at most _LOOKAHEAD_ROWS rows
     J = TORUS_INPUTS["harmonic"](P4)
@@ -1209,7 +1209,9 @@ def test_the_bound_prunes_only_candidates_the_search_rejects(p, seed, scale):
     # near them (at scale 0 each candidate is its reference): the lower
     # bound, best + left - rhs, is never above the kernel's distance, so
     # a pruned candidate (lower bound above best) would be rejected, and
-    # a candidate equal to its reference is never pruned
+    # a candidate equal to its reference is never pruned; the right sides
+    # that a call below _MIN_BOUND leaves unknown are computed by the next
+    # call that uses the bound
     rng = np.random.default_rng(seed)
     J = JacobiParams(rng.uniform(0.2, 2.0, 300), rng.uniform(-1.5, 1.5, 301))
     ms = np.sort(rng.integers(1, 200, 40))
@@ -1217,17 +1219,22 @@ def test_the_bound_prunes_only_candidates_the_search_rejects(p, seed, scale):
     ra, rb = rng.uniform(0.3, 1.7, (40, p)), rng.uniform(-1.0, 1.0, (40, p))
     every = np.arange(40)
     best = periodic._weighted_dist(rows, every, ra, rb)
-    bound = periodic._Bound(rows, every, ra, rb, best)
+    bound = periodic._Bound(rows, ra, rb, best)
     pos = np.repeat(every, 8)
     a = np.abs(ra[pos] + scale * rng.standard_normal((len(pos), p)))
     b = rb[pos] + scale * rng.standard_normal((len(pos), p))
     a[::8], b[::8] = ra, rb
+    bound.rhs[::3] = np.nan
+    assert len(pos) >= periodic._MIN_BOUND
+    got, _ = bound.dist(pos, a, b)
     left, _ = bound._sums(pos, a, b)
     vals = periodic._weighted_dist(rows, pos, a, b)
     assert np.all(best[pos] + (left - bound.rhs[pos]) <= vals)
     pruned = left > bound.rhs[pos]
     assert np.all(vals[pruned] >= best[pos][pruned])
     assert not pruned[::8].any()
+    assert np.all(np.isinf(got[pruned])) and np.array_equal(got[~pruned],
+                                                            vals[~pruned])
 
 
 def test_most_search_pairs_of_a_harmonic_batch_skip_the_kernel(monkeypatch):
